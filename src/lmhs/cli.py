@@ -14,9 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .filtration import weight_filtration
-from .mhs import MHSData, check_situation_b
+from .mhs import MHSData, check_mhs, check_situation_b, deligne_splitting
 from .orbit import (
-    orbit_filtration,
+    OrbitFiltration,
     refined_filtration_check,
     taylor_minor_identity,
     verify_main_theorem,
@@ -205,7 +205,11 @@ def cmd_orbit(args) -> int:
     if data.S is None or not check_situation_b(data):
         _emit({"verdict": False, "failures": ["Situation B' fails"]}, cfg.fmt)
         return EXIT_VERDICT
-    orb = orbit_filtration(data, cfg.a)
+    mhs_report = check_mhs(data)
+    if not mhs_report.ok:
+        _emit({"verdict": False, "failures": mhs_report.failures}, cfg.fmt)
+        return EXIT_VERDICT
+    orb = OrbitFiltration(data, cfg.a, deligne_splitting(data, assume_mhs=True))
     asym = refined_filtration_check(orb)
     main = verify_main_theorem(data, cfg.a, cfg.t0, cfg.t0_cap)
     report = {

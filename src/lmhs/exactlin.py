@@ -53,7 +53,10 @@ class GaussianScalar:
         if isinstance(x, GaussianScalar):
             return x
         if isinstance(x, (int, Fraction)):
-            return GaussianScalar(x)
+            # small integers share the module constants (Fraction(n) hashes
+            # and compares equal to n)
+            shared = _SMALL.get(x)
+            return shared if shared is not None else GaussianScalar(x)
         raise TypeError(f"cannot coerce {x!r} to GaussianScalar")
 
     # -- ring operations ----------------------------------------------------
@@ -153,6 +156,8 @@ def _gs(re: Fraction, im: Fraction) -> GaussianScalar:
 G_ZERO = GaussianScalar(0)
 G_ONE = GaussianScalar(1)
 G_I = GaussianScalar(0, 1)
+_SMALL = {-2: GaussianScalar(-2), -1: GaussianScalar(-1), 0: G_ZERO, 1: G_ONE,
+          2: GaussianScalar(2)}
 
 
 def i_power(k: int) -> GaussianScalar:

@@ -354,12 +354,17 @@ def _adjointness_failures(data: DegenerationData) -> list[str]:
 
 def _d1_square_failures(data: DegenerationData) -> list[str]:
     out = []
+    # the second factor at degree d is the first factor at degree d+1, so
+    # each degree's d1 matrices are built once and carried to the next
+    cur = {r: d1_matrix(data, 0, r) for r in range(-1, 2)}
     for d in range(0, 2 * data.m + 1):
+        nxt = {r: d1_matrix(data, d + 1, r) for r in range(-d - 2, d + 3)}
         for r in range(-d - 1, d + 2):
-            M1 = d1_matrix(data, d, r)
-            M2 = d1_matrix(data, d + 1, r - 1)
+            M1 = cur[r]
+            M2 = nxt[r - 1]
             if M1.cols and M2.rows and not (M2 @ M1).is_zero():
                 out.append(f"d1 o d1 != 0 at degree {d}, column {-r}")
+        cur = nxt
     return out
 
 
@@ -438,14 +443,13 @@ def d1_matrix(data: DegenerationData, d: int, r: int) -> ExactMatrix:
     out = [[G_ZERO] * cols for _ in range(rows)]
 
     def put(block: ExactMatrix, ti: int, si: int, sign: int):
-        if block.rows == 0 or block.cols == 0:
-            return
-        for i in range(block.rows):
-            for j in range(block.cols):
-                e = GaussianScalar.coerce(block.entries[i][j])
-                if sign < 0:
-                    e = -e
-                out[to[ti] + i][so[si] + j] = out[to[ti] + i][so[si] + j] + e
+        # blocks never overlap: theta and gamma send one source summand to
+        # two different target summands, so each entry is written once
+        for i, row in enumerate(block.entries):
+            orow = out[to[ti] + i]
+            for j, e in enumerate(row):
+                e = GaussianScalar.coerce(e)
+                orow[so[si] + j] = -e if sign < 0 else e
 
     for si, s in enumerate(src):
         # theta: E(depth) -> E(depth+1), same degree, k -> k+1
@@ -503,18 +507,16 @@ def _transport_matrix(src: list[Summand], tgt: list[Summand]) -> ExactMatrix:
 
 
 def _quotient_reps(Z: Subspace, B: Subspace) -> ExactMatrix:
-    """Deterministic representatives of Z/B: columns of the canonical Z basis
-    that are independent modulo B."""
-    cur = B
-    chosen = []
-    for c in Z.basis.columns():
-        if not cur.contains_vector(c):
-            chosen.append(c)
-            cur = cur.add(
-                Subspace(Z.ambient_dim, ExactMatrix.from_columns([c], rows=Z.ambient_dim))
-            )
-    assert len(chosen) == Z.dim - B.dim
-    return ExactMatrix.from_columns(chosen, rows=Z.ambient_dim)
+    """Deterministic representatives of Z/B: the columns of the canonical Z
+    basis that are independent of B and of the Z columns before them.
+
+    One elimination of [B | Z] finds them all: B's columns are independent,
+    so they are the first pivots, and the remaining pivots are those Z
+    columns, in order.
+    """
+    span = image(B.basis.hstack(Z.basis)).basis
+    assert span.cols == Z.dim, "B is not contained in Z"
+    return span.take_columns(range(B.dim, span.cols))
 
 
 class E2Term:
@@ -574,12 +576,13 @@ class E2Term:
                     )
             Z_s = kernel(Mo_s)  # coordinates within the sector columns
             in_cols = in_sectors.get(sec, [])
+            col_set = set(cols)
             bvecs = []
             for c in in_cols:
                 col = Mi.column(c)
                 bvecs.append([col[i] for i in cols])
                 for i in range(len(col)):
-                    if i not in set(cols):
+                    if i not in col_set:
                         assert col[i].is_zero(), (
                             f"d1 violates type sectors at degree {d}, column {-r}"
                         )
@@ -657,13 +660,10 @@ def _induced_shift(page: E2Page, r: int, power: int) -> ExactMatrix | None:
     td = tgt.dim if tgt else 0
     if sd == 0:
         return ExactMatrix.zero(td, 0)
-    if tgt is None or td == 0:
-        # still must check the shifted classes die in E2
-        pass
+    # when the target is empty, the shifted classes must still die in E2
     T = _transport_matrix(src.summands, tgt.summands if tgt else [])
     cols = []
-    for v in src.reps.columns():
-        w = (T @ ExactMatrix.from_columns([v], rows=len(v))).column(0)
+    for w in (T @ src.reps).columns():
         if tgt is None:
             if any(not e.is_zero() for e in w):
                 return None
@@ -689,10 +689,10 @@ class WeightCriterionReport:
         return f"WeightCriterionReport(d={self.d}, per_r={self.per_r}, ok={self.ok})"
 
 
-def weight_criterion(data: DegenerationData, d: int) -> WeightCriterionReport:
+def _weight_criterion(page: E2Page) -> WeightCriterionReport:
     """For each r >= 0, the identity-shift map nu^r must induce an
-    isomorphism E2^{-r, d+r} -> E2^{r, d-r}."""
-    page = e2_page(data, d)
+    isomorphism E2^{-r, d+r} -> E2^{r, d-r} on the page of degree d."""
+    d = page.d
     per_r = {}
     for r in range(0, d + 1):
         sd = page.dim(r)
@@ -709,6 +709,11 @@ def weight_criterion(data: DegenerationData, d: int) -> WeightCriterionReport:
         )
         per_r[r] = rank(M) == sd
     return WeightCriterionReport(d, per_r)
+
+
+def weight_criterion(data: DegenerationData, d: int) -> WeightCriterionReport:
+    """The weight criterion at degree d (see _weight_criterion)."""
+    return _weight_criterion(e2_page(data, d))
 
 
 def psi_form(data: DegenerationData, d: int | None = None) -> dict[int, ExactMatrix]:
@@ -774,58 +779,41 @@ def _primitive_sector_basis(page: E2Page, r: int, sec: tuple[int, int]) -> Exact
     E2^{-r, m+r}, as columns in the E1 term."""
     term = page.term(r)
     X = term.sector_reps[sec]
-    if X.cols == 0:
-        return X
     tgt = page.term(-r - 2)
-    T = _transport_matrix(term.summands, tgt.summands if tgt else [])
+    if X.cols == 0 or tgt is None or tgt.dim_e1 == 0:
+        # nu^{r+1} lands in a zero term: the whole sector is primitive
+        return X
+    T = _transport_matrix(term.summands, tgt.summands)
     tsec = (sec[0] - r - 1, sec[1] - r - 1)
+    tcols = tgt.sector_cols.get(tsec, [])
+    tcol_set = set(tcols)
+    R = tgt.sector_reps.get(tsec)
+    R_sec = (
+        ExactMatrix([R.entries[i] for i in tcols], cols=R.cols)
+        if R is not None
+        else ExactMatrix.zero(len(tcols), 0)
+    )
+    Bb = tgt.sector_B.get(tsec, Subspace.zero(len(tcols)))
+    M = R_sec.hstack(Bb.basis)
     cols = []
-    for v in X.columns():
-        w = (T @ ExactMatrix.from_columns([v], rows=len(v))).column(0)
-        if tgt is None or tgt.dim_e1 == 0:
-            cols.append([])
-            continue
+    for w in (T @ X).columns():
         # coordinates modulo the sector boundary space, in sector coordinates
-        tcols = tgt.sector_cols.get(tsec, [])
-        wsec = [w[i] for i in tcols]
-        for i in range(len(w)):
-            if i not in set(tcols):
-                assert w[i].is_zero()
-        R = tgt.sector_reps.get(tsec)
-        R_sec = (
-            ExactMatrix.from_columns(
-                [[col[i] for i in tcols] for col in R.columns()], rows=len(tcols)
-            )
-            if R is not None
-            else ExactMatrix.from_columns([], rows=len(tcols))
-        )
-        Bb = tgt.sector_B.get(tsec, Subspace.zero(len(tcols)))
-        M = R_sec.hstack(Bb.basis)
-        x = solve(M, wsec)
+        for i, e in enumerate(w):
+            if i not in tcol_set:
+                assert e.is_zero()
+        x = solve(M, [w[i] for i in tcols])
         assert x is not None, "shift map fails to descend on a sector"
         cols.append(x[: R_sec.cols])
-    tdim = len(cols[0]) if cols else 0
-    induced = ExactMatrix.from_columns(cols, rows=tdim)
+    induced = ExactMatrix.from_columns(cols, rows=R_sec.cols)
     K = kernel(induced)
     return X @ K.basis
 
 
-def e2_signature_table(data: DegenerationData) -> SignatureTable:
-    """Exact signatures of S(C., (-N)^r conj .) on the type sectors of the
-    monodromy-primitive parts of E2^{-r, m+r}, r >= 0, at middle degree m.
-
-    Requires the weight criterion to hold at degree m.
-    """
+def _e2_signature_table(data: DegenerationData, page: E2Page) -> SignatureTable:
+    """The signature table read from the middle-degree page, on which the
+    weight criterion is known to hold."""
     m = data.m
-    crit = weight_criterion(data, m)
-    assert crit.ok, f"weight criterion fails at degree {m}: {crit.per_r}"
-    page = e2_page(data, m)
     entries = {}
-    part_dims = {}
-    for t in page.terms.values():
-        for sec, dim in t.sector_dims.items():
-            if dim:
-                part_dims[sec] = part_dims.get(sec, 0) + dim
     for r in range(0, m + 1):
         term = page.term(r)
         if term is None or term.dim == 0:
@@ -844,7 +832,20 @@ def e2_signature_table(data: DegenerationData) -> SignatureTable:
                     f"degenerate primitive form at sector {sec}, r={r}"
                 )
             entries[sec] = (pos, neg)
-    return SignatureTable(m, entries, part_dims)
+    return SignatureTable(m, entries, page.hodge_numbers())
+
+
+def e2_signature_table(data: DegenerationData) -> SignatureTable:
+    """Exact signatures of S(C., (-N)^r conj .) on the type sectors of the
+    monodromy-primitive parts of E2^{-r, m+r}, r >= 0, at middle degree m.
+
+    Requires the weight criterion to hold at degree m.
+    """
+    m = data.m
+    page = e2_page(data, m)
+    crit = _weight_criterion(page)
+    assert crit.ok, f"weight criterion fails at degree {m}: {crit.per_r}"
+    return _e2_signature_table(data, page)
 
 
 def extract_limit_mhs(data: DegenerationData, d: int) -> MHSData:
@@ -975,14 +976,15 @@ class IndexReport:
 def nearby_hodge_index(data: DegenerationData) -> IndexReport:
     """Criterion verdicts and limit Hodge numbers for every degree, and the
     aggregated signature of S(C., conj .) per (p, m-p) at middle degree when
-    the criterion holds there."""
+    the criterion holds there.  Each degree's E2 page is built once."""
     m = data.m
     failures = []
     per_degree = {}
     verdict = True
+    middle = None
     for d in range(0, 2 * m + 1):
-        crit = weight_criterion(data, d)
         page = e2_page(data, d)
+        crit = _weight_criterion(page)
         hodge = page.hodge_numbers()
         for (p, q), dim in hodge.items():
             if hodge.get((q, p), 0) != dim:
@@ -991,10 +993,12 @@ def nearby_hodge_index(data: DegenerationData) -> IndexReport:
                 )
         per_degree[d] = {"criterion": crit.per_r, "hodge": hodge}
         verdict = verdict and crit.ok
+        if d == m and crit.ok:
+            middle = page
     table = None
     signature = None
-    if weight_criterion(data, m).ok:
-        table = e2_signature_table(data)
+    if middle is not None:
+        table = _e2_signature_table(data, middle)
         signature = {}
         hodge_m = per_degree[m]["hodge"]
         for p in range(0, m + 1):

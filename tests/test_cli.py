@@ -101,6 +101,24 @@ class TestOrbit:
         assert report["verdict"] is False
         assert any("W != W(N,1)" in f for f in report["failures"])
 
+    def test_non_mhs_is_a_verdict(self, tmp_path, capsys):
+        # F^1 a real line: Situations A' and B' hold, but F^1 meets its
+        # conjugate, so the input is no mixed Hodge structure
+        blob = json.load(open(fixture_path("elliptic.json")))
+        for step in blob["F"]:
+            if step["level"] == 1:
+                step["basis"] = [["1/1", "2/1"]]
+        bad = tmp_path / "real_line.json"
+        bad.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "orbit", str(bad), "--format", "json")
+        assert code == 2
+        assert "Traceback" not in err
+        report = json.loads(out)
+        assert report == {
+            "verdict": False,
+            "failures": ["weight 1, level 1: induced F^1 meets conj F^1"],
+        }
+
 
 class TestVerifyIdentities:
     def test_small_range(self, capsys):

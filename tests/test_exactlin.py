@@ -62,6 +62,30 @@ class TestGaussianScalar:
         assert i_power(-1) == -G_I
         assert i_power(6) == -G_ONE
 
+    def test_coerce_shares_small_integers(self):
+        for n in (-2, -1, 0, 1, 2):
+            shared = GaussianScalar.coerce(n)
+            assert GaussianScalar.coerce(Fraction(n)) is shared
+            assert GaussianScalar.coerce(n) is shared
+            assert shared == g(n)
+            assert type(shared.re) is Fraction and type(shared.im) is Fraction
+        assert GaussianScalar.coerce(0) is G_ZERO
+        assert GaussianScalar.coerce(1) is G_ONE
+        for x in (3, -3, Fraction(1, 2)):
+            a = GaussianScalar.coerce(x)
+            assert a == g(x)
+            assert GaussianScalar.coerce(x) is not a
+
+    def test_immutable(self):
+        for x in (GaussianScalar.coerce(-1), GaussianScalar.coerce(Fraction(2)),
+                  GaussianScalar.coerce(3), g(1, 2)):
+            with pytest.raises(AttributeError):
+                x.re = Fraction(5)
+            with pytest.raises(AttributeError):
+                x.im = Fraction(5)
+        assert GaussianScalar.coerce(-1) == g(-1)
+        assert GaussianScalar.coerce(2) == g(2)
+
     def test_serialization_roundtrip(self):
         for x in [g(0), g(Fraction(3, 7)), g(1, -2), g(Fraction(-1, 2), Fraction(5, 3))]:
             assert gaussian_from_str(gaussian_to_str(x)) == x

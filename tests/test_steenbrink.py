@@ -4,14 +4,17 @@ psi pairings, E2 signature tables and limit MHS extraction."""
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lmhs.exactlin import ExactMatrix, GaussianScalar, rank
+from lmhs import steenbrink
+from lmhs.exactlin import ExactMatrix, GaussianScalar, Subspace, image, kernel, rank
 from lmhs.filtration import weight_filtration
 from lmhs.mhs import check_mhs, check_situation_a, check_situation_b, nearby_index_formula
 from lmhs.orbit import verify_main_theorem
 from lmhs.steenbrink import (
     DegenerationData,
     StratumCohomology,
+    _quotient_reps,
     _transport_matrix,
     d1_matrix,
     e1_page,
@@ -364,3 +367,86 @@ class TestIndexReport:
         blob = json.loads(json.dumps(rep.to_json()))
         assert blob["ddbar_verdict"] is True
         assert {"m", "degrees", "failures"} <= set(blob)
+
+
+class TestPageBuilds:
+    """Each pipeline builds every E2 page it reads exactly once."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        degrees = []
+        original = steenbrink.e2_page
+
+        def counting(data, d):
+            degrees.append(d)
+            return original(data, d)
+
+        monkeypatch.setattr(steenbrink, "e2_page", counting)
+        return degrees
+
+    @pytest.mark.parametrize("build", ALL_FIXTURES)
+    def test_nearby_hodge_index_one_page_per_degree(self, build, built):
+        data = build()
+        nearby_hodge_index(data)
+        assert sorted(built) == list(range(2 * data.m + 1))
+
+    @pytest.mark.parametrize("build", ALL_FIXTURES)
+    def test_signature_table_one_page(self, build, built):
+        data = build()
+        e2_signature_table(data)
+        assert built == [data.m]
+
+
+def greedy_quotient_reps(Z: Subspace, B: Subspace) -> ExactMatrix:
+    """The defining left-to-right scan: keep each column of Z's basis that
+    is not in the span of B and of the columns kept before it."""
+    cur = B
+    chosen = []
+    for c in Z.basis.columns():
+        if not cur.contains_vector(c):
+            chosen.append(c)
+            cur = cur.add(
+                Subspace(Z.ambient_dim, ExactMatrix.from_columns([c], rows=Z.ambient_dim))
+            )
+    return ExactMatrix.from_columns(chosen, rows=Z.ambient_dim)
+
+
+small_gaussians = st.builds(GaussianScalar, st.integers(-2, 2), st.integers(-1, 1))
+
+
+def random_matrix(draw, rows, cols):
+    return ExactMatrix(
+        [[draw(small_gaussians) for _ in range(cols)] for _ in range(rows)], cols=cols
+    )
+
+
+@st.composite
+def nested_subspaces(draw):
+    """(Z, B) with B inside Z: Z a kernel (a canonical basis, as in E2Term),
+    B the zero space, Z itself, the span of some of Z's basis columns, or
+    the span of random combinations of them (dependent generators
+    included)."""
+    n = draw(st.integers(0, 6))
+    Z = kernel(random_matrix(draw, draw(st.integers(0, 4)), n))
+    kind = draw(st.sampled_from(["zero", "all", "columns", "combinations"]))
+    if kind == "zero" or Z.dim == 0:
+        B = Subspace.zero(n)
+    elif kind == "all":
+        B = Z
+    elif kind == "columns":
+        keep = draw(st.lists(st.integers(0, Z.dim - 1), unique=True))
+        B = image(Z.basis.take_columns(sorted(keep)))
+    else:
+        C = random_matrix(draw, Z.dim, draw(st.integers(0, Z.dim + 1)))
+        B = image(Z.basis @ C)
+    return Z, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_subspaces())
+def test_quotient_reps_match_greedy_scan(pair):
+    Z, B = pair
+    got = _quotient_reps(Z, B)
+    want = greedy_quotient_reps(Z, B)
+    assert (got.rows, got.cols) == (want.rows, want.cols) == (Z.ambient_dim, Z.dim - B.dim)
+    assert got == want
