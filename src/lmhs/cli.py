@@ -23,6 +23,7 @@ from .orbit import (
     wedge_identity,
 )
 from .steenbrink import (
+    DegenerateFormError,
     DegenerationData,
     nearby_hodge_index,
     validate_degeneration_data,
@@ -159,7 +160,11 @@ def cmd_check(args) -> int:
     if not validation.ok:
         _emit({"valid": False, "failures": validation.failures}, cfg.fmt)
         return EXIT_INPUT
-    report = nearby_hodge_index(data)
+    try:
+        report = nearby_hodge_index(data)
+    except DegenerateFormError as exc:
+        _emit({"verdict": False, "failures": [str(exc)]}, cfg.fmt)
+        return EXIT_VERDICT
     _emit(report.to_json(), cfg.fmt)
     if report.verdict and not report.failures:
         return EXIT_OK

@@ -367,9 +367,14 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(
-            [[G_ONE if j == k else G_ZERO for k in range(n)] for j in range(n)]
-        )
+        """The n x n identity, one shared immutable instance per n."""
+        I = _IDENTITIES.get(n)
+        if I is None:
+            I = _IDENTITIES[n] = ExactMatrix(
+                [[G_ONE if j == k else G_ZERO for k in range(n)] for j in range(n)],
+                cols=n,
+            )
+        return I
 
     @staticmethod
     def zero(rows: int, cols: int) -> "ExactMatrix":
@@ -527,6 +532,9 @@ class ExactMatrix:
             " ".join(str(e) for e in row) for row in self.entries
         )
         return f"ExactMatrix[{self.rows}x{self.cols}]({body})"
+
+
+_IDENTITIES: dict[int, ExactMatrix] = {}
 
 
 def _is_gaussian(entries) -> bool:

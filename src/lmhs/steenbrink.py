@@ -52,6 +52,32 @@ def _inverse(M: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([row[n:] for row in R.entries], cols=n)
 
 
+def _frame_map(data: "DegenerationData"):
+    """The function framed(M, src, tgt) = F_tgt^{-1} M F_src for a stratum
+    map M from src = (depth, q) to tgt, in the frames of data.  A stratum
+    degree without a frame has the identity frame and contributes no factor;
+    each frame is inverted once, when a map first lands on it."""
+    inverses = {}
+
+    def frame(depth, q):
+        s = data.strata.get(depth)
+        entry = s.cohomology.get(q) if s else None
+        return entry["frame"] if entry else None
+
+    def framed(M: ExactMatrix, src: tuple, tgt: tuple) -> ExactMatrix:
+        Ft = frame(*tgt)
+        if Ft is not None:
+            if tgt not in inverses:
+                inverses[tgt] = _inverse(Ft)
+            M = inverses[tgt] @ M
+        Fs = frame(*src)
+        if Fs is not None:
+            M = M @ Fs
+        return M
+
+    return framed
+
+
 class StratumCohomology:
     """Cohomology of the depth-l stratum E(l), one merged space per degree.
 
@@ -268,10 +294,10 @@ def validate_degeneration_data(data: DegenerationData) -> ValidationReport:
                     failures.append(f"{tag}: degenerate pairing")
                 else:
                     Pd = s.pairing(2 * n - q)
-                    sign = -1 if (q * (2 * n - q)) % 2 else 1
-                    if Pd is not None and Pd != P.transpose().scale(
-                        GaussianScalar(sign)
-                    ):
+                    Pt = P.transpose()
+                    if (q * (2 * n - q)) % 2:
+                        Pt = -Pt
+                    if Pd is not None and Pd != Pt:
                         failures.append(f"{tag}: pairing transpose inconsistency")
             F = entry["frame"]
             if F is not None:
@@ -285,35 +311,38 @@ def validate_degeneration_data(data: DegenerationData) -> ValidationReport:
                 if any(a != b for (a, b) in types):
                     failures.append(f"{tag}: frame required for types with p' != q'")
     # gamma raises type by (1,1), theta preserves type (checked in frame coords)
+    framed = _frame_map(data)
     for (depth, q), M in sorted(data.gysin.items()):
         tag = f"gysin depth {depth} degree {q}"
         want = (data.stratum_dim(depth, q + 2), data.stratum_dim(depth + 1, q))
         if (M.rows, M.cols) != want:
             failures.append(f"{tag}: shape {(M.rows, M.cols)} != {want}")
             continue
-        failures.extend(_type_shift_failures(data, depth + 1, q, depth, q + 2, M, 1, tag))
+        failures.extend(
+            _type_shift_failures(data, framed, (depth + 1, q), (depth, q + 2), M, 1, tag)
+        )
     for (depth, q), M in sorted(data.restriction.items()):
         tag = f"restriction depth {depth} degree {q}"
         want = (data.stratum_dim(depth + 1, q), data.stratum_dim(depth, q))
         if (M.rows, M.cols) != want:
             failures.append(f"{tag}: shape {(M.rows, M.cols)} != {want}")
             continue
-        failures.extend(_type_shift_failures(data, depth, q, depth + 1, q, M, 0, tag))
+        failures.extend(
+            _type_shift_failures(data, framed, (depth, q), (depth + 1, q), M, 0, tag)
+        )
     failures.extend(_adjointness_failures(data))
     failures.extend(_d1_square_failures(data))
     return ValidationReport(failures)
 
 
-def _type_shift_failures(data, src_depth, src_q, tgt_depth, tgt_q, M, shift, tag):
-    src = data.strata.get(src_depth)
-    tgt = data.strata.get(tgt_depth)
-    if src is None or tgt is None or M.rows == 0 or M.cols == 0:
+def _type_shift_failures(data, framed, src, tgt, M, shift, tag):
+    s = data.strata.get(src[0])
+    t = data.strata.get(tgt[0])
+    if s is None or t is None or M.rows == 0 or M.cols == 0:
         return []
-    Fs = src.frame(src_q)
-    Ft = tgt.frame(tgt_q)
-    T = _inverse(Ft) @ M.map(GaussianScalar.coerce) @ Fs
-    st = src.types(src_q)
-    tt = tgt.types(tgt_q)
+    T = framed(M.map(GaussianScalar.coerce), src, tgt)
+    st = s.types(src[1])
+    tt = t.types(tgt[1])
     out = []
     for i in range(T.rows):
         for j in range(T.cols):
@@ -506,16 +535,17 @@ def _transport_matrix(src: list[Summand], tgt: list[Summand]) -> ExactMatrix:
     return ExactMatrix(out, cols=so[-1])
 
 
-def _quotient_reps(Z: Subspace, B: Subspace) -> ExactMatrix:
+def _quotient_reps(Z: Subspace, B: Subspace, where: str = "") -> ExactMatrix:
     """Deterministic representatives of Z/B: the columns of the canonical Z
     basis that are independent of B and of the Z columns before them.
 
     One elimination of [B | Z] finds them all: B's columns are independent,
     so they are the first pivots, and the remaining pivots are those Z
-    columns, in order.
+    columns, in order.  The same elimination tests that B lies in Z: then
+    [B | Z] spans no more than Z.  `where` names the E2 term in the message.
     """
     span = image(B.basis.hstack(Z.basis)).basis
-    assert span.cols == Z.dim, "B is not contained in Z"
+    assert span.cols == Z.dim, f"d1 image escapes kernel{where}"
     return span.take_columns(range(B.dim, span.cols))
 
 
@@ -527,40 +557,28 @@ class E2Term:
         "sector_cols", "sector_reps", "sector_B", "sector_dims",
     )
 
-    def __init__(self, data: DegenerationData, d: int, r: int):
+    def __init__(self, data: DegenerationData, framed: DegenerationData, d: int, r: int):
         summands = e1_summands(data, d, r)
         n = sum(s.dim for s in summands)
-        M_out = d1_matrix(data, d, r)
-        M_in = d1_matrix(data, d - 1, r + 1)
-        Z = kernel(M_out)
-        B = image(M_in)
-        assert Z.contains(B), f"d1 image escapes kernel at degree {d}, column {-r}"
+        Z = kernel(d1_matrix(data, d, r))
+        B = image(d1_matrix(data, d - 1, r + 1))
+        where = f" at degree {d}, column {-r}"
         self.d = d
         self.r = r
         self.summands = summands
         self.dim_e1 = n
         self.Z = Z
         self.B = B
-        self.reps = _quotient_reps(Z, B)
-        frame = _term_frame(data, summands)
-        self.frame = frame
+        self.reps = _quotient_reps(Z, B, where)
+        self.frame = _term_frame(data, summands)
         self.sector_cols = _term_sectors(data, summands)
-        # sector homology in frame coordinates
-        finv = _inverse(frame) if n else frame
-        src_in = e1_summands(data, d - 1, r + 1)
-        F_in = _term_frame(data, src_in)
-        tgt_out = e1_summands(data, d + 1, r - 1)
-        F_out_inv = (
-            _inverse(_term_frame(data, tgt_out)) if sum(s.dim for s in tgt_out) else None
-        )
-        Mi = (finv @ M_in.map(GaussianScalar.coerce) @ F_in) if n else M_in
-        Mo = (
-            (F_out_inv @ M_out.map(GaussianScalar.coerce) @ frame)
-            if (n and F_out_inv is not None)
-            else ExactMatrix.zero(0, n)
-        )
-        in_sectors = _term_sectors(data, src_in)
-        out_sectors = _term_sectors(data, tgt_out)
+        # sector homology in frame coordinates: a term frame is block-diagonal
+        # with the stratum frames as blocks, so F_out^{-1} d1 F is d1 built
+        # from the framed stratum maps
+        Mi = d1_matrix(framed, d - 1, r + 1)
+        Mo = d1_matrix(framed, d, r)
+        in_sectors = _term_sectors(data, e1_summands(data, d - 1, r + 1))
+        out_sectors = _term_sectors(data, e1_summands(data, d + 1, r - 1))
         self.sector_reps = {}
         self.sector_B = {}
         self.sector_dims = {}
@@ -591,8 +609,7 @@ class E2Term:
                 if bvecs
                 else Subspace.zero(len(cols))
             )
-            assert Z_s.contains(B_s)
-            reps_s = _quotient_reps(Z_s, B_s)
+            reps_s = _quotient_reps(Z_s, B_s, f"{where}, sector {sec}")
             # lift to full-term frame coordinates
             lifted = []
             for vec in reps_s.columns():
@@ -623,11 +640,24 @@ class E2Term:
         return x[: self.reps.cols]
 
 
+def _framed_data(data: DegenerationData) -> DegenerationData:
+    """The same strata with every Gysin and restriction map in frame
+    coordinates."""
+    framed = _frame_map(data)
+    return DegenerationData(
+        data.m,
+        data.strata.values(),
+        {(l, q): framed(M, (l + 1, q), (l, q + 2)) for (l, q), M in data.gysin.items()},
+        {(l, q): framed(M, (l, q), (l + 1, q)) for (l, q), M in data.restriction.items()},
+    )
+
+
 class E2Page:
     def __init__(self, data: DegenerationData, d: int):
         self.data = data
         self.d = d
-        self.terms = {r: E2Term(data, d, r) for r in range(-d, d + 1)}
+        framed = _framed_data(data)
+        self.terms = {r: E2Term(data, framed, d, r) for r in range(-d, d + 1)}
 
     def term(self, r: int) -> E2Term | None:
         return self.terms.get(r)
@@ -809,6 +839,12 @@ def _primitive_sector_basis(page: E2Page, r: int, sec: tuple[int, int]) -> Exact
     return X @ K.basis
 
 
+class DegenerateFormError(ValueError):
+    """A primitive sector form on the middle E2 page is degenerate: the
+    input's pairings polarize no limit.  A verdict on valid input, not a
+    contract error."""
+
+
 def _e2_signature_table(data: DegenerationData, page: E2Page) -> SignatureTable:
     """The signature table read from the middle-degree page, on which the
     weight criterion is known to hold."""
@@ -828,7 +864,7 @@ def _e2_signature_table(data: DegenerationData, page: E2Page) -> SignatureTable:
             assert hermitian_check(H), f"non-Hermitian form at sector {sec}"
             pos, neg, nulls = hermitian_signature(H)
             if nulls:
-                raise ValueError(
+                raise DegenerateFormError(
                     f"degenerate primitive form at sector {sec}, r={r}"
                 )
             entries[sec] = (pos, neg)

@@ -54,6 +54,33 @@ class TestCheck:
         code, _, err = run(capsys, "check", "/nonexistent/file.json")
         assert code == 1
 
+    def test_degenerate_primitive_form_is_a_verdict(self, tmp_path, capsys):
+        # a valid single curve whose H^1 frame makes a primitive sector form
+        # degenerate: columns a = (1, i, 1, -i), b = (1, -i, 0, 0) and their
+        # conjugates, against the pairing J + J
+        blob = {"m": 1, "strata": [{"depth": 1, "cohomology": [
+            {"q": 0, "dim": 1, "types": [[0, 0]], "pairing": [["1"]]},
+            {"q": 1, "dim": 4, "types": [[1, 0], [1, 0], [0, 1], [0, 1]],
+             "pairing": [["0", "1", "0", "0"], ["-1", "0", "0", "0"],
+                         ["0", "0", "0", "1"], ["0", "0", "-1", "0"]],
+             "frame": [["1", "1", "1", "1"],
+                       ["0+1*i", "0-1*i", "0-1*i", "0+1*i"],
+                       ["1", "0", "1", "0"],
+                       ["0-1*i", "0", "0+1*i", "0"]]},
+            {"q": 2, "dim": 1, "types": [[1, 1]], "pairing": [["1"]]},
+        ]}]}
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(blob))
+        code, out, _ = run(capsys, "validate", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)["valid"] is True
+        code, out, err = run(capsys, "check", str(path), "--format", "json")
+        assert code == 2
+        assert "Traceback" not in err
+        assert json.loads(out) == {
+            "verdict": False,
+            "failures": ["degenerate primitive form at sector (0, 1), r=0"],
+        }
+
 
 class TestValidate:
     def test_valid_fixture(self, capsys):

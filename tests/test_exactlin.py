@@ -93,6 +93,25 @@ class TestGaussianScalar:
         assert gaussian_from_str("2/3+1/5*i") == g(Fraction(2, 3), Fraction(1, 5))
 
 
+class TestIdentity:
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_shared_per_size(self, n):
+        I = ExactMatrix.identity(n)
+        assert ExactMatrix.identity(n) is I
+        assert I == gm([[int(j == k) for k in range(n)] for j in range(n)])
+        assert (I.rows, I.cols) == (n, n)
+
+    def test_immutable(self):
+        I = ExactMatrix.identity(2)
+        with pytest.raises(AttributeError):
+            I.entries = ((G_ZERO, G_ZERO), (G_ZERO, G_ZERO))
+        with pytest.raises(TypeError):
+            I.entries[0][0] = G_ZERO
+        with pytest.raises(AttributeError):
+            I.entries[0][0].re = Fraction(0)
+        assert ExactMatrix.identity(2) == gm([[1, 0], [0, 1]])
+
+
 class TestPolyScalar:
     def test_normalization(self):
         assert PolyScalar([1, 2, 0, 0]).degree() == 1

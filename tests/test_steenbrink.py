@@ -9,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 from lmhs import steenbrink
 from lmhs.exactlin import ExactMatrix, GaussianScalar, Subspace, image, kernel, rank
 from lmhs.filtration import weight_filtration
+from lmhs.geomodels import ResolutionData, odp_semistable_model
 from lmhs.mhs import check_mhs, check_situation_a, check_situation_b, nearby_index_formula
 from lmhs.orbit import verify_main_theorem
 from lmhs.steenbrink import (
     DegenerationData,
     StratumCohomology,
+    _framed_data,
     _quotient_reps,
+    _term_frame,
     _transport_matrix,
     d1_matrix,
     e1_page,
@@ -27,6 +30,7 @@ from lmhs.steenbrink import (
     validate_degeneration_data,
     weight_criterion,
 )
+from support import invert
 
 I = GaussianScalar(0, 1)
 M = ExactMatrix.from_rational
@@ -96,6 +100,35 @@ def kodaira_degeneration() -> DegenerationData:
 
 
 ALL_FIXTURES = [elliptic_smooth, cycle_degeneration, kodaira_degeneration]
+
+
+def curve_frame(a, b) -> ExactMatrix:
+    """Frame of an H^1 with types [(1,0), (0,1)]: columns a and conj(a),
+    given by the real and imaginary parts a = (a0, a1), b = (b0, b1)."""
+    col = [GaussianScalar(a[0], b[0]), GaussianScalar(a[1], b[1])]
+    return ExactMatrix.from_columns([col, [e.conj() for e in col]])
+
+
+def framed_maps_degeneration() -> DegenerationData:
+    """Shapes only, not a valid degeneration: surfaces, curves and points,
+    with framed H^1 and H^3 on the surfaces and framed H^1 and H^2 on the
+    curves.  A restriction and a Gysin map join framed H^1s to a framed H^3,
+    and the curves' H^2 is the target of both a restriction and a Gysin
+    map, so every framed map changes under the frames."""
+    curve = [(1, 0), (0, 1)]
+    surfaces = StratumCohomology(1, {
+        1: {"types": curve, "frame": curve_frame((1, 0), (0, 1))},
+        2: {"types": [(1, 1)]},
+        3: {"types": [(2, 1), (1, 2)], "frame": curve_frame((1, 2), (1, -1))},
+    })
+    curves = StratumCohomology(2, {
+        1: {"types": curve, "frame": curve_frame((2, 1), (1, 0))},
+        2: {"types": [(1, 1)], "frame": M([[2]])},
+    })
+    points = StratumCohomology(3, {0: {"types": [(0, 0)]}})
+    gysin = {(1, 1): M([[1, 0], [1, 1]]), (2, 0): M([[3]])}
+    restriction = {(1, 1): M([[1, 2], [0, 1]]), (1, 2): M([[5]])}
+    return DegenerationData(2, [surfaces, curves, points], gysin, restriction)
 
 
 class TestValidation:
@@ -450,3 +483,79 @@ def test_quotient_reps_match_greedy_scan(pair):
     want = greedy_quotient_reps(Z, B)
     assert (got.rows, got.cols) == (want.rows, want.cols) == (Z.ambient_dim, Z.dim - B.dim)
     assert got == want
+
+
+class TestFramedMaps:
+    """E2 pages and validation read the stratum maps in frame coordinates,
+    framed once per map instead of once per term."""
+
+    @pytest.mark.parametrize("build", ALL_FIXTURES + [framed_maps_degeneration])
+    def test_framed_d1_is_term_frame_conjugate(self, build):
+        # the reference is the per-term formula F_tgt^{-1} d1 F_src
+        data = build()
+        framed = _framed_data(data)
+        for d in range(-1, 2 * data.m + 1):
+            for r in range(-d - 2, d + 3):
+                F_src = _term_frame(data, e1_summands(data, d, r))
+                F_tgt = _term_frame(data, e1_summands(data, d + 1, r - 1))
+                want = invert(F_tgt) @ d1_matrix(data, d, r) @ F_src
+                assert d1_matrix(framed, d, r) == want, (d, r)
+
+    def test_unframed_type_break_rejected(self):
+        curve = [(1, 0), (0, 1)]
+        surfaces = StratumCohomology(1, {1: {"types": curve}})
+        curves = StratumCohomology(2, {1: {"types": curve}})
+        data = DegenerationData(2, [surfaces, curves],
+                                restriction={(1, 1): M([[0, 1], [1, 0]])})
+        failures = validate_degeneration_data(data).failures
+        assert "restriction depth 1 degree 1: entry (0,1) shifts type by (1,-1)" in failures
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_frames_alone_break_type(self, swapped):
+        # an identity restriction between two framed H^1: it preserves type
+        # exactly when both frames list the (1,0) column first
+        curve = [(1, 0), (0, 1)]
+        F = curve_frame((1, 0), (0, 1))
+        Fc = curve_frame((1, 0), (0, -1)) if swapped else F
+        surfaces = StratumCohomology(1, {1: {"types": curve, "frame": F}})
+        curves = StratumCohomology(2, {1: {"types": curve, "frame": Fc}})
+        data = DegenerationData(2, [surfaces, curves],
+                                restriction={(1, 1): ExactMatrix.identity(2)})
+        failures = validate_degeneration_data(data).failures
+        broken = [f for f in failures if "shifts type by" in f]
+        if swapped:
+            assert broken == ["restriction depth 1 degree 1: entry (0,1) shifts type by (1,-1)"]
+        else:
+            assert broken == []
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        calls = []
+        original = steenbrink._inverse
+
+        def counting(F):
+            calls.append((F.rows, F.cols))
+            return original(F)
+
+        monkeypatch.setattr(steenbrink, "_inverse", counting)
+        return calls
+
+    @pytest.mark.parametrize("build", [
+        cycle_degeneration,
+        lambda: odp_semistable_model(ResolutionData(4, 3, vhat_signs=(1, -1))),
+        # a framed H^3 that no map touches
+        lambda: odp_semistable_model(ResolutionData(
+            3, 2, signs=(1, -1), rho=ExactMatrix.from_rational([[1], [-1]]))),
+    ])
+    def test_identity_frames_invert_nothing(self, build, inversions):
+        data = build()
+        assert validate_degeneration_data(data).ok
+        assert nearby_hodge_index(data).ok
+        assert inversions == []
+
+    def test_each_framed_target_inverted_once(self, inversions):
+        # three framed degrees are targets: the curves' H^1 and H^2 and the
+        # surfaces' H^3 (the curves' H^2 of two maps); the surfaces' H^1 is
+        # only ever a source
+        _framed_data(framed_maps_degeneration())
+        assert sorted(inversions) == [(1, 1), (2, 2), (2, 2)]
