@@ -10,14 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .filtration import weight_filtration
-from .mhs import MHSData, check_mhs, check_situation_b, deligne_splitting
+from .mhs import MHSData
 from .orbit import (
-    OrbitFiltration,
-    refined_filtration_check,
     taylor_minor_identity,
     verify_main_theorem,
     wedge_identity,
@@ -38,18 +34,16 @@ EXIT_VERDICT = 2
 class RunConfig:
     """Common run options shared by the subcommands."""
 
-    __slots__ = ("a", "t0", "t0_cap", "fmt", "workers")
+    __slots__ = ("a", "t0", "t0_cap", "fmt")
 
     def __init__(self, a=Fraction(0), t0=Fraction(2 ** 10),
-                 t0_cap=Fraction(2 ** 60), fmt="text", workers=1):
+                 t0_cap=Fraction(2 ** 60), fmt="text"):
         assert t0 <= t0_cap, "t0 start must not exceed the cap"
         assert fmt in ("text", "json")
-        assert workers >= 1
         self.a = a
         self.t0 = t0
         self.t0_cap = t0_cap
         self.fmt = fmt
-        self.workers = workers
 
     @staticmethod
     def from_args(args) -> "RunConfig":
@@ -58,7 +52,6 @@ class RunConfig:
             t0=Fraction(getattr(args, "t0", 2 ** 10)),
             t0_cap=Fraction(getattr(args, "t0_cap", 2 ** 60)),
             fmt=getattr(args, "format", "text"),
-            workers=getattr(args, "workers", 1),
         )
 
 
@@ -135,14 +128,6 @@ def _load_json(path: str):
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _parallel_map(fn, items, workers):
-    """Order-preserving map, threaded when more than one worker is asked for."""
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -184,16 +169,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK if validation.ok else EXIT_VERDICT
 
 
-def _situation_a_failure(data: MHSData) -> str | None:
-    if data.N is None:
-        return "N missing"
-    expected = weight_filtration(data.N, data.d)
-    for w in range(-1, 2 * data.d + 2):
-        if data.W.at(w).canonical_rows() != expected.at(w).canonical_rows():
-            return f"W != W(N,{data.d})"
-    return None
-
-
 def cmd_orbit(args) -> int:
     cfg = RunConfig.from_args(args)
     try:
@@ -202,28 +177,18 @@ def cmd_orbit(args) -> int:
     except (ValueError, KeyError, TypeError, AssertionError, ArithmeticError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    axiom = _situation_a_failure(data)
-    if axiom is not None:
-        _emit({"verdict": False, "failures": [f"Situation A' fails: {axiom}"]},
-              cfg.fmt)
-        return EXIT_VERDICT
-    if data.S is None or not check_situation_b(data):
-        _emit({"verdict": False, "failures": ["Situation B' fails"]}, cfg.fmt)
-        return EXIT_VERDICT
-    mhs_report = check_mhs(data)
-    if not mhs_report.ok:
-        _emit({"verdict": False, "failures": mhs_report.failures}, cfg.fmt)
-        return EXIT_VERDICT
-    orb = OrbitFiltration(data, cfg.a, deligne_splitting(data, assume_mhs=True))
-    asym = refined_filtration_check(orb)
     main = verify_main_theorem(data, cfg.a, cfg.t0, cfg.t0_cap)
+    if not main.details:
+        _emit({"verdict": False, "failures": main.failures}, cfg.fmt)
+        return EXIT_VERDICT
+    asym = main.details["opposedness"]
     report = {
         "verdict": main.ok,
         "failures": main.failures,
-        "polarized": main.details.get("polarized"),
-        "levels": main.details.get("levels"),
-        "pieces": main.details.get("pieces"),
-        "nearby": main.details.get("nearby"),
+        "polarized": main.details["polarized"],
+        "levels": main.details["levels"],
+        "pieces": main.details["pieces"],
+        "nearby": main.details["nearby"],
         "opposedness": asym.to_json(),
     }
     _emit(report, cfg.fmt)
@@ -244,18 +209,13 @@ def cmd_verify_identities(args) -> int:
             print("invalid input: --corrupt expects n,k", file=sys.stderr)
             return EXIT_INPUT
     pairs = [(n, k) for n in range(1, args.max_n + 1) for k in range(0, n + 2)]
-
-    def run(pair):
-        n, k = pair
-        ok = taylor_minor_identity(n, k) and wedge_identity(n, k)
-        if pair == corrupt:
-            ok = False
-        return pair, ok
-
-    results = _parallel_map(run, pairs, cfg.workers)
-    failures = [pair for pair, ok in results if not ok]
+    failures = []
+    for pair in pairs:
+        ok = taylor_minor_identity(*pair) and wedge_identity(*pair)
+        if not ok or pair == corrupt:
+            failures.append(pair)
     report = {
-        "checked": len(results),
+        "checked": len(pairs),
         "max_n": args.max_n,
         "failures": [list(p) for p in failures],
         "verdict": not failures,
@@ -385,9 +345,26 @@ def cmd_tables(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text) if text.isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational number such as 1/2, got {text!r}"
+        ) from None
+
+
 def _add_common(sub):
     sub.add_argument("--format", choices=["text", "json"], default="text")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=_positive_int, default=1,
+                     help="accepted for compatibility; has no effect")
 
 
 def build_parser() -> CliParser:
@@ -406,9 +383,10 @@ def build_parser() -> CliParser:
 
     orbit = subs.add_parser("orbit", help="orbit asymptotics of a mixed Hodge structure")
     orbit.add_argument("input")
-    orbit.add_argument("--a", default="0", help="rational twist parameter")
-    orbit.add_argument("--t0", type=int, default=2 ** 10)
-    orbit.add_argument("--t0-cap", dest="t0_cap", type=int, default=2 ** 60)
+    orbit.add_argument("--a", type=_fraction, default="0",
+                       help="rational twist parameter")
+    orbit.add_argument("--t0", type=_positive_int, default=2 ** 10)
+    orbit.add_argument("--t0-cap", dest="t0_cap", type=_positive_int, default=2 ** 60)
     _add_common(orbit)
     orbit.set_defaults(func=cmd_orbit)
 
@@ -442,6 +420,8 @@ def build_parser() -> CliParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "orbit" and args.t0 > args.t0_cap:
+        parser.error("--t0 must not exceed --t0-cap")
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -401,9 +401,6 @@ class ExactMatrix:
     def columns(self) -> list[list]:
         return [self.column(k) for k in range(self.cols)]
 
-    def row_list(self) -> list[list]:
-        return [list(r) for r in self.entries]
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -629,6 +626,18 @@ def rref(M: ExactMatrix) -> tuple[ExactMatrix, list[int], int]:
 
 def rank(M: ExactMatrix) -> int:
     return len(_echelon(M)[2])
+
+
+def inverse(M: ExactMatrix) -> ExactMatrix:
+    """The inverse of a square matrix, read off the reduced form of [M | I].
+    Raises ValueError when M is not square or singular."""
+    n = M.rows
+    if M.cols != n:
+        raise ValueError("square matrix required")
+    R, pivots, _ = rref(M.hstack(ExactMatrix.identity(n)))
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return ExactMatrix([row[n:] for row in R.entries], cols=n)
 
 
 def kernel(M: ExactMatrix) -> "Subspace":

@@ -247,11 +247,6 @@ def _nilpotency_data(N: ExactMatrix) -> tuple[int, ExactMatrix | None]:
     return e, Pe
 
 
-def _nilpotency_exponent(N: ExactMatrix) -> int:
-    """Smallest e with N^(e+1) = 0; contract error if N is not nilpotent."""
-    return _nilpotency_data(N)[0]
-
-
 def _offsets_at(offsets: dict[int, Subspace], l: int, dim: int) -> Subspace:
     chosen = None
     for w in sorted(offsets):

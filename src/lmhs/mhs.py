@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 from .exactlin import (
     ExactMatrix,
@@ -24,6 +25,7 @@ from .exactlin import (
     hermitian_check,
     hermitian_signature,
     i_power,
+    inverse,
     kernel,
     rank,
 )
@@ -107,15 +109,6 @@ class MHSData:
 
     def __setattr__(self, name, value):
         raise AttributeError("MHSData is immutable")
-
-    def s_pair(self, u, v) -> GaussianScalar:
-        acc = G_ZERO
-        for j in range(self.ambient_dim):
-            if GaussianScalar.coerce(u[j]).is_zero():
-                continue
-            for k in range(self.ambient_dim):
-                acc = acc + u[j] * self.S.entries[j][k] * v[k]
-        return acc
 
     # -- JSON ---------------------------------------------------------------
 
@@ -324,17 +317,30 @@ def check_splitting_properties(data: MHSData, splitting: DeligneSplitting) -> MH
     return MHSReport(failures)
 
 
+def situation_a_weight_failure(data: MHSData) -> str | None:
+    """Why the weight half of Situation A' fails, or None when it holds: N is
+    given and W = W(N, d), which makes N W_w lie in W_{w-2}."""
+    if data.N is None:
+        return "N missing"
+    if data.W != weight_filtration(data.N, data.d):
+        return f"W != W(N,{data.d})"
+    return None
+
+
+def situation_a_hodge_failure(data: MHSData) -> str | None:
+    """Why the Hodge half of Situation A' fails, or None when it holds:
+    N F^p lies in F^{p-1}, so N is a morphism of type (-1,-1).  Needs N."""
+    F = data.F
+    for p in range(F.min_level(), F.max_level() + 1):
+        if not F.at(p - 1).contains(F.at(p).apply(data.N)):
+            return f"N F^{p} escapes F^{p - 1}"
+    return None
+
+
 def check_situation_a(data: MHSData) -> bool:
     """N is a morphism of mixed Hodge structures and W = W(N, d)."""
-    assert data.N is not None, "Situation A' needs N"
-    N, W, F, d = data.N, data.W, data.F, data.d
-    for w in range(W.min_weight(), W.max_weight() + 1):
-        if not W.at(w - 2).contains(W.at(w).apply(N)):
-            return False
-    for p in range(F.min_level(), F.max_level() + 1):
-        if not F.at(p - 1).contains(F.at(p).apply(N)):
-            return False
-    return W == weight_filtration(N, d)
+    return (situation_a_weight_failure(data) is None
+            and situation_a_hodge_failure(data) is None)
 
 
 def check_situation_b(data: MHSData) -> bool:
@@ -529,25 +535,9 @@ def _exp_nilpotent(M: ExactMatrix) -> ExactMatrix:
         term = term @ M
         if term.is_zero():
             break
-        out = out + term.map(lambda e, k=k: e * Fraction(1, _factorial(k)))
+        out = out + term.map(lambda e, k=k: e * Fraction(1, factorial(k)))
         k += 1
     return out
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
-
-
-def _invert(M: ExactMatrix) -> ExactMatrix:
-    from .exactlin import rref
-
-    n = M.rows
-    R, _, rk = rref(M.hstack(ExactMatrix.identity(n)))
-    assert rk == n, "matrix is not invertible"
-    return ExactMatrix([[R.entries[j][n + k] for k in range(n)] for j in range(n)])
 
 
 def random_polarized_mhs(
@@ -712,7 +702,7 @@ def random_polarized_mhs(
             if rng.random() < 0.25:
                 rows[j] = [-a for a in rows[j]]
         T = ExactMatrix.from_rational(rows)
-        Tinv = _invert(T)
+        Tinv = inverse(T)
         W = W.apply(T)
         F = F.apply(T)
         N = T @ N @ Tinv

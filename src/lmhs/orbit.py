@@ -34,12 +34,14 @@ from .exactlin import (
 )
 from .mhs import (
     MHSData,
-    check_situation_a,
+    check_mhs,
     check_situation_b,
     deligne_splitting,
     nearby_index_formula,
     primitive_subspaces,
     signature_table,
+    situation_a_hodge_failure,
+    situation_a_weight_failure,
 )
 
 
@@ -143,14 +145,6 @@ class WellOrderedBasis:
         M = ExactMatrix.from_columns(cols, rows=self.data.ambient_dim)
         return [it["tag"] for it in sel], M
 
-    def primitive_signs(self) -> dict[tuple[int, int], list[int]]:
-        out: dict[tuple[int, int], list[int]] = {}
-        for it in self.entries:
-            p, q, i, r = it["tag"]
-            if r == 0:
-                out.setdefault((p, q), []).append(it["sign"])
-        return out
-
 
 class OrbitFiltration:
     """Polynomial column bases of exp((a+it)N) F^k in the well-ordered basis.
@@ -222,10 +216,6 @@ class OrbitFiltration:
         """The t-coefficients of exp(-2itN) conj(X), X a constant basis."""
         Xc = X.conj()
         return [E @ Xc for E in self.exp_m2it]
-
-
-def orbit_filtration(data: MHSData, a: Fraction = Fraction(0)) -> OrbitFiltration:
-    return OrbitFiltration(data, a)
 
 
 def opposedness_degree(data: MHSData, k: int, prims=None) -> int:
@@ -331,6 +321,57 @@ class AsymptoticReport:
         return f"AsymptoticReport(ok={self.ok}, levels={len(self.levels)})"
 
 
+def _level_entry(orb: OrbitFiltration, k: int, H: ExactMatrix):
+    """Level k of the refined-filtration check, H = orb.hermitian_matrix(k).
+
+    Returns the report entry (opposedness degree against its prediction,
+    minor data, failures) and the leading principal minors of H, or None
+    when one of them vanishes.
+    """
+    data = orb.data
+    d = data.d
+    entry: dict = {"level": k, "failures": []}
+    try:
+        opp = opposedness_polynomial(orb, k)
+        want = opposedness_degree(data, k, orb.wob.prims)
+        entry["opposedness"] = {
+            "degree": opp.degree(),
+            "predicted_degree": want,
+        }
+        if opp.degree() != want:
+            entry["failures"].append("opposedness degree mismatch")
+    except ValueError:
+        entry["opposedness"] = "impossible"
+    if H.rows == 0:
+        entry["minors"] = []
+        return entry, []
+    try:
+        minors = leading_principal_minors(H)
+    except ZeroMinorError as exc:
+        entry["failures"].append(str(exc))
+        return entry, None
+    minor_data = []
+    prev_deg = 0
+    for P, (p, q, i, r) in zip(minors, orb.level_tags(k)):
+        deg, sgn = leading_sign(P)
+        diag_order = p + q - d - 2 * r
+        minor_data.append(
+            {
+                "degree": deg,
+                "sign": sgn,
+                "ratio_degree": deg - prev_deg,
+                "diagonal_order": diag_order,
+            }
+        )
+        if not (k - d <= diag_order <= d):
+            entry["failures"].append(
+                f"diagonal order {diag_order} outside [{k - d}, {d}]"
+            )
+        prev_deg = deg
+    entry["minors"] = minor_data
+    return entry, minors
+
+
 def refined_filtration_check(orb: OrbitFiltration) -> AsymptoticReport:
     """Leading principal minors of the orbit Hermitian matrices in the
     well-ordered basis: all must be nonzero; reports the raw consecutive
@@ -338,60 +379,11 @@ def refined_filtration_check(orb: OrbitFiltration) -> AsymptoticReport:
     orders p+q-d-2r (which are the degrees the refined-filtration argument
     actually controls; raw ratio degrees can fall outside the bound).
     """
-    data = orb.data
-    d = data.d
-    out = []
-    for k in range(data.F.min_level(), data.F.max_level() + 1):
-        entry: dict = {"level": k, "failures": []}
-        tags = orb.level_tags(k)
-        H = orb.hermitian_matrix(k)
-        try:
-            opp = opposedness_polynomial(orb, k)
-            want = opposedness_degree(data, k, orb.wob.prims)
-            entry["opposedness"] = {
-                "degree": opp.degree(),
-                "predicted_degree": want,
-            }
-            if opp.degree() != want:
-                entry["failures"].append("opposedness degree mismatch")
-        except ValueError:
-            entry["opposedness"] = "impossible"
-        if H.rows == 0:
-            entry["minors"] = []
-            out.append(entry)
-            continue
-        try:
-            minors = leading_principal_minors(H)
-        except ZeroMinorError as exc:
-            entry["failures"].append(str(exc))
-            out.append(entry)
-            continue
-        minor_data = []
-        prev_deg = 0
-        for l, P in enumerate(minors):
-            if P.is_zero():
-                entry["failures"].append(f"minor {l + 1} vanishes")
-                break
-            deg, sgn = leading_sign(P)
-            ratio_deg = deg - prev_deg
-            p, q, i, r = tags[l]
-            diag_order = p + q - d - 2 * r
-            minor_data.append(
-                {
-                    "degree": deg,
-                    "sign": sgn,
-                    "ratio_degree": ratio_deg,
-                    "diagonal_order": diag_order,
-                }
-            )
-            if not (k - d <= diag_order <= d):
-                entry["failures"].append(
-                    f"diagonal order {diag_order} outside [{k - d}, {d}]"
-                )
-            prev_deg = deg
-        entry["minors"] = minor_data
-        out.append(entry)
-    return AsymptoticReport(out)
+    F = orb.data.F
+    return AsymptoticReport([
+        _level_entry(orb, k, orb.hermitian_matrix(k))[0]
+        for k in range(F.min_level(), F.max_level() + 1)
+    ])
 
 
 class MainTheoremReport:
@@ -431,15 +423,29 @@ def verify_main_theorem(
     piece, which must equal nearbyIndexFormula(j).  In the fully polarized
     case all its negatives must vanish: the pieces are positive definite
     and exp(zN)F is a nilpotent orbit.
+
+    The inputs are checked first, and a failing input gives a report with
+    its failures and no details: the weight half of Situation A', Situation
+    B', the MHS axioms, then the Hodge half of Situation A' (N F^p in
+    F^{p-1} makes N a morphism of MHS only once (W, F) is an MHS).
+    Otherwise details["opposedness"] is the refined_filtration_check report
+    over F's levels, built from the same Hermitian matrices and minors.
     """
     failures: list[str] = []
     details: dict = {}
-    if not check_situation_a(data):
-        return MainTheoremReport(["Situation A' fails"], details)
-    if not check_situation_b(data):
+    axiom = situation_a_weight_failure(data)
+    if axiom is not None:
+        return MainTheoremReport([f"Situation A' fails: {axiom}"], details)
+    if data.S is None or not check_situation_b(data):
         return MainTheoremReport(["Situation B' fails"], details)
+    mhs_report = check_mhs(data)
+    if not mhs_report.ok:
+        return MainTheoremReport(mhs_report.failures, details)
+    axiom = situation_a_hodge_failure(data)
+    if axiom is not None:
+        return MainTheoremReport([f"Situation A' fails: {axiom}"], details)
     d = data.d
-    splitting = deligne_splitting(data)
+    splitting = deligne_splitting(data, assume_mhs=True)
     table = signature_table(data, splitting)
     details["table"] = table
     nearby = {}
@@ -449,26 +455,36 @@ def verify_main_theorem(
     polarized = all(m == 0 for (_, m) in table.entries.values())
     details["polarized"] = polarized
     orb = OrbitFiltration(data, a, splitting)
+    F_levels = range(data.F.min_level(), data.F.max_level() + 1)
+    entries = []
     level_sig = {d + 1: (0, 0)}
-    for k in range(0, d + 1):
+    for k in sorted(set(F_levels) | set(range(0, d + 1))):
         H = orb.hermitian_matrix(k)
+        entry, minors = _level_entry(orb, k, H)
+        if k in F_levels:
+            entries.append(entry)
+        if not 0 <= k <= d:
+            continue
         got_eval = orbit_signature(orb, k, "evaluate", t0, t0_cap, H=H)
-        got_asym = orbit_signature(orb, k, "asymptotic", H=H)
-        if got_eval != got_asym:
-            failures.append(
-                f"level {k}: evaluate signature {got_eval} != "
-                f"asymptotic signature {got_asym}"
-            )
-        level_sig[k] = got_eval
-        try:
-            opp = opposedness_polynomial(orb, k)
-            want = opposedness_degree(data, k, orb.wob.prims)
-            if opp.degree() != want:
+        if minors is None:
+            failures.append(f"level {k}: {entry['failures'][-1]}")
+        else:
+            got_asym = _signature_from_minors(minors)
+            if got_eval != got_asym:
                 failures.append(
-                    f"level {k}: opposedness degree {opp.degree()} != {want}"
+                    f"level {k}: evaluate signature {got_eval} != "
+                    f"asymptotic signature {got_asym}"
                 )
-        except ValueError as exc:
-            failures.append(f"level {k}: {exc}")
+        level_sig[k] = got_eval
+        opp = entry["opposedness"]
+        if opp == "impossible":
+            failures.append(f"level {k}: opposedness impossible")
+        elif opp["degree"] != opp["predicted_degree"]:
+            failures.append(
+                f"level {k}: opposedness degree {opp['degree']} != "
+                f"{opp['predicted_degree']}"
+            )
+    details["opposedness"] = AsymptoticReport(entries)
     details["levels"] = level_sig
     pieces = {}
     for j in range(d, -1, -1):

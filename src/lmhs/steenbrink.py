@@ -24,9 +24,9 @@ from .exactlin import (
     hermitian_signature,
     i_power,
     image,
+    inverse,
     kernel,
     rank,
-    rref,
     solve,
 )
 from .filtration import DecreasingFiltration, IncreasingFiltration
@@ -41,15 +41,6 @@ def _matrix_to_json(M: ExactMatrix) -> list[list[str]]:
 def _matrix_from_json(rows: list[list[str]], cols: int | None = None) -> ExactMatrix:
     return ExactMatrix([[gaussian_from_str(e) for e in row] for row in rows],
                        cols=cols)
-
-
-def _inverse(M: ExactMatrix) -> ExactMatrix:
-    n = M.rows
-    assert M.cols == n
-    aug = M.hstack(ExactMatrix.identity(n))
-    R, pivots, _ = rref(aug)
-    assert pivots == list(range(n)), "singular matrix"
-    return ExactMatrix([row[n:] for row in R.entries], cols=n)
 
 
 def _frame_map(data: "DegenerationData"):
@@ -68,7 +59,7 @@ def _frame_map(data: "DegenerationData"):
         Ft = frame(*tgt)
         if Ft is not None:
             if tgt not in inverses:
-                inverses[tgt] = _inverse(Ft)
+                inverses[tgt] = inverse(Ft)
             M = inverses[tgt] @ M
         Fs = frame(*src)
         if Fs is not None:

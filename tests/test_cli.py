@@ -1,9 +1,15 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from lmhs import cli
+from lmhs import cli, mhs, orbit
 
 
 def fixture_path(name):
@@ -145,6 +151,156 @@ class TestOrbit:
             "verdict": False,
             "failures": ["weight 1, level 1: induced F^1 meets conj F^1"],
         }
+
+
+def _real_line(blob):
+    for step in blob["F"]:
+        if step["level"] == 1:
+            step["basis"] = [["1/1", "2/1"]]
+
+
+# elliptic.json edited into inputs that fail before the orbit stages
+ELLIPTIC_VARIANTS = {
+    "n_missing": lambda blob: blob.pop("N"),
+    "s_missing": lambda blob: blob.pop("S"),
+    "real_line": _real_line,
+}
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (recording, argv, exit code); the recordings in tests/golden are the
+# stdout of these invocations from before `lmhs orbit` ran one pipeline
+GOLDEN_CASES = [
+    ("orbit-elliptic-json", ["orbit", "elliptic.json", "--format", "json"], 0),
+    ("orbit-elliptic-text-a1_2",
+     ["orbit", "elliptic.json", "--format", "text", "--a", "1/2"], 0),
+    ("orbit-tate3-json", ["orbit", "tate3.json", "--format", "json"], 0),
+    ("orbit-tate3-text-a1_2",
+     ["orbit", "tate3.json", "--format", "text", "--a", "1/2"], 0),
+    ("orbit-kodaira_mhs-json", ["orbit", "kodaira_mhs.json", "--format", "json"], 2),
+    ("orbit-kodaira_mhs-text-a1_2",
+     ["orbit", "kodaira_mhs.json", "--format", "text", "--a", "1/2"], 2),
+    ("orbit-n_missing-json", ["orbit", "n_missing", "--format", "json"], 2),
+    ("orbit-s_missing-json", ["orbit", "s_missing", "--format", "json"], 2),
+    ("orbit-real_line-json", ["orbit", "real_line", "--format", "json"], 2),
+    ("check-kodaira-json", ["check", "kodaira.json", "--format", "json"], 2),
+    ("check-odp_m3-json", ["check", "odp_m3.json", "--format", "json"], 0),
+]
+
+
+def input_path(tmp_path, source):
+    if source not in ELLIPTIC_VARIANTS:
+        return fixture_path(source)
+    blob = json.load(open(fixture_path("elliptic.json")))
+    ELLIPTIC_VARIANTS[source](blob)
+    path = tmp_path / f"{source}.json"
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name, argv, code", GOLDEN_CASES,
+                             ids=[case[0] for case in GOLDEN_CASES])
+    def test_matches_recording(self, tmp_path, capsys, name, argv, code):
+        command, source, *rest = argv
+        got_code, out, _ = run(capsys, command, input_path(tmp_path, source), *rest)
+        assert got_code == code
+        assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+class TestOrbitBuilds:
+    """One `lmhs orbit` call runs each stage of the orbit pipeline once, and
+    builds each level's Hermitian matrix, its minors and its opposedness
+    determinant once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        hermitians = []  # (H, level), to name the level of a minors call
+
+        def counting(fn, key=lambda *args: None):
+            def wrapped(*args, **kwargs):
+                counts[fn.__name__, key(*args)] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for fn in (mhs.check_mhs, mhs.deligne_splitting, mhs.weight_filtration):
+            for module in (cli, mhs, orbit):
+                if getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counting(fn))
+        monkeypatch.setattr(orbit, "opposedness_polynomial", counting(
+            orbit.opposedness_polynomial, key=lambda orb, k: k))
+        Orbit = orbit.OrbitFiltration
+        monkeypatch.setattr(Orbit, "__init__", counting(Orbit.__init__))
+        hermitian_matrix = Orbit.hermitian_matrix
+
+        def building(orb, k):
+            counts["hermitian_matrix", k] += 1
+            H = hermitian_matrix(orb, k)
+            hermitians.append((H, k))
+            return H
+
+        monkeypatch.setattr(Orbit, "hermitian_matrix", building)
+        monkeypatch.setattr(orbit, "leading_principal_minors", counting(
+            orbit.leading_principal_minors,
+            key=lambda M: next(k for H, k in hermitians if H is M)))
+        return counts
+
+    @pytest.mark.parametrize("source", ["elliptic.json", "tate3.json", 0, 1, 2])
+    def test_one_build_per_stage_and_level(self, tmp_path, capsys, counts, source):
+        if isinstance(source, int):
+            rng = random.Random(20261018 + source)
+            data, _ = mhs.random_polarized_mhs(rng, max_dim=6, max_d=3)
+            path = tmp_path / "orbit.json"
+            path.write_text(json.dumps(data.to_json()))
+        else:
+            path = fixture_path(source)
+            data = mhs.MHSData.from_json(json.load(open(path)))
+        counts.clear()
+        code, _, _ = run(capsys, "orbit", str(path), "--format", "json")
+        assert code == 0
+        F = data.F
+        levels = set(range(F.min_level(), F.max_level() + 1)) | set(range(data.d + 1))
+
+        def per_level(stage):
+            return {k: n for (name, k), n in counts.items() if name == stage}
+
+        for stage in ("__init__", "check_mhs", "deligne_splitting", "weight_filtration"):
+            assert per_level(stage) == {None: 1}, stage
+        assert per_level("hermitian_matrix") == {k: 1 for k in levels}
+        assert per_level("opposedness_polynomial") == {k: 1 for k in levels}
+        assert per_level("leading_principal_minors") == {
+            k: 1 for k in levels if F.at(k).dim
+        }
+
+
+class TestOptionErrors:
+    """Bad option values are usage errors: exit 1 with a message."""
+
+    CASES = [
+        ["--workers", "0"],
+        ["--t0", "4", "--t0-cap", "2"],
+        ["--a", "x"],
+    ]
+
+    @pytest.mark.parametrize("options", CASES, ids=" ".join)
+    def test_exit_one(self, capsys, options):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["orbit", fixture_path("elliptic.json"), *options])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("options", CASES, ids=" ".join)
+    def test_exit_one_without_asserts(self, options):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "lmhs.cli", "orbit",
+             fixture_path("elliptic.json"), *options],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestVerifyIdentities:

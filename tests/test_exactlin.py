@@ -27,6 +27,7 @@ from lmhs.exactlin import (
     hermitian_signature,
     i_power,
     image,
+    inverse,
     kernel,
     leading_principal_minors,
     leading_sign,
@@ -150,6 +151,22 @@ class TestRref:
     def test_zero_matrix(self):
         _, pivots, rk = rref(ExactMatrix.zero(3, 4))
         assert pivots == [] and rk == 0
+
+
+class TestInverse:
+    def test_gaussian_inverse(self):
+        M = ExactMatrix([[g(1, 1), g(2)], [g(0, -1), g(3, 1)]])
+        assert M @ inverse(M) == ExactMatrix.identity(2)
+        assert inverse(M) @ M == ExactMatrix.identity(2)
+
+    def test_empty(self):
+        assert inverse(ExactMatrix.identity(0)) == ExactMatrix.identity(0)
+
+    @pytest.mark.parametrize("M", [gm([[1, 2], [2, 4]]), gm([[1, 2, 3]])])
+    def test_rejects_singular_and_nonsquare(self, M):
+        # a ValueError, not an assert, so the check survives python -O
+        with pytest.raises(ValueError):
+            inverse(M)
 
 
 class TestKernelImage:

@@ -16,10 +16,10 @@ from lmhs.exactlin import (
 from lmhs.filtration import DecreasingFiltration, IncreasingFiltration
 from lmhs.mhs import MHSData, random_polarized_mhs
 from lmhs.orbit import (
+    OrbitFiltration,
     WellOrderedBasis,
     opposedness_degree,
     opposedness_polynomial,
-    orbit_filtration,
     orbit_signature,
     poly_exp_nilpotent,
     refined_filtration_check,
@@ -78,12 +78,12 @@ class TestExpAndBasis:
 
 class TestHermitianMatrices:
     def test_elliptic(self):
-        orb = orbit_filtration(elliptic_string())
+        orb = OrbitFiltration(elliptic_string())
         H = orb.hermitian_matrix(1)
         assert H.entries == ((PolyScalar([0, 2]),),)
 
     def test_tate3_level1(self):
-        orb = orbit_filtration(tate_string_3())
+        orb = OrbitFiltration(tate_string_3())
         H = orb.hermitian_matrix(1)
         t = T
         assert H.entries[0][0] == 2 * t * t
@@ -94,19 +94,19 @@ class TestHermitianMatrices:
     def test_independent_of_a(self):
         # the orbit Hermitian matrix only sees zbar - z = -2it
         data = tate_string_3()
-        h0 = orbit_filtration(data, Fraction(0)).hermitian_matrix(1)
-        h1 = orbit_filtration(data, Fraction(1, 2)).hermitian_matrix(1)
+        h0 = OrbitFiltration(data, Fraction(0)).hermitian_matrix(1)
+        h1 = OrbitFiltration(data, Fraction(1, 2)).hermitian_matrix(1)
         assert h0 == h1
 
 
 class TestOrbitSignature:
     def test_elliptic(self):
-        orb = orbit_filtration(elliptic_string())
+        orb = OrbitFiltration(elliptic_string())
         assert orbit_signature(orb, 1, "evaluate") == (1, 0)
         assert orbit_signature(orb, 1, "asymptotic") == (1, 0)
 
     def test_tate3(self):
-        orb = orbit_filtration(tate_string_3())
+        orb = OrbitFiltration(tate_string_3())
         for k, want in [(0, (2, 1)), (1, (1, 1)), (2, (1, 0))]:
             assert orbit_signature(orb, k, "evaluate") == want
             assert orbit_signature(orb, k, "asymptotic") == want
@@ -114,31 +114,31 @@ class TestOrbitSignature:
     def test_pure_top_level(self):
         # N = 0 polarized pure structure: k = d gives (dim F^d, 0)
         data = pure_weight_one()
-        orb = orbit_filtration(data)
+        orb = OrbitFiltration(data)
         assert orbit_signature(orb, 1, "evaluate") == (1, 0)
         assert orbit_signature(orb, 1, "asymptotic") == (1, 0)
 
     def test_t0_doubling_invariance(self):
-        orb = orbit_filtration(tate_string_3())
+        orb = OrbitFiltration(tate_string_3())
         a = orbit_signature(orb, 1, "evaluate", t0=Fraction(2**10))
         b = orbit_signature(orb, 1, "evaluate", t0=Fraction(2**11))
         assert a == b == (1, 1)
 
     def test_empty_level(self):
-        orb = orbit_filtration(elliptic_string())
+        orb = OrbitFiltration(elliptic_string())
         assert orbit_signature(orb, 2, "evaluate") == (0, 0)
 
 
 class TestOpposedness:
     def test_elliptic_degree(self):
         data = elliptic_string()
-        orb = orbit_filtration(data)
+        orb = OrbitFiltration(data)
         p = opposedness_polynomial(orb, 1)
         assert p.degree() == 1 == opposedness_degree(data, 1)
 
     def test_tate3_degrees(self):
         data = tate_string_3()
-        orb = orbit_filtration(data)
+        orb = OrbitFiltration(data)
         # primitive J^{2,2}, dim 1: degree (2-k+1)(2-2+k) = (3-k)k
         for k in range(0, 3):
             want = (3 - k) * k
@@ -148,14 +148,14 @@ class TestOpposedness:
     def test_degree_independent_of_a(self):
         data = tate_string_3()
         for a in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            orb = orbit_filtration(data, a)
+            orb = OrbitFiltration(data, a)
             for k in range(0, 3):
                 assert opposedness_polynomial(orb, k).degree() == (3 - k) * k
 
     def test_complementary_dims_automatic(self):
         # for genuine structures dim F^k + dim F^{d-k+1} = n at every k,
         # so the determinant is defined at all levels, including clamped ones
-        orb = orbit_filtration(tate_string_3())
+        orb = OrbitFiltration(tate_string_3())
         for k in range(-1, 5):
             opposedness_polynomial(orb, k)
 
@@ -180,7 +180,7 @@ class TestOpposedness:
         structures += [random_polarized_mhs(rng, max_dim=6, max_d=3)[0]
                        for _ in range(4)]
         for data in structures:
-            orb = orbit_filtration(data, a)
+            orb = OrbitFiltration(data, a)
             for k in range(data.F.min_level(), data.F.max_level() + 2):
                 got = opposedness_polynomial(orb, k)
                 assert not got.is_zero(), k
@@ -188,7 +188,7 @@ class TestOpposedness:
 
     def test_impossible(self):
         # white-box: drop a basis column to force a dimension mismatch
-        orb = orbit_filtration(tate_string_3())
+        orb = OrbitFiltration(tate_string_3())
         tags, M = orb.bases[1]
         orb.bases[1] = (tags[:1], M.take_columns([0]))
         with pytest.raises(ValueError, match="opposedness impossible"):
@@ -259,7 +259,7 @@ class TestMainTheorem:
 
 class TestRefinedFiltration:
     def test_elliptic(self):
-        rep = refined_filtration_check(orbit_filtration(elliptic_string()))
+        rep = refined_filtration_check(OrbitFiltration(elliptic_string()))
         assert rep.ok
         by_level = {e["level"]: e for e in rep.levels}
         assert by_level[1]["minors"] == [
@@ -267,7 +267,7 @@ class TestRefinedFiltration:
         ]
 
     def test_tate3_raw_ratio_degrees(self):
-        rep = refined_filtration_check(orbit_filtration(tate_string_3()))
+        rep = refined_filtration_check(OrbitFiltration(tate_string_3()))
         assert rep.ok
         by_level = {e["level"]: e for e in rep.levels}
         # raw ratio degrees can leave [k-d, d]; the bound holds for the
@@ -278,7 +278,7 @@ class TestRefinedFiltration:
         assert [m["sign"] for m in e0["minors"]] == [1, -1, -1]
 
     def test_zero_n(self):
-        rep = refined_filtration_check(orbit_filtration(pure_weight_one()))
+        rep = refined_filtration_check(OrbitFiltration(pure_weight_one()))
         assert rep.ok
         for entry in rep.levels:
             for m in entry["minors"]:
@@ -287,7 +287,7 @@ class TestRefinedFiltration:
     def test_json_shape(self):
         import json
 
-        rep = refined_filtration_check(orbit_filtration(elliptic_string()))
+        rep = refined_filtration_check(OrbitFiltration(elliptic_string()))
         blob = json.dumps(rep.to_json())
         parsed = json.loads(blob)
         assert {"level", "minors", "opposedness", "failures"} <= set(parsed[0])

@@ -531,13 +531,13 @@ class TestFramedMaps:
     @pytest.fixture
     def inversions(self, monkeypatch):
         calls = []
-        original = steenbrink._inverse
+        original = steenbrink.inverse
 
         def counting(F):
             calls.append((F.rows, F.cols))
             return original(F)
 
-        monkeypatch.setattr(steenbrink, "_inverse", counting)
+        monkeypatch.setattr(steenbrink, "inverse", counting)
         return calls
 
     @pytest.mark.parametrize("build", [
