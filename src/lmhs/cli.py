@@ -151,9 +151,7 @@ def cmd_check(args) -> int:
         _emit({"verdict": False, "failures": [str(exc)]}, cfg.fmt)
         return EXIT_VERDICT
     _emit(report.to_json(), cfg.fmt)
-    if report.verdict and not report.failures:
-        return EXIT_OK
-    return EXIT_VERDICT
+    return EXIT_OK if report.ok else EXIT_VERDICT
 
 
 def cmd_validate(args) -> int:

@@ -176,14 +176,15 @@ def gaussian_to_str(x: GaussianScalar) -> str:
     return f"{frac(x.re)}{sign}{frac(abs(x.im))}*i"
 
 
+# the scalar grammar of docs/schemas/*.json: "a", "a/b", and either with an
+# imaginary part "+c/d*i" or "-c/d*i" (denominators optional)
 _GAUSS_RE = _re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)\s*"
-    r"(?:(?P<sign>[+-])\s*(?P<im>\d+(?:/\d+)?)\s*\*\s*i)?\s*$"
+    r"(?P<re>-?[0-9]+(?:/[0-9]+)?)(?:(?P<sign>[+-])(?P<im>[0-9]+(?:/[0-9]+)?)\*i)?"
 )
 
 
 def gaussian_from_str(s: str) -> GaussianScalar:
-    m = _GAUSS_RE.match(s)
+    m = _GAUSS_RE.fullmatch(s) if isinstance(s, str) else None
     if m is None:
         raise ValueError(f"cannot parse GaussianScalar from {s!r}")
     re_part = Fraction(m.group("re"))
@@ -193,6 +194,19 @@ def gaussian_from_str(s: str) -> GaussianScalar:
         if m.group("sign") == "-":
             im_part = -im_part
     return GaussianScalar(re_part, im_part)
+
+
+def matrix_to_json(M: "ExactMatrix") -> list[list[str]]:
+    """The rows of a Gaussian-rational matrix as lists of scalar strings."""
+    return [[gaussian_to_str(e) for e in row] for row in M.entries]
+
+
+def matrix_from_json(rows: list[list[str]], cols: int | None = None) -> "ExactMatrix":
+    """Inverse of matrix_to_json; cols is the width of a matrix without rows
+    (a matrix with rows has the width of its rows).  Every entry must be a
+    string in the schema's scalar grammar."""
+    return ExactMatrix([[gaussian_from_str(e) for e in row] for row in rows],
+                       cols=None if rows else cols)
 
 
 class PolyScalar:
@@ -425,8 +439,10 @@ class ExactMatrix:
         return ExactMatrix([[-e for e in row] for row in self.entries], cols=self.cols)
 
     def scale(self, c) -> "ExactMatrix":
+        # zero entries are kept as they are: scaled matrices are mostly sparse
         return ExactMatrix(
-            [[c * e for e in row] for row in self.entries], cols=self.cols
+            [[e if e.is_zero() else c * e for e in row] for row in self.entries],
+            cols=self.cols,
         )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -942,22 +958,35 @@ def _bareiss(M: ExactMatrix, allow_swaps: bool):
     return pivots, sign
 
 
-def t_coefficients(P: ExactMatrix) -> list[ExactMatrix]:
-    """Gaussian-rational matrices C_0, ..., C_m with P = sum_j t^j C_j, m the
-    top degree of P's polynomial entries (C_0 alone for a constant P)."""
-    top = max((len(e.coeffs) for row in P.entries for e in row), default=1)
-    return [
-        ExactMatrix(
-            [[e.coeffs[j] if j < len(e.coeffs) else G_ZERO for e in row]
-             for row in P.entries],
-            cols=P.cols,
-        )
-        for j in range(max(top, 1))
-    ]
+def exp_nilpotent(N: ExactMatrix, a=0, b=1) -> list[ExactMatrix]:
+    """The coefficients C_0, C_1, ... of exp((a + b t) N) = sum_j t^j C_j for
+    a nilpotent N, through the last nonzero one: C_j = exp(aN) (bN)^j / j!.
+
+    Both factors come from one series, M^j / j! for M = aN and M = bN.
+    With b = 0 the list is [exp(aN)], so exp(M) is exp_nilpotent(M, 1, 0)[0].
+    """
+    a, b = GaussianScalar.coerce(a), GaussianScalar.coerce(b)
+
+    def series(M):
+        out = [ExactMatrix.identity(M.rows)]
+        for j in range(1, M.rows + 1):
+            term = (out[-1] @ M).scale(GaussianScalar(Fraction(1, j)))
+            if term.is_zero():
+                break
+            out.append(term)
+        return out
+
+    E = ExactMatrix.identity(N.rows)
+    if not a.is_zero():
+        E = sum(series(N.scale(a))[1:], E)
+    if b.is_zero():
+        return [E]
+    coeffs = series(N.scale(b))
+    return coeffs if a.is_zero() else [E @ C for C in coeffs]
 
 
 def poly_matrix(coeffs: Sequence[ExactMatrix]) -> ExactMatrix:
-    """The polynomial matrix sum_j t^j coeffs[j]; inverse of t_coefficients.
+    """The polynomial matrix sum_j t^j coeffs[j].
 
     A product of a polynomial matrix with constant matrices is best formed
     on the coefficients, where every factor is Gaussian-rational.

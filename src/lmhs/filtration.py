@@ -19,14 +19,17 @@ from .exactlin import (
     rref,
     solve,
 )
+from .report import Report
 
 
-class IncreasingFiltration:
-    """An increasing filtration W: W_a <= W_b for a <= b.
+class Filtration:
+    """A finite exhaustive filtration, stored as index -> step where it jumps.
 
-    Queries below the lowest stored weight return zero; at and above the
-    highest stored weight they return the stored top step, which must be the
-    full ambient space (the filtration is exhaustive).
+    Each subclass sets its direction: the steps grow with the index when it
+    is +1 (W_a <= W_b for a <= b) and shrink with it when it is -1 (F^p >=
+    F^q for p <= q).  A query past the small end returns zero; a query past
+    the large end returns the largest stored step, which must be the full
+    ambient space.
     """
 
     __slots__ = ("ambient_dim", "steps")
@@ -35,127 +38,78 @@ class IncreasingFiltration:
         assert steps, "a filtration needs at least one step"
         items = sorted(steps.items())
         prev = None
-        for w, sub in items:
+        for i, sub in items[::self.direction]:
             assert sub.ambient_dim == ambient_dim, "ambient mismatch in step"
             if prev is not None:
-                assert sub.contains(prev), f"W_{w} does not contain the previous step"
+                assert sub.contains(prev), f"step {i} does not contain the smaller step"
             prev = sub
-        assert items[-1][1].dim == ambient_dim, "top step must be the full space"
+        assert prev.dim == ambient_dim, "the largest step must be the full space"
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "steps", tuple(items))
 
     def __setattr__(self, name, value):
-        raise AttributeError("IncreasingFiltration is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def weights(self) -> list[int]:
-        return [w for w, _ in self.steps]
+    def indices(self) -> list[int]:
+        return [i for i, _ in self.steps]
 
-    def at(self, w: int) -> Subspace:
+    def min_index(self) -> int:
+        return self.steps[0][0]
+
+    def max_index(self) -> int:
+        return self.steps[-1][0]
+
+    def at(self, i: int) -> Subspace:
+        s = self.direction
         chosen = None
-        for sw, sub in self.steps:
-            if sw <= w:
+        for si, sub in self.steps[::s]:
+            if s * si <= s * i:
                 chosen = sub
             else:
                 break
         return chosen if chosen is not None else Subspace.zero(self.ambient_dim)
 
-    def min_weight(self) -> int:
-        return self.steps[0][0]
+    def _map(self, f):
+        return type(self)(self.ambient_dim, {i: f(sub) for i, sub in self.steps})
 
-    def max_weight(self) -> int:
-        return self.steps[-1][0]
+    def shift(self, c: int):
+        return type(self)(self.ambient_dim, {i + c: sub for i, sub in self.steps})
 
-    def shift(self, c: int) -> "IncreasingFiltration":
-        return IncreasingFiltration(
-            self.ambient_dim, {w + c: sub for w, sub in self.steps}
-        )
-
-    def apply(self, M: ExactMatrix) -> "IncreasingFiltration":
+    def apply(self, M: ExactMatrix):
         """Transport the filtration through an invertible coordinate change."""
         assert M.rows == M.cols == self.ambient_dim
-        return IncreasingFiltration(
-            self.ambient_dim, {w: sub.apply(M) for w, sub in self.steps}
-        )
+        return self._map(lambda sub: sub.apply(M))
 
     def __eq__(self, other):
-        if not isinstance(other, IncreasingFiltration):
+        if type(other) is not type(self):
             return NotImplemented
         if self.ambient_dim != other.ambient_dim:
             return False
-        ws = set(self.weights()) | set(other.weights())
-        return all(self.at(w) == other.at(w) for w in ws)
+        ids = set(self.indices()) | set(other.indices())
+        return all(self.at(i) == other.at(i) for i in ids)
 
     def __repr__(self):
-        parts = ", ".join(f"{w}:{sub.dim}" for w, sub in self.steps)
-        return f"IncreasingFiltration({parts})"
+        parts = ", ".join(f"{i}:{sub.dim}" for i, sub in self.steps)
+        return f"{type(self).__name__}({parts})"
 
 
-class DecreasingFiltration:
-    """A decreasing filtration F: F^p >= F^q for p <= q.
+class IncreasingFiltration(Filtration):
+    """An increasing filtration W: W_a <= W_b for a <= b."""
 
-    Queries above the highest stored level return zero; at and below the
-    lowest stored level they return the stored bottom step, which must be the
-    full ambient space.
-    """
+    __slots__ = ()
+    direction = 1
 
-    __slots__ = ("ambient_dim", "steps")
 
-    def __init__(self, ambient_dim: int, steps: Mapping[int, Subspace]):
-        assert steps, "a filtration needs at least one step"
-        items = sorted(steps.items())
-        prev = None
-        for p, sub in items:
-            assert sub.ambient_dim == ambient_dim, "ambient mismatch in step"
-            if prev is not None:
-                assert prev.contains(sub), f"F^{p} is not contained in the previous step"
-            prev = sub
-        assert items[0][1].dim == ambient_dim, "bottom step must be the full space"
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "steps", tuple(items))
+class DecreasingFiltration(Filtration):
+    """A decreasing filtration F: F^p >= F^q for p <= q."""
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DecreasingFiltration is immutable")
+    __slots__ = ()
+    direction = -1
 
-    def levels(self) -> list[int]:
-        return [p for p, _ in self.steps]
-
-    def at(self, p: int) -> Subspace:
-        chosen = None
-        for sp, sub in reversed(self.steps):
-            if sp >= p:
-                chosen = sub
-            else:
-                break
-        return chosen if chosen is not None else Subspace.zero(self.ambient_dim)
-
-    def min_level(self) -> int:
-        return self.steps[0][0]
-
-    def max_level(self) -> int:
-        return self.steps[-1][0]
-
+    # W is rational, so only F needs a conjugate; perfbench/tracer.py also
+    # looks this method up in this class's own namespace
     def conj(self) -> "DecreasingFiltration":
-        return DecreasingFiltration(
-            self.ambient_dim, {p: sub.conj() for p, sub in self.steps}
-        )
-
-    def apply(self, M: ExactMatrix) -> "DecreasingFiltration":
-        assert M.rows == M.cols == self.ambient_dim
-        return DecreasingFiltration(
-            self.ambient_dim, {p: sub.apply(M) for p, sub in self.steps}
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, DecreasingFiltration):
-            return NotImplemented
-        if self.ambient_dim != other.ambient_dim:
-            return False
-        ps = set(self.levels()) | set(other.levels())
-        return all(self.at(p) == other.at(p) for p in ps)
-
-    def __repr__(self):
-        parts = ", ".join(f"{p}:{sub.dim}" for p, sub in self.steps)
-        return f"DecreasingFiltration({parts})"
+        return self._map(Subspace.conj)
 
 
 class GradedPiece:
@@ -247,16 +201,6 @@ def _nilpotency_data(N: ExactMatrix) -> tuple[int, ExactMatrix | None]:
     return e, Pe
 
 
-def _offsets_at(offsets: dict[int, Subspace], l: int, dim: int) -> Subspace:
-    chosen = None
-    for w in sorted(offsets):
-        if w <= l:
-            chosen = offsets[w]
-        else:
-            break
-    return chosen if chosen is not None else Subspace.zero(dim)
-
-
 def _monodromy_offsets(N: ExactMatrix) -> dict[int, Subspace]:
     """Weight filtration of a nilpotent N centered at 0, as offset -> step.
 
@@ -279,25 +223,21 @@ def _monodromy_offsets(N: ExactMatrix) -> dict[int, Subspace]:
     rep_cols = [p - I.dim for p in pivots if p >= I.dim]
     R = K.basis.take_columns(rep_cols)
     q = R.cols
-    if q:
-        sys = R.hstack(I.basis)
-        NR = N @ R
-        nbar_cols = []
-        for c in range(q):
-            x = solve(sys, NR.column(c))
-            assert x is not None, "induced map escaped ker N^e + im N^e"
-            nbar_cols.append(x[:q])
-        Nbar = ExactMatrix.from_columns(nbar_cols, rows=q)
-        sub = _monodromy_offsets(Nbar)
-    else:
-        sub = {}
+    sys = R.hstack(I.basis)
+    NR = N @ R
+    nbar_cols = []
+    for c in range(q):
+        x = solve(sys, NR.column(c))
+        assert x is not None, "induced map escaped ker N^e + im N^e"
+        nbar_cols.append(x[:q])
+    Nbar = ExactMatrix.from_columns(nbar_cols, rows=q)
+    sub = IncreasingFiltration(q, _monodromy_offsets(Nbar))
     out: dict[int, Subspace] = {}
     out[e] = Subspace.full(n)
     out[e - 1] = K
     out[-e] = I
     for l in range(-e + 1, e - 1):
-        inner = _offsets_at(sub, l, q)
-        out[l] = image((R @ inner.basis).hstack(I.basis))
+        out[l] = image((R @ sub.at(l).basis).hstack(I.basis))
     return out
 
 
@@ -311,34 +251,15 @@ def weight_filtration(N: ExactMatrix, d: int) -> IncreasingFiltration:
     return IncreasingFiltration(N.rows, {d + l: sub for l, sub in offsets.items()})
 
 
-class WeightAxiomReport:
-    """Structured verdict of the two weight-filtration axioms."""
-
-    def __init__(self, failures: list[str]):
-        self.failures = list(failures)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "WeightAxiomReport(ok)"
-        return f"WeightAxiomReport(failures={self.failures!r})"
-
-
 def check_weight_axioms(
     W: IncreasingFiltration, N: ExactMatrix, d: int
-) -> WeightAxiomReport:
+) -> Report:
     """True iff N W_i <= W_{i-2} and every N^l : Gr_{d+l} -> Gr_{d-l} is an
     isomorphism.  Failures are reported with structured reasons instead of
     raising, so candidate filtrations can be graded.
     """
     failures = []
-    lo, hi = W.min_weight(), W.max_weight()
+    lo, hi = W.min_index(), W.max_index()
     for w in range(lo, hi + 1):
         img = W.at(w).apply(N)
         if not W.at(w - 2).contains(img):
@@ -363,4 +284,4 @@ def check_weight_axioms(
             continue
         if rank(M) != src.dim:
             failures.append(f"N^{l}: Gr_{d+l} -> Gr_{d-l} is not an isomorphism")
-    return WeightAxiomReport(failures)
+    return Report(failures)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
 
 from .exactlin import (
     ExactMatrix,
@@ -20,13 +19,14 @@ from .exactlin import (
     G_ZERO,
     GaussianScalar,
     Subspace,
-    gaussian_from_str,
-    gaussian_to_str,
+    exp_nilpotent,
     hermitian_check,
     hermitian_signature,
     i_power,
     inverse,
     kernel,
+    matrix_from_json,
+    matrix_to_json,
     rank,
 )
 from .filtration import (
@@ -36,42 +36,12 @@ from .filtration import (
     induced_map,
     weight_filtration,
 )
+from .report import Report
 
 
 def epsilon_sign(a: int) -> int:
     """The sign (-1)^(a(a-1)/2); satisfies eps(a+1) = (-1)^a eps(a)."""
     return -1 if (a * (a - 1) // 2) % 2 else 1
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers (shared with the CLI)
-# ---------------------------------------------------------------------------
-
-
-def matrix_to_json(M: ExactMatrix) -> list[list[str]]:
-    return [[gaussian_to_str(e) for e in row] for row in M.entries]
-
-
-def matrix_from_json(rows: list[list[str]]) -> ExactMatrix:
-    return ExactMatrix(
-        [[gaussian_from_str(str(e)) if isinstance(e, str) else GaussianScalar.coerce(e)
-          for e in row] for row in rows]
-    )
-
-
-def subspace_to_json(sub: Subspace) -> list[list[str]]:
-    return [
-        [gaussian_to_str(x) for x in sub.basis.column(c)] for c in range(sub.dim)
-    ]
-
-
-def subspace_from_json(ambient_dim: int, cols) -> Subspace:
-    vecs = [
-        [gaussian_from_str(str(x)) if isinstance(x, str) else GaussianScalar.coerce(x)
-         for x in col]
-        for col in cols
-    ]
-    return Subspace.span(ambient_dim, vecs)
 
 
 class MHSData:
@@ -117,11 +87,11 @@ class MHSData:
             "dim": self.ambient_dim,
             "d": self.d,
             "W": [
-                {"weight": w, "basis": subspace_to_json(sub)}
+                {"weight": w, "basis": matrix_to_json(sub.basis.transpose())}
                 for w, sub in self.W.steps
             ],
             "F": [
-                {"level": p, "basis": subspace_to_json(sub)}
+                {"level": p, "basis": matrix_to_json(sub.basis.transpose())}
                 for p, sub in self.F.steps
             ],
         }
@@ -135,54 +105,36 @@ class MHSData:
     def from_json(obj: dict) -> "MHSData":
         dim = int(obj["dim"])
         d = int(obj["d"])
-        W = IncreasingFiltration(
-            dim,
-            {
-                int(step["weight"]): subspace_from_json(dim, step["basis"])
-                for step in obj["W"]
-            },
-        )
-        F = DecreasingFiltration(
-            dim,
-            {
-                int(step["level"]): subspace_from_json(dim, step["basis"])
-                for step in obj["F"]
-            },
-        )
-        N = matrix_from_json(obj["N"]) if obj.get("N") is not None else None
-        S = matrix_from_json(obj["S"]) if obj.get("S") is not None else None
+
+        def steps(key, index):
+            # a basis is a list of column vectors: the rows of a dim-wide matrix
+            return {
+                int(step[index]): Subspace.span(
+                    dim, matrix_from_json(step["basis"], cols=dim).entries)
+                for step in obj[key]
+            }
+
+        W = IncreasingFiltration(dim, steps("W", "weight"))
+        F = DecreasingFiltration(dim, steps("F", "level"))
+        N = matrix_from_json(obj["N"], cols=dim) if obj.get("N") is not None else None
+        S = matrix_from_json(obj["S"], cols=dim) if obj.get("S") is not None else None
         return MHSData(dim, d, W, F, N, S)
 
 
-class MHSReport:
-    def __init__(self, failures: list[str]):
-        self.failures = list(failures)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return "MHSReport(ok)" if self.ok else f"MHSReport({self.failures!r})"
-
-
-def check_mhs(data: MHSData) -> MHSReport:
+def check_mhs(data: MHSData) -> Report:
     """Graded opposedness: for each weight k, the filtration induced by F on
     Gr^W_k is k-opposed to its conjugate.
     """
     failures = []
     W, F = data.W, data.F
     Fc = F.conj()
-    for k in range(W.min_weight(), W.max_weight() + 1):
+    for k in range(W.min_index(), W.max_index() + 1):
         wk = W.at(k)
         wk1 = W.at(k - 1)
         gr_dim = wk.dim - wk1.dim
         if gr_dim == 0:
             continue
-        for p in range(F.min_level(), F.max_level() + 2):
+        for p in range(F.min_index(), F.max_index() + 2):
             A = F.at(p).intersect(wk).add(wk1)
             B = Fc.at(k - p + 1).intersect(wk).add(wk1)
             a = A.dim - wk1.dim
@@ -196,7 +148,7 @@ def check_mhs(data: MHSData) -> MHSReport:
                 failures.append(
                     f"weight {k}, level {p}: induced F^{p} meets conj F^{k-p+1}"
                 )
-    return MHSReport(failures)
+    return Report(failures)
 
 
 class DeligneSplitting:
@@ -239,13 +191,13 @@ def deligne_splitting(data: MHSData, assume_mhs: bool = False) -> DeligneSplitti
     Fc = F.conj()
     n = data.ambient_dim
     parts = {}
-    lo, hi = F.min_level(), F.max_level()
+    lo, hi = F.min_index(), F.max_index()
     for p in range(lo, hi + 1):
         for q in range(lo, hi + 1):
             if W.at(p + q).dim == 0:
                 continue
             inner = Fc.at(q).intersect(W.at(p + q))
-            jmax = p + q - W.min_weight()
+            jmax = p + q - W.min_index()
             for j in range(2, jmax + 1):
                 inner = inner.add(Fc.at(q - j + 1).intersect(W.at(p + q - j)))
             sub = F.at(p).intersect(W.at(p + q)).intersect(inner)
@@ -256,7 +208,7 @@ def deligne_splitting(data: MHSData, assume_mhs: bool = False) -> DeligneSplitti
     return DeligneSplitting(n, parts)
 
 
-def check_splitting_properties(data: MHSData, splitting: DeligneSplitting) -> MHSReport:
+def check_splitting_properties(data: MHSData, splitting: DeligneSplitting) -> Report:
     """Verify the splitting reconstructs W and F, is conjugation-compatible
     modulo lower bidegrees, and is respected by N and paired by S when given.
     """
@@ -265,14 +217,14 @@ def check_splitting_properties(data: MHSData, splitting: DeligneSplitting) -> MH
     W, F = data.W, data.F
     parts = splitting.parts
     # (1) reconstruction of W and F
-    for w in range(W.min_weight() - 1, W.max_weight() + 1):
+    for w in range(W.min_index() - 1, W.max_index() + 1):
         span = Subspace.zero(n)
         for (p, q), sub in parts.items():
             if p + q <= w:
                 span = span.add(sub)
         if span != W.at(w):
             failures.append(f"sum of I^(p,q), p+q<={w}, differs from W_{w}")
-    for r in range(F.min_level(), F.max_level() + 1):
+    for r in range(F.min_index(), F.max_index() + 1):
         span = Subspace.zero(n)
         for (p, q), sub in parts.items():
             if p >= r:
@@ -314,7 +266,7 @@ def check_splitting_properties(data: MHSData, splitting: DeligneSplitting) -> MH
                     failures.append(
                         f"S(I^({p},{q}), I^({r},{s})) nonzero away from duality"
                     )
-    return MHSReport(failures)
+    return Report(failures)
 
 
 def situation_a_weight_failure(data: MHSData) -> str | None:
@@ -331,7 +283,7 @@ def situation_a_hodge_failure(data: MHSData) -> str | None:
     """Why the Hodge half of Situation A' fails, or None when it holds:
     N F^p lies in F^{p-1}, so N is a morphism of type (-1,-1).  Needs N."""
     F = data.F
-    for p in range(F.min_level(), F.max_level() + 1):
+    for p in range(F.min_index(), F.max_index() + 1):
         if not F.at(p - 1).contains(F.at(p).apply(data.N)):
             return f"N F^{p} escapes F^{p - 1}"
     return None
@@ -361,12 +313,12 @@ def check_situation_b(data: MHSData) -> bool:
     if not (N.transpose() @ S + S @ N).is_zero():
         return False
     F = data.F
-    for p in range(F.min_level(), F.max_level() + 1):
+    for p in range(F.min_index(), F.max_index() + 1):
         M = F.at(p).basis.transpose() @ S @ F.at(d - p + 1).basis
         if not M.is_zero():
             return False
     W = data.W
-    for a in W.weights():
+    for a in W.indices():
         b = 2 * d - 1 - a
         M = W.at(a).basis.transpose() @ S @ W.at(b).basis
         if not M.is_zero():
@@ -444,27 +396,39 @@ def primitive_subspaces(data: MHSData, splitting: DeligneSplitting | None = None
     return out
 
 
-def signature_table(data: MHSData, splitting: DeligneSplitting | None = None) -> SignatureTable:
+def primitive_forms(data: MHSData, splitting: DeligneSplitting | None = None):
+    """The primitive subspaces with the Hermitian forms of their bases B:
+    (sqrt(-1))^(p-q) B^T S N^(p+q-d) conj B.  Returns dict (p,q) -> (Subspace,
+    form); the signature table and the well-ordered basis both read these.
+    """
+    assert data.S is not None, "primitive forms need S"
+    N = data.N if data.N is not None else ExactMatrix.zero(
+        data.ambient_dim, data.ambient_dim
+    )
+    out = {}
+    for (p, q), prim in primitive_subspaces(data, splitting).items():
+        B = prim.basis
+        pairing = B.transpose() @ data.S @ (N.power(p + q - data.d) @ B.conj())
+        H = pairing.scale(i_power(p - q))
+        assert hermitian_check(H), f"primitive form at ({p},{q}) is not Hermitian"
+        out[(p, q)] = (prim, H)
+    return out
+
+
+def signature_table(data: MHSData, splitting: DeligneSplitting | None = None,
+                    forms=None) -> SignatureTable:
     """Exact signatures of (sqrt(-1))^(p-q) S(., N^(p+q-d) conj .) on the
     (p,q)-parts of the primitive subspaces.  The forms must be nondegenerate
-    (guaranteed in Situation B'; degeneracy signals bad input).
+    (guaranteed in Situation B'; degeneracy signals bad input).  forms, when
+    given, is primitive_forms(data, splitting), built once by the caller.
     """
     assert data.S is not None, "signature table needs S"
     if splitting is None:
         splitting = deligne_splitting(data)
-    N = data.N if data.N is not None else ExactMatrix.zero(
-        data.ambient_dim, data.ambient_dim
-    )
-    prims = primitive_subspaces(data, splitting)
+    if forms is None:
+        forms = primitive_forms(data, splitting)
     entries = {}
-    for (p, q), prim in prims.items():
-        l = p + q - data.d
-        Nl = N.power(l)
-        weil = i_power(p - q)
-        B = prim.basis
-        pairing = B.transpose() @ data.S @ (Nl @ B.conj())
-        H = pairing.scale(weil)
-        assert hermitian_check(H), f"primitive form at ({p},{q}) is not Hermitian"
+    for (p, q), (_, H) in forms.items():
         plus, minus, nulls = hermitian_signature(H)
         if nulls:
             raise ValueError(
@@ -524,20 +488,6 @@ def nearby_index_formula(table: SignatureTable, p: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # random polarized mixed Hodge structures (for property tests)
 # ---------------------------------------------------------------------------
-
-
-def _exp_nilpotent(M: ExactMatrix) -> ExactMatrix:
-    n = M.rows
-    out = ExactMatrix.identity(n)
-    term = ExactMatrix.identity(n)
-    k = 1
-    while True:
-        term = term @ M
-        if term.is_zero():
-            break
-        out = out + term.map(lambda e, k=k: e * Fraction(1, factorial(k)))
-        k += 1
-    return out
 
 
 def random_polarized_mhs(
@@ -659,8 +609,8 @@ def random_polarized_mhs(
         if vecs:
             W_steps[w] = Subspace.span(n, vecs)
     F_steps = {}
-    max_level = max(level for level, _ in fvec_entries)
-    for k in range(0, max_level + 1):
+    max_index = max(level for level, _ in fvec_entries)
+    for k in range(0, max_index + 1):
         vecs = []
         for level, entries in fvec_entries:
             if level >= k:
@@ -684,7 +634,7 @@ def random_polarized_mhs(
                 )
                 M = M + N.power(j).scale(c)
             j += 2
-        E = _exp_nilpotent(M)
+        E = exp_nilpotent(M, 1, 0)[0]
         F = F.apply(E)
 
     if transport:

@@ -15,12 +15,13 @@ from math import factorial
 
 from .exactlin import (
     ExactMatrix,
+    G_I,
     G_ZERO,
     GaussianScalar,
     PolyScalar,
-    POLY_ONE,
     Subspace,
     ZeroMinorError,
+    exp_nilpotent,
     hermitian_check,
     hermitian_diagonalize,
     hermitian_signature,
@@ -30,7 +31,6 @@ from .exactlin import (
     poly_det,
     poly_matrix,
     rank,
-    t_coefficients,
 )
 from .mhs import (
     MHSData,
@@ -38,34 +38,13 @@ from .mhs import (
     check_situation_b,
     deligne_splitting,
     nearby_index_formula,
+    primitive_forms,
     primitive_subspaces,
     signature_table,
     situation_a_hodge_failure,
     situation_a_weight_failure,
 )
-
-
-def poly_exp_nilpotent(N: ExactMatrix, z: PolyScalar) -> ExactMatrix:
-    """exp(z N) as a matrix of polynomials in t, for nilpotent rational N."""
-    n = N.rows
-    out = [[PolyScalar([1]) if j == k else PolyScalar() for k in range(n)]
-           for j in range(n)]
-    P = ExactMatrix.identity(n)
-    zk = POLY_ONE
-    k = 1
-    while True:
-        P = P @ N
-        if P.is_zero():
-            break
-        zk = zk * z
-        inv = Fraction(1, factorial(k))
-        for j in range(n):
-            for l in range(n):
-                e = P.entries[j][l]
-                if not e.is_zero():
-                    out[j][l] = out[j][l] + zk * (e * inv)
-        k += 1
-    return ExactMatrix(out, cols=n)
+from .report import Report
 
 
 class WellOrderedBasis:
@@ -75,21 +54,19 @@ class WellOrderedBasis:
     Restricted to p-r >= k the vectors form a basis of F^k.
     """
 
-    __slots__ = ("data", "entries", "splitting", "prims")
+    __slots__ = ("data", "entries", "prims")
 
-    def __init__(self, data: MHSData, splitting=None):
+    def __init__(self, data: MHSData, forms=None):
+        """forms, when given, is primitive_forms(data), built once by the
+        caller."""
         assert data.N is not None and data.S is not None
-        if splitting is None:
-            splitting = deligne_splitting(data)
-        prims = primitive_subspaces(data, splitting)
+        if forms is None:
+            forms = primitive_forms(data)
         d = data.d
         items = []
-        for (p, q), prim in sorted(prims.items()):
+        for (p, q), (prim, H) in sorted(forms.items()):
             l = p + q - d
-            Nl = data.N.power(l)
             B = prim.basis
-            H = (B.transpose() @ data.S @ (Nl @ B.conj())).scale(i_power(p - q))
-            assert hermitian_check(H), f"primitive form at ({p},{q}) not Hermitian"
             vectors, values, nulls = hermitian_diagonalize(H)
             assert not nulls, f"degenerate primitive form at ({p},{q})"
             for i, (vec, val) in enumerate(zip(vectors, values)):
@@ -117,12 +94,11 @@ class WellOrderedBasis:
         )
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "entries", tuple(items))
-        object.__setattr__(self, "splitting", splitting)
-        object.__setattr__(self, "prims", prims)
+        object.__setattr__(self, "prims", {pq: prim for pq, (prim, _) in forms.items()})
         # sanity: the restriction to p - r >= k spans F^k exactly
         F = data.F
         n = data.ambient_dim
-        for k in range(F.min_level(), F.max_level() + 1):
+        for k in range(F.min_index(), F.max_index() + 1):
             tags, M = self.level_basis(k)
             target = F.at(k)
             assert M.cols == target.dim, (
@@ -150,26 +126,24 @@ class OrbitFiltration:
     """Polynomial column bases of exp((a+it)N) F^k in the well-ordered basis.
 
     exp_z and exp_m2it hold exp(zN) and exp((zbar - z)N), zbar - z = -2it,
-    as their Gaussian coefficient matrices in t (see t_coefficients), so a
-    product with a constant basis is one Gaussian product per power of t.
+    as their Gaussian coefficient matrices in t: the t^j coefficient of
+    exp((a+it)N) is exp(aN) (iN)^j / j! (see exp_nilpotent).  A product with
+    a constant basis is one Gaussian product per power of t.
     """
 
     __slots__ = ("data", "a", "wob", "exp_z", "exp_m2it", "bases")
 
-    def __init__(self, data: MHSData, a: Fraction = Fraction(0), splitting=None):
+    def __init__(self, data: MHSData, a: Fraction = Fraction(0), forms=None):
         assert data.N is not None
-        wob = WellOrderedBasis(data, splitting)
+        wob = WellOrderedBasis(data, forms)
         a = Fraction(a)
-        z = PolyScalar([GaussianScalar(a), GaussianScalar(0, 1)])
-        exp_z = t_coefficients(poly_exp_nilpotent(data.N, z))
+        exp_z = exp_nilpotent(data.N, a, G_I)
         # the only orbit factor left in the Hermitian matrices and the
         # opposedness determinants, since exp(zN) is unimodular
-        exp_m2it = t_coefficients(poly_exp_nilpotent(
-            data.N, PolyScalar([G_ZERO, GaussianScalar(0, -2)])
-        ))
+        exp_m2it = exp_nilpotent(data.N, 0, GaussianScalar(0, -2))
         bases = {}
         F = data.F
-        for k in range(F.min_level(), F.max_level() + 1):
+        for k in range(F.min_index(), F.max_index() + 1):
             tags, M = wob.level_basis(k)
             bases[k] = (tags, poly_matrix([E @ M for E in exp_z]))
         object.__setattr__(self, "data", data)
@@ -182,23 +156,17 @@ class OrbitFiltration:
     def __setattr__(self, name, value):
         raise AttributeError("OrbitFiltration is immutable")
 
+    def _level(self, k: int) -> tuple[list[tuple], ExactMatrix]:
+        # clamped like F.at(k): the full space below F's levels, zero above
+        empty = ([], ExactMatrix.from_columns([], rows=self.data.ambient_dim))
+        return self.bases.get(max(k, self.data.F.min_index()), empty)
+
     def level(self, k: int) -> ExactMatrix:
         """Polynomial basis columns of exp(zN) F^k."""
-        F = self.data.F
-        if k <= F.min_level():
-            k = F.min_level()
-        if k > F.max_level():
-            n = self.data.ambient_dim
-            return ExactMatrix.from_columns([], rows=n)
-        return self.bases[k][1]
+        return self._level(k)[1]
 
     def level_tags(self, k: int) -> list[tuple]:
-        F = self.data.F
-        if k <= F.min_level():
-            k = F.min_level()
-        if k > F.max_level():
-            return []
-        return self.bases[k][0]
+        return self._level(k)[0]
 
     def hermitian_matrix(self, k: int) -> ExactMatrix:
         """The form (sqrt(-1))^d S(., conj .) on exp(zN) F^k, as polynomials
@@ -304,21 +272,17 @@ def orbit_signature(
     raise ArithmeticError(f"signature did not stabilize below t0 cap {t0_cap}")
 
 
-class AsymptoticReport:
-    """Per-level opposedness degrees/signs and per-step minor data."""
+class AsymptoticReport(Report):
+    """Per-level opposedness degrees/signs and per-step minor data; its
+    failures are the levels' failures, each prefixed with its level."""
 
     def __init__(self, levels: list[dict]):
+        super().__init__([f"level {lv['level']}: {f}"
+                          for lv in levels for f in lv["failures"]])
         self.levels = levels
-
-    @property
-    def ok(self) -> bool:
-        return all(not lv.get("failures") for lv in self.levels)
 
     def to_json(self) -> list[dict]:
         return self.levels
-
-    def __repr__(self):
-        return f"AsymptoticReport(ok={self.ok}, levels={len(self.levels)})"
 
 
 def _level_entry(orb: OrbitFiltration, k: int, H: ExactMatrix):
@@ -382,28 +346,8 @@ def refined_filtration_check(orb: OrbitFiltration) -> AsymptoticReport:
     F = orb.data.F
     return AsymptoticReport([
         _level_entry(orb, k, orb.hermitian_matrix(k))[0]
-        for k in range(F.min_level(), F.max_level() + 1)
+        for k in range(F.min_index(), F.max_index() + 1)
     ])
-
-
-class MainTheoremReport:
-    def __init__(self, failures: list[str], details: dict):
-        self.failures = list(failures)
-        self.details = details
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return (
-            "MainTheoremReport(ok)"
-            if self.ok
-            else f"MainTheoremReport(failures={self.failures!r})"
-        )
 
 
 def verify_main_theorem(
@@ -411,7 +355,7 @@ def verify_main_theorem(
     a: Fraction = Fraction(0),
     t0: Fraction = Fraction(2**10),
     t0_cap: Fraction = Fraction(2**60),
-) -> MainTheoremReport:
+) -> Report:
     """Check that the orbit signatures match the aggregated primitive
     signature formula.
 
@@ -429,24 +373,27 @@ def verify_main_theorem(
     B', the MHS axioms, then the Hodge half of Situation A' (N F^p in
     F^{p-1} makes N a morphism of MHS only once (W, F) is an MHS).
     Otherwise details["opposedness"] is the refined_filtration_check report
-    over F's levels, built from the same Hermitian matrices and minors.
+    over F's levels, built from the same Hermitian matrices and minors.  A
+    level whose evaluated signature does not settle by t0_cap is a failure;
+    its signature and the pieces that need it are left out of the details.
     """
     failures: list[str] = []
     details: dict = {}
     axiom = situation_a_weight_failure(data)
     if axiom is not None:
-        return MainTheoremReport([f"Situation A' fails: {axiom}"], details)
+        return Report([f"Situation A' fails: {axiom}"])
     if data.S is None or not check_situation_b(data):
-        return MainTheoremReport(["Situation B' fails"], details)
+        return Report(["Situation B' fails"])
     mhs_report = check_mhs(data)
     if not mhs_report.ok:
-        return MainTheoremReport(mhs_report.failures, details)
+        return Report(mhs_report.failures)
     axiom = situation_a_hodge_failure(data)
     if axiom is not None:
-        return MainTheoremReport([f"Situation A' fails: {axiom}"], details)
+        return Report([f"Situation A' fails: {axiom}"])
     d = data.d
     splitting = deligne_splitting(data, assume_mhs=True)
-    table = signature_table(data, splitting)
+    forms = primitive_forms(data, splitting)
+    table = signature_table(data, splitting, forms)
     details["table"] = table
     nearby = {}
     for p in range(0, d + 1):
@@ -454,8 +401,8 @@ def verify_main_theorem(
     details["nearby"] = nearby
     polarized = all(m == 0 for (_, m) in table.entries.values())
     details["polarized"] = polarized
-    orb = OrbitFiltration(data, a, splitting)
-    F_levels = range(data.F.min_level(), data.F.max_level() + 1)
+    orb = OrbitFiltration(data, a, forms)
+    F_levels = range(data.F.min_index(), data.F.max_index() + 1)
     entries = []
     level_sig = {d + 1: (0, 0)}
     for k in sorted(set(F_levels) | set(range(0, d + 1))):
@@ -465,17 +412,19 @@ def verify_main_theorem(
             entries.append(entry)
         if not 0 <= k <= d:
             continue
-        got_eval = orbit_signature(orb, k, "evaluate", t0, t0_cap, H=H)
+        try:
+            level_sig[k] = orbit_signature(orb, k, "evaluate", t0, t0_cap, H=H)
+        except ArithmeticError as exc:
+            failures.append(f"level {k}: {exc}")
         if minors is None:
             failures.append(f"level {k}: {entry['failures'][-1]}")
-        else:
+        elif k in level_sig:
             got_asym = _signature_from_minors(minors)
-            if got_eval != got_asym:
+            if level_sig[k] != got_asym:
                 failures.append(
-                    f"level {k}: evaluate signature {got_eval} != "
+                    f"level {k}: evaluate signature {level_sig[k]} != "
                     f"asymptotic signature {got_asym}"
                 )
-        level_sig[k] = got_eval
         opp = entry["opposedness"]
         if opp == "impossible":
             failures.append(f"level {k}: opposedness impossible")
@@ -488,6 +437,8 @@ def verify_main_theorem(
     details["levels"] = level_sig
     pieces = {}
     for j in range(d, -1, -1):
+        if j not in level_sig or j + 1 not in level_sig:
+            continue
         plus = level_sig[j][0] - level_sig[j + 1][0]
         minus = level_sig[j][1] - level_sig[j + 1][1]
         if plus < 0 or minus < 0:
@@ -509,7 +460,7 @@ def verify_main_theorem(
                 f"piece {j}: polarized case has {minus} negatives"
             )
     details["pieces"] = pieces
-    return MainTheoremReport(failures, details)
+    return Report(failures, details)
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +515,11 @@ def wedge_identity(n: int, k: int, a: Fraction = Fraction(0)) -> bool:
     for j in range(m - 1):
         rows[j + 1][j] = Fraction(1)
     N = ExactMatrix.from_rational(rows)
-    z = PolyScalar([GaussianScalar(Fraction(a)), GaussianScalar(0, 1)])
-    Ez = poly_exp_nilpotent(N, z)
-    Ezb = poly_exp_nilpotent(N, z.conj())
-    cols = []
-    for j in range(0, n - k + 1):
-        v = [PolyScalar([1]) if l == j else PolyScalar() for l in range(m)]
-        cols.append((Ez @ ExactMatrix.from_columns([v])).column(0))
-    for j in range(0, k):
-        v = [PolyScalar([1]) if l == j else PolyScalar() for l in range(m)]
-        cols.append((Ezb @ ExactMatrix.from_columns([v])).column(0))
+    Ez = poly_matrix(exp_nilpotent(N, a, G_I))
+    Ezb = poly_matrix(exp_nilpotent(N, a, -G_I))
+    # N^j u is the j-th unit vector, so e^{zN} N^j u is column j of e^{zN}
+    cols = [Ez.column(j) for j in range(n - k + 1)]
+    cols += [Ezb.column(j) for j in range(k)]
     det = poly_det(ExactMatrix.from_columns(cols, rows=m))
     e = (n - k + 1) * k
     coeff = GaussianScalar(Fraction(syt_count(n - k + 1, k), factorial(e)))

@@ -18,29 +18,20 @@ from .exactlin import (
     G_ZERO,
     GaussianScalar,
     Subspace,
-    gaussian_from_str,
-    gaussian_to_str,
     hermitian_check,
     hermitian_signature,
     i_power,
     image,
     inverse,
     kernel,
+    matrix_from_json,
+    matrix_to_json,
     rank,
     solve,
 )
 from .filtration import DecreasingFiltration, IncreasingFiltration
 from .mhs import MHSData, SignatureTable, epsilon_sign, nearby_index_formula
-
-
-def _matrix_to_json(M: ExactMatrix) -> list[list[str]]:
-    return [[gaussian_to_str(GaussianScalar.coerce(e)) for e in row]
-            for row in M.entries]
-
-
-def _matrix_from_json(rows: list[list[str]], cols: int | None = None) -> ExactMatrix:
-    return ExactMatrix([[gaussian_from_str(e) for e in row] for row in rows],
-                       cols=cols)
+from .report import Report
 
 
 def _frame_map(data: "DegenerationData"):
@@ -125,9 +116,9 @@ class StratumCohomology:
             e = self.cohomology[q]
             item = {"q": q, "dim": e["dim"], "types": [list(t) for t in e["types"]]}
             if e["pairing"] is not None:
-                item["pairing"] = _matrix_to_json(e["pairing"])
+                item["pairing"] = matrix_to_json(e["pairing"])
             if e["frame"] is not None:
-                item["frame"] = _matrix_to_json(e["frame"])
+                item["frame"] = matrix_to_json(e["frame"])
             out["cohomology"].append(item)
         return out
 
@@ -137,9 +128,9 @@ class StratumCohomology:
         for item in blob["cohomology"]:
             entry = {"dim": item["dim"], "types": [tuple(t) for t in item["types"]]}
             if "pairing" in item:
-                entry["pairing"] = _matrix_from_json(item["pairing"])
+                entry["pairing"] = matrix_from_json(item["pairing"])
             if "frame" in item:
-                entry["frame"] = _matrix_from_json(item["frame"])
+                entry["frame"] = matrix_from_json(item["frame"])
             cohomology[item["q"]] = entry
         return StratumCohomology(blob["depth"], cohomology)
 
@@ -194,11 +185,11 @@ class DegenerationData:
             "m": self.m,
             "strata": [self.strata[l].to_json() for l in sorted(self.strata)],
             "gysin": [
-                {"depth": l, "q": q, "matrix": _matrix_to_json(M)}
+                {"depth": l, "q": q, "matrix": matrix_to_json(M)}
                 for (l, q), M in sorted(self.gysin.items())
             ],
             "restriction": [
-                {"depth": l, "q": q, "matrix": _matrix_to_json(M)}
+                {"depth": l, "q": q, "matrix": matrix_to_json(M)}
                 for (l, q), M in sorted(self.restriction.items())
             ],
         }
@@ -206,31 +197,19 @@ class DegenerationData:
     @staticmethod
     def from_json(blob: dict) -> "DegenerationData":
         strata = [StratumCohomology.from_json(s) for s in blob["strata"]]
+        # a map without rows keeps the width of its source
+        source_dim = DegenerationData(blob["m"], strata).stratum_dim
         gysin = {
-            (g["depth"], g["q"]): _matrix_from_json(g["matrix"])
+            (g["depth"], g["q"]): matrix_from_json(
+                g["matrix"], source_dim(g["depth"] + 1, g["q"]))
             for g in blob.get("gysin", [])
         }
         restriction = {
-            (t["depth"], t["q"]): _matrix_from_json(t["matrix"])
+            (t["depth"], t["q"]): matrix_from_json(
+                t["matrix"], source_dim(t["depth"], t["q"]))
             for t in blob.get("restriction", [])
         }
         return DegenerationData(blob["m"], strata, gysin, restriction)
-
-
-class ValidationReport:
-    def __init__(self, failures: list[str]):
-        self.failures = list(failures)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def __repr__(self):
-        return (
-            "ValidationReport(ok)"
-            if self.ok
-            else f"ValidationReport(failures={self.failures!r})"
-        )
 
 
 def _conj_permutation(frame: ExactMatrix, types: list) -> list | None:
@@ -251,11 +230,11 @@ def _conj_permutation(frame: ExactMatrix, types: list) -> list | None:
     return sigma
 
 
-def validate_degeneration_data(data: DegenerationData) -> ValidationReport:
+def validate_degeneration_data(data: DegenerationData) -> Report:
     failures = []
     m = data.m
     if not data.strata:
-        return ValidationReport(["no strata"])
+        return Report(["no strata"])
     depths = sorted(data.strata)
     if depths != list(range(1, len(depths) + 1)):
         failures.append(f"stratum depths {depths} are not contiguous from 1")
@@ -323,7 +302,7 @@ def validate_degeneration_data(data: DegenerationData) -> ValidationReport:
         )
     failures.extend(_adjointness_failures(data))
     failures.extend(_d1_square_failures(data))
-    return ValidationReport(failures)
+    return Report(failures)
 
 
 def _type_shift_failures(data, framed, src, tgt, M, shift, tag):
@@ -435,10 +414,6 @@ class E1Page:
 
     def dim(self, r: int) -> int:
         return sum(s.dim for s in self.terms.get(r, []))
-
-
-def e1_page(data: DegenerationData, d: int) -> E1Page:
-    return E1Page(data, d)
 
 
 def _offsets(summands: list[Summand]) -> list[int]:
@@ -697,17 +672,16 @@ def _induced_shift(page: E2Page, r: int, power: int) -> ExactMatrix | None:
     return ExactMatrix.from_columns(cols, rows=td)
 
 
-class WeightCriterionReport:
+class WeightCriterionReport(Report):
+    """The verdict of the weight criterion at degree d, per r."""
+
     def __init__(self, d: int, per_r: dict[int, bool]):
+        super().__init__([
+            f"degree {d}: nu^{r} is not an isomorphism E2^(-{r},{d + r}) -> E2^({r},{d - r})"
+            for r, holds in per_r.items() if not holds
+        ])
         self.d = d
         self.per_r = dict(per_r)
-
-    @property
-    def ok(self) -> bool:
-        return all(self.per_r.values())
-
-    def __repr__(self):
-        return f"WeightCriterionReport(d={self.d}, per_r={self.per_r}, ok={self.ok})"
 
 
 def _weight_criterion(page: E2Page) -> WeightCriterionReport:
@@ -957,21 +931,18 @@ def extract_limit_mhs(data: DegenerationData, d: int) -> MHSData:
     return MHSData(total, d, W, F, N, S)
 
 
-class IndexReport:
+class IndexReport(Report):
     """Per-degree criterion verdicts and limit Hodge numbers, plus the
-    middle-degree signature table and aggregated nearby-fiber Hodge index."""
+    middle-degree signature table and aggregated nearby-fiber Hodge index.
+    verdict is the ddbar verdict (the criterion at every degree); failures
+    are inconsistencies of the computed index."""
 
     def __init__(self, m, verdict, per_degree, table, signature, failures):
+        super().__init__(failures, verdict=verdict)
         self.m = m
-        self.verdict = verdict
         self.per_degree = per_degree
         self.table = table
         self.signature = signature
-        self.failures = list(failures)
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict and not self.failures
 
     def to_json(self) -> dict:
         out = {

@@ -94,7 +94,7 @@ def test_weight_filtration_oracle_random_nilpotents():
             # breaks the graded symmetry about d, so no distinct shift of
             # the answer satisfies the axioms
             shifted = IncreasingFiltration(
-                n, {w - 1: W.at(w) for w in range(W.min_weight(), W.max_weight() + 1)}
+                n, {w - 1: W.at(w) for w in range(W.min_index(), W.max_index() + 1)}
             )
             assert not check_weight_axioms(shifted, N, d).ok, trial
             if trial % 10 == 0:

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -10,6 +11,10 @@ from pathlib import Path
 import pytest
 
 from lmhs import cli, mhs, orbit
+from lmhs.exactlin import ExactMatrix, gaussian_from_str
+from lmhs.geomodels import ResolutionData, odp_semistable_model
+from lmhs.steenbrink import DegenerationData, validate_degeneration_data
+from test_steenbrink import cycle_degeneration
 
 
 def fixture_path(name):
@@ -20,6 +25,15 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_optimized(*argv):
+    """`lmhs` in a `python -O` subprocess, where assert statements are off."""
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "lmhs.cli", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
 
 
 class TestCheck:
@@ -88,6 +102,92 @@ class TestCheck:
         }
 
 
+def mhs_fields(data):
+    return (data.ambient_dim, data.d, data.W, data.F, data.N, data.S)
+
+
+def degeneration_fields(data):
+    return (data.m, {l: s.cohomology for l, s in data.strata.items()},
+            data.gysin, data.restriction)
+
+
+def reread(data):
+    return type(data).from_json(json.loads(json.dumps(data.to_json())))
+
+
+ODP_MODELS = [
+    ResolutionData(3, 0, signs=(-1, 1), rho=ExactMatrix.zero(0, 0)),
+    ResolutionData(3, 2, signs=(1, -1), rho=ExactMatrix.from_rational([[1], [-1]])),
+    ResolutionData(4, 3, vhat_signs=(1, -1)),
+    ResolutionData(4, 1, vhat_signs=(1, 1, -1)),
+]
+
+
+class TestCodec:
+    """to_json and from_json are inverse, and the readers take exactly the
+    string scalars of docs/schemas."""
+
+    @pytest.mark.parametrize("name", ["elliptic.json", "kodaira_mhs.json", "tate3.json"])
+    def test_mhs_fixture_round_trip(self, name):
+        data = mhs.MHSData.from_json(json.load(open(fixture_path(name))))
+        assert mhs_fields(reread(data)) == mhs_fields(data)
+
+    def test_random_mhs_round_trip(self):
+        rng = random.Random(20261018)
+        for _ in range(6):
+            data, _ = mhs.random_polarized_mhs(rng, max_dim=6, max_d=3)
+            assert mhs_fields(reread(data)) == mhs_fields(data)
+
+    @pytest.mark.parametrize("name", ["kodaira.json", "odp_m3.json"])
+    def test_degeneration_fixture_round_trip(self, name):
+        data = DegenerationData.from_json(json.load(open(fixture_path(name))))
+        assert degeneration_fields(reread(data)) == degeneration_fields(data)
+
+    def test_map_without_rows_keeps_its_width(self):
+        # H^2 of the lines restricts to the points' H^2 = 0: a 0 x 2 matrix
+        data = cycle_degeneration()
+        data.restriction[(1, 2)] = ExactMatrix.zero(0, data.stratum_dim(1, 2))
+        again = reread(data)
+        assert degeneration_fields(again) == degeneration_fields(data)
+        assert validate_degeneration_data(again).ok
+
+    @pytest.mark.parametrize("res", ODP_MODELS, ids=range(len(ODP_MODELS)))
+    def test_odp_model_round_trip(self, res):
+        data = odp_semistable_model(res)
+        assert degeneration_fields(reread(data)) == degeneration_fields(data)
+
+    @pytest.mark.parametrize("schema", ["mhs", "degeneration"])
+    def test_scalar_grammar_is_the_schema_pattern(self, schema):
+        text = (SCHEMAS / f"{schema}.schema.json").read_text()
+        (raw,) = set(re.findall(r'"pattern": ("[^"]*")', text))
+        pattern = json.loads(raw)
+        samples = ["1", "-1", "0", "1/2", "-3/4", "1/2+3/4*i", "1-1*i", "0+1*i",
+                   "+1", "1 ", " 1", "1/2 + 3/4*i", "1/", "/2", "i", "1*i",
+                   "1+i", "1.5", "1e3", "", "1/2+3/4"]
+        for sample in samples:
+            try:
+                gaussian_from_str(sample)
+                parsed = True
+            except ValueError:
+                parsed = False
+            assert parsed == bool(re.search(pattern, sample)), sample
+
+    @pytest.mark.parametrize("command, name, edit", [
+        ("orbit", "elliptic.json", lambda blob: blob["S"][0].__setitem__(1, 1)),
+        ("check", "kodaira.json",
+         lambda blob: blob["gysin"][0]["matrix"][0].__setitem__(0, 1)),
+    ], ids=["orbit", "check"])
+    def test_json_number_is_an_input_error(self, tmp_path, capsys, command, name, edit):
+        blob = json.load(open(fixture_path(name)))
+        edit(blob)
+        path = tmp_path / name
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert "invalid input: cannot parse GaussianScalar from 1" in err
+
+
 class TestValidate:
     def test_valid_fixture(self, capsys):
         code, out, _ = run(capsys, "validate", fixture_path("odp_m3.json"),
@@ -134,6 +234,20 @@ class TestOrbit:
         assert report["verdict"] is False
         assert any("W != W(N,1)" in f for f in report["failures"])
 
+    def test_small_t0_cap_is_a_verdict(self, capsys):
+        # one evaluation point below the cap cannot confirm a signature
+        code, out, err = run(capsys, "orbit", fixture_path("elliptic.json"),
+                             "--t0-cap", "1024", "--format", "json")
+        assert code == 2
+        assert "Traceback" not in err
+        report = json.loads(out)
+        assert report["verdict"] is False
+        assert report["failures"] == [
+            f"level {k}: signature did not stabilize below t0 cap 1024"
+            for k in (0, 1)
+        ]
+        assert report["pieces"] == {}
+
     def test_non_mhs_is_a_verdict(self, tmp_path, capsys):
         # F^1 a real line: Situations A' and B' hold, but F^1 meets its
         # conjugate, so the input is no mixed Hodge structure
@@ -167,6 +281,7 @@ ELLIPTIC_VARIANTS = {
 }
 
 GOLDEN = Path(__file__).parent / "golden"
+SCHEMAS = Path(__file__).parents[1] / "docs" / "schemas"
 
 # (recording, argv, exit code); the recordings in tests/golden are the
 # stdout of these invocations from before `lmhs orbit` ran one pipeline
@@ -207,11 +322,20 @@ class TestGolden:
         assert got_code == code
         assert out == (GOLDEN / f"{name}.out").read_text()
 
+    @pytest.mark.parametrize("name, argv, code", GOLDEN_CASES,
+                             ids=[case[0] for case in GOLDEN_CASES])
+    def test_matches_recording_without_asserts(self, tmp_path, name, argv, code):
+        # valid inputs must not depend on assert statements
+        command, source, *rest = argv
+        proc = run_optimized(command, input_path(tmp_path, source), *rest)
+        assert proc.returncode == code
+        assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
+
 
 class TestOrbitBuilds:
-    """One `lmhs orbit` call runs each stage of the orbit pipeline once, and
-    builds each level's Hermitian matrix, its minors and its opposedness
-    determinant once."""
+    """One `lmhs orbit` call runs each stage of the orbit pipeline once, the
+    primitive subspaces included, and builds each level's Hermitian matrix,
+    its minors and its opposedness determinant once."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -224,7 +348,8 @@ class TestOrbitBuilds:
                 return fn(*args, **kwargs)
             return wrapped
 
-        for fn in (mhs.check_mhs, mhs.deligne_splitting, mhs.weight_filtration):
+        for fn in (mhs.check_mhs, mhs.deligne_splitting, mhs.weight_filtration,
+                   mhs.primitive_subspaces):
             for module in (cli, mhs, orbit):
                 if getattr(module, fn.__name__, None) is fn:
                     monkeypatch.setattr(module, fn.__name__, counting(fn))
@@ -260,12 +385,13 @@ class TestOrbitBuilds:
         code, _, _ = run(capsys, "orbit", str(path), "--format", "json")
         assert code == 0
         F = data.F
-        levels = set(range(F.min_level(), F.max_level() + 1)) | set(range(data.d + 1))
+        levels = set(range(F.min_index(), F.max_index() + 1)) | set(range(data.d + 1))
 
         def per_level(stage):
             return {k: n for (name, k), n in counts.items() if name == stage}
 
-        for stage in ("__init__", "check_mhs", "deligne_splitting", "weight_filtration"):
+        for stage in ("__init__", "check_mhs", "deligne_splitting", "weight_filtration",
+                      "primitive_subspaces"):
             assert per_level(stage) == {None: 1}, stage
         assert per_level("hermitian_matrix") == {k: 1 for k in levels}
         assert per_level("opposedness_polynomial") == {k: 1 for k in levels}
@@ -293,12 +419,7 @@ class TestOptionErrors:
 
     @pytest.mark.parametrize("options", CASES, ids=" ".join)
     def test_exit_one_without_asserts(self, options):
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "lmhs.cli", "orbit",
-             fixture_path("elliptic.json"), *options],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
-        )
+        proc = run_optimized("orbit", fixture_path("elliptic.json"), *options)
         assert proc.returncode == 1
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 

@@ -320,7 +320,7 @@ class TestRandomPolarized:
             assert table.entries == expected, (table.entries, expected)
             # Hodge-number symmetry dim Gr_F^p = dim Gr_F^{d-p}
             F, d = data.F, data.d
-            for p in range(F.min_level(), F.max_level() + 1):
+            for p in range(F.min_index(), F.max_index() + 1):
                 a = F.at(p).dim - F.at(p + 1).dim
                 b = F.at(d - p).dim - F.at(d - p + 1).dim
                 assert a == b

@@ -11,7 +11,9 @@ from lmhs.exactlin import (
     GaussianScalar,
     PolyScalar,
     Subspace,
+    exp_nilpotent,
     poly_det,
+    poly_matrix,
 )
 from lmhs.filtration import DecreasingFiltration, IncreasingFiltration
 from lmhs.mhs import MHSData, random_polarized_mhs
@@ -21,7 +23,6 @@ from lmhs.orbit import (
     opposedness_degree,
     opposedness_polynomial,
     orbit_signature,
-    poly_exp_nilpotent,
     refined_filtration_check,
     syt_count,
     taylor_minor_identity,
@@ -52,14 +53,18 @@ def pure_weight_one() -> MHSData:
 
 class TestExpAndBasis:
     def test_poly_exp(self):
+        # the t-coefficients exp(aN) (iN)^j / j! of exp((a + it)N)
         N = ExactMatrix.from_rational([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        z = PolyScalar([0, I])
-        E = poly_exp_nilpotent(N, z)
-        assert E.entries[0][0] == PolyScalar([1])
-        assert E.entries[1][0] == z
-        assert E.entries[2][0] == z * z * Fraction(1, 2)
-        assert E.entries[2][1] == z
-        assert E.entries[0][1].is_zero()
+        for a in (0, Fraction(1, 2)):
+            z = PolyScalar([a, I])
+            E = poly_matrix(exp_nilpotent(N, a, I))
+            assert E.entries[0][0] == PolyScalar([1])
+            assert E.entries[1][0] == z
+            assert E.entries[2][0] == z * z * Fraction(1, 2)
+            assert E.entries[2][1] == z
+            assert E.entries[0][1].is_zero()
+            # b = 0 leaves the constant coefficient exp(aN) alone
+            assert exp_nilpotent(N, a, 0) == [E.map(lambda e: e.evaluate(0))]
 
     def test_well_ordered_tate3(self):
         wob = WellOrderedBasis(tate_string_3())
@@ -164,11 +169,10 @@ class TestOpposedness:
         # det[exp(zN) X | exp(zbar N) conj Y] as defined, with X, Y the
         # well-ordered bases of F^k and F^{d-k+1}
         data = orb.data
-        z = PolyScalar([GaussianScalar(orb.a), I])
         _, X = orb.wob.level_basis(k)
         _, Y = orb.wob.level_basis(data.d - k + 1)
-        left = poly_exp_nilpotent(data.N, z) @ X.map(PolyScalar.coerce)
-        right = poly_exp_nilpotent(data.N, z.conj()) @ Y.conj().map(PolyScalar.coerce)
+        left = poly_matrix(exp_nilpotent(data.N, orb.a, I)) @ X.map(PolyScalar.coerce)
+        right = poly_matrix(exp_nilpotent(data.N, orb.a, -I)) @ Y.conj().map(PolyScalar.coerce)
         return poly_det(left.hstack(right))
 
     @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 2)])
@@ -181,7 +185,7 @@ class TestOpposedness:
                        for _ in range(4)]
         for data in structures:
             orb = OrbitFiltration(data, a)
-            for k in range(data.F.min_level(), data.F.max_level() + 2):
+            for k in range(data.F.min_index(), data.F.max_index() + 2):
                 got = opposedness_polynomial(orb, k)
                 assert not got.is_zero(), k
                 assert got == self.direct_determinant(orb, k), k

@@ -14,13 +14,13 @@ from lmhs.mhs import check_mhs, check_situation_a, check_situation_b, nearby_ind
 from lmhs.orbit import verify_main_theorem
 from lmhs.steenbrink import (
     DegenerationData,
+    E1Page,
     StratumCohomology,
     _framed_data,
     _quotient_reps,
     _term_frame,
     _transport_matrix,
     d1_matrix,
-    e1_page,
     e1_summands,
     e2_page,
     e2_signature_table,
@@ -187,13 +187,13 @@ class TestPages:
     def test_smooth_e1_is_single_column(self):
         data = elliptic_smooth()
         for d in range(0, 3):
-            page = e1_page(data, d)
+            page = E1Page(data, d)
             assert set(page.terms) <= {0}
             assert page.dim(0) == [1, 2, 1][d]
 
     def test_cycle_e1_terms(self):
         data = cycle_degeneration()
-        page = e1_page(data, 1)
+        page = E1Page(data, 1)
         # H^0 of the two double points appears in columns r = -1 and r = 1
         assert page.dim(-1) == 2
         assert page.dim(0) == 0
@@ -224,7 +224,7 @@ class TestPages:
         # E2 Euler characteristics agree with the E1 page degree by degree
         data = kodaira_degeneration()
         for d in range(0, 5):
-            p1 = e1_page(data, d)
+            p1 = E1Page(data, d)
             p2 = e2_page(data, d)
             for r in range(-d, d + 1):
                 out_rk = rank(d1_matrix(data, d, r))
@@ -260,8 +260,8 @@ class TestPsi:
             for d in range(0, 2 * m + 1):
                 psi = psi_form(data, d)
                 for r, P in psi.items():
-                    assert P.rows == e1_page(data, d).dim(r)
-                    assert P.cols == e1_page(data, 2 * m - d).dim(-r)
+                    assert P.rows == E1Page(data, d).dim(r)
+                    assert P.cols == E1Page(data, 2 * m - d).dim(-r)
 
     def test_shift_adjointness(self):
         # psi_r(nu x, y) = -psi_{r+2}(x, nu y)
