@@ -254,7 +254,9 @@ def _odp_model_odd(res: ResolutionData) -> DegenerationData:
         rest2_entries[(f"A{i}", f"hE{i}")] = 1
         rest2_entries[(f"B{i}", f"hE{i}")] = 1
         for t in range(w):
-            r = rho.entries[i][t]
+            # rho is an integer matrix: its real parts are the shared small
+            # scalars once coerced, so no model keeps a negated copy
+            r = rho.entries[i][t].re
             rest2_entries[(f"A{i}", f"w{t}")] = -r
             rest2_entries[(f"B{i}", f"w{t}")] = r
     rest2 = _matrix(quad2, q2, rest2_entries)
@@ -273,7 +275,7 @@ def _odp_model_odd(res: ResolutionData) -> DegenerationData:
         gys2_entries[(f"hE{i}", f"A{i}")] = 1
         gys2_entries[(f"hE{i}", f"B{i}")] = 1
         for t in range(w):
-            r = rho.entries[i][t]
+            r = rho.entries[i][t].re
             gys2_entries[(f"w{t}", f"A{i}")] = r
             gys2_entries[(f"w{t}", f"B{i}")] = -r
     gys2 = _matrix(q2, quad2, gys2_entries)

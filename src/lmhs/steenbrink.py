@@ -27,7 +27,7 @@ from .exactlin import (
     matrix_from_json,
     matrix_to_json,
     rank,
-    solve,
+    rref,
 )
 from .filtration import DecreasingFiltration, IncreasingFiltration
 from .mhs import MHSData, SignatureTable, epsilon_sign, nearby_index_formula
@@ -161,15 +161,6 @@ class DegenerationData:
 
     def complex_dim(self, depth: int) -> int:
         return self.m - depth + 1
-
-    def gysin_matrix(self, depth: int, q: int) -> ExactMatrix:
-        """H^q(E(depth+1)) -> H^{q+2}(E(depth))."""
-        M = self.gysin.get((depth, q))
-        if M is None:
-            return ExactMatrix.zero(
-                self.stratum_dim(depth, q + 2), self.stratum_dim(depth + 1, q)
-            )
-        return M
 
     def restriction_matrix(self, depth: int, q: int) -> ExactMatrix:
         """H^q(E(depth)) -> H^q(E(depth+1))."""
@@ -353,11 +344,12 @@ def _adjointness_failures(data: DegenerationData) -> list[str]:
 
 def _d1_square_failures(data: DegenerationData) -> list[str]:
     out = []
+    blocks = _d1_blocks(data)
     # the second factor at degree d is the first factor at degree d+1, so
     # each degree's d1 matrices are built once and carried to the next
-    cur = {r: d1_matrix(data, 0, r) for r in range(-1, 2)}
+    cur = {r: d1_matrix(data, 0, r, blocks) for r in range(-1, 2)}
     for d in range(0, 2 * data.m + 1):
-        nxt = {r: d1_matrix(data, d + 1, r) for r in range(-d - 2, d + 3)}
+        nxt = {r: d1_matrix(data, d + 1, r, blocks) for r in range(-d - 2, d + 3)}
         for r in range(-d - 1, d + 2):
             M1 = cur[r]
             M2 = nxt[r - 1]
@@ -423,11 +415,33 @@ def _offsets(summands: list[Summand]) -> list[int]:
     return offs
 
 
-def d1_matrix(data: DegenerationData, d: int, r: int) -> ExactMatrix:
+def _d1_blocks(data: DegenerationData) -> tuple[dict, dict]:
+    """The stratum maps as rows of d1 blocks, keyed by source (depth, q):
+    theta[(l, q)] is the restriction H^q(E(l)) -> H^q(E(l+1)) and
+    gamma[(l, q)] the negated Gysin map H^q(E(l)) -> H^{q+2}(E(l-1)), since
+    d1 = -gamma + theta.  Entries are coerced and negated here, once per
+    input; a missing map is zero and has no block."""
+    def rows(M: ExactMatrix, sign: int) -> list[list]:
+        out = [[GaussianScalar.coerce(e) for e in row] for row in M.entries]
+        if sign < 0:  # the maps are sparse: zeros stay as they are
+            out = [[e if e.is_zero() else -e for e in row] for row in out]
+        return out
+
+    theta = {key: rows(M, +1) for key, M in data.restriction.items()}
+    gamma = {(l + 1, q): rows(M, -1) for (l, q), M in data.gysin.items()}
+    return theta, gamma
+
+
+def d1_matrix(
+    data: DegenerationData, d: int, r: int, blocks: tuple | None = None
+) -> ExactMatrix:
     """Block matrix of d1 = -gamma + theta from E1^{-r, d+r} (degree d) to
     E1^{-r+1, (d+1)+(r-1)} (degree d+1).  Components whose target summand
-    falls outside the truncated range are dropped.
+    falls outside the truncated range are dropped.  blocks are the maps of
+    data as _d1_blocks gives them; a caller that builds several matrices
+    passes them in, so the Gysin maps are negated once.
     """
+    theta, gamma = _d1_blocks(data) if blocks is None else blocks
     src = e1_summands(data, d, r)
     tgt = e1_summands(data, d + 1, r - 1)
     so = _offsets(src)
@@ -437,24 +451,20 @@ def d1_matrix(data: DegenerationData, d: int, r: int) -> ExactMatrix:
     cols = so[-1]
     out = [[G_ZERO] * cols for _ in range(rows)]
 
-    def put(block: ExactMatrix, ti: int, si: int, sign: int):
+    def put(block: list | None, ti: int | None, si: int):
         # blocks never overlap: theta and gamma send one source summand to
         # two different target summands, so each entry is written once
-        for i, row in enumerate(block.entries):
-            orow = out[to[ti] + i]
-            for j, e in enumerate(row):
-                e = GaussianScalar.coerce(e)
-                orow[so[si] + j] = -e if sign < 0 else e
+        if block is None or ti is None:
+            return
+        c = so[si]
+        for i, row in enumerate(block):
+            out[to[ti] + i][c:c + len(row)] = row
 
     for si, s in enumerate(src):
         # theta: E(depth) -> E(depth+1), same degree, k -> k+1
-        ti = tgt_index.get((s.depth + 1, s.q))
-        if ti is not None:
-            put(data.restriction_matrix(s.depth, s.q), ti, si, +1)
+        put(theta.get((s.depth, s.q)), tgt_index.get((s.depth + 1, s.q)), si)
         # gamma: E(depth) -> E(depth-1), degree +2, k -> k
-        ti = tgt_index.get((s.depth - 1, s.q + 2))
-        if ti is not None:
-            put(data.gysin_matrix(s.depth - 1, s.q), ti, si, -1)
+        put(gamma.get((s.depth, s.q)), tgt_index.get((s.depth - 1, s.q + 2)), si)
     return ExactMatrix(out, cols=cols)
 
 
@@ -483,22 +493,25 @@ def _term_sectors(data: DegenerationData, summands: list[Summand]) -> dict:
     return sectors
 
 
-def _transport_matrix(src: list[Summand], tgt: list[Summand]) -> ExactMatrix:
-    """Identity transport matching summands by (depth, q).  Source summands
-    whose shifted index falls outside the target's truncated range are
-    dropped; this truncation is what makes the induced shift nilpotent."""
+def _transport(src: list[Summand], tgt: list[Summand], X: ExactMatrix) -> ExactMatrix:
+    """The identity transport applied to the columns of X, vectors of the
+    term with summands src: each target summand takes the rows of the source
+    summand with its (depth, q), or zero rows if there is none.  Source
+    summands whose shifted index falls outside the target's truncated range
+    are dropped; this truncation is what makes the induced shift nilpotent.
+    The transport only moves rows, so it is applied without a product."""
     so = _offsets(src)
-    to = _offsets(tgt)
-    tgt_index = {(s.depth, s.q): i for i, s in enumerate(tgt)}
-    out = [[G_ZERO] * so[-1] for _ in range(to[-1])]
-    for si, s in enumerate(src):
-        ti = tgt_index.get((s.depth, s.q))
-        if ti is None:
+    src_index = {(s.depth, s.q): i for i, s in enumerate(src)}
+    zero = [G_ZERO] * X.cols
+    rows = []
+    for t in tgt:
+        si = src_index.get((t.depth, t.q))
+        if si is None:
+            rows.extend([zero] * t.dim)
             continue
-        assert tgt[ti].dim == s.dim
-        for i in range(s.dim):
-            out[to[ti] + i][so[si] + i] = GaussianScalar.coerce(1)
-    return ExactMatrix(out, cols=so[-1])
+        assert src[si].dim == t.dim
+        rows.extend(X.entries[so[si]:so[si + 1]])
+    return ExactMatrix(rows, cols=X.cols)
 
 
 def _quotient_reps(Z: Subspace, B: Subspace, where: str = "") -> ExactMatrix:
@@ -515,19 +528,39 @@ def _quotient_reps(Z: Subspace, B: Subspace, where: str = "") -> ExactMatrix:
     return span.take_columns(range(B.dim, span.cols))
 
 
+def _class_coordinates(reps: ExactMatrix, B: Subspace, X: ExactMatrix) -> ExactMatrix | None:
+    """Coordinates of the columns of X in the basis reps, modulo the span of
+    B; None if some column of X lies outside the span of reps and B.
+
+    The columns of reps and of B's basis are independent, so one reduced
+    form of [reps | B | X] answers every column: its rank exceeds theirs
+    exactly when a column of X escapes their span, and otherwise its first
+    rows hold each column's unique solution.
+    """
+    k = reps.cols + B.dim
+    R, _, rk = rref(reps.hstack(B.basis).hstack(X))
+    if rk > k:
+        return None
+    return ExactMatrix([row[k:] for row in R.entries[: reps.cols]], cols=X.cols)
+
+
 class E2Term:
-    """E2^{-r, d+r} with rational class representatives and per-sector data."""
+    """E2^{-r, d+r} with rational class representatives and per-sector data.
+
+    into and out are the d1 maps into and out of the term, each as a pair
+    (raw, framed): the maps built from the stratum maps and from the framed
+    stratum maps (see _D1Maps)."""
 
     __slots__ = (
-        "d", "r", "summands", "dim_e1", "Z", "B", "reps", "frame",
+        "d", "r", "summands", "dim_e1", "Z", "B", "reps",
         "sector_cols", "sector_reps", "sector_B", "sector_dims",
     )
 
-    def __init__(self, data: DegenerationData, framed: DegenerationData, d: int, r: int):
+    def __init__(self, data: DegenerationData, d: int, r: int, into: tuple, out: tuple):
         summands = e1_summands(data, d, r)
         n = sum(s.dim for s in summands)
-        Z = kernel(d1_matrix(data, d, r))
-        B = image(d1_matrix(data, d - 1, r + 1))
+        Z = kernel(out[0])
+        B = image(into[0])
         where = f" at degree {d}, column {-r}"
         self.d = d
         self.r = r
@@ -536,13 +569,12 @@ class E2Term:
         self.Z = Z
         self.B = B
         self.reps = _quotient_reps(Z, B, where)
-        self.frame = _term_frame(data, summands)
         self.sector_cols = _term_sectors(data, summands)
         # sector homology in frame coordinates: a term frame is block-diagonal
         # with the stratum frames as blocks, so F_out^{-1} d1 F is d1 built
         # from the framed stratum maps
-        Mi = d1_matrix(framed, d - 1, r + 1)
-        Mo = d1_matrix(framed, d, r)
+        Mi = into[1]
+        Mo = out[1]
         in_sectors = _term_sectors(data, e1_summands(data, d - 1, r + 1))
         out_sectors = _term_sectors(data, e1_summands(data, d + 1, r - 1))
         self.sector_reps = {}
@@ -594,36 +626,67 @@ class E2Term:
     def dim(self) -> int:
         return self.reps.cols
 
-    def class_coordinates(self, v: list) -> list | None:
-        """Coordinates of an E1 kernel vector in the chosen representative
-        basis, modulo the boundary space; None if v is not in Z + B."""
-        if self.dim_e1 == 0:
-            return [] if self.dim == 0 else None
-        M = self.reps.hstack(self.B.basis)
-        x = solve(M, v)
-        if x is None:
-            return None
-        return x[: self.reps.cols]
+    def class_coordinates(self, X: ExactMatrix) -> ExactMatrix | None:
+        """Coordinates of the E1 kernel vectors given as the columns of X in
+        the chosen representative basis, modulo the boundary space; None if
+        a column is not in Z + B."""
+        return _class_coordinates(self.reps, self.B, X)
 
 
 def _framed_data(data: DegenerationData) -> DegenerationData:
     """The same strata with every Gysin and restriction map in frame
-    coordinates."""
+    coordinates.  When no map has a framed end, framing changes nothing and
+    the result is data itself."""
     framed = _frame_map(data)
-    return DegenerationData(
-        data.m,
-        data.strata.values(),
-        {(l, q): framed(M, (l + 1, q), (l, q + 2)) for (l, q), M in data.gysin.items()},
-        {(l, q): framed(M, (l, q), (l + 1, q)) for (l, q), M in data.restriction.items()},
-    )
+    gysin = {(l, q): framed(M, (l + 1, q), (l, q + 2)) for (l, q), M in data.gysin.items()}
+    restriction = {
+        (l, q): framed(M, (l, q), (l + 1, q)) for (l, q), M in data.restriction.items()
+    }
+    if all(gysin[key] is M for key, M in data.gysin.items()) and all(
+        restriction[key] is M for key, M in data.restriction.items()
+    ):
+        return data
+    return DegenerationData(data.m, data.strata.values(), gysin, restriction)
+
+
+class _D1Maps:
+    """The d1 maps of one input for one pipeline call, raw and in frame
+    coordinates.  The stratum maps are framed, and the Gysin maps negated,
+    once, when the object is made; it keeps no matrix it has built."""
+
+    def __init__(self, data: DegenerationData):
+        self.data = data
+        self.blocks = _d1_blocks(data)
+        self.framed = _framed_data(data)
+        self.framed_blocks = self.blocks if self.framed is data else _d1_blocks(self.framed)
+
+    def degree(self, d: int) -> dict[int, tuple[ExactMatrix, ExactMatrix]]:
+        """The maps out of degree d, r -> (raw, framed), for every column r
+        that the pages of degree d and d+1 read.  Each is built once; the
+        framed map is the raw one when framing changes no stratum map."""
+        out = {}
+        for r in range(-d, d + 3):
+            raw = d1_matrix(self.data, d, r, self.blocks)
+            framed = (raw if self.framed is self.data
+                      else d1_matrix(self.framed, d, r, self.framed_blocks))
+            out[r] = (raw, framed)
+        return out
 
 
 class E2Page:
-    def __init__(self, data: DegenerationData, d: int):
+    """The E2 terms of degree d.  maps is the pair (into, out) of
+    _D1Maps.degree(d - 1) and _D1Maps.degree(d); a caller that builds
+    several pages of one input passes them, so that each d1 map is built
+    once.  Without it the page builds its own."""
+
+    def __init__(self, data: DegenerationData, d: int, maps: tuple | None = None):
         self.data = data
         self.d = d
-        framed = _framed_data(data)
-        self.terms = {r: E2Term(data, framed, d, r) for r in range(-d, d + 1)}
+        if maps is None:
+            d1 = _D1Maps(data)
+            maps = (d1.degree(d - 1), d1.degree(d))
+        into, out = maps
+        self.terms = {r: E2Term(data, d, r, into[r + 1], out[r]) for r in range(-d, d + 1)}
 
     def term(self, r: int) -> E2Term | None:
         return self.terms.get(r)
@@ -641,8 +704,8 @@ class E2Page:
         return out
 
 
-def e2_page(data: DegenerationData, d: int) -> E2Page:
-    return E2Page(data, d)
+def e2_page(data: DegenerationData, d: int, maps: tuple | None = None) -> E2Page:
+    return E2Page(data, d, maps)
 
 
 def _induced_shift(page: E2Page, r: int, power: int) -> ExactMatrix | None:
@@ -656,20 +719,11 @@ def _induced_shift(page: E2Page, r: int, power: int) -> ExactMatrix | None:
     td = tgt.dim if tgt else 0
     if sd == 0:
         return ExactMatrix.zero(td, 0)
-    # when the target is empty, the shifted classes must still die in E2
-    T = _transport_matrix(src.summands, tgt.summands if tgt else [])
-    cols = []
-    for w in (T @ src.reps).columns():
-        if tgt is None:
-            if any(not e.is_zero() for e in w):
-                return None
-            cols.append([])
-            continue
-        x = tgt.class_coordinates(w)
-        if x is None:
-            return None
-        cols.append(x)
-    return ExactMatrix.from_columns(cols, rows=td)
+    if tgt is None:
+        # the target lies outside the page, so the truncated transport
+        # drops every shifted class
+        return ExactMatrix.zero(0, sd)
+    return tgt.class_coordinates(_transport(src.summands, tgt.summands, src.reps))
 
 
 class WeightCriterionReport(Report):
@@ -754,10 +808,12 @@ def _hermitian_gram(data: DegenerationData, summands: list[Summand], r: int) -> 
     off = 0
     for s in summands:
         assert s.q == data.complex_dim(s.depth), "hermitian gram needs middle degree"
-        P = data.strata[s.depth].pairing(s.q)
-        assert P is not None
-        F = data.strata[s.depth].frame(s.q)
-        block = F.transpose() @ P.map(GaussianScalar.coerce) @ F.conj()
+        entry = data.strata[s.depth].cohomology[s.q]
+        assert entry["pairing"] is not None
+        block = entry["pairing"].map(GaussianScalar.coerce)
+        F = entry["frame"]
+        if F is not None:  # a degree without a frame has the identity frame
+            block = F.transpose() @ block @ F.conj()
         sign = epsilon_sign(r - m)
         if (m + r + s.k) % 2:
             sign = -sign
@@ -778,7 +834,6 @@ def _primitive_sector_basis(page: E2Page, r: int, sec: tuple[int, int]) -> Exact
     if X.cols == 0 or tgt is None or tgt.dim_e1 == 0:
         # nu^{r+1} lands in a zero term: the whole sector is primitive
         return X
-    T = _transport_matrix(term.summands, tgt.summands)
     tsec = (sec[0] - r - 1, sec[1] - r - 1)
     tcols = tgt.sector_cols.get(tsec, [])
     tcol_set = set(tcols)
@@ -789,17 +844,15 @@ def _primitive_sector_basis(page: E2Page, r: int, sec: tuple[int, int]) -> Exact
         else ExactMatrix.zero(len(tcols), 0)
     )
     Bb = tgt.sector_B.get(tsec, Subspace.zero(len(tcols)))
-    M = R_sec.hstack(Bb.basis)
-    cols = []
-    for w in (T @ X).columns():
-        # coordinates modulo the sector boundary space, in sector coordinates
-        for i, e in enumerate(w):
-            if i not in tcol_set:
-                assert e.is_zero()
-        x = solve(M, [w[i] for i in tcols])
-        assert x is not None, "shift map fails to descend on a sector"
-        cols.append(x[: R_sec.cols])
-    induced = ExactMatrix.from_columns(cols, rows=R_sec.cols)
+    TX = _transport(term.summands, tgt.summands, X)
+    for i, row in enumerate(TX.entries):
+        if i not in tcol_set:
+            assert all(e.is_zero() for e in row)
+    # coordinates modulo the sector boundary space, in sector coordinates
+    induced = _class_coordinates(
+        R_sec, Bb, ExactMatrix([TX.entries[i] for i in tcols], cols=TX.cols)
+    )
+    assert induced is not None, "shift map fails to descend on a sector"
     K = kernel(induced)
     return X @ K.basis
 
@@ -849,14 +902,16 @@ def e2_signature_table(data: DegenerationData) -> SignatureTable:
     return _e2_signature_table(data, page)
 
 
-def extract_limit_mhs(data: DegenerationData, d: int) -> MHSData:
+def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None) -> MHSData:
     """Split model of the limit mixed Hodge structure on H^d in E2 class
     coordinates: W from the column grading, F from the type sectors, the
     monodromy N given by the identity-shift transport, and (at d = m) the
-    rational pairing induced by the psi blocks.
+    rational pairing induced by the psi blocks.  page is the E2 page of
+    degree d when the caller has already built it.
     """
     m = data.m
-    page = e2_page(data, d)
+    if page is None:
+        page = e2_page(data, d)
     order = [r for r in range(-d, d + 1) if page.dim(r)]  # weight d+r increasing
     offsets = {}
     total = 0
@@ -875,24 +930,26 @@ def extract_limit_mhs(data: DegenerationData, d: int) -> MHSData:
         ).map(GaussianScalar.coerce)
         steps[w] = Subspace(total, basis)
     W = IncreasingFiltration(total, steps)
-    # Hodge filtration from sector representatives
+    # Hodge filtration from sector representatives in class coordinates,
+    # all of a term's representatives mapped at once
+    classes = []  # (sector, class coordinates in the whole space)
+    for r in order:
+        term = page.term(r)
+        secs = [(sec, X) for sec, X in term.sector_reps.items() if X.cols]
+        X = ExactMatrix.from_columns(
+            [v for _, Y in secs for v in Y.columns()], rows=term.dim_e1
+        )
+        C = term.class_coordinates(_term_frame(data, term.summands) @ X)
+        assert C is not None
+        owners = [sec for sec, Y in secs for _ in range(Y.cols)]
+        for sec, x in zip(owners, C.columns()):
+            full = [G_ZERO] * total
+            full[offsets[r]:offsets[r] + len(x)] = x
+            classes.append((sec, full))
     levels = sorted({P for t in page.terms.values() for (P, _) in t.sector_dims})
     fsteps = {}
     for p in levels:
-        cols = []
-        for r in order:
-            term = page.term(r)
-            for sec, X in term.sector_reps.items():
-                if sec[0] < p or X.cols == 0:
-                    continue
-                for v in X.columns():
-                    sv = (term.frame @ ExactMatrix.from_columns([v], rows=len(v))).column(0)
-                    x = term.class_coordinates(sv)
-                    assert x is not None
-                    full = [G_ZERO] * total
-                    for i, e in enumerate(x):
-                        full[offsets[r] + i] = e
-                    cols.append(full)
+        cols = [v for sec, v in classes if sec[0] >= p]
         M = ExactMatrix.from_columns(cols, rows=total)
         fsteps[p] = Subspace(total, image(M).basis)
     assert fsteps[levels[0]].dim == total, "sector representatives do not span"
@@ -974,14 +1031,21 @@ class IndexReport(Report):
 def nearby_hodge_index(data: DegenerationData) -> IndexReport:
     """Criterion verdicts and limit Hodge numbers for every degree, and the
     aggregated signature of S(C., conj .) per (p, m-p) at middle degree when
-    the criterion holds there.  Each degree's E2 page is built once."""
+    the criterion holds there.  Each degree's E2 page and each d1 map is
+    built once."""
     m = data.m
     failures = []
     per_degree = {}
     verdict = True
     middle = None
+    # each degree's d1 maps are built once: page d reads them as its
+    # outgoing maps and page d+1 as its incoming ones, then they are dropped
+    d1 = _D1Maps(data)
+    into = d1.degree(-1)
     for d in range(0, 2 * m + 1):
-        page = e2_page(data, d)
+        out = d1.degree(d)
+        page = e2_page(data, d, (into, out))
+        into = out
         crit = _weight_criterion(page)
         hodge = page.hodge_numbers()
         for (p, q), dim in hodge.items():

@@ -280,11 +280,21 @@ ELLIPTIC_VARIANTS = {
     "real_line": _real_line,
 }
 
+# generated ODP models: m = 3 with symplectic pairs, so with a framed H^3,
+# and m = 4 without frames
+GENERATED_MODELS = {
+    "odp-m3-l6": ResolutionData(3, 6, signs=(-1, 1, -1), rho=ExactMatrix.from_rational(
+        [[1, 0, 0], [-1, 1, 0], [0, -1, 1], [0, 0, -1], [1, 0, 1], [0, 1, -1]])),
+    "odp-m4-l7": ResolutionData(4, 7, vhat_signs=(1, -1, 1)),
+}
+
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMAS = Path(__file__).parents[1] / "docs" / "schemas"
 
 # (recording, argv, exit code); the recordings in tests/golden are the
-# stdout of these invocations from before `lmhs orbit` ran one pipeline
+# stdout of these invocations from before `lmhs orbit` ran one pipeline,
+# and of the `check` runs on generated models from before each d1 map was
+# built once per call
 GOLDEN_CASES = [
     ("orbit-elliptic-json", ["orbit", "elliptic.json", "--format", "json"], 0),
     ("orbit-elliptic-text-a1_2",
@@ -300,10 +310,16 @@ GOLDEN_CASES = [
     ("orbit-real_line-json", ["orbit", "real_line", "--format", "json"], 2),
     ("check-kodaira-json", ["check", "kodaira.json", "--format", "json"], 2),
     ("check-odp_m3-json", ["check", "odp_m3.json", "--format", "json"], 0),
+    ("check-odp-m3-l6-json", ["check", "odp-m3-l6", "--format", "json"], 0),
+    ("check-odp-m4-l7-json", ["check", "odp-m4-l7", "--format", "json"], 0),
 ]
 
 
 def input_path(tmp_path, source):
+    if source in GENERATED_MODELS:
+        path = tmp_path / f"{source}.json"
+        path.write_text(json.dumps(odp_semistable_model(GENERATED_MODELS[source]).to_json()))
+        return str(path)
     if source not in ELLIPTIC_VARIANTS:
         return fixture_path(source)
     blob = json.load(open(fixture_path("elliptic.json")))

@@ -147,6 +147,18 @@ class TestOdpModelOdd:
         assert rep.signature[1] == (1, 1)
         assert rep.signature[2] == (1, 1)
 
+    def test_relation_entries_are_shared_scalars(self):
+        # the workloads keep every generated model, so a model holds the
+        # shared small scalars, not a fresh negated copy per relation entry
+        rho = M([[1, -1], [-1, 0], [0, 1]])
+        data = odp_semistable_model(odd_resolution(3, rho))
+        for maps in (data.gysin, data.restriction):
+            for A in maps.values():
+                for row in A.entries:
+                    for e in row:
+                        if not e.is_zero():
+                            assert GaussianScalar.coerce(e.re) is e
+
     @pytest.mark.parametrize("l,rho_cols", [(1, 0), (2, 1), (3, 1), (3, 3)])
     def test_two_path_index_agreement(self, l, rho_cols):
         rows = [[1 if t == i % max(rho_cols, 1) else 0 for t in range(rho_cols)]

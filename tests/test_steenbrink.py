@@ -2,12 +2,16 @@
 psi pairings, E2 signature tables and limit MHS extraction."""
 
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmhs import steenbrink
-from lmhs.exactlin import ExactMatrix, GaussianScalar, Subspace, image, kernel, rank
+from lmhs.exactlin import (
+    ExactMatrix, GaussianScalar, Subspace, image, kernel, rank, solve,
+)
 from lmhs.filtration import weight_filtration
 from lmhs.geomodels import ResolutionData, odp_semistable_model
 from lmhs.mhs import check_mhs, check_situation_a, check_situation_b, nearby_index_formula
@@ -16,10 +20,11 @@ from lmhs.steenbrink import (
     DegenerationData,
     E1Page,
     StratumCohomology,
+    _class_coordinates,
     _framed_data,
     _quotient_reps,
     _term_frame,
-    _transport_matrix,
+    _transport,
     d1_matrix,
     e1_summands,
     e2_page,
@@ -252,6 +257,11 @@ class TestWeightCriterion:
         assert weight_criterion(kodaira_degeneration(), 2).ok
 
 
+def transport_matrix(src, tgt) -> ExactMatrix:
+    """The matrix of the identity transport from src to tgt."""
+    return _transport(src, tgt, ExactMatrix.identity(sum(s.dim for s in src)))
+
+
 class TestPsi:
     def test_blocks_pair_complementary_dims(self):
         for build in ALL_FIXTURES:
@@ -273,9 +283,9 @@ class TestPsi:
                 for r in range(-d, d - 1):
                     src = e1_summands(data, d, r + 2)
                     tgt = e1_summands(data, d, r)
-                    T_src = _transport_matrix(src, tgt)
+                    T_src = transport_matrix(src, tgt)
                     du = 2 * m - d
-                    T_tgt = _transport_matrix(
+                    T_tgt = transport_matrix(
                         e1_summands(data, du, -r), e1_summands(data, du, -r - 2)
                     )
                     lhs = T_src.transpose() @ psi[r]
@@ -365,6 +375,14 @@ class TestExtraction:
         assert lim.S is None
         assert check_mhs(lim).ok
 
+    @pytest.mark.parametrize("build", ALL_FIXTURES)
+    def test_built_page_is_not_rebuilt(self, build, monkeypatch):
+        data = build()
+        want = extract_limit_mhs(data, data.m).to_json()
+        page = e2_page(data, data.m)
+        monkeypatch.setattr(steenbrink, "e2_page", None)  # any page build fails
+        assert extract_limit_mhs(data, data.m, page).to_json() == want
+
     def test_off_middle_has_no_pairing(self):
         lim = extract_limit_mhs(cycle_degeneration(), 2)
         assert lim.S is None
@@ -410,9 +428,9 @@ class TestPageBuilds:
         degrees = []
         original = steenbrink.e2_page
 
-        def counting(data, d):
+        def counting(data, d, maps=None):
             degrees.append(d)
-            return original(data, d)
+            return original(data, d, maps)
 
         monkeypatch.setattr(steenbrink, "e2_page", counting)
         return degrees
@@ -428,6 +446,103 @@ class TestPageBuilds:
         data = build()
         e2_signature_table(data)
         assert built == [data.m]
+
+
+def reframed_cycle() -> DegenerationData:
+    """cycle_degeneration with a real frame on the lines' H^0, which both of
+    its maps touch, so its framed maps differ from its raw ones."""
+    data = cycle_degeneration()
+    lines = data.strata[1].cohomology
+    lines = StratumCohomology(1, {**lines, 0: {**lines[0], "frame": M([[1, 1], [0, 1]])}})
+    return DegenerationData(data.m, [lines, data.strata[2]], data.gysin, data.restriction)
+
+
+def seeded_odp_models(seed: int) -> list[DegenerationData]:
+    """ODP models: m = 3 with symplectic pairs, whose framed H^3 no map
+    touches, and m = 4, which has no frame."""
+    rng = random.Random(seed)
+    out = []
+    for l in (2, 4):
+        signs = tuple(rng.choice((1, -1)) for _ in range(2))
+        while True:
+            rho = M([[rng.choice((-1, 0, 1))] for _ in range(l)])
+            if rank(rho) == 1:
+                break
+        out.append(odp_semistable_model(ResolutionData(3, l, signs=signs, rho=rho)))
+    for l in (3, 5):
+        signs = tuple(rng.choice((1, -1)) for _ in range(3))
+        out.append(odp_semistable_model(ResolutionData(4, l, vhat_signs=signs)))
+    return out
+
+
+D1_INPUTS = ALL_FIXTURES + [reframed_cycle] + [
+    (lambda i=i: seeded_odp_models(20261018)[i]) for i in range(4)
+]
+D1_IDS = [build.__name__ for build in ALL_FIXTURES] + [
+    "reframed_cycle", "odp-m3-l2", "odp-m3-l4", "odp-m4-l3", "odp-m4-l5"]
+
+
+class TestD1Builds:
+    """nearby_hodge_index builds each d1 map once per call: a degree's maps
+    are read by its own page and handed to the next, and framed maps are
+    built only when framing changes a stratum map."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []  # (input, d, r) per d1_matrix call
+        original = steenbrink.d1_matrix
+
+        def counting(data, d, r, blocks=None):
+            calls.append((data, d, r))
+            return original(data, d, r, blocks)
+
+        monkeypatch.setattr(steenbrink, "d1_matrix", counting)
+        return calls
+
+    @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
+    def test_each_raw_map_built_once(self, build, builds):
+        data = build()
+        nearby_hodge_index(data)
+        raw = Counter((d, r) for D, d, r in builds if D is data)
+        assert set(raw.values()) == {1}
+        # every map out of and into every term of every page
+        terms = [(d, r) for d in range(2 * data.m + 1) for r in range(-d, d + 1)]
+        assert set(terms) | {(d - 1, r + 1) for d, r in terms} <= set(raw)
+
+    @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
+    def test_framed_maps_only_when_framing_changes_a_map(self, build, builds):
+        data = build()
+        nearby_hodge_index(data)
+        framed = Counter((d, r) for D, d, r in builds if D is not data)
+        if build is reframed_cycle:
+            raw = Counter((d, r) for D, d, r in builds if D is data)
+            assert framed == raw
+        else:
+            assert framed == Counter()
+
+    @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
+    def test_pages_equal_standalone_pages(self, build, monkeypatch):
+        data = build()
+        pages = []
+        original = steenbrink.e2_page
+
+        def keeping(data, d, maps=None):
+            pages.append(original(data, d, maps))
+            return pages[-1]
+
+        monkeypatch.setattr(steenbrink, "e2_page", keeping)
+        nearby_hodge_index(data)
+        assert [page.d for page in pages] == list(range(2 * data.m + 1))
+        for page in pages:
+            alone = original(data, page.d)
+            assert set(page.terms) == set(alone.terms)
+            for r, term in page.terms.items():
+                want = alone.terms[r]
+                assert term.reps == want.reps, (page.d, r)
+                assert term.sector_reps == want.sector_reps, (page.d, r)
+                assert {sec: B.basis for sec, B in term.sector_B.items()} == {
+                    sec: B.basis for sec, B in want.sector_B.items()
+                }, (page.d, r)
 
 
 def greedy_quotient_reps(Z: Subspace, B: Subspace) -> ExactMatrix:
@@ -483,6 +598,62 @@ def test_quotient_reps_match_greedy_scan(pair):
     want = greedy_quotient_reps(Z, B)
     assert (got.rows, got.cols) == (want.rows, want.cols) == (Z.ambient_dim, Z.dim - B.dim)
     assert got == want
+
+
+def solve_per_column(reps: ExactMatrix, B: Subspace, X: ExactMatrix) -> ExactMatrix | None:
+    """The reference: one solve of [reps | B] x = v per column v of X."""
+    system = reps.hstack(B.basis)
+    cols = []
+    for v in X.columns():
+        x = solve(system, v)
+        if x is None:
+            return None
+        cols.append(x[: reps.cols])
+    return ExactMatrix.from_columns(cols, rows=reps.cols)
+
+
+@st.composite
+def class_coordinate_cases(draw):
+    """(reps, B, X): representatives of Z/B as E2Term chooses them, and
+    columns that are combinations of Z's basis, with at most one column
+    outside Z inserted among them when Z is not the whole space."""
+    Z, B = draw(nested_subspaces())
+    n = Z.ambient_dim
+    X = Z.basis @ random_matrix(draw, Z.dim, draw(st.integers(0, 3)))
+    if Z.dim < n and draw(st.booleans()):
+        outside = next(
+            col for col in ExactMatrix.identity(n).columns() if not Z.contains_vector(col)
+        )
+        cols = X.columns()
+        cols.insert(draw(st.integers(0, len(cols))), outside)
+        X = ExactMatrix.from_columns(cols, rows=n)
+    return _quotient_reps(Z, B), B, X
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_coordinate_cases())
+def test_class_coordinates_match_per_column_solves(case):
+    reps, B, X = case
+    got = _class_coordinates(reps, B, X)
+    want = solve_per_column(reps, B, X)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.rows, got.cols) == (reps.cols, X.cols)
+        assert got == want
+
+
+@pytest.mark.parametrize("build", ALL_FIXTURES)
+def test_term_class_coordinates_of_representatives(build):
+    # each representative has its own unit vector as coordinates, and
+    # boundaries have none; terms with an empty E1 space included
+    data = build()
+    for d in range(0, 2 * data.m + 1):
+        for term in e2_page(data, d).terms.values():
+            X = term.reps.hstack(term.B.basis)
+            want = ExactMatrix.identity(term.dim).hstack(ExactMatrix.zero(term.dim, term.B.dim))
+            assert term.class_coordinates(X) == want
 
 
 class TestFramedMaps:
