@@ -692,6 +692,38 @@ def solve(M: ExactMatrix, b: Sequence) -> list | None:
     return x
 
 
+def quotient_reps(upper: "Subspace", lower: "Subspace") -> ExactMatrix | None:
+    """Deterministic representatives of upper/lower: the columns of upper's
+    basis that are independent of lower and of the upper columns before
+    them; None when lower is not inside upper.
+
+    One elimination of [lower | upper] finds them all: lower's columns are
+    independent, so they are the first pivots, and the remaining pivots are
+    those upper columns, in order.  The same elimination tests that lower
+    lies in upper: then [lower | upper] spans no more than upper.
+    """
+    span = image(lower.basis.hstack(upper.basis)).basis
+    if span.cols != upper.dim:
+        return None
+    return span.take_columns(range(lower.dim, span.cols))
+
+
+def class_coordinates(reps: ExactMatrix, lower: "Subspace", X: ExactMatrix) -> ExactMatrix | None:
+    """Coordinates of the columns of X in the basis reps, modulo lower;
+    None if some column of X lies outside the span of reps and lower.
+
+    The columns of reps and of lower's basis are independent, so one
+    reduced form of [reps | lower | X] answers every column: its rank
+    exceeds theirs exactly when a column of X escapes their span, and
+    otherwise its first rows hold each column's unique solution.
+    """
+    k = reps.cols + lower.dim
+    R, _, rk = rref(reps.hstack(lower.basis).hstack(X))
+    if rk > k:
+        return None
+    return ExactMatrix([row[k:] for row in R.entries[: reps.cols]], cols=X.cols)
+
+
 class Subspace:
     """A subspace of an ambient exact vector space, given by basis columns."""
 

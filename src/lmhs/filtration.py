@@ -8,16 +8,16 @@ from them are reproducible byte-for-byte.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .exactlin import (
     ExactMatrix,
     Subspace,
+    class_coordinates,
     image,
     kernel,
+    quotient_reps,
     rank,
-    rref,
-    solve,
 )
 from .report import Report
 
@@ -116,16 +116,15 @@ class GradedPiece:
     """W_k / W_{k-1}, carried by explicit representative columns.
 
     The representatives are chosen deterministically: the earliest columns of
-    the W_k basis that complete a basis of W_{k-1}.
+    the W_k basis that complete a basis of W_{k-1} (exactlin.quotient_reps).
     """
 
-    __slots__ = ("weight", "reps", "lower", "space")
+    __slots__ = ("weight", "reps", "lower")
 
-    def __init__(self, weight: int, reps: ExactMatrix, lower: Subspace, space: Subspace):
+    def __init__(self, weight: int, reps: ExactMatrix, lower: Subspace):
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "space", space)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPiece is immutable")
@@ -134,38 +133,13 @@ class GradedPiece:
     def dim(self) -> int:
         return self.reps.cols
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.lower.ambient_dim
-
-    def coordinates(self, v: Sequence) -> list | None:
-        """Coordinates of v mod W_{k-1} in the representative basis.
-
-        Returns None when v does not lie in W_k.
-        """
-        if self.dim == 0 and self.lower.dim == 0:
-            from .exactlin import GaussianScalar
-
-            ok = all(GaussianScalar.coerce(x).is_zero() for x in v)
-            return [] if ok else None
-        sys = self.reps.hstack(self.lower.basis)
-        x = solve(sys, v)
-        if x is None:
-            return None
-        return x[: self.dim]
-
     def __repr__(self):
         return f"GradedPiece(weight {self.weight}, dim {self.dim})"
 
 
 def graded_piece(W: IncreasingFiltration, k: int) -> GradedPiece:
     lower = W.at(k - 1)
-    upper = W.at(k)
-    comb = lower.basis.hstack(upper.basis)
-    _, pivots, _ = rref(comb)
-    rep_cols = [p - lower.dim for p in pivots if p >= lower.dim]
-    reps = upper.basis.take_columns(rep_cols)
-    return GradedPiece(k, reps, lower, upper)
+    return GradedPiece(k, quotient_reps(W.at(k), lower), lower)
 
 
 def induced_map(M: ExactMatrix, src: GradedPiece, tgt: GradedPiece) -> ExactMatrix:
@@ -174,16 +148,12 @@ def induced_map(M: ExactMatrix, src: GradedPiece, tgt: GradedPiece) -> ExactMatr
     It is a contract error if M does not map the source step into the target
     step (the image of some representative fails to lie in the target space).
     """
-    images = M @ src.reps
-    cols = []
-    for c in range(src.dim):
-        coords = tgt.coordinates(images.column(c))
-        if coords is None:
-            raise ValueError(
-                f"map does not send weight-{src.weight} step into weight-{tgt.weight} step"
-            )
-        cols.append(coords)
-    return ExactMatrix.from_columns(cols, rows=tgt.dim)
+    coords = class_coordinates(tgt.reps, tgt.lower, M @ src.reps)
+    if coords is None:
+        raise ValueError(
+            f"map does not send weight-{src.weight} step into weight-{tgt.weight} step"
+        )
+    return coords
 
 
 def _nilpotency_data(N: ExactMatrix) -> tuple[int, ExactMatrix | None]:
@@ -217,21 +187,11 @@ def _monodromy_offsets(N: ExactMatrix) -> dict[int, Subspace]:
         return {0: Subspace.full(n)}
     K = kernel(Ne)
     I = image(Ne)
-    # deterministic representatives of ker N^e modulo im N^e
-    comb = I.basis.hstack(K.basis)
-    _, pivots, _ = rref(comb)
-    rep_cols = [p - I.dim for p in pivots if p >= I.dim]
-    R = K.basis.take_columns(rep_cols)
-    q = R.cols
-    sys = R.hstack(I.basis)
-    NR = N @ R
-    nbar_cols = []
-    for c in range(q):
-        x = solve(sys, NR.column(c))
-        assert x is not None, "induced map escaped ker N^e + im N^e"
-        nbar_cols.append(x[:q])
-    Nbar = ExactMatrix.from_columns(nbar_cols, rows=q)
-    sub = IncreasingFiltration(q, _monodromy_offsets(Nbar))
+    # im N^e lies in ker N^e, since N^(2e) = 0
+    R = quotient_reps(K, I)
+    Nbar = class_coordinates(R, I, N @ R)
+    assert Nbar is not None, "induced map escaped ker N^e + im N^e"
+    sub = IncreasingFiltration(R.cols, _monodromy_offsets(Nbar))
     out: dict[int, Subspace] = {}
     out[e] = Subspace.full(n)
     out[e - 1] = K

@@ -69,16 +69,16 @@ class WellOrderedBasis:
             B = prim.basis
             vectors, values, nulls = hermitian_diagonalize(H)
             assert not nulls, f"degenerate primitive form at ({p},{q})"
-            for i, (vec, val) in enumerate(zip(vectors, values)):
-                u = B @ ExactMatrix.from_columns([vec], rows=B.cols)
-                v = u.column(0)
+            # column i of powers[r] is N^r u_i
+            powers = [B @ ExactMatrix.from_columns(vectors, rows=B.cols)]
+            for r in range(l):
+                powers.append(data.N @ powers[-1])
+            for i, val in enumerate(values):
                 for r in range(l + 1):
-                    if r:
-                        v = (data.N @ ExactMatrix.from_columns([v])).column(0)
                     items.append(
                         {
                             "tag": (p, q, i, r),
-                            "vector": list(v),
+                            "vector": powers[r].column(i),
                             "value": val,
                             "sign": 1 if val > 0 else -1,
                         }

@@ -11,13 +11,12 @@ E2 class coordinates for cross-checking against the abstract machinery.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactlin import (
     ExactMatrix,
     G_ZERO,
     GaussianScalar,
     Subspace,
+    class_coordinates,
     hermitian_check,
     hermitian_signature,
     i_power,
@@ -26,8 +25,8 @@ from .exactlin import (
     kernel,
     matrix_from_json,
     matrix_to_json,
+    quotient_reps,
     rank,
-    rref,
 )
 from .filtration import DecreasingFiltration, IncreasingFiltration
 from .mhs import MHSData, SignatureTable, epsilon_sign, nearby_index_formula
@@ -415,6 +414,17 @@ def _offsets(summands: list[Summand]) -> list[int]:
     return offs
 
 
+def _place(rows: int, cols: int, blocks) -> ExactMatrix:
+    """The rows x cols matrix that is zero outside the given blocks: each
+    (i, j, block) writes the rows of block at row i, column j.  Blocks never
+    overlap, so each entry is written at most once."""
+    out = [[G_ZERO] * cols for _ in range(rows)]
+    for i, j, block in blocks:
+        for k, row in enumerate(block):
+            out[i + k][j:j + len(row)] = row
+    return ExactMatrix(out, cols=cols)
+
+
 def _d1_blocks(data: DegenerationData) -> tuple[dict, dict]:
     """The stratum maps as rows of d1 blocks, keyed by source (depth, q):
     theta[(l, q)] is the restriction H^q(E(l)) -> H^q(E(l+1)) and
@@ -447,38 +457,28 @@ def d1_matrix(
     so = _offsets(src)
     to = _offsets(tgt)
     tgt_index = {(s.depth, s.q): i for i, s in enumerate(tgt)}
-    rows = to[-1]
-    cols = so[-1]
-    out = [[G_ZERO] * cols for _ in range(rows)]
-
-    def put(block: list | None, ti: int | None, si: int):
-        # blocks never overlap: theta and gamma send one source summand to
-        # two different target summands, so each entry is written once
-        if block is None or ti is None:
-            return
-        c = so[si]
-        for i, row in enumerate(block):
-            out[to[ti] + i][c:c + len(row)] = row
-
-    for si, s in enumerate(src):
-        # theta: E(depth) -> E(depth+1), same degree, k -> k+1
-        put(theta.get((s.depth, s.q)), tgt_index.get((s.depth + 1, s.q)), si)
-        # gamma: E(depth) -> E(depth-1), degree +2, k -> k
-        put(gamma.get((s.depth, s.q)), tgt_index.get((s.depth - 1, s.q + 2)), si)
-    return ExactMatrix(out, cols=cols)
+    # theta and gamma send one source summand to two different target
+    # summands, so the blocks never overlap
+    placed = [
+        (to[ti], so[si], block)
+        for si, s in enumerate(src)
+        for block, ti in (
+            # theta: E(depth) -> E(depth+1), same degree, k -> k+1
+            (theta.get((s.depth, s.q)), tgt_index.get((s.depth + 1, s.q))),
+            # gamma: E(depth) -> E(depth-1), degree +2, k -> k
+            (gamma.get((s.depth, s.q)), tgt_index.get((s.depth - 1, s.q + 2))),
+        )
+        if block is not None and ti is not None
+    ]
+    return _place(to[-1], so[-1], placed)
 
 
 def _term_frame(data: DegenerationData, summands: list[Summand]) -> ExactMatrix:
-    n = sum(s.dim for s in summands)
-    out = [[G_ZERO] * n for _ in range(n)]
-    off = 0
-    for s in summands:
-        F = data.strata[s.depth].frame(s.q)
-        for i in range(s.dim):
-            for j in range(s.dim):
-                out[off + i][off + j] = GaussianScalar.coerce(F.entries[i][j])
-        off += s.dim
-    return ExactMatrix(out, cols=n)
+    so = _offsets(summands)
+    return _place(so[-1], so[-1], [
+        (off, off, data.strata[s.depth].frame(s.q).map(GaussianScalar.coerce).entries)
+        for s, off in zip(summands, so)
+    ])
 
 
 def _term_sectors(data: DegenerationData, summands: list[Summand]) -> dict:
@@ -514,36 +514,6 @@ def _transport(src: list[Summand], tgt: list[Summand], X: ExactMatrix) -> ExactM
     return ExactMatrix(rows, cols=X.cols)
 
 
-def _quotient_reps(Z: Subspace, B: Subspace, where: str = "") -> ExactMatrix:
-    """Deterministic representatives of Z/B: the columns of the canonical Z
-    basis that are independent of B and of the Z columns before them.
-
-    One elimination of [B | Z] finds them all: B's columns are independent,
-    so they are the first pivots, and the remaining pivots are those Z
-    columns, in order.  The same elimination tests that B lies in Z: then
-    [B | Z] spans no more than Z.  `where` names the E2 term in the message.
-    """
-    span = image(B.basis.hstack(Z.basis)).basis
-    assert span.cols == Z.dim, f"d1 image escapes kernel{where}"
-    return span.take_columns(range(B.dim, span.cols))
-
-
-def _class_coordinates(reps: ExactMatrix, B: Subspace, X: ExactMatrix) -> ExactMatrix | None:
-    """Coordinates of the columns of X in the basis reps, modulo the span of
-    B; None if some column of X lies outside the span of reps and B.
-
-    The columns of reps and of B's basis are independent, so one reduced
-    form of [reps | B | X] answers every column: its rank exceeds theirs
-    exactly when a column of X escapes their span, and otherwise its first
-    rows hold each column's unique solution.
-    """
-    k = reps.cols + B.dim
-    R, _, rk = rref(reps.hstack(B.basis).hstack(X))
-    if rk > k:
-        return None
-    return ExactMatrix([row[k:] for row in R.entries[: reps.cols]], cols=X.cols)
-
-
 class E2Term:
     """E2^{-r, d+r} with rational class representatives and per-sector data.
 
@@ -568,7 +538,8 @@ class E2Term:
         self.dim_e1 = n
         self.Z = Z
         self.B = B
-        self.reps = _quotient_reps(Z, B, where)
+        self.reps = quotient_reps(Z, B)
+        assert self.reps is not None, f"d1 image escapes kernel{where}"
         self.sector_cols = _term_sectors(data, summands)
         # sector homology in frame coordinates: a term frame is block-diagonal
         # with the stratum frames as blocks, so F_out^{-1} d1 F is d1 built
@@ -607,7 +578,8 @@ class E2Term:
                 if bvecs
                 else Subspace.zero(len(cols))
             )
-            reps_s = _quotient_reps(Z_s, B_s, f"{where}, sector {sec}")
+            reps_s = quotient_reps(Z_s, B_s)
+            assert reps_s is not None, f"d1 image escapes kernel{where}, sector {sec}"
             # lift to full-term frame coordinates
             lifted = []
             for vec in reps_s.columns():
@@ -625,12 +597,6 @@ class E2Term:
     @property
     def dim(self) -> int:
         return self.reps.cols
-
-    def class_coordinates(self, X: ExactMatrix) -> ExactMatrix | None:
-        """Coordinates of the E1 kernel vectors given as the columns of X in
-        the chosen representative basis, modulo the boundary space; None if
-        a column is not in Z + B."""
-        return _class_coordinates(self.reps, self.B, X)
 
 
 def _framed_data(data: DegenerationData) -> DegenerationData:
@@ -723,7 +689,7 @@ def _induced_shift(page: E2Page, r: int, power: int) -> ExactMatrix | None:
         # the target lies outside the page, so the truncated transport
         # drops every shifted class
         return ExactMatrix.zero(0, sd)
-    return tgt.class_coordinates(_transport(src.summands, tgt.summands, src.reps))
+    return class_coordinates(tgt.reps, tgt.B, _transport(src.summands, tgt.summands, src.reps))
 
 
 class WeightCriterionReport(Report):
@@ -781,19 +747,17 @@ def psi_form(data: DegenerationData, d: int | None = None) -> dict[int, ExactMat
         so = _offsets(src)
         to = _offsets(tgt)
         tgt_index = {(s.depth, s.q): i for i, s in enumerate(tgt)}
-        M = [[G_ZERO] * to[-1] for _ in range(so[-1])]
         sign = epsilon_sign(r + d - 2 * m)
+        placed = []
         for si, s in enumerate(src):
             ti = tgt_index.get((s.depth, 2 * data.complex_dim(s.depth) - s.q))
             if ti is None:
                 continue
             P = data.strata[s.depth].pairing(s.q)
             assert P is not None
-            for i in range(P.rows):
-                for j in range(P.cols):
-                    e = GaussianScalar.coerce(P.entries[i][j])
-                    M[so[si] + i][to[ti] + j] = e if sign > 0 else -e
-        out[r] = ExactMatrix(M, cols=to[-1])
+            P = P.map(GaussianScalar.coerce)
+            placed.append((so[si], to[ti], (P if sign > 0 else -P).entries))
+        out[r] = _place(so[-1], to[-1], placed)
     return out
 
 
@@ -803,10 +767,9 @@ def _hermitian_gram(data: DegenerationData, summands: list[Summand], r: int) -> 
     i^(P-Q): block k carries (-1)^m epsilon(r-m) (-1)^(r+k) F^T P conj(F).
     """
     m = data.m
-    n = sum(s.dim for s in summands)
-    out = [[G_ZERO] * n for _ in range(n)]
-    off = 0
-    for s in summands:
+    so = _offsets(summands)
+    placed = []
+    for s, off in zip(summands, so):
         assert s.q == data.complex_dim(s.depth), "hermitian gram needs middle degree"
         entry = data.strata[s.depth].cohomology[s.q]
         assert entry["pairing"] is not None
@@ -817,12 +780,8 @@ def _hermitian_gram(data: DegenerationData, summands: list[Summand], r: int) -> 
         sign = epsilon_sign(r - m)
         if (m + r + s.k) % 2:
             sign = -sign
-        for i in range(s.dim):
-            for j in range(s.dim):
-                e = block.entries[i][j]
-                out[off + i][off + j] = e if sign > 0 else -e
-        off += s.dim
-    return ExactMatrix(out, cols=n)
+        placed.append((off, off, (block if sign > 0 else -block).entries))
+    return _place(so[-1], so[-1], placed)
 
 
 def _primitive_sector_basis(page: E2Page, r: int, sec: tuple[int, int]) -> ExactMatrix:
@@ -849,7 +808,7 @@ def _primitive_sector_basis(page: E2Page, r: int, sec: tuple[int, int]) -> Exact
         if i not in tcol_set:
             assert all(e.is_zero() for e in row)
     # coordinates modulo the sector boundary space, in sector coordinates
-    induced = _class_coordinates(
+    induced = class_coordinates(
         R_sec, Bb, ExactMatrix([TX.entries[i] for i in tcols], cols=TX.cols)
     )
     assert induced is not None, "shift map fails to descend on a sector"
@@ -939,7 +898,7 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
         X = ExactMatrix.from_columns(
             [v for _, Y in secs for v in Y.columns()], rows=term.dim_e1
         )
-        C = term.class_coordinates(_term_frame(data, term.summands) @ X)
+        C = class_coordinates(term.reps, term.B, _term_frame(data, term.summands) @ X)
         assert C is not None
         owners = [sec for sec, Y in secs for _ in range(Y.cols)]
         for sec, x in zip(owners, C.columns()):
@@ -958,33 +917,26 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
     F = DecreasingFiltration(total, fsteps)
     # monodromy: the shift transport, whose sign convention matches the
     # (-1)^r factor carried by the rational pairing blocks below
-    Nrows = [[G_ZERO] * total for _ in range(total)]
+    placed = []
     for r in order:
         M = _induced_shift(page, r, 1)
         assert M is not None, "shift map fails to descend to E2"
         if r - 2 not in offsets:
             assert M.rows == 0
             continue
-        for i in range(M.rows):
-            for j in range(M.cols):
-                Nrows[offsets[r - 2] + i][offsets[r] + j] = M.entries[i][j]
-    N = ExactMatrix(Nrows, cols=total)
+        placed.append((offsets[r - 2], offsets[r], M.entries))
+    N = _place(total, total, placed)
     S = None
     if d == m:
         psi = psi_form(data, m)
-        Srows = [[G_ZERO] * total for _ in range(total)]
+        placed = []
         for r in order:
             if -r not in offsets:
                 continue
-            term = page.term(r)
-            tgt = page.term(-r)
+            block = page.term(r).reps.transpose() @ psi[r] @ page.term(-r).reps
             # overall factor (-1)^m (-1)^r on top of the psi block sign
-            factor = GaussianScalar(-1 if (m + r) % 2 else 1)
-            block = term.reps.transpose() @ psi[r] @ tgt.reps
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    Srows[offsets[r] + i][offsets[-r] + j] = block.entries[i][j] * factor
-        S = ExactMatrix(Srows, cols=total)
+            placed.append((offsets[r], offsets[-r], (-block if (m + r) % 2 else block).entries))
+        S = _place(total, total, placed)
     return MHSData(total, d, W, F, N, S)
 
 

@@ -1,10 +1,12 @@
 """Tests for filtrations, graded pieces and the monodromy weight filtration."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from lmhs.exactlin import ExactMatrix, Subspace, image, kernel, rank
+from lmhs.exactlin import ExactMatrix, Subspace, image, kernel, matrix_to_json, rank
 from lmhs.filtration import (
     DecreasingFiltration,
     IncreasingFiltration,
@@ -14,6 +16,8 @@ from lmhs.filtration import (
     weight_filtration,
 )
 from support import invert, jordan_nilpotent, random_invertible, random_nilpotent
+
+WEIGHT_GOLDEN = Path(__file__).parent / "golden" / "weight-filtration.json"
 
 
 def closed_form_weight_step(N: ExactMatrix, d: int, w: int) -> Subspace:
@@ -179,3 +183,42 @@ class TestWeightFiltration:
         report = check_weight_axioms(W, N, 2)
         assert not report.ok
         assert report.failures
+
+
+def weight_filtration_record() -> list[dict]:
+    """W(N, d) on seeded nilpotents as JSON: the basis of every step, the
+    representatives of every graded piece, and the map N^l induces from
+    Gr_k to Gr_{k-2l} for every l >= 1 and every k inside the filtration.
+
+    tests/golden/weight-filtration.json holds this record from before the
+    graded pieces and W(N, d) took their subquotients from exactlin.  To
+    record it again, run from tests/ with PYTHONPATH=../src:
+    python -c "import json, test_filtration as t;
+    print(json.dumps(t.weight_filtration_record()))"
+    """
+    rng = random.Random(20261018)
+    out = []
+    for _ in range(40):
+        N = random_nilpotent(rng, 7)
+        d = rng.randrange(0, 4)
+        W = weight_filtration(N, d)
+        lo, hi = W.min_index(), W.max_index()
+        pieces = {k: graded_piece(W, k) for k in range(lo, hi + 1)}
+        maps = []
+        for l in range(1, (hi - lo) // 2 + 1):
+            Nl = N.power(l)
+            for k in range(lo + 2 * l, hi + 1):
+                M = induced_map(Nl, pieces[k], pieces[k - 2 * l])
+                maps.append({"power": l, "from": k, "matrix": matrix_to_json(M)})
+        out.append({
+            "N": matrix_to_json(N),
+            "d": d,
+            "steps": [[w, matrix_to_json(sub.basis)] for w, sub in W.steps],
+            "reps": [[k, matrix_to_json(g.reps)] for k, g in pieces.items()],
+            "maps": maps,
+        })
+    return out
+
+
+def test_weight_filtration_matches_recording():
+    assert weight_filtration_record() == json.loads(WEIGHT_GOLDEN.read_text())

@@ -8,6 +8,7 @@ import pytest
 from lmhs.exactlin import ExactMatrix, G_I, G_ONE, Subspace
 from lmhs.filtration import DecreasingFiltration, IncreasingFiltration, graded_piece
 from lmhs.mhs import (
+    DeligneSplitting,
     MHSData,
     aggregate_s,
     check_mhs,
@@ -150,6 +151,21 @@ class TestDeligneSplitting:
             sp = deligne_splitting(data)
             report = check_splitting_properties(data, sp)
             assert report.ok, report.failures
+
+    def test_real_splitting_breaks_conjugation(self):
+        # pure weight 1 with F^1 = <(1, i)>: the real line <(1, 0)> as
+        # I^(0,1) rebuilds W and F and is paired correctly by S, but it is
+        # not the conjugate of I^(1,0)
+        W = IncreasingFiltration(2, {1: Subspace.full(2)})
+        F = DecreasingFiltration(
+            2, {0: Subspace.full(2), 1: Subspace.span(2, [[G_ONE, G_I]])}
+        )
+        data = MHSData(2, 1, W, F, S=rat([[0, 1], [-1, 0]]))
+        sp = DeligneSplitting(2, {(1, 0): F.at(1), (0, 1): Subspace.span(2, [[1, 0]])})
+        assert check_splitting_properties(data, sp).failures == [
+            "conj I^(1,0) escapes I^(0,1) + lower terms",
+            "conj I^(0,1) escapes I^(1,0) + lower terms",
+        ]
 
 
 class TestSituations:

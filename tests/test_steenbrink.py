@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from lmhs import steenbrink
 from lmhs.exactlin import (
-    ExactMatrix, GaussianScalar, Subspace, image, kernel, rank, solve,
+    ExactMatrix, GaussianScalar, Subspace, class_coordinates, image, kernel,
+    quotient_reps, rank, solve,
 )
 from lmhs.filtration import weight_filtration
 from lmhs.geomodels import ResolutionData, odp_semistable_model
@@ -20,9 +21,7 @@ from lmhs.steenbrink import (
     DegenerationData,
     E1Page,
     StratumCohomology,
-    _class_coordinates,
     _framed_data,
-    _quotient_reps,
     _term_frame,
     _transport,
     d1_matrix,
@@ -178,6 +177,11 @@ class TestValidation:
         data.restriction[(1, 2)] = M([[2, -1, 0, 1], [1, -1, -2, 1]])
         rep = validate_degeneration_data(data)
         assert any("d1 o d1" in f for f in rep.failures)
+        # unvalidated, the page of the composite's target names the term
+        # whose incoming d1 image leaves the kernel
+        with pytest.raises(AssertionError,
+                           match="^d1 image escapes kernel at degree 2, column 0$"):
+            e2_page(data, 2)
 
     def test_json_round_trip(self):
         for build in ALL_FIXTURES:
@@ -590,11 +594,21 @@ def nested_subspaces(draw):
     return Z, B
 
 
+def outside_vector(Z: Subspace) -> list:
+    """The first unit vector outside Z, which must not be the whole space."""
+    return next(col for col in ExactMatrix.identity(Z.ambient_dim).columns()
+                if not Z.contains_vector(col))
+
+
 @settings(max_examples=200, deadline=None)
-@given(nested_subspaces())
-def test_quotient_reps_match_greedy_scan(pair):
+@given(nested_subspaces(), st.booleans())
+def test_quotient_reps_match_greedy_scan(pair, escape):
     Z, B = pair
-    got = _quotient_reps(Z, B)
+    if escape and Z.dim < Z.ambient_dim:
+        # a lower space that leaves Z has no quotient
+        assert quotient_reps(Z, B.add(Subspace.span(Z.ambient_dim, [outside_vector(Z)]))) is None
+        return
+    got = quotient_reps(Z, B)
     want = greedy_quotient_reps(Z, B)
     assert (got.rows, got.cols) == (want.rows, want.cols) == (Z.ambient_dim, Z.dim - B.dim)
     assert got == want
@@ -614,27 +628,24 @@ def solve_per_column(reps: ExactMatrix, B: Subspace, X: ExactMatrix) -> ExactMat
 
 @st.composite
 def class_coordinate_cases(draw):
-    """(reps, B, X): representatives of Z/B as E2Term chooses them, and
+    """(reps, B, X): representatives of Z/B as quotient_reps chooses them, and
     columns that are combinations of Z's basis, with at most one column
     outside Z inserted among them when Z is not the whole space."""
     Z, B = draw(nested_subspaces())
     n = Z.ambient_dim
     X = Z.basis @ random_matrix(draw, Z.dim, draw(st.integers(0, 3)))
     if Z.dim < n and draw(st.booleans()):
-        outside = next(
-            col for col in ExactMatrix.identity(n).columns() if not Z.contains_vector(col)
-        )
         cols = X.columns()
-        cols.insert(draw(st.integers(0, len(cols))), outside)
+        cols.insert(draw(st.integers(0, len(cols))), outside_vector(Z))
         X = ExactMatrix.from_columns(cols, rows=n)
-    return _quotient_reps(Z, B), B, X
+    return quotient_reps(Z, B), B, X
 
 
 @settings(max_examples=200, deadline=None)
 @given(class_coordinate_cases())
 def test_class_coordinates_match_per_column_solves(case):
     reps, B, X = case
-    got = _class_coordinates(reps, B, X)
+    got = class_coordinates(reps, B, X)
     want = solve_per_column(reps, B, X)
     if want is None:
         assert got is None
@@ -653,7 +664,7 @@ def test_term_class_coordinates_of_representatives(build):
         for term in e2_page(data, d).terms.values():
             X = term.reps.hstack(term.B.basis)
             want = ExactMatrix.identity(term.dim).hstack(ExactMatrix.zero(term.dim, term.B.dim))
-            assert term.class_coordinates(X) == want
+            assert class_coordinates(term.reps, term.B, X) == want
 
 
 class TestFramedMaps:
