@@ -138,8 +138,13 @@ class GradedPiece:
 
 
 def graded_piece(W: IncreasingFiltration, k: int) -> GradedPiece:
+    """Gr_k of W; a ValueError if W_{k-1} is not inside W_k, which only a
+    filtration built without its nesting assert (python -O) can reach."""
     lower = W.at(k - 1)
-    return GradedPiece(k, quotient_reps(W.at(k), lower), lower)
+    reps = quotient_reps(W.at(k), lower)
+    if reps is None:
+        raise ValueError(f"W_{k-1} is not inside W_{k}")
+    return GradedPiece(k, reps, lower)
 
 
 def induced_map(M: ExactMatrix, src: GradedPiece, tgt: GradedPiece) -> ExactMatrix:
@@ -228,8 +233,12 @@ def check_weight_axioms(
     Npow = ExactMatrix.identity(N.rows)
     for l in range(1, span + 1):
         Npow = Npow @ N
-        src = graded_piece(W, d + l)
-        tgt = graded_piece(W, d - l)
+        try:
+            src = graded_piece(W, d + l)
+            tgt = graded_piece(W, d - l)
+        except ValueError as exc:
+            failures.append(str(exc))
+            continue
         if src.dim != tgt.dim:
             failures.append(
                 f"Gr_{d+l} has dim {src.dim} but Gr_{d-l} has dim {tgt.dim}"

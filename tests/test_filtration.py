@@ -101,6 +101,21 @@ class TestGradedPieces:
         with pytest.raises(ValueError):
             induced_map(flip, g0, g0)
 
+    def test_non_nested_steps_rejected(self):
+        # W_0 = span(e1) and W_1 = span(e2) are not nested; the constructor's
+        # assert refuses them, so build W past it, as python -O would let it
+        W = object.__new__(IncreasingFiltration)
+        object.__setattr__(W, "ambient_dim", 2)
+        object.__setattr__(W, "steps", (
+            (0, Subspace.span(2, [[1, 0]])),
+            (1, Subspace.span(2, [[0, 1]])),
+            (2, Subspace.full(2)),
+        ))
+        with pytest.raises(ValueError, match="W_0 is not inside W_1"):
+            graded_piece(W, 1)
+        report = check_weight_axioms(W, ExactMatrix.zero(2, 2), 2)
+        assert "W_0 is not inside W_1" in report.failures
+
 
 class TestWeightFiltration:
     def test_zero_n(self):
