@@ -21,7 +21,7 @@ from .exactlin import (
     Subspace,
     exp_nilpotent,
     hermitian_check,
-    hermitian_signature,
+    hermitian_diagonalize,
     i_power,
     inverse,
     kernel,
@@ -392,8 +392,10 @@ def primitive_subspaces(data: MHSData, splitting: DeligneSplitting | None = None
 
 def primitive_forms(data: MHSData, splitting: DeligneSplitting | None = None):
     """The primitive subspaces with the Hermitian forms of their bases B:
-    (sqrt(-1))^(p-q) B^T S N^(p+q-d) conj B.  Returns dict (p,q) -> (Subspace,
-    form); the signature table and the well-ordered basis both read these.
+    (sqrt(-1))^(p-q) B^T S N^(p+q-d) conj B, each form diagonalized once.
+    Returns dict (p,q) -> (Subspace, vectors, values, nulls), the last three
+    as hermitian_diagonalize gives them: the signature table counts the signs
+    of the values, and the well-ordered basis reads the vectors.
     """
     assert data.S is not None, "primitive forms need S"
     N = data.N if data.N is not None else ExactMatrix.zero(
@@ -405,7 +407,7 @@ def primitive_forms(data: MHSData, splitting: DeligneSplitting | None = None):
         pairing = B.transpose() @ data.S @ (N.power(p + q - data.d) @ B.conj())
         H = pairing.scale(i_power(p - q))
         assert hermitian_check(H), f"primitive form at ({p},{q}) is not Hermitian"
-        out[(p, q)] = (prim, H)
+        out[(p, q)] = (prim, *hermitian_diagonalize(H))
     return out
 
 
@@ -422,13 +424,12 @@ def signature_table(data: MHSData, splitting: DeligneSplitting | None = None,
     if forms is None:
         forms = primitive_forms(data, splitting)
     entries = {}
-    for (p, q), (_, H) in forms.items():
-        plus, minus, nulls = hermitian_signature(H)
+    for (p, q), (_, _, values, nulls) in forms.items():
         if nulls:
             raise ValueError(
                 f"degenerate primitive Hermitian block at ({p},{q})"
             )
-        entries[(p, q)] = (plus, minus)
+        entries[(p, q)] = (sum(v > 0 for v in values), sum(v < 0 for v in values))
     part_dims = {pq: sub.dim for pq, sub in splitting.parts.items()}
     return SignatureTable(data.d, entries, part_dims)
 

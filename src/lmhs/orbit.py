@@ -23,7 +23,6 @@ from .exactlin import (
     ZeroMinorError,
     exp_nilpotent,
     hermitian_check,
-    hermitian_diagonalize,
     hermitian_signature,
     i_power,
     leading_principal_minors,
@@ -64,10 +63,9 @@ class WellOrderedBasis:
             forms = primitive_forms(data)
         d = data.d
         items = []
-        for (p, q), (prim, H) in sorted(forms.items()):
+        for (p, q), (prim, vectors, values, nulls) in sorted(forms.items()):
             l = p + q - d
             B = prim.basis
-            vectors, values, nulls = hermitian_diagonalize(H)
             assert not nulls, f"degenerate primitive form at ({p},{q})"
             # column i of powers[r] is N^r u_i
             powers = [B @ ExactMatrix.from_columns(vectors, rows=B.cols)]
@@ -94,7 +92,7 @@ class WellOrderedBasis:
         )
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "entries", tuple(items))
-        object.__setattr__(self, "prims", {pq: prim for pq, (prim, _) in forms.items()})
+        object.__setattr__(self, "prims", {pq: prim for pq, (prim, *_) in forms.items()})
         # sanity: the restriction to p - r >= k spans F^k exactly
         F = data.F
         n = data.ambient_dim
@@ -106,7 +104,8 @@ class WellOrderedBasis:
             )
             if M.cols:
                 assert rank(M) == M.cols, "well-ordered basis not independent"
-                assert target.contains(Subspace(n, M)), (
+                # the rank check makes M a basis, so it is not checked again
+                assert target.contains(Subspace._trusted(n, M)), (
                     f"well-ordered basis escapes F^{k}"
                 )
 

@@ -514,85 +514,86 @@ def _transport(src: list[Summand], tgt: list[Summand], X: ExactMatrix) -> ExactM
     return ExactMatrix(rows, cols=X.cols)
 
 
-class E2Term:
-    """E2^{-r, d+r} with rational class representatives and per-sector data.
+def _sector_blocks(M: ExactMatrix, row_sectors: dict, col_sectors: dict, where: str) -> dict:
+    """The blocks of the d1 map M between equal limit-type sectors, keyed by
+    the sector of their columns: the rows row_sectors.get(sec, []) and the
+    columns col_sectors[sec].  d1 preserves the limit type, so every entry
+    of every column outside its sector's block must vanish."""
+    row_of = {i: sec for sec, rows in row_sectors.items() for i in rows}
+    col_of = {j: sec for sec, cols in col_sectors.items() for j in cols}
+    for i, row in enumerate(M.entries):
+        for j, e in enumerate(row):
+            assert e.is_zero() or row_of[i] == col_of[j], f"d1 violates type sectors{where}"
+    return {
+        sec: ExactMatrix([[M.entries[i][j] for j in cols] for i in row_sectors.get(sec, [])],
+                         cols=len(cols))
+        for sec, cols in col_sectors.items()
+    }
 
-    into and out are the d1 maps into and out of the term, each as a pair
-    (raw, framed): the maps built from the stratum maps and from the framed
-    stratum maps (see _D1Maps)."""
+
+def _scatter(n: int, parts) -> ExactMatrix:
+    """The n-row matrix with the columns of each (rows, X) of parts in turn:
+    the rows of X go to the given rows, and every other entry is zero."""
+    width = sum(X.cols for _, X in parts)
+    out = [[G_ZERO] * width for _ in range(n)]
+    off = 0
+    for rows, X in parts:
+        for i, row in zip(rows, X.entries):
+            out[i][off:off + X.cols] = row
+        off += X.cols
+    return ExactMatrix(out, cols=width)
+
+
+class E2Term:
+    """E2^{-r, d+r} as the direct sum of its limit-type sectors, in frame
+    coordinates.  d1 is a morphism of Hodge structures, so each sector is
+    its own quotient ker d1 / im d1, taken in the sector's columns.  reps is
+    the hstack of the sector representatives, lifted to the whole term, in
+    sorted sector order, and B is the span of the lifted sector boundaries.
+
+    into and out are the d1 maps into and out of the term, built from the
+    framed stratum maps (see _D1Maps): a term frame is block-diagonal with
+    the stratum frames as blocks, so F_out^{-1} d1 F is d1 built from the
+    framed stratum maps."""
 
     __slots__ = (
-        "d", "r", "summands", "dim_e1", "Z", "B", "reps",
+        "d", "r", "summands", "dim_e1", "B", "reps",
         "sector_cols", "sector_reps", "sector_B", "sector_dims",
     )
 
-    def __init__(self, data: DegenerationData, d: int, r: int, into: tuple, out: tuple):
+    def __init__(self, data: DegenerationData, d: int, r: int, into: ExactMatrix, out: ExactMatrix):
         summands = e1_summands(data, d, r)
         n = sum(s.dim for s in summands)
-        Z = kernel(out[0])
-        B = image(into[0])
         where = f" at degree {d}, column {-r}"
         self.d = d
         self.r = r
         self.summands = summands
         self.dim_e1 = n
-        self.Z = Z
-        self.B = B
-        self.reps = quotient_reps(Z, B)
-        assert self.reps is not None, f"d1 image escapes kernel{where}"
         self.sector_cols = _term_sectors(data, summands)
-        # sector homology in frame coordinates: a term frame is block-diagonal
-        # with the stratum frames as blocks, so F_out^{-1} d1 F is d1 built
-        # from the framed stratum maps
-        Mi = into[1]
-        Mo = out[1]
-        in_sectors = _term_sectors(data, e1_summands(data, d - 1, r + 1))
-        out_sectors = _term_sectors(data, e1_summands(data, d + 1, r - 1))
+        outgoing = _sector_blocks(
+            out, _term_sectors(data, e1_summands(data, d + 1, r - 1)), self.sector_cols, where)
+        incoming = _sector_blocks(
+            into, self.sector_cols, _term_sectors(data, e1_summands(data, d - 1, r + 1)), where)
         self.sector_reps = {}
         self.sector_B = {}
         self.sector_dims = {}
+        reps = []
+        bounds = []
         for sec, cols in sorted(self.sector_cols.items()):
-            Mo_s = Mo.take_columns(cols)
-            # d1 preserves the limit type, so rows outside the matching
-            # target sector must vanish
-            trows = set(out_sectors.get(sec, []))
-            for i in range(Mo_s.rows):
-                if i not in trows:
-                    assert all(e.is_zero() for e in Mo_s.entries[i]), (
-                        f"d1 violates type sectors at degree {d}, column {-r}"
-                    )
-            Z_s = kernel(Mo_s)  # coordinates within the sector columns
-            in_cols = in_sectors.get(sec, [])
-            col_set = set(cols)
-            bvecs = []
-            for c in in_cols:
-                col = Mi.column(c)
-                bvecs.append([col[i] for i in cols])
-                for i in range(len(col)):
-                    if i not in col_set:
-                        assert col[i].is_zero(), (
-                            f"d1 violates type sectors at degree {d}, column {-r}"
-                        )
-            B_s = (
-                image(ExactMatrix.from_columns(bvecs, rows=len(cols)))
-                if bvecs
-                else Subspace.zero(len(cols))
-            )
+            # coordinates within the sector columns
+            Z_s = kernel(outgoing[sec])
+            B_s = image(incoming[sec]) if sec in incoming else Subspace.zero(len(cols))
             reps_s = quotient_reps(Z_s, B_s)
-            assert reps_s is not None, f"d1 image escapes kernel{where}, sector {sec}"
-            # lift to full-term frame coordinates
-            lifted = []
-            for vec in reps_s.columns():
-                full = [G_ZERO] * n
-                for ci, value in zip(cols, vec):
-                    full[ci] = value
-                lifted.append(full)
-            self.sector_reps[sec] = ExactMatrix.from_columns(lifted, rows=n)
+            assert reps_s is not None, f"d1 image escapes kernel{where}"
+            self.sector_reps[sec] = _scatter(n, [(cols, reps_s)])
             self.sector_B[sec] = B_s
             self.sector_dims[sec] = reps_s.cols
-        assert sum(self.sector_dims.values()) == self.dim, (
-            f"sector dimensions do not fill E2 at degree {d}, column {-r}"
-        )
+            reps.append((cols, reps_s))
+            bounds.append((cols, B_s.basis))
+        self.reps = _scatter(n, reps)
+        # the sectors' coordinates are disjoint, so the lifted boundary bases
+        # stay independent
+        self.B = Subspace._trusted(n, _scatter(n, bounds))
 
     @property
     def dim(self) -> int:
@@ -616,34 +617,28 @@ def _framed_data(data: DegenerationData) -> DegenerationData:
 
 
 class _D1Maps:
-    """The d1 maps of one input for one pipeline call, raw and in frame
-    coordinates.  The stratum maps are framed, and the Gysin maps negated,
-    once, when the object is made; it keeps no matrix it has built."""
+    """The d1 maps of one input for one pipeline call, in frame coordinates:
+    they are built from _framed_data(data), which is data itself when no
+    frame touches a stratum map.  The stratum maps are framed, and the Gysin
+    maps negated, once, when the object is made; it keeps no matrix it has
+    built."""
 
     def __init__(self, data: DegenerationData):
-        self.data = data
-        self.blocks = _d1_blocks(data)
         self.framed = _framed_data(data)
-        self.framed_blocks = self.blocks if self.framed is data else _d1_blocks(self.framed)
+        self.blocks = _d1_blocks(self.framed)
 
-    def degree(self, d: int) -> dict[int, tuple[ExactMatrix, ExactMatrix]]:
-        """The maps out of degree d, r -> (raw, framed), for every column r
-        that the pages of degree d and d+1 read.  Each is built once; the
-        framed map is the raw one when framing changes no stratum map."""
-        out = {}
-        for r in range(-d, d + 3):
-            raw = d1_matrix(self.data, d, r, self.blocks)
-            framed = (raw if self.framed is self.data
-                      else d1_matrix(self.framed, d, r, self.framed_blocks))
-            out[r] = (raw, framed)
-        return out
+    def degree(self, d: int) -> dict[int, ExactMatrix]:
+        """The maps out of degree d, one per column r that the pages of
+        degree d and d+1 read, each built once."""
+        return {r: d1_matrix(self.framed, d, r, self.blocks) for r in range(-d, d + 3)}
 
 
 class E2Page:
-    """The E2 terms of degree d.  maps is the pair (into, out) of
-    _D1Maps.degree(d - 1) and _D1Maps.degree(d); a caller that builds
-    several pages of one input passes them, so that each d1 map is built
-    once.  Without it the page builds its own."""
+    """The E2 terms of degree d, each the sum of its type sectors in frame
+    coordinates.  maps is the pair (into, out) of _D1Maps.degree(d - 1) and
+    _D1Maps.degree(d); a caller that builds several pages of one input
+    passes them, so that each d1 map is built once.  Without it the page
+    builds its own."""
 
     def __init__(self, data: DegenerationData, d: int, maps: tuple | None = None):
         self.data = data
@@ -674,24 +669,6 @@ def e2_page(data: DegenerationData, d: int, maps: tuple | None = None) -> E2Page
     return E2Page(data, d, maps)
 
 
-def _induced_shift(page: E2Page, r: int, power: int) -> ExactMatrix | None:
-    """Matrix of the identity-shift map nu^power : E2^{-r, d+r} ->
-    E2^{-(r-2 power), ...} in the representative bases, or None if a shifted
-    representative fails to define an E2 class (a contract error upstream).
-    """
-    src = page.term(r)
-    tgt = page.term(r - 2 * power)
-    sd = src.dim if src else 0
-    td = tgt.dim if tgt else 0
-    if sd == 0:
-        return ExactMatrix.zero(td, 0)
-    if tgt is None:
-        # the target lies outside the page, so the truncated transport
-        # drops every shifted class
-        return ExactMatrix.zero(0, sd)
-    return class_coordinates(tgt.reps, tgt.B, _transport(src.summands, tgt.summands, src.reps))
-
-
 class WeightCriterionReport(Report):
     """The verdict of the weight criterion at degree d, per r."""
 
@@ -718,7 +695,10 @@ def _weight_criterion(page: E2Page) -> WeightCriterionReport:
         if sd != td:
             per_r[r] = False
             continue
-        M = _induced_shift(page, r, r)
+        # the frames commute with the transport, so nu^r keeps its rank in
+        # the page's frame coordinates
+        src, tgt = page.term(r), page.term(-r)
+        M = class_coordinates(tgt.reps, tgt.B, _transport(src.summands, tgt.summands, src.reps))
         assert M is not None, (
             f"shift map fails to descend to E2 at degree {d}, r={r}"
         )
@@ -867,10 +847,22 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
     monodromy N given by the identity-shift transport, and (at d = m) the
     rational pairing induced by the psi blocks.  page is the E2 page of
     degree d when the caller has already built it.
+
+    The page's terms are sector sums in frame coordinates, which may be
+    complex, while W, N and S must be real.  So this is the one place that
+    builds rational class representatives: one quotient ker d1 / im d1 per
+    term of the page, from the d1 maps of data itself.
     """
     m = data.m
     if page is None:
         page = e2_page(data, d)
+    blocks = _d1_blocks(data)
+    rational = {}
+    for r, term in page.terms.items():
+        B = image(d1_matrix(data, d - 1, r + 1, blocks))
+        reps = quotient_reps(kernel(d1_matrix(data, d, r, blocks)), B)
+        assert reps is not None, f"d1 image escapes kernel at degree {d}, column {-r}"
+        rational[r] = (reps, B)
     order = [r for r in range(-d, d + 1) if page.dim(r)]  # weight d+r increasing
     offsets = {}
     total = 0
@@ -898,7 +890,7 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
         X = ExactMatrix.from_columns(
             [v for _, Y in secs for v in Y.columns()], rows=term.dim_e1
         )
-        C = class_coordinates(term.reps, term.B, _term_frame(data, term.summands) @ X)
+        C = class_coordinates(*rational[r], _term_frame(data, term.summands) @ X)
         assert C is not None
         owners = [sec for sec, Y in secs for _ in range(Y.cols)]
         for sec, x in zip(owners, C.columns()):
@@ -919,12 +911,13 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
     # (-1)^r factor carried by the rational pairing blocks below
     placed = []
     for r in order:
-        M = _induced_shift(page, r, 1)
+        if r - 2 not in rational:
+            continue  # the truncated transport drops every class
+        X = _transport(page.term(r).summands, page.term(r - 2).summands, rational[r][0])
+        M = class_coordinates(*rational[r - 2], X)
         assert M is not None, "shift map fails to descend to E2"
-        if r - 2 not in offsets:
-            assert M.rows == 0
-            continue
-        placed.append((offsets[r - 2], offsets[r], M.entries))
+        if r - 2 in offsets:
+            placed.append((offsets[r - 2], offsets[r], M.entries))
     N = _place(total, total, placed)
     S = None
     if d == m:
@@ -933,7 +926,7 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
         for r in order:
             if -r not in offsets:
                 continue
-            block = page.term(r).reps.transpose() @ psi[r] @ page.term(-r).reps
+            block = rational[r][0].transpose() @ psi[r] @ rational[-r][0]
             # overall factor (-1)^m (-1)^r on top of the psi block sign
             placed.append((offsets[r], offsets[-r], (-block if (m + r) % 2 else block).entries))
         S = _place(total, total, placed)

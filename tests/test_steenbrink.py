@@ -24,6 +24,7 @@ from lmhs.steenbrink import (
     _framed_data,
     _term_frame,
     _transport,
+    _weight_criterion,
     d1_matrix,
     e1_summands,
     e2_page,
@@ -182,6 +183,18 @@ class TestValidation:
         with pytest.raises(AssertionError,
                            match="^d1 image escapes kernel at degree 2, column 0$"):
             e2_page(data, 2)
+
+    def test_incoming_column_outside_term_sectors_rejected(self):
+        # unvalidated: a restriction sends the surfaces' (2,0) class onto the
+        # curves' (1,1) class.  The target term has no (2,0) sector, so only a
+        # check of every incoming column, not just those of the sectors the
+        # term shares, sees the break
+        surfaces = StratumCohomology(1, {2: {"types": [(2, 0), (1, 1), (0, 2)]}})
+        curves = StratumCohomology(2, {2: {"types": [(1, 1)]}})
+        data = DegenerationData(2, [surfaces, curves], restriction={(1, 2): M([[1, 0, 0]])})
+        with pytest.raises(AssertionError,
+                           match="^d1 violates type sectors at degree 3, column 1$"):
+            e2_page(data, 3)
 
     def test_json_round_trip(self):
         for build in ALL_FIXTURES:
@@ -487,9 +500,10 @@ D1_IDS = [build.__name__ for build in ALL_FIXTURES] + [
 
 
 class TestD1Builds:
-    """nearby_hodge_index builds each d1 map once per call: a degree's maps
-    are read by its own page and handed to the next, and framed maps are
-    built only when framing changes a stratum map."""
+    """nearby_hodge_index builds each d1 map once per call, all from one
+    input: a degree's maps are read by its own page and handed to the next,
+    and the input is the framed copy of the data only when framing changes a
+    stratum map."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -505,24 +519,28 @@ class TestD1Builds:
 
     @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
     def test_each_raw_map_built_once(self, build, builds):
+        # one map per (d, r), raw or framed, never both
         data = build()
         nearby_hodge_index(data)
-        raw = Counter((d, r) for D, d, r in builds if D is data)
-        assert set(raw.values()) == {1}
+        assert len({id(D) for D, _, _ in builds}) == 1
+        maps = Counter((d, r) for _, d, r in builds)
+        assert set(maps.values()) == {1}
         # every map out of and into every term of every page
         terms = [(d, r) for d in range(2 * data.m + 1) for r in range(-d, d + 1)]
-        assert set(terms) | {(d - 1, r + 1) for d, r in terms} <= set(raw)
+        assert set(terms) | {(d - 1, r + 1) for d, r in terms} <= set(maps)
 
     @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
     def test_framed_maps_only_when_framing_changes_a_map(self, build, builds):
         data = build()
         nearby_hodge_index(data)
-        framed = Counter((d, r) for D, d, r in builds if D is not data)
+        inputs = {id(D): D for D, _, _ in builds}
         if build is reframed_cycle:
-            raw = Counter((d, r) for D, d, r in builds if D is data)
-            assert framed == raw
+            (framed,) = inputs.values()
+            assert framed is not data
+            want = _framed_data(data)
+            assert (framed.gysin, framed.restriction) == (want.gysin, want.restriction)
         else:
-            assert framed == Counter()
+            assert list(inputs.values()) == [data]
 
     @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
     def test_pages_equal_standalone_pages(self, build, monkeypatch):
@@ -547,6 +565,32 @@ class TestD1Builds:
                 assert {sec: B.basis for sec, B in term.sector_B.items()} == {
                     sec: B.basis for sec, B in want.sector_B.items()
                 }, (page.d, r)
+
+
+def raw_full_quotient(data: DegenerationData, d: int, r: int) -> tuple:
+    """E2^{-r, d+r} as one quotient ker d1 / im d1 of the raw d1 maps, the
+    way E2 terms were built before they became sums of sector quotients:
+    (representatives, boundary space)."""
+    B = image(d1_matrix(data, d - 1, r + 1))
+    return quotient_reps(kernel(d1_matrix(data, d, r)), B), B
+
+
+@pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
+def test_sector_sums_match_raw_full_quotients(build):
+    # the reference: each term's dimension, and the rank of each nu^r
+    # between the raw quotients
+    data = build()
+    for d in range(2 * data.m + 1):
+        page = e2_page(data, d)
+        raw = {r: raw_full_quotient(data, d, r) for r in page.terms}
+        for r, term in page.terms.items():
+            assert term.dim == raw[r][0].cols, (d, r)
+        want = {}
+        for r in range(d + 1):
+            (src, _), (tgt, B) = raw[r], raw[-r]
+            X = _transport(page.term(r).summands, page.term(-r).summands, src)
+            want[r] = src.cols == tgt.cols and rank(class_coordinates(tgt, B, X)) == src.cols
+        assert _weight_criterion(page).per_r == want, d
 
 
 def greedy_quotient_reps(Z: Subspace, B: Subspace) -> ExactMatrix:
