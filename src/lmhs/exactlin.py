@@ -944,27 +944,15 @@ class ZeroMinorError(ArithmeticError):
 
 
 def _bareiss(M: ExactMatrix, allow_swaps: bool):
-    """Fraction-free elimination.  Returns (pivot list, sign) where pivot k is
-    the k-th stage pivot; without swaps these are the leading principal minors.
+    """Fraction-free elimination over polynomials.  Returns (pivot list,
+    sign) where pivot k is the k-th stage pivot; without swaps these are the
+    leading principal minors.
     """
     n = M.rows
     assert M.cols == n, "square matrix required"
-    poly_mode = any(
-        isinstance(e, PolyScalar) for row in M.entries for e in row
-    )
-
-    def lift(e):
-        return PolyScalar.coerce(e) if poly_mode else GaussianScalar.coerce(e)
-
-    A = [[lift(e) for e in row] for row in M.entries]
-    one = POLY_ONE if poly_mode else G_ONE
-    zero = POLY_ZERO if poly_mode else G_ZERO
-
-    def div(a, b):
-        return a.exact_div(b) if poly_mode else a / b
-
+    A = [[PolyScalar.coerce(e) for e in row] for row in M.entries]
     sign = 1
-    prev = one
+    prev = POLY_ONE
     pivots = []
     for k in range(n):
         if A[k][k].is_zero():
@@ -976,7 +964,7 @@ def _bareiss(M: ExactMatrix, allow_swaps: bool):
                     swap = j
                     break
             if swap is None:
-                pivots.append(zero)
+                pivots.append(POLY_ZERO)
                 return pivots, sign
             A[k], A[swap] = A[swap], A[k]
             sign = -sign
@@ -984,8 +972,8 @@ def _bareiss(M: ExactMatrix, allow_swaps: bool):
         pivots.append(piv)
         for j in range(k + 1, n):
             for l in range(k + 1, n):
-                A[j][l] = div(A[j][l] * piv - A[j][k] * A[k][l], prev)
-            A[j][k] = zero
+                A[j][l] = (A[j][l] * piv - A[j][k] * A[k][l]).exact_div(prev)
+            A[j][k] = POLY_ZERO
         prev = piv
     return pivots, sign
 
@@ -1041,8 +1029,7 @@ def poly_det(M: ExactMatrix) -> PolyScalar:
     if M.rows == 0:
         return POLY_ONE
     pivots, sign = _bareiss(M, allow_swaps=True)
-    det = PolyScalar.coerce(pivots[-1])
-    return det if sign == 1 else -det
+    return pivots[-1] if sign == 1 else -pivots[-1]
 
 
 def leading_principal_minors(M: ExactMatrix) -> list[PolyScalar]:
@@ -1052,5 +1039,4 @@ def leading_principal_minors(M: ExactMatrix) -> list[PolyScalar]:
     exactly the k-th leading principal minor).  Raises ZeroMinorError if one
     of them vanishes, since the elimination cannot continue past it.
     """
-    pivots, _ = _bareiss(M, allow_swaps=False)
-    return [PolyScalar.coerce(p) for p in pivots]
+    return _bareiss(M, allow_swaps=False)[0]

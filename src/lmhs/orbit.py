@@ -122,50 +122,26 @@ class WellOrderedBasis:
 
 
 class OrbitFiltration:
-    """Polynomial column bases of exp((a+it)N) F^k in the well-ordered basis.
-
-    exp_z and exp_m2it hold exp(zN) and exp((zbar - z)N), zbar - z = -2it,
-    as their Gaussian coefficient matrices in t: the t^j coefficient of
-    exp((a+it)N) is exp(aN) (iN)^j / j! (see exp_nilpotent).  A product with
-    a constant basis is one Gaussian product per power of t.
+    """The orbit exp((a+it)N) F, read through the constant well-ordered
+    bases of F^k: exp(zN) is unimodular and an isometry of S, so the orbit's
+    forms and determinants need only exp((zbar - z)N), zbar - z = -2it.
+    exp_m2it holds its Gaussian coefficient matrices in t (see
+    exp_nilpotent): a product with a constant basis is one Gaussian product
+    per power of t.
     """
 
-    __slots__ = ("data", "a", "wob", "exp_z", "exp_m2it", "bases")
+    __slots__ = ("data", "a", "wob", "exp_m2it")
 
     def __init__(self, data: MHSData, a: Fraction = Fraction(0), forms=None):
         assert data.N is not None
-        wob = WellOrderedBasis(data, forms)
-        a = Fraction(a)
-        exp_z = exp_nilpotent(data.N, a, G_I)
-        # the only orbit factor left in the Hermitian matrices and the
-        # opposedness determinants, since exp(zN) is unimodular
-        exp_m2it = exp_nilpotent(data.N, 0, GaussianScalar(0, -2))
-        bases = {}
-        F = data.F
-        for k in range(F.min_index(), F.max_index() + 1):
-            tags, M = wob.level_basis(k)
-            bases[k] = (tags, poly_matrix([E @ M for E in exp_z]))
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "wob", wob)
-        object.__setattr__(self, "exp_z", exp_z)
-        object.__setattr__(self, "exp_m2it", exp_m2it)
-        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "wob", WellOrderedBasis(data, forms))
+        object.__setattr__(
+            self, "exp_m2it", exp_nilpotent(data.N, 0, GaussianScalar(0, -2)))
 
     def __setattr__(self, name, value):
         raise AttributeError("OrbitFiltration is immutable")
-
-    def _level(self, k: int) -> tuple[list[tuple], ExactMatrix]:
-        # clamped like F.at(k): the full space below F's levels, zero above
-        empty = ([], ExactMatrix.from_columns([], rows=self.data.ambient_dim))
-        return self.bases.get(max(k, self.data.F.min_index()), empty)
-
-    def level(self, k: int) -> ExactMatrix:
-        """Polynomial basis columns of exp(zN) F^k."""
-        return self._level(k)[1]
-
-    def level_tags(self, k: int) -> list[tuple]:
-        return self._level(k)[0]
 
     def hermitian_matrix(self, k: int) -> ExactMatrix:
         """The form (sqrt(-1))^d S(., conj .) on exp(zN) F^k, as polynomials
@@ -207,11 +183,10 @@ def opposedness_polynomial(orb: OrbitFiltration, k: int) -> PolyScalar:
     d-opposedness for all large t.  Raises ValueError("opposedness
     impossible") when the orbit's level bases do not fill the ambient space.
     """
-    k2 = orb.data.d - k + 1
-    if orb.level(k).cols + orb.level(k2).cols != orb.data.ambient_dim:
-        raise ValueError("opposedness impossible")
     _, X = orb.wob.level_basis(k)
-    _, Y = orb.wob.level_basis(k2)
+    _, Y = orb.wob.level_basis(orb.data.d - k + 1)
+    if X.cols + Y.cols != orb.data.ambient_dim:
+        raise ValueError("opposedness impossible")
     right = poly_matrix(orb._exp_m2it_conj(Y))
     return poly_det(X.map(PolyScalar.coerce).hstack(right))
 
@@ -315,7 +290,7 @@ def _level_entry(orb: OrbitFiltration, k: int, H: ExactMatrix):
         return entry, None
     minor_data = []
     prev_deg = 0
-    for P, (p, q, i, r) in zip(minors, orb.level_tags(k)):
+    for P, (p, q, i, r) in zip(minors, orb.wob.level_basis(k)[0]):
         deg, sgn = leading_sign(P)
         diag_order = p + q - d - 2 * r
         minor_data.append(

@@ -272,11 +272,13 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
                     failures.append(f"{tag}: frame required for types with p' != q'")
     # gamma raises type by (1,1), theta preserves type (checked in frame coords)
     framed = _frame_map(data)
+    shapes_ok = True
     for (depth, q), M in sorted(data.gysin.items()):
         tag = f"gysin depth {depth} degree {q}"
         want = (data.stratum_dim(depth, q + 2), data.stratum_dim(depth + 1, q))
         if (M.rows, M.cols) != want:
             failures.append(f"{tag}: shape {(M.rows, M.cols)} != {want}")
+            shapes_ok = False
             continue
         failures.extend(
             _type_shift_failures(data, framed, (depth + 1, q), (depth, q + 2), M, 1, tag)
@@ -286,12 +288,15 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
         want = (data.stratum_dim(depth + 1, q), data.stratum_dim(depth, q))
         if (M.rows, M.cols) != want:
             failures.append(f"{tag}: shape {(M.rows, M.cols)} != {want}")
+            shapes_ok = False
             continue
         failures.extend(
             _type_shift_failures(data, framed, (depth, q), (depth + 1, q), M, 0, tag)
         )
-    failures.extend(_adjointness_failures(data))
-    failures.extend(_d1_square_failures(data))
+    # the relations multiply the maps, so they need every map well shaped
+    if shapes_ok:
+        failures.extend(_adjointness_failures(data))
+        failures.extend(_d1_square_failures(data))
     return Report(failures)
 
 
@@ -342,20 +347,34 @@ def _adjointness_failures(data: DegenerationData) -> list[str]:
 
 
 def _d1_square_failures(data: DegenerationData) -> list[str]:
-    out = []
-    blocks = _d1_blocks(data)
-    # the second factor at degree d is the first factor at degree d+1, so
-    # each degree's d1 matrices are built once and carried to the next
-    cur = {r: d1_matrix(data, 0, r, blocks) for r in range(-1, 2)}
-    for d in range(0, 2 * data.m + 1):
-        nxt = {r: d1_matrix(data, d + 1, r, blocks) for r in range(-d - 2, d + 3)}
-        for r in range(-d - 1, d + 2):
-            M1 = cur[r]
-            M2 = nxt[r - 1]
-            if M1.cols and M2.rows and not (M2 @ M1).is_zero():
-                out.append(f"d1 o d1 != 0 at degree {d}, column {-r}")
-        cur = nxt
-    return out
+    """d1 o d1 = 0 as relations among the stratum maps, with no d1 assembled.
+
+    H^q(E(l)) sits at degree d = q + l - 1 in the columns r = l - 1 - 2k,
+    k = 0..l-1; this is the inverse of e1_summands.  With d1 = -gamma +
+    theta, d1 o d1 on that summand is theta theta at every k, -(gamma theta
+    + theta gamma) for k <= l - 2 and gamma gamma for k <= l - 3: every
+    other path leaves the truncated range.  Each composite is formed once
+    per stratum degree, and only when some column reads it."""
+    # out of H^q(E(l)): theta((l, q)) and gamma((l - 1, q)); a missing map is zero
+    theta, gamma = data.restriction.get, data.gysin.get
+    bad = set()
+    for l, s in data.strata.items():
+        for q in s.cohomology:
+            d = q + l - 1
+            if q < 0 or d > 2 * data.m or not s.dim(q):
+                continue
+            for columns, paths in (
+                (l, [(theta((l + 1, q)), theta((l, q)))]),
+                (l - 1, [(theta((l - 1, q + 2)), gamma((l - 1, q))),
+                         (gamma((l, q)), theta((l, q)))]),
+                (l - 2, [(gamma((l - 2, q + 2)), gamma((l - 1, q)))]),
+            ):
+                if columns < 1:
+                    continue
+                products = [A @ B for A, B in paths if A is not None and B is not None]
+                if products and not sum(products[1:], products[0]).is_zero():
+                    bad.update((d, l - 1 - 2 * k) for k in range(columns))
+    return [f"d1 o d1 != 0 at degree {d}, column {-r}" for d, r in sorted(bad)]
 
 
 class Summand:
@@ -379,7 +398,8 @@ class Summand:
 
 def e1_summands(data: DegenerationData, d: int, r: int) -> list[Summand]:
     """Summands of E1^{-r, d+r}: H^{d-r-2k}(E(2k+r+1)) with twist r+k, for
-    k >= max(0, -r)."""
+    k >= max(0, -r).  The inverse, which _d1_square_failures reads: H^q(E(l))
+    sits at degree q + l - 1 in the columns r = l - 1 - 2k, k = 0..l-1."""
     out = []
     k = max(0, -r)
     while True:
@@ -817,7 +837,12 @@ def _e2_signature_table(data: DegenerationData, page: E2Page) -> SignatureTable:
             if X.cols == 0:
                 continue
             P, Q = sec
-            H = (X.transpose() @ G @ X.conj()).scale(i_power(P - Q))
+            # X is zero outside the sector's rows, so the form needs only
+            # those rows of X and the sector block of G
+            cols = term.sector_cols[sec]
+            Xs = ExactMatrix([X.entries[i] for i in cols], cols=X.cols)
+            Gs = ExactMatrix([[G.entries[i][j] for j in cols] for i in cols], cols=len(cols))
+            H = (Xs.transpose() @ Gs @ Xs.conj()).scale(i_power(P - Q))
             assert hermitian_check(H), f"non-Hermitian form at sector {sec}"
             pos, neg, nulls = hermitian_signature(H)
             if nulls:

@@ -14,7 +14,7 @@ from lmhs import cli, mhs, orbit
 from lmhs.exactlin import ExactMatrix, gaussian_from_str
 from lmhs.geomodels import ResolutionData, odp_semistable_model
 from lmhs.steenbrink import DegenerationData, validate_degeneration_data
-from test_steenbrink import cycle_degeneration
+from test_steenbrink import cycle_degeneration, kodaira_degeneration
 
 
 def fixture_path(name):
@@ -188,6 +188,34 @@ class TestCodec:
         assert "invalid input: cannot parse GaussianScalar from 1" in err
 
 
+def shape_edit(tmp_path, source, kind, index, edit) -> str:
+    """The path of source's JSON with one map edited: a row or a column of
+    zeros added, or the last one dropped."""
+    blob = source().to_json()
+    rows = blob[kind][index]["matrix"]
+    rows = {
+        "drop-row": lambda: rows[:-1],
+        "add-row": lambda: rows + [["0"] * len(rows[0])],
+        "drop-col": lambda: [row[:-1] for row in rows],
+        "add-col": lambda: [row + ["0"] for row in rows],
+    }[edit]()
+    blob[kind][index]["matrix"] = rows
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+SHAPE_EDITS = [
+    (source, kind, index, edit)
+    for source in (cycle_degeneration, kodaira_degeneration)
+    for kind in ("gysin", "restriction")
+    for index in range(len(getattr(source(), kind)))
+    for edit in ("drop-row", "add-row", "drop-col", "add-col")
+]
+SHAPE_EDIT_IDS = ["-".join((source.__name__, kind, str(index), edit))
+                  for source, kind, index, edit in SHAPE_EDITS]
+
+
 class TestValidate:
     def test_valid_fixture(self, capsys):
         code, out, _ = run(capsys, "validate", fixture_path("odp_m3.json"),
@@ -205,6 +233,25 @@ class TestValidate:
         report = json.loads(out)
         assert report["valid"] is False
         assert report["failures"]
+
+    @pytest.mark.parametrize("source, kind, index, edit", SHAPE_EDITS, ids=SHAPE_EDIT_IDS)
+    def test_misshaped_map(self, tmp_path, capsys, source, kind, index, edit):
+        # the relations multiply the maps, so a map of the wrong shape is
+        # reported by its shape check alone, never by a failed product
+        code, out, err = run(capsys, "validate",
+                             shape_edit(tmp_path, source, kind, index, edit), "--format", "json")
+        assert (code, err) == (2, "")
+        report = json.loads(out)
+        assert report["valid"] is False
+        assert [f for f in report["failures"] if ": shape (" in f] == report["failures"]
+
+    def test_misshaped_map_without_asserts(self, tmp_path):
+        # an added row once ran the products past the end of a row
+        proc = run_optimized("validate", shape_edit(
+            tmp_path, kodaira_degeneration, "restriction", 1, "add-row"), "--format", "json")
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert json.loads(proc.stdout) == {"valid": False, "failures": [
+            "restriction depth 1 degree 2: shape (3, 4) != (2, 4)"]}
 
 
 class TestOrbit:

@@ -190,11 +190,16 @@ class TestOpposedness:
                 assert not got.is_zero(), k
                 assert got == self.direct_determinant(orb, k), k
 
-    def test_impossible(self):
-        # white-box: drop a basis column to force a dimension mismatch
+    def test_impossible(self, monkeypatch):
+        # white-box: drop a basis column of F^1 to force a dimension mismatch
         orb = OrbitFiltration(tate_string_3())
-        tags, M = orb.bases[1]
-        orb.bases[1] = (tags[:1], M.take_columns([0]))
+        original = WellOrderedBasis.level_basis
+
+        def dropping(self, k):
+            tags, M = original(self, k)
+            return (tags[:1], M.take_columns([0])) if k == 1 else (tags, M)
+
+        monkeypatch.setattr(WellOrderedBasis, "level_basis", dropping)
         with pytest.raises(ValueError, match="opposedness impossible"):
             opposedness_polynomial(orb, 1)
 

@@ -593,6 +593,125 @@ def test_sector_sums_match_raw_full_quotients(build):
         assert _weight_criterion(page).per_r == want, d
 
 
+def assembled_d1_square_failures(data: DegenerationData) -> list[str]:
+    """d1 o d1 = 0 checked the way validation did before it read relations
+    among the stratum maps: every d1 map of every degree assembled, and each
+    consecutive pair multiplied."""
+    out = []
+    for d in range(2 * data.m + 1):
+        for r in range(-d - 1, d + 2):
+            M1 = d1_matrix(data, d, r)
+            M2 = d1_matrix(data, d + 1, r - 1)
+            if M1.cols and M2.rows and not (M2 @ M1).is_zero():
+                out.append(f"d1 o d1 != 0 at degree {d}, column {-r}")
+    return out
+
+
+def random_stratum_data(rng: random.Random, m: int, depths: int) -> DegenerationData:
+    """Shapes only, not a valid degeneration: up to two classes in each
+    degree of each stratum, up to four degrees past its top, and sparse
+    random maps between them wherever both ends have classes, so Gysin maps
+    compose through three depths and composites reach past degree 2m."""
+    strata = []
+    for l in range(1, depths + 1):
+        n = m - l + 1
+        strata.append(StratumCohomology(l, {
+            q: {"types": [(q // 2, q - q // 2)] * dim}
+            for q in range(2 * n + 5) if (dim := rng.choice((0, 1, 1, 2)))
+        }))
+    data = DegenerationData(m, strata)
+    dim = data.stratum_dim
+
+    def rand(rows, cols):
+        return M([[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(cols)] for _ in range(rows)])
+
+    for l in range(1, depths):
+        for q in range(2 * m + 5):
+            if dim(l, q + 2) and dim(l + 1, q) and rng.random() < 0.8:
+                data.gysin[(l, q)] = rand(dim(l, q + 2), dim(l + 1, q))
+            if dim(l + 1, q) and dim(l, q) and rng.random() < 0.8:
+                data.restriction[(l, q)] = rand(dim(l + 1, q), dim(l, q))
+    return data
+
+
+def mutate_entries(data: DegenerationData, rng: random.Random, count: int) -> DegenerationData:
+    """data with count random entries of its maps replaced by small integers."""
+    maps = {"gysin": dict(data.gysin), "restriction": dict(data.restriction)}
+    keys = sorted((kind, key) for kind, ms in maps.items() for key, A in ms.items() if A.rows and A.cols)
+    for _ in range(count if keys else 0):
+        kind, key = rng.choice(keys)
+        rows = [list(row) for row in maps[kind][key].entries]
+        rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] = GaussianScalar(rng.randrange(-2, 4))
+        maps[kind][key] = ExactMatrix(rows)
+    return DegenerationData(data.m, data.strata.values(), maps["gysin"], maps["restriction"])
+
+
+def without_degree(data: DegenerationData, depth: int, q: int) -> DegenerationData:
+    """data with H^q(E(depth)) zero-dimensional and its maps resized."""
+    strata = [
+        StratumCohomology(l, {**s.cohomology, q: {"types": []}} if l == depth else s.cohomology)
+        for l, s in data.strata.items()
+    ]
+
+    def resized(A, src, tgt):
+        rows = 0 if tgt == (depth, q) else A.rows
+        return ExactMatrix.zero(rows, 0 if src == (depth, q) else A.cols)
+
+    gysin = {(l, p): resized(A, (l + 1, p), (l, p + 2)) if (depth, q) in ((l + 1, p), (l, p + 2)) else A
+             for (l, p), A in data.gysin.items()}
+    restriction = {(l, p): resized(A, (l, p), (l + 1, p)) if (depth, q) in ((l, p), (l + 1, p)) else A
+                   for (l, p), A in data.restriction.items()}
+    return DegenerationData(data.m, strata, gysin, restriction)
+
+
+def without_depth(data: DegenerationData, depth: int) -> DegenerationData:
+    """data with a gap at depth: the stratum and every map that touches it gone."""
+    def keep(maps):
+        return {(l, q): A for (l, q), A in maps.items() if depth not in (l, l + 1)}
+
+    strata = [s for l, s in data.strata.items() if l != depth]
+    return DegenerationData(data.m, strata, keep(data.gysin), keep(data.restriction))
+
+
+D1_SQUARE_INPUTS = D1_INPUTS + [framed_maps_degeneration] + [
+    (lambda i=i: random_stratum_data(random.Random(i), 3, 4)) for i in range(4)]
+D1_SQUARE_IDS = D1_IDS + ["framed_maps_degeneration"] + [f"random-{i}" for i in range(4)]
+
+
+@pytest.mark.parametrize("build", D1_SQUARE_INPUTS, ids=D1_SQUARE_IDS)
+def test_d1_square_relations_match_assembled_d1(build):
+    # the input, random entry mutations of its maps, each of its degrees
+    # made zero-dimensional, and a gap at depth 2
+    data = build()
+    rng = random.Random(len(data.gysin) + 7 * len(data.restriction))
+    inputs = [data] + [mutate_entries(data, rng, rng.choice((1, 2))) for _ in range(6)]
+    inputs += [without_degree(data, l, q) for l, s in data.strata.items() for q in s.cohomology]
+    if len(data.strata) > 2:
+        inputs.append(without_depth(data, 2))
+    for D in inputs:
+        assert steenbrink._d1_square_failures(D) == assembled_d1_square_failures(D)
+
+
+@pytest.mark.parametrize("build", D1_SQUARE_INPUTS, ids=D1_SQUARE_IDS)
+def test_validation_assembles_no_d1(build, monkeypatch):
+    calls = []
+
+    def recording(name):
+        original = getattr(steenbrink, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("d1_matrix", "_d1_blocks"):
+        monkeypatch.setattr(steenbrink, name, recording(name))
+    data = build()
+    for D in (data, mutate_entries(data, random.Random(3), 2)):
+        validate_degeneration_data(D)
+    assert calls == []
+
+
 def greedy_quotient_reps(Z: Subspace, B: Subspace) -> ExactMatrix:
     """The defining left-to-right scan: keep each column of Z's basis that
     is not in the span of B and of the columns kept before it."""
