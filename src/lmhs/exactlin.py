@@ -1,10 +1,15 @@
-"""Exact linear algebra over Gaussian rationals and polynomial rings.
+"""Exact linear algebra over the Gaussian rationals.
 
-Scalars are Gaussian rationals (a + b*i with a, b rational) or single-variable
-polynomials in a real variable t over them.  Every operation is exact: there is
-no floating point anywhere in this module, and none of the algorithms ever
-round.  Matrices are immutable after construction and all functions are pure,
-so everything here is safe to share between threads.
+Scalars are Gaussian rationals a + b*i with a, b rational.  Every operation
+is exact: there is no floating point anywhere in this module, and none of
+the algorithms ever round.  Matrices are immutable after construction and
+all functions are pure, so everything here is safe to share between threads.
+
+A polynomial matrix in a real variable t is the list of its coefficient
+matrices C_0, ..., C_D, lowest degree first, as exp_nilpotent returns them.
+Its determinant and leading principal minors come from evaluation at
+integer points, fraction-free elimination over the Gaussian integers and
+interpolation; PolyScalar holds the resulting polynomials.
 
 Serialization conventions: scalars print as "p/q" or "p/q+r/s*i", polynomials
 as coefficient arrays lowest-degree-first.
@@ -14,14 +19,11 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul as _mul
 from typing import Iterable, Sequence
 
-Q = Fraction
-
 QZERO = Fraction(0)
-QONE = Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:
@@ -210,11 +212,11 @@ def matrix_from_json(rows: list[list[str]], cols: int | None = None) -> "ExactMa
 
 
 class PolyScalar:
-    """A polynomial in one real variable t, Gaussian rational coefficients.
+    """A polynomial in one real variable t, Gaussian rational coefficients:
+    the result type of poly_det and leading_principal_minors.
 
     Coefficients are stored lowest-degree-first; trailing zeros are stripped,
-    so the zero polynomial has an empty coefficient list.  Conjugation
-    conjugates coefficients and leaves t alone (t is a real variable).
+    so the zero polynomial has an empty coefficient list.
     """
 
     __slots__ = ("coeffs",)
@@ -228,18 +230,6 @@ class PolyScalar:
     def __setattr__(self, name, value):
         raise AttributeError("PolyScalar is immutable")
 
-    @staticmethod
-    def coerce(x) -> "PolyScalar":
-        if isinstance(x, PolyScalar):
-            return x
-        if isinstance(x, (int, Fraction, GaussianScalar)):
-            return PolyScalar([x])
-        raise TypeError(f"cannot coerce {x!r} to PolyScalar")
-
-    @staticmethod
-    def variable() -> "PolyScalar":
-        return PolyScalar([0, 1])
-
     def degree(self) -> int:
         """Degree in t; the zero polynomial has degree -1 by convention."""
         return len(self.coeffs) - 1
@@ -251,76 +241,7 @@ class PolyScalar:
         assert self.coeffs, "zero polynomial has no leading coefficient"
         return self.coeffs[-1]
 
-    def __add__(self, other):
-        other = PolyScalar.coerce(other)
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return PolyScalar(
-            [
-                (a[k] if k < len(a) else G_ZERO) + (b[k] if k < len(b) else G_ZERO)
-                for k in range(n)
-            ]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyScalar([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-PolyScalar.coerce(other))
-
-    def __rsub__(self, other):
-        return PolyScalar.coerce(other) - self
-
-    def __mul__(self, other):
-        other = PolyScalar.coerce(other)
-        if self.is_zero() or other.is_zero():
-            return POLY_ZERO
-        out = [G_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for k, b in enumerate(other.coeffs):
-                out[j + k] = out[j + k] + a * b
-        return PolyScalar(out)
-
-    __rmul__ = __mul__
-
-    def exact_div(self, other: "PolyScalar") -> "PolyScalar":
-        """Exact polynomial division; asserts the remainder is zero."""
-        other = PolyScalar.coerce(other)
-        assert not other.is_zero(), "polynomial division by zero"
-        if self.is_zero():
-            return POLY_ZERO
-        rem = list(self.coeffs)
-        dn = other.degree()
-        lead = other.coeffs[-1]
-        q = [G_ZERO] * (len(rem) - dn) if len(rem) > dn else []
-        for top in range(len(rem) - 1, dn - 1, -1):
-            c = rem[top]
-            if c.is_zero():
-                continue
-            f = c / lead
-            q[top - dn] = f
-            for k in range(dn + 1):
-                rem[top - dn + k] = rem[top - dn + k] - f * other.coeffs[k]
-        assert all(c.is_zero() for c in rem), "non-exact polynomial division"
-        return PolyScalar(q)
-
-    def conj(self) -> "PolyScalar":
-        return PolyScalar([c.conj() for c in self.coeffs])
-
-    def evaluate(self, t) -> GaussianScalar:
-        t = GaussianScalar.coerce(t)
-        out = G_ZERO
-        for c in reversed(self.coeffs):
-            out = out * t + c
-        return out
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianScalar)):
-            other = PolyScalar.coerce(other)
         if not isinstance(other, PolyScalar):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -330,10 +251,6 @@ class PolyScalar:
 
     def __repr__(self):
         return f"PolyScalar({[str(c) for c in self.coeffs]})"
-
-
-POLY_ZERO = PolyScalar()
-POLY_ONE = PolyScalar([1])
 
 
 def leading_sign(p: PolyScalar) -> tuple[int, int]:
@@ -351,10 +268,8 @@ def leading_sign(p: PolyScalar) -> tuple[int, int]:
 
 
 class ExactMatrix:
-    """A rectangular matrix with GaussianScalar or PolyScalar entries.
-
-    The entry ring must be homogeneous per matrix.  Instances are immutable.
-    """
+    """A rectangular matrix with GaussianScalar entries.  Instances are
+    immutable."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -446,37 +361,24 @@ class ExactMatrix:
         )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Matrix product.  Two Gaussian-rational factors multiply on Python
-        ints: each row of self and each column of other is scaled by its
-        common denominator, so every entry is one integer dot product over
-        one denominator.  Polynomial entries take the generic ring path."""
+        """Matrix product on Python ints: each row of self and each column
+        of other is scaled by its common denominator, so every entry is one
+        integer dot product over one denominator."""
         assert self.cols == other.rows, (
             f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
         )
         ot = other.entries
-        out_cols = [[row[k] for row in ot] for k in range(other.cols)]
-        if _is_gaussian(self.entries) and _is_gaussian(ot):
-            rows = [_scaled_ints(row) for row in self.entries]
-            cols = [_scaled_ints(col) for col in out_cols]
-            out = []
-            for ar, ai, da in rows:
-                orow = []
-                for br, bi, db in cols:
-                    orow.append(_from_ints(
-                        sum(map(_mul, ar, br)) - sum(map(_mul, ai, bi)),
-                        sum(map(_mul, ar, bi)) + sum(map(_mul, ai, br)),
-                        da * db,
-                    ))
-                out.append(orow)
-            return ExactMatrix(out, cols=other.cols)
+        rows = [_scaled_ints(row) for row in self.entries]
+        cols = [_scaled_ints([row[k] for row in ot]) for k in range(other.cols)]
         out = []
-        for srow in self.entries:
+        for ar, ai, da in rows:
             orow = []
-            for col in out_cols:
-                acc = None
-                for a, b in zip(srow, col):
-                    acc = a * b if acc is None else acc + a * b
-                orow.append(G_ZERO if acc is None else acc)
+            for br, bi, db in cols:
+                orow.append(_from_ints(
+                    sum(map(_mul, ar, br)) - sum(map(_mul, ai, bi)),
+                    sum(map(_mul, ar, bi)) + sum(map(_mul, ai, br)),
+                    da * db,
+                ))
             out.append(orow)
         return ExactMatrix(out, cols=other.cols)
 
@@ -548,10 +450,6 @@ class ExactMatrix:
 
 
 _IDENTITIES: dict[int, ExactMatrix] = {}
-
-
-def _is_gaussian(entries) -> bool:
-    return all(type(e) is GaussianScalar for row in entries for e in row)
 
 
 def _scaled_ints(vec) -> tuple[list[int], list[int], int]:
@@ -943,41 +841,6 @@ class ZeroMinorError(ArithmeticError):
         self.index = index
 
 
-def _bareiss(M: ExactMatrix, allow_swaps: bool):
-    """Fraction-free elimination over polynomials.  Returns (pivot list,
-    sign) where pivot k is the k-th stage pivot; without swaps these are the
-    leading principal minors.
-    """
-    n = M.rows
-    assert M.cols == n, "square matrix required"
-    A = [[PolyScalar.coerce(e) for e in row] for row in M.entries]
-    sign = 1
-    prev = POLY_ONE
-    pivots = []
-    for k in range(n):
-        if A[k][k].is_zero():
-            if not allow_swaps:
-                raise ZeroMinorError(k + 1)
-            swap = None
-            for j in range(k + 1, n):
-                if not A[j][k].is_zero():
-                    swap = j
-                    break
-            if swap is None:
-                pivots.append(POLY_ZERO)
-                return pivots, sign
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        piv = A[k][k]
-        pivots.append(piv)
-        for j in range(k + 1, n):
-            for l in range(k + 1, n):
-                A[j][l] = (A[j][l] * piv - A[j][k] * A[k][l]).exact_div(prev)
-            A[j][k] = POLY_ZERO
-        prev = piv
-    return pivots, sign
-
-
 def exp_nilpotent(N: ExactMatrix, a=0, b=1) -> list[ExactMatrix]:
     """The coefficients C_0, C_1, ... of exp((a + b t) N) = sum_j t^j C_j for
     a nilpotent N, through the last nonzero one: C_j = exp(aN) (bN)^j / j!.
@@ -1005,38 +868,173 @@ def exp_nilpotent(N: ExactMatrix, a=0, b=1) -> list[ExactMatrix]:
     return coeffs if a.is_zero() else [E @ C for C in coeffs]
 
 
-def poly_matrix(coeffs: Sequence[ExactMatrix]) -> ExactMatrix:
-    """The polynomial matrix sum_j t^j coeffs[j].
 
-    A product of a polynomial matrix with constant matrices is best formed
-    on the coefficients, where every factor is Gaussian-rational.
+
+# -- determinants of polynomial matrices -------------------------------------
+#
+# A polynomial matrix sum_j t^j C_j is evaluated at t = 0, 1, ..., D, with D
+# a certified bound on the degree of the determinant; each value comes from
+# fraction-free elimination over the Gaussian integers, and the polynomial
+# from interpolation (Bareiss 1968; von zur Gathen & Gerhard, Modern Computer
+# Algebra, ch. 5).
+
+
+def _poly_rows(coeffs: Sequence[ExactMatrix]) -> tuple[list[list[tuple]], list[int]]:
+    """sum_j t^j coeffs[j] over the Gaussian integers: (rows, dens).
+
+    Row i is scaled by dens[i], the common denominator of row i of every
+    coeffs[j], and rows[i][k] = (re, im) holds the integer coefficients of
+    entry (i, k), lowest degree first, without trailing zeros.
     """
-    C0 = coeffs[0]
-    return ExactMatrix(
-        [[PolyScalar([C.entries[j][k] for C in coeffs]) for k in range(C0.cols)]
-         for j in range(C0.rows)],
-        cols=C0.cols,
-    )
+    n = coeffs[0].cols
+    rows, dens = [], []
+    for i in range(coeffs[0].rows):
+        re, im, den = _scaled_ints([e for C in coeffs for e in C.entries[i]])
+        row = []
+        for k in range(n):
+            a, b = re[k::n], im[k::n]
+            while a and not (a[-1] or b[-1]):
+                a.pop()
+                b.pop()
+            row.append((a, b))
+        rows.append(row)
+        dens.append(den)
+    return rows, dens
 
 
-def poly_det(M: ExactMatrix) -> PolyScalar:
-    """Exact determinant of a square matrix of polynomial (or scalar) entries.
+def _degree_bound(rows: list[list[tuple]], k: int) -> int:
+    """A bound on the degree of the determinant of the leading k x k block:
+    each of its terms is a product of one entry per row and per column, so
+    neither the sum of the row degrees nor that of the column degrees can
+    be exceeded (a zero row or column counts 0; its determinant is 0)."""
+    deg = [[len(a) - 1 for a, _ in row[:k]] for row in rows[:k]]
+    by_rows = sum(max(0, *r) for r in deg)
+    by_cols = sum(max(0, *c) for c in zip(*deg))
+    return min(by_rows, by_cols)
 
-    Bareiss-style fraction-free elimination with row swaps; intermediate
-    divisions are exact by construction.
+
+def _horner(cs: list[int], t: int) -> int:
+    v = 0
+    for c in reversed(cs):
+        v = v * t + c
+    return v
+
+
+def _bareiss(rows: list[list[tuple]], k: int, t: int, swaps: bool):
+    """Fraction-free elimination of the leading k x k block of rows at t:
+    row <- (pivot*row - f*pivot_row) / previous pivot over the Gaussian
+    integers, every division exact (Bareiss).
+
+    Returns the stage pivots as (re, im) pairs, through the first zero one,
+    and the sign of the row swaps.  Without swaps the pivot of stage j is
+    the leading principal minor j + 1; with swaps the last pivot times the
+    sign is the determinant.
     """
-    assert M.rows == M.cols, "determinant of a non-square matrix"
-    if M.rows == 0:
-        return POLY_ONE
-    pivots, sign = _bareiss(M, allow_swaps=True)
-    return pivots[-1] if sign == 1 else -pivots[-1]
+    R = [[_horner(a, t) for a, _ in row[:k]] for row in rows[:k]]
+    I = [[_horner(b, t) for _, b in row[:k]] for row in rows[:k]]
+    sign = 1
+    p, q = 1, 0  # the previous pivot
+    pivots = []
+    for j in range(k):
+        if swaps and not (R[j][j] or I[j][j]):
+            s = next((l for l in range(j + 1, k) if R[l][j] or I[l][j]), None)
+            if s is not None:
+                R[j], R[s], I[j], I[s] = R[s], R[j], I[s], I[j]
+                sign = -sign
+        a, b = R[j][j], I[j][j]
+        pivots.append((a, b))
+        if not (a or b):
+            break
+        nrm = p * p + q * q
+        Rj, Ij = R[j], I[j]
+        for l in range(j + 1, k):
+            Rl, Il = R[l], I[l]
+            f, g = Rl[j], Il[j]
+            for c in range(j + 1, k):
+                x, y, u, v = Rl[c], Il[c], Rj[c], Ij[c]
+                re = a * x - b * y - f * u + g * v
+                im = a * y + b * x - f * v - g * u
+                # (re + i im) / (p + i q) = (re + i im)(p - i q) / nrm
+                Rl[c] = (re * p + im * q) // nrm
+                Il[c] = (im * p - re * q) // nrm
+        p, q = a, b
+    return pivots, sign
 
 
-def leading_principal_minors(M: ExactMatrix) -> list[PolyScalar]:
-    """All leading principal minors D_1, ..., D_n of a square matrix.
+def _det_at(rows: list[list[tuple]], k: int, t: int) -> tuple[int, int]:
+    """The determinant of the leading k x k block of rows at t."""
+    pivots, sign = _bareiss(rows, k, t, swaps=True)
+    a, b = pivots[-1] if pivots else (1, 0)
+    return sign * a, sign * b
 
-    Computed in a single Bareiss pass without row swaps (the stage-k pivot is
-    exactly the k-th leading principal minor).  Raises ZeroMinorError if one
-    of them vanishes, since the elimination cannot continue past it.
+
+def _interpolate(values: list[tuple[int, int]], den: int) -> PolyScalar:
+    """The polynomial p of degree below len(values) = D + 1 with
+    p(t) = values[t] / den for t = 0..D, values Gaussian integers.
+
+    Newton's forward form p(t) = sum_k Delta^k p(0) binom(t, k) has integer
+    coefficients times D!, since D! binom(t, k) = (D!/k!) t(t-1)...(t-k+1);
+    the one division is by D! den.
     """
-    return _bareiss(M, allow_swaps=False)[0]
+    D = len(values) - 1
+    re = [a for a, _ in values]
+    im = [b for _, b in values]
+    out_re = [0] * (D + 1)
+    out_im = [0] * (D + 1)
+    falling = [1]  # t(t-1)...(t-k+1), lowest degree first
+    w = factorial(D)  # D!/k!
+    for k in range(D + 1):
+        dr, di = re[0] * w, im[0] * w
+        for j, c in enumerate(falling):
+            out_re[j] += dr * c
+            out_im[j] += di * c
+        re = [y - x for x, y in zip(re, re[1:])]
+        im = [y - x for x, y in zip(im, im[1:])]
+        falling = [x - k * y for x, y in zip([0] + falling, falling + [0])]
+        w //= k + 1
+    den *= factorial(D)
+    return PolyScalar([_from_ints(a, b, den) for a, b in zip(out_re, out_im)])
+
+
+def poly_det(*coeffs: ExactMatrix) -> PolyScalar:
+    """Exact determinant of the square polynomial matrix sum_j t^j coeffs[j].
+
+    Its values at t = 0..D, D the degree bound of _degree_bound, come from
+    Bareiss elimination with row swaps, and interpolation gives the
+    polynomial.
+    """
+    n = coeffs[0].rows
+    assert coeffs[0].cols == n, "determinant of a non-square matrix"
+    rows, dens = _poly_rows(coeffs)
+    values = [_det_at(rows, n, t) for t in range(_degree_bound(rows, n) + 1)]
+    return _interpolate(values, prod(dens))
+
+
+def leading_principal_minors(*coeffs: ExactMatrix) -> list[PolyScalar]:
+    """All leading principal minors D_1, ..., D_n of the square polynomial
+    matrix sum_j t^j coeffs[j].
+
+    Minor k is interpolated from its values at t = 0..D_k, D_k the degree
+    bound of its block.  At each point one Bareiss pass without row swaps
+    gives every minor as a stage pivot; past a pivot that vanishes at the
+    point, the minors there are determinants of their blocks.  Raises
+    ZeroMinorError with the smallest k whose minor vanishes identically.
+    """
+    n = coeffs[0].rows
+    assert coeffs[0].cols == n, "leading minors of a non-square matrix"
+    rows, dens = _poly_rows(coeffs)
+    bounds = [_degree_bound(rows, k) for k in range(1, n + 1)]
+    values: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for t in range(max(bounds, default=-1) + 1):
+        minors = _bareiss(rows, n, t, swaps=False)[0]
+        minors += [_det_at(rows, k, t) for k in range(len(minors) + 1, n + 1)]
+        for k in range(n):
+            if t <= bounds[k]:
+                values[k].append(minors[k])
+    out = []
+    for k in range(n):
+        P = _interpolate(values[k], prod(dens[: k + 1]))
+        if P.is_zero():
+            raise ZeroMinorError(k + 1)
+        out.append(P)
+    return out

@@ -22,13 +22,11 @@ from .exactlin import (
     Subspace,
     ZeroMinorError,
     exp_nilpotent,
-    hermitian_check,
     hermitian_signature,
     i_power,
     leading_principal_minors,
     leading_sign,
     poly_det,
-    poly_matrix,
     rank,
 )
 from .mhs import (
@@ -143,17 +141,18 @@ class OrbitFiltration:
     def __setattr__(self, name, value):
         raise AttributeError("OrbitFiltration is immutable")
 
-    def hermitian_matrix(self, k: int) -> ExactMatrix:
-        """The form (sqrt(-1))^d S(., conj .) on exp(zN) F^k, as polynomials
-        in t in the well-ordered basis.  Since N is an infinitesimal isometry
-        this equals i^d X^T S exp((zbar - z) N) conj(X) with X the constant
-        well-ordered basis of F^k, and zbar - z = -2it.
+    def hermitian_matrix(self, k: int) -> list[ExactMatrix]:
+        """The form (sqrt(-1))^d S(., conj .) on exp(zN) F^k in the
+        well-ordered basis, as its coefficient matrices in t.  Since N is an
+        infinitesimal isometry this equals i^d X^T S exp((zbar - z) N)
+        conj(X) with X the constant well-ordered basis of F^k, and
+        zbar - z = -2it.
         """
         data = self.data
         assert data.S is not None
         _, X = self.wob.level_basis(k)
         XtS = (X.transpose() @ data.S).scale(i_power(data.d))
-        return poly_matrix([XtS @ C for C in self._exp_m2it_conj(X)])
+        return [XtS @ C for C in self._exp_m2it_conj(X)]
 
     def _exp_m2it_conj(self, X: ExactMatrix) -> list[ExactMatrix]:
         """The t-coefficients of exp(-2itN) conj(X), X a constant basis."""
@@ -187,8 +186,9 @@ def opposedness_polynomial(orb: OrbitFiltration, k: int) -> PolyScalar:
     _, Y = orb.wob.level_basis(orb.data.d - k + 1)
     if X.cols + Y.cols != orb.data.ambient_dim:
         raise ValueError("opposedness impossible")
-    right = poly_matrix(orb._exp_m2it_conj(Y))
-    return poly_det(X.map(PolyScalar.coerce).hstack(right))
+    R = orb._exp_m2it_conj(Y)
+    Z = ExactMatrix.zero(X.rows, X.cols)
+    return poly_det(X.hstack(R[0]), *(Z.hstack(Rj) for Rj in R[1:]))
 
 
 def _signature_from_minors(minors: list[PolyScalar]) -> tuple[int, int]:
@@ -210,7 +210,7 @@ def orbit_signature(
     method: str = "evaluate",
     t0: Fraction = Fraction(2**10),
     t0_cap: Fraction = Fraction(2**60),
-    H: ExactMatrix | None = None,
+    H: list[ExactMatrix] | None = None,
 ) -> tuple[int, int]:
     """Signature of the Hermitian form i^d S(., conj .) on exp(zN) F^k for
     large t.
@@ -224,17 +224,16 @@ def orbit_signature(
     """
     if H is None:
         H = orb.hermitian_matrix(k)
-    if H.rows == 0:
+    if H[0].rows == 0:
         return (0, 0)
     if method == "asymptotic":
-        minors = leading_principal_minors(H)
+        minors = leading_principal_minors(*H)
         return _signature_from_minors(minors)
     assert method == "evaluate", f"unknown method {method!r}"
     prev = None
     t = Fraction(t0)
     while t <= t0_cap:
-        Ht = H.map(lambda p: p.evaluate(t))
-        assert hermitian_check(Ht)
+        Ht = sum((C.scale(GaussianScalar(t**j)) for j, C in enumerate(H) if j), H[0])
         pos, neg, nulls = hermitian_signature(Ht)
         if nulls == 0:
             if prev == (pos, neg):
@@ -259,7 +258,7 @@ class AsymptoticReport(Report):
         return self.levels
 
 
-def _level_entry(orb: OrbitFiltration, k: int, H: ExactMatrix):
+def _level_entry(orb: OrbitFiltration, k: int, H: list[ExactMatrix]):
     """Level k of the refined-filtration check, H = orb.hermitian_matrix(k).
 
     Returns the report entry (opposedness degree against its prediction,
@@ -280,11 +279,11 @@ def _level_entry(orb: OrbitFiltration, k: int, H: ExactMatrix):
             entry["failures"].append("opposedness degree mismatch")
     except ValueError:
         entry["opposedness"] = "impossible"
-    if H.rows == 0:
+    if H[0].rows == 0:
         entry["minors"] = []
         return entry, []
     try:
-        minors = leading_principal_minors(H)
+        minors = leading_principal_minors(*H)
     except ZeroMinorError as exc:
         entry["failures"].append(str(exc))
         return entry, None
@@ -461,16 +460,14 @@ def taylor_minor_identity(n: int, k: int) -> bool:
     (x^(j-i)/(j-i)!) equals syt(n-k+1, k)/((n-k+1)k)! x^((n-k+1)k).
     """
     assert 0 <= k <= n + 1
-    x = PolyScalar.variable()
-
-    def cell(r, c):
-        e = (n + 1 - k + c) - r
-        if e < 0:
-            return PolyScalar()
-        return PolyScalar([G_ZERO] * e + [GaussianScalar(Fraction(1, factorial(e)))])
-
-    M = ExactMatrix([[cell(r, c) for c in range(k)] for r in range(k)], cols=k)
-    det = poly_det(M)
+    # cell (r, c) is x^e / e! with e = n + 1 - k + c - r, and 0 when e < 0
+    coeffs = [
+        ExactMatrix([[GaussianScalar(Fraction(1, factorial(e)))
+                      if n + 1 - k + c - r == e else G_ZERO
+                      for c in range(k)] for r in range(k)], cols=k)
+        for e in range(n + 1)
+    ]
+    det = poly_det(*coeffs)
     e = (n - k + 1) * k
     coeff = Fraction(syt_count(n - k + 1, k), factorial(e))
     expected = PolyScalar([G_ZERO] * e + [GaussianScalar(coeff)])
@@ -489,12 +486,12 @@ def wedge_identity(n: int, k: int, a: Fraction = Fraction(0)) -> bool:
     for j in range(m - 1):
         rows[j + 1][j] = Fraction(1)
     N = ExactMatrix.from_rational(rows)
-    Ez = poly_matrix(exp_nilpotent(N, a, G_I))
-    Ezb = poly_matrix(exp_nilpotent(N, a, -G_I))
     # N^j u is the j-th unit vector, so e^{zN} N^j u is column j of e^{zN}
-    cols = [Ez.column(j) for j in range(n - k + 1)]
-    cols += [Ezb.column(j) for j in range(k)]
-    det = poly_det(ExactMatrix.from_columns(cols, rows=m))
+    left, right = range(n - k + 1), range(k)
+    det = poly_det(*(
+        Ez.take_columns(left).hstack(Ezb.take_columns(right))
+        for Ez, Ezb in zip(exp_nilpotent(N, a, G_I), exp_nilpotent(N, a, -G_I))
+    ))
     e = (n - k + 1) * k
     coeff = GaussianScalar(Fraction(syt_count(n - k + 1, k), factorial(e)))
     minus2i = GaussianScalar(0, -2)

@@ -228,6 +228,7 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
     depths = sorted(data.strata)
     if depths != list(range(1, len(depths) + 1)):
         failures.append(f"stratum depths {depths} are not contiguous from 1")
+    pairings_ok = True
     for depth, s in sorted(data.strata.items()):
         n = data.complex_dim(depth)
         for q, entry in sorted(s.cohomology.items()):
@@ -250,6 +251,7 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
                     failures.append(f"{tag}: missing pairing")
                 elif P.rows != entry["dim"] or P.cols != dual_dim:
                     failures.append(f"{tag}: pairing shape mismatch")
+                    pairings_ok = False
                 elif rank(P) != min(P.rows, P.cols):
                     failures.append(f"{tag}: degenerate pairing")
                 else:
@@ -293,9 +295,11 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
         failures.extend(
             _type_shift_failures(data, framed, (depth, q), (depth + 1, q), M, 0, tag)
         )
-    # the relations multiply the maps, so they need every map well shaped
+    # the relations multiply the maps, so they need every map well shaped;
+    # adjointness multiplies the pairings too
     if shapes_ok:
-        failures.extend(_adjointness_failures(data))
+        if pairings_ok:
+            failures.extend(_adjointness_failures(data))
         failures.extend(_d1_square_failures(data))
     return Report(failures)
 

@@ -5,7 +5,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from lmhs.exactlin import ExactMatrix, GaussianScalar, Subspace, rank
+from lmhs.exactlin import (
+    G_ZERO,
+    ExactMatrix,
+    GaussianScalar,
+    PolyScalar,
+    Subspace,
+    ZeroMinorError,
+    rank,
+)
 
 
 def random_partition(rng: random.Random, n: int) -> list[int]:
@@ -76,3 +84,99 @@ def random_nilpotent(rng: random.Random, max_dim: int) -> ExactMatrix:
     J = jordan_nilpotent(random_partition(rng, n))
     T = random_unimodular(rng, n)
     return T @ J @ invert(T)
+
+
+# -- reference polynomial determinants ---------------------------------------
+#
+# Fraction-free Bareiss elimination in the polynomial ring itself, with the
+# few ring operations it needs on PolyScalar coefficients.  It is the
+# reference for exactlin.poly_det and exactlin.leading_principal_minors,
+# which evaluate, eliminate over the Gaussian integers and interpolate.
+
+
+def poly_add(p: PolyScalar, q: PolyScalar) -> PolyScalar:
+    a, b = p.coeffs, q.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    return PolyScalar([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+
+def poly_scale(p: PolyScalar, c) -> PolyScalar:
+    return PolyScalar([c * x for x in p.coeffs])
+
+
+def poly_sub(p: PolyScalar, q: PolyScalar) -> PolyScalar:
+    return poly_add(p, poly_scale(q, -1))
+
+
+def poly_mul(p: PolyScalar, q: PolyScalar) -> PolyScalar:
+    if p.is_zero() or q.is_zero():
+        return PolyScalar()
+    out = [G_ZERO] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for j, a in enumerate(p.coeffs):
+        for k, b in enumerate(q.coeffs):
+            out[j + k] = out[j + k] + a * b
+    return PolyScalar(out)
+
+
+def poly_exact_div(p: PolyScalar, q: PolyScalar) -> PolyScalar:
+    """p / q by long division; the remainder must be zero."""
+    assert not q.is_zero(), "polynomial division by zero"
+    rem = list(p.coeffs)
+    dq = q.degree()
+    out = [G_ZERO] * max(len(rem) - dq, 0)
+    for top in range(len(rem) - 1, dq - 1, -1):
+        f = rem[top] / q.leading()
+        out[top - dq] = f
+        for k in range(dq + 1):
+            rem[top - dq + k] = rem[top - dq + k] - f * q.coeffs[k]
+    assert all(c.is_zero() for c in rem), "non-exact polynomial division"
+    return PolyScalar(out)
+
+
+def poly_entries(coeffs) -> list[list[PolyScalar]]:
+    """The entries of sum_j t^j coeffs[j] as PolyScalars."""
+    C0 = coeffs[0]
+    return [[PolyScalar([C.entries[j][k] for C in coeffs]) for k in range(C0.cols)]
+            for j in range(C0.rows)]
+
+
+def reference_bareiss(A: list[list[PolyScalar]], allow_swaps: bool):
+    """Fraction-free elimination over polynomials.  Returns (pivot list,
+    sign) where pivot k is the k-th stage pivot; without swaps these are the
+    leading principal minors, and a zero one raises ZeroMinorError.
+    """
+    A = [list(row) for row in A]
+    n = len(A)
+    sign = 1
+    prev = PolyScalar([1])
+    pivots = []
+    for k in range(n):
+        if A[k][k].is_zero():
+            if not allow_swaps:
+                raise ZeroMinorError(k + 1)
+            swap = next((j for j in range(k + 1, n) if not A[j][k].is_zero()), None)
+            if swap is None:
+                pivots.append(PolyScalar())
+                return pivots, sign
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        piv = A[k][k]
+        pivots.append(piv)
+        for j in range(k + 1, n):
+            for l in range(k + 1, n):
+                A[j][l] = poly_exact_div(
+                    poly_sub(poly_mul(A[j][l], piv), poly_mul(A[j][k], A[k][l])), prev)
+        prev = piv
+    return pivots, sign
+
+
+def reference_det(*coeffs: ExactMatrix) -> PolyScalar:
+    if coeffs[0].rows == 0:
+        return PolyScalar([1])
+    pivots, sign = reference_bareiss(poly_entries(coeffs), allow_swaps=True)
+    return poly_scale(pivots[-1], sign)
+
+
+def reference_minors(*coeffs: ExactMatrix) -> list[PolyScalar]:
+    return reference_bareiss(poly_entries(coeffs), allow_swaps=False)[0]

@@ -216,6 +216,21 @@ SHAPE_EDIT_IDS = ["-".join((source.__name__, kind, str(index), edit))
                   for source, kind, index, edit in SHAPE_EDITS]
 
 
+def pairing_edit(tmp_path, edit) -> str:
+    """The path of kodaira.json with the last row or the last column of the
+    depth-1 H^2 pairing dropped."""
+    blob = json.load(open(fixture_path("kodaira.json")))
+    entry = next(e for e in blob["strata"][0]["cohomology"] if e["q"] == 2)
+    P = entry["pairing"]
+    entry["pairing"] = P[:-1] if edit == "drop-row" else [row[:-1] for row in P]
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+PAIRING_SHAPE_REPORT = {"valid": False, "failures": ["depth 1 degree 2: pairing shape mismatch"]}
+
+
 class TestValidate:
     def test_valid_fixture(self, capsys):
         code, out, _ = run(capsys, "validate", fixture_path("odp_m3.json"),
@@ -252,6 +267,21 @@ class TestValidate:
         assert (proc.returncode, proc.stderr) == (2, "")
         assert json.loads(proc.stdout) == {"valid": False, "failures": [
             "restriction depth 1 degree 2: shape (3, 4) != (2, 4)"]}
+
+    @pytest.mark.parametrize("edit", ["drop-row", "drop-col"])
+    def test_misshaped_pairing(self, tmp_path, capsys, edit):
+        # adjointness multiplies the pairings, so a pairing of the wrong
+        # shape is reported by its shape check alone
+        code, out, err = run(capsys, "validate", pairing_edit(tmp_path, edit),
+                             "--format", "json")
+        assert (code, err) == (2, "")
+        assert json.loads(out) == PAIRING_SHAPE_REPORT
+
+    @pytest.mark.parametrize("edit", ["drop-row", "drop-col"])
+    def test_misshaped_pairing_without_asserts(self, tmp_path, edit):
+        proc = run_optimized("validate", pairing_edit(tmp_path, edit), "--format", "json")
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert json.loads(proc.stdout) == PAIRING_SHAPE_REPORT
 
 
 class TestOrbit:
@@ -431,7 +461,7 @@ class TestOrbitBuilds:
         monkeypatch.setattr(Orbit, "hermitian_matrix", building)
         monkeypatch.setattr(orbit, "leading_principal_minors", counting(
             orbit.leading_principal_minors,
-            key=lambda M: next(k for H, k in hermitians if H is M)))
+            key=lambda C0, *_: next(k for H, k in hermitians if H[0] is C0)))
         return counts
 
     @pytest.mark.parametrize("source", ["elliptic.json", "tate3.json", 0, 1, 2])

@@ -36,6 +36,7 @@ from lmhs.exactlin import (
     rref,
     solve,
 )
+from support import poly_mul, reference_det, reference_minors
 
 
 def gm(rows):
@@ -118,24 +119,6 @@ class TestPolyScalar:
         assert PolyScalar([1, 2, 0, 0]).degree() == 1
         assert PolyScalar([0, 0]).is_zero()
         assert PolyScalar().degree() == -1
-
-    def test_ring_ops(self):
-        t = PolyScalar.variable()
-        p = t * t - 1
-        q = t + 1
-        assert p.exact_div(q) == t - 1
-        assert (p * q).exact_div(p) == q
-        assert p.evaluate(2) == g(3)
-        assert p.evaluate(G_I) == g(-2)
-
-    def test_exact_div_rejects_inexact(self):
-        t = PolyScalar.variable()
-        with pytest.raises(AssertionError):
-            (t * t + 1).exact_div(t + 1)
-
-    def test_conj_fixes_t(self):
-        p = PolyScalar([g(0, 1), g(2, -3)])
-        assert p.conj() == PolyScalar([g(0, -1), g(2, 3)])
 
 
 class TestRref:
@@ -318,26 +301,35 @@ class TestHermitianSignature:
 
 
 def pm(rows):
-    return ExactMatrix([[PolyScalar.coerce(e) for e in row] for row in rows])
+    """The coefficient matrices of a square polynomial matrix whose entries
+    are coefficient lists, lowest degree first (a bare number is a
+    constant)."""
+    rows = [[e if isinstance(e, list) else [e] for e in row] for row in rows]
+    D = max([1] + [len(e) for row in rows for e in row])
+    return [
+        ExactMatrix([[GaussianScalar.coerce(e[j]) if j < len(e) else G_ZERO
+                      for e in row] for row in rows], cols=len(rows))
+        for j in range(D)
+    ]
+
+
+def leading_block(coeffs, k):
+    return [ExactMatrix([row[:k] for row in C.entries[:k]], cols=k) for C in coeffs]
 
 
 class TestPolyDet:
     def test_one_by_one(self):
-        t = PolyScalar.variable()
-        assert poly_det(pm([[t * t]])) == t * t
+        assert poly_det(*pm([[[0, 0, 1]]])) == PolyScalar([0, 0, 1])
 
     def test_two_by_two(self):
-        t = PolyScalar.variable()
-        assert poly_det(pm([[t, 1], [1, t]])) == t * t - 1
+        assert poly_det(*pm([[[0, 1], 1], [1, [0, 1]]])) == PolyScalar([-1, 0, 1])
 
     def test_taylor_block(self):
         # [[x^2/2, x^3/6], [x, x^2/2]] has determinant x^4/12
-        x = PolyScalar.variable()
         half = Fraction(1, 2)
         sixth = Fraction(1, 6)
-        M = pm([[x * x * half, x * x * x * sixth], [x, x * x * half]])
-        d = poly_det(M)
-        assert d == x.coerce(Fraction(1, 12)) * x * x * x * x
+        M = pm([[[0, 0, half], [0, 0, 0, sixth]], [[0, 1], [0, 0, half]]])
+        assert poly_det(*M) == PolyScalar([0, 0, 0, 0, Fraction(1, 12)])
 
     def test_multiplicative(self):
         rng = random.Random(13)
@@ -346,83 +338,59 @@ class TestPolyDet:
 
             def rand_poly():
                 if rng.random() < 0.5:
-                    return PolyScalar()
-                return PolyScalar(
-                    [g(rng.randrange(-2, 3)) for _ in range(rng.randrange(1, 3))]
-                )
+                    return []
+                return [rng.randrange(-2, 3) for _ in range(rng.randrange(1, 3))]
 
             A = pm([[rand_poly() for _ in range(n)] for _ in range(n)])
             B = pm([[rand_poly() for _ in range(n)] for _ in range(n)])
-            assert poly_det(A @ B) == poly_det(A) * poly_det(B)
+            AB = [sum((A[j] @ B[m - j] for j in range(len(A)) if 0 <= m - j < len(B)),
+                      ExactMatrix.zero(n, n))
+                  for m in range(len(A) + len(B) - 1)]
+            assert poly_det(*AB) == poly_mul(poly_det(*A), poly_det(*B))
 
     def test_row_swap_sign(self):
-        M = pm([[0, 1], [1, 0]])
-        assert poly_det(M) == PolyScalar([-1])
+        assert poly_det(*pm([[0, 1], [1, 0]])) == PolyScalar([-1])
 
 
 class TestLeadingMinors:
     def test_principal_minors(self):
-        t = PolyScalar.variable()
-        M = pm([[t, 1], [1, t]])
-        minors = leading_principal_minors(M)
-        assert minors == [t, t * t - 1]
+        minors = leading_principal_minors(*pm([[[0, 1], 1], [1, [0, 1]]]))
+        assert minors == [PolyScalar([0, 1]), PolyScalar([-1, 0, 1])]
+        # D_1 = t(t - 1) vanishes at t = 0 and 1, where the elimination
+        # without swaps stops; D_2 = -1 is still read at both points
+        minors = leading_principal_minors(*pm([[[0, -1, 1], 1], [1, 0]]))
+        assert minors == [PolyScalar([0, -1, 1]), PolyScalar([-1])]
 
     def test_zero_pivot_raises(self):
-        M = pm([[0, 1], [1, 0]])
         with pytest.raises(ZeroMinorError) as e:
-            leading_principal_minors(M)
+            leading_principal_minors(*pm([[0, 1], [1, 0]]))
         assert e.value.index == 1
 
     def test_matches_determinants_of_blocks(self):
         rng = random.Random(17)
         for _ in range(10):
             n = rng.randrange(1, 5)
-            M = pm(
-                [
-                    [
-                        PolyScalar([g(rng.randrange(1, 4)), g(rng.randrange(-2, 3))])
-                        for _ in range(n)
-                    ]
-                    for _ in range(n)
-                ]
-            )
+            M = pm([[[g(rng.randrange(1, 4)), g(rng.randrange(-2, 3))] for _ in range(n)]
+                    for _ in range(n)])
             try:
-                minors = leading_principal_minors(M)
+                minors = leading_principal_minors(*M)
             except ZeroMinorError:
                 continue
             for k in range(1, n + 1):
-                block = ExactMatrix(
-                    [[M.entries[j][l] for l in range(k)] for j in range(k)]
-                )
-                assert minors[k - 1] == poly_det(block)
+                assert minors[k - 1] == poly_det(*leading_block(M, k))
 
 
 class TestLeadingSign:
     def test_examples(self):
-        t = PolyScalar.variable()
-        assert leading_sign(t * t * 3 - t * 5) == (2, 1)
-        assert leading_sign(t * t * (-2)) == (2, -1)
-        assert leading_sign(t * t * t * t * Fraction(1, 12)) == (4, 1)
+        assert leading_sign(PolyScalar([0, -5, 3])) == (2, 1)
+        assert leading_sign(PolyScalar([0, 0, -2])) == (2, -1)
+        assert leading_sign(PolyScalar([0, 0, 0, 0, Fraction(1, 12)])) == (4, 1)
 
     def test_contract_errors(self):
         with pytest.raises(AssertionError):
             leading_sign(PolyScalar())
         with pytest.raises(AssertionError):
             leading_sign(PolyScalar([0, g(0, 1)]))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=6
-    )
-)
-def test_poly_eval_is_ring_hom(coeffs):
-    p = PolyScalar([g(a, b) for a, b in coeffs])
-    q = PolyScalar([g(b, a) for a, b in coeffs])
-    t0 = Fraction(7, 3)
-    assert (p * q).evaluate(t0) == p.evaluate(t0) * q.evaluate(t0)
-    assert (p + q).evaluate(t0) == p.evaluate(t0) + q.evaluate(t0)
 
 
 # -- rref and matmul against sympy's exact matrices over QQ(i) ---------------
@@ -449,6 +417,59 @@ def gaussian_matrices(draw, rows=None, cols=None):
         a, b = draw(gaussian_entries), draw(gaussian_entries)
         data[-1] = [a * x + b * y for x, y in zip(data[0], data[1])]
     return ExactMatrix(data, cols=cols)
+
+
+@st.composite
+def poly_matrices(draw):
+    """Coefficient matrices of a square Gaussian polynomial matrix, n <= 4
+    and degree <= 2 before a factor, with one shape forced: a last row
+    dependent on the first two (singular), a row whose part in the leading
+    k x k block depends on the rows above (minor k vanishes identically),
+    or that part times (t - s)(t - s - 1) (minor k vanishes at two of the
+    sample points).  Returns (coeffs, shape, k)."""
+    n = draw(st.integers(0, 4))
+    deg = draw(st.integers(0, 2))
+    C = [[[draw(gaussian_entries) for _ in range(n)] for _ in range(n)]
+         for _ in range(deg + 1)]
+    shapes = ["free", "singular", "zero minor", "vanishing"] if n else ["free"]
+    shape = draw(st.sampled_from(shapes))
+    k = draw(st.integers(1, n)) if n else 0
+    if shape == "singular" and n >= 2:
+        a, b = draw(gaussian_entries), draw(gaussian_entries)
+        for Cj in C:
+            Cj[-1] = [a * x + b * y for x, y in zip(Cj[0], Cj[1])]
+    elif shape == "zero minor":
+        a, b = draw(gaussian_entries), draw(gaussian_entries)
+        for Cj in C:
+            Cj[k - 1][:k] = [a * x + b * y for x, y in zip(Cj[0][:k], Cj[k - 2][:k])] \
+                if k > 1 else [G_ZERO]
+    elif shape == "vanishing":
+        s = draw(st.integers(0, 2))
+        f = [GaussianScalar(s * (s + 1)), GaussianScalar(-2 * s - 1), G_ONE]
+        C += [[[G_ZERO] * n for _ in range(n)] for _ in range(2)]
+        for c in range(k):
+            old = [Cj[k - 1][c] for Cj in C]
+            for j, Cj in enumerate(C):
+                Cj[k - 1][c] = sum((old[j - i] * f[i] for i in range(3) if j >= i), G_ZERO)
+    return [ExactMatrix(Cj, cols=n) for Cj in C], shape, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_matrices())
+def test_polynomial_determinants_match_reference(case):
+    coeffs, shape, k = case
+    assert poly_det(*coeffs) == reference_det(*coeffs)
+    try:
+        want = reference_minors(*coeffs)
+    except ZeroMinorError as exc:
+        with pytest.raises(ZeroMinorError) as got:
+            leading_principal_minors(*coeffs)
+        assert got.value.index == exc.index
+        if shape == "zero minor":
+            assert exc.index <= k
+        return
+    assert shape != "zero minor"
+    assert leading_principal_minors(*coeffs) == want
 
 
 def to_domain(M):

@@ -1,11 +1,15 @@
-"""Every name a module of lmhs imports is used in that module."""
+"""Every name a module of lmhs imports is used in that module, and every
+name a module of lmhs defines is read somewhere in the repository's code."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parents[1] / "src" / "lmhs"
+ROOT = Path(__file__).parents[1]
+SRC = ROOT / "src" / "lmhs"
+READERS = [SRC, ROOT / "tests", ROOT / "perfbench"]
 
 
 def annotation_names(node: ast.AST) -> set[str]:
@@ -50,3 +54,86 @@ def test_unused_import_is_found():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["Fraction", "Seq"]
+
+
+def module_definitions(source: str) -> list[str]:
+    """Names bound at module level by def, class or assignment."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+@functools.cache
+def parse(source: str) -> ast.Module:
+    return ast.parse(source)
+
+
+def reads(source: str, module: str) -> tuple[set[str], set[str]]:
+    """(names of lmhs.<module> that the source reads, names it loads).
+
+    Attribute names and string constants (monkeypatch targets, tracer
+    tables, quoted annotations) are reads anywhere; a loaded name is a read
+    where the source imports it from the module by name.  In the module
+    itself every loaded name is a read.
+    """
+    tree = parse(source)
+    out = set()
+    loaded = set()
+    imported = {}  # local name -> the name in lmhs.<module>
+    # the literal pieces of an f-string are no names
+    pieces = {id(v) for n in ast.walk(tree) if isinstance(n, ast.JoinedStr) for v in n.values}
+    for node in ast.walk(tree):
+        if id(node) in pieces:
+            continue
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            imported.update((a.asname or a.name, a.name) for a in node.names)
+    return out | {imported[n] for n in loaded if n in imported}, loaded
+
+
+def unread_definitions(path: Path) -> list[str]:
+    module = path.stem
+    read = set()
+    for root in READERS:
+        for other in sorted(root.rglob("*.py")):
+            names, loaded = reads(other.read_text(encoding="utf-8"), module)
+            read |= names | (loaded if other == path else set())
+    return [name for name in module_definitions(path.read_text(encoding="utf-8"))
+            if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_definition_is_read(path):
+    assert unread_definitions(path) == []
+
+
+def test_unread_definition_is_found(tmp_path):
+    source = (
+        "ZERO = 0\n"
+        "ONE: int = 1\n"
+        "def f(x):\n"
+        "    x.g = ZERO\n"
+        "    return 'h'\n"
+        "class C:\n"
+        "    pass\n"
+        "def g():\n"
+        "    pass\n"
+        "def h():\n"
+        "    pass\n"
+    )
+    names, loaded = reads(source, "m")
+    assert [n for n in module_definitions(source) if n not in names | loaded] == [
+        "ONE", "f", "C"]
+    # elsewhere a loaded name is a read only when imported from the module
+    other = "from .m import C as D\nfrom .n import f\nD(), f(), ONE, f'ONE{1}'\n"
+    assert reads(other, "m")[0] == {"C"}

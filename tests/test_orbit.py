@@ -12,8 +12,6 @@ from lmhs.exactlin import (
     PolyScalar,
     Subspace,
     exp_nilpotent,
-    poly_det,
-    poly_matrix,
 )
 from lmhs.filtration import DecreasingFiltration, IncreasingFiltration
 from lmhs.mhs import MHSData, random_polarized_mhs
@@ -29,10 +27,15 @@ from lmhs.orbit import (
     verify_main_theorem,
     wedge_identity,
 )
+from support import reference_det
 from test_mhs import elliptic_string, tate_string_3
 
-T = PolyScalar.variable()
 I = GaussianScalar(0, 1)
+
+
+def entry(coeffs, j, k):
+    """Entry (j, k) of the polynomial matrix sum_i t^i coeffs[i]."""
+    return PolyScalar([C.entries[j][k] for C in coeffs])
 
 
 def pure_weight_one() -> MHSData:
@@ -55,16 +58,17 @@ class TestExpAndBasis:
     def test_poly_exp(self):
         # the t-coefficients exp(aN) (iN)^j / j! of exp((a + it)N)
         N = ExactMatrix.from_rational([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        for a in (0, Fraction(1, 2)):
+        for a in (Fraction(0), Fraction(1, 2)):
             z = PolyScalar([a, I])
-            E = poly_matrix(exp_nilpotent(N, a, I))
-            assert E.entries[0][0] == PolyScalar([1])
-            assert E.entries[1][0] == z
-            assert E.entries[2][0] == z * z * Fraction(1, 2)
-            assert E.entries[2][1] == z
-            assert E.entries[0][1].is_zero()
+            E = exp_nilpotent(N, a, I)
+            assert entry(E, 0, 0) == PolyScalar([1])
+            assert entry(E, 1, 0) == z
+            # z^2 / 2 = (a^2 + 2ait - t^2) / 2
+            assert entry(E, 2, 0) == PolyScalar([a * a / 2, a * I, Fraction(-1, 2)])
+            assert entry(E, 2, 1) == z
+            assert entry(E, 0, 1).is_zero()
             # b = 0 leaves the constant coefficient exp(aN) alone
-            assert exp_nilpotent(N, a, 0) == [E.map(lambda e: e.evaluate(0))]
+            assert exp_nilpotent(N, a, 0) == [E[0]]
 
     def test_well_ordered_tate3(self):
         wob = WellOrderedBasis(tate_string_3())
@@ -85,16 +89,16 @@ class TestHermitianMatrices:
     def test_elliptic(self):
         orb = OrbitFiltration(elliptic_string())
         H = orb.hermitian_matrix(1)
-        assert H.entries == ((PolyScalar([0, 2]),),)
+        assert (H[0].rows, H[0].cols) == (1, 1)
+        assert entry(H, 0, 0) == PolyScalar([0, 2])
 
     def test_tate3_level1(self):
         orb = OrbitFiltration(tate_string_3())
         H = orb.hermitian_matrix(1)
-        t = T
-        assert H.entries[0][0] == 2 * t * t
-        assert H.entries[0][1] == PolyScalar([0, 2 * I])
-        assert H.entries[1][0] == PolyScalar([0, -2 * I])
-        assert H.entries[1][1] == PolyScalar([1])
+        assert entry(H, 0, 0) == PolyScalar([0, 0, 2])
+        assert entry(H, 0, 1) == PolyScalar([0, 2 * I])
+        assert entry(H, 1, 0) == PolyScalar([0, -2 * I])
+        assert entry(H, 1, 1) == PolyScalar([1])
 
     def test_independent_of_a(self):
         # the orbit Hermitian matrix only sees zbar - z = -2it
@@ -171,9 +175,9 @@ class TestOpposedness:
         data = orb.data
         _, X = orb.wob.level_basis(k)
         _, Y = orb.wob.level_basis(data.d - k + 1)
-        left = poly_matrix(exp_nilpotent(data.N, orb.a, I)) @ X.map(PolyScalar.coerce)
-        right = poly_matrix(exp_nilpotent(data.N, orb.a, -I)) @ Y.conj().map(PolyScalar.coerce)
-        return poly_det(left.hstack(right))
+        left = [E @ X for E in exp_nilpotent(data.N, orb.a, I)]
+        right = [E @ Y.conj() for E in exp_nilpotent(data.N, orb.a, -I)]
+        return reference_det(*(L.hstack(R) for L, R in zip(left, right)))
 
     @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 2)])
     def test_equals_direct_determinant(self, a):
