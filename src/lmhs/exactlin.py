@@ -5,25 +5,42 @@ is exact: there is no floating point anywhere in this module, and none of
 the algorithms ever round.  Matrices are immutable after construction and
 all functions are pure, so everything here is safe to share between threads.
 
+An ExactMatrix stores each row as Gaussian-integer numerators over one
+positive denominator, in lowest terms, so equal matrices have equal storage.
+Products, sums, reshaping and elimination work on these integers; scalars
+appear only in the constructor, the JSON codec, repr and the entries view.
+
 A polynomial matrix in a real variable t is the list of its coefficient
 matrices C_0, ..., C_D, lowest degree first, as exp_nilpotent returns them.
 Its determinant and leading principal minors come from evaluation at
 integer points, fraction-free elimination over the Gaussian integers and
 interpolation; PolyScalar holds the resulting polynomials.
 
-Serialization conventions: scalars print as "p/q" or "p/q+r/s*i", polynomials
-as coefficient arrays lowest-degree-first.
+Contract checks raise ContractError, an AssertionError that python -O
+keeps.  Serialization conventions: scalars print as "p/q" or "p/q+r/s*i",
+polynomials as coefficient arrays lowest-degree-first.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from itertools import chain
 from math import factorial, gcd, lcm, prod
 from operator import mul as _mul
 from typing import Iterable, Sequence
 
 QZERO = Fraction(0)
+
+
+class ContractError(AssertionError):
+    """A violated precondition of an exactlin function.  Unlike an assert
+    statement, the check that raises it also runs under python -O."""
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise ContractError(message)
 
 
 def _as_fraction(x) -> Fraction:
@@ -81,9 +98,6 @@ class GaussianScalar:
 
     def __mul__(self, other):
         other = GaussianScalar.coerce(other)
-        # real scalars dominate in practice; one Fraction product, not four
-        if not self.im.numerator and not other.im.numerator:
-            return _gs(self.re * other.re, QZERO)
         return _gs(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -93,10 +107,6 @@ class GaussianScalar:
 
     def __truediv__(self, other):
         other = GaussianScalar.coerce(other)
-        if not self.im.numerator and not other.im.numerator:
-            if not other.re.numerator:
-                raise ZeroDivisionError("division by zero GaussianScalar")
-            return _gs(self.re / other.re, QZERO)
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianScalar")
@@ -109,7 +119,7 @@ class GaussianScalar:
         return GaussianScalar.coerce(other) / self
 
     def __pow__(self, k: int):
-        assert k >= 0
+        _require(k >= 0, "negative power")
         out = G_ONE
         base = self
         while k:
@@ -238,7 +248,7 @@ class PolyScalar:
         return not self.coeffs
 
     def leading(self) -> GaussianScalar:
-        assert self.coeffs, "zero polynomial has no leading coefficient"
+        _require(self.coeffs, "zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def __eq__(self, other):
@@ -260,28 +270,26 @@ def leading_sign(p: PolyScalar) -> tuple[int, int]:
     the zero polynomial or of one with genuinely complex leading coefficient
     is a contract error.
     """
-    assert isinstance(p, PolyScalar)
-    assert not p.is_zero(), "leading_sign of the zero polynomial"
+    _require(isinstance(p, PolyScalar) and not p.is_zero(),
+             "leading_sign of the zero polynomial or a non-polynomial")
     c = p.leading()
-    assert c.is_real(), f"leading coefficient {c} is not real"
+    _require(c.is_real(), f"leading coefficient {c} is not real")
     return p.degree(), (1 if c.re > 0 else -1)
 
 
 class ExactMatrix:
-    """A rectangular matrix with GaussianScalar entries.  Instances are
-    immutable."""
+    """An immutable rectangular matrix over the Gaussian rationals.  Row j is
+    re[j*cols:(j+1)*cols] + i*im[j*cols:(j+1)*cols] over den[j] > 0, and the
+    gcd of that row's numerators and den[j] is 1; im is empty when every
+    entry is real.  The entries view holds the same rows as GaussianScalars."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "re", "im", "den", "_entries")
 
-    def __init__(self, entries: Sequence[Sequence], cols: int | None = None):
-        data = tuple(map(tuple, entries))
-        rows = len(data)
-        inferred = len(data[0]) if rows else (cols if cols is not None else 0)
-        assert cols is None or cols == inferred, "explicit column count mismatch"
-        assert all(len(r) == inferred for r in data), "ragged matrix"
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", inferred)
-        object.__setattr__(self, "entries", data)
+    def __new__(cls, entries: Sequence[Sequence], cols: int | None = None):
+        """The matrix with the given rows of GaussianScalars."""
+        data = [tuple(r) for r in entries]
+        re = [[e.re for e in r] for r in data]
+        return _from_rationals(re, [[e.im for e in r] for r in data], cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -289,129 +297,183 @@ class ExactMatrix:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_rational(entries: Sequence[Sequence]) -> "ExactMatrix":
-        return ExactMatrix(
-            [[GaussianScalar.coerce(e) for e in row] for row in entries]
-        )
+    def from_rational(entries: Sequence[Sequence], cols: int | None = None) -> "ExactMatrix":
+        """The matrix with the given rows of ints and Fractions."""
+        rows = list(map(tuple, entries))
+        return _from_rationals(rows, [()] * len(rows), cols)
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
         """The n x n identity, one shared immutable instance per n."""
         I = _IDENTITIES.get(n)
         if I is None:
-            I = _IDENTITIES[n] = ExactMatrix(
-                [[G_ONE if j == k else G_ZERO for k in range(n)] for j in range(n)],
-                cols=n,
-            )
+            I = _IDENTITIES[n] = _new(
+                n, n, [int(j == k) for j in range(n) for k in range(n)], (), [1] * n)
         return I
 
     @staticmethod
     def zero(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix([[G_ZERO] * cols for _ in range(rows)], cols=cols)
+        return _new(rows, cols, [0] * (rows * cols), (), [1] * rows)
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence], rows: int | None = None) -> "ExactMatrix":
-        if not cols:
-            assert rows is not None, "empty column list needs an explicit row count"
-            return ExactMatrix([[] for _ in range(rows)], cols=0)
-        n = len(cols[0])
-        assert rows is None or rows == n, "explicit row count mismatch"
-        return ExactMatrix([[c[j] for c in cols] for j in range(n)], cols=len(cols))
+        """The matrix with the given columns of GaussianScalars; rows is
+        their length, required when there are none."""
+        _require(cols or rows is not None, "empty column list needs an explicit row count")
+        _require(not cols or rows in (None, len(cols[0])), "explicit row count mismatch")
+        return ExactMatrix(cols, cols=rows).transpose()
+
+    @staticmethod
+    def assemble(rows: int, cols: int, blocks) -> "ExactMatrix":
+        """The rows x cols matrix that is zero outside the given blocks: each
+        (at, k, M) writes row j of M to row at[j], from column k on.  Blocks
+        never overlap.  An output row is its pieces over the lcm of their
+        denominators, in lowest terms: each prime power of the lcm divides
+        a piece's denominator, which its numerators are coprime to."""
+        re, im, den = [0] * (rows * cols), [0] * (rows * cols), [1] * rows
+        for at, k, M in blocks:
+            _require(k + M.cols <= cols, "block outside the matrix")
+            for r, d in zip(at, M.den):
+                den[r] = lcm(den[r], d)
+        for at, k, M in blocks:
+            for r, (x, y, d) in zip(at, M._int_rows()):
+                if d != den[r]:
+                    x, y = [v * (den[r] // d) for v in x], [v * (den[r] // d) for v in y]
+                s = r * cols + k
+                re[s:s + len(x)] = x
+                im[s:s + len(y)] = y
+        return _new(rows, cols, re, im, den)
 
     # -- access -------------------------------------------------------------
 
-    def __getitem__(self, jk):
-        j, k = jk
-        return self.entries[j][k]
+    @property
+    def entries(self) -> tuple[tuple[GaussianScalar, ...], ...]:
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(
+                tuple(map(_from_ints, re, im, [d] * self.cols))
+                for re, im, d in self._int_rows()))
+        return self._entries
+
+    def _int_rows(self):
+        """The rows as (re, im, den), numerators over a denominator."""
+        c = self.cols
+        zeros = (0,) * c
+        for j, d in enumerate(self.den):
+            yield (self.re[j * c:(j + 1) * c],
+                   self.im[j * c:(j + 1) * c] if self.im else zeros, d)
 
     def column(self, k: int) -> list:
-        return [self.entries[j][k] for j in range(self.rows)]
+        return [row[k] for row in self.entries]
 
     def columns(self) -> list[list]:
         return [self.column(k) for k in range(self.cols)]
 
+    def nonzero(self) -> list[tuple[int, int]]:
+        """The positions (j, k) of the nonzero entries, row by row."""
+        im = self.im
+        return [divmod(t, self.cols) for t, x in enumerate(self.re)
+                if x or (im and im[t])]
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return ExactMatrix(
-            [
-                [self.entries[j][k] + other.entries[j][k] for k in range(self.cols)]
-                for j in range(self.rows)
-            ]
-        )
+        _require((self.rows, self.cols) == (other.rows, other.cols), "shape mismatch in a sum")
+        out = []
+        for (a, b, da), (x, y, dx) in zip(self._int_rows(), other._int_rows()):
+            den = lcm(da, dx)
+            f, g = den // da, den // dx
+            out.append(([u * f + v * g for u, v in zip(a, x)],
+                        [u * f + v * g for u, v in zip(b, y)], den))
+        return _from_int_rows(self.cols, out)
 
     def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return ExactMatrix(
-            [
-                [self.entries[j][k] - other.entries[j][k] for k in range(self.cols)]
-                for j in range(self.rows)
-            ]
-        )
+        return self + -other
 
     def __neg__(self):
-        return ExactMatrix([[-e for e in row] for row in self.entries], cols=self.cols)
+        return _new(self.rows, self.cols, [-x for x in self.re],
+                    [-y for y in self.im], self.den)
 
     def scale(self, c) -> "ExactMatrix":
-        # zero entries are kept as they are: scaled matrices are mostly sparse
-        return ExactMatrix(
-            [[e if e.is_zero() else c * e for e in row] for row in self.entries],
-            cols=self.cols,
-        )
+        c = GaussianScalar.coerce(c)
+        (p, s), (q, t) = c.re.as_integer_ratio(), c.im.as_integer_ratio()
+        e = lcm(s, t)
+        p, q = p * (e // s), q * (e // t)
+        # (x + iy)(p + iq) = (xp - yq) + i(xq + yp)
+        return _from_int_rows(self.cols, (
+            ([x * p - y * q for x, y in zip(re, im)],
+             [x * q + y * p for x, y in zip(re, im)], d * e)
+            for re, im, d in self._int_rows()))
+
+    def _over(self, den: int) -> tuple[Sequence[int], Sequence[int]]:
+        """re and im as numerators over den, a common multiple of the row
+        denominators."""
+        if den == 1:
+            return self.re, self.im
+        c = self.cols
+        fs = [den // d for d in self.den]
+        re = [x * f for j, f in enumerate(fs) for x in self.re[j * c:(j + 1) * c]]
+        im = [y * f for j, f in enumerate(fs) for y in self.im[j * c:(j + 1) * c]]
+        return re, im
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Matrix product on Python ints: each row of self and each column
-        of other is scaled by its common denominator, so every entry is one
-        integer dot product over one denominator."""
-        assert self.cols == other.rows, (
-            f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-        )
-        ot = other.entries
-        rows = [_scaled_ints(row) for row in self.entries]
-        cols = [_scaled_ints([row[k] for row in ot]) for k in range(other.cols)]
+        """Matrix product on Python ints: other is put over one denominator,
+        so every entry is one integer dot product over one denominator."""
+        _require(self.cols == other.rows,
+                 f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        n = other.cols
+        den = lcm(*other.den)
+        bre, bim = other._over(den)
+        cre = [bre[k::n] for k in range(n)]
+        cim = [bim[k::n] for k in range(n)] if bim else None
         out = []
-        for ar, ai, da in rows:
-            orow = []
-            for br, bi, db in cols:
-                orow.append(_from_ints(
-                    sum(map(_mul, ar, br)) - sum(map(_mul, ai, bi)),
-                    sum(map(_mul, ar, bi)) + sum(map(_mul, ai, br)),
-                    da * db,
-                ))
-            out.append(orow)
-        return ExactMatrix(out, cols=other.cols)
+        for ar, ai, da in self._int_rows():
+            re = [sum(map(_mul, ar, c)) for c in cre]
+            im = [sum(map(_mul, ar, c)) for c in cim] if cim else [0] * n
+            if any(ai):
+                if cim:
+                    re = [x - sum(map(_mul, ai, c)) for x, c in zip(re, cim)]
+                im = [y + sum(map(_mul, ai, c)) for y, c in zip(im, cre)]
+            out.append((re, im, da * den))
+        return _from_int_rows(n, out)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.entries[j][k] for j in range(self.rows)] for k in range(self.cols)],
-            cols=self.rows,
-        )
+        r, c = self.rows, self.cols
+        den = lcm(*self.den)
+        re, im = self._over(den)
+        return _from_int_rows(r, ((re[k::c], im[k::c], den) for k in range(c)))
 
     def conj(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[e.conj() for e in row] for row in self.entries], cols=self.cols
-        )
+        return _new(self.rows, self.cols, self.re, [-y for y in self.im], self.den)
 
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert self.rows == other.rows
-        return ExactMatrix(
-            [list(self.entries[j]) + list(other.entries[j]) for j in range(self.rows)],
-            cols=self.cols + other.cols,
-        )
+    def hstack(self, *others: "ExactMatrix") -> "ExactMatrix":
+        """[self | others[0] | others[1] | ...]."""
+        blocks, k = [], 0
+        for M in (self, *others):
+            _require(M.rows == self.rows, "hstack of matrices with different row counts")
+            blocks.append((range(self.rows), k, M))
+            k += M.cols
+        return ExactMatrix.assemble(self.rows, k, blocks)
 
     def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert self.cols == other.cols
-        return ExactMatrix(list(self.entries) + list(other.entries), cols=self.cols)
+        _require(self.cols == other.cols, "vstack of matrices with different column counts")
+        r = self.rows
+        return ExactMatrix.assemble(
+            r + other.rows, self.cols, [(range(r), 0, self), (range(r, r + other.rows), 0, other)])
 
     def take_columns(self, ks: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.entries[j][k] for k in ks] for j in range(self.rows)],
-            cols=len(ks),
-        )
+        ks = list(ks)
+        return _from_int_rows(len(ks), (
+            ([re[k] for k in ks], [im[k] for k in ks], d) for re, im, d in self._int_rows()))
+
+    def take_rows(self, js: Sequence[int]) -> "ExactMatrix":
+        """The rows js of self, in that order; each keeps its denominator."""
+        c = self.cols
+        rows = [(self.re[j * c:(j + 1) * c], self.im[j * c:(j + 1) * c]) for j in js]
+        return _new(len(rows), c, [x for re, _ in rows for x in re],
+                    [y for _, im in rows for y in im], [self.den[j] for j in js])
 
     def power(self, k: int) -> "ExactMatrix":
-        assert self.rows == self.cols and k >= 0
+        _require(self.rows == self.cols and k >= 0, "power of a non-square matrix")
         out = ExactMatrix.identity(self.rows)
         base = self
         while k:
@@ -422,25 +484,19 @@ class ExactMatrix:
         return out
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.re) and not any(self.im)
 
     def is_rational(self) -> bool:
-        return all(
-            isinstance(e, GaussianScalar) and e.is_real()
-            for row in self.entries
-            for e in row
-        )
-
-    def map(self, f) -> "ExactMatrix":
-        return ExactMatrix([[f(e) for e in row] for row in self.entries], cols=self.cols)
+        return not self.im
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return (self.rows, self.cols, self.re, self.im, self.den) == (
+            other.rows, other.cols, other.re, other.im, other.den)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.rows, self.cols, self.re, self.im, self.den))
 
     def __repr__(self):
         body = "; ".join(
@@ -452,23 +508,67 @@ class ExactMatrix:
 _IDENTITIES: dict[int, ExactMatrix] = {}
 
 
-def _scaled_ints(vec) -> tuple[list[int], list[int], int]:
-    """(re, im, D): the Gaussian integers D*vec as two int lists, with D the
-    least common denominator of the entries of vec."""
-    re = [e.re.as_integer_ratio() for e in vec]
-    im = [e.im.as_integer_ratio() for e in vec]
-    D = lcm(*[d for _, d in re], *[d for _, d in im])
-    return [n * (D // d) for n, d in re], [n * (D // d) for n, d in im], D
+def _new(rows: int, cols: int, re, im, den) -> ExactMatrix:
+    # the one place that sets the storage; an all-zero im is stored empty
+    M = object.__new__(ExactMatrix)
+    put = object.__setattr__
+    put(M, "rows", rows)
+    put(M, "cols", cols)
+    put(M, "re", tuple(re))
+    put(M, "im", tuple(im) if any(im) else ())
+    put(M, "den", tuple(den))
+    put(M, "_entries", None)
+    return M
+
+
+def _from_rationals(re_rows: list, im_rows: list, cols: int | None) -> ExactMatrix:
+    """The matrix with entries re_rows[j][k] + i*im_rows[j][k], each part an
+    int or a Fraction; an empty row of im_rows is real."""
+    rows = len(re_rows)
+    inferred = len(re_rows[0]) if rows else (cols if cols is not None else 0)
+    _require(cols in (None, inferred), "explicit column count mismatch")
+    _require(set(map(len, re_rows)) <= {inferred}, "ragged matrix")
+    flat = list(chain.from_iterable(re_rows))
+    # a sum of ints is an int, and one Fraction makes the sum a Fraction
+    if not any(im_rows) and type(sum(flat)) is int:
+        return _new(rows, inferred, flat, (), [1] * rows)  # in lowest terms over 1
+    re, im, den = [], [], []
+    for a, b in zip(re_rows, im_rows):
+        b = b or [0] * inferred
+        a, b = [x.as_integer_ratio() for x in a], [x.as_integer_ratio() for x in b]
+        # the least common denominator leaves no content to divide out
+        d = lcm(*[q for _, q in a], *[q for _, q in b])
+        re += [p * (d // q) for p, q in a]
+        im += [p * (d // q) for p, q in b]
+        den.append(d)
+    return _new(rows, inferred, re, im, den)
+
+
+def _from_int_rows(cols: int, rows) -> ExactMatrix:
+    """The matrix with the given rows (re, im, den), den > 0 and im empty
+    when real, each divided by its content."""
+    re, im, den = [], [], []
+    zeros = [0] * cols
+    for x, y, d in rows:
+        y = y or zeros
+        g = gcd(*x, *y, d)
+        if g != 1:
+            x, y, d = [v // g for v in x], [v // g for v in y], d // g
+        re += x
+        im += y
+        den.append(d)
+    return _new(len(den), cols, re, im, den)
 
 
 def _from_ints(re: int, im: int, den: int) -> GaussianScalar:
-    """(re + i*im) / den; zero parts share the module constants."""
+    """(re + i*im) / den; zero and small integers share the module constants."""
     if im:
         return _gs(Fraction(re, den), Fraction(im, den))
-    return _gs(Fraction(re, den), QZERO) if re else G_ZERO
+    shared = _SMALL.get(re) if den == 1 or not re else None
+    return shared if shared is not None else _gs(Fraction(re, den), QZERO)
 
 
-def _primitive(re: list[int], im: list[int]) -> tuple[list[int], list[int]]:
+def _primitive(re: Sequence[int], im: Sequence[int]) -> tuple[Sequence[int], Sequence[int]]:
     """The Gaussian-integer row divided by the gcd of all its parts."""
     g = gcd(*re, *im)
     if g > 1:
@@ -477,18 +577,18 @@ def _primitive(re: list[int], im: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _echelon(M: ExactMatrix) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of a Gaussian-rational matrix.
+    """Fraction-free Gauss-Jordan elimination of the integer rows of M.
 
-    Each row is scaled to Gaussian integers, eliminated with
-    row <- pivot*row - f*pivot_row and kept primitive by dividing out its
-    integer content.  Returns (re rows, im rows, pivot columns): row j of the
-    reduced form is row j here divided by its entry in column pivots[j].
+    Each row is eliminated with row <- pivot*row - f*pivot_row and kept
+    primitive by dividing out its integer content.  Returns (re rows, im
+    rows, pivot columns): row j of the reduced form is row j here divided by
+    its entry in column pivots[j].
     """
     rows, cols = M.rows, M.cols
-    R: list[list[int]] = []
-    I: list[list[int]] = []
-    for row in M.entries:
-        re, im = _primitive(*_scaled_ints(row)[:2])
+    R: list = []
+    I: list = []
+    for re, im, _ in M._int_rows():
+        re, im = _primitive(re, im)
         R.append(re)
         I.append(im)
     pivots = []
@@ -531,11 +631,10 @@ def rref(M: ExactMatrix) -> tuple[ExactMatrix, list[int], int]:
     for j, c in enumerate(pivots):
         # (x + iy) / (a + ib) = ((xa + yb) + i(ya - xb)) / (a^2 + b^2)
         a, b = R[j][c], I[j][c]
-        n = a * a + b * b
-        out.append([_from_ints(x * a + y * b, y * a - x * b, n)
-                    for x, y in zip(R[j], I[j])])
-    out.extend([G_ZERO] * M.cols for _ in range(M.rows - len(pivots)))
-    return ExactMatrix(out), pivots, len(pivots)
+        out.append(([x * a + y * b for x, y in zip(R[j], I[j])],
+                    [y * a - x * b for x, y in zip(R[j], I[j])], a * a + b * b))
+    out.extend(([0] * M.cols, [0] * M.cols, 1) for _ in range(M.rows - len(pivots)))
+    return _from_int_rows(M.cols, out), pivots, len(pivots)
 
 
 def rank(M: ExactMatrix) -> int:
@@ -551,25 +650,22 @@ def inverse(M: ExactMatrix) -> ExactMatrix:
     R, pivots, _ = rref(M.hstack(ExactMatrix.identity(n)))
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    return ExactMatrix([row[n:] for row in R.entries], cols=n)
+    return R.take_columns(range(n, 2 * n))
 
 
 def kernel(M: ExactMatrix) -> "Subspace":
-    """Exact basis of the null space of M."""
+    """Exact basis of the null space of M: per free column c, the vector
+    with 1 at c, 0 at the other free columns and minus the reduced form's
+    column c at the pivots."""
     R, pivots, rk = rref(M)
     free = [c for c in range(M.cols) if c not in pivots]
-    basis_cols = []
-    for fc in free:
-        v = [G_ZERO] * M.cols
-        v[fc] = G_ONE
-        for j, pc in enumerate(pivots):
-            v[pc] = -R.entries[j][fc]
-        basis_cols.append(v)
+    basis = ExactMatrix.assemble(M.cols, len(free), [
+        (pivots, 0, -R.take_rows(range(rk)).take_columns(free)),
+        (free, 0, ExactMatrix.identity(len(free))),
+    ])
     # each basis vector has a 1 in its own free column and 0 in the others,
     # so independence is automatic
-    return Subspace._trusted(
-        M.cols, ExactMatrix.from_columns(basis_cols, rows=M.cols)
-    )
+    return Subspace._trusted(M.cols, basis)
 
 
 def image(M: ExactMatrix) -> "Subspace":
@@ -584,9 +680,10 @@ def solve(M: ExactMatrix, b: Sequence) -> list | None:
     R, pivots, _ = rref(aug)
     if M.cols in pivots:
         return None
+    col = R.take_columns([M.cols]).entries
     x = [G_ZERO] * M.cols
     for j, pc in enumerate(pivots):
-        x[pc] = R.entries[j][M.cols]
+        x[pc] = col[j][0]
     return x
 
 
@@ -616,10 +713,10 @@ def class_coordinates(reps: ExactMatrix, lower: "Subspace", X: ExactMatrix) -> E
     otherwise its first rows hold each column's unique solution.
     """
     k = reps.cols + lower.dim
-    R, _, rk = rref(reps.hstack(lower.basis).hstack(X))
+    R, _, rk = rref(reps.hstack(lower.basis, X))
     if rk > k:
         return None
-    return ExactMatrix([row[k:] for row in R.entries[: reps.cols]], cols=X.cols)
+    return R.take_rows(range(reps.cols)).take_columns(range(k, k + X.cols))
 
 
 class Subspace:
@@ -628,13 +725,10 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, basis: ExactMatrix):
-        assert basis.rows == ambient_dim or basis.cols == 0, (
-            f"basis rows {basis.rows} != ambient {ambient_dim}"
-        )
-        if basis.cols and basis.rows != ambient_dim:
-            raise ValueError("inconsistent ambient dimension")
+        _require(not basis.cols or basis.rows == ambient_dim,
+                 f"basis rows {basis.rows} != ambient {ambient_dim}")
         if basis.cols:
-            assert rank(basis) == basis.cols, "basis columns are dependent"
+            _require(rank(basis) == basis.cols, "basis columns are dependent")
         else:
             basis = ExactMatrix.zero(ambient_dim, 0)
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -670,18 +764,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.cols
 
-    def canonical_rows(self) -> ExactMatrix:
-        """Row-reduced generators of the space; equal spaces agree on this."""
-        R, _, rk = rref(self.basis.transpose())
-        return ExactMatrix(R.entries[:rk]) if rk else ExactMatrix.zero(0, self.ambient_dim)
-
     def contains_vector(self, v: Sequence) -> bool:
         return solve(self.basis, v) is not None if self.dim else all(
             GaussianScalar.coerce(x).is_zero() for x in v
         )
 
     def contains(self, other: "Subspace") -> bool:
-        assert self.ambient_dim == other.ambient_dim, "ambient mismatch"
+        _require(self.ambient_dim == other.ambient_dim, "ambient mismatch")
         if other.dim == 0:
             return True
         stacked = self.basis.hstack(other.basis)
@@ -697,22 +786,23 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.canonical_rows()))
+        # the reduced rows of the basis: equal spaces agree on them
+        return hash((self.ambient_dim, rref(self.basis.transpose())[0]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Exact basis of the intersection, via the kernel of [U | -V]."""
-        assert self.ambient_dim == other.ambient_dim, "ambient mismatch"
+        _require(self.ambient_dim == other.ambient_dim, "ambient mismatch")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
         stacked = self.basis.hstack(-other.basis)
         ker = kernel(stacked)
-        coeffs = ExactMatrix(ker.basis.entries[: self.dim], cols=ker.dim)
+        coeffs = ker.basis.take_rows(range(self.dim))
         # the kernel basis maps injectively to these vectors: both basis
         # matrices have independent columns, so they stay independent
         return Subspace._trusted(self.ambient_dim, self.basis @ coeffs)
 
     def add(self, other: "Subspace") -> "Subspace":
-        assert self.ambient_dim == other.ambient_dim, "ambient mismatch"
+        _require(self.ambient_dim == other.ambient_dim, "ambient mismatch")
         return image(self.basis.hstack(other.basis))
 
     def conj(self) -> "Subspace":
@@ -720,7 +810,7 @@ class Subspace:
 
     def apply(self, M: ExactMatrix) -> "Subspace":
         """Image of this subspace under the linear map M."""
-        assert M.cols == self.ambient_dim
+        _require(M.cols == self.ambient_dim, "map and subspace ambient mismatch")
         return image(M @ self.basis)
 
     def __repr__(self):
@@ -728,14 +818,8 @@ class Subspace:
 
 
 def hermitian_check(H: ExactMatrix) -> bool:
-    n = H.rows
-    if H.cols != n:
-        return False
-    for j in range(n):
-        for k in range(n):
-            if H.entries[j][k] != H.entries[k][j].conj():
-                return False
-    return True
+    """H == H^*; storage is canonical, so this compares integers only."""
+    return H == H.conj().transpose()
 
 
 def _hermitian_reduce(H: ExactMatrix, want_basis: bool):
@@ -745,9 +829,9 @@ def _hermitian_reduce(H: ExactMatrix, want_basis: bool):
     Gram matrix h(e_j, e_k) and Hermitian means H[k][j] = conj(H[j][k]).
     Returns (values, vectors, null_vectors); vectors is None unless requested.
     """
-    assert hermitian_check(H), "hermitian form required (H != H^*)"
+    _require(hermitian_check(H), "hermitian form required (H != H^*)")
     n = H.rows
-    A = [[H.entries[j][k] for k in range(n)] for j in range(n)]
+    A = [list(row) for row in H.entries]
     basis = [[G_ONE if j == k else G_ZERO for j in range(n)] for k in range(n)] \
         if want_basis else None
     active = list(range(n))
@@ -786,7 +870,7 @@ def _hermitian_reduce(H: ExactMatrix, want_basis: bool):
             A[i][i] = GaussianScalar(2 * (c.re * c.re + c.im * c.im))
             piv = i
         d = A[piv][piv]
-        assert d.is_real(), "hermitian diagonal must be real"
+        _require(d.is_real(), "hermitian diagonal must be real")
         values.append(d.re)
         if want_basis:
             vectors.append(list(basis[piv]))
@@ -818,7 +902,7 @@ def hermitian_signature(H: ExactMatrix) -> tuple[int, int, int]:
     values, _, _, null_count = _hermitian_reduce(H, want_basis=False)
     pos = sum(1 for v in values if v > 0)
     neg = sum(1 for v in values if v < 0)
-    assert pos + neg + null_count == H.rows
+    _require(pos + neg + null_count == H.rows, "signature does not add up")
     return pos, neg, null_count
 
 
@@ -888,8 +972,10 @@ def _poly_rows(coeffs: Sequence[ExactMatrix]) -> tuple[list[list[tuple]], list[i
     """
     n = coeffs[0].cols
     rows, dens = [], []
-    for i in range(coeffs[0].rows):
-        re, im, den = _scaled_ints([e for C in coeffs for e in C.entries[i]])
+    for parts in zip(*[C._int_rows() for C in coeffs]):
+        den = lcm(*[d for _, _, d in parts])
+        re = [v * (den // d) for x, _, d in parts for v in x]
+        im = [v * (den // d) for _, y, d in parts for v in y]
         row = []
         for k in range(n):
             a, b = re[k::n], im[k::n]
@@ -1004,7 +1090,7 @@ def poly_det(*coeffs: ExactMatrix) -> PolyScalar:
     polynomial.
     """
     n = coeffs[0].rows
-    assert coeffs[0].cols == n, "determinant of a non-square matrix"
+    _require(coeffs[0].cols == n, "determinant of a non-square matrix")
     rows, dens = _poly_rows(coeffs)
     values = [_det_at(rows, n, t) for t in range(_degree_bound(rows, n) + 1)]
     return _interpolate(values, prod(dens))
@@ -1021,7 +1107,7 @@ def leading_principal_minors(*coeffs: ExactMatrix) -> list[PolyScalar]:
     ZeroMinorError with the smallest k whose minor vanishes identically.
     """
     n = coeffs[0].rows
-    assert coeffs[0].cols == n, "leading minors of a non-square matrix"
+    _require(coeffs[0].cols == n, "leading minors of a non-square matrix")
     rows, dens = _poly_rows(coeffs)
     bounds = [_degree_bound(rows, k) for k in range(1, n + 1)]
     values: list[list[tuple[int, int]]] = [[] for _ in range(n)]

@@ -8,12 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import ExactMatrix, GaussianScalar, rank
+from .exactlin import G_I, G_ONE, ExactMatrix, GaussianScalar, rank
 from .steenbrink import DegenerationData, StratumCohomology
-
-G_ONE = GaussianScalar(1)
-G_ZERO = GaussianScalar(0)
-I = GaussianScalar(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +168,14 @@ def odp_index_formula(inp: OdpInput) -> dict:
     return out
 
 
-def _basis_index(labels):
-    return {lab: i for i, lab in enumerate(labels)}
-
-
-def _fill(matrix, rows, cols, entries):
-    ri = _basis_index(rows)
-    ci = _basis_index(cols)
-    for (r, c), v in entries.items():
-        matrix[ri[r]][ci[c]] = GaussianScalar.coerce(v)
-
-
 def _matrix(rows, cols, entries):
-    out = [[G_ZERO] * len(cols) for _ in range(len(rows))]
-    _fill(out, rows, cols, entries)
-    return ExactMatrix(out, cols=len(cols))
+    """The matrix with the given entries at (row label, column label)."""
+    ri = {lab: i for i, lab in enumerate(rows)}
+    ci = {lab: i for i, lab in enumerate(cols)}
+    out = [[0] * len(cols) for _ in range(len(rows))]
+    for (r, c), v in entries.items():
+        out[ri[r]][ci[c]] = v
+    return ExactMatrix.from_rational(out, cols=len(cols))
 
 
 def odp_semistable_model(res: ResolutionData) -> DegenerationData:
@@ -213,22 +202,19 @@ def _odp_model_odd(res: ResolutionData) -> DegenerationData:
     quad2 = [x for i in range(l) for x in (f"A{i}", f"B{i}")]
 
     n2 = len(q2)
-    p3 = [[G_ZERO] * (2 * pairs) for _ in range(2 * pairs)]
-    f3 = [[G_ZERO] * (2 * pairs) for _ in range(2 * pairs)]
-    types3 = []
-    for j, s in enumerate(res.signs):
-        p3[2 * j][2 * j + 1] = GaussianScalar.coerce(s)
-        p3[2 * j + 1][2 * j] = GaussianScalar.coerce(-s)
-        f3[2 * j][2 * j] = G_ONE
-        f3[2 * j][2 * j + 1] = G_ONE
-        f3[2 * j + 1][2 * j] = I
-        f3[2 * j + 1][2 * j + 1] = -I
-        types3 += [(2, 1), (1, 2)]
+    # one 2 x 2 block per symplectic pair: the pairing [[0, s], [-s, 0]] and
+    # the frame [[1, 1], [i, -i]], whose columns have types (2,1) and (1,2)
+    P = ExactMatrix.from_rational([[0, 1], [-1, 0]])
+    F = ExactMatrix([[G_ONE, G_ONE], [G_I, -G_I]])
+    p3 = ExactMatrix.assemble(2 * pairs, 2 * pairs, [
+        (range(2 * j, 2 * j + 2), 2 * j, P if s > 0 else -P) for j, s in enumerate(res.signs)])
+    f3 = ExactMatrix.assemble(
+        2 * pairs, 2 * pairs, [(range(2 * j, 2 * j + 2), 2 * j, F) for j in range(pairs)])
+    types3 = [(2, 1), (1, 2)] * pairs
     depth1 = StratumCohomology(1, {
         0: {"types": [(0, 0)] * len(comps), "pairing": ExactMatrix.identity(len(comps))},
         2: {"types": [(1, 1)] * n2, "pairing": ExactMatrix.identity(n2)},
-        3: {"types": types3, "pairing": ExactMatrix(p3, cols=2 * pairs),
-            "frame": ExactMatrix(f3, cols=2 * pairs)},
+        3: {"types": types3, "pairing": p3, "frame": f3},
         4: {"types": [(2, 2)] * n2, "pairing": ExactMatrix.identity(n2)},
         6: {"types": [(3, 3)] * len(comps), "pairing": ExactMatrix.identity(len(comps))},
     })
@@ -247,19 +233,14 @@ def _odp_model_odd(res: ResolutionData) -> DegenerationData:
         **{(f"Q{i}", "X"): -1 for i in range(l)},
         **{(f"Q{i}", f"E{i}"): 1 for i in range(l)},
     })
-    rest2_entries = {}
-    for i in range(l):
-        rest2_entries[(f"A{i}", f"e{i}")] = 1
-        rest2_entries[(f"B{i}", f"e{i}")] = 1
-        rest2_entries[(f"A{i}", f"hE{i}")] = 1
-        rest2_entries[(f"B{i}", f"hE{i}")] = 1
-        for t in range(w):
-            # rho is an integer matrix: its real parts are the shared small
-            # scalars once coerced, so no model keeps a negated copy
-            r = rho.entries[i][t].re
-            rest2_entries[(f"A{i}", f"w{t}")] = -r
-            rest2_entries[(f"B{i}", f"w{t}")] = r
-    rest2 = _matrix(quad2, q2, rest2_entries)
+    # rest2 sends e_i and hE_i to A_i + B_i and the relation class w_t to
+    # the sum over i of rho[i][t] (B_i - A_i); gys2 is its transpose with
+    # the rows w negated
+    A, B = range(0, 2 * l, 2), range(1, 2 * l, 2)
+    E = ExactMatrix.assemble(2 * l, l, [(A, 0, ExactMatrix.identity(l)),
+                                        (B, 0, ExactMatrix.identity(l))])
+    rest2_w = ExactMatrix.assemble(2 * l, w, [(A, 0, -rho), (B, 0, rho)])
+    rest2 = ExactMatrix.zero(2 * l, 1).hstack(E, rest2_w, E)
     rest4 = _matrix(quads, q2, {
         **{(f"Q{i}", f"e{i}"): -1 for i in range(l)},
         **{(f"Q{i}", f"hE{i}"): 1 for i in range(l)},
@@ -268,17 +249,7 @@ def _odp_model_odd(res: ResolutionData) -> DegenerationData:
         **{(f"e{i}", f"Q{i}"): -1 for i in range(l)},
         **{(f"hE{i}", f"Q{i}"): 1 for i in range(l)},
     })
-    gys2_entries = {}
-    for i in range(l):
-        gys2_entries[(f"e{i}", f"A{i}")] = 1
-        gys2_entries[(f"e{i}", f"B{i}")] = 1
-        gys2_entries[(f"hE{i}", f"A{i}")] = 1
-        gys2_entries[(f"hE{i}", f"B{i}")] = 1
-        for t in range(w):
-            r = rho.entries[i][t].re
-            gys2_entries[(f"w{t}", f"A{i}")] = r
-            gys2_entries[(f"w{t}", f"B{i}")] = -r
-    gys2 = _matrix(q2, quad2, gys2_entries)
+    gys2 = ExactMatrix.zero(2 * l, 1).hstack(E, -rest2_w, E).transpose()
     gys4 = _matrix(comps, quads, {
         **{("X", f"Q{i}"): -1 for i in range(l)},
         **{(f"E{i}", f"Q{i}"): 1 for i in range(l)},

@@ -530,7 +530,6 @@ def random_polarized_mhs(
 
     N_rows = [[Fraction(0)] * n for _ in range(n)]
     S_rows = [[Fraction(0)] * n for _ in range(n)]
-    f_vectors: list[list[GaussianScalar]] = []
     expected: dict[tuple[int, int], list[int]] = {}
     # layout: real slots occupy consecutive indices r = 0..l;
     # complex slots occupy pairs (f_r, g_r) with u_r = f_r + i g_r
@@ -595,14 +594,9 @@ def random_polarized_mhs(
     wmin, wmax = min(weight_of), max(weight_of)
     W_steps = {}
     for w in range(wmin, wmax + 1):
-        vecs = []
-        for j, wt in enumerate(weight_of):
-            if wt <= w:
-                v = [G_ZERO] * n
-                v[j] = G_ONE
-                vecs.append(v)
-        if vecs:
-            W_steps[w] = Subspace.span(n, vecs)
+        cols = [j for j, wt in enumerate(weight_of) if wt <= w]
+        if cols:
+            W_steps[w] = Subspace(n, ExactMatrix.identity(n).take_columns(cols))
     F_steps = {}
     max_index = max(level for level, _ in fvec_entries)
     for k in range(0, max_index + 1):

@@ -74,7 +74,7 @@ class WellOrderedBasis:
                     items.append(
                         {
                             "tag": (p, q, i, r),
-                            "vector": powers[r].column(i),
+                            "vector": powers[r].take_columns([i]),
                             "value": val,
                             "sign": 1 if val > 0 else -1,
                         }
@@ -114,8 +114,7 @@ class WellOrderedBasis:
         """Tags and column matrix of the well-ordered basis of F^k."""
         sel = [it for it in self.entries
                if it["tag"][0] - it["tag"][3] >= k]
-        cols = [it["vector"] for it in sel]
-        M = ExactMatrix.from_columns(cols, rows=self.data.ambient_dim)
+        M = ExactMatrix.zero(self.data.ambient_dim, 0).hstack(*[it["vector"] for it in sel])
         return [it["tag"] for it in sel], M
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from .exactlin import (
     ExactMatrix,
-    G_ZERO,
-    GaussianScalar,
     Subspace,
     class_coordinates,
     hermitian_check,
@@ -204,20 +202,14 @@ class DegenerationData:
 
 def _conj_permutation(frame: ExactMatrix, types: list) -> list | None:
     """Permutation sigma with conj(column j) == column sigma(j) and swapped
-    type tag, or None if none exists."""
-    cols = frame.columns()
-    sigma = []
-    for j, col in enumerate(cols):
-        cc = [e.conj() for e in col]
-        match = None
-        for j2, col2 in enumerate(cols):
-            if types[j2] == (types[j][1], types[j][0]) and col2 == cc:
-                match = j2
-                break
-        if match is None:
-            return None
-        sigma.append(match)
-    return sigma
+    type tag, or None if none exists; sigma(j) is the first such column.
+    Equal columns have equal storage, so they are found by hashing."""
+    cols = [(frame.take_columns([j]), tuple(types[j])) for j in range(frame.cols)]
+    first = {}
+    for j, key in enumerate(cols):
+        first.setdefault(key, j)
+    sigma = [first.get((col.conj(), (t[1], t[0]))) for col, t in cols]
+    return None if None in sigma else sigma
 
 
 def validate_degeneration_data(data: DegenerationData) -> Report:
@@ -309,21 +301,14 @@ def _type_shift_failures(data, framed, src, tgt, M, shift, tag):
     t = data.strata.get(tgt[0])
     if s is None or t is None or M.rows == 0 or M.cols == 0:
         return []
-    T = framed(M.map(GaussianScalar.coerce), src, tgt)
+    T = framed(M, src, tgt)
     st = s.types(src[1])
     tt = t.types(tgt[1])
-    out = []
-    for i in range(T.rows):
-        for j in range(T.cols):
-            if T.entries[i][j].is_zero():
-                continue
-            if (tt[i][0] - st[j][0], tt[i][1] - st[j][1]) != (shift, shift):
-                out.append(
-                    f"{tag}: entry ({i},{j}) shifts type by "
-                    f"({tt[i][0] - st[j][0]},{tt[i][1] - st[j][1]})"
-                )
-                return out
-    return out
+    for i, j in T.nonzero():
+        a, b = tt[i][0] - st[j][0], tt[i][1] - st[j][1]
+        if (a, b) != (shift, shift):
+            return [f"{tag}: entry ({i},{j}) shifts type by ({a},{b})"]
+    return []
 
 
 def _adjointness_failures(data: DegenerationData) -> list[str]:
@@ -341,8 +326,8 @@ def _adjointness_failures(data: DegenerationData) -> list[str]:
         if P is None or P2 is None:
             continue
         T = data.restriction_matrix(depth, qd)
-        lhs = G.transpose() @ P.map(GaussianScalar.coerce)
-        rhs = P2.map(GaussianScalar.coerce) @ T
+        lhs = G.transpose() @ P
+        rhs = P2 @ T
         if lhs != rhs and lhs != -rhs:
             out.append(
                 f"gysin/restriction adjointness fails at depth {depth} degree {q}"
@@ -438,32 +423,14 @@ def _offsets(summands: list[Summand]) -> list[int]:
     return offs
 
 
-def _place(rows: int, cols: int, blocks) -> ExactMatrix:
-    """The rows x cols matrix that is zero outside the given blocks: each
-    (i, j, block) writes the rows of block at row i, column j.  Blocks never
-    overlap, so each entry is written at most once."""
-    out = [[G_ZERO] * cols for _ in range(rows)]
-    for i, j, block in blocks:
-        for k, row in enumerate(block):
-            out[i + k][j:j + len(row)] = row
-    return ExactMatrix(out, cols=cols)
-
-
 def _d1_blocks(data: DegenerationData) -> tuple[dict, dict]:
-    """The stratum maps as rows of d1 blocks, keyed by source (depth, q):
+    """The stratum maps as d1 blocks, keyed by source (depth, q):
     theta[(l, q)] is the restriction H^q(E(l)) -> H^q(E(l+1)) and
     gamma[(l, q)] the negated Gysin map H^q(E(l)) -> H^{q+2}(E(l-1)), since
-    d1 = -gamma + theta.  Entries are coerced and negated here, once per
-    input; a missing map is zero and has no block."""
-    def rows(M: ExactMatrix, sign: int) -> list[list]:
-        out = [[GaussianScalar.coerce(e) for e in row] for row in M.entries]
-        if sign < 0:  # the maps are sparse: zeros stay as they are
-            out = [[e if e.is_zero() else -e for e in row] for row in out]
-        return out
-
-    theta = {key: rows(M, +1) for key, M in data.restriction.items()}
-    gamma = {(l + 1, q): rows(M, -1) for (l, q), M in data.gysin.items()}
-    return theta, gamma
+    d1 = -gamma + theta.  The Gysin maps are negated here, once per input;
+    a missing map is zero and has no block."""
+    gamma = {(l + 1, q): -M for (l, q), M in data.gysin.items()}
+    return data.restriction, gamma
 
 
 def d1_matrix(
@@ -484,7 +451,7 @@ def d1_matrix(
     # theta and gamma send one source summand to two different target
     # summands, so the blocks never overlap
     placed = [
-        (to[ti], so[si], block)
+        (range(to[ti], to[ti + 1]), so[si], block)
         for si, s in enumerate(src)
         for block, ti in (
             # theta: E(depth) -> E(depth+1), same degree, k -> k+1
@@ -494,13 +461,13 @@ def d1_matrix(
         )
         if block is not None and ti is not None
     ]
-    return _place(to[-1], so[-1], placed)
+    return ExactMatrix.assemble(to[-1], so[-1], placed)
 
 
 def _term_frame(data: DegenerationData, summands: list[Summand]) -> ExactMatrix:
     so = _offsets(summands)
-    return _place(so[-1], so[-1], [
-        (off, off, data.strata[s.depth].frame(s.q).map(GaussianScalar.coerce).entries)
+    return ExactMatrix.assemble(so[-1], so[-1], [
+        (range(off, off + s.dim), off, data.strata[s.depth].frame(s.q))
         for s, off in zip(summands, so)
     ])
 
@@ -525,17 +492,16 @@ def _transport(src: list[Summand], tgt: list[Summand], X: ExactMatrix) -> ExactM
     are dropped; this truncation is what makes the induced shift nilpotent.
     The transport only moves rows, so it is applied without a product."""
     so = _offsets(src)
+    to = _offsets(tgt)
     src_index = {(s.depth, s.q): i for i, s in enumerate(src)}
-    zero = [G_ZERO] * X.cols
-    rows = []
-    for t in tgt:
+    rows_from, rows_to = [], []
+    for ti, t in enumerate(tgt):
         si = src_index.get((t.depth, t.q))
-        if si is None:
-            rows.extend([zero] * t.dim)
-            continue
-        assert src[si].dim == t.dim
-        rows.extend(X.entries[so[si]:so[si + 1]])
-    return ExactMatrix(rows, cols=X.cols)
+        if si is not None:
+            assert src[si].dim == t.dim
+            rows_from += range(so[si], so[si + 1])
+            rows_to += range(to[ti], to[ti + 1])
+    return ExactMatrix.assemble(to[-1], X.cols, [(rows_to, 0, X.take_rows(rows_from))])
 
 
 def _sector_blocks(M: ExactMatrix, row_sectors: dict, col_sectors: dict, where: str) -> dict:
@@ -545,27 +511,12 @@ def _sector_blocks(M: ExactMatrix, row_sectors: dict, col_sectors: dict, where: 
     of every column outside its sector's block must vanish."""
     row_of = {i: sec for sec, rows in row_sectors.items() for i in rows}
     col_of = {j: sec for sec, cols in col_sectors.items() for j in cols}
-    for i, row in enumerate(M.entries):
-        for j, e in enumerate(row):
-            assert e.is_zero() or row_of[i] == col_of[j], f"d1 violates type sectors{where}"
+    assert all(row_of[i] == col_of[j] for i, j in M.nonzero()), (
+        f"d1 violates type sectors{where}")
     return {
-        sec: ExactMatrix([[M.entries[i][j] for j in cols] for i in row_sectors.get(sec, [])],
-                         cols=len(cols))
+        sec: M.take_rows(row_sectors.get(sec, [])).take_columns(cols)
         for sec, cols in col_sectors.items()
     }
-
-
-def _scatter(n: int, parts) -> ExactMatrix:
-    """The n-row matrix with the columns of each (rows, X) of parts in turn:
-    the rows of X go to the given rows, and every other entry is zero."""
-    width = sum(X.cols for _, X in parts)
-    out = [[G_ZERO] * width for _ in range(n)]
-    off = 0
-    for rows, X in parts:
-        for i, row in zip(rows, X.entries):
-            out[i][off:off + X.cols] = row
-        off += X.cols
-    return ExactMatrix(out, cols=width)
 
 
 class E2Term:
@@ -601,23 +552,28 @@ class E2Term:
         self.sector_reps = {}
         self.sector_B = {}
         self.sector_dims = {}
-        reps = []
-        bounds = []
+        # the sector blocks of reps and of the boundary basis, side by side:
+        # (rows, first column, block) for ExactMatrix.assemble
+        reps, bounds = [], []
+        width = bound_width = 0
         for sec, cols in sorted(self.sector_cols.items()):
             # coordinates within the sector columns
             Z_s = kernel(outgoing[sec])
             B_s = image(incoming[sec]) if sec in incoming else Subspace.zero(len(cols))
             reps_s = quotient_reps(Z_s, B_s)
             assert reps_s is not None, f"d1 image escapes kernel{where}"
-            self.sector_reps[sec] = _scatter(n, [(cols, reps_s)])
+            # lifted from the sector's coordinates to the whole term
+            self.sector_reps[sec] = ExactMatrix.assemble(n, reps_s.cols, [(cols, 0, reps_s)])
             self.sector_B[sec] = B_s
             self.sector_dims[sec] = reps_s.cols
-            reps.append((cols, reps_s))
-            bounds.append((cols, B_s.basis))
-        self.reps = _scatter(n, reps)
+            reps.append((cols, width, reps_s))
+            bounds.append((cols, bound_width, B_s.basis))
+            width += reps_s.cols
+            bound_width += B_s.dim
+        self.reps = ExactMatrix.assemble(n, width, reps)
         # the sectors' coordinates are disjoint, so the lifted boundary bases
         # stay independent
-        self.B = Subspace._trusted(n, _scatter(n, bounds))
+        self.B = Subspace._trusted(n, ExactMatrix.assemble(n, bound_width, bounds))
 
     @property
     def dim(self) -> int:
@@ -759,9 +715,8 @@ def psi_form(data: DegenerationData, d: int | None = None) -> dict[int, ExactMat
                 continue
             P = data.strata[s.depth].pairing(s.q)
             assert P is not None
-            P = P.map(GaussianScalar.coerce)
-            placed.append((so[si], to[ti], (P if sign > 0 else -P).entries))
-        out[r] = _place(so[-1], to[-1], placed)
+            placed.append((range(so[si], so[si + 1]), to[ti], P if sign > 0 else -P))
+        out[r] = ExactMatrix.assemble(so[-1], to[-1], placed)
     return out
 
 
@@ -777,15 +732,15 @@ def _hermitian_gram(data: DegenerationData, summands: list[Summand], r: int) -> 
         assert s.q == data.complex_dim(s.depth), "hermitian gram needs middle degree"
         entry = data.strata[s.depth].cohomology[s.q]
         assert entry["pairing"] is not None
-        block = entry["pairing"].map(GaussianScalar.coerce)
+        block = entry["pairing"]
         F = entry["frame"]
         if F is not None:  # a degree without a frame has the identity frame
             block = F.transpose() @ block @ F.conj()
         sign = epsilon_sign(r - m)
         if (m + r + s.k) % 2:
             sign = -sign
-        placed.append((off, off, (block if sign > 0 else -block).entries))
-    return _place(so[-1], so[-1], placed)
+        placed.append((range(off, off + s.dim), off, block if sign > 0 else -block))
+    return ExactMatrix.assemble(so[-1], so[-1], placed)
 
 
 def _primitive_sector_basis(page: E2Page, r: int, sec: tuple[int, int]) -> ExactMatrix:
@@ -799,22 +754,13 @@ def _primitive_sector_basis(page: E2Page, r: int, sec: tuple[int, int]) -> Exact
         return X
     tsec = (sec[0] - r - 1, sec[1] - r - 1)
     tcols = tgt.sector_cols.get(tsec, [])
-    tcol_set = set(tcols)
     R = tgt.sector_reps.get(tsec)
-    R_sec = (
-        ExactMatrix([R.entries[i] for i in tcols], cols=R.cols)
-        if R is not None
-        else ExactMatrix.zero(len(tcols), 0)
-    )
+    R_sec = R.take_rows(tcols) if R is not None else ExactMatrix.zero(len(tcols), 0)
     Bb = tgt.sector_B.get(tsec, Subspace.zero(len(tcols)))
     TX = _transport(term.summands, tgt.summands, X)
-    for i, row in enumerate(TX.entries):
-        if i not in tcol_set:
-            assert all(e.is_zero() for e in row)
+    assert {i for i, _ in TX.nonzero()} <= set(tcols)
     # coordinates modulo the sector boundary space, in sector coordinates
-    induced = class_coordinates(
-        R_sec, Bb, ExactMatrix([TX.entries[i] for i in tcols], cols=TX.cols)
-    )
+    induced = class_coordinates(R_sec, Bb, TX.take_rows(tcols))
     assert induced is not None, "shift map fails to descend on a sector"
     K = kernel(induced)
     return X @ K.basis
@@ -844,8 +790,8 @@ def _e2_signature_table(data: DegenerationData, page: E2Page) -> SignatureTable:
             # X is zero outside the sector's rows, so the form needs only
             # those rows of X and the sector block of G
             cols = term.sector_cols[sec]
-            Xs = ExactMatrix([X.entries[i] for i in cols], cols=X.cols)
-            Gs = ExactMatrix([[G.entries[i][j] for j in cols] for i in cols], cols=len(cols))
+            Xs = X.take_rows(cols)
+            Gs = G.take_rows(cols).take_columns(cols)
             H = (Xs.transpose() @ Gs @ Xs.conj()).scale(i_power(P - Q))
             assert hermitian_check(H), f"non-Hermitian form at sector {sec}"
             pos, neg, nulls = hermitian_signature(H)
@@ -904,33 +850,26 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
     for r in order:
         w = d + r
         dim_below = offsets[r] + page.dim(r)
-        basis = ExactMatrix.from_columns(
-            [[1 if i == j else 0 for i in range(total)] for j in range(dim_below)],
-            rows=total,
-        ).map(GaussianScalar.coerce)
-        steps[w] = Subspace(total, basis)
+        steps[w] = Subspace(total, ExactMatrix.identity(total).take_columns(range(dim_below)))
     W = IncreasingFiltration(total, steps)
     # Hodge filtration from sector representatives in class coordinates,
     # all of a term's representatives mapped at once
-    classes = []  # (sector, class coordinates in the whole space)
+    lifted = []  # class coordinates in the whole space, term by term
+    owners = []  # the sector of each of their columns
     for r in order:
         term = page.term(r)
         secs = [(sec, X) for sec, X in term.sector_reps.items() if X.cols]
-        X = ExactMatrix.from_columns(
-            [v for _, Y in secs for v in Y.columns()], rows=term.dim_e1
-        )
+        X = ExactMatrix.zero(term.dim_e1, 0).hstack(*[Y for _, Y in secs])
         C = class_coordinates(*rational[r], _term_frame(data, term.summands) @ X)
         assert C is not None
-        owners = [sec for sec, Y in secs for _ in range(Y.cols)]
-        for sec, x in zip(owners, C.columns()):
-            full = [G_ZERO] * total
-            full[offsets[r]:offsets[r] + len(x)] = x
-            classes.append((sec, full))
+        lifted.append(ExactMatrix.assemble(
+            total, C.cols, [(range(offsets[r], offsets[r] + C.rows), 0, C)]))
+        owners += [sec for sec, Y in secs for _ in range(Y.cols)]
+    classes = ExactMatrix.zero(total, 0).hstack(*lifted)
     levels = sorted({P for t in page.terms.values() for (P, _) in t.sector_dims})
     fsteps = {}
     for p in levels:
-        cols = [v for sec, v in classes if sec[0] >= p]
-        M = ExactMatrix.from_columns(cols, rows=total)
+        M = classes.take_columns([k for k, sec in enumerate(owners) if sec[0] >= p])
         fsteps[p] = Subspace(total, image(M).basis)
     assert fsteps[levels[0]].dim == total, "sector representatives do not span"
     if levels[-1] + 1 not in fsteps:
@@ -946,8 +885,8 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
         M = class_coordinates(*rational[r - 2], X)
         assert M is not None, "shift map fails to descend to E2"
         if r - 2 in offsets:
-            placed.append((offsets[r - 2], offsets[r], M.entries))
-    N = _place(total, total, placed)
+            placed.append((range(offsets[r - 2], offsets[r - 2] + M.rows), offsets[r], M))
+    N = ExactMatrix.assemble(total, total, placed)
     S = None
     if d == m:
         psi = psi_form(data, m)
@@ -957,8 +896,9 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
                 continue
             block = rational[r][0].transpose() @ psi[r] @ rational[-r][0]
             # overall factor (-1)^m (-1)^r on top of the psi block sign
-            placed.append((offsets[r], offsets[-r], (-block if (m + r) % 2 else block).entries))
-        S = _place(total, total, placed)
+            placed.append((range(offsets[r], offsets[r] + block.rows), offsets[-r],
+                           -block if (m + r) % 2 else block))
+        S = ExactMatrix.assemble(total, total, placed)
     return MHSData(total, d, W, F, N, S)
 
 

@@ -1,7 +1,11 @@
 """Unit and property tests for the exact linear algebra layer."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,7 @@ except ImportError:  # sympy is a [test] extra
     DomainMatrix = None
 
 from lmhs.exactlin import (
+    ContractError,
     ExactMatrix,
     GaussianScalar,
     PolyScalar,
@@ -516,3 +521,99 @@ def test_matmul_matches_sympy(rows, inner, cols, data):
     P = A @ B
     assert (P.rows, P.cols) == (rows, cols)
     assert as_pairs(P) == from_domain(to_domain(A) * to_domain(B))
+
+
+def to_scalar(e):
+    return QQ_I.from_sympy(Rational(e.re.numerator, e.re.denominator)
+                           + SYMPY_I * Rational(e.im.numerator, e.im.denominator))
+
+
+def conj_domain(D):
+    return D.applyfunc(lambda e: QQ_I.new(e.x, -e.y), QQ_I)
+
+
+@needs_sympy
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_integer_row_operations_match_sympy(rows, cols, data):
+    A = data.draw(gaussian_matrices(rows, cols))
+    B = data.draw(gaussian_matrices(rows, cols))
+    C = data.draw(gaussian_matrices(rows, data.draw(st.integers(1, 3))))
+    c = data.draw(gaussian_entries)
+    js = data.draw(st.lists(st.integers(0, rows - 1), max_size=5)) if rows else []
+    ks = data.draw(st.lists(st.integers(0, cols - 1), max_size=5)) if cols else []
+    dA, dB = to_domain(A), to_domain(B)
+    assert as_pairs(A + B) == from_domain(dA + dB)
+    assert as_pairs(A - B) == from_domain(dA - dB)
+    assert as_pairs(-A) == from_domain(-dA)
+    assert as_pairs(A.scale(c)) == from_domain(dA.scalarmul(to_scalar(c)))
+    assert as_pairs(A.conj()) == from_domain(conj_domain(dA))
+    assert as_pairs(A.transpose()) == from_domain(dA.transpose())
+    assert as_pairs(A.hstack(C)) == from_domain(dA.hstack(to_domain(C)))
+    assert as_pairs(A.vstack(B)) == from_domain(dA.vstack(dB))
+    assert A.take_columns(ks).cols == len(ks)
+    assert as_pairs(A.take_columns(ks)) == [[row[k] for k in ks] for row in as_pairs(A)]
+    assert as_pairs(A.take_rows(js)) == [as_pairs(A)[j] for j in js]
+    assert A.is_zero() == dA.is_zero_matrix
+
+
+@needs_sympy
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: gaussian_matrices(n, n)))
+def test_inverse_matches_sympy(M):
+    if rank(M) < M.rows:
+        with pytest.raises(ValueError):
+            inverse(M)
+        return
+    assert as_pairs(inverse(M)) == from_domain(to_domain(M).inv())
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussian_matrices())
+def test_kernel_is_the_null_space(M):
+    K = kernel(M).basis
+    assert (M @ K).is_zero()
+    assert K.cols == M.cols - rank(M)
+    assert rank(K) == K.cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_equal_matrices_have_equal_storage(rows, inner, cols, data):
+    """A matrix reached two ways compares and hashes equal: rows are kept in
+    lowest terms, so equality is a comparison of integers."""
+    A = data.draw(gaussian_matrices(rows, inner))
+    B = data.draw(gaussian_matrices(inner, cols))
+    left, right = (A @ B).transpose(), B.transpose() @ A.transpose()
+    assert left == right and hash(left) == hash(right)
+    c = data.draw(gaussian_entries.filter(lambda e: not e.is_zero()))
+    back = A.scale(c).scale(G_ONE / c)
+    assert back == A and hash(back) == hash(A)
+    assert A.hstack(A @ B).take_columns(range(inner)) == A
+
+
+def test_contract_errors_survive_python_O():
+    """The contract tests of this module pass under python -O as well, where
+    assert statements are off: the checks raise ContractError."""
+    here = Path(__file__).resolve().parent
+    tests = [f"{Path(__file__).name}::{name}" for name in (
+        "TestSubspace::test_ambient_mismatch",
+        "TestHermitianSignature::test_rejects_non_hermitian",
+        "TestLeadingSign::test_contract_errors",
+    )]
+    src = str(Path(sys.modules[ExactMatrix.__module__].__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        capture_output=True, text=True, cwd=here,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(here)])},
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "3 passed" in done.stdout
+
+
+def test_contract_error_is_an_assertion_error():
+    with pytest.raises(ContractError):
+        Subspace.full(2).intersect(Subspace.full(3))
+    with pytest.raises(ContractError, match="shape mismatch 1x2 @ 1x2"):
+        gm([[1, 2]]) @ gm([[1, 2]])
+    assert issubclass(ContractError, AssertionError)

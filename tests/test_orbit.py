@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmhs.exactlin import (
     ExactMatrix,
@@ -12,6 +13,7 @@ from lmhs.exactlin import (
     PolyScalar,
     Subspace,
     exp_nilpotent,
+    inverse,
 )
 from lmhs.filtration import DecreasingFiltration, IncreasingFiltration
 from lmhs.mhs import MHSData, random_polarized_mhs
@@ -27,7 +29,7 @@ from lmhs.orbit import (
     verify_main_theorem,
     wedge_identity,
 )
-from support import reference_det
+from support import random_invertible, reference_det
 from test_mhs import elliptic_string, tate_string_3
 
 I = GaussianScalar(0, 1)
@@ -344,3 +346,24 @@ class TestIdentities:
     def test_wedge_a_independent(self):
         for a in (Fraction(0), Fraction(1, 2), Fraction(1)):
             assert wedge_identity(3, 2, a)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_verdicts_do_not_depend_on_coordinates(seed):
+    """A real change of basis T carries (W, F, N, S) to (TW, TF, TNT^-1,
+    T^-T S T^-1), which has the same verdict, signature table, level
+    signatures, pieces and nearby index.  T^-1 is rarely integral, so the
+    moved structure has rows over denominators."""
+    rng = random.Random(seed)
+    data, _ = random_polarized_mhs(rng, max_dim=6)
+    n = data.ambient_dim
+    T = random_invertible(rng, n)
+    Tinv = inverse(T)
+    moved = MHSData(n, data.d, data.W.apply(T), data.F.apply(T),
+                    N=T @ data.N @ Tinv, S=Tinv.transpose() @ data.S @ Tinv)
+    want, got = verify_main_theorem(data), verify_main_theorem(moved)
+    assert want.ok and got.ok, (want.failures, got.failures)
+    assert got.details["table"].to_json() == want.details["table"].to_json()
+    for key in ("levels", "pieces", "nearby"):
+        assert got.details[key] == want.details[key], key

@@ -499,6 +499,22 @@ D1_IDS = [build.__name__ for build in ALL_FIXTURES] + [
     "reframed_cycle", "odp-m3-l2", "odp-m3-l4", "odp-m4-l3", "odp-m4-l5"]
 
 
+@pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
+def test_pipeline_builds_no_scalar_view_of_its_input(build):
+    """Validation and nearby_hodge_index read the integer rows of the
+    input's matrices and never build their entries views, so a caller that
+    keeps many inputs keeps only their integers."""
+    data = build()
+    inputs = [entry[key] for s in data.strata.values() for entry in s.cohomology.values()
+              for key in ("pairing", "frame") if entry[key] is not None]
+    inputs += [*data.gysin.values(), *data.restriction.values()]
+    # shared matrices such as the identities may have a view from elsewhere
+    unviewed = [A for A in inputs if A._entries is None]
+    validate_degeneration_data(data)
+    nearby_hodge_index(data)
+    assert unviewed and all(A._entries is None for A in unviewed)
+
+
 class TestD1Builds:
     """nearby_hodge_index builds each d1 map once per call, all from one
     input: a degree's maps are read by its own page and handed to the next,
