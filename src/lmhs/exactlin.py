@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import factorial, gcd, lcm, prod
 from operator import mul as _mul
 from typing import Iterable, Sequence
@@ -659,8 +659,12 @@ def kernel(M: ExactMatrix) -> "Subspace":
     column c at the pivots."""
     R, pivots, rk = rref(M)
     free = [c for c in range(M.cols) if c not in pivots]
+    # minus the free columns of the pivot rows, built as one matrix
+    negated = _from_int_rows(len(free), (
+        ([-re[c] for c in free], [-im[c] for c in free], d)
+        for re, im, d in islice(R._int_rows(), rk)))
     basis = ExactMatrix.assemble(M.cols, len(free), [
-        (pivots, 0, -R.take_rows(range(rk)).take_columns(free)),
+        (pivots, 0, negated),
         (free, 0, ExactMatrix.identity(len(free))),
     ])
     # each basis vector has a 1 in its own free column and 0 in the others,

@@ -7,6 +7,7 @@ index tables of some non-Kahler Calabi-Yau constructions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactlin import G_I, G_ONE, ExactMatrix, GaussianScalar, rank
 from .steenbrink import DegenerationData, StratumCohomology
@@ -187,19 +188,62 @@ def odp_semistable_model(res: ResolutionData) -> DegenerationData:
     return _odp_model_even(res)
 
 
+# Every map of an ODP model that reads neither rho nor a sign depends only on
+# the model's shape, so models of one shape share those matrices: a caller
+# that keeps many generated models keeps one copy per shape.  ExactMatrix is
+# immutable, and DegenerationData copies the dicts it is given.
+
+
+def _odd_labels(l: int, w: int) -> tuple[list, list]:
+    """The components and the H^2 classes of the depth-1 stratum of the odd
+    model with l double points and w relation classes."""
+    comps = ["X"] + [f"E{i}" for i in range(l)]
+    q2 = ["g"] + [f"e{i}" for i in range(l)] + [f"w{t}" for t in range(w)] \
+        + [f"hE{i}" for i in range(l)]
+    return comps, q2
+
+
+@lru_cache(maxsize=64)
+def _odd_shared(l: int, w: int) -> tuple:
+    """(E, the pairing on the quadrics' H^2, gysin, restriction) of the odd
+    model: E sends the classes e_i to A_i + B_i, and the maps are those in
+    degrees 0 and 4."""
+    comps, q2 = _odd_labels(l, w)
+    quads = [f"Q{i}" for i in range(l)]
+    quad2 = [x for i in range(l) for x in (f"A{i}", f"B{i}")]
+    pairing2 = _matrix(quad2, quad2, {
+        **{(f"A{i}", f"B{i}"): 1 for i in range(l)},
+        **{(f"B{i}", f"A{i}"): 1 for i in range(l)},
+    })
+    A, B = range(0, 2 * l, 2), range(1, 2 * l, 2)
+    E = ExactMatrix.assemble(2 * l, l, [(A, 0, ExactMatrix.identity(l)),
+                                        (B, 0, ExactMatrix.identity(l))])
+    rest0 = _matrix(quads, comps, {
+        **{(f"Q{i}", "X"): -1 for i in range(l)},
+        **{(f"Q{i}", f"E{i}"): 1 for i in range(l)},
+    })
+    rest4 = _matrix(quads, q2, {
+        **{(f"Q{i}", f"e{i}"): -1 for i in range(l)},
+        **{(f"Q{i}", f"hE{i}"): 1 for i in range(l)},
+    })
+    gys0 = _matrix(q2, quads, {
+        **{(f"e{i}", f"Q{i}"): -1 for i in range(l)},
+        **{(f"hE{i}", f"Q{i}"): 1 for i in range(l)},
+    })
+    gys4 = _matrix(comps, quads, {
+        **{("X", f"Q{i}"): -1 for i in range(l)},
+        **{(f"E{i}", f"Q{i}"): 1 for i in range(l)},
+    })
+    return E, pairing2, {(1, 0): gys0, (1, 4): gys4}, {(1, 0): rest0, (1, 4): rest4}
+
+
 def _odp_model_odd(res: ResolutionData) -> DegenerationData:
     m, l, rho = res.m, res.l, res.rho
     assert m == 3
     w = rho.cols  # l - R relation classes
     pairs = len(res.signs)
-
-    comps = ["X"] + [f"E{i}" for i in range(l)]
-    q2 = ["g"] + [f"e{i}" for i in range(l)] + [f"w{t}" for t in range(w)] \
-        + [f"hE{i}" for i in range(l)]
-    q3 = [f"a{j}" for j in range(pairs)]  # one label per symplectic pair
-    qA = [f"A{i}" for i in range(l)]
-    qB = [f"B{i}" for i in range(l)]
-    quad2 = [x for i in range(l) for x in (f"A{i}", f"B{i}")]
+    comps, q2 = _odd_labels(l, w)
+    E, pairing2, gysin, restriction = _odd_shared(l, w)
 
     n2 = len(q2)
     # one 2 x 2 block per symplectic pair: the pairing [[0, s], [-s, 0]] and
@@ -220,79 +264,38 @@ def _odp_model_odd(res: ResolutionData) -> DegenerationData:
     })
     depth2 = StratumCohomology(2, {
         0: {"types": [(0, 0)] * l, "pairing": ExactMatrix.identity(l)},
-        2: {"types": [(1, 1)] * (2 * l),
-            "pairing": _matrix(quad2, quad2, {
-                **{(f"A{i}", f"B{i}"): 1 for i in range(l)},
-                **{(f"B{i}", f"A{i}"): 1 for i in range(l)},
-            })},
+        2: {"types": [(1, 1)] * (2 * l), "pairing": pairing2},
         4: {"types": [(2, 2)] * l, "pairing": ExactMatrix.identity(l)},
     })
-
-    quads = [f"Q{i}" for i in range(l)]
-    rest0 = _matrix(quads, comps, {
-        **{(f"Q{i}", "X"): -1 for i in range(l)},
-        **{(f"Q{i}", f"E{i}"): 1 for i in range(l)},
-    })
+    if not l:
+        return DegenerationData(m, [depth1])
     # rest2 sends e_i and hE_i to A_i + B_i and the relation class w_t to
     # the sum over i of rho[i][t] (B_i - A_i); gys2 is its transpose with
     # the rows w negated
     A, B = range(0, 2 * l, 2), range(1, 2 * l, 2)
-    E = ExactMatrix.assemble(2 * l, l, [(A, 0, ExactMatrix.identity(l)),
-                                        (B, 0, ExactMatrix.identity(l))])
     rest2_w = ExactMatrix.assemble(2 * l, w, [(A, 0, -rho), (B, 0, rho)])
     rest2 = ExactMatrix.zero(2 * l, 1).hstack(E, rest2_w, E)
-    rest4 = _matrix(quads, q2, {
-        **{(f"Q{i}", f"e{i}"): -1 for i in range(l)},
-        **{(f"Q{i}", f"hE{i}"): 1 for i in range(l)},
-    })
-    gys0 = _matrix(q2, quads, {
-        **{(f"e{i}", f"Q{i}"): -1 for i in range(l)},
-        **{(f"hE{i}", f"Q{i}"): 1 for i in range(l)},
-    })
     gys2 = ExactMatrix.zero(2 * l, 1).hstack(E, -rest2_w, E).transpose()
-    gys4 = _matrix(comps, quads, {
-        **{("X", f"Q{i}"): -1 for i in range(l)},
-        **{(f"E{i}", f"Q{i}"): 1 for i in range(l)},
-    })
-    maps = {}
-    if l:
-        maps = {
-            "gysin": {(1, 0): gys0, (1, 2): gys2, (1, 4): gys4},
-            "restriction": {(1, 0): rest0, (1, 2): rest2, (1, 4): rest4},
-        }
-        return DegenerationData(m, [depth1, depth2], maps["gysin"], maps["restriction"])
-    return DegenerationData(m, [depth1])
+    return DegenerationData(m, [depth1, depth2], {**gysin, (1, 2): gys2},
+                            {**restriction, (1, 2): rest2})
 
 
-def _odp_model_even(res: ResolutionData) -> DegenerationData:
-    m, l = res.m, res.l
-    assert m == 4
-    hv = len(res.vhat_signs)
-
+def _even_labels(l: int, hv: int) -> tuple[list, list, list]:
+    """The components, the H^2 classes and the middle classes of the
+    depth-1 stratum of the even model with l double points and hv vhat
+    classes."""
     comps = ["X"] + [f"E{i}" for i in range(l)]
     q2 = ["g"] + [f"e{i}" for i in range(l)] + [f"hE{i}" for i in range(l)]
     mid = [f"v{a}" for a in range(hv)] + [f"q{i}" for i in range(l)] \
         + [x for i in range(l) for x in (f"A{i}", f"B{i}")]
-    pmid_entries = {}
-    for a, s in enumerate(res.vhat_signs):
-        pmid_entries[(f"v{a}", f"v{a}")] = s
-    for i in range(l):
-        pmid_entries[(f"q{i}", f"q{i}")] = -2
-        pmid_entries[(f"A{i}", f"A{i}")] = 1
-        pmid_entries[(f"B{i}", f"B{i}")] = 1
-    depth1 = StratumCohomology(1, {
-        0: {"types": [(0, 0)] * len(comps), "pairing": ExactMatrix.identity(len(comps))},
-        2: {"types": [(1, 1)] * len(q2), "pairing": ExactMatrix.identity(len(q2))},
-        4: {"types": [(2, 2)] * len(mid), "pairing": _matrix(mid, mid, pmid_entries)},
-        6: {"types": [(3, 3)] * len(q2), "pairing": ExactMatrix.identity(len(q2))},
-        8: {"types": [(4, 4)] * len(comps), "pairing": ExactMatrix.identity(len(comps))},
-    })
-    depth2 = StratumCohomology(2, {
-        0: {"types": [(0, 0)] * l, "pairing": ExactMatrix.identity(l)},
-        2: {"types": [(1, 1)] * l, "pairing": ExactMatrix.identity(l)},
-        4: {"types": [(2, 2)] * l, "pairing": ExactMatrix.identity(l)},
-        6: {"types": [(3, 3)] * l, "pairing": ExactMatrix.identity(l)},
-    })
+    return comps, q2, mid
+
+
+@lru_cache(maxsize=64)
+def _even_maps(l: int, hv: int) -> tuple[dict, dict]:
+    """(gysin, restriction) of the even model: none of its maps reads a
+    sign."""
+    comps, q2, mid = _even_labels(l, hv)
     quads = [f"Q{i}" for i in range(l)]
     rest0 = _matrix(quads, comps, {
         **{(f"Q{i}", "X"): -1 for i in range(l)},
@@ -328,10 +331,36 @@ def _odp_model_even(res: ResolutionData) -> DegenerationData:
         **{("X", f"Q{i}"): -1 for i in range(l)},
         **{(f"E{i}", f"Q{i}"): 1 for i in range(l)},
     })
+    return ({(1, 0): gys0, (1, 2): gys2, (1, 4): gys4, (1, 6): gys6},
+            {(1, 0): rest0, (1, 2): rest2, (1, 4): rest4, (1, 6): rest6})
+
+
+def _odp_model_even(res: ResolutionData) -> DegenerationData:
+    m, l = res.m, res.l
+    assert m == 4
+    comps, q2, mid = _even_labels(l, len(res.vhat_signs))
+    pmid_entries = {}
+    for a, s in enumerate(res.vhat_signs):
+        pmid_entries[(f"v{a}", f"v{a}")] = s
+    for i in range(l):
+        pmid_entries[(f"q{i}", f"q{i}")] = -2
+        pmid_entries[(f"A{i}", f"A{i}")] = 1
+        pmid_entries[(f"B{i}", f"B{i}")] = 1
+    depth1 = StratumCohomology(1, {
+        0: {"types": [(0, 0)] * len(comps), "pairing": ExactMatrix.identity(len(comps))},
+        2: {"types": [(1, 1)] * len(q2), "pairing": ExactMatrix.identity(len(q2))},
+        4: {"types": [(2, 2)] * len(mid), "pairing": _matrix(mid, mid, pmid_entries)},
+        6: {"types": [(3, 3)] * len(q2), "pairing": ExactMatrix.identity(len(q2))},
+        8: {"types": [(4, 4)] * len(comps), "pairing": ExactMatrix.identity(len(comps))},
+    })
+    depth2 = StratumCohomology(2, {
+        0: {"types": [(0, 0)] * l, "pairing": ExactMatrix.identity(l)},
+        2: {"types": [(1, 1)] * l, "pairing": ExactMatrix.identity(l)},
+        4: {"types": [(2, 2)] * l, "pairing": ExactMatrix.identity(l)},
+        6: {"types": [(3, 3)] * l, "pairing": ExactMatrix.identity(l)},
+    })
     if l:
-        gysin = {(1, 0): gys0, (1, 2): gys2, (1, 4): gys4, (1, 6): gys6}
-        restriction = {(1, 0): rest0, (1, 2): rest2, (1, 4): rest4, (1, 6): rest6}
-        return DegenerationData(m, [depth1, depth2], gysin, restriction)
+        return DegenerationData(m, [depth1, depth2], *_even_maps(l, len(res.vhat_signs)))
     return DegenerationData(m, [depth1])
 
 

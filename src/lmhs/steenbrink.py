@@ -12,6 +12,7 @@ E2 class coordinates for cross-checking against the abstract machinery.
 from __future__ import annotations
 
 from .exactlin import (
+    ContractError,
     ExactMatrix,
     Subspace,
     class_coordinates,
@@ -70,12 +71,14 @@ class StratumCohomology:
     __slots__ = ("depth", "cohomology")
 
     def __init__(self, depth: int, cohomology: dict):
-        assert depth >= 1
+        if depth < 1:
+            raise ContractError(f"stratum depth {depth} is below 1")
         entries = {}
         for q, entry in cohomology.items():
             types = [tuple(t) for t in entry["types"]]
             dim = entry.get("dim", len(types))
-            assert dim == len(types), f"dim/type mismatch at depth {depth} q {q}"
+            if dim != len(types):
+                raise ContractError(f"dim/type mismatch at depth {depth} q {q}")
             pairing = entry.get("pairing")
             frame = entry.get("frame")
             entries[q] = {
@@ -498,21 +501,24 @@ def _transport(src: list[Summand], tgt: list[Summand], X: ExactMatrix) -> ExactM
     for ti, t in enumerate(tgt):
         si = src_index.get((t.depth, t.q))
         if si is not None:
-            assert src[si].dim == t.dim
+            if src[si].dim != t.dim:
+                raise ContractError(
+                    f"transport between summands of dimensions {src[si].dim} and {t.dim}")
             rows_from += range(so[si], so[si + 1])
             rows_to += range(to[ti], to[ti + 1])
     return ExactMatrix.assemble(to[-1], X.cols, [(rows_to, 0, X.take_rows(rows_from))])
 
 
-def _sector_blocks(M: ExactMatrix, row_sectors: dict, col_sectors: dict, where: str) -> dict:
+def _sector_blocks(M: ExactMatrix, row_sectors: dict, col_sectors: dict, d: int, r: int) -> dict:
     """The blocks of the d1 map M between equal limit-type sectors, keyed by
     the sector of their columns: the rows row_sectors.get(sec, []) and the
     columns col_sectors[sec].  d1 preserves the limit type, so every entry
-    of every column outside its sector's block must vanish."""
+    of every column outside its sector's block must vanish; the term at
+    degree d, column -r names a break."""
     row_of = {i: sec for sec, rows in row_sectors.items() for i in rows}
     col_of = {j: sec for sec, cols in col_sectors.items() for j in cols}
-    assert all(row_of[i] == col_of[j] for i, j in M.nonzero()), (
-        f"d1 violates type sectors{where}")
+    if any(row_of[i] != col_of[j] for i, j in M.nonzero()):
+        raise ContractError(f"d1 violates type sectors at degree {d}, column {-r}")
     return {
         sec: M.take_rows(row_sectors.get(sec, [])).take_columns(cols)
         for sec, cols in col_sectors.items()
@@ -539,16 +545,15 @@ class E2Term:
     def __init__(self, data: DegenerationData, d: int, r: int, into: ExactMatrix, out: ExactMatrix):
         summands = e1_summands(data, d, r)
         n = sum(s.dim for s in summands)
-        where = f" at degree {d}, column {-r}"
         self.d = d
         self.r = r
         self.summands = summands
         self.dim_e1 = n
         self.sector_cols = _term_sectors(data, summands)
         outgoing = _sector_blocks(
-            out, _term_sectors(data, e1_summands(data, d + 1, r - 1)), self.sector_cols, where)
+            out, _term_sectors(data, e1_summands(data, d + 1, r - 1)), self.sector_cols, d, r)
         incoming = _sector_blocks(
-            into, self.sector_cols, _term_sectors(data, e1_summands(data, d - 1, r + 1)), where)
+            into, self.sector_cols, _term_sectors(data, e1_summands(data, d - 1, r + 1)), d, r)
         self.sector_reps = {}
         self.sector_B = {}
         self.sector_dims = {}
@@ -561,7 +566,8 @@ class E2Term:
             Z_s = kernel(outgoing[sec])
             B_s = image(incoming[sec]) if sec in incoming else Subspace.zero(len(cols))
             reps_s = quotient_reps(Z_s, B_s)
-            assert reps_s is not None, f"d1 image escapes kernel{where}"
+            if reps_s is None:
+                raise ContractError(f"d1 image escapes kernel at degree {d}, column {-r}")
             # lifted from the sector's coordinates to the whole term
             self.sector_reps[sec] = ExactMatrix.assemble(n, reps_s.cols, [(cols, 0, reps_s)])
             self.sector_B[sec] = B_s
@@ -597,20 +603,34 @@ def _framed_data(data: DegenerationData) -> DegenerationData:
 
 
 class _D1Maps:
-    """The d1 maps of one input for one pipeline call, in frame coordinates:
-    they are built from _framed_data(data), which is data itself when no
-    frame touches a stratum map.  The stratum maps are framed, and the Gysin
-    maps negated, once, when the object is made; it keeps no matrix it has
-    built."""
+    """The d1 maps of one input for one pipeline call that builds pages of
+    degree at most top, in frame coordinates: they are built from
+    _framed_data(data), which is data itself when no frame touches a
+    stratum map.  The stratum maps are framed, and the Gysin maps negated,
+    once, when the object is made; it keeps no matrix it has built."""
 
-    def __init__(self, data: DegenerationData):
+    def __init__(self, data: DegenerationData, top: int):
         self.framed = _framed_data(data)
         self.blocks = _d1_blocks(self.framed)
+        self.top = top
 
     def degree(self, d: int) -> dict[int, ExactMatrix]:
         """The maps out of degree d, one per column r that the pages of
-        degree d and d+1 read, each built once."""
-        return {r: d1_matrix(self.framed, d, r, self.blocks) for r in range(-d, d + 3)}
+        degree d and d+1 read, each built once: r = -d..d+2, and only
+        r = -d..d at the top degree, whose next page is not built."""
+        last = d + 2 if d < self.top else d
+        return {r: d1_matrix(self.framed, d, r, self.blocks) for r in range(-d, last + 1)}
+
+
+def _hodge_numbers(terms) -> dict[tuple[int, int], int]:
+    """Limit Hodge numbers from the sector dimensions of a page's terms,
+    given term by term; a sector is keyed where it first has a class."""
+    out: dict[tuple[int, int], int] = {}
+    for dims in terms:
+        for sec, dim in dims.items():
+            if dim:
+                out[sec] = out.get(sec, 0) + dim
+    return out
 
 
 class E2Page:
@@ -618,13 +638,15 @@ class E2Page:
     coordinates.  maps is the pair (into, out) of _D1Maps.degree(d - 1) and
     _D1Maps.degree(d); a caller that builds several pages of one input
     passes them, so that each d1 map is built once.  Without it the page
-    builds its own."""
+    builds its own, only those it reads.  Any degree 0..2m can be built
+    this way; nearby_hodge_index builds d <= m and reads the rest from
+    Poincaré duality."""
 
     def __init__(self, data: DegenerationData, d: int, maps: tuple | None = None):
         self.data = data
         self.d = d
         if maps is None:
-            d1 = _D1Maps(data)
+            d1 = _D1Maps(data, d)
             maps = (d1.degree(d - 1), d1.degree(d))
         into, out = maps
         self.terms = {r: E2Term(data, d, r, into[r + 1], out[r]) for r in range(-d, d + 1)}
@@ -637,12 +659,7 @@ class E2Page:
         return t.dim if t else 0
 
     def hodge_numbers(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for t in self.terms.values():
-            for sec, dim in t.sector_dims.items():
-                if dim:
-                    out[sec] = out.get(sec, 0) + dim
-        return out
+        return _hodge_numbers(t.sector_dims for t in self.terms.values())
 
 
 def e2_page(data: DegenerationData, d: int, maps: tuple | None = None) -> E2Page:
@@ -679,9 +696,8 @@ def _weight_criterion(page: E2Page) -> WeightCriterionReport:
         # the page's frame coordinates
         src, tgt = page.term(r), page.term(-r)
         M = class_coordinates(tgt.reps, tgt.B, _transport(src.summands, tgt.summands, src.reps))
-        assert M is not None, (
-            f"shift map fails to descend to E2 at degree {d}, r={r}"
-        )
+        if M is None:
+            raise ContractError(f"shift map fails to descend to E2 at degree {d}, r={r}")
         per_r[r] = rank(M) == sd
     return WeightCriterionReport(d, per_r)
 
@@ -714,7 +730,8 @@ def psi_form(data: DegenerationData, d: int | None = None) -> dict[int, ExactMat
             if ti is None:
                 continue
             P = data.strata[s.depth].pairing(s.q)
-            assert P is not None
+            if P is None:
+                raise ContractError(f"psi needs the pairing of depth {s.depth} degree {s.q}")
             placed.append((range(so[si], so[si + 1]), to[ti], P if sign > 0 else -P))
         out[r] = ExactMatrix.assemble(so[-1], to[-1], placed)
     return out
@@ -729,9 +746,12 @@ def _hermitian_gram(data: DegenerationData, summands: list[Summand], r: int) -> 
     so = _offsets(summands)
     placed = []
     for s, off in zip(summands, so):
-        assert s.q == data.complex_dim(s.depth), "hermitian gram needs middle degree"
+        if s.q != data.complex_dim(s.depth):
+            raise ContractError("hermitian gram needs middle degree")
         entry = data.strata[s.depth].cohomology[s.q]
-        assert entry["pairing"] is not None
+        if entry["pairing"] is None:
+            raise ContractError(
+                f"hermitian gram needs the pairing of depth {s.depth} degree {s.q}")
         block = entry["pairing"]
         F = entry["frame"]
         if F is not None:  # a degree without a frame has the identity frame
@@ -758,10 +778,12 @@ def _primitive_sector_basis(page: E2Page, r: int, sec: tuple[int, int]) -> Exact
     R_sec = R.take_rows(tcols) if R is not None else ExactMatrix.zero(len(tcols), 0)
     Bb = tgt.sector_B.get(tsec, Subspace.zero(len(tcols)))
     TX = _transport(term.summands, tgt.summands, X)
-    assert {i for i, _ in TX.nonzero()} <= set(tcols)
+    if not {i for i, _ in TX.nonzero()} <= set(tcols):
+        raise ContractError("shift map leaves its target sector")
     # coordinates modulo the sector boundary space, in sector coordinates
     induced = class_coordinates(R_sec, Bb, TX.take_rows(tcols))
-    assert induced is not None, "shift map fails to descend on a sector"
+    if induced is None:
+        raise ContractError("shift map fails to descend on a sector")
     K = kernel(induced)
     return X @ K.basis
 
@@ -793,7 +815,8 @@ def _e2_signature_table(data: DegenerationData, page: E2Page) -> SignatureTable:
             Xs = X.take_rows(cols)
             Gs = G.take_rows(cols).take_columns(cols)
             H = (Xs.transpose() @ Gs @ Xs.conj()).scale(i_power(P - Q))
-            assert hermitian_check(H), f"non-Hermitian form at sector {sec}"
+            if not hermitian_check(H):
+                raise ContractError(f"non-Hermitian form at sector {sec}")
             pos, neg, nulls = hermitian_signature(H)
             if nulls:
                 raise DegenerateFormError(
@@ -812,7 +835,8 @@ def e2_signature_table(data: DegenerationData) -> SignatureTable:
     m = data.m
     page = e2_page(data, m)
     crit = _weight_criterion(page)
-    assert crit.ok, f"weight criterion fails at degree {m}: {crit.per_r}"
+    if not crit.ok:
+        raise ContractError(f"weight criterion fails at degree {m}: {crit.per_r}")
     return _e2_signature_table(data, page)
 
 
@@ -836,7 +860,8 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
     for r, term in page.terms.items():
         B = image(d1_matrix(data, d - 1, r + 1, blocks))
         reps = quotient_reps(kernel(d1_matrix(data, d, r, blocks)), B)
-        assert reps is not None, f"d1 image escapes kernel at degree {d}, column {-r}"
+        if reps is None:
+            raise ContractError(f"d1 image escapes kernel at degree {d}, column {-r}")
         rational[r] = (reps, B)
     order = [r for r in range(-d, d + 1) if page.dim(r)]  # weight d+r increasing
     offsets = {}
@@ -844,7 +869,8 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
     for r in order:
         offsets[r] = total
         total += page.dim(r)
-    assert total > 0, "empty cohomology"
+    if total == 0:
+        raise ContractError("empty cohomology")
     # weight filtration
     steps = {}
     for r in order:
@@ -861,7 +887,8 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
         secs = [(sec, X) for sec, X in term.sector_reps.items() if X.cols]
         X = ExactMatrix.zero(term.dim_e1, 0).hstack(*[Y for _, Y in secs])
         C = class_coordinates(*rational[r], _term_frame(data, term.summands) @ X)
-        assert C is not None
+        if C is None:
+            raise ContractError(f"sector representatives leave E2 at column {-r}")
         lifted.append(ExactMatrix.assemble(
             total, C.cols, [(range(offsets[r], offsets[r] + C.rows), 0, C)]))
         owners += [sec for sec, Y in secs for _ in range(Y.cols)]
@@ -871,7 +898,8 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
     for p in levels:
         M = classes.take_columns([k for k, sec in enumerate(owners) if sec[0] >= p])
         fsteps[p] = Subspace(total, image(M).basis)
-    assert fsteps[levels[0]].dim == total, "sector representatives do not span"
+    if fsteps[levels[0]].dim != total:
+        raise ContractError("sector representatives do not span")
     if levels[-1] + 1 not in fsteps:
         fsteps[levels[-1] + 1] = Subspace.zero(total)
     F = DecreasingFiltration(total, fsteps)
@@ -883,7 +911,8 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
             continue  # the truncated transport drops every class
         X = _transport(page.term(r).summands, page.term(r - 2).summands, rational[r][0])
         M = class_coordinates(*rational[r - 2], X)
-        assert M is not None, "shift map fails to descend to E2"
+        if M is None:
+            raise ContractError("shift map fails to descend to E2")
         if r - 2 in offsets:
             placed.append((range(offsets[r - 2], offsets[r - 2] + M.rows), offsets[r], M))
     N = ExactMatrix.assemble(total, total, placed)
@@ -945,32 +974,54 @@ class IndexReport(Report):
 def nearby_hodge_index(data: DegenerationData) -> IndexReport:
     """Criterion verdicts and limit Hodge numbers for every degree, and the
     aggregated signature of S(C., conj .) per (p, m-p) at middle degree when
-    the criterion holds there.  Each degree's E2 page and each d1 map is
-    built once."""
+    the criterion holds there.
+
+    Only the pages of degree d <= m are built, each once, with only the d1
+    maps they read.  The weight spectral sequence is self-dual (Steenbrink
+    1976): psi_form pairs E1^{-r, d+r} with E1^{r, 2m-d-r}, and d1 is
+    adjoint to itself up to sign.  So for d > m and d' = 2m - d, the term
+    at column r of degree d mirrors the term at column -r of degree d', its
+    sector (P, Q) the sector (m-P, m-Q), and the criterion at r is that of
+    degree d' for r <= d'.  For r > d' it holds: validation keeps
+    q <= 2 dim E(l), which leaves no E1 term of degree d beyond |r| = d'."""
     m = data.m
-    failures = []
     per_degree = {}
+    sector_dims = {}  # degree -> column -> the sector dimensions of that term
     verdict = True
     middle = None
     # each degree's d1 maps are built once: page d reads them as its
     # outgoing maps and page d+1 as its incoming ones, then they are dropped
-    d1 = _D1Maps(data)
+    d1 = _D1Maps(data, m)
     into = d1.degree(-1)
-    for d in range(0, 2 * m + 1):
+    for d in range(0, m + 1):
         out = d1.degree(d)
         page = e2_page(data, d, (into, out))
         into = out
         crit = _weight_criterion(page)
-        hodge = page.hodge_numbers()
-        for (p, q), dim in hodge.items():
-            if hodge.get((q, p), 0) != dim:
-                failures.append(
-                    f"degree {d}: limit Hodge numbers not symmetric at ({p},{q})"
-                )
-        per_degree[d] = {"criterion": crit.per_r, "hodge": hodge}
+        per_degree[d] = {"criterion": crit.per_r, "hodge": page.hodge_numbers()}
+        sector_dims[d] = {r: t.sector_dims for r, t in page.terms.items()}
         verdict = verdict and crit.ok
         if d == m and crit.ok:
             middle = page
+    for d in range(m + 1, 2 * m + 1):
+        low = 2 * m - d
+        criterion = per_degree[low]["criterion"]
+        # the mirrored sectors of each term in sorted order, as the page of
+        # degree d would list them
+        mirrored = (
+            dict(sorted(((m - P, m - Q), dim) for (P, Q), dim in sector_dims[low][-r].items()))
+            for r in range(-low, low + 1)
+        )
+        per_degree[d] = {
+            "criterion": {r: criterion.get(r, True) for r in range(d + 1)},
+            "hodge": _hodge_numbers(mirrored),
+        }
+    failures = [
+        f"degree {d}: limit Hodge numbers not symmetric at ({p},{q})"
+        for d, info in per_degree.items()
+        for (p, q), dim in info["hodge"].items()
+        if info["hodge"].get((q, p), 0) != dim
+    ]
     table = None
     signature = None
     if middle is not None:

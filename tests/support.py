@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+from lmhs import exactlin
 from lmhs.exactlin import (
     G_ZERO,
     ExactMatrix,
@@ -180,3 +185,17 @@ def reference_det(*coeffs: ExactMatrix) -> PolyScalar:
 
 def reference_minors(*coeffs: ExactMatrix) -> list[PolyScalar]:
     return reference_bareiss(poly_entries(coeffs), allow_swaps=False)[0]
+
+
+def run_under_python_O(test_file: str, names: list[str]) -> subprocess.CompletedProcess:
+    """Run the named tests of test_file in a python -O pytest subprocess,
+    where assert statements are off, with the package's source on the
+    path."""
+    here = Path(__file__).resolve().parent
+    src = str(Path(exactlin.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *[f"{Path(test_file).name}::{name}" for name in names]],
+        capture_output=True, text=True, cwd=here,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(here)])},
+    )

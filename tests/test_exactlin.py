@@ -1,11 +1,7 @@
 """Unit and property tests for the exact linear algebra layer."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +37,7 @@ from lmhs.exactlin import (
     rref,
     solve,
 )
-from support import poly_mul, reference_det, reference_minors
+from support import poly_mul, reference_det, reference_minors, run_under_python_O
 
 
 def gm(rows):
@@ -595,18 +591,11 @@ def test_equal_matrices_have_equal_storage(rows, inner, cols, data):
 def test_contract_errors_survive_python_O():
     """The contract tests of this module pass under python -O as well, where
     assert statements are off: the checks raise ContractError."""
-    here = Path(__file__).resolve().parent
-    tests = [f"{Path(__file__).name}::{name}" for name in (
+    done = run_under_python_O(__file__, [
         "TestSubspace::test_ambient_mismatch",
         "TestHermitianSignature::test_rejects_non_hermitian",
         "TestLeadingSign::test_contract_errors",
-    )]
-    src = str(Path(sys.modules[ExactMatrix.__module__].__file__).parents[1])
-    done = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
-        capture_output=True, text=True, cwd=here,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(here)])},
-    )
+    ])
     assert done.returncode == 0, done.stdout + done.stderr
     assert "3 passed" in done.stdout
 

@@ -192,6 +192,20 @@ class TestOdpModelEven:
         assert all(crit.per_r.values())
 
 
+def test_models_of_one_shape_share_their_fixed_maps():
+    # a caller that keeps many generated models keeps one copy per shape of
+    # the maps that read neither rho nor a sign
+    a = odp_semistable_model(odd_resolution(3, M([[1], [0], [-1]]), signs=(1,)))
+    b = odp_semistable_model(odd_resolution(3, M([[0], [1], [1]]), signs=(-1, 1)))
+    for key in ((1, 0), (1, 4)):
+        assert a.gysin[key] is b.gysin[key] and a.restriction[key] is b.restriction[key]
+    assert a.strata[2].pairing(2) is b.strata[2].pairing(2)
+    assert a.gysin[(1, 2)] != b.gysin[(1, 2)]
+    c, d = (odp_semistable_model(ResolutionData(4, 3, vhat_signs=s)) for s in ((1, -1), (-1, 1)))
+    assert all(c.gysin[k] is d.gysin[k] and c.restriction[k] is d.restriction[k] for k in c.gysin)
+    assert c.strata[1].pairing(4) != d.strata[1].pairing(4)
+
+
 class TestOdpIndexFormula:
     def test_odd_adds_relations_at_adjacent_rows(self):
         inp = OdpInput(3, 3, R=2, table={1: (5, 0), 2: (5, 0)})

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lmhs import steenbrink
 from lmhs.exactlin import (
-    ExactMatrix, GaussianScalar, Subspace, class_coordinates, image, kernel,
+    ContractError, ExactMatrix, GaussianScalar, Subspace, class_coordinates, image, kernel,
     quotient_reps, rank, solve,
 )
 from lmhs.filtration import weight_filtration
@@ -35,7 +35,7 @@ from lmhs.steenbrink import (
     validate_degeneration_data,
     weight_criterion,
 )
-from support import invert
+from support import invert, run_under_python_O
 
 I = GaussianScalar(0, 1)
 M = ExactMatrix.from_rational
@@ -195,6 +195,16 @@ class TestValidation:
         with pytest.raises(AssertionError,
                            match="^d1 violates type sectors at degree 3, column 1$"):
             e2_page(data, 3)
+
+    def test_contract_errors_survive_python_O(self):
+        # the two contract tests above raise ContractError, which python -O
+        # keeps, where an assert statement would be skipped
+        done = run_under_python_O(__file__, [
+            "TestValidation::test_broken_d1_square_rejected",
+            "TestValidation::test_incoming_column_outside_term_sectors_rejected",
+        ])
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "2 passed" in done.stdout
 
     def test_json_round_trip(self):
         for build in ALL_FIXTURES:
@@ -438,7 +448,8 @@ class TestIndexReport:
 
 
 class TestPageBuilds:
-    """Each pipeline builds every E2 page it reads exactly once."""
+    """Each pipeline builds every E2 page it reads exactly once, and
+    nearby_hodge_index reads only the pages of degree 0..m."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -456,7 +467,7 @@ class TestPageBuilds:
     def test_nearby_hodge_index_one_page_per_degree(self, build, built):
         data = build()
         nearby_hodge_index(data)
-        assert sorted(built) == list(range(2 * data.m + 1))
+        assert sorted(built) == list(range(data.m + 1))
 
     @pytest.mark.parametrize("build", ALL_FIXTURES)
     def test_signature_table_one_page(self, build, built):
@@ -516,10 +527,10 @@ def test_pipeline_builds_no_scalar_view_of_its_input(build):
 
 
 class TestD1Builds:
-    """nearby_hodge_index builds each d1 map once per call, all from one
-    input: a degree's maps are read by its own page and handed to the next,
-    and the input is the framed copy of the data only when framing changes a
-    stratum map."""
+    """nearby_hodge_index builds each d1 map its pages read once per call,
+    and no other, all from one input: a degree's maps are read by its own
+    page and handed to the next, and the input is the framed copy of the
+    data only when framing changes a stratum map."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -541,9 +552,9 @@ class TestD1Builds:
         assert len({id(D) for D, _, _ in builds}) == 1
         maps = Counter((d, r) for _, d, r in builds)
         assert set(maps.values()) == {1}
-        # every map out of and into every term of every page
-        terms = [(d, r) for d in range(2 * data.m + 1) for r in range(-d, d + 1)]
-        assert set(terms) | {(d - 1, r + 1) for d, r in terms} <= set(maps)
+        # exactly the maps out of and into every term of the pages 0..m
+        terms = [(d, r) for d in range(data.m + 1) for r in range(-d, d + 1)]
+        assert set(maps) == set(terms) | {(d - 1, r + 1) for d, r in terms}
 
     @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
     def test_framed_maps_only_when_framing_changes_a_map(self, build, builds):
@@ -570,7 +581,7 @@ class TestD1Builds:
 
         monkeypatch.setattr(steenbrink, "e2_page", keeping)
         nearby_hodge_index(data)
-        assert [page.d for page in pages] == list(range(2 * data.m + 1))
+        assert [page.d for page in pages] == list(range(data.m + 1))
         for page in pages:
             alone = original(data, page.d)
             assert set(page.terms) == set(alone.terms)
@@ -607,6 +618,142 @@ def test_sector_sums_match_raw_full_quotients(build):
             X = _transport(page.term(r).summands, page.term(-r).summands, src)
             want[r] = src.cols == tgt.cols and rank(class_coordinates(tgt, B, X)) == src.cols
         assert _weight_criterion(page).per_r == want, d
+
+
+def direct_nearby_hodge_index(data: DegenerationData) -> steenbrink.IndexReport:
+    """nearby_hodge_index the way it was computed before degrees m+1..2m
+    were read off Poincaré duality: every page of degree 0..2m built
+    directly, with its own d1 maps."""
+    m = data.m
+    failures, per_degree = [], {}
+    verdict, middle = True, None
+    for d in range(2 * m + 1):
+        page = e2_page(data, d)
+        crit = _weight_criterion(page)
+        hodge = page.hodge_numbers()
+        failures += [f"degree {d}: limit Hodge numbers not symmetric at ({p},{q})"
+                     for (p, q), dim in hodge.items() if hodge.get((q, p), 0) != dim]
+        per_degree[d] = {"criterion": crit.per_r, "hodge": hodge}
+        verdict = verdict and crit.ok
+        if d == m and crit.ok:
+            middle = page
+    table = signature = None
+    if middle is not None:
+        table = steenbrink._e2_signature_table(data, middle)
+        signature = {}
+        for p in range(m + 1):
+            plus, minus = nearby_index_formula(table, p)
+            signature[p] = (plus, minus)
+            want = sum(dim for (a, _), dim in per_degree[m]["hodge"].items() if a == p)
+            if plus + minus != want:
+                failures.append(f"signature at p={p} sums to {plus + minus}, Hodge number is {want}")
+    return steenbrink.IndexReport(m, verdict, per_degree, table, signature, failures)
+
+
+def triple_point_degeneration() -> DegenerationData:
+    """Three surfaces X1, X2, X3 meeting pairwise in rational curves C12,
+    C13, C23 through one triple point: a depth-3 stratum, so E1 terms of
+    two summands.  H^2(Xi) is spanned by the two double curves on Xi, with
+    C_ij . C_ik = 1 and the squares of C_ij on Xi and on Xj summing to -1
+    (the triple point formula).  Restrictions carry Cech signs, and each
+    Gysin map is the adjoint of a restriction."""
+    curves = [(1, 2), (1, 3), (2, 3)]
+    square = {(1, 2): -2, (2, 1): 1, (1, 3): 0, (3, 1): -1, (2, 3): -2, (3, 2): 1}
+    h2 = [(i, c) for i in (1, 2, 3) for c in curves if i in c]
+
+    def meet(i, a, b):  # a . b on Xi
+        return square[(i, a[0] + a[1] - i)] if a == b else 1
+
+    def sign(c, i):  # (delta f)_ij = f_j - f_i
+        return -1 if c[0] == i else 1
+
+    P2 = M([[meet(i, a, b) if i == j else 0 for j, b in h2] for i, a in h2])
+    T10 = M([[sign(c, i) if i in c else 0 for i in (1, 2, 3)] for c in curves])
+    T12 = M([[sign(c, i) * meet(i, a, c) if i in c else 0 for i, a in h2] for c in curves])
+    T20 = M([[1, -1, 1]])
+    surfaces = StratumCohomology(1, {
+        0: {"types": [(0, 0)] * 3, "pairing": ExactMatrix.identity(3)},
+        2: {"types": [(1, 1)] * 6, "pairing": P2},
+        4: {"types": [(2, 2)] * 3, "pairing": ExactMatrix.identity(3)},
+    })
+    lines = StratumCohomology(2, {
+        q: {"types": [(q // 2, q // 2)] * 3, "pairing": ExactMatrix.identity(3)} for q in (0, 2)
+    })
+    point = StratumCohomology(3, {0: {"types": [(0, 0)], "pairing": ExactMatrix.identity(1)}})
+    gysin = {(1, 0): invert(P2) @ T12.transpose(), (1, 2): T10.transpose(), (2, 0): T20.transpose()}
+    restriction = {(1, 0): T10, (1, 2): T12, (2, 0): T20}
+    return DegenerationData(2, [surfaces, lines, point], gysin, restriction)
+
+
+def negated_maps(data: DegenerationData, rng: random.Random, count: int) -> DegenerationData:
+    """data with count of its Gysin and restriction maps negated: each
+    still passes the adjointness check, which allows a sign per map."""
+    keys = sorted((kind, key) for kind in ("gysin", "restriction") for key in getattr(data, kind))
+    chosen = set(rng.sample(keys, min(count, len(keys))))
+
+    def negated(kind):
+        return {key: -A if (kind, key) in chosen else A for key, A in getattr(data, kind).items()}
+
+    return DegenerationData(data.m, data.strata.values(), negated("gysin"), negated("restriction"))
+
+
+MIRROR_INPUTS = D1_INPUTS + [framed_maps_degeneration, triple_point_degeneration] + [
+    (lambda i=i: seeded_odp_models(7)[i]) for i in range(4)]
+MIRROR_IDS = D1_IDS + ["framed_maps_degeneration", "triple_point_degeneration"] + [
+    f"odp-seed7-{i}" for i in range(4)]
+
+
+def index_outcome(index, data: DegenerationData):
+    """index(data) as JSON, or the message of the contract error it stops at."""
+    try:
+        return index(data).to_json()
+    except ContractError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("build", MIRROR_INPUTS, ids=MIRROR_IDS)
+def test_mirrored_degrees_match_direct_pages(build):
+    # the input and those of its sign-flip mutants (one map, or 2 to 4 maps,
+    # negated) that pass validation; a valid input has valid mutants.  The
+    # unvalidated framed_maps_degeneration stops at the same contract error
+    # on both paths
+    data = build()
+    rng = random.Random(len(data.gysin) + 7 * len(data.restriction) + data.m)
+    mutants = [negated_maps(data, rng, rng.choice((1, 2, 3, 4)))
+               for _ in range(12 if data.gysin or data.restriction else 0)]
+    checked = [data] + [D for D in mutants if validate_degeneration_data(D).ok]
+    if mutants and validate_degeneration_data(data).ok:
+        assert len(checked) > 1
+    for D in checked:
+        assert index_outcome(nearby_hodge_index, D) == index_outcome(direct_nearby_hodge_index, D)
+
+
+def asymmetric_curves() -> DegenerationData:
+    """Not a valid degeneration: the curves' classes have types that
+    conjugation does not swap, so degrees 1 and 3 have limit Hodge numbers
+    without a conjugate.  The curves' H^0 and H^2 types are dual, so degree
+    3 still mirrors degree 1.  No valid input breaks Hodge symmetry."""
+    surfaces = StratumCohomology(1, {
+        0: {"types": [(0, 0)], "pairing": M([[1]])},
+        4: {"types": [(2, 2)], "pairing": M([[1]])},
+    })
+    curves = StratumCohomology(2, {
+        0: {"types": [(1, -1), (-2, 2)]},
+        2: {"types": [(0, 2), (3, -1)]},
+    })
+    return DegenerationData(2, [surfaces, curves])
+
+
+def test_mirrored_symmetry_failures_keep_page_order():
+    # degree 3 lists its sectors column by column, r = -1 then r = 1, and
+    # within a term in sorted order, which is not the sorted order overall
+    data = asymmetric_curves()
+    report = nearby_hodge_index(data)
+    assert report.to_json() == direct_nearby_hodge_index(data).to_json()
+    assert [f for f in report.failures if f.startswith("degree 3")] == [
+        f"degree 3: limit Hodge numbers not symmetric at {sec}"
+        for sec in ("(0,2)", "(3,-1)", "(1,3)", "(4,0)")
+    ]
 
 
 def assembled_d1_square_failures(data: DegenerationData) -> list[str]:
