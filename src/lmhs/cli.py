@@ -12,6 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .exactlin import _require
 from .mhs import MHSData
 from .orbit import (
     taylor_minor_identity,
@@ -38,8 +39,8 @@ class RunConfig:
 
     def __init__(self, a=Fraction(0), t0=Fraction(2 ** 10),
                  t0_cap=Fraction(2 ** 60), fmt="text"):
-        assert t0 <= t0_cap, "t0 start must not exceed the cap"
-        assert fmt in ("text", "json")
+        _require(t0 <= t0_cap, "t0 start must not exceed the cap")
+        _require(fmt in ("text", "json"), f"unknown format {fmt!r}")
         self.a = a
         self.t0 = t0
         self.t0_cap = t0_cap

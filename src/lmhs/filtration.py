@@ -13,6 +13,7 @@ from typing import Mapping
 from .exactlin import (
     ExactMatrix,
     Subspace,
+    _require,
     class_coordinates,
     image,
     kernel,
@@ -35,15 +36,15 @@ class Filtration:
     __slots__ = ("ambient_dim", "steps")
 
     def __init__(self, ambient_dim: int, steps: Mapping[int, Subspace]):
-        assert steps, "a filtration needs at least one step"
+        _require(steps, "a filtration needs at least one step")
         items = sorted(steps.items())
         prev = None
         for i, sub in items[::self.direction]:
-            assert sub.ambient_dim == ambient_dim, "ambient mismatch in step"
+            _require(sub.ambient_dim == ambient_dim, "ambient mismatch in step")
             if prev is not None:
-                assert sub.contains(prev), f"step {i} does not contain the smaller step"
+                _require(sub.contains(prev), f"step {i} does not contain the smaller step")
             prev = sub
-        assert prev.dim == ambient_dim, "the largest step must be the full space"
+        _require(prev.dim == ambient_dim, "the largest step must be the full space")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "steps", tuple(items))
 
@@ -77,7 +78,7 @@ class Filtration:
 
     def apply(self, M: ExactMatrix):
         """Transport the filtration through an invertible coordinate change."""
-        assert M.rows == M.cols == self.ambient_dim
+        _require(M.rows == M.cols == self.ambient_dim, "coordinate change of the wrong size")
         return self._map(lambda sub: sub.apply(M))
 
     def __eq__(self, other):
@@ -139,7 +140,7 @@ class GradedPiece:
 
 def graded_piece(W: IncreasingFiltration, k: int) -> GradedPiece:
     """Gr_k of W; a ValueError if W_{k-1} is not inside W_k, which only a
-    filtration built without its nesting assert (python -O) can reach."""
+    filtration built past its constructor's nesting check can reach."""
     lower = W.at(k - 1)
     reps = quotient_reps(W.at(k), lower)
     if reps is None:
@@ -172,7 +173,7 @@ def _nilpotency_data(N: ExactMatrix) -> tuple[int, ExactMatrix | None]:
             return e, Pe
         e, Pe = k, P
         P = P @ N
-    assert P.is_zero(), "matrix is not nilpotent"
+    _require(P.is_zero(), "matrix is not nilpotent")
     return e, Pe
 
 
@@ -195,7 +196,7 @@ def _monodromy_offsets(N: ExactMatrix) -> dict[int, Subspace]:
     # im N^e lies in ker N^e, since N^(2e) = 0
     R = quotient_reps(K, I)
     Nbar = class_coordinates(R, I, N @ R)
-    assert Nbar is not None, "induced map escaped ker N^e + im N^e"
+    _require(Nbar is not None, "induced map escaped ker N^e + im N^e")
     sub = IncreasingFiltration(R.cols, _monodromy_offsets(Nbar))
     out: dict[int, Subspace] = {}
     out[e] = Subspace.full(n)
@@ -210,8 +211,8 @@ def weight_filtration(N: ExactMatrix, d: int) -> IncreasingFiltration:
     """The unique increasing filtration W with N W_i <= W_{i-2} and
     N^l : Gr_{d+l} -> Gr_{d-l} an isomorphism for every l, centered at d.
     """
-    assert N.rows == N.cols, "square matrix required"
-    assert N.is_rational(), "rational nilpotent matrix required"
+    _require(N.rows == N.cols, "square matrix required")
+    _require(N.is_rational(), "rational nilpotent matrix required")
     offsets = _monodromy_offsets(N)
     return IncreasingFiltration(N.rows, {d + l: sub for l, sub in offsets.items()})
 

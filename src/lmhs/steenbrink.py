@@ -487,26 +487,34 @@ def _term_sectors(data: DegenerationData, summands: list[Summand]) -> dict:
     return sectors
 
 
+def _column_keys(summands: list[Summand]) -> list[tuple[int, int, int]]:
+    """Each column of a term as (depth, q, j): basis vector j of its stratum
+    degree H^q(E(depth)), whichever twist the summand carries."""
+    return [(s.depth, s.q, j) for s in summands for j in range(s.dim)]
+
+
+def _move_rows(src_keys: list, tgt_keys: list, X: ExactMatrix) -> ExactMatrix:
+    """X with each row moved from its key's place in src_keys to that key's
+    place in tgt_keys; a key missing from tgt_keys drops its row and a key
+    missing from src_keys gets a zero row.  No product is formed."""
+    at = {key: i for i, key in enumerate(src_keys)}
+    rows = [i for i, key in enumerate(tgt_keys) if key in at]
+    block = X.take_rows([at[tgt_keys[i]] for i in rows])
+    return ExactMatrix.assemble(len(tgt_keys), X.cols, [(rows, 0, block)])
+
+
 def _transport(src: list[Summand], tgt: list[Summand], X: ExactMatrix) -> ExactMatrix:
     """The identity transport applied to the columns of X, vectors of the
     term with summands src: each target summand takes the rows of the source
     summand with its (depth, q), or zero rows if there is none.  Source
     summands whose shifted index falls outside the target's truncated range
-    are dropped; this truncation is what makes the induced shift nilpotent.
-    The transport only moves rows, so it is applied without a product."""
-    so = _offsets(src)
-    to = _offsets(tgt)
-    src_index = {(s.depth, s.q): i for i, s in enumerate(src)}
-    rows_from, rows_to = [], []
-    for ti, t in enumerate(tgt):
-        si = src_index.get((t.depth, t.q))
-        if si is not None:
-            if src[si].dim != t.dim:
-                raise ContractError(
-                    f"transport between summands of dimensions {src[si].dim} and {t.dim}")
-            rows_from += range(so[si], so[si + 1])
-            rows_to += range(to[ti], to[ti + 1])
-    return ExactMatrix.assemble(to[-1], X.cols, [(rows_to, 0, X.take_rows(rows_from))])
+    are dropped; this truncation is what makes the induced shift nilpotent."""
+    dims = {(s.depth, s.q): s.dim for s in src}
+    for t in tgt:
+        if dims.get((t.depth, t.q), t.dim) != t.dim:
+            raise ContractError(
+                f"transport between summands of dimensions {dims[t.depth, t.q]} and {t.dim}")
+    return _move_rows(_column_keys(src), _column_keys(tgt), X)
 
 
 def _sector_blocks(M: ExactMatrix, row_sectors: dict, col_sectors: dict, d: int, r: int) -> dict:
@@ -526,64 +534,48 @@ def _sector_blocks(M: ExactMatrix, row_sectors: dict, col_sectors: dict, d: int,
 
 
 class E2Term:
-    """E2^{-r, d+r} as the direct sum of its limit-type sectors, in frame
-    coordinates.  d1 is a morphism of Hodge structures, so each sector is
-    its own quotient ker d1 / im d1, taken in the sector's columns.  reps is
-    the hstack of the sector representatives, lifted to the whole term, in
-    sorted sector order, and B is the span of the lifted sector boundaries.
+    """E2^{-r, d+r} as the direct sum of its limit-type sectors, each in its
+    own coordinates.  d1 is a morphism of Hodge structures, so each sector
+    is its own quotient ker d1 / im d1, taken in the sector's columns:
+    sector_cols[sec] lists those columns of the E1 term (frame coordinates),
+    and sector_reps[sec] and sector_B[sec], in sorted sector order, are the
+    representatives and the boundary space in the coordinates of those
+    columns.  Nothing is lifted to the whole term here; extract_limit_mhs
+    does that, once, where whole-term vectors are read.
 
     into and out are the d1 maps into and out of the term, built from the
     framed stratum maps (see _D1Maps): a term frame is block-diagonal with
     the stratum frames as blocks, so F_out^{-1} d1 F is d1 built from the
     framed stratum maps."""
 
-    __slots__ = (
-        "d", "r", "summands", "dim_e1", "B", "reps",
-        "sector_cols", "sector_reps", "sector_B", "sector_dims",
-    )
+    __slots__ = ("summands", "sector_cols", "sector_reps", "sector_B")
 
     def __init__(self, data: DegenerationData, d: int, r: int, into: ExactMatrix, out: ExactMatrix):
-        summands = e1_summands(data, d, r)
-        n = sum(s.dim for s in summands)
-        self.d = d
-        self.r = r
-        self.summands = summands
-        self.dim_e1 = n
-        self.sector_cols = _term_sectors(data, summands)
+        self.summands = e1_summands(data, d, r)
+        self.sector_cols = _term_sectors(data, self.summands)
+        self.sector_reps = {}
+        self.sector_B = {}
+        if not self.sector_cols:
+            return  # no E1 summand: nothing to quotient
         outgoing = _sector_blocks(
             out, _term_sectors(data, e1_summands(data, d + 1, r - 1)), self.sector_cols, d, r)
         incoming = _sector_blocks(
             into, self.sector_cols, _term_sectors(data, e1_summands(data, d - 1, r + 1)), d, r)
-        self.sector_reps = {}
-        self.sector_B = {}
-        self.sector_dims = {}
-        # the sector blocks of reps and of the boundary basis, side by side:
-        # (rows, first column, block) for ExactMatrix.assemble
-        reps, bounds = [], []
-        width = bound_width = 0
         for sec, cols in sorted(self.sector_cols.items()):
-            # coordinates within the sector columns
-            Z_s = kernel(outgoing[sec])
-            B_s = image(incoming[sec]) if sec in incoming else Subspace.zero(len(cols))
-            reps_s = quotient_reps(Z_s, B_s)
-            if reps_s is None:
+            B = image(incoming[sec]) if sec in incoming else Subspace.zero(len(cols))
+            reps = quotient_reps(kernel(outgoing[sec]), B)
+            if reps is None:
                 raise ContractError(f"d1 image escapes kernel at degree {d}, column {-r}")
-            # lifted from the sector's coordinates to the whole term
-            self.sector_reps[sec] = ExactMatrix.assemble(n, reps_s.cols, [(cols, 0, reps_s)])
-            self.sector_B[sec] = B_s
-            self.sector_dims[sec] = reps_s.cols
-            reps.append((cols, width, reps_s))
-            bounds.append((cols, bound_width, B_s.basis))
-            width += reps_s.cols
-            bound_width += B_s.dim
-        self.reps = ExactMatrix.assemble(n, width, reps)
-        # the sectors' coordinates are disjoint, so the lifted boundary bases
-        # stay independent
-        self.B = Subspace._trusted(n, ExactMatrix.assemble(n, bound_width, bounds))
+            self.sector_reps[sec] = reps
+            self.sector_B[sec] = B
+
+    @property
+    def sector_dims(self) -> dict[tuple[int, int], int]:
+        return {sec: reps.cols for sec, reps in self.sector_reps.items()}
 
     @property
     def dim(self) -> int:
-        return self.reps.cols
+        return sum(reps.cols for reps in self.sector_reps.values())
 
 
 def _framed_data(data: DegenerationData) -> DegenerationData:
@@ -643,7 +635,6 @@ class E2Page:
     Poincaré duality."""
 
     def __init__(self, data: DegenerationData, d: int, maps: tuple | None = None):
-        self.data = data
         self.d = d
         if maps is None:
             d1 = _D1Maps(data, d)
@@ -678,27 +669,41 @@ class WeightCriterionReport(Report):
         self.per_r = dict(per_r)
 
 
+def _induced_shift(page: E2Page, r: int, s: int, sec: tuple[int, int]) -> ExactMatrix | None:
+    """nu^s from the sector sec = (P, Q) of E2^{-r, d+r} to the sector
+    (P-s, Q-s) of E2^{-r+2s, d+r-2s}, in the sector class coordinates of
+    both; None if it fails to descend.  The identity transport keeps each
+    column's stratum basis vector and its type tag and lowers its twist by
+    s, so one sector maps into one sector, row by row; the frames commute
+    with it.  A target outside the page is zero."""
+    src, tgt = page.term(r), page.term(r - 2 * s)
+    tsec = (sec[0] - s, sec[1] - s)
+    keys = _column_keys(src.summands)
+    src_keys = [keys[c] for c in src.sector_cols[sec]]
+    tkeys = _column_keys(tgt.summands) if tgt else []
+    tgt_keys = [tkeys[c] for c in tgt.sector_cols.get(tsec, [])] if tkeys else []
+    if not set(src_keys) & set(tkeys) <= set(tgt_keys):
+        raise ContractError("shift map leaves its target sector")
+    X = src.sector_reps[sec]
+    if not tgt_keys:
+        return ExactMatrix.zero(0, X.cols)
+    return class_coordinates(
+        tgt.sector_reps[tsec], tgt.sector_B[tsec], _move_rows(src_keys, tgt_keys, X))
+
+
 def _weight_criterion(page: E2Page) -> WeightCriterionReport:
     """For each r >= 0, the identity-shift map nu^r must induce an
-    isomorphism E2^{-r, d+r} -> E2^{r, d-r} on the page of degree d."""
+    isomorphism E2^{-r, d+r} -> E2^{r, d-r} on the page of degree d: the two
+    terms have one dimension and nu^r is injective on every sector."""
     d = page.d
-    per_r = {}
-    for r in range(0, d + 1):
-        sd = page.dim(r)
-        td = page.dim(-r)
-        if sd == 0 and td == 0:
-            per_r[r] = True
-            continue
-        if sd != td:
-            per_r[r] = False
-            continue
-        # the frames commute with the transport, so nu^r keeps its rank in
-        # the page's frame coordinates
-        src, tgt = page.term(r), page.term(-r)
-        M = class_coordinates(tgt.reps, tgt.B, _transport(src.summands, tgt.summands, src.reps))
-        if M is None:
+    per_r = {0: True}  # nu^0 is the identity
+    for r in range(1, d + 1):
+        same = page.dim(r) == page.dim(-r)
+        shifts = [(R.cols, _induced_shift(page, r, r, sec))
+                  for sec, R in page.term(r).sector_reps.items() if same and R.cols]
+        if any(M is None for _, M in shifts):
             raise ContractError(f"shift map fails to descend to E2 at degree {d}, r={r}")
-        per_r[r] = rank(M) == sd
+        per_r[r] = same and all(rank(M) == n for n, M in shifts)
     return WeightCriterionReport(d, per_r)
 
 
@@ -764,28 +769,14 @@ def _hermitian_gram(data: DegenerationData, summands: list[Summand], r: int) -> 
 
 
 def _primitive_sector_basis(page: E2Page, r: int, sec: tuple[int, int]) -> ExactMatrix:
-    """Frame-coordinate basis of ker(nu^{r+1}) inside the (P,Q) sector of
-    E2^{-r, m+r}, as columns in the E1 term."""
-    term = page.term(r)
-    X = term.sector_reps[sec]
-    tgt = page.term(-r - 2)
-    if X.cols == 0 or tgt is None or tgt.dim_e1 == 0:
-        # nu^{r+1} lands in a zero term: the whole sector is primitive
-        return X
-    tsec = (sec[0] - r - 1, sec[1] - r - 1)
-    tcols = tgt.sector_cols.get(tsec, [])
-    R = tgt.sector_reps.get(tsec)
-    R_sec = R.take_rows(tcols) if R is not None else ExactMatrix.zero(len(tcols), 0)
-    Bb = tgt.sector_B.get(tsec, Subspace.zero(len(tcols)))
-    TX = _transport(term.summands, tgt.summands, X)
-    if not {i for i, _ in TX.nonzero()} <= set(tcols):
-        raise ContractError("shift map leaves its target sector")
-    # coordinates modulo the sector boundary space, in sector coordinates
-    induced = class_coordinates(R_sec, Bb, TX.take_rows(tcols))
+    """Basis of ker(nu^{r+1}) inside the (P,Q) sector of E2^{-r, m+r}, as
+    columns in the sector's coordinates."""
+    X = page.term(r).sector_reps[sec]
+    induced = _induced_shift(page, r, r + 1, sec)
     if induced is None:
         raise ContractError("shift map fails to descend on a sector")
-    K = kernel(induced)
-    return X @ K.basis
+    # where nu^{r+1} lands in a zero sector, the whole sector is primitive
+    return X @ kernel(induced).basis if induced.rows else X
 
 
 class DegenerateFormError(ValueError):
@@ -804,17 +795,16 @@ def _e2_signature_table(data: DegenerationData, page: E2Page) -> SignatureTable:
         if term is None or term.dim == 0:
             continue
         G = _hermitian_gram(data, term.summands, r)
-        for sec in sorted(term.sector_dims):
+        for sec in term.sector_reps:
             X = _primitive_sector_basis(page, r, sec)
             if X.cols == 0:
                 continue
             P, Q = sec
-            # X is zero outside the sector's rows, so the form needs only
-            # those rows of X and the sector block of G
+            # X is in the sector's coordinates: the form needs only the
+            # sector block of G
             cols = term.sector_cols[sec]
-            Xs = X.take_rows(cols)
             Gs = G.take_rows(cols).take_columns(cols)
-            H = (Xs.transpose() @ Gs @ Xs.conj()).scale(i_power(P - Q))
+            H = (X.transpose() @ Gs @ X.conj()).scale(i_power(P - Q))
             if not hermitian_check(H):
                 raise ContractError(f"non-Hermitian form at sector {sec}")
             pos, neg, nulls = hermitian_signature(H)
@@ -880,19 +870,21 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
     W = IncreasingFiltration(total, steps)
     # Hodge filtration from sector representatives in class coordinates,
     # all of a term's representatives mapped at once
-    lifted = []  # class coordinates in the whole space, term by term
-    owners = []  # the sector of each of their columns
+    lifted = []  # blocks of the class coordinates, term by term
+    owners = []  # the sector of each column
     for r in order:
         term = page.term(r)
-        secs = [(sec, X) for sec, X in term.sector_reps.items() if X.cols]
-        X = ExactMatrix.zero(term.dim_e1, 0).hstack(*[Y for _, Y in secs])
-        C = class_coordinates(*rational[r], _term_frame(data, term.summands) @ X)
+        F = _term_frame(data, term.summands)
+        # the one lift of the sector representatives to the whole term
+        X = ExactMatrix.zero(F.rows, 0).hstack(
+            *[F.take_columns(term.sector_cols[sec]) @ Y for sec, Y in term.sector_reps.items()])
+        owners += [sec for sec, Y in term.sector_reps.items() for _ in range(Y.cols)]
+        C = class_coordinates(*rational[r], X)
         if C is None:
             raise ContractError(f"sector representatives leave E2 at column {-r}")
-        lifted.append(ExactMatrix.assemble(
-            total, C.cols, [(range(offsets[r], offsets[r] + C.rows), 0, C)]))
-        owners += [sec for sec, Y in secs for _ in range(Y.cols)]
-    classes = ExactMatrix.zero(total, 0).hstack(*lifted)
+        # term r's block starts at row and column offsets[r]
+        lifted.append((range(offsets[r], offsets[r] + C.rows), offsets[r], C))
+    classes = ExactMatrix.assemble(total, total, lifted)
     levels = sorted({P for t in page.terms.values() for (P, _) in t.sector_dims})
     fsteps = {}
     for p in levels:
@@ -983,7 +975,11 @@ def nearby_hodge_index(data: DegenerationData) -> IndexReport:
     at column r of degree d mirrors the term at column -r of degree d', its
     sector (P, Q) the sector (m-P, m-Q), and the criterion at r is that of
     degree d' for r <= d'.  For r > d' it holds: validation keeps
-    q <= 2 dim E(l), which leaves no E1 term of degree d beyond |r| = d'."""
+    q <= 2 dim E(l), which leaves no E1 term of degree d beyond |r| = d'.
+
+    Precondition: data passed validate_degeneration_data.  On other input
+    the degrees m+1..2m, read off duality, are unspecified.  Validation is
+    not repeated here; lmhs check runs it first."""
     m = data.m
     per_degree = {}
     sector_dims = {}  # degree -> column -> the sector dimensions of that term

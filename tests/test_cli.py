@@ -14,6 +14,7 @@ from lmhs import cli, mhs, orbit
 from lmhs.exactlin import ExactMatrix, gaussian_from_str
 from lmhs.geomodels import ResolutionData, odp_semistable_model
 from lmhs.steenbrink import DegenerationData, validate_degeneration_data
+from support import run_under_python_O
 from test_steenbrink import cycle_degeneration, kodaira_degeneration
 
 
@@ -604,6 +605,12 @@ class TestRunConfig:
     def test_t0_bounds(self):
         with pytest.raises(AssertionError):
             cli.RunConfig(t0=100, t0_cap=10)
+
+    def test_t0_bounds_survive_python_O(self):
+        # the check raises ContractError, which python -O keeps
+        done = run_under_python_O(__file__, ["TestRunConfig::test_t0_bounds"])
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "1 passed" in done.stdout
 
     def test_defaults(self):
         cfg = cli.RunConfig()

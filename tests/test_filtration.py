@@ -15,7 +15,9 @@ from lmhs.filtration import (
     induced_map,
     weight_filtration,
 )
-from support import invert, jordan_nilpotent, random_invertible, random_nilpotent
+from support import (
+    invert, jordan_nilpotent, random_invertible, random_nilpotent, run_under_python_O,
+)
 
 WEIGHT_GOLDEN = Path(__file__).parent / "golden" / "weight-filtration.json"
 
@@ -103,7 +105,7 @@ class TestGradedPieces:
 
     def test_non_nested_steps_rejected(self):
         # W_0 = span(e1) and W_1 = span(e2) are not nested; the constructor's
-        # assert refuses them, so build W past it, as python -O would let it
+        # nesting check refuses them, so build W past it
         W = object.__new__(IncreasingFiltration)
         object.__setattr__(W, "ambient_dim", 2)
         object.__setattr__(W, "steps", (
@@ -198,6 +200,17 @@ class TestWeightFiltration:
         report = check_weight_axioms(W, N, 2)
         assert not report.ok
         assert report.failures
+
+
+def test_contract_errors_survive_python_O():
+    """The contract tests of this module pass under python -O as well, where
+    assert statements are off: the checks raise ContractError."""
+    done = run_under_python_O(__file__, [
+        "TestFiltrationTypes::test_nesting_enforced",
+        "TestWeightFiltration::test_non_nilpotent_rejected",
+    ])
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "2 passed" in done.stdout
 
 
 def weight_filtration_record() -> list[dict]:
