@@ -13,19 +13,6 @@ import sys
 from fractions import Fraction
 
 from .exactlin import _require
-from .mhs import MHSData
-from .orbit import (
-    taylor_minor_identity,
-    verify_main_theorem,
-    wedge_identity,
-)
-from .steenbrink import (
-    DegenerateFormError,
-    DegenerationData,
-    nearby_hodge_index,
-    validate_degeneration_data,
-)
-from . import geomodels
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -135,6 +122,13 @@ def _load_json(path: str):
 
 
 def cmd_check(args) -> int:
+    from .steenbrink import (
+        DegenerateFormError,
+        DegenerationData,
+        nearby_hodge_index,
+        validate_degeneration_data,
+    )
+
     cfg = RunConfig.from_args(args)
     try:
         blob = _load_json(args.input)
@@ -156,6 +150,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .steenbrink import DegenerationData, validate_degeneration_data
+
     cfg = RunConfig.from_args(args)
     try:
         blob = _load_json(args.input)
@@ -169,6 +165,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from .mhs import MHSData
+    from .orbit import verify_main_theorem
+
     cfg = RunConfig.from_args(args)
     try:
         blob = _load_json(args.input)
@@ -195,6 +194,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
+    from .orbit import taylor_minor_identity, wedge_identity
+
     cfg = RunConfig.from_args(args)
     if args.max_n < 1:
         print("invalid input: --max-n must be at least 1", file=sys.stderr)
@@ -228,6 +229,8 @@ def cmd_verify_identities(args) -> int:
 
 
 def _tables_odp(args, cfg) -> int:
+    from . import geomodels
+
     if args.m % 2:
         if args.R is None:
             print("invalid input: odd m needs --R", file=sys.stderr)
@@ -258,6 +261,8 @@ def _parse_rows(spec: str | None) -> dict:
 
 
 def _tables_kahler(args, cfg) -> int:
+    from . import geomodels
+
     if args.k3:
         hodge = geomodels.k3_hodge_numbers()
         m = 2
@@ -284,6 +289,8 @@ def _tables_kahler(args, cfg) -> int:
 
 
 def _tables_sano(args, cfg) -> int:
+    from . import geomodels
+
     table = geomodels.sano_index_table(args.m, args.a)
     rows = {}
     for k, row in table.items():
@@ -295,6 +302,8 @@ def _tables_sano(args, cfg) -> int:
 
 
 def _tables_o16(args, cfg) -> int:
+    from . import geomodels
+
     rows = _parse_rows(args.rows)
     report = geomodels.o16_evaluator(args.defect, rows)
     _emit({"family": "o16", **report}, cfg.fmt)
@@ -302,6 +311,8 @@ def _tables_o16(args, cfg) -> int:
 
 
 def _tables_lefschetz(args, cfg) -> int:
+    from . import geomodels
+
     if not args.schoen:
         print("invalid input: lefschetz currently exposes --schoen", file=sys.stderr)
         return EXIT_INPUT

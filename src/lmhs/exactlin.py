@@ -993,14 +993,27 @@ def _poly_rows(coeffs: Sequence[ExactMatrix]) -> tuple[list[list[tuple]], list[i
 
 
 def _degree_bound(rows: list[list[tuple]], k: int) -> int:
-    """A bound on the degree of the determinant of the leading k x k block:
-    each of its terms is a product of one entry per row and per column, so
-    neither the sum of the row degrees nor that of the column degrees can
-    be exceeded (a zero row or column counts 0; its determinant is 0)."""
+    """A certified bound on the degree of the determinant of the leading
+    k x k block, the smaller of the offset bounds of the block and of its
+    transpose (a zero row or column gives 0; its determinant is 0)."""
     deg = [[len(a) - 1 for a, _ in row[:k]] for row in rows[:k]]
-    by_rows = sum(max(0, *r) for r in deg)
-    by_cols = sum(max(0, *c) for c in zip(*deg))
-    return min(by_rows, by_cols)
+    return min(_offset_bound(deg), _offset_bound(list(zip(*deg))))
+
+
+def _offset_bound(deg: Sequence[Sequence[int]]) -> int:
+    """sum_i r_i - sum_j c_j, the dual form of Jacobi's bound, for entry
+    degrees deg (-1 for a zero entry): with r_i the largest degree in row i
+    and c_j = min_i (r_i - deg[i][j]) over the nonzero entries of column j,
+    every entry has degree at most r_i - c_j, so every term of the
+    determinant, one entry per row and per column, has degree at most
+    sum_i r_i - sum_j c_j.  The offsets are nonnegative, so the bound never
+    exceeds the sum of the row degrees."""
+    r = [max(row) for row in deg]
+    c = [min((ri - d for ri, d in zip(r, col) if d >= 0), default=-1)
+         for col in zip(*deg)]
+    if min(r, default=0) < 0 or min(c, default=0) < 0:
+        return 0
+    return sum(r) - sum(c)
 
 
 def _horner(cs: list[int], t: int) -> int:
@@ -1089,9 +1102,12 @@ def _interpolate(values: list[tuple[int, int]], den: int) -> PolyScalar:
 def poly_det(*coeffs: ExactMatrix) -> PolyScalar:
     """Exact determinant of the square polynomial matrix sum_j t^j coeffs[j].
 
-    Its values at t = 0..D, D the degree bound of _degree_bound, come from
-    Bareiss elimination with row swaps, and interpolation gives the
-    polynomial.
+    Its values at t = 0..D come from Bareiss elimination with row swaps,
+    and interpolation gives the polynomial.  D is the offset bound of
+    _degree_bound: with r_i the largest entry degree of row i and c_j the
+    smallest slack r_i - deg of column j, D = sum r_i - sum c_j, or the same
+    for the transpose when that is smaller.  It is exact on the Taylor and
+    wedge matrices of the orbit identities.
     """
     n = coeffs[0].rows
     _require(coeffs[0].cols == n, "determinant of a non-square matrix")

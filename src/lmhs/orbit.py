@@ -21,6 +21,7 @@ from .exactlin import (
     PolyScalar,
     Subspace,
     ZeroMinorError,
+    _require,
     exp_nilpotent,
     hermitian_signature,
     i_power,
@@ -56,7 +57,8 @@ class WellOrderedBasis:
     def __init__(self, data: MHSData, forms=None):
         """forms, when given, is primitive_forms(data), built once by the
         caller."""
-        assert data.N is not None and data.S is not None
+        _require(data.N is not None and data.S is not None,
+                 "a well-ordered basis needs N and S")
         if forms is None:
             forms = primitive_forms(data)
         d = data.d
@@ -64,7 +66,7 @@ class WellOrderedBasis:
         for (p, q), (prim, vectors, values, nulls) in sorted(forms.items()):
             l = p + q - d
             B = prim.basis
-            assert not nulls, f"degenerate primitive form at ({p},{q})"
+            _require(not nulls, f"degenerate primitive form at ({p},{q})")
             # column i of powers[r] is N^r u_i
             powers = [B @ ExactMatrix.from_columns(vectors, rows=B.cols)]
             for r in range(l):
@@ -97,15 +99,13 @@ class WellOrderedBasis:
         for k in range(F.min_index(), F.max_index() + 1):
             tags, M = self.level_basis(k)
             target = F.at(k)
-            assert M.cols == target.dim, (
-                f"well-ordered basis count at level {k}: {M.cols} != {target.dim}"
-            )
+            _require(M.cols == target.dim,
+                     f"well-ordered basis count at level {k}: {M.cols} != {target.dim}")
             if M.cols:
-                assert rank(M) == M.cols, "well-ordered basis not independent"
+                _require(rank(M) == M.cols, "well-ordered basis not independent")
                 # the rank check makes M a basis, so it is not checked again
-                assert target.contains(Subspace._trusted(n, M)), (
-                    f"well-ordered basis escapes F^{k}"
-                )
+                _require(target.contains(Subspace._trusted(n, M)),
+                         f"well-ordered basis escapes F^{k}")
 
     def __setattr__(self, name, value):
         raise AttributeError("WellOrderedBasis is immutable")
@@ -130,7 +130,7 @@ class OrbitFiltration:
     __slots__ = ("data", "a", "wob", "exp_m2it")
 
     def __init__(self, data: MHSData, a: Fraction = Fraction(0), forms=None):
-        assert data.N is not None
+        _require(data.N is not None, "an orbit needs N")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "wob", WellOrderedBasis(data, forms))
@@ -148,7 +148,7 @@ class OrbitFiltration:
         zbar - z = -2it.
         """
         data = self.data
-        assert data.S is not None
+        _require(data.S is not None, "the Hermitian form needs S")
         _, X = self.wob.level_basis(k)
         XtS = (X.transpose() @ data.S).scale(i_power(data.d))
         return [XtS @ C for C in self._exp_m2it_conj(X)]
@@ -228,7 +228,7 @@ def orbit_signature(
     if method == "asymptotic":
         minors = leading_principal_minors(*H)
         return _signature_from_minors(minors)
-    assert method == "evaluate", f"unknown method {method!r}"
+    _require(method == "evaluate", f"unknown method {method!r}")
     prev = None
     t = Fraction(t0)
     while t <= t0_cap:
@@ -442,7 +442,7 @@ def verify_main_theorem(
 
 def syt_count(rows: int, cols: int) -> int:
     """Standard Young tableaux of the rows x cols rectangle (hook lengths)."""
-    assert rows >= 0 and cols >= 0
+    _require(rows >= 0 and cols >= 0, "a rectangle has nonnegative sides")
     if rows == 0 or cols == 0:
         return 1
     hooks = 1
@@ -450,15 +450,16 @@ def syt_count(rows: int, cols: int) -> int:
         for j in range(cols):
             hooks *= (rows - i) + (cols - j) - 1
     total = factorial(rows * cols)
-    assert total % hooks == 0
+    _require(total % hooks == 0, "the hook lengths do not divide the factorial")
     return total // hooks
 
 
 def taylor_minor_identity(n: int, k: int) -> bool:
     """The upper-right k x k minor of the (n+1) x (n+1) Taylor matrix
     (x^(j-i)/(j-i)!) equals syt(n-k+1, k)/((n-k+1)k)! x^((n-k+1)k).
+    Returns whether it does.
     """
-    assert 0 <= k <= n + 1
+    _require(0 <= k <= n + 1, f"minor size {k} outside 0..{n + 1}")
     # cell (r, c) is x^e / e! with e = n + 1 - k + c - r, and 0 when e < 0
     coeffs = [
         ExactMatrix([[GaussianScalar(Fraction(1, factorial(e)))
@@ -470,16 +471,17 @@ def taylor_minor_identity(n: int, k: int) -> bool:
     e = (n - k + 1) * k
     coeff = Fraction(syt_count(n - k + 1, k), factorial(e))
     expected = PolyScalar([G_ZERO] * e + [GaussianScalar(coeff)])
-    assert det == expected, f"taylor minor identity fails at n={n}, k={k}"
-    return True
+    return det == expected
 
 
 def wedge_identity(n: int, k: int, a: Fraction = Fraction(0)) -> bool:
     """On a single Jordan string u, Nu, ..., N^n u, the determinant of
     [e^{zN} N^j u (j=0..n-k) | e^{zbar N} N^j u (j=0..k-1)] equals
     syt(n-k+1,k)/((n-k+1)k)! (zbar - z)^((n-k+1)k), with zbar - z = -2it.
+    Returns whether it does.  N and a are real, so the t-coefficients of
+    e^{zbar N} are the conjugates of those of e^{zN}.
     """
-    assert 0 <= k <= n + 1
+    _require(0 <= k <= n + 1, f"minor size {k} outside 0..{n + 1}")
     m = n + 1
     rows = [[Fraction(0)] * m for _ in range(m)]
     for j in range(m - 1):
@@ -488,12 +490,11 @@ def wedge_identity(n: int, k: int, a: Fraction = Fraction(0)) -> bool:
     # N^j u is the j-th unit vector, so e^{zN} N^j u is column j of e^{zN}
     left, right = range(n - k + 1), range(k)
     det = poly_det(*(
-        Ez.take_columns(left).hstack(Ezb.take_columns(right))
-        for Ez, Ezb in zip(exp_nilpotent(N, a, G_I), exp_nilpotent(N, a, -G_I))
+        C.take_columns(left).hstack(C.take_columns(right).conj())
+        for C in exp_nilpotent(N, a, G_I)
     ))
     e = (n - k + 1) * k
     coeff = GaussianScalar(Fraction(syt_count(n - k + 1, k), factorial(e)))
     minus2i = GaussianScalar(0, -2)
     expected = PolyScalar([G_ZERO] * e + [coeff * minus2i ** e])
-    assert det == expected, f"wedge identity fails at n={n}, k={k}, a={a}"
-    return True
+    return det == expected

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from lmhs import cli, mhs, orbit
-from lmhs.exactlin import ExactMatrix, gaussian_from_str
+from lmhs import cli, exactlin, mhs, orbit
+from lmhs.exactlin import ExactMatrix, PolyScalar, gaussian_from_str
 from lmhs.geomodels import ResolutionData, odp_semistable_model
 from lmhs.steenbrink import DegenerationData, validate_degeneration_data
 from support import run_under_python_O
@@ -30,8 +31,13 @@ def run(capsys, *argv):
 
 def run_optimized(*argv):
     """`lmhs` in a `python -O` subprocess, where assert statements are off."""
+    return run_python("-O", "-m", "lmhs.cli", *argv)
+
+
+def run_python(*argv):
+    """A python subprocess with the package's source on the path."""
     return subprocess.run(
-        [sys.executable, "-O", "-m", "lmhs.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
     )
@@ -540,6 +546,73 @@ class TestVerifyIdentities:
                                    "--format", "json", "--workers", "4")
         assert code_seq == code_par == 0
         assert out_seq == out_par
+
+    def test_evaluation_counts(self, capsys, monkeypatch):
+        # the offset bound is exact on both identity families, so the
+        # default range evaluates sum over (n, k) of 2((n - k + 1)k + 1)
+        # points, and each wedge check builds one nilpotent exponential
+        counts = Counter()
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                counts[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(exactlin, "_det_at", counting(exactlin._det_at))
+        monkeypatch.setattr(orbit, "exp_nilpotent", counting(orbit.exp_nilpotent))
+        code, _, _ = run(capsys, "verify-identities", "--max-n", "8")
+        assert code == 0
+        assert counts == {"_det_at": 764, "exp_nilpotent": 52}
+
+    def test_broken_determinant_is_a_verdict(self, capsys, monkeypatch):
+        # a wrong determinant of every 3 x 3 matrix breaks the pairs with
+        # n = 2 (the wedge matrix is (n + 1) x (n + 1)) and no other
+        real = orbit.poly_det
+        monkeypatch.setattr(orbit, "poly_det",
+                            lambda *c: PolyScalar([5]) if c[0].rows == 3 else real(*c))
+        code, out, err = run(capsys, "verify-identities", "--max-n", "2",
+                             "--format", "json")
+        assert code == 2
+        assert json.loads(out)["failures"] == [[2, 0], [2, 1], [2, 2], [2, 3]]
+        assert "identity failed at (n, k) = (2, 0)" in err
+        assert "Traceback" not in err
+
+    def test_broken_determinant_is_a_verdict_without_asserts(self):
+        proc = run_python("-O", "-c", BROKEN_DETERMINANT)
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["failures"] == [[2, 0], [2, 1], [2, 2], [2, 3]]
+        assert "Traceback" not in proc.stderr
+
+
+BROKEN_DETERMINANT = """
+import sys
+from lmhs import cli, orbit
+from lmhs.exactlin import PolyScalar
+real = orbit.poly_det
+orbit.poly_det = lambda *c: PolyScalar([5]) if c[0].rows == 3 else real(*c)
+sys.exit(cli.main(["verify-identities", "--max-n", "2", "--format", "json"]))
+"""
+
+LOADED_MODULES = """
+import sys
+from lmhs import cli
+code = cli.main(sys.argv[1:] + ["--format", "json"])
+print(sorted(name for name in sys.modules if name.startswith("lmhs.")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["orbit", fixture_path("elliptic.json")], {"lmhs.steenbrink", "lmhs.geomodels"}),
+    (["check", fixture_path("odp_m3.json")], {"lmhs.orbit", "lmhs.geomodels"}),
+], ids=["orbit", "check"])
+def test_subcommand_imports_only_its_pipeline(argv, unloaded):
+    proc = run_python("-c", LOADED_MODULES, *argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stderr.splitlines()[-1]))
+    assert "lmhs.exactlin" in loaded
+    assert not loaded & unloaded
 
 
 class TestTables:

@@ -19,6 +19,8 @@ from lmhs.exactlin import (
     PolyScalar,
     Subspace,
     ZeroMinorError,
+    _degree_bound,
+    _poly_rows,
     G_I,
     G_ONE,
     G_ZERO,
@@ -427,12 +429,14 @@ def poly_matrices(draw):
     dependent on the first two (singular), a row whose part in the leading
     k x k block depends on the rows above (minor k vanishes identically),
     or that part times (t - s)(t - s - 1) (minor k vanishes at two of the
-    sample points).  Returns (coeffs, shape, k)."""
+    sample points), or offset degrees (see offset_entries).  Returns
+    (coeffs, shape, k, D) with D the offset bound of the offset shape and
+    None for the others."""
     n = draw(st.integers(0, 4))
     deg = draw(st.integers(0, 2))
     C = [[[draw(gaussian_entries) for _ in range(n)] for _ in range(n)]
          for _ in range(deg + 1)]
-    shapes = ["free", "singular", "zero minor", "vanishing"] if n else ["free"]
+    shapes = ["free", "singular", "zero minor", "vanishing", "offset"] if n else ["free"]
     shape = draw(st.sampled_from(shapes))
     k = draw(st.integers(1, n)) if n else 0
     if shape == "singular" and n >= 2:
@@ -452,14 +456,51 @@ def poly_matrices(draw):
             old = [Cj[k - 1][c] for Cj in C]
             for j, Cj in enumerate(C):
                 Cj[k - 1][c] = sum((old[j - i] * f[i] for i in range(3) if j >= i), G_ZERO)
-    return [ExactMatrix(Cj, cols=n) for Cj in C], shape, k
+    elif shape == "offset":
+        C, D = draw(offset_entries(n))
+        return C, shape, k, D
+    return [ExactMatrix(Cj, cols=n) for Cj in C], shape, k, None
+
+
+@st.composite
+def offset_entries(draw, n):
+    """An n x n polynomial matrix with deg a_ij <= r_i - c_j (a zero entry
+    where r_i < c_j), with equality on one permutation and in one column
+    with c_j = 0, so r_i is the largest degree of row i and the offset bound
+    sum r_i - sum c_j is the degree bound that _degree_bound finds.
+    Returns (coeffs, sum r_i - sum c_j)."""
+    perm = draw(st.permutations(range(n)))
+    c = [draw(st.integers(0, 2)) for _ in range(n)]
+    full = draw(st.integers(0, n - 1))
+    c[full] = 0
+    r = [c[perm[i]] + draw(st.integers(0, 2)) for i in range(n)]
+    nonzero = st.builds(GaussianScalar, st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)),
+                        small_rationals)
+    entries = [[[draw(st.integers(-2, 2)) for _ in range(r[i] - c[j])]
+                + [draw(nonzero if j in (perm[i], full) else gaussian_entries)]
+                if r[i] >= c[j] else [] for j in range(n)] for i in range(n)]
+    return pm(entries), sum(r) - sum(c)
+
+
+def row_column_bound(rows, k):
+    """The degree bound before the offsets: the smaller of the sums of the
+    row and of the column degrees of the leading k x k block."""
+    deg = [[len(a) - 1 for a, _ in row[:k]] for row in rows[:k]]
+    return min(sum(max(0, *r) for r in deg), sum(max(0, *c) for c in zip(*deg)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(poly_matrices())
 def test_polynomial_determinants_match_reference(case):
-    coeffs, shape, k = case
-    assert poly_det(*coeffs) == reference_det(*coeffs)
+    coeffs, shape, k, offset_bound = case
+    det = reference_det(*coeffs)
+    assert poly_det(*coeffs) == det
+    rows, _ = _poly_rows(coeffs)
+    n = coeffs[0].rows
+    assert det.degree() <= _degree_bound(rows, n)
+    assert all(_degree_bound(rows, j) <= row_column_bound(rows, j) for j in range(n + 1))
+    if shape == "offset":
+        assert _degree_bound(rows, n) == offset_bound
     try:
         want = reference_minors(*coeffs)
     except ZeroMinorError as exc:

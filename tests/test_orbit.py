@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmhs import exactlin
 from lmhs.exactlin import (
     ExactMatrix,
     GaussianScalar,
@@ -29,7 +30,7 @@ from lmhs.orbit import (
     verify_main_theorem,
     wedge_identity,
 )
-from support import random_invertible, reference_det
+from support import jordan_nilpotent, random_invertible, reference_det, run_under_python_O
 from test_mhs import elliptic_string, tate_string_3
 
 I = GaussianScalar(0, 1)
@@ -71,6 +72,13 @@ class TestExpAndBasis:
             assert entry(E, 0, 1).is_zero()
             # b = 0 leaves the constant coefficient exp(aN) alone
             assert exp_nilpotent(N, a, 0) == [E[0]]
+
+    def test_conjugate_exponential(self):
+        # N and a are real, so exp((a - it)N) has the conjugate coefficients
+        for n in range(1, 9):
+            N = jordan_nilpotent([n])
+            for a in (Fraction(0), Fraction(1, 3)):
+                assert [C.conj() for C in exp_nilpotent(N, a, I)] == exp_nilpotent(N, a, -I)
 
     def test_well_ordered_tate3(self):
         wob = WellOrderedBasis(tate_string_3())
@@ -346,6 +354,47 @@ class TestIdentities:
     def test_wedge_a_independent(self):
         for a in (Fraction(0), Fraction(1, 2), Fraction(1)):
             assert wedge_identity(3, 2, a)
+
+    def test_degree_bound_is_exact(self, monkeypatch):
+        # both determinants have degree (n - k + 1)k, and the offset bound
+        # of their matrices is that degree: no evaluation point is spare
+        bounds = []
+
+        def recording(rows, k):
+            bounds.append(degree_bound(rows, k))
+            return bounds[-1]
+
+        degree_bound = exactlin._degree_bound
+        monkeypatch.setattr(exactlin, "_degree_bound", recording)
+        for n in range(0, 9):
+            for k in range(0, n + 2):
+                for identity in (taylor_minor_identity, wedge_identity):
+                    bounds.clear()
+                    assert identity(n, k)
+                    assert bounds == [(n - k + 1) * k], (identity.__name__, n, k)
+
+    def test_contract_errors(self):
+        with pytest.raises(AssertionError, match="minor size 4 outside 0..3"):
+            taylor_minor_identity(2, 4)
+        with pytest.raises(AssertionError, match="minor size -1 outside 0..3"):
+            wedge_identity(2, -1)
+        with pytest.raises(AssertionError, match="nonnegative sides"):
+            syt_count(-1, 2)
+        with pytest.raises(AssertionError, match="unknown method 'bogus'"):
+            orbit_signature(OrbitFiltration(elliptic_string()), 1, "bogus")
+        data = elliptic_string()
+        with pytest.raises(AssertionError, match="needs N and S"):
+            WellOrderedBasis(MHSData(data.ambient_dim, data.d, data.W, data.F, data.N))
+        with pytest.raises(AssertionError, match="an orbit needs N"):
+            OrbitFiltration(MHSData(data.ambient_dim, data.d, data.W, data.F, S=data.S))
+
+
+def test_contract_errors_survive_python_O():
+    """The contract checks of orbit raise ContractError, which python -O
+    keeps."""
+    done = run_under_python_O(__file__, ["TestIdentities::test_contract_errors"])
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "1 passed" in done.stdout
 
 
 @settings(max_examples=12, deadline=None)
