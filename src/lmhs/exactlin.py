@@ -9,6 +9,7 @@ An ExactMatrix stores each row as Gaussian-integer numerators over one
 positive denominator, in lowest terms, so equal matrices have equal storage.
 Products, sums, reshaping and elimination work on these integers; scalars
 appear only in the constructor, the JSON codec, repr and the entries view.
+A real matrix has no imaginary numerators, and no kernel makes any for it.
 
 A polynomial matrix in a real variable t is the list of its coefficient
 matrices C_0, ..., C_D, lowest degree first, as exp_nilpotent returns them.
@@ -329,8 +330,10 @@ class ExactMatrix:
         (at, k, M) writes row j of M to row at[j], from column k on.  Blocks
         never overlap.  An output row is its pieces over the lcm of their
         denominators, in lowest terms: each prime power of the lcm divides
-        a piece's denominator, which its numerators are coprime to."""
-        re, im, den = [0] * (rows * cols), [0] * (rows * cols), [1] * rows
+        a piece's denominator, which its numerators are coprime to.  The
+        result has an imaginary part only when some block has one."""
+        re, den = [0] * (rows * cols), [1] * rows
+        im = [0] * (rows * cols) if any(M.im for _, _, M in blocks) else []
         for at, k, M in blocks:
             _require(k + M.cols <= cols, "block outside the matrix")
             for r, d in zip(at, M.den):
@@ -349,18 +352,18 @@ class ExactMatrix:
     @property
     def entries(self) -> tuple[tuple[GaussianScalar, ...], ...]:
         if self._entries is None:
+            zeros = (0,) * self.cols
             object.__setattr__(self, "_entries", tuple(
-                tuple(map(_from_ints, re, im, [d] * self.cols))
+                tuple(map(_from_ints, re, im or zeros, [d] * self.cols))
                 for re, im, d in self._int_rows()))
         return self._entries
 
     def _int_rows(self):
-        """The rows as (re, im, den), numerators over a denominator."""
-        c = self.cols
-        zeros = (0,) * c
+        """The rows as (re, im, den), numerators over a denominator; im is
+        empty in every row of a real matrix."""
+        c, im = self.cols, self.im
         for j, d in enumerate(self.den):
-            yield (self.re[j * c:(j + 1) * c],
-                   self.im[j * c:(j + 1) * c] if self.im else zeros, d)
+            yield self.re[j * c:(j + 1) * c], im[j * c:(j + 1) * c], d
 
     def column(self, k: int) -> list:
         return [row[k] for row in self.entries]
@@ -379,11 +382,13 @@ class ExactMatrix:
     def __add__(self, other):
         _require((self.rows, self.cols) == (other.rows, other.cols), "shape mismatch in a sum")
         out = []
+        zeros = (0,) * self.cols
         for (a, b, da), (x, y, dx) in zip(self._int_rows(), other._int_rows()):
             den = lcm(da, dx)
             f, g = den // da, den // dx
             out.append(([u * f + v * g for u, v in zip(a, x)],
-                        [u * f + v * g for u, v in zip(b, y)], den))
+                        [u * f + v * g for u, v in zip(b or zeros, y or zeros)]
+                        if b or y else (), den))
         return _from_int_rows(self.cols, out)
 
     def __sub__(self, other):
@@ -398,10 +403,15 @@ class ExactMatrix:
         (p, s), (q, t) = c.re.as_integer_ratio(), c.im.as_integer_ratio()
         e = lcm(s, t)
         p, q = p * (e // s), q * (e // t)
+        if not q:
+            return _from_int_rows(self.cols, (
+                ([x * p for x in re], [y * p for y in im], d * e)
+                for re, im, d in self._int_rows()))
         # (x + iy)(p + iq) = (xp - yq) + i(xq + yp)
+        zeros = (0,) * self.cols
         return _from_int_rows(self.cols, (
-            ([x * p - y * q for x, y in zip(re, im)],
-             [x * q + y * p for x, y in zip(re, im)], d * e)
+            ([x * p - y * q for x, y in zip(re, im or zeros)],
+             [x * q + y * p for x, y in zip(re, im or zeros)], d * e)
             for re, im, d in self._int_rows()))
 
     def _over(self, den: int) -> tuple[Sequence[int], Sequence[int]]:
@@ -428,11 +438,13 @@ class ExactMatrix:
         out = []
         for ar, ai, da in self._int_rows():
             re = [sum(map(_mul, ar, c)) for c in cre]
-            im = [sum(map(_mul, ar, c)) for c in cim] if cim else [0] * n
+            im = [sum(map(_mul, ar, c)) for c in cim] if cim else ()
             if any(ai):
                 if cim:
                     re = [x - sum(map(_mul, ai, c)) for x, c in zip(re, cim)]
-                im = [y + sum(map(_mul, ai, c)) for y, c in zip(im, cre)]
+                    im = [y + sum(map(_mul, ai, c)) for y, c in zip(im, cre)]
+                else:
+                    im = [sum(map(_mul, ai, c)) for c in cre]
             out.append((re, im, da * den))
         return _from_int_rows(n, out)
 
@@ -463,7 +475,8 @@ class ExactMatrix:
     def take_columns(self, ks: Sequence[int]) -> "ExactMatrix":
         ks = list(ks)
         return _from_int_rows(len(ks), (
-            ([re[k] for k in ks], [im[k] for k in ks], d) for re, im, d in self._int_rows()))
+            ([re[k] for k in ks], [im[k] for k in ks] if im else (), d)
+            for re, im, d in self._int_rows()))
 
     def take_rows(self, js: Sequence[int]) -> "ExactMatrix":
         """The rows js of self, in that order; each keeps its denominator."""
@@ -545,19 +558,25 @@ def _from_rationals(re_rows: list, im_rows: list, cols: int | None) -> ExactMatr
 
 
 def _from_int_rows(cols: int, rows) -> ExactMatrix:
-    """The matrix with the given rows (re, im, den), den > 0 and im empty
-    when real, each divided by its content."""
-    re, im, den = [], [], []
-    zeros = [0] * cols
+    """The matrix with the given rows (re, im, den), den > 0, each divided
+    by its content.  A row whose im is empty or zero is real and adds
+    nothing to im; im is created, padded with the zeros of the real rows,
+    only when some row is complex."""
+    re, im, den = [], None, []
+    zeros = (0,) * cols
     for x, y, d in rows:
-        y = y or zeros
-        g = gcd(*x, *y, d)
+        if not any(y):
+            y = ()
+        g = gcd(d, *x, *y) if d != 1 else 1
         if g != 1:
             x, y, d = [v // g for v in x], [v // g for v in y], d // g
+        if y and im is None:
+            im = [0] * len(re)
         re += x
-        im += y
+        if im is not None:
+            im += y or zeros
         den.append(d)
-    return _new(len(den), cols, re, im, den)
+    return _new(len(den), cols, re, im or (), den)
 
 
 def _from_ints(re: int, im: int, den: int) -> GaussianScalar:
@@ -582,9 +601,12 @@ def _echelon(M: ExactMatrix) -> tuple[list[list[int]], list[list[int]], list[int
     Each row is eliminated with row <- pivot*row - f*pivot_row and kept
     primitive by dividing out its integer content.  Returns (re rows, im
     rows, pivot columns): row j of the reduced form is row j here divided by
-    its entry in column pivots[j].
+    its entry in column pivots[j].  A real M has empty im rows throughout:
+    its step is a*x - f*u, one product per entry, and the content is the
+    gcd of the real half alone.
     """
     rows, cols = M.rows, M.cols
+    real = not M.im
     R: list = []
     I: list = []
     for re, im, _ in M._int_rows():
@@ -594,24 +616,34 @@ def _echelon(M: ExactMatrix) -> tuple[list[list[int]], list[list[int]], list[int
     pivots = []
     r = 0
     for c in range(cols):
-        pr = next((j for j in range(r, rows) if R[j][c] or I[j][c]), None)
+        pr = next((j for j in range(r, rows) if R[j][c] or not real and I[j][c]), None)
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
         I[r], I[pr] = I[pr], I[r]
         pre, pim = R[r], I[r]
-        a, b = pre[c], pim[c]
-        for j in range(rows):
-            f, g = R[j][c], I[j][c]
-            if j == r or not (f or g):
-                continue
-            xre, xim = R[j], I[j]
-            R[j], I[j] = _primitive(
-                [a * x - b * y - f * u + g * v
-                 for x, y, u, v in zip(xre, xim, pre, pim)],
-                [a * y + b * x - f * v - g * u
-                 for x, y, u, v in zip(xre, xim, pre, pim)],
-            )
+        a = pre[c]
+        if real:
+            for j in range(rows):
+                f = R[j][c]
+                if j == r or not f:
+                    continue
+                row = [a * x - f * u for x, u in zip(R[j], pre)]
+                h = gcd(*row)
+                R[j] = [x // h for x in row] if h > 1 else row
+        else:
+            b = pim[c]
+            for j in range(rows):
+                f, g = R[j][c], I[j][c]
+                if j == r or not (f or g):
+                    continue
+                xre, xim = R[j], I[j]
+                R[j], I[j] = _primitive(
+                    [a * x - b * y - f * u + g * v
+                     for x, y, u, v in zip(xre, xim, pre, pim)],
+                    [a * y + b * x - f * v - g * u
+                     for x, y, u, v in zip(xre, xim, pre, pim)],
+                )
         pivots.append(c)
         r += 1
         if r == rows:
@@ -624,16 +656,22 @@ def rref(M: ExactMatrix) -> tuple[ExactMatrix, list[int], int]:
 
     Returns (reduced matrix, pivot column indices, rank).  The elimination
     runs on Gaussian integers (see _echelon); pivot rows are divided by
-    their pivots only at the end, which gives the unique reduced form.
+    their pivots only at the end, which gives the unique reduced form.  A
+    real pivot a divides its row as the denominator |a|, with the sign of a
+    moved into the numerators; a complex one a + ib as a^2 + b^2.
     """
     R, I, pivots = _echelon(M)
     out = []
     for j, c in enumerate(pivots):
+        x, y = R[j], I[j]
+        a, b = x[c], y[c] if y else 0
+        if not b:
+            out.append((x, y, a) if a > 0 else ([-v for v in x], [-v for v in y], -a))
+            continue
         # (x + iy) / (a + ib) = ((xa + yb) + i(ya - xb)) / (a^2 + b^2)
-        a, b = R[j][c], I[j][c]
-        out.append(([x * a + y * b for x, y in zip(R[j], I[j])],
-                    [y * a - x * b for x, y in zip(R[j], I[j])], a * a + b * b))
-    out.extend(([0] * M.cols, [0] * M.cols, 1) for _ in range(M.rows - len(pivots)))
+        out.append(([u * a + v * b for u, v in zip(x, y)],
+                    [v * a - u * b for u, v in zip(x, y)], a * a + b * b))
+    out.extend(([0] * M.cols, (), 1) for _ in range(M.rows - len(pivots)))
     return _from_int_rows(M.cols, out), pivots, len(pivots)
 
 
@@ -661,7 +699,7 @@ def kernel(M: ExactMatrix) -> "Subspace":
     free = [c for c in range(M.cols) if c not in pivots]
     # minus the free columns of the pivot rows, built as one matrix
     negated = _from_int_rows(len(free), (
-        ([-re[c] for c in free], [-im[c] for c in free], d)
+        ([-re[c] for c in free], [-im[c] for c in free] if im else (), d)
         for re, im, d in islice(R._int_rows(), rk)))
     basis = ExactMatrix.assemble(M.cols, len(free), [
         (pivots, 0, negated),
@@ -975,11 +1013,12 @@ def _poly_rows(coeffs: Sequence[ExactMatrix]) -> tuple[list[list[tuple]], list[i
     entry (i, k), lowest degree first, without trailing zeros.
     """
     n = coeffs[0].cols
+    zeros = (0,) * n
     rows, dens = [], []
     for parts in zip(*[C._int_rows() for C in coeffs]):
         den = lcm(*[d for _, _, d in parts])
         re = [v * (den // d) for x, _, d in parts for v in x]
-        im = [v * (den // d) for _, y, d in parts for v in y]
+        im = [v * (den // d) for _, y, d in parts for v in y or zeros]
         row = []
         for k in range(n):
             a, b = re[k::n], im[k::n]

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlin import G_I, G_ONE, ExactMatrix, GaussianScalar, rank
+from .exactlin import G_I, G_ONE, ExactMatrix, GaussianScalar, _require, rank
 from .steenbrink import DegenerationData, StratumCohomology
 
 
@@ -24,7 +24,7 @@ def quadric_cohomology(n: int, depth: int = 1) -> StratumCohomology:
     pairings are 1.  For even n = 2k the middle carries the two plane
     classes A, B with A.B = (1 - (-1)^k)/2 and A.A = B.B = (1 + (-1)^k)/2.
     """
-    assert n >= 1
+    _require(n >= 1, f"quadric dimension n = {n} must be at least 1")
     cohomology = {}
     for j in range(0, n + 1):
         q = 2 * j
@@ -58,7 +58,7 @@ def quadric_cohomology(n: int, depth: int = 1) -> StratumCohomology:
 def blowup_restriction(i1_star: ExactMatrix, i2_gysin: ExactMatrix) -> ExactMatrix:
     """Restriction on blowup cohomology H^k(X) + H^{k-2}(B): the block
     assembly [i1* | i2!]."""
-    assert i1_star.rows == i2_gysin.rows, "shape mismatch"
+    _require(i1_star.rows == i2_gysin.rows, "shape mismatch")
     return i1_star.hstack(i2_gysin)
 
 
@@ -66,7 +66,7 @@ def blowup_gysin(i1_gysin: ExactMatrix, i2_star: ExactMatrix) -> ExactMatrix:
     """Gysin map into blowup cohomology: the stacked block [i1! ; -i2*].
     The negative sign on the second block comes from the excess normal
     direction."""
-    assert i1_gysin.cols == i2_star.cols, "shape mismatch"
+    _require(i1_gysin.cols == i2_star.cols, "shape mismatch")
     return i1_gysin.vstack(-i2_star)
 
 
@@ -89,19 +89,18 @@ class ResolutionData:
     __slots__ = ("m", "l", "signs", "rho", "vhat_signs")
 
     def __init__(self, m, l, signs=(), rho=None, vhat_signs=()):
-        assert m in (3, 4), "synthetic resolutions cover m = 3 and m = 4"
-        assert l >= 0
+        _require(m in (3, 4), "synthetic resolutions cover m = 3 and m = 4")
+        _require(l >= 0, f"node count l = {l} must be at least 0")
         if m % 2:
             if rho is None:
                 rho = ExactMatrix.zero(l, 0)
-            assert rho.rows == l
-            assert rank(rho) == rho.cols, "relation matrix must have full rank"
-            assert not vhat_signs
+            _require(rho.rows == l, f"relation matrix rho has {rho.rows} rows, not l = {l}")
+            _require(rank(rho) == rho.cols, "relation matrix must have full rank")
+            _require(not vhat_signs, "odd m takes no vhat_signs")
         else:
-            assert rho is None
-            rho = None
-            assert all(s in (1, -1) for s in vhat_signs)
-        assert all(s in (1, -1) for s in signs)
+            _require(rho is None, "even m takes no relation matrix rho")
+            _require(all(s in (1, -1) for s in vhat_signs), "vhat_signs must be 1 or -1")
+        _require(all(s in (1, -1) for s in signs), "signs must be 1 or -1")
         self.m = m
         self.l = l
         self.signs = tuple(signs)
@@ -110,7 +109,7 @@ class ResolutionData:
 
     @property
     def R(self) -> int:
-        assert self.m % 2
+        _require(self.m % 2, "R is defined for odd m only")
         return self.l - self.rho.cols
 
     def middle_signature(self):
@@ -131,12 +130,13 @@ class OdpInput:
     __slots__ = ("m", "l", "R", "vhat", "table")
 
     def __init__(self, m, l, R=None, vhat=None, table=None):
-        assert m >= 3 and l >= 0
+        _require(m >= 3, f"dimension m = {m} must be at least 3")
+        _require(l >= 0, f"node count l = {l} must be at least 0")
         if m % 2:
-            assert R is not None and 0 <= R <= l
-            assert vhat is None
+            _require(R is not None and 0 <= R <= l, f"R = {R} must lie in 0..l = 0..{l}")
+            _require(vhat is None, "odd m takes R, not vhat")
         else:
-            assert vhat is not None and R is None
+            _require(vhat is not None and R is None, "even m takes vhat, not R")
         self.m = m
         self.l = l
         self.R = R
@@ -239,7 +239,7 @@ def _odd_shared(l: int, w: int) -> tuple:
 
 def _odp_model_odd(res: ResolutionData) -> DegenerationData:
     m, l, rho = res.m, res.l, res.rho
-    assert m == 3
+    _require(m == 3, f"the odd model covers m = 3, not m = {m}")
     w = rho.cols  # l - R relation classes
     pairs = len(res.signs)
     comps, q2 = _odd_labels(l, w)
@@ -337,7 +337,7 @@ def _even_maps(l: int, hv: int) -> tuple[dict, dict]:
 
 def _odp_model_even(res: ResolutionData) -> DegenerationData:
     m, l = res.m, res.l
-    assert m == 4
+    _require(m == 4, f"the even model covers m = 4, not m = {m}")
     comps, q2, mid = _even_labels(l, len(res.vhat_signs))
     pmid_entries = {}
     for a, s in enumerate(res.vhat_signs):
@@ -373,7 +373,7 @@ def kahler_index_formula(hodge: dict, m: int, p: int):
     central fiber carries a class restricting to a Kahler class on each
     component: alternating sums of Hodge numbers down the (p,q) diagonal."""
     for (a, b), v in hodge.items():
-        assert hodge.get((b, a), 0) == v, "Hodge numbers must be symmetric"
+        _require(hodge.get((b, a), 0) == v, "Hodge numbers must be symmetric")
 
     def h(a, b):
         if a < 0 or b < 0:
@@ -398,7 +398,7 @@ def kahler_index_formula(hodge: dict, m: int, p: int):
 def full_signature(hodge: dict, m: int) -> int:
     """Signature of the cup product on an even-dimensional Kahler-type
     fiber: the alternating sum of all Hodge numbers."""
-    assert m % 2 == 0
+    _require(m % 2 == 0, f"full_signature needs an even m, not m = {m}")
     return sum((-1) ** a * v for (a, b), v in hodge.items())
 
 
@@ -421,8 +421,10 @@ class LefschetzInput:
 
     def __init__(self, m1, m2, d1, d2, betti1, betti2, van1, van2,
                  van_b1=0, van_b2=0):
-        assert len(betti1) == 2 * (m1 - 1) + 1
-        assert len(betti2) == 2 * (m2 - 1) + 1
+        _require(len(betti1) == 2 * m1 - 1,
+                 f"betti1 needs 2*m1 - 1 = {2 * m1 - 1} entries, not {len(betti1)}")
+        _require(len(betti2) == 2 * m2 - 1,
+                 f"betti2 needs 2*m2 - 1 = {2 * m2 - 1} entries, not {len(betti2)}")
         self.m1, self.m2 = m1, m2
         self.d1, self.d2 = d1, d2
         self.betti1 = list(betti1)
@@ -431,7 +433,7 @@ class LefschetzInput:
         self.van_b1, self.van_b2 = van_b1, van_b2
 
     def factor(self, i):
-        assert i in (1, 2)
+        _require(i in (1, 2), f"factor i = {i} must be 1 or 2")
         if i == 1:
             return self.m1, self.d1, self.betti1, self.van1, self.van_b1
         return self.m2, self.d2, self.betti2, self.van2, self.van_b2
@@ -553,7 +555,8 @@ def schoen_input() -> LefschetzInput:
 def sano_negative_count(m: int, a: int) -> int:
     """Number of negative directions of S(C., conj .) at the distinguished
     middle rows of the m-fold series built from fiber products."""
-    assert m >= 3 and a >= 1
+    _require(m >= 3, f"dimension m = {m} must be at least 3")
+    _require(a >= 1, f"series index a = {a} must be at least 1")
     if m % 2:
         if m % 4 == 3:
             return 0
@@ -567,7 +570,8 @@ def sano_index_table(m: int, a: int, hodge=None) -> dict:
     """Per-k rows of the middle Hodge index: negatives are closed-form, and
     positives are h^{k,m-k} minus negatives when the Hodge numbers are
     supplied (hodge maps k to h^{k,m-k})."""
-    assert m >= 3 and a >= 1
+    _require(m >= 3, f"dimension m = {m} must be at least 3")
+    _require(a >= 1, f"series index a = {a} must be at least 1")
     neg = sano_negative_count(m, a)
     if m % 2:
         special = {(m + 1) // 2, (m - 1) // 2}
@@ -580,7 +584,7 @@ def sano_index_table(m: int, a: int, hodge=None) -> dict:
             out[k] = {"negative": n_k}
         else:
             h = hodge.get(k, 0)
-            assert h >= n_k, f"declared h^{k},{m - k} smaller than negatives"
+            _require(h >= n_k, f"declared h^{k},{m - k} smaller than negatives")
             out[k] = {"negative": n_k, "positive": h - n_k}
     return out
 
@@ -590,7 +594,7 @@ def hashimoto_sano_pic_fixture(a: int) -> dict:
     action of the automorphism and the (2,2,2) intersection form.  Checks
     that the action is unimodular, preserves the form, and that the glued
     degree-4 composite has full rank 3."""
-    assert a >= 1
+    _require(a >= 1, f"series index a = {a} must be at least 1")
     M = ExactMatrix.from_rational([
         [1, 4 * a * a - 2 * a, 4 * a * a + 2 * a],
         [0, 1 - 2 * a, -2 * a],
@@ -622,7 +626,7 @@ def o16_evaluator(defect: int, resolution_middle: dict) -> dict:
     zero, with the weight-4 graded piece dropping by the defect against its
     6-dimensional dual.  resolution_middle maps k to the signature of the
     middle form on H^{k,3-k} of the resolution."""
-    assert defect >= 0
+    _require(defect >= 0, f"defect = {defect} must be at least 0")
     verdict = defect == 0
     gr4_dim = 6 - defect
     table = {k: tuple(v) for k, v in sorted(resolution_middle.items())}

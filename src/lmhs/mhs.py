@@ -19,6 +19,7 @@ from .exactlin import (
     G_ZERO,
     GaussianScalar,
     Subspace,
+    _require,
     exp_nilpotent,
     hermitian_check,
     hermitian_diagonalize,
@@ -58,18 +59,21 @@ class MHSData:
         N: ExactMatrix | None = None,
         S: ExactMatrix | None = None,
     ):
-        assert W.ambient_dim == ambient_dim and F.ambient_dim == ambient_dim
+        _require(W.ambient_dim == ambient_dim and F.ambient_dim == ambient_dim,
+                 f"W and F must have ambient dimension {ambient_dim}")
         for _, sub in W.steps:
-            assert sub.basis.is_rational(), "W must have rational bases"
+            _require(sub.basis.is_rational(), "W must have rational bases")
         if N is not None:
-            assert N.rows == N.cols == ambient_dim
-            assert N.is_rational(), "N must be rational"
-            assert N.power(ambient_dim).is_zero(), "N must be nilpotent"
+            _require(N.rows == N.cols == ambient_dim,
+                     f"N must be {ambient_dim}x{ambient_dim}")
+            _require(N.is_rational(), "N must be rational")
+            _require(N.power(ambient_dim).is_zero(), "N must be nilpotent")
         if S is not None:
             # symmetry and nondegeneracy of S are graded by check_situation_b
             # rather than rejected here, so bad inputs can be reported
-            assert S.rows == S.cols == ambient_dim
-            assert S.is_rational(), "S must be rational"
+            _require(S.rows == S.cols == ambient_dim,
+                     f"S must be {ambient_dim}x{ambient_dim}")
+            _require(S.is_rational(), "S must be rational")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "W", W)
@@ -186,7 +190,7 @@ def deligne_splitting(data: MHSData, assume_mhs: bool = False) -> DeligneSplitti
     """
     if not assume_mhs:
         report = check_mhs(data)
-        assert report.ok, f"not a mixed Hodge structure: {report.failures}"
+        _require(report.ok, f"not a mixed Hodge structure: {report.failures}")
     W, F = data.W, data.F
     Fc = F.conj()
     n = data.ambient_dim
@@ -204,7 +208,7 @@ def deligne_splitting(data: MHSData, assume_mhs: bool = False) -> DeligneSplitti
             if sub.dim:
                 parts[(p, q)] = sub
     total = sum(sub.dim for sub in parts.values())
-    assert total == n, f"splitting dims {total} do not fill the ambient space {n}"
+    _require(total == n, f"splitting dims {total} do not fill the ambient space {n}")
     return DeligneSplitting(n, parts)
 
 
@@ -294,7 +298,7 @@ def check_situation_b(data: MHSData) -> bool:
     orthogonality S(F^p, F^{d-p+1}) = 0, and the weight orthogonality
     S(W_a, W_b) = 0 for a+b <= 2d-1 that it implies.
     """
-    assert data.S is not None, "Situation B' needs S"
+    _require(data.S is not None, "Situation B' needs S")
     S, d = data.S, data.d
     sign = -1 if d % 2 else 1
     if S.transpose() != (S if sign == 1 else -S):
@@ -324,7 +328,7 @@ def primitive_part(data: MHSData, l: int) -> Subspace:
     """ker(N^{l+1} : Gr_{d+l} -> Gr_{d-l-2}), in Gr_{d+l} rep coordinates."""
     if l < 0:
         return Subspace.zero(0)
-    assert data.N is not None
+    _require(data.N is not None, "primitive parts need N")
     src = graded_piece(data.W, data.d + l)
     tgt = graded_piece(data.W, data.d - l - 2)
     if src.dim == 0:
@@ -397,7 +401,7 @@ def primitive_forms(data: MHSData, splitting: DeligneSplitting | None = None):
     as hermitian_diagonalize gives them: the signature table counts the signs
     of the values, and the well-ordered basis reads the vectors.
     """
-    assert data.S is not None, "primitive forms need S"
+    _require(data.S is not None, "primitive forms need S")
     N = data.N if data.N is not None else ExactMatrix.zero(
         data.ambient_dim, data.ambient_dim
     )
@@ -406,7 +410,7 @@ def primitive_forms(data: MHSData, splitting: DeligneSplitting | None = None):
         B = prim.basis
         pairing = B.transpose() @ data.S @ (N.power(p + q - data.d) @ B.conj())
         H = pairing.scale(i_power(p - q))
-        assert hermitian_check(H), f"primitive form at ({p},{q}) is not Hermitian"
+        _require(hermitian_check(H), f"primitive form at ({p},{q}) is not Hermitian")
         out[(p, q)] = (prim, *hermitian_diagonalize(H))
     return out
 
@@ -418,7 +422,7 @@ def signature_table(data: MHSData, splitting: DeligneSplitting | None = None,
     (guaranteed in Situation B'; degeneracy signals bad input).  forms, when
     given, is primitive_forms(data, splitting), built once by the caller.
     """
-    assert data.S is not None, "signature table needs S"
+    _require(data.S is not None, "signature table needs S")
     if splitting is None:
         splitting = deligne_splitting(data)
     if forms is None:
@@ -447,9 +451,8 @@ def aggregate_s(table: SignatureTable, p: int, l: int) -> tuple[int, int]:
         plus += a
         minus += b
     expected = table.part_dim(p, q)
-    assert plus + minus == expected, (
-        f"aggregate S^({p},{q}) = {plus}+{minus} but dim I^({p},{q}) = {expected}"
-    )
+    _require(plus + minus == expected,
+             f"aggregate S^({p},{q}) = {plus}+{minus} but dim I^({p},{q}) = {expected}")
     return plus, minus
 
 
@@ -474,9 +477,8 @@ def nearby_index_formula(table: SignatureTable, p: int) -> tuple[int, int]:
         if l >= p - d and r >= max(0, -l) and 0 <= d + l - p <= d:
             plus2 += a
             minus2 += b
-    assert (plus, minus) == (plus2, minus2), (
-        f"aggregation forms disagree at p={p}: {(plus, minus)} vs {(plus2, minus2)}"
-    )
+    _require((plus, minus) == (plus2, minus2),
+             f"aggregation forms disagree at p={p}: {(plus, minus)} vs {(plus2, minus2)}")
     return plus, minus
 
 
@@ -585,7 +587,7 @@ def random_polarized_mhs(
                 acc = expected.setdefault(key, [0, 0])
                 acc[0 if sgn > 0 else 1] += 1
             offset += 2 * (l + 1)
-    assert offset == n
+    _require(offset == n, f"the generated blocks fill {offset} of {n} dimensions")
 
     N = ExactMatrix.from_rational(N_rows)
     S = ExactMatrix.from_rational(S_rows)

@@ -318,6 +318,22 @@ class TestOrbit:
         assert report["verdict"] is False
         assert any("W != W(N,1)" in f for f in report["failures"])
 
+    @pytest.mark.parametrize("N, message", [
+        ([["1", "0"], ["0", "0"]], "N must be nilpotent"),
+        ([["0", "1+1*i"], ["0", "0"]], "N must be rational"),
+    ], ids=["not-nilpotent", "complex"])
+    def test_bad_monodromy_without_asserts(self, tmp_path, capsys, N, message):
+        # MHSData checks its input under python -O as well, so a bad N is
+        # one input error line, never a traceback from deeper in the pipeline
+        blob = json.load(open(fixture_path("elliptic.json")))
+        blob["N"] = N
+        path = tmp_path / "bad_n.json"
+        path.write_text(json.dumps(blob))
+        want = (1, "", f"invalid input: {message}\n")
+        assert run(capsys, "orbit", str(path)) == want
+        proc = run_optimized("orbit", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
     def test_small_t0_cap_is_a_verdict(self, capsys):
         # one evaluation point below the cap cannot confirm a signature
         code, out, err = run(capsys, "orbit", fixture_path("elliptic.json"),
@@ -645,6 +661,14 @@ class TestTables:
         assert code == 0
         report = json.loads(out)
         assert report["table"]["2"] == [7, 0]
+
+    def test_odp_relation_count_out_of_range(self, capsys):
+        # R > l once printed a table under python -O
+        argv = ["tables", "odp", "--m", "3", "--l", "2", "--R", "5"]
+        want = (1, "", "invalid input: R = 5 must lie in 0..l = 0..2\n")
+        assert run(capsys, *argv) == want
+        proc = run_optimized(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
 
     def test_o16(self, capsys):
         code, out, _ = run(capsys, "tables", "o16", "--defect", "0",

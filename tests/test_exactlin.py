@@ -24,6 +24,7 @@ from lmhs.exactlin import (
     G_I,
     G_ONE,
     G_ZERO,
+    class_coordinates,
     gaussian_from_str,
     gaussian_to_str,
     hermitian_diagonalize,
@@ -35,6 +36,7 @@ from lmhs.exactlin import (
     leading_principal_minors,
     leading_sign,
     poly_det,
+    quotient_reps,
     rank,
     rref,
     solve,
@@ -406,18 +408,19 @@ gaussian_entries = st.one_of(
     st.builds(GaussianScalar, small_rationals),
     st.builds(GaussianScalar, small_rationals, small_rationals),
 )
+rational_entries = st.one_of(st.just(G_ZERO), st.builds(GaussianScalar, small_rationals))
 
 
 @st.composite
-def gaussian_matrices(draw, rows=None, cols=None):
+def gaussian_matrices(draw, rows=None, cols=None, entries=gaussian_entries):
     """Small Gaussian-rational matrices, empty shapes included; about half
     of those with two or more rows get a last row dependent on the first two,
     so rank-deficient cases are common."""
     rows = draw(st.integers(0, 5)) if rows is None else rows
     cols = draw(st.integers(0, 6)) if cols is None else cols
-    data = [[draw(gaussian_entries) for _ in range(cols)] for _ in range(rows)]
+    data = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
     if rows >= 2 and draw(st.booleans()):
-        a, b = draw(gaussian_entries), draw(gaussian_entries)
+        a, b = draw(entries), draw(entries)
         data[-1] = [a * x + b * y for x, y in zip(data[0], data[1])]
     return ExactMatrix(data, cols=cols)
 
@@ -627,6 +630,76 @@ def test_equal_matrices_have_equal_storage(rows, inner, cols, data):
     back = A.scale(c).scale(G_ONE / c)
     assert back == A and hash(back) == hash(A)
     assert A.hstack(A @ B).take_columns(range(inner)) == A
+
+
+def rational_matrices(rows=None, cols=None):
+    return gaussian_matrices(rows, cols, entries=rational_entries)
+
+
+non_real_scalars = st.builds(GaussianScalar, small_rationals,
+                             small_rationals.filter(lambda x: x != 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 5), st.data())
+def test_real_and_complex_paths_agree(rows, cols, data):
+    """A real matrix M runs the real kernels and M.scale(u), for a non-real
+    u, the complex ones; every result must agree, to the storage."""
+    M = data.draw(rational_matrices(rows, cols))
+    N = data.draw(rational_matrices(cols, data.draw(st.integers(0, 3))))
+    B = data.draw(rational_matrices(rows, cols))
+    u = data.draw(non_real_scalars)
+    Mu = M.scale(u)
+    assert not M.im and Mu.im or M.is_zero()
+    R, pivots, rk = rref(M)
+    assert rref(Mu) == (R, pivots, rk)
+    assert kernel(Mu).basis == kernel(M).basis
+    assert image(Mu).basis == image(M).basis.scale(u)
+    assert image(Mu) == image(M)
+    assert Mu @ N == (M @ N).scale(u)
+    assert Mu.transpose() == M.transpose().scale(u)
+    assert Mu + B.scale(u) == (M + B).scale(u)
+    ks = data.draw(st.lists(st.integers(0, cols - 1), max_size=5)) if cols else []
+    assert Mu.take_columns(ks) == M.take_columns(ks).scale(u)
+    assert Mu.hstack(B.scale(u)) == M.hstack(B).scale(u)
+    assert Mu.vstack(B.scale(u)) == M.vstack(B).scale(u)
+
+
+def stored_canonically(M):
+    """M's storage is the one the entries-built constructor gives, so its
+    im is empty exactly when every entry is real."""
+    return M == ExactMatrix(M.entries, cols=M.cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_storage_invariant_on_every_kernel(rows, cols, data):
+    """Real inputs give real storage (im == ()) from every kernel, and mixed
+    real and complex operands give the canonical storage, with the lazily
+    created im padded by the zeros of the real rows."""
+    A = data.draw(rational_matrices(rows, cols))
+    B = data.draw(rational_matrices(rows, cols))
+    N = data.draw(rational_matrices(cols, data.draw(st.integers(0, 3))))
+    lower = image(A)
+    upper = lower.add(image(B))
+    reps = quotient_reps(upper, lower)
+    coords = class_coordinates(reps, lower, upper.basis)
+    js = data.draw(st.lists(st.integers(0, rows - 1), max_size=5))
+    real = [rref(A)[0], kernel(A).basis, lower.basis, reps, coords, A @ N, A + B,
+            A.transpose(), A.take_columns(range(cols - 1, -1, -1)), A.take_rows(js),
+            ExactMatrix.assemble(rows + 1, 2 * cols, [(range(rows), 0, A),
+                                                      (range(1, rows + 1), cols, B)])]
+    assert all(M.im == () and stored_canonically(M) for M in real)
+    # one complex row among real ones, in a random place
+    C = data.draw(gaussian_matrices(1, cols).filter(lambda M: M.im))
+    at = data.draw(st.integers(0, rows))
+    mixed = A.take_rows(range(at)).vstack(C).vstack(A.take_rows(range(at, rows)))
+    Cn = data.draw(gaussian_matrices(cols, N.cols))
+    for M in [mixed, A.hstack(C.vstack(B.take_rows(range(1, rows)))),
+              C.vstack(A), A.vstack(C), mixed @ N, A @ Cn, mixed.transpose(),
+              mixed + mixed.take_rows(range(rows, -1, -1)), A.scale(G_I), mixed.take_columns([0]),
+              rref(mixed)[0], kernel(mixed).basis, image(mixed).basis]:
+        assert stored_canonically(M)
 
 
 def test_contract_errors_survive_python_O():
