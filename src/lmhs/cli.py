@@ -116,6 +116,18 @@ def _load_json(path: str):
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def _read_input(path: str, from_json):
+    """from_json of the JSON object in path; a malformed shape is a
+    ValueError that says what is wrong."""
+    blob = _load_json(path)
+    if not isinstance(blob, dict):
+        raise ValueError(f"{path}: the top level is not a JSON object")
+    try:
+        return from_json(blob)
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -131,8 +143,7 @@ def cmd_check(args) -> int:
 
     cfg = RunConfig.from_args(args)
     try:
-        blob = _load_json(args.input)
-        data = DegenerationData.from_json(blob)
+        data = _read_input(args.input, DegenerationData.from_json)
         validation = validate_degeneration_data(data)
     except (ValueError, KeyError, TypeError, AssertionError, ArithmeticError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
@@ -154,8 +165,7 @@ def cmd_validate(args) -> int:
 
     cfg = RunConfig.from_args(args)
     try:
-        blob = _load_json(args.input)
-        data = DegenerationData.from_json(blob)
+        data = _read_input(args.input, DegenerationData.from_json)
         validation = validate_degeneration_data(data)
     except (ValueError, KeyError, TypeError, AssertionError, ArithmeticError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
@@ -170,8 +180,7 @@ def cmd_orbit(args) -> int:
 
     cfg = RunConfig.from_args(args)
     try:
-        blob = _load_json(args.input)
-        data = MHSData.from_json(blob)
+        data = _read_input(args.input, MHSData.from_json)
     except (ValueError, KeyError, TypeError, AssertionError, ArithmeticError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT

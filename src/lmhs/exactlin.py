@@ -695,19 +695,49 @@ def kernel(M: ExactMatrix) -> "Subspace":
     """Exact basis of the null space of M: per free column c, the vector
     with 1 at c, 0 at the other free columns and minus the reduced form's
     column c at the pivots."""
-    R, pivots, rk = rref(M)
-    free = [c for c in range(M.cols) if c not in pivots]
+    R, pivots, _ = rref(M)
+    return _null_space(M.cols, R, pivots)[0]
+
+
+def _null_space(n: int, R: ExactMatrix, pivots: list[int]) -> tuple["Subspace", list[int]]:
+    """kernel of a matrix with n columns from its reduced form R, and its
+    free columns."""
+    free = [c for c in range(n) if c not in pivots]
     # minus the free columns of the pivot rows, built as one matrix
     negated = _from_int_rows(len(free), (
         ([-re[c] for c in free], [-im[c] for c in free] if im else (), d)
-        for re, im, d in islice(R._int_rows(), rk)))
-    basis = ExactMatrix.assemble(M.cols, len(free), [
+        for re, im, d in islice(R._int_rows(), len(pivots))))
+    basis = ExactMatrix.assemble(n, len(free), [
         (pivots, 0, negated),
         (free, 0, ExactMatrix.identity(len(free))),
     ])
     # each basis vector has a 1 in its own free column and 0 in the others,
     # so independence is automatic
-    return Subspace._trusted(M.cols, basis)
+    return Subspace._trusted(n, basis), free
+
+
+def kernel_modulo(M: ExactMatrix, lower: "Subspace | None" = None):
+    """(ker M, representatives of ker M modulo lower, im M) from one
+    reduced form of M; lower defaults to im M, for M @ M = 0.  The
+    representatives equal quotient_reps(kernel(M), lower) byte for byte, or
+    are None when M @ lower != 0.  The kernel basis is the identity on the
+    free rows, so lower's free rows C are its coordinates: kernel column j
+    is kept unless some vector of span(C) has its last nonzero coordinate
+    at j, that is a pivot of C^T with its columns reversed.
+    """
+    R, pivots, _ = rref(M)
+    K, free = _null_space(M.cols, R, pivots)
+    I = Subspace._trusted(M.rows, M.take_columns(pivots))
+    lower = I if lower is None else lower
+    _require(lower.ambient_dim == M.cols, "lower space outside the domain")
+    f, b = len(free), lower.dim
+    if not b:
+        return K, K.basis, I
+    if not (M @ lower.basis).is_zero():
+        return K, None, I
+    last = range(f) if b == f else {
+        f - 1 - p for p in _echelon(lower.basis.take_rows(free[::-1]).transpose())[2]}
+    return K, K.basis.take_columns([j for j in range(f) if j not in last]), I
 
 
 def image(M: ExactMatrix) -> "Subspace":

@@ -16,7 +16,7 @@ from .exactlin import (
     _require,
     class_coordinates,
     image,
-    kernel,
+    kernel_modulo,
     quotient_reps,
     rank,
 )
@@ -191,10 +191,9 @@ def _monodromy_offsets(N: ExactMatrix) -> dict[int, Subspace]:
     e, Ne = _nilpotency_data(N)
     if e <= 0:
         return {0: Subspace.full(n)}
-    K = kernel(Ne)
-    I = image(Ne)
-    # im N^e lies in ker N^e, since N^(2e) = 0
-    R = quotient_reps(K, I)
+    # one reduction of N^e gives K, I and R; im N^e lies in ker N^e, since
+    # N^(2e) = 0
+    K, R, I = kernel_modulo(Ne)
     Nbar = class_coordinates(R, I, N @ R)
     _require(Nbar is not None, "induced map escaped ker N^e + im N^e")
     sub = IncreasingFiltration(R.cols, _monodromy_offsets(Nbar))

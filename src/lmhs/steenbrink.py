@@ -22,9 +22,9 @@ from .exactlin import (
     image,
     inverse,
     kernel,
+    kernel_modulo,
     matrix_from_json,
     matrix_to_json,
-    quotient_reps,
     rank,
 )
 from .filtration import DecreasingFiltration, IncreasingFiltration
@@ -475,18 +475,6 @@ def _term_frame(data: DegenerationData, summands: list[Summand]) -> ExactMatrix:
     ])
 
 
-def _term_sectors(data: DegenerationData, summands: list[Summand]) -> dict:
-    """Column indices of each limit-type sector (P, Q) = (p'+twist, q'+twist)
-    in the frame coordinates of the term."""
-    sectors: dict[tuple[int, int], list[int]] = {}
-    off = 0
-    for s in summands:
-        for j, (a, b) in enumerate(data.strata[s.depth].types(s.q)):
-            sectors.setdefault((a + s.twist, b + s.twist), []).append(off + j)
-        off += s.dim
-    return sectors
-
-
 def _column_keys(summands: list[Summand]) -> list[tuple[int, int, int]]:
     """Each column of a term as (depth, q, j): basis vector j of its stratum
     degree H^q(E(depth)), whichever twist the summand carries."""
@@ -517,57 +505,33 @@ def _transport(src: list[Summand], tgt: list[Summand], X: ExactMatrix) -> ExactM
     return _move_rows(_column_keys(src), _column_keys(tgt), X)
 
 
-def _sector_blocks(M: ExactMatrix, row_sectors: dict, col_sectors: dict, d: int, r: int) -> dict:
-    """The blocks of the d1 map M between equal limit-type sectors, keyed by
-    the sector of their columns: the rows row_sectors.get(sec, []) and the
-    columns col_sectors[sec].  d1 preserves the limit type, so every entry
-    of every column outside its sector's block must vanish; the term at
-    degree d, column -r names a break."""
-    row_of = {i: sec for sec, rows in row_sectors.items() for i in rows}
-    col_of = {j: sec for sec, cols in col_sectors.items() for j in cols}
-    if any(row_of[i] != col_of[j] for i, j in M.nonzero()):
-        raise ContractError(f"d1 violates type sectors at degree {d}, column {-r}")
-    return {
-        sec: M.take_rows(row_sectors.get(sec, [])).take_columns(cols)
-        for sec, cols in col_sectors.items()
-    }
-
-
 class E2Term:
-    """E2^{-r, d+r} as the direct sum of its limit-type sectors, each in its
-    own coordinates.  d1 is a morphism of Hodge structures, so each sector
-    is its own quotient ker d1 / im d1, taken in the sector's columns:
-    sector_cols[sec] lists those columns of the E1 term (frame coordinates),
-    and sector_reps[sec] and sector_B[sec], in sorted sector order, are the
-    representatives and the boundary space in the coordinates of those
-    columns.  Nothing is lifted to the whole term here; extract_limit_mhs
-    does that, once, where whole-term vectors are read.
+    """E2^{-r, d+r} as the direct sum of its limit-type sectors (P, Q) =
+    (p'+twist, q'+twist), each in its own coordinates.  d1 is a morphism of
+    Hodge structures, so each sector is its own quotient ker d1 / im d1,
+    taken in the sector's columns: sector_cols[sec] lists those columns of
+    the E1 term (frame coordinates), and starts[sec][(depth, q)] = (offset,
+    (p', q')) says where the columns of the summand H^q(E(depth)) begin in
+    them and which stratum type they have.  sector_reps[sec] and
+    sector_B[sec], in sorted sector order, are the representatives and the
+    boundary space in the sector's coordinates; E2Page fills them in.
+    Nothing is lifted to the whole term here; extract_limit_mhs does that,
+    once, where whole-term vectors are read."""
 
-    into and out are the d1 maps into and out of the term, built from the
-    framed stratum maps (see _D1Maps): a term frame is block-diagonal with
-    the stratum frames as blocks, so F_out^{-1} d1 F is d1 built from the
-    framed stratum maps."""
+    __slots__ = ("summands", "sector_cols", "starts", "sector_reps", "sector_B")
 
-    __slots__ = ("summands", "sector_cols", "sector_reps", "sector_B")
-
-    def __init__(self, data: DegenerationData, d: int, r: int, into: ExactMatrix, out: ExactMatrix):
+    def __init__(self, data: DegenerationData, d: int, r: int):
         self.summands = e1_summands(data, d, r)
-        self.sector_cols = _term_sectors(data, self.summands)
-        self.sector_reps = {}
-        self.sector_B = {}
-        if not self.sector_cols:
-            return  # no E1 summand: nothing to quotient
-        outgoing = _sector_blocks(
-            out, _term_sectors(data, e1_summands(data, d + 1, r - 1)), self.sector_cols, d, r)
-        incoming = _sector_blocks(
-            into, self.sector_cols, _term_sectors(data, e1_summands(data, d - 1, r + 1)), d, r)
-        for sec, cols in sorted(self.sector_cols.items()):
-            B = image(incoming[sec]) if sec in incoming else Subspace.zero(len(cols))
-            reps = quotient_reps(kernel(outgoing[sec]), B)
-            if reps is None:
-                raise ContractError(f"d1 image escapes kernel at degree {d}, column {-r}")
-            self.sector_reps[sec] = reps
-            self.sector_B[sec] = B
+        self.sector_cols, self.starts = {}, {}
+        self.sector_reps, self.sector_B = {}, {}
+        off = 0
+        for s in self.summands:
+            for j, t in enumerate(data.strata[s.depth].types(s.q)):
+                sec = (t[0] + s.twist, t[1] + s.twist)
+                cols = self.sector_cols.setdefault(sec, [])
+                self.starts.setdefault(sec, {}).setdefault((s.depth, s.q), (len(cols), t))
+                cols.append(off + j)
+            off += s.dim
 
     @property
     def sector_dims(self) -> dict[tuple[int, int], int]:
@@ -576,6 +540,66 @@ class E2Term:
     @property
     def dim(self) -> int:
         return sum(reps.cols for reps in self.sector_reps.values())
+
+
+class _SectorMaps:
+    """The d1 blocks between equal limit-type sectors of one input, for one
+    pipeline call.  Each framed stratum map (see _framed_data), with the
+    Gysin maps negated as d1 = -gamma + theta, is cut once into its type
+    blocks: the block of source type (p', q') holds the columns of that type
+    and the target rows of type (p'+s, q'+s), s = 1 for a Gysin map and 0
+    for a restriction.  d1 is a morphism of Hodge structures, so a map with
+    a nonzero entry outside those blocks breaks the sectors.  A term frame
+    is block-diagonal with the stratum frames as blocks, so these are the
+    blocks of F_out^{-1} d1 F."""
+
+    def __init__(self, data: DegenerationData):
+        self.data = data
+        self.terms: dict[tuple[int, int], E2Term] = {}  # (d, r) -> term, made once
+        self.cut: dict[tuple, list] = {}  # source (depth, q) -> [(target, {type: block})]
+        self.broken: set[tuple] = set()  # (source, target) of the maps that break sectors
+        theta, gamma = _d1_blocks(_framed_data(data))
+        for maps, (dl, dq), s in ((theta, (1, 0), 0), (gamma, (-1, 2), 1)):
+            for src, M in maps.items():
+                tgt = (src[0] + dl, src[1] + dq)
+                st, tt = (data.strata[l].types(q) if l in data.strata else []
+                          for l, q in (src, tgt))
+                if any(tt[i] != (st[j][0] + s, st[j][1] + s) for i, j in M.nonzero()):
+                    self.broken.add((src, tgt))
+                    continue
+                blocks = {}
+                for t in dict.fromkeys(st):
+                    cols = [j for j, u in enumerate(st) if u == t]
+                    rows = [i for i, u in enumerate(tt) if u == (t[0] + s, t[1] + s)]
+                    whole = (len(rows), len(cols)) == (M.rows, M.cols)
+                    blocks[t] = M if whole else M.take_rows(rows).take_columns(cols)
+                self.cut.setdefault(src, []).append((tgt, blocks))
+
+    def term(self, d: int, r: int) -> E2Term:
+        """The term at degree d, column -r, whose sectors its page fills in."""
+        if (d, r) not in self.terms:
+            self.terms[d, r] = E2Term(self.data, d, r)
+        return self.terms[d, r]
+
+    def check(self, src: E2Term, tgt: E2Term, d: int, r: int):
+        """d1 from the term src to the term tgt must read no map that breaks
+        the sectors; the reading term, at degree d, column -r, names one."""
+        if any(((a.depth, a.q), (b.depth, b.q)) in self.broken
+               for a in src.summands for b in tgt.summands):
+            raise ContractError(f"d1 violates type sectors at degree {d}, column {-r}")
+
+    def block(self, src: E2Term, tgt: E2Term, sec: tuple[int, int]) -> ExactMatrix:
+        """d1 from sector sec of the term src to sector sec of the term tgt,
+        in the coordinates of both sectors; the caller has checked them."""
+        at = tgt.starts.get(sec, {})
+        placed = []
+        for key, (k, t) in src.starts[sec].items():
+            for tkey, blocks in self.cut.get(key, ()):
+                if tkey in at:
+                    B = blocks[t]
+                    placed.append((range(at[tkey][0], at[tkey][0] + B.rows), k, B))
+        return ExactMatrix.assemble(
+            len(tgt.sector_cols.get(sec, ())), len(src.sector_cols[sec]), placed)
 
 
 def _framed_data(data: DegenerationData) -> DegenerationData:
@@ -594,26 +618,6 @@ def _framed_data(data: DegenerationData) -> DegenerationData:
     return DegenerationData(data.m, data.strata.values(), gysin, restriction)
 
 
-class _D1Maps:
-    """The d1 maps of one input for one pipeline call that builds pages of
-    degree at most top, in frame coordinates: they are built from
-    _framed_data(data), which is data itself when no frame touches a
-    stratum map.  The stratum maps are framed, and the Gysin maps negated,
-    once, when the object is made; it keeps no matrix it has built."""
-
-    def __init__(self, data: DegenerationData, top: int):
-        self.framed = _framed_data(data)
-        self.blocks = _d1_blocks(self.framed)
-        self.top = top
-
-    def degree(self, d: int) -> dict[int, ExactMatrix]:
-        """The maps out of degree d, one per column r that the pages of
-        degree d and d+1 read, each built once: r = -d..d+2, and only
-        r = -d..d at the top degree, whose next page is not built."""
-        last = d + 2 if d < self.top else d
-        return {r: d1_matrix(self.framed, d, r, self.blocks) for r in range(-d, last + 1)}
-
-
 def _hodge_numbers(terms) -> dict[tuple[int, int], int]:
     """Limit Hodge numbers from the sector dimensions of a page's terms,
     given term by term; a sector is keyed where it first has a class."""
@@ -627,20 +631,41 @@ def _hodge_numbers(terms) -> dict[tuple[int, int], int]:
 
 class E2Page:
     """The E2 terms of degree d, each the sum of its type sectors in frame
-    coordinates.  maps is the pair (into, out) of _D1Maps.degree(d - 1) and
-    _D1Maps.degree(d); a caller that builds several pages of one input
-    passes them, so that each d1 map is built once.  Without it the page
-    builds its own, only those it reads.  Any degree 0..2m can be built
-    this way; nearby_hodge_index builds d <= m and reads the rest from
-    Poincaré duality."""
+    coordinates.  One kernel_modulo of each sector's outgoing d1 block gives
+    its representatives and, as boundaries[r - 1][sec], the boundary space
+    of that sector on the next page.  carried is (maps, boundaries): the
+    _SectorMaps of the call and the boundaries of page d - 1, which a caller
+    that builds consecutive pages passes on.  Without it the page cuts its
+    own maps and takes the image of each incoming block.  Any degree 0..2m
+    can be built this way; nearby_hodge_index builds d <= m and reads the
+    rest from Poincaré duality."""
 
-    def __init__(self, data: DegenerationData, d: int, maps: tuple | None = None):
+    def __init__(self, data: DegenerationData, d: int, carried: tuple | None = None):
         self.d = d
-        if maps is None:
-            d1 = _D1Maps(data, d)
-            maps = (d1.degree(d - 1), d1.degree(d))
-        into, out = maps
-        self.terms = {r: E2Term(data, d, r, into[r + 1], out[r]) for r in range(-d, d + 1)}
+        maps, into = carried if carried is not None else (_SectorMaps(data), None)
+        self.terms = {}
+        self.boundaries = {}
+        for r in range(-d, d + 1):
+            term = self.terms[r] = maps.term(d, r)
+            if not term.sector_cols:
+                continue  # no E1 summand: nothing to quotient
+            tgt = maps.term(d + 1, r - 1)
+            maps.check(term, tgt, d, r)
+            if into is None:
+                prev = maps.term(d - 1, r + 1)
+                maps.check(prev, term, d, r)
+                incoming = {sec: image(maps.block(prev, term, sec))
+                            for sec in term.sector_cols if sec in prev.sector_cols}
+            else:
+                incoming = into.get(r, {})
+            images = self.boundaries[r - 1] = {}
+            for sec, cols in sorted(term.sector_cols.items()):
+                B = incoming[sec] if sec in incoming else Subspace.zero(len(cols))
+                _, reps, images[sec] = kernel_modulo(maps.block(term, tgt, sec), B)
+                if reps is None:
+                    raise ContractError(f"d1 image escapes kernel at degree {d}, column {-r}")
+                term.sector_reps[sec] = reps
+                term.sector_B[sec] = B
 
     def term(self, r: int) -> E2Term | None:
         return self.terms.get(r)
@@ -653,8 +678,8 @@ class E2Page:
         return _hodge_numbers(t.sector_dims for t in self.terms.values())
 
 
-def e2_page(data: DegenerationData, d: int, maps: tuple | None = None) -> E2Page:
-    return E2Page(data, d, maps)
+def e2_page(data: DegenerationData, d: int, carried: tuple | None = None) -> E2Page:
+    return E2Page(data, d, carried)
 
 
 class WeightCriterionReport(Report):
@@ -849,7 +874,7 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
     rational = {}
     for r, term in page.terms.items():
         B = image(d1_matrix(data, d - 1, r + 1, blocks))
-        reps = quotient_reps(kernel(d1_matrix(data, d, r, blocks)), B)
+        _, reps, _ = kernel_modulo(d1_matrix(data, d, r, blocks), B)
         if reps is None:
             raise ContractError(f"d1 image escapes kernel at degree {d}, column {-r}")
         rational[r] = (reps, B)
@@ -968,8 +993,9 @@ def nearby_hodge_index(data: DegenerationData) -> IndexReport:
     aggregated signature of S(C., conj .) per (p, m-p) at middle degree when
     the criterion holds there.
 
-    Only the pages of degree d <= m are built, each once, with only the d1
-    maps they read.  The weight spectral sequence is self-dual (Steenbrink
+    Only the pages of degree d <= m are built, each once, from stratum maps
+    cut once per call, each handing the images of its outgoing sector blocks
+    to the next.  The weight spectral sequence is self-dual (Steenbrink
     1976): psi_form pairs E1^{-r, d+r} with E1^{r, 2m-d-r}, and d1 is
     adjoint to itself up to sign.  So for d > m and d' = 2m - d, the term
     at column r of degree d mirrors the term at column -r of degree d', its
@@ -985,14 +1011,12 @@ def nearby_hodge_index(data: DegenerationData) -> IndexReport:
     sector_dims = {}  # degree -> column -> the sector dimensions of that term
     verdict = True
     middle = None
-    # each degree's d1 maps are built once: page d reads them as its
-    # outgoing maps and page d+1 as its incoming ones, then they are dropped
-    d1 = _D1Maps(data, m)
-    into = d1.degree(-1)
+    # the stratum maps are cut once, and each page hands the images of its
+    # outgoing sector blocks to the next as its boundary spaces
+    maps, boundaries = _SectorMaps(data), {}
     for d in range(0, m + 1):
-        out = d1.degree(d)
-        page = e2_page(data, d, (into, out))
-        into = out
+        page = e2_page(data, d, (maps, boundaries))
+        boundaries = page.boundaries
         crit = _weight_criterion(page)
         per_degree[d] = {"criterion": crit.per_r, "hodge": page.hodge_numbers()}
         sector_dims[d] = {r: t.sector_dims for r, t in page.terms.items()}

@@ -194,6 +194,33 @@ class TestCodec:
         assert out == ""
         assert "invalid input: cannot parse GaussianScalar from 1" in err
 
+    # (top-level key, nested item without its key, the key it lacks) per reader
+    SHAPES = {"degeneration": ("strata", {"strata": [{"depth": 1}]}, "cohomology"),
+              "mhs": ("W", {"F": [{"level": 0}]}, "basis")}
+
+    @pytest.mark.parametrize("command, name, schema", [
+        ("check", "kodaira.json", "degeneration"), ("validate", "kodaira.json", "degeneration"),
+        ("orbit", "elliptic.json", "mhs")], ids=["check", "validate", "orbit"])
+    @pytest.mark.parametrize("kind", ["list", "string", "missing-key", "missing-nested-key"])
+    def test_malformed_shape_names_what_is_wrong(self, tmp_path, capsys, command, name, schema,
+                                                 kind):
+        blob = json.load(open(fixture_path(name)))
+        key, nested, lacking = self.SHAPES[schema]
+        blob, message = {
+            "list": ([blob], "the top level is not a JSON object"),
+            "string": ("text", "the top level is not a JSON object"),
+            "missing-key": ({k: v for k, v in blob.items() if k != key}, f"missing key '{key}'"),
+            "missing-nested-key": ({**blob, **nested}, f"missing key '{lacking}'"),
+        }[kind]
+        path = tmp_path / name
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid input: ") and message in err, err
+        # the same under python -O, where assert statements are off
+        proc = run_optimized(command, str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
 
 def shape_edit(tmp_path, source, kind, index, edit) -> str:
     """The path of source's JSON with one map edited: a row or a column of

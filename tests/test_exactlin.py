@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from lmhs.exactlin import (
     Subspace,
     ZeroMinorError,
     _degree_bound,
+    _echelon,
     _poly_rows,
     G_I,
     G_ONE,
@@ -33,6 +35,7 @@ from lmhs.exactlin import (
     image,
     inverse,
     kernel,
+    kernel_modulo,
     leading_principal_minors,
     leading_sign,
     poly_det,
@@ -41,7 +44,10 @@ from lmhs.exactlin import (
     rref,
     solve,
 )
-from support import poly_mul, reference_det, reference_minors, run_under_python_O
+from support import (
+    jordan_nilpotent, poly_mul, random_invertible, reference_det, reference_minors,
+    run_under_python_O,
+)
 
 
 def gm(rows):
@@ -700,6 +706,75 @@ def test_storage_invariant_on_every_kernel(rows, cols, data):
               mixed + mixed.take_rows(range(rows, -1, -1)), A.scale(G_I), mixed.take_columns([0]),
               rref(mixed)[0], kernel(mixed).basis, image(mixed).basis]:
         assert stored_canonically(M)
+
+
+@st.composite
+def kernel_modulo_cases(draw):
+    """(M, lower, inside): M real, complex, or real with one complex row,
+    empty shapes included; lower the zero space, all of ker M, the span of
+    random combinations of ker M's basis, or such a span plus a vector
+    outside ker M, for which inside is False."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["real", "complex", "mixed"]))
+    M = draw(gaussian_matrices(rows, cols) if kind == "complex" else rational_matrices(rows, cols))
+    if kind == "mixed" and cols:
+        at = draw(st.integers(0, rows))
+        C = draw(gaussian_matrices(1, cols).filter(lambda C: C.im))
+        M = M.take_rows(range(at)).vstack(C).vstack(M.take_rows(range(at, rows)))
+    K = kernel(M)
+    lower = draw(st.sampled_from(["zero", "kernel", "inside", "outside"]))
+    if lower == "zero" or lower == "outside" and K.dim == cols:
+        return M, Subspace.zero(cols), True
+    if lower == "kernel":
+        return M, K, True
+    inside = image(K.basis @ draw(gaussian_matrices(K.dim, draw(st.integers(0, K.dim + 1)))))
+    if lower == "inside":
+        return M, inside, True
+    out = next(e for e in ExactMatrix.identity(cols).columns() if not K.contains_vector(e))
+    return M, inside.add(Subspace.span(cols, [out])), False
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_modulo_cases())
+def test_kernel_modulo_matches_kernel_quotient_and_image(case):
+    """The reference is three eliminations: kernel(M), image(M) and
+    quotient_reps over [lower | ker M]; kernel_modulo gives the same
+    storage from one reduction of M, and None where lower leaves ker M."""
+    M, lower, inside = case
+    K, reps, I = kernel_modulo(M, lower)
+    assert K.basis == kernel(M).basis
+    assert I.basis == image(M).basis and I.ambient_dim == M.rows
+    want = quotient_reps(kernel(M), lower)
+    if not inside:
+        assert want is None and reps is None
+    else:
+        assert reps is not None and reps == want
+        assert (reps.rows, reps.cols) == (M.cols, K.dim - lower.dim)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_modulo_defaults_to_the_image(seed):
+    # a square-zero M (Jordan blocks of size at most 2 in a random basis),
+    # as the monodromy weight filtration reduces N^e
+    rng = random.Random(seed)
+    n = rng.randrange(1, 7)
+    sizes = [2] * rng.randrange(0, n // 2 + 1)
+    P = random_invertible(rng, n)
+    M = inverse(P) @ jordan_nilpotent(sizes + [1] * (n - 2 * len(sizes))) @ P
+    K, reps, I = kernel_modulo(M)
+    assert I.basis == image(M).basis
+    assert K.basis == kernel(M).basis
+    assert reps == quotient_reps(kernel(M), image(M)) == kernel_modulo(M, I)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rational_matrices(), gaussian_matrices()))
+def test_echelon_rows_are_primitive(M):
+    """Each row _echelon returns is divided by its integer content, real and
+    complex paths alike, so coefficients do not grow between pivots."""
+    R, I, _ = _echelon(M)
+    for re, im in zip(R, I):
+        assert gcd(*re, *im) in (0, 1)  # 0 for a row eliminated to zero
 
 
 def test_contract_errors_survive_python_O():

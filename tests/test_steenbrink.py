@@ -180,10 +180,12 @@ class TestValidation:
         rep = validate_degeneration_data(data)
         assert any("d1 o d1" in f for f in rep.failures)
         # unvalidated, the page of the composite's target names the term
-        # whose incoming d1 image leaves the kernel
-        with pytest.raises(AssertionError,
-                           match="^d1 image escapes kernel at degree 2, column 0$"):
-            e2_page(data, 2)
+        # whose incoming d1 image leaves the kernel, built alone or with the
+        # boundary spaces handed on by the page before
+        for build in (lambda: e2_page(data, 2), lambda: nearby_hodge_index(data)):
+            with pytest.raises(AssertionError,
+                               match="^d1 image escapes kernel at degree 2, column 0$"):
+                build()
 
     def test_incoming_column_outside_term_sectors_rejected(self):
         # unvalidated: a restriction sends the surfaces' (2,0) class onto the
@@ -196,6 +198,10 @@ class TestValidation:
         with pytest.raises(AssertionError,
                            match="^d1 violates type sectors at degree 3, column 1$"):
             e2_page(data, 3)
+        # the pipeline reads the map first as the outgoing map of degree 2
+        with pytest.raises(AssertionError,
+                           match="^d1 violates type sectors at degree 2, column 0$"):
+            nearby_hodge_index(data)
 
     def test_contract_errors_survive_python_O(self):
         # the two contract tests above raise ContractError, which python -O
@@ -457,9 +463,9 @@ class TestPageBuilds:
         degrees = []
         original = steenbrink.e2_page
 
-        def counting(data, d, maps=None):
+        def counting(data, d, carried=None):
             degrees.append(d)
-            return original(data, d, maps)
+            return original(data, d, carried)
 
         monkeypatch.setattr(steenbrink, "e2_page", counting)
         return degrees
@@ -528,47 +534,84 @@ def test_pipeline_builds_no_scalar_view_of_its_input(build):
 
 
 class TestD1Builds:
-    """nearby_hodge_index builds each d1 map its pages read once per call,
-    and no other, all from one input: a degree's maps are read by its own
-    page and handed to the next, and the input is the framed copy of the
-    data only when framing changes a stratum map."""
+    """nearby_hodge_index cuts each stratum map into type blocks once per
+    call, all from one input, the framed copy of the data only when framing
+    changes a stratum map.  It assembles each sector block of its pages'
+    d1 maps once and reduces it once: the block out of a sector gives that
+    sector's representatives and, as its image, the boundary space of the
+    next page's sector, so no page reduces a block of its own."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        calls = []  # (input, d, r) per d1_matrix call
-        original = steenbrink.d1_matrix
+        calls = {"blocks": [], "reduced": [], "other": [], "cut": []}
+        paging = []  # nonempty while a page is built
 
-        def counting(data, d, r, blocks=None):
-            calls.append((data, d, r))
-            return original(data, d, r, blocks)
+        def recording(name, fn):
+            def call(*args, **kwargs):
+                if paging:
+                    calls["other"].append(name)
+                return fn(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(steenbrink, "d1_matrix", counting)
+        for name in ("image", "kernel", "d1_matrix"):
+            monkeypatch.setattr(steenbrink, name, recording(name, getattr(steenbrink, name)))
+        original_page, original_block = steenbrink.e2_page, steenbrink._SectorMaps.block
+        original_reduce, original_cut = steenbrink.kernel_modulo, steenbrink._d1_blocks
+
+        def page(*args):
+            paging.append(True)
+            try:
+                return original_page(*args)
+            finally:
+                paging.pop()
+
+        def block(maps, src, tgt, sec):
+            M = original_block(maps, src, tgt, sec)
+            at = next(key for key, term in maps.terms.items() if term is src)
+            calls["blocks"].append((at, sec, M))
+            return M
+
+        def reduce(M, lower=None):
+            calls["reduced"].append(M)
+            return original_reduce(M, lower)
+
+        def cut(data):
+            calls["cut"].append(data)
+            return original_cut(data)
+
+        monkeypatch.setattr(steenbrink, "e2_page", page)
+        monkeypatch.setattr(steenbrink._SectorMaps, "block", block)
+        monkeypatch.setattr(steenbrink, "kernel_modulo", reduce)
+        monkeypatch.setattr(steenbrink, "_d1_blocks", cut)
         return calls
 
     @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
     def test_each_raw_map_built_once(self, build, builds):
-        # one map per (d, r), raw or framed, never both
+        # the stratum maps, raw or framed, are cut once; then one block per
+        # sector of every term of the pages 0..m, each reduced once, and no
+        # other elimination or d1 map in the pages
         data = build()
         nearby_hodge_index(data)
-        assert len({id(D) for D, _, _ in builds}) == 1
-        maps = Counter((d, r) for _, d, r in builds)
-        assert set(maps.values()) == {1}
-        # exactly the maps out of and into every term of the pages 0..m
-        terms = [(d, r) for d in range(data.m + 1) for r in range(-d, d + 1)]
-        assert set(maps) == set(terms) | {(d - 1, r + 1) for d, r in terms}
+        assert len(builds["cut"]) == 1
+        keys = Counter((at, sec) for at, sec, _ in builds["blocks"])
+        assert set(keys.values()) == {1}
+        assert set(keys) == {
+            ((d, r), sec) for d in range(data.m + 1) for r in range(-d, d + 1)
+            for sec in steenbrink.E2Term(data, d, r).sector_cols}
+        assert [id(M) for M in builds["reduced"]] == [id(M) for _, _, M in builds["blocks"]]
+        assert builds["other"] == []
 
     @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
     def test_framed_maps_only_when_framing_changes_a_map(self, build, builds):
         data = build()
         nearby_hodge_index(data)
-        inputs = {id(D): D for D, _, _ in builds}
+        (framed,) = builds["cut"]
         if build is reframed_cycle:
-            (framed,) = inputs.values()
             assert framed is not data
             want = _framed_data(data)
             assert (framed.gysin, framed.restriction) == (want.gysin, want.restriction)
         else:
-            assert list(inputs.values()) == [data]
+            assert framed is data
 
     @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
     def test_pages_equal_standalone_pages(self, build, monkeypatch):
@@ -576,8 +619,8 @@ class TestD1Builds:
         pages = []
         original = steenbrink.e2_page
 
-        def keeping(data, d, maps=None):
-            pages.append(original(data, d, maps))
+        def keeping(data, d, carried=None):
+            pages.append(original(data, d, carried))
             return pages[-1]
 
         monkeypatch.setattr(steenbrink, "e2_page", keeping)
