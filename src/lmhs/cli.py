@@ -118,7 +118,8 @@ def _load_json(path: str):
 
 def _read_input(path: str, from_json):
     """from_json of the JSON object in path; a malformed shape is a
-    ValueError that says what is wrong."""
+    ValueError that says what is wrong, a value of the wrong JSON type
+    named by its path."""
     blob = _load_json(path)
     if not isinstance(blob, dict):
         raise ValueError(f"{path}: the top level is not a JSON object")
@@ -126,6 +127,10 @@ def _read_input(path: str, from_json):
         return from_json(blob)
     except KeyError as exc:
         raise ValueError(f"missing key {exc}") from exc
+    except TypeError as exc:
+        from .jsonpath import bad_value_path
+
+        raise ValueError(f"{bad_value_path(from_json, blob)}: wrong JSON type ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------

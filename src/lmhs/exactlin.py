@@ -7,8 +7,10 @@ all functions are pure, so everything here is safe to share between threads.
 
 An ExactMatrix stores each row as Gaussian-integer numerators over one
 positive denominator, in lowest terms, so equal matrices have equal storage.
-Products, sums, reshaping and elimination work on these integers; scalars
-appear only in the constructor, the JSON codec, repr and the entries view.
+Products (row combinations over the nonzero entries), sums, reshaping,
+elimination and the fraction-free Hermitian reduction work on these
+integers; scalars appear only in the constructor, the JSON codec, repr and
+the entries view.
 A real matrix has no imaginary numerators, and no kernel makes any for it.
 
 A polynomial matrix in a real variable t is the list of its coefficient
@@ -28,7 +30,6 @@ import re as _re
 from fractions import Fraction
 from itertools import chain, islice
 from math import factorial, gcd, lcm, prod
-from operator import mul as _mul
 from typing import Iterable, Sequence
 
 QZERO = Fraction(0)
@@ -173,10 +174,12 @@ _SMALL = {-2: GaussianScalar(-2), -1: GaussianScalar(-1), 0: G_ZERO, 1: G_ONE,
           2: GaussianScalar(2)}
 
 
+_I_POWERS = (G_ONE, G_I, _SMALL[-1], GaussianScalar(0, -1))
+
+
 def i_power(k: int) -> GaussianScalar:
-    """i**k for any integer k (negative allowed)."""
-    k %= 4
-    return (G_ONE, G_I, -G_ONE, -G_I)[k]
+    """i**k for any integer k (negative allowed), a shared constant."""
+    return _I_POWERS[k % 4]
 
 
 def gaussian_to_str(x: GaussianScalar) -> str:
@@ -427,25 +430,30 @@ class ExactMatrix:
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Matrix product on Python ints: other is put over one denominator,
-        so every entry is one integer dot product over one denominator."""
+        and each output row is the sum, over the nonzero entries a_k of the
+        row of self, of a_k times row k of other; a_k = x + iy contributes
+        x*(r + is) + y*(ir - s)."""
         _require(self.cols == other.rows,
                  f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         n = other.cols
         den = lcm(*other.den)
         bre, bim = other._over(den)
-        cre = [bre[k::n] for k in range(n)]
-        cim = [bim[k::n] for k in range(n)] if bim else None
+        R = [bre[k * n:(k + 1) * n] for k in range(other.rows)]
+        S = [bim[k * n:(k + 1) * n] for k in range(other.rows)] if bim else None
         out = []
         for ar, ai, da in self._int_rows():
-            re = [sum(map(_mul, ar, c)) for c in cre]
-            im = [sum(map(_mul, ar, c)) for c in cim] if cim else ()
-            if any(ai):
-                if cim:
-                    re = [x - sum(map(_mul, ai, c)) for x, c in zip(re, cim)]
-                    im = [y + sum(map(_mul, ai, c)) for y, c in zip(im, cre)]
-                else:
-                    im = [sum(map(_mul, ai, c)) for c in cre]
-            out.append((re, im, da * den))
+            re = im = ()  # no term yet
+            for a, r, s in zip(ar, R, S or R):
+                if a:
+                    re = [u + a * v for u, v in zip(re, r)] if re else [a * v for v in r]
+                    if S:
+                        im = [u + a * v for u, v in zip(im, s)] if im else [a * v for v in s]
+            for a, r, s in zip(ai, R, S or R):
+                if a:
+                    im = [u + a * v for u, v in zip(im, r)] if im else [a * v for v in r]
+                    if S:
+                        re = [u - a * v for u, v in zip(re, s)] if re else [-a * v for v in s]
+            out.append((re or [0] * n, im, da * den))
         return _from_int_rows(n, out)
 
     def transpose(self) -> "ExactMatrix":
@@ -894,99 +902,111 @@ def hermitian_check(H: ExactMatrix) -> bool:
     return H == H.conj().transpose()
 
 
+def _comb(a: int, x, y, f: int, g: int, u, v):
+    """a*(x + iy) - (f + ig)*(u + iv) on Gaussian-integer rows, a an integer;
+    in a real reduction the im rows y, v are empty and g is 0."""
+    if not y:
+        return [a * p - f * q for p, q in zip(x, u)], y
+    return ([a * p - f * q + g * s for p, q, s in zip(x, u, v)],
+            [a * t - f * s - g * q for t, q, s in zip(y, u, v)])
+
+
 def _hermitian_reduce(H: ExactMatrix, want_basis: bool):
-    """Shared congruence-diagonalization core.
+    """Fraction-free congruence diagonalization on the integer rows.
 
     The form is h(x, y) = x^T H conj(y) on coordinate columns, so H is the
-    Gram matrix h(e_j, e_k) and Hermitian means H[k][j] = conj(H[j][k]).
-    Returns (values, vectors, null_vectors); vectors is None unless requested.
+    Gram matrix h(e_j, e_k).  The active block A + iB starts as L*H, L the
+    lcm of H's row denominators, and loses its positive content before each
+    pivot.  The first nonzero diagonal entry d gives the step
+    A_jk <- |d|*A_jk - sgn(d)*A_jp*A_pk, |d| times the Schur complement,
+    and v_j <- |d|*v_j - sgn(d)*A_jp*v_p.  A zero diagonal first promotes
+    the first nonzero A_ij: v_i <- a*conj(A_ij)*v_i + b*v_j, diagonal
+    2ab|A_ij|^2 > 0, with a/b = kd/kn the ratio of the block of exact
+    elimination to A.  So each vector is a positive multiple of the one
+    exact elimination (v_i <- conj(c)*v_i + v_j) gives, and
+    h(v_j, v_k) = s/L * A_jk on the active vectors.  Returns (L, values,
+    vectors, nulls, null count), values[a] = L*h(v_a, v_a), the vectors as
+    (re, im) integer rows (none without want_basis).
     """
     _require(hermitian_check(H), "hermitian form required (H != H^*)")
-    n = H.rows
-    A = [list(row) for row in H.entries]
-    basis = [[G_ONE if j == k else G_ZERO for j in range(n)] for k in range(n)] \
-        if want_basis else None
-    active = list(range(n))
-    values: list[Fraction] = []
-    vectors: list[list] = []
-    while active:
-        piv = None
-        for i in active:
-            if not A[i][i].is_zero():
-                piv = i
-                break
-        if piv is None:
-            # every diagonal vanishes; pull a hyperbolic pair onto the diagonal
-            off = None
-            for i in active:
-                for j in active:
-                    if j != i and not A[i][j].is_zero():
-                        off = (i, j)
-                        break
-                if off:
-                    break
-            if off is None:
-                break  # totally zero block: the remaining vectors are null
-            i, j = off
-            c = A[i][j]
-            cc = c.conj()
-            # replace e_i by conj(c)*e_i + e_j; new diagonal is 2|c|^2 > 0
-            if want_basis:
-                basis[i] = [cc * a + b for a, b in zip(basis[i], basis[j])]
-            for k in active:
-                if k != i:
-                    A[i][k] = cc * A[i][k] + A[j][k]
-            for k in active:
-                if k != i:
-                    A[k][i] = A[i][k].conj()
-            A[i][i] = GaussianScalar(2 * (c.re * c.re + c.im * c.im))
-            piv = i
-        d = A[piv][piv]
-        _require(d.is_real(), "hermitian diagonal must be real")
-        values.append(d.re)
-        if want_basis:
-            vectors.append(list(basis[piv]))
-        active.remove(piv)
-        inv = G_ONE / d
-        col = {j: A[j][piv] for j in active}
-        for j in active:
-            aj = col[j] * inv
-            if aj.is_zero():
-                continue
-            if want_basis:
-                basis[j] = [b - aj * p for b, p in zip(basis[j], basis[piv])]
-            for k in active:
-                A[j][k] = A[j][k] - aj * A[piv][k]
-        for j in active:
-            A[j][piv] = G_ZERO
-            A[piv][j] = G_ZERO
-    nulls = [list(basis[i]) for i in active] if want_basis else [None] * len(active)
-    return values, (vectors if want_basis else None), nulls, len(active)
+    n, L = H.rows, lcm(*H.den)
+    re, im = H._over(L)
+    A = [list(re[j * n:(j + 1) * n]) for j in range(n)]
+    B = [list(im[j * n:(j + 1) * n]) for j in range(n)]
+    V = [([int(j == k) for k in range(n)], [0] * n if im else [])
+         for j in range(n)] if want_basis else []
+    s, kn, kd = 1, L, 1
+    values, vectors = [], []
+    while A:
+        g = gcd(*chain.from_iterable(A), *chain.from_iterable(B))
+        if not g:
+            break  # a zero block: the remaining vectors are null
+        if g > 1:
+            A, B = ([[x // g for x in r] for r in M] for M in (A, B))
+            s, kd = s * g, kd * g
+        m = len(A)
+        p = next((j for j in range(m) if A[j][j] or B[j] and B[j][j]), None)
+        if p is None:
+            # every diagonal vanishes: pull a hyperbolic pair onto it; the
+            # steps below read row p only, so column p is left stale
+            p, j = next((i, j) for i in range(m) for j in range(m)
+                        if A[i][j] or B[i] and B[i][j])
+            c, ci, h = A[p][j], B[p][j] if B[p] else 0, gcd(kn, kd)
+            a, b = kd // h, kn // h
+            A[p], B[p] = _comb(b, A[j], B[j], -a * c, a * ci, A[p], B[p])
+            if V:
+                V[p] = _comb(b, *V[j], -a * c, a * ci, *V[p])
+            A[p][p] = 2 * a * b * (c * c + ci * ci)
+        else:
+            _require(not (B[p] and B[p][p]), "hermitian diagonal must be real")
+        d = A[p][p]
+        values.append(s * d)
+        ad, sg = abs(d), (1 if d > 0 else -1)
+        s, kn = s * ad, kn * ad
+        rest = [j for j in range(m) if j != p]
+        fs = [(sg * A[p][j], -sg * B[p][j] if B[p] else 0) for j in rest]  # sgn(d)*A_jp
+        if V:
+            vectors.append(V[p])
+            V = [_comb(ad, *V[j], f, fi, *V[p]) for j, (f, fi) in zip(rest, fs)]
+        rows = [_comb(ad, A[j], B[j], f, fi, A[p], B[p]) for j, (f, fi) in zip(rest, fs)]
+        A, B = [x[:p] + x[p + 1:] for x, _ in rows], [y[:p] + y[p + 1:] for _, y in rows]
+    return L, values, vectors, V, len(A)
 
 
 def hermitian_signature(H: ExactMatrix) -> tuple[int, int, int]:
     """Signature (positives, negatives, nulls) of a Hermitian matrix.
 
-    Exact congruence diagonalization with symmetric pivoting: 1x1 pivots when
-    a nonzero diagonal entry exists; otherwise a hyperbolic off-diagonal entry
-    is promoted (contributing one positive and one negative eigendirection).
+    Fraction-free congruence diagonalization on the integer rows with
+    symmetric pivoting (see _hermitian_reduce): 1x1 pivots when a nonzero
+    diagonal entry exists; otherwise a hyperbolic off-diagonal entry is
+    promoted (contributing one positive and one negative eigendirection).
     """
-    values, _, _, null_count = _hermitian_reduce(H, want_basis=False)
+    _, values, _, _, nulls = _hermitian_reduce(H, want_basis=False)
     pos = sum(1 for v in values if v > 0)
     neg = sum(1 for v in values if v < 0)
-    _require(pos + neg + null_count == H.rows, "signature does not add up")
-    return pos, neg, null_count
+    _require(pos + neg + nulls == H.rows, "signature does not add up")
+    return pos, neg, nulls
 
 
 def hermitian_diagonalize(H: ExactMatrix):
     """Congruence-diagonalize the Hermitian form with Gram matrix H.
 
-    Returns (vectors, values, null_vectors): coordinate columns v_a with
-    h(v_a, v_b) = delta_ab * values[a] (values real nonzero) and a list of
-    null vectors spanning the radical.
+    Returns (vectors, values, null_vectors): coordinate columns v_a of
+    Gaussian integers with content 1 and h(v_a, v_b) = delta_ab * values[a]
+    (values real nonzero), and a list of null vectors spanning the radical.
+    Each vector is a positive real multiple of the one exact Gaussian
+    elimination with the same pivots gives (see _hermitian_reduce), so Gram
+    minors keep their signs.
     """
-    values, vectors, nulls, _ = _hermitian_reduce(H, want_basis=True)
-    return vectors, values, nulls
+    L, values, vectors, nulls, _ = _hermitian_reduce(H, want_basis=True)
+
+    def column(x, y):
+        g = gcd(*x, *y)
+        return [_from_ints(p // g, q // g, 1) for p, q in zip(x, y or [0] * len(x))], g
+
+    cols = [column(*v) for v in vectors]
+    return ([c for c, _ in cols], [Fraction(v, L * g * g) for v, (_, g) in zip(values, cols)],
+            [column(*v)[0] for v in nulls])
 
 
 class ZeroMinorError(ArithmeticError):

@@ -11,12 +11,14 @@ from pathlib import Path
 
 from lmhs import exactlin
 from lmhs.exactlin import (
+    G_ONE,
     G_ZERO,
     ExactMatrix,
     GaussianScalar,
     PolyScalar,
     Subspace,
     ZeroMinorError,
+    hermitian_check,
     rank,
 )
 
@@ -185,6 +187,85 @@ def reference_det(*coeffs: ExactMatrix) -> PolyScalar:
 
 def reference_minors(*coeffs: ExactMatrix) -> list[PolyScalar]:
     return reference_bareiss(poly_entries(coeffs), allow_swaps=False)[0]
+
+
+# -- reference Hermitian reduction -------------------------------------------
+#
+# Symmetric Gaussian elimination on the GaussianScalar entries, one division
+# by the pivot per row.  It is the reference for exactlin.hermitian_signature
+# and exactlin.hermitian_diagonalize, which eliminate fraction-free on the
+# integer rows.
+
+
+def reference_hermitian_reduce(H: ExactMatrix, want_basis: bool):
+    """Congruence diagonalization with GaussianScalar arithmetic.
+
+    The form is h(x, y) = x^T H conj(y) on coordinate columns, so H is the
+    Gram matrix h(e_j, e_k) and Hermitian means H[k][j] = conj(H[j][k]).
+    Returns (values, vectors, null vectors, null count); without want_basis
+    vectors is None and each null vector None.
+    """
+    assert hermitian_check(H), "hermitian form required (H != H^*)"
+    n = H.rows
+    A = [list(row) for row in H.entries]
+    basis = [[G_ONE if j == k else G_ZERO for j in range(n)] for k in range(n)] \
+        if want_basis else None
+    active = list(range(n))
+    values: list[Fraction] = []
+    vectors: list[list] = []
+    while active:
+        piv = None
+        for i in active:
+            if not A[i][i].is_zero():
+                piv = i
+                break
+        if piv is None:
+            # every diagonal vanishes; pull a hyperbolic pair onto the diagonal
+            off = None
+            for i in active:
+                for j in active:
+                    if j != i and not A[i][j].is_zero():
+                        off = (i, j)
+                        break
+                if off:
+                    break
+            if off is None:
+                break  # totally zero block: the remaining vectors are null
+            i, j = off
+            c = A[i][j]
+            cc = c.conj()
+            # replace e_i by conj(c)*e_i + e_j; new diagonal is 2|c|^2 > 0
+            if want_basis:
+                basis[i] = [cc * a + b for a, b in zip(basis[i], basis[j])]
+            for k in active:
+                if k != i:
+                    A[i][k] = cc * A[i][k] + A[j][k]
+            for k in active:
+                if k != i:
+                    A[k][i] = A[i][k].conj()
+            A[i][i] = GaussianScalar(2 * (c.re * c.re + c.im * c.im))
+            piv = i
+        d = A[piv][piv]
+        assert d.is_real(), "hermitian diagonal must be real"
+        values.append(d.re)
+        if want_basis:
+            vectors.append(list(basis[piv]))
+        active.remove(piv)
+        inv = G_ONE / d
+        col = {j: A[j][piv] for j in active}
+        for j in active:
+            aj = col[j] * inv
+            if aj.is_zero():
+                continue
+            if want_basis:
+                basis[j] = [b - aj * p for b, p in zip(basis[j], basis[piv])]
+            for k in active:
+                A[j][k] = A[j][k] - aj * A[piv][k]
+        for j in active:
+            A[j][piv] = G_ZERO
+            A[piv][j] = G_ZERO
+    nulls = [list(basis[i]) for i in active] if want_basis else [None] * len(active)
+    return values, (vectors if want_basis else None), nulls, len(active)
 
 
 def run_under_python_O(test_file: str, names: list[str]) -> subprocess.CompletedProcess:

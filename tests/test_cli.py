@@ -221,6 +221,34 @@ class TestCodec:
         proc = run_optimized(command, str(path))
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
+    # per reader: (a nested value of the wrong JSON type, the path named)
+    WRONG_TYPES = {
+        "degeneration": [
+            ({"strata": [[1]]}, "strata[0]"),
+            ({"strata": [{"depth": 1, "cohomology": [{"q": 0, "dim": 1, "types": 5}]}]},
+             "strata[0].cohomology[0].types"),
+        ],
+        "mhs": [
+            ({"F": [[0]]}, "F[0]"),
+            ({"F": [{"level": 0, "basis": 5}]}, "F[0].basis"),
+        ],
+    }
+
+    @pytest.mark.parametrize("command, name, schema", [
+        ("check", "kodaira.json", "degeneration"), ("validate", "kodaira.json", "degeneration"),
+        ("orbit", "elliptic.json", "mhs")], ids=["check", "validate", "orbit"])
+    @pytest.mark.parametrize("case", [0, 1], ids=["item", "value"])
+    def test_wrong_json_type_names_its_path(self, tmp_path, capsys, command, name, schema,
+                                            case):
+        nested, where = self.WRONG_TYPES[schema][case]
+        path = tmp_path / name
+        path.write_text(json.dumps({**json.load(open(fixture_path(name))), **nested}))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"invalid input: {where}: wrong JSON type ("), err
+        proc = run_optimized(command, str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
 
 def shape_edit(tmp_path, source, kind, index, edit) -> str:
     """The path of source's JSON with one map edited: a row or a column of

@@ -45,8 +45,8 @@ from lmhs.exactlin import (
     solve,
 )
 from support import (
-    jordan_nilpotent, poly_mul, random_invertible, reference_det, reference_minors,
-    run_under_python_O,
+    jordan_nilpotent, poly_mul, random_invertible, reference_det, reference_hermitian_reduce,
+    reference_minors, run_under_python_O,
 )
 
 
@@ -309,6 +309,136 @@ class TestHermitianSignature:
                 for va in vectors + nulls:
                     assert h(nv, va) == G_ZERO
             assert len(vectors) + len(nulls) == n
+
+
+def random_hermitian(rng: random.Random, n: int, kind: str) -> ExactMatrix:
+    """A random n x n Hermitian matrix of one kind: "real", "complex" or
+    "mixed" (complex, with denominators 1, 2, 3 and 6), each about half
+    zero; "zero-diagonal" (mixed, with a zero diagonal, so the reduction
+    starts with a hyperbolic pair) or "singular" (mixed, rank at most n - 2,
+    so the reduction ends in a null block)."""
+    if kind == "singular" and n >= 2:
+        K = random_hermitian(rng, n - 2, "mixed")
+        P = ExactMatrix([[g(rng.randrange(-2, 3), rng.randrange(-1, 2)) for _ in range(n - 2)]
+                         for _ in range(n)], cols=n - 2)
+        return P @ K @ P.conj().transpose()
+    dens = [1] if kind in ("real", "complex") else [1, 2, 3, 6]
+    rows = [[G_ZERO] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            if rng.random() < 0.5 or (j == k and kind == "zero-diagonal"):
+                continue
+            re = Fraction(rng.randrange(-4, 5), rng.choice(dens))
+            im = Fraction(rng.randrange(-4, 5), rng.choice(dens)) \
+                if kind != "real" and j != k else 0
+            rows[j][k], rows[k][j] = g(re, im), g(re, -im)
+    return ExactMatrix(rows, cols=n)
+
+
+HERMITIAN_KINDS = ["real", "complex", "mixed", "zero-diagonal", "singular"]
+
+
+def positive_multiple(w: list, v: list) -> bool:
+    """w = lam * v for one real lam > 0."""
+    ratios = {a / b if not b.is_zero() else None for a, b in zip(w, v)
+              if not (a.is_zero() and b.is_zero())}
+    if len(ratios) != 1 or None in ratios:
+        return False
+    lam = ratios.pop()
+    return lam.is_real() and lam.re > 0
+
+
+def form(H: ExactMatrix, x: list, y: list) -> GaussianScalar:
+    return sum((x[a] * y[b].conj() * H.entries[a][b]
+                for a in range(H.rows) for b in range(H.rows)), G_ZERO)
+
+
+class TestHermitianAgainstReference:
+    """The fraction-free reduction against the GaussianScalar reference:
+    equal signatures, each vector a positive multiple of the reference's
+    (the hyperbolic steps included), and values that are the exact h(v, v)
+    of the vectors returned."""
+
+    @pytest.mark.parametrize("kind", HERMITIAN_KINDS)
+    def test_signature_matches_reference(self, kind):
+        rng = random.Random(HERMITIAN_KINDS.index(kind))
+        for _ in range(150):
+            H = random_hermitian(rng, rng.randrange(0, 9), kind)
+            values, _, _, nulls = reference_hermitian_reduce(H, want_basis=False)
+            want = (sum(v > 0 for v in values), sum(v < 0 for v in values), nulls)
+            assert hermitian_signature(H) == want, H
+
+    @pytest.mark.parametrize("kind", HERMITIAN_KINDS)
+    def test_diagonalize_matches_reference(self, kind):
+        rng = random.Random(10 + HERMITIAN_KINDS.index(kind))
+        for _ in range(60):
+            H = random_hermitian(rng, rng.randrange(0, 7), kind)
+            _, want_vectors, want_nulls, _ = reference_hermitian_reduce(H, True)
+            vectors, values, nulls = hermitian_diagonalize(H)
+            assert (len(vectors), len(nulls)) == (len(want_vectors), len(want_nulls))
+            for v, want in zip(vectors + nulls, want_vectors + want_nulls):
+                assert positive_multiple(v, want), (H, v, want)
+            for v, value in zip(vectors, values):
+                assert isinstance(value, Fraction) and form(H, v, v) == g(value)
+
+    def test_kinds_reach_the_hyperbolic_step_and_null_blocks(self):
+        """The samples above reach both special paths: a zero diagonal
+        with a nonzero block, and a nonzero matrix with a radical."""
+        rng = random.Random(HERMITIAN_KINDS.index("zero-diagonal"))
+        hyperbolic = [H for H in (random_hermitian(rng, rng.randrange(0, 9), "zero-diagonal")
+                                  for _ in range(150)) if not H.is_zero()]
+        assert len(hyperbolic) > 100 and any(H.den != (1,) * H.rows for H in hyperbolic)
+        rng = random.Random(HERMITIAN_KINDS.index("singular"))
+        singular = [random_hermitian(rng, rng.randrange(0, 9), "singular") for _ in range(150)]
+        assert sum(not H.is_zero() and hermitian_signature(H)[2] > 0 for H in singular) > 50
+
+    def test_empty_form(self):
+        H = ExactMatrix.zero(0, 0)
+        assert hermitian_signature(H) == (0, 0, 0)
+        assert hermitian_diagonalize(H) == ([], [], [])
+
+    def test_vectors_are_primitive_gaussian_integers(self):
+        H = ExactMatrix([[g(Fraction(1, 2)), g(Fraction(1, 3), 1)],
+                         [g(Fraction(1, 3), -1), g(0)]])
+        vectors, values, nulls = hermitian_diagonalize(H)
+        for v in vectors:
+            assert all(e.re.denominator == e.im.denominator == 1 for e in v)
+            parts = [int(e.re) for e in v] + [int(e.im) for e in v]
+            assert gcd(*parts) == 1
+        assert values[0] == Fraction(1, 2) and values[1] < 0 and not nulls
+
+
+def entries_product(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    """A @ B by GaussianScalar dot products on the entries views."""
+    return ExactMatrix([[sum((A.entries[j][k] * B.entries[k][l] for k in range(A.cols)), G_ZERO)
+                         for l in range(B.cols)] for j in range(A.rows)], cols=B.cols)
+
+
+@pytest.mark.parametrize("density", [0.15, 0.5, 1.0], ids=["sparse", "half", "dense"])
+@pytest.mark.parametrize("left, right", [(False, False), (True, False), (False, True),
+                                         (True, True)], ids=["rr", "cr", "rc", "cc"])
+def test_matmul_matches_entries_product(density, left, right):
+    """Row-combination products against entry dot products, byte for byte:
+    sparse and dense, real and complex on either side, empty shapes
+    included; a real product has no imaginary numerators."""
+    rng = random.Random(f"{density} {left} {right}")
+
+    def draw(rows, cols, cplx):
+        def entry():
+            if rng.random() >= density:
+                return G_ZERO
+            im = Fraction(rng.randrange(-3, 4), rng.choice([1, 2, 5])) if cplx else 0
+            return g(Fraction(rng.randrange(-3, 4), rng.choice([1, 2, 3])), im)
+        return ExactMatrix([[entry() for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+    for _ in range(80):
+        r, k, c = (rng.randrange(0, 6) for _ in range(3))
+        A, B = draw(r, k, left), draw(k, c, right)
+        P = A @ B
+        assert (P.rows, P.cols) == (r, c)
+        assert P == entries_product(A, B), (A, B)
+        if not (A.im or B.im):
+            assert P.im == ()
 
 
 def pm(rows):

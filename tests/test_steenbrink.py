@@ -4,6 +4,7 @@ psi pairings, E2 signature tables and limit MHS extraction."""
 import json
 import random
 from collections import Counter
+from importlib import resources
 from itertools import combinations
 
 import pytest
@@ -531,6 +532,31 @@ def test_pipeline_builds_no_scalar_view_of_its_input(build):
     validate_degeneration_data(data)
     nearby_hodge_index(data)
     assert unviewed and all(A._entries is None for A in unviewed)
+
+
+def json_fixture(name: str):
+    return lambda: DegenerationData.from_json(
+        json.loads(resources.files("lmhs").joinpath("fixtures", name).read_text()))
+
+
+SCALAR_INPUTS = D1_INPUTS + [json_fixture("kodaira.json"), json_fixture("odp_m3.json")]
+SCALAR_IDS = D1_IDS + ["kodaira.json", "odp_m3.json"]
+
+
+@pytest.mark.parametrize("build", SCALAR_INPUTS, ids=SCALAR_IDS)
+def test_pipeline_does_no_scalar_arithmetic(build, monkeypatch):
+    """Validation and nearby_hodge_index, the signature table included,
+    compute on integer rows only: no GaussianScalar ring operation runs."""
+    data = build()
+
+    def refuse(*args):
+        raise AssertionError("GaussianScalar arithmetic in the pipeline")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+               "__rmul__", "__truediv__", "__rtruediv__", "__pow__"):
+        monkeypatch.setattr(GaussianScalar, op, refuse)
+    assert validate_degeneration_data(data).ok
+    nearby_hodge_index(data)
 
 
 class TestD1Builds:
