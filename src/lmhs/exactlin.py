@@ -10,8 +10,11 @@ positive denominator, in lowest terms, so equal matrices have equal storage.
 Products (row combinations over the nonzero entries), sums, reshaping,
 elimination and the fraction-free Hermitian reduction work on these
 integers; scalars appear only in the constructor, the JSON codec, repr and
-the entries view.
-A real matrix has no imaginary numerators, and no kernel makes any for it.
+the entries view.  A real matrix has no imaginary numerators, and no kernel
+makes any for it.  rref, kernel, kernel_modulo, inverse, solve and
+class_coordinates read their answers from the rows of one fraction-free
+elimination, whose pivots divide only the rows and columns asked for, in
+one place (_solved_rows); no intermediate reduced matrix is built.
 
 A polynomial matrix in a real variable t is the list of its coefficient
 matrices C_0, ..., C_D, lowest degree first, as exp_nilpotent returns them.
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -659,26 +662,30 @@ def _echelon(M: ExactMatrix) -> tuple[list[list[int]], list[list[int]], list[int
     return R, I, pivots
 
 
-def rref(M: ExactMatrix) -> tuple[ExactMatrix, list[int], int]:
-    """Reduced row echelon form over the Gaussian rationals.
-
-    Returns (reduced matrix, pivot column indices, rank).  The elimination
-    runs on Gaussian integers (see _echelon); pivot rows are divided by
-    their pivots only at the end, which gives the unique reduced form.  A
-    real pivot a divides its row as the denominator |a|, with the sign of a
-    moved into the numerators; a complex one a + ib as a^2 + b^2.
-    """
-    R, I, pivots = _echelon(M)
+def _solved_rows(R: list, I: list, pivots: list[int], js, ks, sign: int = 1) -> list:
+    """Rows js of the reduced form of _echelon's (R, I, pivots), times sign
+    = +-1 and cut to the columns ks, as (re, im, den) rows.  The one place a
+    pivot divides its row: a real pivot a as the denominator |a|, its sign
+    moved into the numerators, a complex one a + ib as a^2 + b^2."""
     out = []
-    for j, c in enumerate(pivots):
-        x, y = R[j], I[j]
-        a, b = x[c], y[c] if y else 0
+    for j in js:
+        x, y, c = R[j], I[j], pivots[j]
+        a, b = sign * x[c], sign * y[c] if y else 0
+        x, y = [x[k] for k in ks], [y[k] for k in ks] if y else ()
         if not b:
             out.append((x, y, a) if a > 0 else ([-v for v in x], [-v for v in y], -a))
             continue
         # (x + iy) / (a + ib) = ((xa + yb) + i(ya - xb)) / (a^2 + b^2)
         out.append(([u * a + v * b for u, v in zip(x, y)],
                     [v * a - u * b for u, v in zip(x, y)], a * a + b * b))
+    return out
+
+
+def rref(M: ExactMatrix) -> tuple[ExactMatrix, list[int], int]:
+    """Reduced row echelon form over the Gaussian rationals: (reduced
+    matrix, pivot column indices, rank), every row of _echelon solved."""
+    R, I, pivots = _echelon(M)
+    out = _solved_rows(R, I, pivots, range(len(pivots)), range(M.cols))
     out.extend(([0] * M.cols, (), 1) for _ in range(M.rows - len(pivots)))
     return _from_int_rows(M.cols, out), pivots, len(pivots)
 
@@ -688,54 +695,47 @@ def rank(M: ExactMatrix) -> int:
 
 
 def inverse(M: ExactMatrix) -> ExactMatrix:
-    """The inverse of a square matrix, read off the reduced form of [M | I].
-    Raises ValueError when M is not square or singular."""
+    """The inverse of a square matrix, the right half of the reduced form
+    of [M | I].  Raises ValueError when M is not square or singular."""
     n = M.rows
     if M.cols != n:
         raise ValueError("square matrix required")
-    R, pivots, _ = rref(M.hstack(ExactMatrix.identity(n)))
+    R, I, pivots = _echelon(M.hstack(ExactMatrix.identity(n)))
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    return R.take_columns(range(n, 2 * n))
+    return _from_int_rows(n, _solved_rows(R, I, pivots, range(n), range(n, 2 * n)))
 
 
 def kernel(M: ExactMatrix) -> "Subspace":
     """Exact basis of the null space of M: per free column c, the vector
     with 1 at c, 0 at the other free columns and minus the reduced form's
-    column c at the pivots."""
-    R, pivots, _ = rref(M)
-    return _null_space(M.cols, R, pivots)[0]
+    column c at the pivots, read from the integer rows (_kernel_basis)."""
+    return _kernel_basis(M.cols, *_echelon(M))[0]
 
 
-def _null_space(n: int, R: ExactMatrix, pivots: list[int]) -> tuple["Subspace", list[int]]:
-    """kernel of a matrix with n columns from its reduced form R, and its
-    free columns."""
+def _kernel_basis(n: int, R: list, I: list, pivots: list[int]) -> tuple["Subspace", list[int]]:
+    """(kernel, free columns) of a matrix with n columns from its _echelon
+    rows: basis row pivots[j] is minus reduced row j on the free columns,
+    and the row of the i-th free column is e_i, so the basis is independent."""
     free = [c for c in range(n) if c not in pivots]
-    # minus the free columns of the pivot rows, built as one matrix
-    negated = _from_int_rows(len(free), (
-        ([-re[c] for c in free], [-im[c] for c in free] if im else (), d)
-        for re, im, d in islice(R._int_rows(), len(pivots))))
-    basis = ExactMatrix.assemble(n, len(free), [
-        (pivots, 0, negated),
-        (free, 0, ExactMatrix.identity(len(free))),
-    ])
-    # each basis vector has a 1 in its own free column and 0 in the others,
-    # so independence is automatic
-    return Subspace._trusted(n, basis), free
+    rows = _solved_rows(R, I, pivots, range(len(pivots)), free, -1)
+    for i, c in enumerate(free):  # in column order, so row c lands at c
+        rows.insert(c, ([int(i == k) for k in range(len(free))], (), 1))
+    return Subspace._trusted(n, _from_int_rows(len(free), rows)), free
 
 
 def kernel_modulo(M: ExactMatrix, lower: "Subspace | None" = None):
     """(ker M, representatives of ker M modulo lower, im M) from one
-    reduced form of M; lower defaults to im M, for M @ M = 0.  The
+    elimination of M; lower defaults to im M, for M @ M = 0.  The
     representatives equal quotient_reps(kernel(M), lower) byte for byte, or
     are None when M @ lower != 0.  The kernel basis is the identity on the
     free rows, so lower's free rows C are its coordinates: kernel column j
     is kept unless some vector of span(C) has its last nonzero coordinate
     at j, that is a pivot of C^T with its columns reversed.
     """
-    R, pivots, _ = rref(M)
-    K, free = _null_space(M.cols, R, pivots)
-    I = Subspace._trusted(M.rows, M.take_columns(pivots))
+    echelon = _echelon(M)
+    K, free = _kernel_basis(M.cols, *echelon)
+    I = Subspace._trusted(M.rows, M.take_columns(echelon[2]))
     lower = I if lower is None else lower
     _require(lower.ambient_dim == M.cols, "lower space outside the domain")
     f, b = len(free), lower.dim
@@ -757,13 +757,13 @@ def image(M: ExactMatrix) -> "Subspace":
 def solve(M: ExactMatrix, b: Sequence) -> list | None:
     """One solution x of M x = b, or None if the system is inconsistent."""
     aug = M.hstack(ExactMatrix.from_columns([list(b)], rows=M.rows))
-    R, pivots, _ = rref(aug)
+    R, I, pivots = _echelon(aug)
     if M.cols in pivots:
         return None
-    col = R.take_columns([M.cols]).entries
     x = [G_ZERO] * M.cols
-    for j, pc in enumerate(pivots):
-        x[pc] = col[j][0]
+    col = _solved_rows(R, I, pivots, range(len(pivots)), [M.cols])
+    for (v,), pc in zip(_from_int_rows(1, col).entries, pivots):
+        x[pc] = v
     return x
 
 
@@ -793,10 +793,10 @@ def class_coordinates(reps: ExactMatrix, lower: "Subspace", X: ExactMatrix) -> E
     otherwise its first rows hold each column's unique solution.
     """
     k = reps.cols + lower.dim
-    R, _, rk = rref(reps.hstack(lower.basis, X))
-    if rk > k:
+    R, I, pivots = _echelon(reps.hstack(lower.basis, X))
+    if len(pivots) > k:
         return None
-    return R.take_rows(range(reps.cols)).take_columns(range(k, k + X.cols))
+    return _from_int_rows(X.cols, _solved_rows(R, I, pivots, range(reps.cols), range(k, k + X.cols)))
 
 
 class Subspace:
@@ -1042,8 +1042,6 @@ def exp_nilpotent(N: ExactMatrix, a=0, b=1) -> list[ExactMatrix]:
         return [E]
     coeffs = series(N.scale(b))
     return coeffs if a.is_zero() else [E @ C for C in coeffs]
-
-
 
 
 # -- determinants of polynomial matrices -------------------------------------

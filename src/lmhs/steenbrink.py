@@ -126,13 +126,23 @@ class StratumCohomology:
     def from_json(blob: dict) -> "StratumCohomology":
         cohomology = {}
         for item in blob["cohomology"]:
-            entry = {"dim": item["dim"], "types": [tuple(t) for t in item["types"]]}
+            entry = {"dim": _json_int(item, "dim"), "types": [tuple(t) for t in item["types"]]}
             if "pairing" in item:
                 entry["pairing"] = matrix_from_json(item["pairing"])
             if "frame" in item:
                 entry["frame"] = matrix_from_json(item["frame"])
-            cohomology[item["q"]] = entry
-        return StratumCohomology(blob["depth"], cohomology)
+            cohomology[_json_int(item, "q")] = entry
+        return StratumCohomology(_json_int(blob, "depth"), cohomology)
+
+
+def _json_int(blob: dict, key: str) -> int:
+    """blob[key], which must be a JSON integer: a bool or a string is a
+    TypeError, raised right after the read, so the reader's caller can name
+    its path."""
+    value = blob[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
+    return value
 
 
 class DegenerationData:
@@ -188,19 +198,18 @@ class DegenerationData:
     @staticmethod
     def from_json(blob: dict) -> "DegenerationData":
         strata = [StratumCohomology.from_json(s) for s in blob["strata"]]
-        # a map without rows keeps the width of its source
-        source_dim = DegenerationData(blob["m"], strata).stratum_dim
-        gysin = {
-            (g["depth"], g["q"]): matrix_from_json(
-                g["matrix"], source_dim(g["depth"] + 1, g["q"]))
-            for g in blob.get("gysin", [])
-        }
-        restriction = {
-            (t["depth"], t["q"]): matrix_from_json(
-                t["matrix"], source_dim(t["depth"], t["q"]))
-            for t in blob.get("restriction", [])
-        }
-        return DegenerationData(blob["m"], strata, gysin, restriction)
+        m = _json_int(blob, "m")
+        source_dim = DegenerationData(m, strata).stratum_dim
+
+        def maps(kind: str, shift: int) -> dict:
+            # a map without rows keeps the width of its source, at depth + shift
+            out = {}
+            for g in blob.get(kind, []):
+                depth, q = _json_int(g, "depth"), _json_int(g, "q")
+                out[depth, q] = matrix_from_json(g["matrix"], source_dim(depth + shift, q))
+            return out
+
+        return DegenerationData(m, strata, maps("gysin", 1), maps("restriction", 0))
 
 
 def _conj_permutation(frame: ExactMatrix, types: list) -> list | None:
@@ -226,6 +235,9 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
     pairings_ok = True
     for depth, s in sorted(data.strata.items()):
         n = data.complex_dim(depth)
+        # degrees whose pairing equals +-the transpose of the nondegenerate
+        # pairing of the dual degree: same rank, and consistent with it
+        dual_checked = set()
         for q, entry in sorted(s.cohomology.items()):
             tag = f"depth {depth} degree {q}"
             if not (0 <= q <= 2 * n):
@@ -247,6 +259,8 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
                 elif P.rows != entry["dim"] or P.cols != dual_dim:
                     failures.append(f"{tag}: pairing shape mismatch")
                     pairings_ok = False
+                elif q in dual_checked:
+                    pass
                 elif rank(P) != min(P.rows, P.cols):
                     failures.append(f"{tag}: degenerate pairing")
                 else:
@@ -256,6 +270,8 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
                         Pt = -Pt
                     if Pd is not None and Pd != Pt:
                         failures.append(f"{tag}: pairing transpose inconsistency")
+                    elif Pd is not None:
+                        dual_checked.add(2 * n - q)
             F = entry["frame"]
             if F is not None:
                 if F.rows != entry["dim"] or F.cols != entry["dim"]:

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from lmhs import exactlin
@@ -266,6 +267,98 @@ def reference_hermitian_reduce(H: ExactMatrix, want_basis: bool):
             A[piv][j] = G_ZERO
     nulls = [list(basis[i]) for i in active] if want_basis else [None] * len(active)
     return values, (vectors if want_basis else None), nulls, len(active)
+
+
+# -- reference eliminations -------------------------------------------------
+#
+# The reduced form built as a matrix, then cut, negated and assembled: the
+# references for exactlin's kernel, kernel_modulo, inverse, solve and
+# class_coordinates, which read their answers straight from the integer rows
+# of exactlin._echelon.  reference_rref divides its pivot rows itself, so it
+# shares nothing with exactlin._solved_rows.
+
+
+def reference_rref(M: ExactMatrix):
+    """(reduced form, pivots, rank): each pivot row of exactlin._echelon
+    divided by its pivot, a real pivot a as the denominator |a| with its
+    sign in the numerators, a complex one a + ib as a^2 + b^2."""
+    R, I, pivots = exactlin._echelon(M)
+    out = []
+    for j, c in enumerate(pivots):
+        x, y = R[j], I[j]
+        a, b = x[c], y[c] if y else 0
+        if not b:
+            out.append((x, y, a) if a > 0 else ([-v for v in x], [-v for v in y], -a))
+            continue
+        # (x + iy) / (a + ib) = ((xa + yb) + i(ya - xb)) / (a^2 + b^2)
+        out.append(([u * a + v * b for u, v in zip(x, y)],
+                    [v * a - u * b for u, v in zip(x, y)], a * a + b * b))
+    out.extend(([0] * M.cols, (), 1) for _ in range(M.rows - len(pivots)))
+    return exactlin._from_int_rows(M.cols, out), pivots, len(pivots)
+
+
+def reference_null_space(n: int, R: ExactMatrix, pivots: list[int]):
+    """(kernel, free columns) from the reduced form R: minus R's free columns
+    on the pivot rows, the identity on the free rows."""
+    free = [c for c in range(n) if c not in pivots]
+    negated = exactlin._from_int_rows(len(free), (
+        ([-re[c] for c in free], [-im[c] for c in free] if im else (), d)
+        for re, im, d in islice(R._int_rows(), len(pivots))))
+    basis = ExactMatrix.assemble(n, len(free), [
+        (pivots, 0, negated),
+        (free, 0, ExactMatrix.identity(len(free))),
+    ])
+    return Subspace._trusted(n, basis), free
+
+
+def reference_kernel(M: ExactMatrix) -> Subspace:
+    R, pivots, _ = reference_rref(M)
+    return reference_null_space(M.cols, R, pivots)[0]
+
+
+def reference_kernel_modulo(M: ExactMatrix, lower: Subspace | None = None):
+    R, pivots, _ = reference_rref(M)
+    K, free = reference_null_space(M.cols, R, pivots)
+    I = Subspace._trusted(M.rows, M.take_columns(pivots))
+    lower = I if lower is None else lower
+    f, b = len(free), lower.dim
+    if not b:
+        return K, K.basis, I
+    if not (M @ lower.basis).is_zero():
+        return K, None, I
+    last = range(f) if b == f else {
+        f - 1 - p for p in exactlin._echelon(lower.basis.take_rows(free[::-1]).transpose())[2]}
+    return K, K.basis.take_columns([j for j in range(f) if j not in last]), I
+
+
+def reference_inverse(M: ExactMatrix) -> ExactMatrix:
+    n = M.rows
+    if M.cols != n:
+        raise ValueError("square matrix required")
+    R, pivots, _ = reference_rref(M.hstack(ExactMatrix.identity(n)))
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return R.take_columns(range(n, 2 * n))
+
+
+def reference_solve(M: ExactMatrix, b) -> list | None:
+    aug = M.hstack(ExactMatrix.from_columns([list(b)], rows=M.rows))
+    R, pivots, _ = reference_rref(aug)
+    if M.cols in pivots:
+        return None
+    col = R.take_columns([M.cols]).entries
+    x = [G_ZERO] * M.cols
+    for j, pc in enumerate(pivots):
+        x[pc] = col[j][0]
+    return x
+
+
+def reference_class_coordinates(reps: ExactMatrix, lower: Subspace, X: ExactMatrix):
+    k = reps.cols + lower.dim
+    R, _, rk = reference_rref(reps.hstack(lower.basis, X))
+    if rk > k:
+        return None
+    return R.take_rows(range(reps.cols)).take_columns(range(k, k + X.cols))
 
 
 def run_under_python_O(test_file: str, names: list[str]) -> subprocess.CompletedProcess:

@@ -249,6 +249,34 @@ class TestCodec:
         proc = run_optimized(command, str(path))
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
+    # the integer fields of the degeneration reader, as (path, container of
+    # the field in the kodaira.json blob, key)
+    INT_FIELDS = [
+        ("m", lambda b: b, "m"),
+        ("strata[0].depth", lambda b: b["strata"][0], "depth"),
+        ("strata[0].cohomology[1].q", lambda b: b["strata"][0]["cohomology"][1], "q"),
+        ("strata[0].cohomology[1].dim", lambda b: b["strata"][0]["cohomology"][1], "dim"),
+        ("gysin[0].depth", lambda b: b["gysin"][0], "depth"),
+        ("restriction[1].q", lambda b: b["restriction"][1], "q"),
+    ]
+
+    @pytest.mark.parametrize("command", ["check", "validate"])
+    @pytest.mark.parametrize("field", range(len(INT_FIELDS)),
+                             ids=[where for where, _, _ in INT_FIELDS])
+    @pytest.mark.parametrize("value", ["1", True], ids=["str", "bool"])
+    def test_non_integer_field_names_its_path(self, tmp_path, capsys, command, field, value):
+        where, container, key = self.INT_FIELDS[field]
+        blob = json.load(open(fixture_path("kodaira.json")))
+        container(blob)[key] = value
+        path = tmp_path / "kodaira.json"
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, command, str(path))
+        kind = type(value).__name__
+        assert (code, out, err) == (1, "", f"invalid input: {where}: wrong JSON type "
+                                           f"({key} must be an integer, not {kind})\n")
+        proc = run_optimized(command, str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
 
 def shape_edit(tmp_path, source, kind, index, edit) -> str:
     """The path of source's JSON with one map edited: a row or a column of

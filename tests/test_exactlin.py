@@ -45,8 +45,9 @@ from lmhs.exactlin import (
     solve,
 )
 from support import (
-    jordan_nilpotent, poly_mul, random_invertible, reference_det, reference_hermitian_reduce,
-    reference_minors, run_under_python_O,
+    jordan_nilpotent, poly_mul, random_invertible, reference_class_coordinates, reference_det,
+    reference_hermitian_reduce, reference_inverse, reference_kernel, reference_kernel_modulo,
+    reference_minors, reference_rref, reference_solve, run_under_python_O,
 )
 
 
@@ -895,6 +896,93 @@ def test_kernel_modulo_defaults_to_the_image(seed):
     assert I.basis == image(M).basis
     assert K.basis == kernel(M).basis
     assert reps == quotient_reps(kernel(M), image(M)) == kernel_modulo(M, I)[1]
+
+
+# -- eliminations read from the integer rows, against the reduced form -------
+
+
+def storage(M: ExactMatrix | None):
+    return None if M is None else (M.rows, M.cols, M.re, M.im, M.den)
+
+
+def assert_eliminations_keep_the_reduced_form_storage(M, x, c):
+    """rref, kernel, inverse (of M's leading square block) and solve (of
+    M x and of c) equal, to the re/im/den tuples, the reduced form built as
+    a matrix and then cut: support.reference_rref, which divides its pivot
+    rows itself."""
+    R, pivots, rk = rref(M)
+    want, want_pivots, want_rk = reference_rref(M)
+    assert (storage(R), pivots, rk) == (storage(want), want_pivots, want_rk)
+    assert storage(kernel(M).basis) == storage(reference_kernel(M).basis)
+    n = min(M.rows, M.cols)
+    S = M.take_rows(range(n)).take_columns(range(n))
+    try:
+        want = storage(reference_inverse(S))
+    except ValueError:
+        with pytest.raises(ValueError):
+            inverse(S)
+    else:
+        assert storage(inverse(S)) == want
+    for rhs in ((M @ x).column(0), c.column(0)):
+        got = solve(M, rhs)
+        assert got == reference_solve(M, rhs)
+        assert got is None or all(type(v) is GaussianScalar for v in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rational_matrices(), gaussian_matrices()), st.data())
+def test_eliminations_keep_the_reduced_form_storage(M, data):
+    """Real, complex and mixed-denominator matrices, empty shapes, full rank
+    and rank-deficient (gaussian_matrices makes about half of those with
+    two or more rows dependent); a consistent right side and one that may
+    not be."""
+    assert_eliminations_keep_the_reduced_form_storage(
+        M, data.draw(gaussian_matrices(M.cols, 1)), data.draw(gaussian_matrices(M.rows, 1)))
+
+
+@pytest.mark.parametrize("rows", [
+    [[-2, 1, 3], [4, -6, 1]],
+    [[g(1, 2), 3, g(0, -1)], [2, g(1, 1), 5]],
+    [[-3, g(1, 1), 2]],
+], ids=["negative-real-pivot", "complex-pivot", "real-pivots-in-a-complex-matrix"])
+def test_signed_pivots_keep_the_reduced_form_storage(rows):
+    M = ExactMatrix([[GaussianScalar.coerce(v) for v in row] for row in rows])
+    ones = ExactMatrix.from_rational([[1]] * M.cols)
+    assert_eliminations_keep_the_reduced_form_storage(M, ones, ones.take_rows(range(M.rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_modulo_cases())
+def test_kernel_modulo_keeps_the_reduced_form_storage(case):
+    M, lower, _ = case
+    got, want = kernel_modulo(M, lower), reference_kernel_modulo(M, lower)
+    assert [storage(got[0].basis), storage(got[1]), storage(got[2].basis)] == \
+        [storage(want[0].basis), storage(want[1]), storage(want[2].basis)]
+
+
+@st.composite
+def class_coordinates_inputs(draw):
+    """(reps, lower, X): lower the image of a random matrix, reps the
+    representatives of lower + image(B) modulo lower, and X combinations of
+    that span, with an arbitrary column inserted about half the time."""
+    rows = draw(st.integers(0, 4))
+    kinds = st.sampled_from([rational_matrices, gaussian_matrices])
+    lower = image(draw(draw(kinds)(rows, draw(st.integers(0, 3)))))
+    upper = lower.add(image(draw(draw(kinds)(rows, draw(st.integers(0, 3))))))
+    X = upper.basis @ draw(draw(kinds)(upper.dim, draw(st.integers(0, 3))))
+    if draw(st.booleans()):
+        cols = X.columns()
+        cols.insert(draw(st.integers(0, len(cols))), draw(gaussian_matrices(rows, 1)).column(0))
+        X = ExactMatrix.from_columns(cols, rows=rows)
+    return quotient_reps(upper, lower), lower, X
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_coordinates_inputs())
+def test_class_coordinates_keep_the_reduced_form_storage(case):
+    reps, lower, X = case
+    assert storage(class_coordinates(reps, lower, X)) == \
+        storage(reference_class_coordinates(reps, lower, X))
 
 
 @settings(max_examples=300, deadline=None)

@@ -30,7 +30,9 @@ from lmhs.orbit import (
     verify_main_theorem,
     wedge_identity,
 )
-from support import jordan_nilpotent, random_invertible, reference_det, run_under_python_O
+from support import (
+    jordan_nilpotent, random_invertible, random_unimodular, reference_det, run_under_python_O,
+)
 from test_mhs import elliptic_string, tate_string_3
 
 I = GaussianScalar(0, 1)
@@ -414,5 +416,62 @@ def test_verdicts_do_not_depend_on_coordinates(seed):
     want, got = verify_main_theorem(data), verify_main_theorem(moved)
     assert want.ok and got.ok, (want.failures, got.failures)
     assert got.details["table"].to_json() == want.details["table"].to_json()
+    for key in ("levels", "pieces", "nearby"):
+        assert got.details[key] == want.details[key], key
+
+
+def takes_hyperbolic_step(H) -> bool:
+    """Whether the congruence reduction of H, pivoting on the first nonzero
+    diagonal entry, meets an active block with a zero diagonal and a nonzero
+    entry: the step that promotes a hyperbolic pair."""
+    A = [list(row) for row in H.entries]
+    while A:
+        p = next((j for j in range(len(A)) if not A[j][j].is_zero()), None)
+        if p is None:
+            return any(not x.is_zero() for row in A for x in row)
+        d = A[p][p]
+        A = [[A[j][k] - A[j][p] * A[p][k] / d for k in range(len(A)) if k != p]
+             for j in range(len(A)) if j != p]
+    return False
+
+
+def test_sheared_structure_takes_the_hyperbolic_step(monkeypatch):
+    """A unimodular shear of an unpolarized generator draw whose primitive
+    forms, in the sheared coordinates, have a zero diagonal: the orbit
+    pipeline promotes a hyperbolic pair and still gives the level
+    signatures, pieces and table of the unsheared draw.  The draw (two
+    complex slots of weight 1 with forms of opposite signs) was found by a
+    search: seed 1751 is the one of seeds 0..7999 whose shear reaches the
+    step, among 1,175 draws with an indefinite primitive form."""
+    rng = random.Random(1751)
+    data, expected = random_polarized_mhs(rng, max_dim=4, max_d=2, polarized=False,
+                                          transport=False, twist=False)
+    n = data.ambient_dim
+    T = random_unimodular(rng, n)
+    Tinv = inverse(T)
+    moved = MHSData(n, data.d, data.W.apply(T), data.F.apply(T),
+                    N=T @ data.N @ Tinv, S=Tinv.transpose() @ data.S @ Tinv)
+    forms = []
+    reduce = exactlin._hermitian_reduce
+
+    def recording(H, want_basis):
+        forms.append(H)
+        return reduce(H, want_basis)
+
+    monkeypatch.setattr(exactlin, "_hermitian_reduce", recording)
+    want = verify_main_theorem(data)
+    assert want.ok and not any(map(takes_hyperbolic_step, forms)), want.failures
+    forms.clear()
+    got = verify_main_theorem(moved)
+    assert got.ok, got.failures
+    stepped = [H for H in forms if takes_hyperbolic_step(H)]
+    assert stepped
+    for H in stepped:
+        # the vectors the pipeline reads diagonalize the form
+        vectors, values, nulls = exactlin.hermitian_diagonalize(H)
+        X = ExactMatrix.from_columns(vectors, rows=H.rows)
+        diagonal = [[v if j == k else 0 for k in range(len(values))] for j, v in enumerate(values)]
+        assert not nulls and X.transpose() @ H @ X.conj() == ExactMatrix.from_rational(diagonal)
+    assert got.details["table"].entries == want.details["table"].entries == expected
     for key in ("levels", "pieces", "nearby"):
         assert got.details[key] == want.details[key], key

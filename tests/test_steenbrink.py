@@ -1238,3 +1238,142 @@ class TestFramedMaps:
         # only ever a source
         _framed_data(framed_maps_degeneration())
         assert sorted(inversions) == [(1, 1), (2, 2), (2, 2)]
+
+
+# -- Poincaré pairs in validation ---------------------------------------------
+
+
+def validation_ranking_every_degree(data: DegenerationData) -> list[str]:
+    """The reference failure list: validate_degeneration_data with every
+    degree's pairing ranked and transposed on its own, not once per
+    Poincaré pair (q, 2n - q)."""
+    failures = []
+    if not data.strata:
+        return ["no strata"]
+    depths = sorted(data.strata)
+    if depths != list(range(1, len(depths) + 1)):
+        failures.append(f"stratum depths {depths} are not contiguous from 1")
+    pairings_ok = True
+    for depth, s in sorted(data.strata.items()):
+        n = data.complex_dim(depth)
+        for q, entry in sorted(s.cohomology.items()):
+            tag = f"depth {depth} degree {q}"
+            if not (0 <= q <= 2 * n):
+                failures.append(f"{tag}: degree out of range for dimension {n}")
+                continue
+            types = entry["types"]
+            for (a, b) in types:
+                if a + b != q:
+                    failures.append(f"{tag}: type ({a},{b}) does not sum to {q}")
+            if sorted(types) != sorted((b, a) for (a, b) in types):
+                failures.append(f"{tag}: type multiset not conjugation-symmetric")
+            dual_dim = s.dim(2 * n - q)
+            if entry["dim"] != dual_dim:
+                failures.append(f"{tag}: Poincare dual dimension mismatch")
+            P = entry["pairing"]
+            if entry["dim"]:
+                if P is None:
+                    failures.append(f"{tag}: missing pairing")
+                elif P.rows != entry["dim"] or P.cols != dual_dim:
+                    failures.append(f"{tag}: pairing shape mismatch")
+                    pairings_ok = False
+                elif rank(P) != min(P.rows, P.cols):
+                    failures.append(f"{tag}: degenerate pairing")
+                else:
+                    Pd = s.pairing(2 * n - q)
+                    Pt = P.transpose()
+                    if (q * (2 * n - q)) % 2:
+                        Pt = -Pt
+                    if Pd is not None and Pd != Pt:
+                        failures.append(f"{tag}: pairing transpose inconsistency")
+            F = entry["frame"]
+            if F is not None:
+                if F.rows != entry["dim"] or F.cols != entry["dim"]:
+                    failures.append(f"{tag}: frame shape mismatch")
+                elif rank(F) != F.cols:
+                    failures.append(f"{tag}: singular frame")
+                elif steenbrink._conj_permutation(F, types) is None:
+                    failures.append(f"{tag}: frame conjugation does not swap types")
+            elif any(a != b for (a, b) in types):
+                failures.append(f"{tag}: frame required for types with p' != q'")
+    framed = steenbrink._frame_map(data)
+    shapes_ok = True
+    for kind, shift, src, tgt in (("gysin", 1, (1, 0), (0, 2)), ("restriction", 0, (0, 0), (1, 0))):
+        for (depth, q), A in sorted(getattr(data, kind).items()):
+            tag = f"{kind} depth {depth} degree {q}"
+            s_at, t_at = (depth + src[0], q + src[1]), (depth + tgt[0], q + tgt[1])
+            want = (data.stratum_dim(*t_at), data.stratum_dim(*s_at))
+            if (A.rows, A.cols) != want:
+                failures.append(f"{tag}: shape {(A.rows, A.cols)} != {want}")
+                shapes_ok = False
+                continue
+            failures.extend(steenbrink._type_shift_failures(data, framed, s_at, t_at, A, shift, tag))
+    if shapes_ok:
+        if pairings_ok:
+            failures.extend(steenbrink._adjointness_failures(data))
+        failures.extend(steenbrink._d1_square_failures(data))
+    return failures
+
+
+# a pairing edit: degenerate (last row zero), inconsistent with its dual
+# (first row doubled, still nondegenerate), a row or a column short, missing
+PAIRING_EDITS = {
+    "degenerate": lambda P: P.take_rows(range(P.rows - 1)).vstack(ExactMatrix.zero(1, P.cols)),
+    "inconsistent": lambda P: P.take_rows([0]).scale(2).vstack(P.take_rows(range(1, P.rows))),
+    "short-row": lambda P: P.take_rows(range(P.rows - 1)),
+    "short-column": lambda P: P.take_columns(range(P.cols - 1)),
+    "missing": lambda P: None,
+}
+
+
+def with_pairings(data: DegenerationData, depth: int, edits: dict) -> DegenerationData:
+    """data with the pairings of the given degrees of one stratum edited,
+    edits = {q: PAIRING_EDITS key}."""
+    s = data.strata[depth]
+    cohomology = {**s.cohomology, **{
+        q: {**s.cohomology[q], "pairing": PAIRING_EDITS[e](s.cohomology[q]["pairing"])}
+        for q, e in edits.items()}}
+    strata = [StratumCohomology(depth, cohomology) if t is s else t for t in data.strata.values()]
+    return DegenerationData(data.m, strata, data.gysin, data.restriction)
+
+
+def pairing_mutants(data: DegenerationData):
+    """Every single edit of every nonempty pairing, the middle degrees
+    included, and every two edits of a Poincaré pair (q, 2n - q), q < n."""
+    for depth, s in sorted(data.strata.items()):
+        n = data.complex_dim(depth)
+        paired = [q for q, e in sorted(s.cohomology.items()) if e["pairing"] is not None
+                  and e["pairing"].rows and e["pairing"].cols]
+        for q in paired:
+            for e in PAIRING_EDITS:
+                yield with_pairings(data, depth, {q: e})
+            if q < n and 2 * n - q in paired:
+                for e1 in PAIRING_EDITS:
+                    for e2 in PAIRING_EDITS:
+                        yield with_pairings(data, depth, {q: e1, 2 * n - q: e2})
+
+
+PAIRING_INPUTS = ALL_FIXTURES + [triple_point_degeneration, json_fixture("odp_m3.json")] + [
+    (lambda i=i: seeded_odp_models(7)[i]) for i in (0, 2)]
+PAIRING_IDS = [build.__name__ for build in ALL_FIXTURES] + [
+    "triple_point_degeneration", "odp_m3.json", "odp-m3-l2", "odp-m4-l3"]
+
+
+@pytest.mark.parametrize("build", PAIRING_INPUTS, ids=PAIRING_IDS)
+def test_pairing_failures_match_ranking_every_degree(build):
+    """Validation ranks and transposes each Poincaré pair once; its failure
+    lists equal those of ranking every degree, byte for byte, on every
+    pairing mutant: degenerate, inconsistent with the dual, both, the middle
+    degree, and a shape mismatch on one side."""
+    data = build()
+    assert validate_degeneration_data(data).failures == validation_ranking_every_degree(data) == []
+    seen = Counter()
+    for mutant in pairing_mutants(data):
+        failures = validate_degeneration_data(mutant).failures
+        assert failures == validation_ranking_every_degree(mutant)
+        kinds = {f.split(": ")[-1] for f in failures if f.startswith("depth ")}
+        seen.update(kinds)
+        if {"degenerate pairing", "pairing transpose inconsistency"} <= kinds:
+            seen["both"] += 1
+    assert all(seen[kind] for kind in ("degenerate pairing", "pairing transpose inconsistency",
+                                       "both", "pairing shape mismatch", "missing pairing"))
