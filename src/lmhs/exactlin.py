@@ -15,6 +15,10 @@ makes any for it.  rref, kernel, kernel_modulo, inverse, solve and
 class_coordinates read their answers from the rows of one fraction-free
 elimination, whose pivots divide only the rows and columns asked for, in
 one place (_solved_rows); no intermediate reduced matrix is built.
+Trivial shapes do no work: a product with a factor equal to the identity
+(by value) returns the other factor, kernel_modulo of a matrix without
+rows eliminates nothing, and the Hermitian test compares each entry with
+its mirror on the stored integers.
 
 A polynomial matrix in a real variable t is the list of its coefficient
 matrices C_0, ..., C_D, lowest degree first, as exp_nilpotent returns them.
@@ -228,6 +232,16 @@ def matrix_from_json(rows: list[list[str]], cols: int | None = None) -> "ExactMa
                        cols=None if rows else cols)
 
 
+def json_int(blob: dict, key: str) -> int:
+    """blob[key], which must be a JSON integer: a bool, a float or a string
+    is a TypeError, raised right after the read, so the reader's caller can
+    name its path."""
+    value = blob[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
+    return value
+
+
 class PolyScalar:
     """A polynomial in one real variable t, Gaussian rational coefficients:
     the result type of poly_det and leading_principal_minors.
@@ -438,6 +452,10 @@ class ExactMatrix:
         x*(r + is) + y*(ir - s)."""
         _require(self.cols == other.rows,
                  f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if _is_identity(self):
+            return other
+        if _is_identity(other):
+            return self
         n = other.cols
         den = lcm(*other.den)
         bre, bim = other._over(den)
@@ -530,6 +548,12 @@ class ExactMatrix:
 
 
 _IDENTITIES: dict[int, ExactMatrix] = {}
+
+
+def _is_identity(M: ExactMatrix) -> bool:
+    """M equals the identity by value, not by instance: storage is canonical,
+    so the cached identity(n) has the same tuples as any equal matrix."""
+    return M.rows == M.cols and M == ExactMatrix.identity(M.rows)
 
 
 def _new(rows: int, cols: int, re, im, den) -> ExactMatrix:
@@ -731,17 +755,23 @@ def kernel_modulo(M: ExactMatrix, lower: "Subspace | None" = None):
     are None when M @ lower != 0.  The kernel basis is the identity on the
     free rows, so lower's free rows C are its coordinates: kernel column j
     is kept unless some vector of span(C) has its last nonzero coordinate
-    at j, that is a pivot of C^T with its columns reversed.
+    at j, that is a pivot of C^T with its columns reversed.  An M without
+    rows (a block with no target) needs no elimination: its kernel is the
+    identity, its image zero, and M @ lower the empty matrix.
     """
-    echelon = _echelon(M)
-    K, free = _kernel_basis(M.cols, *echelon)
-    I = Subspace._trusted(M.rows, M.take_columns(echelon[2]))
+    if M.rows:
+        echelon = _echelon(M)
+        K, free = _kernel_basis(M.cols, *echelon)
+        I = Subspace._trusted(M.rows, M.take_columns(echelon[2]))
+    else:
+        K = Subspace._trusted(M.cols, ExactMatrix.identity(M.cols))
+        free, I = range(M.cols), Subspace.zero(0)
     lower = I if lower is None else lower
     _require(lower.ambient_dim == M.cols, "lower space outside the domain")
     f, b = len(free), lower.dim
     if not b:
         return K, K.basis, I
-    if not (M @ lower.basis).is_zero():
+    if M.rows and not (M @ lower.basis).is_zero():
         return K, None, I
     last = range(f) if b == f else {
         f - 1 - p for p in _echelon(lower.basis.take_rows(free[::-1]).transpose())[2]}
@@ -898,8 +928,14 @@ class Subspace:
 
 
 def hermitian_check(H: ExactMatrix) -> bool:
-    """H == H^*; storage is canonical, so this compares integers only."""
-    return H == H.conj().transpose()
+    """H == H^*, with no matrix built: H[j][k] = (x + iy)/den[j] against
+    conj(H[k][j]) across the diagonal, cross-multiplied by the row
+    denominators."""
+    n, re, im, den = H.rows, H.re, H.im, H.den
+    return H.cols == n and all(
+        re[j * n + k] * den[k] == re[k * n + j] * den[j]
+        and (not im or im[j * n + k] * den[k] == -im[k * n + j] * den[j])
+        for j in range(n) for k in range(j, n))
 
 
 def _comb(a: int, x, y, f: int, g: int, u, v):

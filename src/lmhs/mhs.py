@@ -25,6 +25,7 @@ from .exactlin import (
     hermitian_diagonalize,
     i_power,
     inverse,
+    json_int,
     kernel,
     matrix_from_json,
     matrix_to_json,
@@ -107,13 +108,13 @@ class MHSData:
 
     @staticmethod
     def from_json(obj: dict) -> "MHSData":
-        dim = int(obj["dim"])
-        d = int(obj["d"])
+        dim = json_int(obj, "dim")
+        d = json_int(obj, "d")
 
         def steps(key, index):
             # a basis is a list of column vectors: the rows of a dim-wide matrix
             return {
-                int(step[index]): Subspace.span(
+                json_int(step, index): Subspace.span(
                     dim, matrix_from_json(step["basis"], cols=dim).entries)
                 for step in obj[key]
             }

@@ -21,6 +21,7 @@ from .exactlin import (
     i_power,
     image,
     inverse,
+    json_int,
     kernel,
     kernel_modulo,
     matrix_from_json,
@@ -126,23 +127,13 @@ class StratumCohomology:
     def from_json(blob: dict) -> "StratumCohomology":
         cohomology = {}
         for item in blob["cohomology"]:
-            entry = {"dim": _json_int(item, "dim"), "types": [tuple(t) for t in item["types"]]}
+            entry = {"dim": json_int(item, "dim"), "types": [tuple(t) for t in item["types"]]}
             if "pairing" in item:
                 entry["pairing"] = matrix_from_json(item["pairing"])
             if "frame" in item:
                 entry["frame"] = matrix_from_json(item["frame"])
-            cohomology[_json_int(item, "q")] = entry
-        return StratumCohomology(_json_int(blob, "depth"), cohomology)
-
-
-def _json_int(blob: dict, key: str) -> int:
-    """blob[key], which must be a JSON integer: a bool or a string is a
-    TypeError, raised right after the read, so the reader's caller can name
-    its path."""
-    value = blob[key]
-    if type(value) is not int:
-        raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
-    return value
+            cohomology[json_int(item, "q")] = entry
+        return StratumCohomology(json_int(blob, "depth"), cohomology)
 
 
 class DegenerationData:
@@ -198,14 +189,14 @@ class DegenerationData:
     @staticmethod
     def from_json(blob: dict) -> "DegenerationData":
         strata = [StratumCohomology.from_json(s) for s in blob["strata"]]
-        m = _json_int(blob, "m")
+        m = json_int(blob, "m")
         source_dim = DegenerationData(m, strata).stratum_dim
 
         def maps(kind: str, shift: int) -> dict:
             # a map without rows keeps the width of its source, at depth + shift
             out = {}
             for g in blob.get(kind, []):
-                depth, q = _json_int(g, "depth"), _json_int(g, "q")
+                depth, q = json_int(g, "depth"), json_int(g, "q")
                 out[depth, q] = matrix_from_json(g["matrix"], source_dim(depth + shift, q))
             return out
 
@@ -407,13 +398,14 @@ class Summand:
 def e1_summands(data: DegenerationData, d: int, r: int) -> list[Summand]:
     """Summands of E1^{-r, d+r}: H^{d-r-2k}(E(2k+r+1)) with twist r+k, for
     k >= max(0, -r).  The inverse, which _d1_square_failures reads: H^q(E(l))
-    sits at degree q + l - 1 in the columns r = l - 1 - 2k, k = 0..l-1."""
+    sits at degree q + l - 1 in the columns r = l - 1 - 2k, k = 0..l-1.  The
+    depth 2k+r+1 is at least |r|+1, so E1 is zero for |r| >= max depth."""
     out = []
-    k = max(0, -r)
+    k, top = max(0, -r), data.max_depth()
     while True:
         depth = 2 * k + r + 1
         q = d - r - 2 * k
-        if depth > data.max_depth() or q < 0:
+        if depth > top or q < 0:
             break
         dim = data.stratum_dim(depth, q)
         if dim:
@@ -558,6 +550,11 @@ class E2Term:
         return sum(reps.cols for reps in self.sector_reps.values())
 
 
+# the term of every column past the deepest stratum, |r| >= max depth, where
+# E1 is zero (see e1_summands): it has no sector, so no page fills it in
+_NO_TERM = E2Term(DegenerationData(0, ()), 0, 0)
+
+
 class _SectorMaps:
     """The d1 blocks between equal limit-type sectors of one input, for one
     pipeline call.  Each framed stratum map (see _framed_data), with the
@@ -567,10 +564,13 @@ class _SectorMaps:
     for a restriction.  d1 is a morphism of Hodge structures, so a map with
     a nonzero entry outside those blocks breaks the sectors.  A term frame
     is block-diagonal with the stratum frames as blocks, so these are the
-    blocks of F_out^{-1} d1 F."""
+    blocks of F_out^{-1} d1 F.  A column past the deepest stratum, |r| >=
+    max depth, has no E1 summand, so its term is the shared empty one, with
+    no lookup and no E2Term built."""
 
     def __init__(self, data: DegenerationData):
         self.data = data
+        self.top = data.max_depth()
         self.terms: dict[tuple[int, int], E2Term] = {}  # (d, r) -> term, made once
         self.cut: dict[tuple, list] = {}  # source (depth, q) -> [(target, {type: block})]
         self.broken: set[tuple] = set()  # (source, target) of the maps that break sectors
@@ -593,6 +593,8 @@ class _SectorMaps:
 
     def term(self, d: int, r: int) -> E2Term:
         """The term at degree d, column -r, whose sectors its page fills in."""
+        if abs(r) >= self.top:
+            return _NO_TERM
         if (d, r) not in self.terms:
             self.terms[d, r] = E2Term(self.data, d, r)
         return self.terms[d, r]
@@ -654,7 +656,9 @@ class E2Page:
     that builds consecutive pages passes on.  Without it the page cuts its
     own maps and takes the image of each incoming block.  Any degree 0..2m
     can be built this way; nearby_hodge_index builds d <= m and reads the
-    rest from Poincaré duality."""
+    rest from Poincaré duality.  terms has every column -d..d; those past
+    the deepest stratum, |r| >= max depth, share one empty term and do no
+    work, and a sector block with no target rows costs no elimination."""
 
     def __init__(self, data: DegenerationData, d: int, carried: tuple | None = None):
         self.d = d
@@ -1034,8 +1038,8 @@ def nearby_hodge_index(data: DegenerationData) -> IndexReport:
         page = e2_page(data, d, (maps, boundaries))
         boundaries = page.boundaries
         crit = _weight_criterion(page)
-        per_degree[d] = {"criterion": crit.per_r, "hodge": page.hodge_numbers()}
-        sector_dims[d] = {r: t.sector_dims for r, t in page.terms.items()}
+        dims = sector_dims[d] = {r: t.sector_dims for r, t in page.terms.items()}
+        per_degree[d] = {"criterion": crit.per_r, "hodge": _hodge_numbers(dims.values())}
         verdict = verdict and crit.ok
         if d == m and crit.ok:
             middle = page

@@ -263,12 +263,33 @@ class TestCodec:
     @pytest.mark.parametrize("command", ["check", "validate"])
     @pytest.mark.parametrize("field", range(len(INT_FIELDS)),
                              ids=[where for where, _, _ in INT_FIELDS])
-    @pytest.mark.parametrize("value", ["1", True], ids=["str", "bool"])
+    @pytest.mark.parametrize("value", ["1", True, 1.9], ids=["str", "bool", "float"])
     def test_non_integer_field_names_its_path(self, tmp_path, capsys, command, field, value):
-        where, container, key = self.INT_FIELDS[field]
-        blob = json.load(open(fixture_path("kodaira.json")))
+        self.assert_names_its_path(tmp_path, capsys, command, "kodaira.json",
+                                   self.INT_FIELDS[field], value)
+
+    # the integer fields of the MHS reader, as for INT_FIELDS in elliptic.json
+    MHS_INT_FIELDS = [
+        ("dim", lambda b: b, "dim"),
+        ("d", lambda b: b, "d"),
+        ("W[0].weight", lambda b: b["W"][0], "weight"),
+        ("F[1].level", lambda b: b["F"][1], "level"),
+    ]
+
+    @pytest.mark.parametrize("field", range(len(MHS_INT_FIELDS)),
+                             ids=[where for where, _, _ in MHS_INT_FIELDS])
+    @pytest.mark.parametrize("value", ["1", True, 1.9], ids=["str", "bool", "float"])
+    def test_non_integer_mhs_field_names_its_path(self, tmp_path, capsys, field, value):
+        # int() would read each of these as 1 and give that structure's verdict
+        self.assert_names_its_path(tmp_path, capsys, "orbit", "elliptic.json",
+                                   self.MHS_INT_FIELDS[field], value)
+
+    @staticmethod
+    def assert_names_its_path(tmp_path, capsys, command, name, field, value):
+        where, container, key = field
+        blob = json.load(open(fixture_path(name)))
         container(blob)[key] = value
-        path = tmp_path / "kodaira.json"
+        path = tmp_path / name
         path.write_text(json.dumps(blob))
         code, out, err = run(capsys, command, str(path))
         kind = type(value).__name__

@@ -32,12 +32,14 @@ from lmhs.exactlin import (
     hermitian_diagonalize,
     hermitian_signature,
     i_power,
+    hermitian_check,
     image,
     inverse,
     kernel,
     kernel_modulo,
     leading_principal_minors,
     leading_sign,
+    matrix_from_json,
     poly_det,
     quotient_reps,
     rank,
@@ -993,6 +995,70 @@ def test_echelon_rows_are_primitive(M):
     R, I, _ = _echelon(M)
     for re, im in zip(R, I):
         assert gcd(*re, *im) in (0, 1)  # 0 for a row eliminated to zero
+
+
+def reference_product(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    """A @ B summed entry by entry in GaussianScalar arithmetic."""
+    return ExactMatrix([[sum((a * b for a, b in zip(row, col)), G_ZERO) for col in B.columns()]
+                        for row in A.entries], cols=B.cols)
+
+
+# the n x n identity, built three ways; all three have the same storage
+IDENTITY_WAYS = {
+    "identity": ExactMatrix.identity,
+    "from_rational": lambda n: ExactMatrix.from_rational(
+        [[Fraction(int(j == k)) for k in range(n)] for j in range(n)], cols=n),
+    "from_json": lambda n: matrix_from_json(
+        [["1" if j == k else "0" for k in range(n)] for j in range(n)], cols=n),
+}
+
+
+@st.composite
+def moved_entry(draw, M: ExactMatrix) -> ExactMatrix:
+    """M, with at least one row, with one entry moved by a nonzero c."""
+    rows = [list(row) for row in M.entries]
+    j, k = draw(st.integers(0, M.rows - 1)), draw(st.integers(0, M.cols - 1))
+    rows[j][k] = rows[j][k] + draw(gaussian_entries.filter(lambda c: not c.is_zero()))
+    return ExactMatrix(rows, cols=M.cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.sampled_from(sorted(IDENTITY_WAYS)), st.data())
+def test_product_with_an_identity_factor(n, cols, way, data):
+    """A factor equal to the identity, however it was built, gives back the
+    other factor on either side; one entry away from it, the product is
+    formed, and so is it for a multiple cI, whose rows have the identity's
+    numerators over c's denominator.  All equal the entrywise product."""
+    I = IDENTITY_WAYS[way](n)
+    assert I == ExactMatrix.identity(n)
+    A, C = data.draw(gaussian_matrices(n, cols)), data.draw(gaussian_matrices(cols, n))
+    assert I @ A is A and C @ I is (I if C == I else C)  # the left factor is tested first
+    assert I @ A == reference_product(I, A) and C @ I == reference_product(C, I)
+    if n:
+        c = data.draw(small_rationals.filter(lambda c: c not in (0, 1)))
+        for P in (data.draw(moved_entry(I)), I.scale(c)):
+            assert P @ A == reference_product(P, A) and C @ P == reference_product(C, P)
+
+
+@st.composite
+def hermitian_check_cases(draw):
+    """Gaussian matrices with row denominators, square or not; Hermitian
+    ones, A + A^* scaled by a rational; and those with one entry moved."""
+    kind = draw(st.sampled_from(["any", "hermitian", "moved"]))
+    if kind == "any":
+        return draw(gaussian_matrices())
+    n = draw(st.integers(0, 4))
+    A = draw(gaussian_matrices(n, n))
+    H = (A + A.conj().transpose()).scale(draw(small_rationals))
+    return draw(moved_entry(H)) if kind == "moved" and n else H
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermitian_check_cases())
+def test_hermitian_check_is_equality_with_the_adjoint(H):
+    """hermitian_check compares stored integers across the diagonal and
+    builds no matrix; it agrees with H == H^* built out."""
+    assert hermitian_check(H) == (H == H.conj().transpose())
 
 
 def test_contract_errors_survive_python_O():

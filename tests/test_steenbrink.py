@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lmhs import steenbrink
+from lmhs import exactlin, steenbrink
 from lmhs.exactlin import (
     ContractError, ExactMatrix, GaussianScalar, Subspace, class_coordinates, image, kernel,
     quotient_reps, rank, solve,
@@ -557,6 +557,33 @@ def test_pipeline_does_no_scalar_arithmetic(build, monkeypatch):
         monkeypatch.setattr(GaussianScalar, op, refuse)
     assert validate_degeneration_data(data).ok
     nearby_hodge_index(data)
+
+
+@pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
+def test_trivial_shapes_do_no_work(build, monkeypatch):
+    """Validation and nearby_hodge_index eliminate no matrix without rows
+    (kernel_modulo answers a sector block with no target without one), and
+    build no E2Term past the deepest stratum, |r| >= max depth, where E1 is
+    zero.  The report is the one the unwatched pipeline gives."""
+    data = build()
+    want = nearby_hodge_index(data).to_json()
+    eliminated, columns = [], []
+    echelon, term = exactlin._echelon, steenbrink.E2Term
+
+    def counting_echelon(M):
+        eliminated.append(M.rows)
+        return echelon(M)
+
+    def counting_term(data, d, r):
+        columns.append(r)
+        return term(data, d, r)
+
+    monkeypatch.setattr(exactlin, "_echelon", counting_echelon)
+    monkeypatch.setattr(steenbrink, "E2Term", counting_term)
+    assert validate_degeneration_data(data).ok
+    assert nearby_hodge_index(data).to_json() == want
+    assert eliminated and 0 not in eliminated
+    assert columns and all(abs(r) < data.max_depth() for r in columns)
 
 
 class TestD1Builds:
