@@ -12,35 +12,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .exactlin import _require
-
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERDICT = 2
-
-
-class RunConfig:
-    """Common run options shared by the subcommands."""
-
-    __slots__ = ("a", "t0", "t0_cap", "fmt")
-
-    def __init__(self, a=Fraction(0), t0=Fraction(2 ** 10),
-                 t0_cap=Fraction(2 ** 60), fmt="text"):
-        _require(t0 <= t0_cap, "t0 start must not exceed the cap")
-        _require(fmt in ("text", "json"), f"unknown format {fmt!r}")
-        self.a = a
-        self.t0 = t0
-        self.t0_cap = t0_cap
-        self.fmt = fmt
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        return RunConfig(
-            a=Fraction(getattr(args, "a", "0")),
-            t0=Fraction(getattr(args, "t0", 2 ** 10)),
-            t0_cap=Fraction(getattr(args, "t0_cap", 2 ** 60)),
-            fmt=getattr(args, "format", "text"),
-        )
 
 
 class CliParser(argparse.ArgumentParser):
@@ -146,7 +120,6 @@ def cmd_check(args) -> int:
         validate_degeneration_data,
     )
 
-    cfg = RunConfig.from_args(args)
     try:
         data = _read_input(args.input, DegenerationData.from_json)
         validation = validate_degeneration_data(data)
@@ -154,28 +127,27 @@ def cmd_check(args) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if not validation.ok:
-        _emit({"valid": False, "failures": validation.failures}, cfg.fmt)
+        _emit({"valid": False, "failures": validation.failures}, args.format)
         return EXIT_INPUT
     try:
         report = nearby_hodge_index(data)
     except DegenerateFormError as exc:
-        _emit({"verdict": False, "failures": [str(exc)]}, cfg.fmt)
+        _emit({"verdict": False, "failures": [str(exc)]}, args.format)
         return EXIT_VERDICT
-    _emit(report.to_json(), cfg.fmt)
+    _emit(report.to_json(), args.format)
     return EXIT_OK if report.ok else EXIT_VERDICT
 
 
 def cmd_validate(args) -> int:
     from .steenbrink import DegenerationData, validate_degeneration_data
 
-    cfg = RunConfig.from_args(args)
     try:
         data = _read_input(args.input, DegenerationData.from_json)
         validation = validate_degeneration_data(data)
     except (ValueError, KeyError, TypeError, AssertionError, ArithmeticError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _emit({"valid": validation.ok, "failures": validation.failures}, cfg.fmt)
+    _emit({"valid": validation.ok, "failures": validation.failures}, args.format)
     return EXIT_OK if validation.ok else EXIT_VERDICT
 
 
@@ -183,15 +155,14 @@ def cmd_orbit(args) -> int:
     from .mhs import MHSData
     from .orbit import verify_main_theorem
 
-    cfg = RunConfig.from_args(args)
     try:
         data = _read_input(args.input, MHSData.from_json)
     except (ValueError, KeyError, TypeError, AssertionError, ArithmeticError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    main = verify_main_theorem(data, cfg.a, cfg.t0, cfg.t0_cap)
+    main = verify_main_theorem(data, args.t0, args.t0_cap)
     if not main.details:
-        _emit({"verdict": False, "failures": main.failures}, cfg.fmt)
+        _emit({"verdict": False, "failures": main.failures}, args.format)
         return EXIT_VERDICT
     asym = main.details["opposedness"]
     report = {
@@ -203,14 +174,13 @@ def cmd_orbit(args) -> int:
         "nearby": main.details["nearby"],
         "opposedness": asym.to_json(),
     }
-    _emit(report, cfg.fmt)
+    _emit(report, args.format)
     return EXIT_OK if main.ok and asym.ok else EXIT_VERDICT
 
 
 def cmd_verify_identities(args) -> int:
     from .orbit import taylor_minor_identity, wedge_identity
 
-    cfg = RunConfig.from_args(args)
     if args.max_n < 1:
         print("invalid input: --max-n must be at least 1", file=sys.stderr)
         return EXIT_INPUT
@@ -234,7 +204,7 @@ def cmd_verify_identities(args) -> int:
         "failures": [list(p) for p in failures],
         "verdict": not failures,
     }
-    _emit(report, cfg.fmt)
+    _emit(report, args.format)
     if failures:
         n, k = failures[0]
         print(f"identity failed at (n, k) = ({n}, {k})", file=sys.stderr)
@@ -242,7 +212,7 @@ def cmd_verify_identities(args) -> int:
     return EXIT_OK
 
 
-def _tables_odp(args, cfg) -> int:
+def _tables_odp(args) -> int:
     from . import geomodels
 
     if args.m % 2:
@@ -259,7 +229,7 @@ def _tables_odp(args, cfg) -> int:
         table = _parse_rows(args.rows)
         inp = geomodels.OdpInput(args.m, args.l, vhat=(plus, minus), table=table)
     _emit({"family": "odp", "m": args.m, "l": args.l,
-           "table": geomodels.odp_index_formula(inp)}, cfg.fmt)
+           "table": geomodels.odp_index_formula(inp)}, args.format)
     return EXIT_OK
 
 
@@ -274,17 +244,14 @@ def _parse_rows(spec: str | None) -> dict:
     return out
 
 
-def _tables_kahler(args, cfg) -> int:
+def _tables_kahler(args) -> int:
     from . import geomodels
 
     if args.k3:
         hodge = geomodels.k3_hodge_numbers()
         m = 2
     elif args.hodge:
-        blob = _load_json(args.hodge)
-        m = int(blob["m"])
-        hodge = {tuple(int(x) for x in key.split(",")): int(v)
-                 for key, v in blob["hodge"].items()}
+        m, hodge = _read_input(args.hodge, _hodge_from_json)
     else:
         print("invalid input: kahler needs --k3 or --hodge FILE", file=sys.stderr)
         return EXIT_INPUT
@@ -293,16 +260,36 @@ def _tables_kahler(args, cfg) -> int:
         for p in range(0, m + 1):
             rows[p] = geomodels.kahler_index_formula(hodge, m, p)
     except ValueError as exc:
-        _emit({"family": "kahler", "error": str(exc)}, cfg.fmt)
+        _emit({"family": "kahler", "error": str(exc)}, args.format)
         return EXIT_VERDICT
     report = {"family": "kahler", "m": m, "rows": rows}
     if m % 2 == 0:
         report["full_signature"] = geomodels.full_signature(hodge, m)
-    _emit(report, cfg.fmt)
+    _emit(report, args.format)
     return EXIT_OK
 
 
-def _tables_sano(args, cfg) -> int:
+def _hodge_from_json(blob: dict) -> tuple[int, dict]:
+    """(m, Hodge numbers) of a --hodge file, {"m": 2, "hodge": {"p,q": h}};
+    a value of the wrong JSON type is a TypeError raised right after it is
+    read, so _read_input names its path."""
+    from .exactlin import json_int
+
+    m = json_int(blob, "m")
+    numbers = blob["hodge"]
+    if not isinstance(numbers, dict):
+        raise TypeError(f"hodge must be an object, not {type(numbers).__name__}")
+    hodge = {}
+    for key in numbers:
+        try:
+            p, q = (int(x) for x in key.split(","))
+        except ValueError:
+            raise ValueError(f"hodge key {key!r} is not p,q") from None
+        hodge[p, q] = json_int(numbers, key)
+    return m, hodge
+
+
+def _tables_sano(args) -> int:
     from . import geomodels
 
     table = geomodels.sano_index_table(args.m, args.a)
@@ -311,20 +298,20 @@ def _tables_sano(args, cfg) -> int:
         neg = row["negative"]
         rows[k] = f"(h^{{{k},{args.m - k}}} - {neg}, {neg})" if neg else \
             f"(h^{{{k},{args.m - k}}}, 0)"
-    _emit({"family": "sano", "m": args.m, "a": args.a, "rows": rows}, cfg.fmt)
+    _emit({"family": "sano", "m": args.m, "a": args.a, "rows": rows}, args.format)
     return EXIT_OK
 
 
-def _tables_o16(args, cfg) -> int:
+def _tables_o16(args) -> int:
     from . import geomodels
 
     rows = _parse_rows(args.rows)
     report = geomodels.o16_evaluator(args.defect, rows)
-    _emit({"family": "o16", **report}, cfg.fmt)
+    _emit({"family": "o16", **report}, args.format)
     return EXIT_OK
 
 
-def _tables_lefschetz(args, cfg) -> int:
+def _tables_lefschetz(args) -> int:
     from . import geomodels
 
     if not args.schoen:
@@ -340,12 +327,11 @@ def _tables_lefschetz(args, cfg) -> int:
         "printed_reading": readings["printed"],
         "dim_check": check["ok"],
     }
-    _emit(report, cfg.fmt)
+    _emit(report, args.format)
     return EXIT_OK if check["ok"] else EXIT_VERDICT
 
 
 def cmd_tables(args) -> int:
-    cfg = RunConfig.from_args(args)
     handlers = {
         "odp": _tables_odp,
         "kahler": _tables_kahler,
@@ -358,7 +344,7 @@ def cmd_tables(args) -> int:
         print(f"invalid input: unknown family {args.family!r}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return handler(args, cfg)
+        return handler(args)
     except (ValueError, KeyError, AssertionError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -374,15 +360,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
-
-
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"expected a rational number such as 1/2, got {text!r}"
-        ) from None
 
 
 def _add_common(sub):
@@ -407,8 +384,6 @@ def build_parser() -> CliParser:
 
     orbit = subs.add_parser("orbit", help="orbit asymptotics of a mixed Hodge structure")
     orbit.add_argument("input")
-    orbit.add_argument("--a", type=_fraction, default="0",
-                       help="rational twist parameter")
     orbit.add_argument("--t0", type=_positive_int, default=2 ** 10)
     orbit.add_argument("--t0-cap", dest="t0_cap", type=_positive_int, default=2 ** 60)
     _add_common(orbit)

@@ -1053,31 +1053,19 @@ class ZeroMinorError(ArithmeticError):
         self.index = index
 
 
-def exp_nilpotent(N: ExactMatrix, a=0, b=1) -> list[ExactMatrix]:
-    """The coefficients C_0, C_1, ... of exp((a + b t) N) = sum_j t^j C_j for
-    a nilpotent N, through the last nonzero one: C_j = exp(aN) (bN)^j / j!.
-
-    Both factors come from one series, M^j / j! for M = aN and M = bN.
-    With b = 0 the list is [exp(aN)], so exp(M) is exp_nilpotent(M, 1, 0)[0].
+def exp_nilpotent(N: ExactMatrix, b=1) -> list[ExactMatrix]:
+    """The coefficients C_0, C_1, ... of exp(b t N) = sum_j t^j C_j for a
+    nilpotent N, through the last nonzero one: C_j = (bN)^j / j!.  Their
+    sum is exp(bN).
     """
-    a, b = GaussianScalar.coerce(a), GaussianScalar.coerce(b)
-
-    def series(M):
-        out = [ExactMatrix.identity(M.rows)]
-        for j in range(1, M.rows + 1):
-            term = (out[-1] @ M).scale(GaussianScalar(Fraction(1, j)))
-            if term.is_zero():
-                break
-            out.append(term)
-        return out
-
-    E = ExactMatrix.identity(N.rows)
-    if not a.is_zero():
-        E = sum(series(N.scale(a))[1:], E)
-    if b.is_zero():
-        return [E]
-    coeffs = series(N.scale(b))
-    return coeffs if a.is_zero() else [E @ C for C in coeffs]
+    M = N.scale(b)
+    out = [ExactMatrix.identity(M.rows)]
+    for j in range(1, M.rows + 1):
+        term = (out[-1] @ M).scale(GaussianScalar(Fraction(1, j)))
+        if term.is_zero():
+            break
+        out.append(term)
+    return out
 
 
 # -- determinants of polynomial matrices -------------------------------------

@@ -625,8 +625,8 @@ def random_polarized_mhs(
                     Fraction(rng.randrange(-2, 3)), Fraction(rng.randrange(-2, 3))
                 )
                 M = M + Nj.scale(c)
-        E = exp_nilpotent(M, 1, 0)[0]
-        F = F.apply(E)
+        E = exp_nilpotent(M)
+        F = F.apply(sum(E[1:], E[0]))
 
     if transport:
         # random unimodular coordinate change: a product of integer shears

@@ -3,9 +3,12 @@ signatures in evaluate and asymptotic mode, and the combinatorial identities
 behind the minor bookkeeping (standard Young tableaux, Taylor-block minors,
 wedge determinants).
 
-The orbit variable is z = a + i t with a a fixed rational (default 0) and t a
-real polynomial variable; all asymptotics are exact statements about leading
-coefficients of polynomials in t.
+The orbit variable is z = a + i t with t a real polynomial variable; all
+asymptotics are exact statements about leading coefficients of polynomials
+in t.  Every form and determinant depends on z only through zbar - z =
+-2it: N is an infinitesimal isometry of S, so exp(zN) is an isometry of S
+with determinant 1.  So a = Re z changes no report, and it is not a
+parameter.
 """
 
 from __future__ import annotations
@@ -119,23 +122,21 @@ class WellOrderedBasis:
 
 
 class OrbitFiltration:
-    """The orbit exp((a+it)N) F, read through the constant well-ordered
-    bases of F^k: exp(zN) is unimodular and an isometry of S, so the orbit's
-    forms and determinants need only exp((zbar - z)N), zbar - z = -2it.
+    """The orbit exp(zN) F, read through the constant well-ordered bases of
+    F^k: exp(zN) is unimodular and an isometry of S, so the orbit's forms
+    and determinants need only exp((zbar - z)N), zbar - z = -2it.
     exp_m2it holds its Gaussian coefficient matrices in t (see
     exp_nilpotent): a product with a constant basis is one Gaussian product
     per power of t.
     """
 
-    __slots__ = ("data", "a", "wob", "exp_m2it")
+    __slots__ = ("data", "wob", "exp_m2it")
 
-    def __init__(self, data: MHSData, a: Fraction = Fraction(0), forms=None):
+    def __init__(self, data: MHSData, forms=None):
         _require(data.N is not None, "an orbit needs N")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "wob", WellOrderedBasis(data, forms))
-        object.__setattr__(
-            self, "exp_m2it", exp_nilpotent(data.N, 0, GaussianScalar(0, -2)))
+        object.__setattr__(self, "exp_m2it", exp_nilpotent(data.N, GaussianScalar(0, -2)))
 
     def __setattr__(self, name, value):
         raise AttributeError("OrbitFiltration is immutable")
@@ -324,7 +325,6 @@ def refined_filtration_check(orb: OrbitFiltration) -> AsymptoticReport:
 
 def verify_main_theorem(
     data: MHSData,
-    a: Fraction = Fraction(0),
     t0: Fraction = Fraction(2**10),
     t0_cap: Fraction = Fraction(2**60),
 ) -> Report:
@@ -373,7 +373,7 @@ def verify_main_theorem(
     details["nearby"] = nearby
     polarized = all(m == 0 for (_, m) in table.entries.values())
     details["polarized"] = polarized
-    orb = OrbitFiltration(data, a, forms)
+    orb = OrbitFiltration(data, forms)
     F_levels = range(data.F.min_index(), data.F.max_index() + 1)
     entries = []
     level_sig = {d + 1: (0, 0)}
@@ -474,12 +474,13 @@ def taylor_minor_identity(n: int, k: int) -> bool:
     return det == expected
 
 
-def wedge_identity(n: int, k: int, a: Fraction = Fraction(0)) -> bool:
+def wedge_identity(n: int, k: int) -> bool:
     """On a single Jordan string u, Nu, ..., N^n u, the determinant of
     [e^{zN} N^j u (j=0..n-k) | e^{zbar N} N^j u (j=0..k-1)] equals
     syt(n-k+1,k)/((n-k+1)k)! (zbar - z)^((n-k+1)k), with zbar - z = -2it.
-    Returns whether it does.  N and a are real, so the t-coefficients of
-    e^{zbar N} are the conjugates of those of e^{zN}.
+    Returns whether it does, at z = it: a real Re z = a multiplies both
+    blocks by e^{aN}, whose determinant is 1.  N is real, so the
+    t-coefficients of e^{zbar N} are the conjugates of those of e^{zN}.
     """
     _require(0 <= k <= n + 1, f"minor size {k} outside 0..{n + 1}")
     m = n + 1
@@ -491,7 +492,7 @@ def wedge_identity(n: int, k: int, a: Fraction = Fraction(0)) -> bool:
     left, right = range(n - k + 1), range(k)
     det = poly_det(*(
         C.take_columns(left).hstack(C.take_columns(right).conj())
-        for C in exp_nilpotent(N, a, G_I)
+        for C in exp_nilpotent(N, G_I)
     ))
     e = (n - k + 1) * k
     coeff = GaussianScalar(Fraction(syt_count(n - k + 1, k), factorial(e)))

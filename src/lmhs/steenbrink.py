@@ -414,19 +414,6 @@ def e1_summands(data: DegenerationData, d: int, r: int) -> list[Summand]:
     return out
 
 
-class E1Page:
-    def __init__(self, data: DegenerationData, d: int):
-        self.d = d
-        self.terms = {}
-        for r in range(-d, d + 1):
-            summands = e1_summands(data, d, r)
-            if summands:
-                self.terms[r] = summands
-
-    def dim(self, r: int) -> int:
-        return sum(s.dim for s in self.terms.get(r, []))
-
-
 def _offsets(summands: list[Summand]) -> list[int]:
     offs = [0]
     for s in summands:
@@ -528,8 +515,8 @@ class E2Term:
 
     __slots__ = ("summands", "sector_cols", "starts", "sector_reps", "sector_B")
 
-    def __init__(self, data: DegenerationData, d: int, r: int):
-        self.summands = e1_summands(data, d, r)
+    def __init__(self, data: DegenerationData, summands: list[Summand]):
+        self.summands = summands
         self.sector_cols, self.starts = {}, {}
         self.sector_reps, self.sector_B = {}, {}
         off = 0
@@ -550,9 +537,9 @@ class E2Term:
         return sum(reps.cols for reps in self.sector_reps.values())
 
 
-# the term of every column past the deepest stratum, |r| >= max depth, where
-# E1 is zero (see e1_summands): it has no sector, so no page fills it in
-_NO_TERM = E2Term(DegenerationData(0, ()), 0, 0)
+# the term of every (d, r) without an E1 summand: it has no sector, so no
+# page fills it in
+_NO_TERM = E2Term(DegenerationData(0, ()), [])
 
 
 class _SectorMaps:
@@ -564,13 +551,12 @@ class _SectorMaps:
     for a restriction.  d1 is a morphism of Hodge structures, so a map with
     a nonzero entry outside those blocks breaks the sectors.  A term frame
     is block-diagonal with the stratum frames as blocks, so these are the
-    blocks of F_out^{-1} d1 F.  A column past the deepest stratum, |r| >=
-    max depth, has no E1 summand, so its term is the shared empty one, with
-    no lookup and no E2Term built."""
+    blocks of F_out^{-1} d1 F.  A term without an E1 summand, such as
+    any column past the deepest stratum, |r| >= max depth, is the shared
+    empty one, and no E2Term is built for it."""
 
     def __init__(self, data: DegenerationData):
         self.data = data
-        self.top = data.max_depth()
         self.terms: dict[tuple[int, int], E2Term] = {}  # (d, r) -> term, made once
         self.cut: dict[tuple, list] = {}  # source (depth, q) -> [(target, {type: block})]
         self.broken: set[tuple] = set()  # (source, target) of the maps that break sectors
@@ -592,11 +578,11 @@ class _SectorMaps:
                 self.cut.setdefault(src, []).append((tgt, blocks))
 
     def term(self, d: int, r: int) -> E2Term:
-        """The term at degree d, column -r, whose sectors its page fills in."""
-        if abs(r) >= self.top:
-            return _NO_TERM
+        """The term at degree d, column -r, whose sectors its page fills in;
+        its E1 summands are scanned once."""
         if (d, r) not in self.terms:
-            self.terms[d, r] = E2Term(self.data, d, r)
+            summands = e1_summands(self.data, d, r)
+            self.terms[d, r] = E2Term(self.data, summands) if summands else _NO_TERM
         return self.terms[d, r]
 
     def check(self, src: E2Term, tgt: E2Term, d: int, r: int):
@@ -656,9 +642,9 @@ class E2Page:
     that builds consecutive pages passes on.  Without it the page cuts its
     own maps and takes the image of each incoming block.  Any degree 0..2m
     can be built this way; nearby_hodge_index builds d <= m and reads the
-    rest from Poincaré duality.  terms has every column -d..d; those past
-    the deepest stratum, |r| >= max depth, share one empty term and do no
-    work, and a sector block with no target rows costs no elimination."""
+    rest from Poincaré duality.  terms has every column -d..d; those
+    without an E1 summand share one empty term and do no work, and a sector
+    block with no target rows costs no elimination."""
 
     def __init__(self, data: DegenerationData, d: int, carried: tuple | None = None):
         self.d = d

@@ -137,3 +137,18 @@ def test_unread_definition_is_found(tmp_path):
     # elsewhere a loaded name is a read only when imported from the module
     other = "from .m import C as D\nfrom .n import f\nD(), f(), ONE, f'ONE{1}'\n"
     assert reads(other, "m")[0] == {"C"}
+
+
+def test_every_tracer_target_resolves(monkeypatch):
+    """perfbench/tracer.py rebinds its TARGETS by module, class and
+    attribute name, so a target whose name moved or went away fails
+    Tracer.prepare(); each target also rebinds its own attribute.  Nothing
+    is installed, so no call is traced."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracer import TARGETS, Tracer
+
+    tracer = Tracer()
+    tracer.prepare()
+    rebound = {(owner.__name__, attr) for owner, attr, _, _ in tracer._sites}
+    assert [target for target in TARGETS
+            if (target[3] or target[1], target[2]) not in rebound] == []

@@ -43,6 +43,30 @@ def entry(coeffs, j, k):
     return PolyScalar([C.entries[j][k] for C in coeffs])
 
 
+def exp_real(N: ExactMatrix, a: Fraction) -> ExactMatrix:
+    """exp(aN) of a nilpotent N, summed from its series here, not by
+    exp_nilpotent."""
+    E = term = ExactMatrix.identity(N.rows)
+    for j in range(1, N.rows + 1):
+        term = (term @ N).scale(GaussianScalar(a / j))
+        E = E + term
+    return E
+
+
+def orbit_coefficients(N: ExactMatrix, a: Fraction, b: GaussianScalar) -> list[ExactMatrix]:
+    """The t-coefficients of exp((a + bt)N) = exp(aN) exp(btN)."""
+    E = exp_real(N, a)
+    return [E @ C for C in exp_nilpotent(N, b)]
+
+
+def trimmed(coeffs: list[ExactMatrix]) -> list[ExactMatrix]:
+    """coeffs without trailing zero matrices, the constant one kept."""
+    out = list(coeffs)
+    while len(out) > 1 and out[-1].is_zero():
+        out.pop()
+    return out
+
+
 def pure_weight_one() -> MHSData:
     """Polarized pure Hodge structure of an elliptic curve: N = 0, d = 1,
     F^1 spanned by e1 + i e2, S the standard symplectic form."""
@@ -61,26 +85,28 @@ def pure_weight_one() -> MHSData:
 
 class TestExpAndBasis:
     def test_poly_exp(self):
-        # the t-coefficients exp(aN) (iN)^j / j! of exp((a + it)N)
+        # the t-coefficients (iN)^j / j! of exp(itN), times exp(aN) for
+        # those of exp((a + it)N)
         N = ExactMatrix.from_rational([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
         for a in (Fraction(0), Fraction(1, 2)):
             z = PolyScalar([a, I])
-            E = exp_nilpotent(N, a, I)
+            E = orbit_coefficients(N, a, I)
             assert entry(E, 0, 0) == PolyScalar([1])
             assert entry(E, 1, 0) == z
             # z^2 / 2 = (a^2 + 2ait - t^2) / 2
             assert entry(E, 2, 0) == PolyScalar([a * a / 2, a * I, Fraction(-1, 2)])
             assert entry(E, 2, 1) == z
             assert entry(E, 0, 1).is_zero()
-            # b = 0 leaves the constant coefficient exp(aN) alone
-            assert exp_nilpotent(N, a, 0) == [E[0]]
+        # b = 0 leaves only the identity, and the coefficients sum to exp(bN)
+        assert exp_nilpotent(N, 0) == [ExactMatrix.identity(3)]
+        C = exp_nilpotent(N)
+        assert sum(C[1:], C[0]) == exp_real(N, Fraction(1))
 
     def test_conjugate_exponential(self):
-        # N and a are real, so exp((a - it)N) has the conjugate coefficients
+        # N is real, so exp(-itN) has the conjugate coefficients
         for n in range(1, 9):
             N = jordan_nilpotent([n])
-            for a in (Fraction(0), Fraction(1, 3)):
-                assert [C.conj() for C in exp_nilpotent(N, a, I)] == exp_nilpotent(N, a, -I)
+            assert [C.conj() for C in exp_nilpotent(N, I)] == exp_nilpotent(N, -I)
 
     def test_well_ordered_tate3(self):
         wob = WellOrderedBasis(tate_string_3())
@@ -113,11 +139,30 @@ class TestHermitianMatrices:
         assert entry(H, 1, 1) == PolyScalar([1])
 
     def test_independent_of_a(self):
-        # the orbit Hermitian matrix only sees zbar - z = -2it
-        data = tate_string_3()
-        h0 = OrbitFiltration(data, Fraction(0)).hermitian_matrix(1)
-        h1 = OrbitFiltration(data, Fraction(1, 2)).hermitian_matrix(1)
-        assert h0 == h1
+        # the orbit Hermitian matrix only sees zbar - z = -2it: it equals
+        # i^d (exp(zN)X)^T S conj(exp(zN)X), z = a + it, at every a
+        rng = random.Random(97)
+        structures = [elliptic_string(), tate_string_3()]
+        structures += [random_polarized_mhs(rng, max_dim=6, max_d=3)[0]
+                       for _ in range(3)]
+        for data in structures:
+            orb = OrbitFiltration(data)
+            for k in range(data.F.min_index(), data.F.max_index() + 1):
+                got = trimmed(orb.hermitian_matrix(k))
+                _, X = orb.wob.level_basis(k)
+                for a in (Fraction(0), Fraction(1, 2)):
+                    assert got == self.direct_hermitian(data, X, a), (k, a)
+
+    @staticmethod
+    def direct_hermitian(data, X, a):
+        # the t-coefficients of i^d (exp(zN)X)^T S exp(zbar N) conj(X)
+        left = [(C @ X).transpose() for C in orbit_coefficients(data.N, a, I)]
+        right = [C @ X.conj() for C in orbit_coefficients(data.N, a, -I)]
+        out = [ExactMatrix.zero(X.cols, X.cols)] * (len(left) + len(right) - 1)
+        for j, L in enumerate(left):
+            for m, R in enumerate(right):
+                out[j + m] = out[j + m] + (L @ data.S @ R).scale(exactlin.i_power(data.d))
+        return trimmed(out)
 
 
 class TestOrbitSignature:
@@ -168,10 +213,10 @@ class TestOpposedness:
 
     def test_degree_independent_of_a(self):
         data = tate_string_3()
+        orb = OrbitFiltration(data)
         for a in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            orb = OrbitFiltration(data, a)
             for k in range(0, 3):
-                assert opposedness_polynomial(orb, k).degree() == (3 - k) * k
+                assert self.direct_determinant(orb, k, a).degree() == (3 - k) * k
 
     def test_complementary_dims_automatic(self):
         # for genuine structures dim F^k + dim F^{d-k+1} = n at every k,
@@ -181,30 +226,31 @@ class TestOpposedness:
             opposedness_polynomial(orb, k)
 
     @staticmethod
-    def direct_determinant(orb, k):
-        # det[exp(zN) X | exp(zbar N) conj Y] as defined, with X, Y the
-        # well-ordered bases of F^k and F^{d-k+1}
+    def direct_determinant(orb, k, a):
+        # det[exp(zN) X | exp(zbar N) conj Y] as defined, z = a + it, with
+        # X, Y the well-ordered bases of F^k and F^{d-k+1}
         data = orb.data
         _, X = orb.wob.level_basis(k)
         _, Y = orb.wob.level_basis(data.d - k + 1)
-        left = [E @ X for E in exp_nilpotent(data.N, orb.a, I)]
-        right = [E @ Y.conj() for E in exp_nilpotent(data.N, orb.a, -I)]
+        left = [E @ X for E in orbit_coefficients(data.N, a, I)]
+        right = [E @ Y.conj() for E in orbit_coefficients(data.N, a, -I)]
         return reference_det(*(L.hstack(R) for L, R in zip(left, right)))
 
     @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 2)])
     def test_equals_direct_determinant(self, a):
-        # opposedness_polynomial drops the factor det exp(zN) = 1; the
-        # polynomial itself must not change, not only its degree
+        # opposedness_polynomial drops the factor det exp(zN) = 1, and with
+        # it a = Re z; the polynomial itself must not change, not only its
+        # degree
         rng = random.Random(89)
         structures = [elliptic_string(), tate_string_3()]
         structures += [random_polarized_mhs(rng, max_dim=6, max_d=3)[0]
                        for _ in range(4)]
         for data in structures:
-            orb = OrbitFiltration(data, a)
+            orb = OrbitFiltration(data)
             for k in range(data.F.min_index(), data.F.max_index() + 2):
                 got = opposedness_polynomial(orb, k)
                 assert not got.is_zero(), k
-                assert got == self.direct_determinant(orb, k), k
+                assert got == self.direct_determinant(orb, k, a), k
 
     def test_impossible(self, monkeypatch):
         # white-box: drop a basis column of F^1 to force a dimension mismatch
@@ -273,13 +319,18 @@ class TestMainTheorem:
         assert seen_negative
 
     def test_a_independence(self):
+        # exp(aN)F has the orbit exp((z + a)N)F, and exp(aN) keeps W, N and
+        # S, so moving F by it changes no verdict or signature
         data, _ = random_polarized_mhs(random.Random(71), max_dim=6, max_d=3)
-        results = []
-        for a in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            r = verify_main_theorem(data, a=a)
-            assert r.ok, r.failures
-            results.append(r.details["pieces"])
-        assert results[0] == results[1] == results[2]
+        want = verify_main_theorem(data)
+        assert want.ok, want.failures
+        for a in (Fraction(1, 2), Fraction(1)):
+            moved = MHSData(data.ambient_dim, data.d, data.W,
+                            data.F.apply(exp_real(data.N, a)), N=data.N, S=data.S)
+            got = verify_main_theorem(moved)
+            assert got.ok, got.failures
+            for key in ("levels", "pieces", "nearby"):
+                assert got.details[key] == want.details[key], (a, key)
 
 
 class TestRefinedFiltration:
@@ -354,8 +405,20 @@ class TestIdentities:
                 assert wedge_identity(n, k)
 
     def test_wedge_a_independent(self):
-        for a in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            assert wedge_identity(3, 2, a)
+        # wedge_identity checks z = it; at z = a + it the determinant is
+        # the same, since exp(aN) multiplies both blocks
+        n, k = 3, 2
+        N = jordan_nilpotent([n + 1])
+        left, right = range(n - k + 1), range(k)
+        want = reference_det(*(
+            C.take_columns(left).hstack(C.take_columns(right).conj())
+            for C in exp_nilpotent(N, I)))
+        assert wedge_identity(n, k)
+        for a in (Fraction(1, 2), Fraction(1)):
+            twisted = zip(orbit_coefficients(N, a, I), orbit_coefficients(N, a, -I))
+            assert reference_det(*(
+                L.take_columns(left).hstack(R.take_columns(right))
+                for L, R in twisted)) == want, a
 
     def test_degree_bound_is_exact(self, monkeypatch):
         # both determinants have degree (n - k + 1)k, and the offset bound
