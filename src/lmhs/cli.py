@@ -179,7 +179,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
-    from .orbit import taylor_minor_identity, wedge_identity
+    from .identities import jordan_exponential, taylor_minor_identity, wedge_identity
 
     if args.max_n < 1:
         print("invalid input: --max-n must be at least 1", file=sys.stderr)
@@ -193,11 +193,19 @@ def cmd_verify_identities(args) -> int:
             print("invalid input: --corrupt expects n,k", file=sys.stderr)
             return EXIT_INPUT
     pairs = [(n, k) for n in range(1, args.max_n + 1) for k in range(0, n + 2)]
+    if corrupt is not None and corrupt not in pairs:
+        n, k = corrupt
+        print(f"invalid input: --corrupt {n},{k} is not a checked pair "
+              f"(1 <= n <= {args.max_n}, 0 <= k <= n + 1)", file=sys.stderr)
+        return EXIT_INPUT
     failures = []
-    for pair in pairs:
-        ok = taylor_minor_identity(*pair) and wedge_identity(*pair)
-        if not ok or pair == corrupt:
-            failures.append(pair)
+    for n in range(1, args.max_n + 1):
+        # one exponential per Jordan string serves every k
+        exponential = jordan_exponential(n)
+        for k in range(0, n + 2):
+            ok = taylor_minor_identity(n, k) and wedge_identity(n, k, exponential)
+            if not ok or (n, k) == corrupt:
+                failures.append((n, k))
     report = {
         "checked": len(pairs),
         "max_n": args.max_n,
@@ -212,142 +220,16 @@ def cmd_verify_identities(args) -> int:
     return EXIT_OK
 
 
-def _tables_odp(args) -> int:
-    from . import geomodels
-
-    if args.m % 2:
-        if args.R is None:
-            print("invalid input: odd m needs --R", file=sys.stderr)
-            return EXIT_INPUT
-        table = _parse_rows(args.rows)
-        inp = geomodels.OdpInput(args.m, args.l, R=args.R, table=table)
-    else:
-        if args.vhat is None:
-            print("invalid input: even m needs --vhat plus,minus", file=sys.stderr)
-            return EXIT_INPUT
-        plus, minus = (int(x) for x in args.vhat.split(","))
-        table = _parse_rows(args.rows)
-        inp = geomodels.OdpInput(args.m, args.l, vhat=(plus, minus), table=table)
-    _emit({"family": "odp", "m": args.m, "l": args.l,
-           "table": geomodels.odp_index_formula(inp)}, args.format)
-    return EXIT_OK
-
-
-def _parse_rows(spec: str | None) -> dict:
-    """k:plus:minus rows separated by semicolons."""
-    out = {}
-    if not spec:
-        return out
-    for chunk in spec.split(";"):
-        k, plus, minus = (int(x) for x in chunk.split(":"))
-        out[k] = (plus, minus)
-    return out
-
-
-def _tables_kahler(args) -> int:
-    from . import geomodels
-
-    if args.k3:
-        hodge = geomodels.k3_hodge_numbers()
-        m = 2
-    elif args.hodge:
-        m, hodge = _read_input(args.hodge, _hodge_from_json)
-    else:
-        print("invalid input: kahler needs --k3 or --hodge FILE", file=sys.stderr)
-        return EXIT_INPUT
-    rows = {}
-    try:
-        for p in range(0, m + 1):
-            rows[p] = geomodels.kahler_index_formula(hodge, m, p)
-    except ValueError as exc:
-        _emit({"family": "kahler", "error": str(exc)}, args.format)
-        return EXIT_VERDICT
-    report = {"family": "kahler", "m": m, "rows": rows}
-    if m % 2 == 0:
-        report["full_signature"] = geomodels.full_signature(hodge, m)
-    _emit(report, args.format)
-    return EXIT_OK
-
-
-def _hodge_from_json(blob: dict) -> tuple[int, dict]:
-    """(m, Hodge numbers) of a --hodge file, {"m": 2, "hodge": {"p,q": h}};
-    a value of the wrong JSON type is a TypeError raised right after it is
-    read, so _read_input names its path."""
-    from .exactlin import json_int
-
-    m = json_int(blob, "m")
-    numbers = blob["hodge"]
-    if not isinstance(numbers, dict):
-        raise TypeError(f"hodge must be an object, not {type(numbers).__name__}")
-    hodge = {}
-    for key in numbers:
-        try:
-            p, q = (int(x) for x in key.split(","))
-        except ValueError:
-            raise ValueError(f"hodge key {key!r} is not p,q") from None
-        hodge[p, q] = json_int(numbers, key)
-    return m, hodge
-
-
-def _tables_sano(args) -> int:
-    from . import geomodels
-
-    table = geomodels.sano_index_table(args.m, args.a)
-    rows = {}
-    for k, row in table.items():
-        neg = row["negative"]
-        rows[k] = f"(h^{{{k},{args.m - k}}} - {neg}, {neg})" if neg else \
-            f"(h^{{{k},{args.m - k}}}, 0)"
-    _emit({"family": "sano", "m": args.m, "a": args.a, "rows": rows}, args.format)
-    return EXIT_OK
-
-
-def _tables_o16(args) -> int:
-    from . import geomodels
-
-    rows = _parse_rows(args.rows)
-    report = geomodels.o16_evaluator(args.defect, rows)
-    _emit({"family": "o16", **report}, args.format)
-    return EXIT_OK
-
-
-def _tables_lefschetz(args) -> int:
-    from . import geomodels
-
-    if not args.schoen:
-        print("invalid input: lefschetz currently exposes --schoen", file=sys.stderr)
-        return EXIT_INPUT
-    inp = geomodels.schoen_input()
-    readings = geomodels.fiber_product_readings(inp)
-    check = geomodels.fiber_product_dim_check(inp)
-    report = {
-        "family": "lefschetz",
-        "middle_betti_factor": geomodels.lefschetz_middle_betti(inp, 1),
-        "fiber_product": readings["symmetric"],
-        "printed_reading": readings["printed"],
-        "dim_check": check["ok"],
-    }
-    _emit(report, args.format)
-    return EXIT_OK if check["ok"] else EXIT_VERDICT
-
-
 def cmd_tables(args) -> int:
-    handlers = {
-        "odp": _tables_odp,
-        "kahler": _tables_kahler,
-        "sano": _tables_sano,
-        "o16": _tables_o16,
-        "lefschetz": _tables_lefschetz,
-    }
-    handler = handlers.get(args.family)
-    if handler is None:
-        print(f"invalid input: unknown family {args.family!r}", file=sys.stderr)
-        return EXIT_INPUT
+    from .tables import table_report
+
     try:
-        return handler(args)
+        report, ok = table_report(args, _read_input)
     except (ValueError, KeyError, AssertionError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    _emit(report, args.format)
+    return EXIT_OK if ok else EXIT_VERDICT
 
 
 # ---------------------------------------------------------------------------

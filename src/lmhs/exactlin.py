@@ -938,6 +938,9 @@ def hermitian_check(H: ExactMatrix) -> bool:
         for j in range(n) for k in range(j, n))
 
 
+_NOT_HERMITIAN = "hermitian form required (H != H^*)"
+
+
 def _comb(a: int, x, y, f: int, g: int, u, v):
     """a*(x + iy) - (f + ig)*(u + iv) on Gaussian-integer rows, a an integer;
     in a real reduction the im rows y, v are empty and g is 0."""
@@ -962,9 +965,9 @@ def _hermitian_reduce(H: ExactMatrix, want_basis: bool):
     exact elimination (v_i <- conj(c)*v_i + v_j) gives, and
     h(v_j, v_k) = s/L * A_jk on the active vectors.  Returns (L, values,
     vectors, nulls, null count), values[a] = L*h(v_a, v_a), the vectors as
-    (re, im) integer rows (none without want_basis).
+    (re, im) integer rows (none without want_basis).  H must be Hermitian:
+    the public callers check it, once.
     """
-    _require(hermitian_check(H), "hermitian form required (H != H^*)")
     n, L = H.rows, lcm(*H.den)
     re, im = H._over(L)
     A = [list(re[j * n:(j + 1) * n]) for j in range(n)]
@@ -1009,14 +1012,17 @@ def _hermitian_reduce(H: ExactMatrix, want_basis: bool):
     return L, values, vectors, V, len(A)
 
 
-def hermitian_signature(H: ExactMatrix) -> tuple[int, int, int]:
+def hermitian_signature(H: ExactMatrix, error: str = _NOT_HERMITIAN) -> tuple[int, int, int]:
     """Signature (positives, negatives, nulls) of a Hermitian matrix.
 
     Fraction-free congruence diagonalization on the integer rows with
     symmetric pivoting (see _hermitian_reduce): 1x1 pivots when a nonzero
     diagonal entry exists; otherwise a hyperbolic off-diagonal entry is
     promoted (contributing one positive and one negative eigendirection).
+    When H is not Hermitian the ContractError says error, so a caller
+    names its form without checking H a second time.
     """
+    _require(hermitian_check(H), error)
     _, values, _, _, nulls = _hermitian_reduce(H, want_basis=False)
     pos = sum(1 for v in values if v > 0)
     neg = sum(1 for v in values if v < 0)
@@ -1024,7 +1030,7 @@ def hermitian_signature(H: ExactMatrix) -> tuple[int, int, int]:
     return pos, neg, nulls
 
 
-def hermitian_diagonalize(H: ExactMatrix):
+def hermitian_diagonalize(H: ExactMatrix, error: str = _NOT_HERMITIAN):
     """Congruence-diagonalize the Hermitian form with Gram matrix H.
 
     Returns (vectors, values, null_vectors): coordinate columns v_a of
@@ -1032,8 +1038,10 @@ def hermitian_diagonalize(H: ExactMatrix):
     (values real nonzero), and a list of null vectors spanning the radical.
     Each vector is a positive real multiple of the one exact Gaussian
     elimination with the same pivots gives (see _hermitian_reduce), so Gram
-    minors keep their signs.
+    minors keep their signs.  When H is not Hermitian the ContractError
+    says error.
     """
+    _require(hermitian_check(H), error)
     L, values, vectors, nulls, _ = _hermitian_reduce(H, want_basis=True)
 
     def column(x, y):
@@ -1082,7 +1090,8 @@ def _poly_rows(coeffs: Sequence[ExactMatrix]) -> tuple[list[list[tuple]], list[i
 
     Row i is scaled by dens[i], the common denominator of row i of every
     coeffs[j], and rows[i][k] = (re, im) holds the integer coefficients of
-    entry (i, k), lowest degree first, without trailing zeros.
+    entry (i, k), lowest degree first, without trailing zeros.  A real
+    entry has an empty im.
     """
     n = coeffs[0].cols
     zeros = (0,) * n
@@ -1097,7 +1106,7 @@ def _poly_rows(coeffs: Sequence[ExactMatrix]) -> tuple[list[list[tuple]], list[i
             while a and not (a[-1] or b[-1]):
                 a.pop()
                 b.pop()
-            row.append((a, b))
+            row.append((a, b if any(b) else []))
         rows.append(row)
         dens.append(den)
     return rows, dens
@@ -1137,30 +1146,44 @@ def _horner(cs: list[int], t: int) -> int:
 def _bareiss(rows: list[list[tuple]], k: int, t: int, swaps: bool):
     """Fraction-free elimination of the leading k x k block of rows at t:
     row <- (pivot*row - f*pivot_row) / previous pivot over the Gaussian
-    integers, every division exact (Bareiss).
+    integers, every division exact (Bareiss).  A block of real entries
+    has no imaginary rows, and its step is one product pair per entry.
 
     Returns the stage pivots as (re, im) pairs, through the first zero one,
     and the sign of the row swaps.  Without swaps the pivot of stage j is
     the leading principal minor j + 1; with swaps the last pivot times the
     sign is the determinant.
     """
-    R = [[_horner(a, t) for a, _ in row[:k]] for row in rows[:k]]
-    I = [[_horner(b, t) for _, b in row[:k]] for row in rows[:k]]
+    block = [row[:k] for row in rows[:k]]
+    real = not any(b for row in block for _, b in row)
+    R = [[_horner(a, t) if a else 0 for a, _ in row] for row in block]
+    I = [] if real else [[_horner(b, t) if b else 0 for _, b in row] for row in block]
     sign = 1
     p, q = 1, 0  # the previous pivot
     pivots = []
     for j in range(k):
-        if swaps and not (R[j][j] or I[j][j]):
-            s = next((l for l in range(j + 1, k) if R[l][j] or I[l][j]), None)
+        if swaps and not (R[j][j] or not real and I[j][j]):
+            s = next((l for l in range(j + 1, k) if R[l][j] or not real and I[l][j]), None)
             if s is not None:
-                R[j], R[s], I[j], I[s] = R[s], R[j], I[s], I[j]
+                R[j], R[s] = R[s], R[j]
+                if not real:
+                    I[j], I[s] = I[s], I[j]
                 sign = -sign
-        a, b = R[j][j], I[j][j]
+        a, b = R[j][j], 0 if real else I[j][j]
         pivots.append((a, b))
         if not (a or b):
             break
+        Rj = R[j]
+        if real:
+            for l in range(j + 1, k):
+                Rl = R[l]
+                f = Rl[j]
+                for c in range(j + 1, k):
+                    Rl[c] = (a * Rl[c] - f * Rj[c]) // p
+            p = a
+            continue
         nrm = p * p + q * q
-        Rj, Ij = R[j], I[j]
+        Ij = I[j]
         for l in range(j + 1, k):
             Rl, Il = R[l], I[l]
             f, g = Rl[j], Il[j]

@@ -16,7 +16,6 @@ from .exactlin import (
     ExactMatrix,
     Subspace,
     class_coordinates,
-    hermitian_check,
     hermitian_signature,
     i_power,
     image,
@@ -28,9 +27,8 @@ from .exactlin import (
     matrix_to_json,
     rank,
 )
-from .filtration import DecreasingFiltration, IncreasingFiltration
-from .mhs import MHSData, SignatureTable, epsilon_sign, nearby_index_formula
 from .report import Report
+from .signature import SignatureTable, epsilon_sign, nearby_index_formula
 
 
 def _frame_map(data: "DegenerationData"):
@@ -836,9 +834,7 @@ def _e2_signature_table(data: DegenerationData, page: E2Page) -> SignatureTable:
             cols = term.sector_cols[sec]
             Gs = G.take_rows(cols).take_columns(cols)
             H = (X.transpose() @ Gs @ X.conj()).scale(i_power(P - Q))
-            if not hermitian_check(H):
-                raise ContractError(f"non-Hermitian form at sector {sec}")
-            pos, neg, nulls = hermitian_signature(H)
+            pos, neg, nulls = hermitian_signature(H, f"non-Hermitian form at sector {sec}")
             if nulls:
                 raise DegenerateFormError(
                     f"degenerate primitive form at sector {sec}, r={r}"
@@ -861,7 +857,7 @@ def e2_signature_table(data: DegenerationData) -> SignatureTable:
     return _e2_signature_table(data, page)
 
 
-def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None) -> MHSData:
+def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None) -> "MHSData":
     """Split model of the limit mixed Hodge structure on H^d in E2 class
     coordinates: W from the column grading, F from the type sectors, the
     monodromy N given by the identity-shift transport, and (at d = m) the
@@ -873,6 +869,10 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
     builds rational class representatives: one quotient ker d1 / im d1 per
     term of the page, from the d1 maps of data itself.
     """
+    # the orbit-side structures load only here, so lmhs check never compiles them
+    from .filtration import DecreasingFiltration, IncreasingFiltration
+    from .mhs import MHSData
+
     m = data.m
     if page is None:
         page = e2_page(data, d)

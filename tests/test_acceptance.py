@@ -32,8 +32,9 @@ from lmhs.geomodels import (
     sano_negative_count,
     schoen_input,
 )
+from lmhs.identities import taylor_minor_identity, wedge_identity
 from lmhs.mhs import MHSData, random_polarized_mhs
-from lmhs.orbit import taylor_minor_identity, verify_main_theorem, wedge_identity
+from lmhs.orbit import verify_main_theorem
 from lmhs.steenbrink import (
     DegenerationData,
     e2_page,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lmhs import cli, exactlin, mhs, orbit
+from lmhs import cli, exactlin, identities, mhs, orbit
 from lmhs.exactlin import ExactMatrix, PolyScalar, gaussian_from_str
 from lmhs.geomodels import ResolutionData, odp_semistable_model
 from lmhs.steenbrink import DegenerationData, validate_degeneration_data
@@ -659,6 +659,17 @@ class TestVerifyIdentities:
         assert code == 2
         assert "(2, 1)" in err
 
+    @pytest.mark.parametrize("pair", ["9,9", "0,0", "1,3", "2,0"])
+    def test_corrupt_pair_outside_the_range(self, capsys, pair):
+        # a test-mode pair that no check reaches is a usage error, not a
+        # passing run
+        argv = ["verify-identities", "--max-n", "1", "--corrupt", pair]
+        want = (1, "", f"invalid input: --corrupt {pair} is not a checked pair "
+                       "(1 <= n <= 1, 0 <= k <= n + 1)\n")
+        assert run(capsys, *argv) == want
+        proc = run_optimized(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
     def test_workers(self, capsys):
         code_seq, out_seq, _ = run(capsys, "verify-identities", "--max-n", "4",
                                    "--format", "json")
@@ -670,7 +681,8 @@ class TestVerifyIdentities:
     def test_evaluation_counts(self, capsys, monkeypatch):
         # the offset bound is exact on both identity families, so the
         # default range evaluates sum over (n, k) of 2((n - k + 1)k + 1)
-        # points, and each wedge check builds one nilpotent exponential
+        # points, and each Jordan string's exponential is built once, for
+        # every k of its n
         counts = Counter()
 
         def counting(fn):
@@ -680,16 +692,16 @@ class TestVerifyIdentities:
             return wrapped
 
         monkeypatch.setattr(exactlin, "_det_at", counting(exactlin._det_at))
-        monkeypatch.setattr(orbit, "exp_nilpotent", counting(orbit.exp_nilpotent))
+        monkeypatch.setattr(identities, "exp_nilpotent", counting(identities.exp_nilpotent))
         code, _, _ = run(capsys, "verify-identities", "--max-n", "8")
         assert code == 0
-        assert counts == {"_det_at": 764, "exp_nilpotent": 52}
+        assert counts == {"_det_at": 764, "exp_nilpotent": 8}
 
     def test_broken_determinant_is_a_verdict(self, capsys, monkeypatch):
         # a wrong determinant of every 3 x 3 matrix breaks the pairs with
         # n = 2 (the wedge matrix is (n + 1) x (n + 1)) and no other
-        real = orbit.poly_det
-        monkeypatch.setattr(orbit, "poly_det",
+        real = identities.poly_det
+        monkeypatch.setattr(identities, "poly_det",
                             lambda *c: PolyScalar([5]) if c[0].rows == 3 else real(*c))
         code, out, err = run(capsys, "verify-identities", "--max-n", "2",
                              "--format", "json")
@@ -707,10 +719,10 @@ class TestVerifyIdentities:
 
 BROKEN_DETERMINANT = """
 import sys
-from lmhs import cli, orbit
+from lmhs import cli, identities
 from lmhs.exactlin import PolyScalar
-real = orbit.poly_det
-orbit.poly_det = lambda *c: PolyScalar([5]) if c[0].rows == 3 else real(*c)
+real = identities.poly_det
+identities.poly_det = lambda *c: PolyScalar([5]) if c[0].rows == 3 else real(*c)
 sys.exit(cli.main(["verify-identities", "--max-n", "2", "--format", "json"]))
 """
 
@@ -723,16 +735,34 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("argv, unloaded", [
-    (["orbit", fixture_path("elliptic.json")], {"lmhs.steenbrink", "lmhs.geomodels"}),
-    (["check", fixture_path("odp_m3.json")], {"lmhs.orbit", "lmhs.geomodels"}),
-], ids=["orbit", "check"])
-def test_subcommand_imports_only_its_pipeline(argv, unloaded):
+# the lmhs modules each subcommand loads: the module map in the README
+@pytest.mark.parametrize("argv, modules", [
+    (["orbit", fixture_path("elliptic.json")],
+     {"cli", "exactlin", "filtration", "mhs", "orbit", "report", "signature"}),
+    (["check", fixture_path("odp_m3.json")],
+     {"cli", "exactlin", "report", "signature", "steenbrink"}),
+    (["validate", fixture_path("odp_m3.json")],
+     {"cli", "exactlin", "report", "signature", "steenbrink"}),
+    (["verify-identities", "--max-n", "1"], {"cli", "exactlin", "identities"}),
+    (["tables", "kahler", "--k3"],
+     {"cli", "exactlin", "geomodels", "report", "signature", "steenbrink", "tables"}),
+], ids=["orbit", "check", "validate", "verify-identities", "tables"])
+def test_subcommand_imports_only_its_pipeline(argv, modules):
     proc = run_python("-c", LOADED_MODULES, *argv)
     assert proc.returncode == 0, proc.stderr
     loaded = set(ast.literal_eval(proc.stderr.splitlines()[-1]))
-    assert "lmhs.exactlin" in loaded
-    assert not loaded & unloaded
+    assert loaded == {f"lmhs.{name}" for name in modules}
+
+
+def test_module_run_imports_no_second_cli():
+    # under python -m lmhs.cli the front end runs as __main__, so a module
+    # that imported lmhs.cli would compile it a second time
+    proc = run_python("-X", "importtime", "-m", "lmhs.cli", "tables", "kahler", "--k3")
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "lmhs.tables" in imported
+    assert "lmhs.cli" not in imported
 
 
 class TestTables:
@@ -756,8 +786,8 @@ class TestTables:
         got = run(capsys, "tables", "kahler", "--hodge", str(path), "--format", "json")
         assert got == run(capsys, "tables", "kahler", "--k3", "--format", "json")
 
-    # malformed --hodge files: each exits 1 with its message, and a value
-    # of the wrong JSON type is named by its path
+    # malformed or out-of-range --hodge files: each exits 1 with its
+    # message, and a value of the wrong JSON type is named by its path
     BAD_HODGE = [
         ("list", [], "{path}: the top level is not a JSON object"),
         ("hodge-list", {"m": 2, "hodge": []},
@@ -774,6 +804,9 @@ class TestTables:
          "m: wrong JSON type (m must be an integer, not bool)"),
         ("bad-key", {"m": 2, "hodge": {"1": 2}}, "hodge key '1' is not p,q"),
         ("missing-key", {"m": 2}, "missing key 'hodge'"),
+        ("m-negative", {"m": -2, "hodge": {"1,1": 2}}, "m is -2, not at least 0"),
+        ("key-above-m", {"m": 2, "hodge": {"3,3": 1}}, "hodge key '3,3' is outside 0..2"),
+        ("key-below-0", {"m": 2, "hodge": {"1,-1": 1}}, "hodge key '1,-1' is outside 0..2"),
     ]
 
     @pytest.mark.parametrize("blob, message", [case[1:] for case in BAD_HODGE],

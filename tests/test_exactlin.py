@@ -495,6 +495,27 @@ class TestPolyDet:
     def test_row_swap_sign(self):
         assert poly_det(*pm([[0, 1], [1, 0]])) == PolyScalar([-1])
 
+    def test_real_path_matches_reference(self):
+        # real entries take _bareiss's real path.  The first matrix needs a
+        # row swap at every point, its (1, 1) entry being 0; the second
+        # needs one at t = 0, and for t > 0 its second pivot vanishes and
+        # needs one there; the third is singular, so its elimination ends
+        # on a zero pivot
+        cases = [
+            [[0, 1, [0, 1]], [[0, 1], 0, 1], [1, [0, 1], 0]],
+            [[[0, 1], 1, 2], [[0, 1], 1, 3], [1, 0, [0, 1]]],
+            [[1, [0, 1], 2], [2, [0, 2], 4], [0, 1, [0, 1]]],
+        ]
+        for entries in cases:
+            coeffs = pm(entries)
+            rows, _ = _poly_rows(coeffs)
+            assert not any(im for row in rows for _, im in row)
+            assert poly_det(*coeffs) == reference_det(*coeffs), entries
+        assert poly_det(*pm(cases[2])).is_zero()
+        # a complex matrix marks only its real entries with an empty im
+        rows, _ = _poly_rows(pm([[g(0, 1), 1], [[0, 1], 0]]))
+        assert [[bool(im) for _, im in row] for row in rows] == [[True, False], [False, False]]
+
 
 class TestLeadingMinors:
     def test_principal_minors(self):

@@ -10,18 +10,16 @@ from lmhs.filtration import DecreasingFiltration, IncreasingFiltration, graded_p
 from lmhs.mhs import (
     DeligneSplitting,
     MHSData,
-    aggregate_s,
     check_mhs,
     check_situation_a,
     check_situation_b,
     check_splitting_properties,
     deligne_splitting,
-    epsilon_sign,
-    nearby_index_formula,
     primitive_part,
     random_polarized_mhs,
     signature_table,
 )
+from lmhs.signature import aggregate_s, epsilon_sign, nearby_index_formula
 from support import jordan_nilpotent
 
 

@@ -17,6 +17,7 @@ from lmhs.exactlin import (
     inverse,
 )
 from lmhs.filtration import DecreasingFiltration, IncreasingFiltration
+from lmhs.identities import syt_count, taylor_minor_identity, wedge_identity
 from lmhs.mhs import MHSData, random_polarized_mhs
 from lmhs.orbit import (
     OrbitFiltration,
@@ -25,10 +26,7 @@ from lmhs.orbit import (
     opposedness_polynomial,
     orbit_signature,
     refined_filtration_check,
-    syt_count,
-    taylor_minor_identity,
     verify_main_theorem,
-    wedge_identity,
 )
 from support import (
     jordan_nilpotent, random_invertible, random_unimodular, reference_det, run_under_python_O,

@@ -17,8 +17,9 @@ from lmhs.exactlin import (
 )
 from lmhs.filtration import weight_filtration
 from lmhs.geomodels import ResolutionData, odp_semistable_model
-from lmhs.mhs import check_mhs, check_situation_a, check_situation_b, nearby_index_formula
+from lmhs.mhs import check_mhs, check_situation_a, check_situation_b
 from lmhs.orbit import verify_main_theorem
+from lmhs.signature import nearby_index_formula
 from lmhs.steenbrink import (
     DegenerationData,
     StratumCohomology,
@@ -586,6 +587,24 @@ def test_trivial_shapes_do_no_work(build, monkeypatch):
     assert nearby_hodge_index(data).to_json() == want
     assert eliminated and 0 not in eliminated
     assert built and all(built)
+
+
+@pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
+def test_one_hermitian_check_per_form(build, monkeypatch):
+    """The signature table checks each primitive sector form once, in the
+    reduction that reads its signature, and a form that is not Hermitian
+    is named by its sector."""
+    data = build()
+    checked = []
+    check = exactlin.hermitian_check
+    monkeypatch.setattr(exactlin, "hermitian_check", lambda H: checked.append(H) or check(H))
+    report = nearby_hodge_index(data)
+    assert len(checked) == (len(report.table.entries) if report.table else 0)
+    if report.table:
+        # one more factor i makes every form skew-Hermitian
+        monkeypatch.setattr(steenbrink, "i_power", lambda k: exactlin.i_power(k + 1))
+        with pytest.raises(ContractError, match=r"^non-Hermitian form at sector \(\d+, \d+\)$"):
+            nearby_hodge_index(data)
 
 
 class TestD1Builds:
