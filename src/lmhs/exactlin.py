@@ -24,7 +24,8 @@ A polynomial matrix in a real variable t is the list of its coefficient
 matrices C_0, ..., C_D, lowest degree first, as exp_nilpotent returns them.
 Its determinant and leading principal minors come from evaluation at
 integer points, fraction-free elimination over the Gaussian integers and
-interpolation; PolyScalar holds the resulting polynomials.
+interpolation, except that a graded determinant is one elimination of its
+leading coefficients; PolyScalar holds the resulting polynomials.
 
 Contract checks raise ContractError, an AssertionError that python -O
 keeps.  Serialization conventions: scalars print as "p/q" or "p/q+r/s*i",
@@ -1082,7 +1083,7 @@ def exp_nilpotent(N: ExactMatrix, b=1) -> list[ExactMatrix]:
 # a certified bound on the degree of the determinant; each value comes from
 # fraction-free elimination over the Gaussian integers, and the polynomial
 # from interpolation (Bareiss 1968; von zur Gathen & Gerhard, Modern Computer
-# Algebra, ch. 5).
+# Algebra, ch. 5).  A graded determinant skips both: see poly_det.
 
 
 def _poly_rows(coeffs: Sequence[ExactMatrix]) -> tuple[list[list[tuple]], list[int]]:
@@ -1120,17 +1121,22 @@ def _degree_bound(rows: list[list[tuple]], k: int) -> int:
     return min(_offset_bound(deg), _offset_bound(list(zip(*deg))))
 
 
-def _offset_bound(deg: Sequence[Sequence[int]]) -> int:
-    """sum_i r_i - sum_j c_j, the dual form of Jacobi's bound, for entry
-    degrees deg (-1 for a zero entry): with r_i the largest degree in row i
-    and c_j = min_i (r_i - deg[i][j]) over the nonzero entries of column j,
-    every entry has degree at most r_i - c_j, so every term of the
-    determinant, one entry per row and per column, has degree at most
-    sum_i r_i - sum_j c_j.  The offsets are nonnegative, so the bound never
-    exceeds the sum of the row degrees."""
+def _offsets(deg: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """(r, c) for entry degrees deg (-1 for a zero entry): r_i the largest
+    degree in row i, c_j = min_i (r_i - deg[i][j]) over the nonzero entries
+    of column j (-1 for a zero row or column)."""
     r = [max(row) for row in deg]
-    c = [min((ri - d for ri, d in zip(r, col) if d >= 0), default=-1)
-         for col in zip(*deg)]
+    return r, [min((ri - d for ri, d in zip(r, col) if d >= 0), default=-1)
+               for col in zip(*deg)]
+
+
+def _offset_bound(deg: Sequence[Sequence[int]]) -> int:
+    """sum_i r_i - sum_j c_j, the dual form of Jacobi's bound, with r and c
+    the _offsets of deg: every entry has degree at most r_i - c_j, so every
+    term of the determinant, one entry per row and per column, has degree
+    at most sum_i r_i - sum_j c_j.  The offsets are nonnegative, so the
+    bound never exceeds the sum of the row degrees."""
+    r, c = _offsets(deg)
     if min(r, default=0) < 0 or min(c, default=0) < 0:
         return 0
     return sum(r) - sum(c)
@@ -1236,16 +1242,26 @@ def _interpolate(values: list[tuple[int, int]], den: int) -> PolyScalar:
 def poly_det(*coeffs: ExactMatrix) -> PolyScalar:
     """Exact determinant of the square polynomial matrix sum_j t^j coeffs[j].
 
-    Its values at t = 0..D come from Bareiss elimination with row swaps,
-    and interpolation gives the polynomial.  D is the offset bound of
-    _degree_bound: with r_i the largest entry degree of row i and c_j the
-    smallest slack r_i - deg of column j, D = sum r_i - sum c_j, or the same
-    for the transpose when that is smaller.  It is exact on the Taylor and
-    wedge matrices of the orbit identities.
+    With r_i the largest entry degree of row i and c_j the smallest slack
+    r_i - deg of column j (_offsets), a graded matrix, whose every nonzero
+    entry (i, j) is one monomial L_ij t^(r_i - c_j), is diag(t^r) L
+    diag(t^-c), so its determinant is t^(sum r - sum c) det L, from one
+    elimination of L; the Taylor and wedge matrices of the orbit
+    identities are graded.  Any other matrix is evaluated at t = 0..D by
+    Bareiss elimination with row swaps, and interpolation gives the
+    polynomial.  D is the offset bound of _degree_bound, sum r - sum c or
+    the same for the transpose when that is smaller.
     """
     n = coeffs[0].rows
     _require(coeffs[0].cols == n, "determinant of a non-square matrix")
     rows, dens = _poly_rows(coeffs)
+    r, c = _offsets([[len(a) - 1 for a, _ in row] for row in rows])
+    if all(not a or len(a) - 1 == ri - cj and not any(a[:-1]) and not any(b[:-1])
+           for row, ri in zip(rows, r) for (a, b), cj in zip(row, c)):
+        a, b = _det_at([[(a[-1:], b[-1:]) for a, b in row] for row in rows], n, 0)
+        if not (a or b):
+            return PolyScalar()
+        return PolyScalar([G_ZERO] * (sum(r) - sum(c)) + [_from_ints(a, b, prod(dens))])
     values = [_det_at(rows, n, t) for t in range(_degree_bound(rows, n) + 1)]
     return _interpolate(values, prod(dens))
 

@@ -10,7 +10,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactlin import G_I, G_ONE, ExactMatrix, GaussianScalar, _require, rank
-from .steenbrink import DegenerationData, StratumCohomology
+
+# The ODP model builders import lmhs.steenbrink inside their bodies, so the
+# closed-form tables, which build no model, never compile it.
 
 
 # ---------------------------------------------------------------------------
@@ -24,6 +26,8 @@ def quadric_cohomology(n: int, depth: int = 1) -> StratumCohomology:
     pairings are 1.  For even n = 2k the middle carries the two plane
     classes A, B with A.B = (1 - (-1)^k)/2 and A.A = B.B = (1 + (-1)^k)/2.
     """
+    from .steenbrink import StratumCohomology
+
     _require(n >= 1, f"quadric dimension n = {n} must be at least 1")
     cohomology = {}
     for j in range(0, n + 1):
@@ -238,6 +242,8 @@ def _odd_shared(l: int, w: int) -> tuple:
 
 
 def _odp_model_odd(res: ResolutionData) -> DegenerationData:
+    from .steenbrink import DegenerationData, StratumCohomology
+
     m, l, rho = res.m, res.l, res.rho
     _require(m == 3, f"the odd model covers m = 3, not m = {m}")
     w = rho.cols  # l - R relation classes
@@ -336,6 +342,8 @@ def _even_maps(l: int, hv: int) -> tuple[dict, dict]:
 
 
 def _odp_model_even(res: ResolutionData) -> DegenerationData:
+    from .steenbrink import DegenerationData, StratumCohomology
+
     m, l = res.m, res.l
     _require(m == 4, f"the even model covers m = 4, not m = {m}")
     comps, q2, mid = _even_labels(l, len(res.vhat_signs))

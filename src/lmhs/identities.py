@@ -19,6 +19,7 @@ from .exactlin import (
     PolyScalar,
     _require,
     exp_nilpotent,
+    i_power,
     poly_det,
 )
 
@@ -43,11 +44,11 @@ def taylor_minor_identity(n: int, k: int) -> bool:
     Returns whether it does.
     """
     _require(0 <= k <= n + 1, f"minor size {k} outside 0..{n + 1}")
-    # cell (r, c) is x^e / e! with e = n + 1 - k + c - r, and 0 when e < 0
+    # cell (r, c) is x^e / e! with e = n + 1 - k + c - r, and 0 when e < 0:
+    # coefficient e is 1/e! times the 0/1 matrix of the cells of that e
     coeffs = [
-        ExactMatrix([[GaussianScalar(Fraction(1, factorial(e)))
-                      if n + 1 - k + c - r == e else G_ZERO
-                      for c in range(k)] for r in range(k)], cols=k)
+        ExactMatrix.from_rational([[int(n + 1 - k + c - r == e) for c in range(k)]
+                                   for r in range(k)], cols=k).scale(Fraction(1, factorial(e)))
         for e in range(n + 1)
     ]
     det = poly_det(*coeffs)
@@ -57,18 +58,18 @@ def taylor_minor_identity(n: int, k: int) -> bool:
     return det == expected
 
 
-def jordan_exponential(n: int) -> list[tuple[ExactMatrix, ExactMatrix]]:
+def jordan_exponential(n: int) -> list[ExactMatrix]:
     """The t-coefficients C_j of e^{itN} on a single Jordan string u, Nu,
-    ..., N^n u, each paired with its conjugate, the t-coefficient of
-    e^{-itN} (N is real).  N^j u is the j-th unit vector, so e^{itN} N^j u
-    is column j of e^{itN}.
+    ..., N^n u, each beside its conjugate, the t-coefficient of e^{-itN}
+    (N is real): [C_j | conj C_j].  N^j u is the j-th unit vector, so
+    e^{itN} N^j u is column j of e^{itN}.
     """
     m = n + 1
-    rows = [[Fraction(0)] * m for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
     for j in range(m - 1):
-        rows[j + 1][j] = Fraction(1)
+        rows[j + 1][j] = 1
     N = ExactMatrix.from_rational(rows)
-    return [(C, C.conj()) for C in exp_nilpotent(N, G_I)]
+    return [C.hstack(C.conj()) for C in exp_nilpotent(N, G_I)]
 
 
 def wedge_identity(n: int, k: int, exponential=None) -> bool:
@@ -82,11 +83,11 @@ def wedge_identity(n: int, k: int, exponential=None) -> bool:
     _require(0 <= k <= n + 1, f"minor size {k} outside 0..{n + 1}")
     if exponential is None:
         exponential = jordan_exponential(n)
-    left, right = range(n - k + 1), range(k)
-    det = poly_det(*(C.take_columns(left).hstack(Cc.take_columns(right))
-                     for C, Cc in exponential))
+    columns = [*range(n - k + 1), *range(n + 1, n + 1 + k)]
+    det = poly_det(*(C.take_columns(columns) for C in exponential))
     e = (n - k + 1) * k
-    coeff = GaussianScalar(Fraction(syt_count(n - k + 1, k), factorial(e)))
-    minus2i = GaussianScalar(0, -2)
-    expected = PolyScalar([G_ZERO] * e + [coeff * minus2i ** e])
+    # (-2i)^e = (-2)^e i^e
+    coeff = Fraction(syt_count(n - k + 1, k), factorial(e)) * (-2) ** e
+    ie = i_power(e)
+    expected = PolyScalar([G_ZERO] * e + [GaussianScalar(coeff * ie.re, coeff * ie.im)])
     return det == expected

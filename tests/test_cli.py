@@ -679,10 +679,10 @@ class TestVerifyIdentities:
         assert out_seq == out_par
 
     def test_evaluation_counts(self, capsys, monkeypatch):
-        # the offset bound is exact on both identity families, so the
-        # default range evaluates sum over (n, k) of 2((n - k + 1)k + 1)
-        # points, and each Jordan string's exponential is built once, for
-        # every k of its n
+        # both identity families are graded, so each of the default
+        # range's 104 determinants is one elimination of its leading
+        # coefficients, and each Jordan string's exponential is built once,
+        # for every k of its n
         counts = Counter()
 
         def counting(fn):
@@ -695,7 +695,7 @@ class TestVerifyIdentities:
         monkeypatch.setattr(identities, "exp_nilpotent", counting(identities.exp_nilpotent))
         code, _, _ = run(capsys, "verify-identities", "--max-n", "8")
         assert code == 0
-        assert counts == {"_det_at": 764, "exp_nilpotent": 8}
+        assert counts == {"_det_at": 104, "exp_nilpotent": 8}
 
     def test_broken_determinant_is_a_verdict(self, capsys, monkeypatch):
         # a wrong determinant of every 3 x 3 matrix breaks the pairs with
@@ -744,8 +744,7 @@ sys.exit(code)
     (["validate", fixture_path("odp_m3.json")],
      {"cli", "exactlin", "report", "signature", "steenbrink"}),
     (["verify-identities", "--max-n", "1"], {"cli", "exactlin", "identities"}),
-    (["tables", "kahler", "--k3"],
-     {"cli", "exactlin", "geomodels", "report", "signature", "steenbrink", "tables"}),
+    (["tables", "kahler", "--k3"], {"cli", "exactlin", "geomodels", "tables"}),
 ], ids=["orbit", "check", "validate", "verify-identities", "tables"])
 def test_subcommand_imports_only_its_pipeline(argv, modules):
     proc = run_python("-c", LOADED_MODULES, *argv)

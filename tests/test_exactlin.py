@@ -7,6 +7,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmhs import exactlin
+
 try:
     from sympy import I as SYMPY_I, QQ_I, Rational
     from sympy.polys.matrices import DomainMatrix
@@ -461,6 +463,29 @@ def leading_block(coeffs, k):
     return [ExactMatrix([row[:k] for row in C.entries[:k]], cols=k) for C in coeffs]
 
 
+def graded_leading(rng, n, kind):
+    """A seeded n x n matrix L for the graded determinant tests, row i over
+    its own denominator.  "real" and "complex" are dense; "zeros" has zero
+    entries, L[0][0] among them, so its elimination swaps rows; "zero row"
+    has one zero row; "singular" has a last row that combines the first
+    two (the first when n = 2, a zero row when n = 1)."""
+    def entry(den):
+        re = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), den)
+        im = 0 if kind == "real" else Fraction(rng.randrange(-3, 4), den)
+        return GaussianScalar(re, im)
+
+    L = [[entry(d) for _ in range(n)] for d in (rng.randrange(1, 7) for _ in range(n))]
+    if kind == "zeros":
+        L = [[G_ZERO if (i, j) == (0, 0) or rng.random() < 0.3 else x
+              for j, x in enumerate(row)] for i, row in enumerate(L)]
+    elif kind == "zero row" or kind == "singular" and n == 1:
+        L[rng.randrange(n)] = [G_ZERO] * n
+    elif kind == "singular":
+        a, b = entry(1), entry(2)
+        L[-1] = [a * x + b * y for x, y in zip(L[0], L[1] if n > 2 else L[0])]
+    return L
+
+
 class TestPolyDet:
     def test_one_by_one(self):
         assert poly_det(*pm([[[0, 0, 1]]])) == PolyScalar([0, 0, 1])
@@ -515,6 +540,58 @@ class TestPolyDet:
         # a complex matrix marks only its real entries with an empty im
         rows, _ = _poly_rows(pm([[g(0, 1), 1], [[0, 1], 0]]))
         assert [[bool(im) for _, im in row] for row in rows] == [[True, False], [False, False]]
+
+    def test_graded_matches_reference(self, monkeypatch):
+        # entry (i, j) = L_ij t^(u_i + v_j) gives t^(sum u + sum v) det L,
+        # which poly_det reads from one elimination of L.  With zero
+        # entries a row's largest degree shows its offset only when the
+        # column offsets agree, so the sparse kinds take one v for every
+        # column; then poly_det's test finds every case graded
+        calls = []
+        det_at = exactlin._det_at
+        monkeypatch.setattr(exactlin, "_det_at",
+                            lambda rows, k, t: calls.append(rows) or det_at(rows, k, t))
+        rng = random.Random(23)
+        cases = []
+        for kind in ["real", "complex", "zeros", "zero row", "singular"]:
+            for n in [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]:
+                u = [rng.randrange(4) for _ in range(n)]
+                v = [rng.randrange(4) for _ in range(n)]
+                if kind in ("zeros", "singular"):
+                    v = [v[0]] * n
+                cases.append((kind, graded_leading(rng, n, kind), u, v))
+        # complex entries, rows over different denominators, a nonsingular
+        # L whose elimination swaps rows, and a singular one
+        Ls = [L for _, L, _, _ in cases]
+        assert any(not x.is_real() for L in Ls for row in L for x in row)
+        assert any(len({x.re.denominator for row in L for x in row}) > 1 for L in Ls)
+        assert any(L[0][0].is_zero() and rank(ExactMatrix(L)) == len(L) for L in Ls)
+        assert any(rank(ExactMatrix(L)) < len(L) for L in Ls)
+        for kind, L, u, v in cases:
+            n = len(L)
+            entries = [[[0] * (u[i] + v[j]) + [L[i][j]] for j in range(n)] for i in range(n)]
+            coeffs = pm(entries)
+            want = reference_det(*coeffs)
+            det_L = reference_det(ExactMatrix(L)).coeffs
+            assert want == PolyScalar([G_ZERO] * (sum(u) + sum(v)) + list(det_L)), kind
+            calls.clear()
+            assert poly_det(*coeffs) == want, (kind, L, u, v)
+            # the graded path: one elimination, of constant rows
+            assert len(calls) == 1 and all(len(a) <= 1 for row in calls[0] for a, _ in row)
+            if kind in ("zero row", "singular"):
+                assert want.is_zero()
+            # one lower-degree term in the highest entry ungrades the
+            # matrix, which then takes the evaluation path
+            i, j = max(((i, j) for i in range(n) for j in range(n) if not L[i][j].is_zero()),
+                       key=lambda ij: u[ij[0]] + v[ij[1]], default=(0, 0))
+            if L[i][j].is_zero() or u[i] + v[j] == 0:
+                continue
+            entries[i][j][u[i] + v[j] - 1] = g(1, -1)
+            coeffs = pm(entries)
+            rows, _ = _poly_rows(coeffs)
+            calls.clear()
+            assert poly_det(*coeffs) == reference_det(*coeffs), (kind, L, u, v)
+            assert calls == [rows] * (_degree_bound(rows, n) + 1)
 
 
 class TestLeadingMinors:
@@ -790,6 +867,23 @@ def test_equal_matrices_have_equal_storage(rows, inner, cols, data):
     back = A.scale(c).scale(G_ONE / c)
     assert back == A and hash(back) == hash(A)
     assert A.hstack(A @ B).take_columns(range(inner)) == A
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, -2], [0, 3]],
+    [[Fraction(1, 2), Fraction(4, 2)], [Fraction(-1, 3), Fraction(0)]],
+    [[True, False], [False, True]],
+    [[1, Fraction(1, 2)], [True, Fraction(6, 4)]],
+    [],
+    [[], []],
+], ids=["int", "fraction", "bool", "mixed", "no-rows", "empty-rows"])
+def test_from_rational_has_the_storage_of_scalar_rows(rows):
+    # the all-int shortcut of the constructor and its general path store
+    # equal integers, so the matrices are equal and hash alike
+    M = ExactMatrix.from_rational(rows)
+    want = ExactMatrix([[GaussianScalar(x) for x in row] for row in rows])
+    assert (M.rows, M.cols, M.re, M.im, M.den) == (want.rows, want.cols, want.re, want.im, want.den)
+    assert M == want and hash(M) == hash(want)
 
 
 def rational_matrices(rows=None, cols=None):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmhs import exactlin
+from lmhs import exactlin, identities
 from lmhs.exactlin import (
     ExactMatrix,
     GaussianScalar,
@@ -420,21 +420,36 @@ class TestIdentities:
 
     def test_degree_bound_is_exact(self, monkeypatch):
         # both determinants have degree (n - k + 1)k, and the offset bound
-        # of their matrices is that degree: no evaluation point is spare
-        bounds = []
+        # of their matrices is that degree: no evaluation point would be
+        # spare.  Both matrices are graded, so poly_det eliminates their
+        # leading coefficients once and shifts by that same exponent
+        matrices, eliminated = [], []
+        poly_det, det_at = identities.poly_det, exactlin._det_at
 
-        def recording(rows, k):
-            bounds.append(degree_bound(rows, k))
-            return bounds[-1]
+        def recording_det(*coeffs):
+            matrices.append(coeffs)
+            return poly_det(*coeffs)
 
-        degree_bound = exactlin._degree_bound
-        monkeypatch.setattr(exactlin, "_degree_bound", recording)
+        def recording_det_at(rows, k, t):
+            eliminated.append(rows)
+            return det_at(rows, k, t)
+
+        monkeypatch.setattr(identities, "poly_det", recording_det)
+        monkeypatch.setattr(exactlin, "_det_at", recording_det_at)
         for n in range(0, 9):
             for k in range(0, n + 2):
                 for identity in (taylor_minor_identity, wedge_identity):
-                    bounds.clear()
+                    matrices.clear()
+                    eliminated.clear()
                     assert identity(n, k)
-                    assert bounds == [(n - k + 1) * k], (identity.__name__, n, k)
+                    (coeffs,) = matrices
+                    rows, _ = exactlin._poly_rows(coeffs)
+                    size, e = len(rows), (n - k + 1) * k
+                    assert exactlin._degree_bound(rows, size) == e, (identity.__name__, n, k)
+                    r, c = exactlin._offsets([[len(a) - 1 for a, _ in row] for row in rows])
+                    assert sum(r) - sum(c) == e
+                    (leading,) = eliminated
+                    assert all(len(a) <= 1 for row in leading for a, _ in row)
 
     def test_contract_errors(self):
         with pytest.raises(AssertionError, match="minor size 4 outside 0..3"):
