@@ -160,7 +160,7 @@ def cmd_orbit(args) -> int:
     except (ValueError, KeyError, TypeError, AssertionError, ArithmeticError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    main = verify_main_theorem(data, args.t0, args.t0_cap)
+    main = verify_main_theorem(data)
     if not main.details:
         _emit({"verdict": False, "failures": main.failures}, args.format)
         return EXIT_VERDICT
@@ -266,8 +266,6 @@ def build_parser() -> CliParser:
 
     orbit = subs.add_parser("orbit", help="orbit asymptotics of a mixed Hodge structure")
     orbit.add_argument("input")
-    orbit.add_argument("--t0", type=_positive_int, default=2 ** 10)
-    orbit.add_argument("--t0-cap", dest="t0_cap", type=_positive_int, default=2 ** 60)
     _add_common(orbit)
     orbit.set_defaults(func=cmd_orbit)
 
@@ -299,10 +297,7 @@ def build_parser() -> CliParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "orbit" and args.t0 > args.t0_cap:
-        parser.error("--t0 must not exceed --t0-cap")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

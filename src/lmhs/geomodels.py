@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlin import G_I, G_ONE, ExactMatrix, GaussianScalar, _require, rank
+from .exactlin import G_I, G_ONE, ExactMatrix, _require, i_power, rank
 
 # The ODP model builders import lmhs.steenbrink inside their bodies, so the
 # closed-form tables, which build no model, never compile it.
@@ -255,7 +255,7 @@ def _odp_model_odd(res: ResolutionData) -> DegenerationData:
     # one 2 x 2 block per symplectic pair: the pairing [[0, s], [-s, 0]] and
     # the frame [[1, 1], [i, -i]], whose columns have types (2,1) and (1,2)
     P = ExactMatrix.from_rational([[0, 1], [-1, 0]])
-    F = ExactMatrix([[G_ONE, G_ONE], [G_I, -G_I]])
+    F = ExactMatrix([[G_ONE, G_ONE], [G_I, i_power(-1)]])
     p3 = ExactMatrix.assemble(2 * pairs, 2 * pairs, [
         (range(2 * j, 2 * j + 2), 2 * j, P if s > 0 else -P) for j, s in enumerate(res.signs)])
     f3 = ExactMatrix.assemble(
@@ -603,21 +603,22 @@ def hashimoto_sano_pic_fixture(a: int) -> dict:
     that the action is unimodular, preserves the form, and that the glued
     degree-4 composite has full rank 3."""
     _require(a >= 1, f"series index a = {a} must be at least 1")
-    M = ExactMatrix.from_rational([
+    rows = [
         [1, 4 * a * a - 2 * a, 4 * a * a + 2 * a],
         [0, 1 - 2 * a, -2 * a],
         [0, 2 * a, 1 + 2 * a],
-    ])
+    ]
+    M = ExactMatrix.from_rational(rows)
     G = ExactMatrix.from_rational([[0, 2, 2], [2, 0, 2], [2, 2, 0]])
-    det = (M.entries[1][1] * M.entries[2][2] - M.entries[1][2] * M.entries[2][1])
-    det = M.entries[0][0] * det
+    # the first column is e_1, so det M is the lower right 2 x 2 minor
+    det = rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1]
     preserved = (M.transpose() @ G @ M) == G
     composite_rank = rank(G @ M)
     return {
         "matrix": M,
         "form": G,
         "det": det,
-        "unimodular": det in (GaussianScalar(1), GaussianScalar(-1)),
+        "unimodular": det in (1, -1),
         "form_preserved": preserved,
         "composite_rank": composite_rank,
         "ok": preserved and composite_rank == 3,

@@ -474,8 +474,9 @@ def random_polarized_mhs(
             offset += l + 1
         else:
             base = offset  # pairs: index(f_r) = base+2r, index(g_r) = base+2r+1
-            mu = i_power(q - p) * GaussianScalar(lam)
-            re_mu, im_mu = mu.re, mu.im
+            # mu = i^(q-p) lam
+            unit = i_power(q - p)
+            re_mu, im_mu = unit.re * lam, unit.im * lam
             for r in range(l):
                 N_rows[base + 2 * r + 2][base + 2 * r] = Fraction(1)
                 N_rows[base + 2 * r + 3][base + 2 * r + 1] = Fraction(1)
@@ -497,7 +498,7 @@ def random_polarized_mhs(
                 )
                 # conj u_r has type (q-r, p-r)
                 fvec_entries.append(
-                    (q - r, [(base + 2 * r, G_ONE), (base + 2 * r + 1, -G_I)])
+                    (q - r, [(base + 2 * r, G_ONE), (base + 2 * r + 1, i_power(-1))])
                 )
             for key in [(p, q), (q, p)]:
                 acc = expected.setdefault(key, [0, 0])

@@ -1,6 +1,8 @@
 """Nilpotent-orbit asymptotics: exp(zN)F, opposedness determinants, and
-orbit signatures in evaluate and asymptotic mode.  The combinatorial
-identities behind the minor bookkeeping are in identities.
+orbit signatures two ways: evaluated at one point past every real root of
+the form's determinant (Cauchy's bound), and read from the signs of its
+leading principal minors.  The combinatorial identities behind the minor
+bookkeeping are in identities.
 
 The orbit variable is z = a + i t with t a real polynomial variable; all
 asymptotics are exact statements about leading coefficients of polynomials
@@ -12,7 +14,7 @@ parameter.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import floor
 
 from .exactlin import (
     ExactMatrix,
@@ -203,42 +205,39 @@ def _signature_from_minors(minors: list[PolyScalar]) -> tuple[int, int]:
 def orbit_signature(
     orb: OrbitFiltration,
     k: int,
-    method: str = "evaluate",
-    t0: Fraction = Fraction(2**10),
-    t0_cap: Fraction = Fraction(2**60),
     H: list[ExactMatrix] | None = None,
+    det: PolyScalar | None = None,
 ) -> tuple[int, int]:
     """Signature of the Hermitian form i^d S(., conj .) on exp(zN) F^k for
-    large t.
+    large t, evaluated exactly at one certified point.
 
-    evaluate: exact signature at t = t0, doubling t0 until two consecutive
-    evaluations are nondegenerate and agree (cap configurable).
-    asymptotic: signs of leading coefficients of consecutive leading
-    principal minor ratios in the well-ordered basis.
-    H, when given, is orb.hermitian_matrix(k), built once by a caller that
-    runs both methods.
+    H(t) is Hermitian for real t, so its signature changes only at real
+    roots of det H(t).  Cauchy's bound 1 + max_i |a_i| / |a_n| on the roots
+    of det H = sum a_i t^i certifies the integer t = floor(bound) + 1: the
+    signature there is the one for all larger t.  Only the point comes from
+    the determinant; the signature is that of H(t), independent of the
+    leading principal minors.  Raises ArithmeticError when det H vanishes
+    identically, so the form is degenerate for every t.
+    H, when given, is orb.hermitian_matrix(k), and det, when given, is
+    poly_det(*H), both built once by a caller that also needs them.
     """
     if H is None:
         H = orb.hermitian_matrix(k)
     if H[0].rows == 0:
         return (0, 0)
-    if method == "asymptotic":
-        minors = leading_principal_minors(*H)
-        return _signature_from_minors(minors)
-    _require(method == "evaluate", f"unknown method {method!r}")
-    prev = None
-    t = Fraction(t0)
-    while t <= t0_cap:
-        Ht = sum((C.scale(GaussianScalar(t**j)) for j, C in enumerate(H) if j), H[0])
-        pos, neg, nulls = hermitian_signature(Ht)
-        if nulls == 0:
-            if prev == (pos, neg):
-                return pos, neg
-            prev = (pos, neg)
-        else:
-            prev = None
-        t *= 2
-    raise ArithmeticError(f"signature did not stabilize below t0 cap {t0_cap}")
+    if det is None:
+        det = poly_det(*H)
+    if det.is_zero():
+        raise ArithmeticError("the orbit form is degenerate for every t")
+    # |re| + |im| bounds a Gaussian coefficient's modulus from above and
+    # max(|re|, |im|) from below; both are exact on the real det H
+    *rest, lead = det.coeffs
+    bound = max((abs(c.re) + abs(c.im) for c in rest), default=0)
+    t = 2 + floor(bound / max(abs(lead.re), abs(lead.im)))
+    Ht = sum((C.scale(GaussianScalar(t**j)) for j, C in enumerate(H) if j), H[0])
+    pos, neg, nulls = hermitian_signature(Ht)
+    _require(nulls == 0, f"det H vanishes at its certified point t = {t}")
+    return pos, neg
 
 
 class AsymptoticReport(Report):
@@ -319,11 +318,7 @@ def refined_filtration_check(orb: OrbitFiltration) -> AsymptoticReport:
     ])
 
 
-def verify_main_theorem(
-    data: MHSData,
-    t0: Fraction = Fraction(2**10),
-    t0_cap: Fraction = Fraction(2**60),
-) -> Report:
+def verify_main_theorem(data: MHSData) -> Report:
     """Check that the orbit signatures match the aggregated primitive
     signature formula.
 
@@ -341,9 +336,12 @@ def verify_main_theorem(
     B', the MHS axioms, then the Hodge half of Situation A' (N F^p in
     F^{p-1} makes N a morphism of MHS only once (W, F) is an MHS).
     Otherwise details["opposedness"] is the refined_filtration_check report
-    over F's levels, built from the same Hermitian matrices and minors.  A
-    level whose evaluated signature does not settle by t0_cap is a failure;
-    its signature and the pieces that need it are left out of the details.
+    over F's levels, built from the same Hermitian matrices and minors.
+    Each level's signature is evaluated at the point that Cauchy's bound on
+    the roots of its last leading minor, det H, certifies (orbit_signature)
+    and compared with the signs of the minors.  A level whose form is
+    degenerate for every t is a failure; its signature and the pieces that
+    need it are left out of the details.
     """
     failures: list[str] = []
     details: dict = {}
@@ -381,7 +379,7 @@ def verify_main_theorem(
         if not 0 <= k <= d:
             continue
         try:
-            level_sig[k] = orbit_signature(orb, k, "evaluate", t0, t0_cap, H=H)
+            level_sig[k] = orbit_signature(orb, k, H=H, det=minors[-1] if minors else None)
         except ArithmeticError as exc:
             failures.append(f"level {k}: {exc}")
         if minors is None:

@@ -437,20 +437,6 @@ class TestOrbit:
         proc = run_optimized("orbit", str(path))
         assert (proc.returncode, proc.stdout, proc.stderr) == want
 
-    def test_small_t0_cap_is_a_verdict(self, capsys):
-        # one evaluation point below the cap cannot confirm a signature
-        code, out, err = run(capsys, "orbit", fixture_path("elliptic.json"),
-                             "--t0-cap", "1024", "--format", "json")
-        assert code == 2
-        assert "Traceback" not in err
-        report = json.loads(out)
-        assert report["verdict"] is False
-        assert report["failures"] == [
-            f"level {k}: signature did not stabilize below t0 cap 1024"
-            for k in (0, 1)
-        ]
-        assert report["pieces"] == {}
-
     def test_non_mhs_is_a_verdict(self, tmp_path, capsys):
         # F^1 a real line: Situations A' and B' hold, but F^1 meets its
         # conjugate, so the input is no mixed Hodge structure
@@ -491,15 +477,23 @@ GENERATED_MODELS = {
     "odp-m4-l7": ResolutionData(4, 7, vhat_signs=(1, -1, 1)),
 }
 
+# seeded draws of the structure generator, (seed, polarized)
+GENERATED_STRUCTURES = {
+    "random-s11": (11, True),
+    "random-unpolarized-s1": (1, False),
+}
+
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMAS = Path(__file__).parents[1] / "docs" / "schemas"
 
 # (recording, argv, exit code); the recordings in tests/golden are the
 # stdout of these invocations from before `lmhs orbit` ran one pipeline,
 # and of the `check` runs on generated models from before each d1 map was
-# built once per call.  The *-text-a1_2 recordings were made with the orbit
-# twist a = Re z = 1/2, which no report depends on, so the same bytes now
-# come without it
+# built once per call.  The orbit-random-* recordings are of seeded
+# generator draws, made while the signature was still taken by doubling t
+# until two evaluations agreed.  The *-text-a1_2 recordings were made with
+# the orbit twist a = Re z = 1/2, which no report depends on, so the same
+# bytes now come without it
 GOLDEN_CASES = [
     ("orbit-elliptic-json", ["orbit", "elliptic.json", "--format", "json"], 0),
     ("orbit-elliptic-text-a1_2", ["orbit", "elliptic.json", "--format", "text"], 0),
@@ -510,6 +504,9 @@ GOLDEN_CASES = [
     ("orbit-n_missing-json", ["orbit", "n_missing", "--format", "json"], 2),
     ("orbit-s_missing-json", ["orbit", "s_missing", "--format", "json"], 2),
     ("orbit-real_line-json", ["orbit", "real_line", "--format", "json"], 2),
+    ("orbit-random-s11-json", ["orbit", "random-s11", "--format", "json"], 0),
+    ("orbit-random-unpolarized-s1-json",
+     ["orbit", "random-unpolarized-s1", "--format", "json"], 0),
     ("check-kodaira-json", ["check", "kodaira.json", "--format", "json"], 2),
     ("check-odp_m3-json", ["check", "odp_m3.json", "--format", "json"], 0),
     ("check-odp-m3-l6-json", ["check", "odp-m3-l6", "--format", "json"], 0),
@@ -521,6 +518,13 @@ def input_path(tmp_path, source):
     if source in GENERATED_MODELS:
         path = tmp_path / f"{source}.json"
         path.write_text(json.dumps(odp_semistable_model(GENERATED_MODELS[source]).to_json()))
+        return str(path)
+    if source in GENERATED_STRUCTURES:
+        seed, polarized = GENERATED_STRUCTURES[source]
+        data, _ = mhs.random_polarized_mhs(random.Random(seed), max_dim=10, max_d=4,
+                                           polarized=polarized)
+        path = tmp_path / f"{source}.json"
+        path.write_text(json.dumps(data.to_json()))
         return str(path)
     if source not in ELLIPTIC_VARIANTS:
         return fixture_path(source)
@@ -620,11 +624,13 @@ class TestOrbitBuilds:
 
 class TestOptionErrors:
     """Bad option values are usage errors: exit 1 with a message.  `orbit`
-    has no twist option: its reports do not depend on a = Re z."""
+    has no twist option: its reports do not depend on a = Re z.  Nor has it
+    evaluation-point options: its one evaluation point is certified."""
 
     CASES = [
         ["--workers", "0"],
-        ["--t0", "4", "--t0-cap", "2"],
+        ["--t0", "1024"],
+        ["--t0-cap", "2"],
         ["--a", "x"],
         ["--a", "1/2"],
     ]
@@ -875,4 +881,5 @@ class TestDeterminism:
 class TestOrbitOptions:
     def test_defaults(self):
         args = cli.build_parser().parse_args(["orbit", "mhs.json"])
-        assert (args.t0, args.t0_cap, args.format) == (2 ** 10, 2 ** 60, "text")
+        assert args.format == "text"
+        assert not hasattr(args, "t0") and not hasattr(args, "t0_cap")

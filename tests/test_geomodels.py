@@ -3,6 +3,7 @@ import random
 import pytest
 import sympy
 
+from lmhs import geomodels
 from lmhs.exactlin import ExactMatrix, GaussianScalar
 from lmhs.geomodels import (
     LefschetzInput,
@@ -35,6 +36,8 @@ from lmhs.steenbrink import (
     validate_degeneration_data,
     weight_criterion,
 )
+from lmhs.mhs import random_polarized_mhs
+from lmhs.orbit import verify_main_theorem
 
 M = ExactMatrix.from_rational
 
@@ -371,7 +374,7 @@ class TestHashimotoSano:
     def test_small_case(self):
         fx = hashimoto_sano_pic_fixture(1)
         assert fx["matrix"] == M([[1, 2, 6], [0, -1, -2], [0, 2, 3]])
-        assert fx["det"] == GaussianScalar(1)
+        assert fx["det"] == 1
         assert fx["unimodular"]
         assert fx["form_preserved"]
         assert fx["composite_rank"] == 3
@@ -381,7 +384,7 @@ class TestHashimotoSano:
     def test_family(self, a):
         fx = hashimoto_sano_pic_fixture(a)
         assert fx["ok"]
-        assert fx["det"] == GaussianScalar(1)
+        assert fx["det"] == 1
         G = fx["form"]
         Mm = fx["matrix"]
         assert (Mm.transpose() @ G @ Mm) == G
@@ -407,3 +410,30 @@ class TestO16:
         assert rep["verdict"]
         assert not rep["polarized"]
         assert rep["table"][1] == (4, 1)
+
+
+RING_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                  "__rmul__", "__truediv__", "__rtruediv__", "__pow__")
+
+
+def test_library_makes_no_scalar_ring_arithmetic(monkeypatch):
+    """The generator, the orbit theorem, both ODP models through the index
+    pipeline and the Picard fixture compute on integer rows and Fraction
+    parts: no GaussianScalar ring operator runs."""
+    def refuse(*args):
+        raise AssertionError("GaussianScalar ring arithmetic in the library")
+
+    for name in RING_OPERATORS:
+        monkeypatch.setattr(GaussianScalar, name, refuse)
+    # the shared ODP maps are cached; build them under the patch
+    geomodels._odd_shared.cache_clear()
+    geomodels._even_maps.cache_clear()
+    rng = random.Random(7)
+    for polarized in (True, False):
+        data, _ = random_polarized_mhs(rng, max_dim=10, max_d=4, polarized=polarized)
+        assert verify_main_theorem(data).ok
+    odd = odp_semistable_model(odd_resolution(3, M([[1], [0], [-1]]), signs=(1,)))
+    even = odp_semistable_model(ResolutionData(4, 3, vhat_signs=(1, -1)))
+    for model in (odd, even):
+        assert nearby_hodge_index(model).ok
+    assert hashimoto_sano_pic_fixture(2)["ok"]

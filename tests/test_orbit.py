@@ -15,6 +15,7 @@ from lmhs.exactlin import (
     Subspace,
     exp_nilpotent,
     inverse,
+    leading_principal_minors,
 )
 from lmhs.filtration import DecreasingFiltration, IncreasingFiltration
 from lmhs.identities import syt_count, taylor_minor_identity, wedge_identity
@@ -22,6 +23,7 @@ from lmhs.mhs import MHSData, random_polarized_mhs
 from lmhs.orbit import (
     OrbitFiltration,
     WellOrderedBasis,
+    _signature_from_minors,
     opposedness_degree,
     opposedness_polynomial,
     orbit_signature,
@@ -163,34 +165,54 @@ class TestHermitianMatrices:
         return trimmed(out)
 
 
+def minors_signature(H):
+    """The asymptotic signature: the signs of the leading principal minors."""
+    return _signature_from_minors(leading_principal_minors(*H))
+
+
 class TestOrbitSignature:
+    """orbit_signature evaluates H(t) at one integer t past Cauchy's bound on
+    the real roots of det H, and agrees with the signs of the minors."""
+
     def test_elliptic(self):
         orb = OrbitFiltration(elliptic_string())
-        assert orbit_signature(orb, 1, "evaluate") == (1, 0)
-        assert orbit_signature(orb, 1, "asymptotic") == (1, 0)
+        assert orbit_signature(orb, 1) == minors_signature(orb.hermitian_matrix(1)) == (1, 0)
 
     def test_tate3(self):
         orb = OrbitFiltration(tate_string_3())
         for k, want in [(0, (2, 1)), (1, (1, 1)), (2, (1, 0))]:
-            assert orbit_signature(orb, k, "evaluate") == want
-            assert orbit_signature(orb, k, "asymptotic") == want
+            H = orb.hermitian_matrix(k)
+            assert orbit_signature(orb, k) == minors_signature(H) == want
+            # the caller's H and det give the same signature
+            assert orbit_signature(orb, k, H=H, det=exactlin.poly_det(*H)) == want
 
     def test_pure_top_level(self):
         # N = 0 polarized pure structure: k = d gives (dim F^d, 0)
         data = pure_weight_one()
         orb = OrbitFiltration(data)
-        assert orbit_signature(orb, 1, "evaluate") == (1, 0)
-        assert orbit_signature(orb, 1, "asymptotic") == (1, 0)
+        assert orbit_signature(orb, 1) == minors_signature(orb.hermitian_matrix(1)) == (1, 0)
 
-    def test_t0_doubling_invariance(self):
-        orb = OrbitFiltration(tate_string_3())
-        a = orbit_signature(orb, 1, "evaluate", t0=Fraction(2**10))
-        b = orbit_signature(orb, 1, "evaluate", t0=Fraction(2**11))
-        assert a == b == (1, 1)
+    @pytest.mark.parametrize("H, want", [
+        ([[[-3000]], [[1]]], (1, 0)),
+        ([[[1, 0], [0, -3000]], [[0, 0], [0, 1]]], (2, 0)),
+    ], ids=["t-3000", "diag(1,t-3000)"])
+    def test_late_root_gives_asymptotic_signature(self, H, want):
+        # det H has its last real root at t = 3000; a point below it reads
+        # a negative direction that large t does not have
+        H = [ExactMatrix.from_rational(C) for C in H]
+        assert orbit_signature(None, 0, H=H) == minors_signature(H) == want
+
+    def test_degenerate_form_is_arithmetic_error(self):
+        H = [ExactMatrix.from_rational([[1, 1], [1, 1]]),
+             ExactMatrix.from_rational([[1, 0], [0, 1]])]
+        with pytest.raises(ArithmeticError, match="degenerate for every t"):
+            orbit_signature(None, 0, H=[H[0]])
+        # H(t) = [[1 + t, 1], [1, 1 + t]] is nondegenerate past its roots 0, -2
+        assert orbit_signature(None, 0, H=H) == (2, 0)
 
     def test_empty_level(self):
         orb = OrbitFiltration(elliptic_string())
-        assert orbit_signature(orb, 2, "evaluate") == (0, 0)
+        assert orbit_signature(orb, 2) == (0, 0)
 
 
 class TestOpposedness:
@@ -458,8 +480,11 @@ class TestIdentities:
             wedge_identity(2, -1)
         with pytest.raises(AssertionError, match="nonnegative sides"):
             syt_count(-1, 2)
-        with pytest.raises(AssertionError, match="unknown method 'bogus'"):
-            orbit_signature(OrbitFiltration(elliptic_string()), 1, "bogus")
+        # a det that is not det H: H(t) = [[t - 2]] is singular at the point
+        # t = 2 that the constant det certifies
+        H = [ExactMatrix.from_rational([[-2]]), ExactMatrix.from_rational([[1]])]
+        with pytest.raises(AssertionError, match="det H vanishes at its certified point t = 2"):
+            orbit_signature(None, 0, H=H, det=PolyScalar([1]))
         data = elliptic_string()
         with pytest.raises(AssertionError, match="needs N and S"):
             WellOrderedBasis(MHSData(data.ambient_dim, data.d, data.W, data.F, data.N))
