@@ -289,7 +289,6 @@ def build_parser() -> CliParser:
                         help="signature rows as k:plus:minus;...")
     tables.add_argument("--k3", action="store_true")
     tables.add_argument("--hodge", default=None)
-    tables.add_argument("--schoen", action="store_true")
     _add_common(tables)
     tables.set_defaults(func=cmd_tables)
 

@@ -9,16 +9,16 @@ An ExactMatrix stores each row as Gaussian-integer numerators over one
 positive denominator, in lowest terms, so equal matrices have equal storage.
 Products (row combinations over the nonzero entries), sums, reshaping,
 elimination and the fraction-free Hermitian reduction work on these
-integers; scalars appear only in the constructor, the JSON codec, repr and
-the entries view.  A real matrix has no imaginary numerators, and no kernel
-makes any for it.  rref, kernel, kernel_modulo, inverse, solve and
-class_coordinates read their answers from the rows of one fraction-free
-elimination, whose pivots divide only the rows and columns asked for, in
-one place (_solved_rows); no intermediate reduced matrix is built.
-Trivial shapes do no work: a product with a factor equal to the identity
-(by value) returns the other factor, kernel_modulo of a matrix without
-rows eliminates nothing, and the Hermitian test compares each entry with
-its mirror on the stored integers.
+integers; scalars, values without arithmetic (GaussianScalar), appear only
+in the constructor, the JSON codec, repr and the entries view.  A real
+matrix has no imaginary numerators, and no kernel makes any for it.  rref,
+kernel, kernel_modulo, inverse, solve and class_coordinates read their
+answers from the rows of one fraction-free elimination, whose pivots divide
+only the rows and columns asked for, in one place (_solved_rows); no
+intermediate reduced matrix is built.  Trivial shapes do no work: a product
+with a factor equal to the identity (by value) returns the other factor,
+kernel_modulo of a matrix without rows eliminates nothing, and the Hermitian
+test compares each entry with its mirror on the stored integers.
 
 A polynomial matrix in a real variable t is the list of its coefficient
 matrices C_0, ..., C_D, lowest degree first, as exp_nilpotent returns them.
@@ -54,17 +54,15 @@ def _require(ok, message: str) -> None:
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
 class GaussianScalar:
-    """A Gaussian rational a + b*i, with exact Fraction components."""
+    """A Gaussian rational a + b*i with exact Fraction parts re and im: a
+    value with no ring operators, since ExactMatrix does arithmetic on its
+    integer rows."""
 
     __slots__ = ("re", "im")
 
@@ -74,8 +72,6 @@ class GaussianScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianScalar is immutable")
-
-    # -- coercion -----------------------------------------------------------
 
     @staticmethod
     def coerce(x) -> "GaussianScalar":
@@ -87,59 +83,6 @@ class GaussianScalar:
             shared = _SMALL.get(x)
             return shared if shared is not None else GaussianScalar(x)
         raise TypeError(f"cannot coerce {x!r} to GaussianScalar")
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other):
-        other = GaussianScalar.coerce(other)
-        return _gs(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = GaussianScalar.coerce(other)
-        return _gs(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return GaussianScalar.coerce(other) - self
-
-    def __neg__(self):
-        return _gs(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = GaussianScalar.coerce(other)
-        return _gs(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussianScalar.coerce(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianScalar")
-        return _gs(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        return GaussianScalar.coerce(other) / self
-
-    def __pow__(self, k: int):
-        _require(k >= 0, "negative power")
-        out = G_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    # -- structure ----------------------------------------------------------
 
     def conj(self) -> "GaussianScalar":
         return GaussianScalar(self.re, -self.im)
@@ -233,14 +176,27 @@ def matrix_from_json(rows: list[list[str]], cols: int | None = None) -> "ExactMa
                        cols=None if rows else cols)
 
 
-def json_int(blob: dict, key: str) -> int:
+def json_int(blob: dict, key: str, minimum: int | None = None) -> int:
     """blob[key], which must be a JSON integer: a bool, a float or a string
     is a TypeError, raised right after the read, so the reader's caller can
-    name its path."""
+    name its path; a value below minimum is a ValueError."""
     value = blob[key]
     if type(value) is not int:
         raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{key} is {value}, not at least {minimum}")
     return value
+
+
+def json_dict(pairs, repeated: str) -> dict:
+    """dict(pairs) of (key, value) pairs read from one JSON list; a repeated
+    key is a ValueError, repeated % key, that names the list and the key."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(repeated % key)
+        out[key] = value
+    return out
 
 
 class PolyScalar:

@@ -25,6 +25,7 @@ from .exactlin import (
     hermitian_diagonalize,
     i_power,
     inverse,
+    json_dict,
     json_int,
     kernel,
     matrix_from_json,
@@ -104,16 +105,15 @@ class MHSData:
 
     @staticmethod
     def from_json(obj: dict) -> "MHSData":
-        dim = json_int(obj, "dim")
-        d = json_int(obj, "d")
+        dim = json_int(obj, "dim", minimum=0)
+        d = json_int(obj, "d", minimum=0)
 
         def steps(key, index):
             # a basis is a list of column vectors: the rows of a dim-wide matrix
-            return {
-                json_int(step, index): Subspace.span(
-                    dim, matrix_from_json(step["basis"], cols=dim).entries)
-                for step in obj[key]
-            }
+            pairs = [(json_int(step, index),
+                      Subspace.span(dim, matrix_from_json(step["basis"], cols=dim).entries))
+                     for step in obj[key]]
+            return json_dict(pairs, f"{key}: {index} %d appears twice")
 
         W = IncreasingFiltration(dim, steps("W", "weight"))
         F = DecreasingFiltration(dim, steps("F", "level"))

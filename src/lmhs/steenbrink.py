@@ -20,6 +20,7 @@ from .exactlin import (
     i_power,
     image,
     inverse,
+    json_dict,
     json_int,
     kernel,
     kernel_modulo,
@@ -123,15 +124,17 @@ class StratumCohomology:
 
     @staticmethod
     def from_json(blob: dict) -> "StratumCohomology":
-        cohomology = {}
+        entries = []
         for item in blob["cohomology"]:
             entry = {"dim": json_int(item, "dim"), "types": [tuple(t) for t in item["types"]]}
             if "pairing" in item:
                 entry["pairing"] = matrix_from_json(item["pairing"])
             if "frame" in item:
                 entry["frame"] = matrix_from_json(item["frame"])
-            cohomology[json_int(item, "q")] = entry
-        return StratumCohomology(json_int(blob, "depth"), cohomology)
+            entries.append((json_int(item, "q"), entry))
+        depth = json_int(blob, "depth")
+        return StratumCohomology(depth, json_dict(
+            entries, f"cohomology of depth {depth}: q %d appears twice"))
 
 
 class DegenerationData:
@@ -186,17 +189,19 @@ class DegenerationData:
 
     @staticmethod
     def from_json(blob: dict) -> "DegenerationData":
-        strata = [StratumCohomology.from_json(s) for s in blob["strata"]]
-        m = json_int(blob, "m")
+        read = [StratumCohomology.from_json(s) for s in blob["strata"]]
+        strata = json_dict(((s.depth, s) for s in read), "strata: depth %d appears twice").values()
+        m = json_int(blob, "m", minimum=0)
         source_dim = DegenerationData(m, strata).stratum_dim
 
         def maps(kind: str, shift: int) -> dict:
             # a map without rows keeps the width of its source, at depth + shift
-            out = {}
+            out = []
             for g in blob.get(kind, []):
                 depth, q = json_int(g, "depth"), json_int(g, "q")
-                out[depth, q] = matrix_from_json(g["matrix"], source_dim(depth + shift, q))
-            return out
+                width = source_dim(depth + shift, q)
+                out.append(((depth, q), matrix_from_json(g["matrix"], width)))
+            return json_dict(out, f"{kind}: depth %d, q %d appears twice")
 
         return DegenerationData(m, strata, maps("gysin", 1), maps("restriction", 0))
 
@@ -224,6 +229,9 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
     pairings_ok = True
     for depth, s in sorted(data.strata.items()):
         n = data.complex_dim(depth)
+        if n < 0:
+            failures.append(f"depth {depth}: stratum deeper than m + 1 = {m + 1}")
+            continue
         # degrees whose pairing equals +-the transpose of the nondegenerate
         # pairing of the dual degree: same rank, and consistent with it
         dual_checked = set()

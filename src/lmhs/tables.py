@@ -66,9 +66,7 @@ def _hodge_from_json(blob: dict) -> tuple[int, dict]:
     a value of the wrong JSON type is a TypeError raised right after it is
     read, so the reader names its path.  m must be at least 0 and every
     (p, q) must lie in 0..m; a ValueError names the value out of range."""
-    m = json_int(blob, "m")
-    if m < 0:
-        raise ValueError(f"m is {m}, not at least 0")
+    m = json_int(blob, "m", minimum=0)
     numbers = blob["hodge"]
     if not isinstance(numbers, dict):
         raise TypeError(f"hodge must be an object, not {type(numbers).__name__}")
@@ -101,8 +99,6 @@ def _o16(args, read_input) -> tuple[dict, bool]:
 
 
 def _lefschetz(args, read_input) -> tuple[dict, bool]:
-    if not args.schoen:
-        raise ValueError("lefschetz currently exposes --schoen")
     inp = geomodels.schoen_input()
     readings = geomodels.fiber_product_readings(inp)
     check = geomodels.fiber_product_dim_check(inp)

@@ -1,4 +1,5 @@
-"""Shared random generators for the test suite (deterministic via seeds)."""
+"""Shared random generators (deterministic via seeds) and exact references
+for the test suite."""
 
 from __future__ import annotations
 
@@ -10,9 +11,12 @@ from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
+from sympy import QQ_I
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import ring
+
 from lmhs import exactlin
 from lmhs.exactlin import (
-    G_ONE,
     G_ZERO,
     ExactMatrix,
     GaussianScalar,
@@ -94,78 +98,83 @@ def random_nilpotent(rng: random.Random, max_dim: int) -> ExactMatrix:
     return T @ J @ invert(T)
 
 
+# -- sympy's exact Gaussian rationals ----------------------------------------
+#
+# The test references compute in sympy's QQ_I, the field Q(i), and its
+# polynomial ring QQ_I[t]; lmhs scalars are values without arithmetic, and
+# these functions convert them both ways.
+
+QQ_I_t = ring("t", QQ_I)[0]
+
+
+def frac(q) -> Fraction:
+    """A sympy rational as a Fraction."""
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def to_scalar(e: GaussianScalar):
+    return QQ_I(e.re, e.im)
+
+
+def from_scalar(z) -> GaussianScalar:
+    return GaussianScalar(frac(z.x), frac(z.y))
+
+
+def to_domain(M: ExactMatrix) -> DomainMatrix:
+    return DomainMatrix([[to_scalar(e) for e in row] for row in M.entries],
+                        (M.rows, M.cols), QQ_I)
+
+
+def from_domain(D: DomainMatrix) -> ExactMatrix:
+    return ExactMatrix([[from_scalar(z) for z in row] for row in D.to_list()],
+                       cols=D.shape[1])
+
+
+def conj_domain(D: DomainMatrix) -> DomainMatrix:
+    return D.applyfunc(lambda z: QQ_I(z.x, -z.y), QQ_I)
+
+
+def to_poly(p: PolyScalar):
+    return QQ_I_t.from_list([to_scalar(c) for c in reversed(p.coeffs)])
+
+
+def from_poly(f) -> PolyScalar:
+    return PolyScalar([from_scalar(z) for z in reversed(f.to_dense())])
+
+
 # -- reference polynomial determinants ---------------------------------------
 #
-# Fraction-free Bareiss elimination in the polynomial ring itself, with the
-# few ring operations it needs on PolyScalar coefficients.  It is the
-# reference for exactlin.poly_det and exactlin.leading_principal_minors,
-# which evaluate, eliminate over the Gaussian integers and interpolate.
+# Fraction-free Bareiss elimination in the polynomial ring QQ_I[t] itself.
+# It is the reference for exactlin.poly_det and
+# exactlin.leading_principal_minors, which evaluate, eliminate over the
+# Gaussian integers and interpolate.
 
 
-def poly_add(p: PolyScalar, q: PolyScalar) -> PolyScalar:
-    a, b = p.coeffs, q.coeffs
-    if len(a) < len(b):
-        a, b = b, a
-    return PolyScalar([x + y for x, y in zip(a, b)] + list(a[len(b):]))
-
-
-def poly_scale(p: PolyScalar, c) -> PolyScalar:
-    return PolyScalar([c * x for x in p.coeffs])
-
-
-def poly_sub(p: PolyScalar, q: PolyScalar) -> PolyScalar:
-    return poly_add(p, poly_scale(q, -1))
-
-
-def poly_mul(p: PolyScalar, q: PolyScalar) -> PolyScalar:
-    if p.is_zero() or q.is_zero():
-        return PolyScalar()
-    out = [G_ZERO] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for j, a in enumerate(p.coeffs):
-        for k, b in enumerate(q.coeffs):
-            out[j + k] = out[j + k] + a * b
-    return PolyScalar(out)
-
-
-def poly_exact_div(p: PolyScalar, q: PolyScalar) -> PolyScalar:
-    """p / q by long division; the remainder must be zero."""
-    assert not q.is_zero(), "polynomial division by zero"
-    rem = list(p.coeffs)
-    dq = q.degree()
-    out = [G_ZERO] * max(len(rem) - dq, 0)
-    for top in range(len(rem) - 1, dq - 1, -1):
-        f = rem[top] / q.leading()
-        out[top - dq] = f
-        for k in range(dq + 1):
-            rem[top - dq + k] = rem[top - dq + k] - f * q.coeffs[k]
-    assert all(c.is_zero() for c in rem), "non-exact polynomial division"
-    return PolyScalar(out)
-
-
-def poly_entries(coeffs) -> list[list[PolyScalar]]:
-    """The entries of sum_j t^j coeffs[j] as PolyScalars."""
+def poly_entries(coeffs) -> list[list]:
+    """The entries of sum_j t^j coeffs[j] as elements of QQ_I[t]."""
     C0 = coeffs[0]
-    return [[PolyScalar([C.entries[j][k] for C in coeffs]) for k in range(C0.cols)]
+    return [[to_poly(PolyScalar([C.entries[j][k] for C in coeffs])) for k in range(C0.cols)]
             for j in range(C0.rows)]
 
 
-def reference_bareiss(A: list[list[PolyScalar]], allow_swaps: bool):
-    """Fraction-free elimination over polynomials.  Returns (pivot list,
-    sign) where pivot k is the k-th stage pivot; without swaps these are the
-    leading principal minors, and a zero one raises ZeroMinorError.
+def reference_bareiss(A: list[list], allow_swaps: bool):
+    """Fraction-free elimination over QQ_I[t].  Returns (pivot list, sign)
+    where pivot k is the k-th stage pivot; without swaps these are the
+    leading principal minors, and a zero one raises ZeroMinorError.  Every
+    division is exact, or exquo raises.
     """
     A = [list(row) for row in A]
     n = len(A)
     sign = 1
-    prev = PolyScalar([1])
+    prev = QQ_I_t.one
     pivots = []
     for k in range(n):
-        if A[k][k].is_zero():
+        if not A[k][k]:
             if not allow_swaps:
                 raise ZeroMinorError(k + 1)
-            swap = next((j for j in range(k + 1, n) if not A[j][k].is_zero()), None)
+            swap = next((j for j in range(k + 1, n) if A[j][k]), None)
             if swap is None:
-                pivots.append(PolyScalar())
+                pivots.append(QQ_I_t.zero)
                 return pivots, sign
             A[k], A[swap] = A[swap], A[k]
             sign = -sign
@@ -173,8 +182,7 @@ def reference_bareiss(A: list[list[PolyScalar]], allow_swaps: bool):
         pivots.append(piv)
         for j in range(k + 1, n):
             for l in range(k + 1, n):
-                A[j][l] = poly_exact_div(
-                    poly_sub(poly_mul(A[j][l], piv), poly_mul(A[j][k], A[k][l])), prev)
+                A[j][l] = (A[j][l] * piv - A[j][k] * A[k][l]).exquo(prev)
         prev = piv
     return pivots, sign
 
@@ -183,33 +191,34 @@ def reference_det(*coeffs: ExactMatrix) -> PolyScalar:
     if coeffs[0].rows == 0:
         return PolyScalar([1])
     pivots, sign = reference_bareiss(poly_entries(coeffs), allow_swaps=True)
-    return poly_scale(pivots[-1], sign)
+    return from_poly(pivots[-1] * sign)
 
 
 def reference_minors(*coeffs: ExactMatrix) -> list[PolyScalar]:
-    return reference_bareiss(poly_entries(coeffs), allow_swaps=False)[0]
+    return [from_poly(p) for p in reference_bareiss(poly_entries(coeffs), allow_swaps=False)[0]]
 
 
 # -- reference Hermitian reduction -------------------------------------------
 #
-# Symmetric Gaussian elimination on the GaussianScalar entries, one division
-# by the pivot per row.  It is the reference for exactlin.hermitian_signature
-# and exactlin.hermitian_diagonalize, which eliminate fraction-free on the
+# Symmetric Gaussian elimination on QQ_I entries, one division by the pivot
+# per row.  It is the reference for exactlin.hermitian_signature and
+# exactlin.hermitian_diagonalize, which eliminate fraction-free on the
 # integer rows.
 
 
 def reference_hermitian_reduce(H: ExactMatrix, want_basis: bool):
-    """Congruence diagonalization with GaussianScalar arithmetic.
+    """Congruence diagonalization in QQ_I.
 
     The form is h(x, y) = x^T H conj(y) on coordinate columns, so H is the
     Gram matrix h(e_j, e_k) and Hermitian means H[k][j] = conj(H[j][k]).
-    Returns (values, vectors, null vectors, null count); without want_basis
+    Returns (values, vectors, null vectors, null count), the values as
+    Fractions and the vectors as lists of QQ_I elements; without want_basis
     vectors is None and each null vector None.
     """
     assert hermitian_check(H), "hermitian form required (H != H^*)"
     n = H.rows
-    A = [list(row) for row in H.entries]
-    basis = [[G_ONE if j == k else G_ZERO for j in range(n)] for k in range(n)] \
+    A = to_domain(H).to_list()
+    basis = [[QQ_I.one if j == k else QQ_I.zero for j in range(n)] for k in range(n)] \
         if want_basis else None
     active = list(range(n))
     values: list[Fraction] = []
@@ -217,7 +226,7 @@ def reference_hermitian_reduce(H: ExactMatrix, want_basis: bool):
     while active:
         piv = None
         for i in active:
-            if not A[i][i].is_zero():
+            if A[i][i]:
                 piv = i
                 break
         if piv is None:
@@ -225,7 +234,7 @@ def reference_hermitian_reduce(H: ExactMatrix, want_basis: bool):
             off = None
             for i in active:
                 for j in active:
-                    if j != i and not A[i][j].is_zero():
+                    if j != i and A[i][j]:
                         off = (i, j)
                         break
                 if off:
@@ -234,7 +243,7 @@ def reference_hermitian_reduce(H: ExactMatrix, want_basis: bool):
                 break  # totally zero block: the remaining vectors are null
             i, j = off
             c = A[i][j]
-            cc = c.conj()
+            cc = QQ_I(c.x, -c.y)
             # replace e_i by conj(c)*e_i + e_j; new diagonal is 2|c|^2 > 0
             if want_basis:
                 basis[i] = [cc * a + b for a, b in zip(basis[i], basis[j])]
@@ -243,28 +252,27 @@ def reference_hermitian_reduce(H: ExactMatrix, want_basis: bool):
                     A[i][k] = cc * A[i][k] + A[j][k]
             for k in active:
                 if k != i:
-                    A[k][i] = A[i][k].conj()
-            A[i][i] = GaussianScalar(2 * (c.re * c.re + c.im * c.im))
+                    A[k][i] = QQ_I(A[i][k].x, -A[i][k].y)
+            A[i][i] = 2 * c * cc
             piv = i
         d = A[piv][piv]
-        assert d.is_real(), "hermitian diagonal must be real"
-        values.append(d.re)
+        assert d.y == 0, "hermitian diagonal must be real"
+        values.append(frac(d.x))
         if want_basis:
             vectors.append(list(basis[piv]))
         active.remove(piv)
-        inv = G_ONE / d
         col = {j: A[j][piv] for j in active}
         for j in active:
-            aj = col[j] * inv
-            if aj.is_zero():
+            aj = col[j] / d
+            if not aj:
                 continue
             if want_basis:
                 basis[j] = [b - aj * p for b, p in zip(basis[j], basis[piv])]
             for k in active:
                 A[j][k] = A[j][k] - aj * A[piv][k]
         for j in active:
-            A[j][piv] = G_ZERO
-            A[piv][j] = G_ZERO
+            A[j][piv] = QQ_I.zero
+            A[piv][j] = QQ_I.zero
     nulls = [list(basis[i]) for i in active] if want_basis else [None] * len(active)
     return values, (vectors if want_basis else None), nulls, len(active)
 

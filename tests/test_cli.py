@@ -283,6 +283,64 @@ class TestCodec:
         self.assert_names_its_path(tmp_path, capsys, "orbit", "elliptic.json",
                                    self.MHS_INT_FIELDS[field], value)
 
+    # inputs a reader rejects, as (fixture, edit of its blob, message): an
+    # entry repeated in a list keyed by its integer fields, the copy
+    # contradicting the original (before, the last entry won and the input
+    # ran as if valid), and a value below the schema's minimum (before,
+    # m = -1 passed check with no degrees, and d = -2 got an orbit report)
+    REJECTED = [
+        ("odp_m3.json", lambda b: b["strata"].insert(0, {"depth": 1, "cohomology": []}),
+         "strata: depth 1 appears twice"),
+        ("odp_m3.json", lambda b: b["strata"][0]["cohomology"].insert(0, {
+            **b["strata"][0]["cohomology"][0], "pairing": [["7", "0"], ["0", "7"]]}),
+         "cohomology of depth 1: q 0 appears twice"),
+        ("odp_m3.json", lambda b: b["gysin"].insert(0, {
+            **b["gysin"][0], "matrix": [["999"] * len(row) for row in b["gysin"][0]["matrix"]]}),
+         "gysin: depth 1, q 0 appears twice"),
+        ("odp_m3.json", lambda b: b["restriction"].append(b["restriction"][0]),
+         "restriction: depth 1, q 0 appears twice"),
+        ("odp_m3.json", lambda b: b.update(m=-1, strata=[{"depth": 1, "cohomology": []}],
+                                           gysin=[], restriction=[]),
+         "m is -1, not at least 0"),
+        ("elliptic.json", lambda b: b["F"].insert(0, {"level": 1, "basis": [["1", "0"]]}),
+         "F: level 1 appears twice"),
+        ("elliptic.json", lambda b: b["W"].append({"weight": 1, "basis": []}),
+         "W: weight 1 appears twice"),
+        ("elliptic.json", lambda b: b.update(d=-2), "d is -2, not at least 0"),
+        ("elliptic.json", lambda b: b.update(dim=-1), "dim is -1, not at least 0"),
+    ]
+
+    @pytest.mark.parametrize("name, edit, message", REJECTED,
+                             ids=[message.split(" appears")[0].split(" is")[0]
+                                  for _, _, message in REJECTED])
+    def test_repeated_key_or_negative_value_is_an_input_error(self, tmp_path, capsys, name,
+                                                               edit, message):
+        blob = json.load(open(fixture_path(name)))
+        edit(blob)
+        path = tmp_path / name
+        path.write_text(json.dumps(blob))
+        for command in (["check", "validate"] if name == "odp_m3.json" else ["orbit"]):
+            want = (1, "", f"invalid input: {message}\n")
+            assert run(capsys, command, str(path)) == want
+            proc = run_optimized(command, str(path))
+            assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+    def test_stratum_deeper_than_m_plus_one_is_invalid(self, tmp_path, capsys):
+        # a stratum of depth m + 2 or more has negative complex dimension;
+        # before, m = 0 with empty strata at depths 2 and 3 passed check
+        blob = {"m": 0, "strata": [
+            {"depth": 1, "cohomology": [{"q": 0, "dim": 1, "types": [[0, 0]],
+                                         "pairing": [["1"]]}]},
+            {"depth": 2, "cohomology": []}, {"depth": 3, "cohomology": []}]}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(blob))
+        failures = ["depth 2: stratum deeper than m + 1 = 1",
+                    "depth 3: stratum deeper than m + 1 = 1"]
+        code, out, _ = run(capsys, "check", str(path), "--format", "json")
+        assert (code, json.loads(out)) == (1, {"valid": False, "failures": failures})
+        proc = run_optimized("check", str(path), "--format", "json")
+        assert (proc.returncode, proc.stdout) == (code, out)
+
     @staticmethod
     def assert_names_its_path(tmp_path, capsys, command, name, field, value):
         where, container, key = field
@@ -826,13 +884,20 @@ class TestTables:
         assert (proc.returncode, proc.stdout, proc.stderr) == want
 
     def test_lefschetz_schoen(self, capsys):
-        code, out, _ = run(capsys, "tables", "lefschetz", "--schoen",
-                           "--format", "json")
+        # Schoen's input is the one lefschetz input, so it takes no flag
+        code, out, _ = run(capsys, "tables", "lefschetz", "--format", "json")
         assert code == 0
-        report = json.loads(out)
-        assert report["fiber_product"] == 19
-        assert report["printed_reading"] == 31
-        assert report["dim_check"] is True
+        assert json.loads(out) == {"dim_check": True, "family": "lefschetz",
+                                   "fiber_product": 19, "middle_betti_factor": 10,
+                                   "printed_reading": 31}
+
+    def test_schoen_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tables", "lefschetz", "--schoen"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --schoen" in capsys.readouterr().err
+        proc = run_optimized("tables", "lefschetz", "--schoen")
+        assert proc.returncode == 1 and "unrecognized arguments: --schoen" in proc.stderr
 
     def test_odp_formula(self, capsys):
         code, out, _ = run(capsys, "tables", "odp", "--m", "3", "--l", "3",

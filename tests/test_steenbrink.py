@@ -50,7 +50,7 @@ def elliptic_smooth() -> DegenerationData:
         1: {"types": [(1, 0), (0, 1)],
             "pairing": M([[0, 1], [-1, 0]]),
             "frame": ExactMatrix([[GaussianScalar(1), GaussianScalar(1)],
-                                  [I, -I]])},
+                                  [I, I.conj()]])},
         2: {"types": [(1, 1)], "pairing": M([[1]])},
     })
     return DegenerationData(1, [s])
@@ -90,9 +90,9 @@ def kodaira_degeneration() -> DegenerationData:
             "pairing": M([[0, 1, 0, 0], [-1, 0, 0, 0],
                           [0, 0, 0, 1], [0, 0, -1, 0]]),
             "frame": ExactMatrix([[one, one, zero, zero],
-                                  [I, -I, zero, zero],
+                                  [I, I.conj(), zero, zero],
                                   [zero, zero, one, one],
-                                  [zero, zero, I, -I]])},
+                                  [zero, zero, I, I.conj()]])},
         2: {"types": [(1, 1)] * 2, "pairing": ExactMatrix.identity(2)},
     })
     gysin = {
@@ -546,17 +546,11 @@ SCALAR_IDS = D1_IDS + ["kodaira.json", "odp_m3.json"]
 
 
 @pytest.mark.parametrize("build", SCALAR_INPUTS, ids=SCALAR_IDS)
-def test_pipeline_does_no_scalar_arithmetic(build, monkeypatch):
+def test_pipeline_does_no_scalar_arithmetic(build):
     """Validation and nearby_hodge_index, the signature table included,
-    compute on integer rows only: no GaussianScalar ring operation runs."""
+    compute on integer rows only: GaussianScalar has no ring operators, so
+    any scalar arithmetic would raise TypeError."""
     data = build()
-
-    def refuse(*args):
-        raise AssertionError("GaussianScalar arithmetic in the pipeline")
-
-    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
-               "__rmul__", "__truediv__", "__rtruediv__", "__pow__"):
-        monkeypatch.setattr(GaussianScalar, op, refuse)
     assert validate_degeneration_data(data).ok
     nearby_hodge_index(data)
 
