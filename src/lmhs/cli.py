@@ -81,9 +81,13 @@ def _emit(report: dict, fmt: str, out=None):
 
 
 def _load_json(path: str):
+    from .exactlin import json_dict
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            # a repeated key in any object is an input error, not the last value
+            return json.load(fh, object_pairs_hook=lambda pairs: json_dict(
+                pairs, "key %r appears twice"))
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -189,8 +189,8 @@ def json_int(blob: dict, key: str, minimum: int | None = None) -> int:
 
 
 def json_dict(pairs, repeated: str) -> dict:
-    """dict(pairs) of (key, value) pairs read from one JSON list; a repeated
-    key is a ValueError, repeated % key, that names the list and the key."""
+    """dict(pairs) of (key, value) pairs read from one JSON list or object; a
+    repeated key is a ValueError, repeated % key, that names the key."""
     out = {}
     for key, value in pairs:
         if key in out:

@@ -72,17 +72,15 @@ def jordan_exponential(n: int) -> list[ExactMatrix]:
     return [C.hstack(C.conj()) for C in exp_nilpotent(N, G_I)]
 
 
-def wedge_identity(n: int, k: int, exponential=None) -> bool:
+def wedge_identity(n: int, k: int, exponential: list[ExactMatrix]) -> bool:
     """On a single Jordan string u, Nu, ..., N^n u, the determinant of
     [e^{zN} N^j u (j=0..n-k) | e^{zbar N} N^j u (j=0..k-1)] equals
     syt(n-k+1,k)/((n-k+1)k)! (zbar - z)^((n-k+1)k), with zbar - z = -2it.
     Returns whether it does, at z = it: a real Re z = a multiplies both
-    blocks by e^{aN}, whose determinant is 1.  exponential, when given, is
-    jordan_exponential(n), built once by a caller that checks every k.
+    blocks by e^{aN}, whose determinant is 1.  exponential is
+    jordan_exponential(n), which serves every k.
     """
     _require(0 <= k <= n + 1, f"minor size {k} outside 0..{n + 1}")
-    if exponential is None:
-        exponential = jordan_exponential(n)
     columns = [*range(n - k + 1), *range(n + 1, n + 1 + k)]
     det = poly_det(*(C.take_columns(columns) for C in exponential))
     e = (n - k + 1) * k

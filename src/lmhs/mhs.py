@@ -334,12 +334,11 @@ def primitive_part(data: MHSData, l: int) -> Subspace:
     return kernel(M)
 
 
-def primitive_subspaces(data: MHSData, splitting: DeligneSplitting | None = None):
+def primitive_subspaces(data: MHSData, splitting: DeligneSplitting):
     """The (p,q)-primitive subspaces I^{p,q} ker N^{p+q-d+1} of the ambient
-    space, for p+q >= d.  Returns dict (p,q) -> Subspace.
+    space, for p+q >= d, from the Deligne splitting of data.  Returns dict
+    (p,q) -> Subspace.
     """
-    if splitting is None:
-        splitting = deligne_splitting(data)
     N = data.N if data.N is not None else ExactMatrix.zero(
         data.ambient_dim, data.ambient_dim
     )
@@ -354,12 +353,12 @@ def primitive_subspaces(data: MHSData, splitting: DeligneSplitting | None = None
     return out
 
 
-def primitive_forms(data: MHSData, splitting: DeligneSplitting | None = None):
+def primitive_forms(data: MHSData, splitting: DeligneSplitting):
     """The primitive subspaces with the Hermitian forms of their bases B:
     (sqrt(-1))^(p-q) B^T S N^(p+q-d) conj B, each form diagonalized once.
     Returns dict (p,q) -> (Subspace, vectors, values, nulls), the last three
     as hermitian_diagonalize gives them: the signature table counts the signs
-    of the values, and the well-ordered basis reads the vectors.
+    of the values, and the orbit's well-ordered basis reads the vectors.
     """
     _require(data.S is not None, "primitive forms need S")
     N = data.N if data.N is not None else ExactMatrix.zero(
@@ -375,18 +374,13 @@ def primitive_forms(data: MHSData, splitting: DeligneSplitting | None = None):
     return out
 
 
-def signature_table(data: MHSData, splitting: DeligneSplitting | None = None,
-                    forms=None) -> SignatureTable:
+def signature_table(data: MHSData, splitting: DeligneSplitting, forms) -> SignatureTable:
     """Exact signatures of (sqrt(-1))^(p-q) S(., N^(p+q-d) conj .) on the
     (p,q)-parts of the primitive subspaces.  The forms must be nondegenerate
-    (guaranteed in Situation B'; degeneracy signals bad input).  forms, when
-    given, is primitive_forms(data, splitting), built once by the caller.
+    (guaranteed in Situation B'; degeneracy signals bad input).  forms is
+    primitive_forms(data, splitting).
     """
     _require(data.S is not None, "signature table needs S")
-    if splitting is None:
-        splitting = deligne_splitting(data)
-    if forms is None:
-        forms = primitive_forms(data, splitting)
     entries = {}
     for (p, q), (_, _, values, nulls) in forms.items():
         if nulls:

@@ -37,7 +37,6 @@ from .mhs import (
     check_situation_b,
     deligne_splitting,
     primitive_forms,
-    primitive_subspaces,
     signature_table,
     situation_a_hodge_failure,
     situation_a_weight_failure,
@@ -46,24 +45,25 @@ from .report import Report
 from .signature import nearby_index_formula
 
 
-class WellOrderedBasis:
-    """Tagged basis N^r u_i^{p,q} with the primitive u_i h-diagonalized.
-
-    Tags are (p, q, i, r); the order is descending in (p-r, q-r, r, i).
-    Restricted to p-r >= k the vectors form a basis of F^k.
+class OrbitFiltration:
+    """The orbit exp(zN) F, read through the constant well-ordered basis of
+    F: the tagged vectors N^r u_i^{p,q} with the primitive u_i
+    h-diagonalized.  Tags are (p, q, i, r); the order is descending in
+    (p-r, q-r, r, i), and restricted to p-r >= k the vectors form a basis of
+    F^k.  exp(zN) is unimodular and an isometry of S, so the orbit's forms
+    and determinants need only exp((zbar - z)N), zbar - z = -2it.
+    exp_m2it holds its Gaussian coefficient matrices in t (see
+    exp_nilpotent): a product with a constant basis is one Gaussian product
+    per power of t.  forms is primitive_forms(data, splitting), and prims
+    its primitive subspaces.
     """
 
-    __slots__ = ("data", "entries", "prims")
+    __slots__ = ("data", "entries", "prims", "exp_m2it")
 
-    def __init__(self, data: MHSData, forms=None):
-        """forms, when given, is primitive_forms(data), built once by the
-        caller."""
-        _require(data.N is not None and data.S is not None,
-                 "a well-ordered basis needs N and S")
-        if forms is None:
-            forms = primitive_forms(data)
+    def __init__(self, data: MHSData, forms):
+        _require(data.N is not None and data.S is not None, "an orbit needs N and S")
         d = data.d
-        items = []
+        entries = []  # (tag, vector)
         for (p, q), (prim, vectors, values, nulls) in sorted(forms.items()):
             l = p + q - d
             B = prim.basis
@@ -72,33 +72,20 @@ class WellOrderedBasis:
             powers = [B @ ExactMatrix.from_columns(vectors, rows=B.cols)]
             for r in range(l):
                 powers.append(data.N @ powers[-1])
-            for i, val in enumerate(values):
+            for i in range(len(values)):
                 for r in range(l + 1):
-                    items.append(
-                        {
-                            "tag": (p, q, i, r),
-                            "vector": powers[r].take_columns([i]),
-                            "value": val,
-                            "sign": 1 if val > 0 else -1,
-                        }
-                    )
-        items.sort(
-            key=lambda it: (
-                it["tag"][0] - it["tag"][3],
-                it["tag"][1] - it["tag"][3],
-                it["tag"][3],
-                it["tag"][2],
-            ),
-            reverse=True,
-        )
+                    entries.append(((p, q, i, r), powers[r].take_columns([i])))
+        entries.sort(key=lambda e: (e[0][0] - e[0][3], e[0][1] - e[0][3], e[0][3], e[0][2]),
+                     reverse=True)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "entries", tuple(items))
+        object.__setattr__(self, "entries", tuple(entries))
         object.__setattr__(self, "prims", {pq: prim for pq, (prim, *_) in forms.items()})
+        object.__setattr__(self, "exp_m2it", exp_nilpotent(data.N, GaussianScalar(0, -2)))
         # sanity: the restriction to p - r >= k spans F^k exactly
         F = data.F
         n = data.ambient_dim
         for k in range(F.min_index(), F.max_index() + 1):
-            tags, M = self.level_basis(k)
+            _, M = self.level_basis(k)
             target = F.at(k)
             _require(M.cols == target.dim,
                      f"well-ordered basis count at level {k}: {M.cols} != {target.dim}")
@@ -109,35 +96,13 @@ class WellOrderedBasis:
                          f"well-ordered basis escapes F^{k}")
 
     def __setattr__(self, name, value):
-        raise AttributeError("WellOrderedBasis is immutable")
+        raise AttributeError("OrbitFiltration is immutable")
 
     def level_basis(self, k: int) -> tuple[list[tuple], ExactMatrix]:
         """Tags and column matrix of the well-ordered basis of F^k."""
-        sel = [it for it in self.entries
-               if it["tag"][0] - it["tag"][3] >= k]
-        M = ExactMatrix.zero(self.data.ambient_dim, 0).hstack(*[it["vector"] for it in sel])
-        return [it["tag"] for it in sel], M
-
-
-class OrbitFiltration:
-    """The orbit exp(zN) F, read through the constant well-ordered bases of
-    F^k: exp(zN) is unimodular and an isometry of S, so the orbit's forms
-    and determinants need only exp((zbar - z)N), zbar - z = -2it.
-    exp_m2it holds its Gaussian coefficient matrices in t (see
-    exp_nilpotent): a product with a constant basis is one Gaussian product
-    per power of t.
-    """
-
-    __slots__ = ("data", "wob", "exp_m2it")
-
-    def __init__(self, data: MHSData, forms=None):
-        _require(data.N is not None, "an orbit needs N")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "wob", WellOrderedBasis(data, forms))
-        object.__setattr__(self, "exp_m2it", exp_nilpotent(data.N, GaussianScalar(0, -2)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrbitFiltration is immutable")
+        sel = [(tag, v) for tag, v in self.entries if tag[0] - tag[3] >= k]
+        M = ExactMatrix.zero(self.data.ambient_dim, 0).hstack(*[v for _, v in sel])
+        return [tag for tag, _ in sel], M
 
     def hermitian_matrix(self, k: int) -> list[ExactMatrix]:
         """The form (sqrt(-1))^d S(., conj .) on exp(zN) F^k in the
@@ -147,8 +112,7 @@ class OrbitFiltration:
         zbar - z = -2it.
         """
         data = self.data
-        _require(data.S is not None, "the Hermitian form needs S")
-        _, X = self.wob.level_basis(k)
+        _, X = self.level_basis(k)
         XtS = (X.transpose() @ data.S).scale(i_power(data.d))
         return [XtS @ C for C in self._exp_m2it_conj(X)]
 
@@ -158,12 +122,10 @@ class OrbitFiltration:
         return [E @ Xc for E in self.exp_m2it]
 
 
-def opposedness_degree(data: MHSData, k: int, prims=None) -> int:
-    """Predicted leading degree: sum over primitive (p,q) with p >= k and
-    q >= d-k+1 of dim * (p-k+1) * (q-d+k)."""
+def opposedness_degree(data: MHSData, k: int, prims) -> int:
+    """Predicted leading degree: sum over the primitive subspaces prims at
+    (p,q) with p >= k and q >= d-k+1 of dim * (p-k+1) * (q-d+k)."""
     d = data.d
-    if prims is None:
-        prims = primitive_subspaces(data)
     total = 0
     for (p, q), prim in prims.items():
         if p >= k and q >= d - k + 1:
@@ -180,8 +142,8 @@ def opposedness_polynomial(orb: OrbitFiltration, k: int) -> PolyScalar:
     d-opposedness for all large t.  Raises ValueError("opposedness
     impossible") when the orbit's level bases do not fill the ambient space.
     """
-    _, X = orb.wob.level_basis(k)
-    _, Y = orb.wob.level_basis(orb.data.d - k + 1)
+    _, X = orb.level_basis(k)
+    _, Y = orb.level_basis(orb.data.d - k + 1)
     if X.cols + Y.cols != orb.data.ambient_dim:
         raise ValueError("opposedness impossible")
     R = orb._exp_m2it_conj(Y)
@@ -202,14 +164,11 @@ def _signature_from_minors(minors: list[PolyScalar]) -> tuple[int, int]:
     return pos, neg
 
 
-def orbit_signature(
-    orb: OrbitFiltration,
-    k: int,
-    H: list[ExactMatrix] | None = None,
-    det: PolyScalar | None = None,
-) -> tuple[int, int]:
-    """Signature of the Hermitian form i^d S(., conj .) on exp(zN) F^k for
-    large t, evaluated exactly at one certified point.
+def orbit_signature(H: list[ExactMatrix], det: PolyScalar) -> tuple[int, int]:
+    """Signature for large t of the Hermitian form H(t) = sum_j t^j H[j],
+    the orbit form i^d S(., conj .) on exp(zN) F^k of hermitian_matrix,
+    evaluated exactly at one certified point; det is poly_det(*H).  An
+    empty level has signature (0, 0).
 
     H(t) is Hermitian for real t, so its signature changes only at real
     roots of det H(t).  Cauchy's bound 1 + max_i |a_i| / |a_n| on the roots
@@ -218,15 +177,9 @@ def orbit_signature(
     the determinant; the signature is that of H(t), independent of the
     leading principal minors.  Raises ArithmeticError when det H vanishes
     identically, so the form is degenerate for every t.
-    H, when given, is orb.hermitian_matrix(k), and det, when given, is
-    poly_det(*H), both built once by a caller that also needs them.
     """
-    if H is None:
-        H = orb.hermitian_matrix(k)
     if H[0].rows == 0:
         return (0, 0)
-    if det is None:
-        det = poly_det(*H)
     if det.is_zero():
         raise ArithmeticError("the orbit form is degenerate for every t")
     # |re| + |im| bounds a Gaussian coefficient's modulus from above and
@@ -265,7 +218,7 @@ def _level_entry(orb: OrbitFiltration, k: int, H: list[ExactMatrix]):
     entry: dict = {"level": k, "failures": []}
     try:
         opp = opposedness_polynomial(orb, k)
-        want = opposedness_degree(data, k, orb.wob.prims)
+        want = opposedness_degree(data, k, orb.prims)
         entry["opposedness"] = {
             "degree": opp.degree(),
             "predicted_degree": want,
@@ -284,7 +237,7 @@ def _level_entry(orb: OrbitFiltration, k: int, H: list[ExactMatrix]):
         return entry, None
     minor_data = []
     prev_deg = 0
-    for P, (p, q, i, r) in zip(minors, orb.wob.level_basis(k)[0]):
+    for P, (p, q, i, r) in zip(minors, orb.level_basis(k)[0]):
         deg, sgn = leading_sign(P)
         diag_order = p + q - d - 2 * r
         minor_data.append(
@@ -379,7 +332,9 @@ def verify_main_theorem(data: MHSData) -> Report:
         if not 0 <= k <= d:
             continue
         try:
-            level_sig[k] = orbit_signature(orb, k, H=H, det=minors[-1] if minors else None)
+            # det H is the last leading minor; where one vanished, and on an
+            # empty level (whose 0 x 0 det is 1), it is built here
+            level_sig[k] = orbit_signature(H, minors[-1] if minors else poly_det(*H))
         except ArithmeticError as exc:
             failures.append(f"level {k}: {exc}")
         if minors is None:

@@ -198,7 +198,7 @@ class DegenerationData:
             # a map without rows keeps the width of its source, at depth + shift
             out = []
             for g in blob.get(kind, []):
-                depth, q = json_int(g, "depth"), json_int(g, "q")
+                depth, q = json_int(g, "depth", minimum=1), json_int(g, "q", minimum=0)
                 width = source_dim(depth + shift, q)
                 out.append(((depth, q), matrix_from_json(g["matrix"], width)))
             return json_dict(out, f"{kind}: depth %d, q %d appears twice")
@@ -437,16 +437,12 @@ def _d1_blocks(data: DegenerationData) -> tuple[dict, dict]:
     return data.restriction, gamma
 
 
-def d1_matrix(
-    data: DegenerationData, d: int, r: int, blocks: tuple | None = None
-) -> ExactMatrix:
+def d1_matrix(data: DegenerationData, d: int, r: int) -> ExactMatrix:
     """Block matrix of d1 = -gamma + theta from E1^{-r, d+r} (degree d) to
     E1^{-r+1, (d+1)+(r-1)} (degree d+1).  Components whose target summand
-    falls outside the truncated range are dropped.  blocks are the maps of
-    data as _d1_blocks gives them; a caller that builds several matrices
-    passes them in, so the Gysin maps are negated once.
+    falls outside the truncated range are dropped.
     """
-    theta, gamma = _d1_blocks(data) if blocks is None else blocks
+    theta, gamma = _d1_blocks(data)
     src = e1_summands(data, d, r)
     tgt = e1_summands(data, d + 1, r - 1)
     so = _offsets(src)
@@ -749,15 +745,13 @@ def weight_criterion(data: DegenerationData, d: int) -> WeightCriterionReport:
     return _weight_criterion(e2_page(data, d))
 
 
-def psi_form(data: DegenerationData, d: int | None = None) -> dict[int, ExactMatrix]:
+def psi_form(data: DegenerationData, d: int) -> dict[int, ExactMatrix]:
     """Blockwise pairing matrices on E1 terms: for each r, the pairing of
     E1^{-r, d+r} (degree d) against E1^{r, 2m-d-r} (degree 2m-d), matching
     summand k with summand k+r on the same stratum, with block value
     epsilon(r+d-2m) times the stratum pairing.
     """
     m = data.m
-    if d is None:
-        d = m
     out = {}
     for r in range(-d, d + 1):
         src = e1_summands(data, d, r)
@@ -865,12 +859,12 @@ def e2_signature_table(data: DegenerationData) -> SignatureTable:
     return _e2_signature_table(data, page)
 
 
-def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None) -> "MHSData":
+def extract_limit_mhs(data: DegenerationData, d: int) -> "MHSData":
     """Split model of the limit mixed Hodge structure on H^d in E2 class
     coordinates: W from the column grading, F from the type sectors, the
     monodromy N given by the identity-shift transport, and (at d = m) the
-    rational pairing induced by the psi blocks.  page is the E2 page of
-    degree d when the caller has already built it.
+    rational pairing induced by the psi blocks.  Where H^d = 0 it is the
+    zero structure.
 
     The page's terms are sector sums in frame coordinates, which may be
     complex, while W, N and S must be real.  So this is the one place that
@@ -882,13 +876,11 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
     from .mhs import MHSData
 
     m = data.m
-    if page is None:
-        page = e2_page(data, d)
-    blocks = _d1_blocks(data)
+    page = e2_page(data, d)
     rational = {}
     for r, term in page.terms.items():
-        B = image(d1_matrix(data, d - 1, r + 1, blocks))
-        _, reps, _ = kernel_modulo(d1_matrix(data, d, r, blocks), B)
+        B = image(d1_matrix(data, d - 1, r + 1))
+        _, reps, _ = kernel_modulo(d1_matrix(data, d, r), B)
         if reps is None:
             raise ContractError(f"d1 image escapes kernel at degree {d}, column {-r}")
         rational[r] = (reps, B)
@@ -898,8 +890,10 @@ def extract_limit_mhs(data: DegenerationData, d: int, page: E2Page | None = None
     for r in order:
         offsets[r] = total
         total += page.dim(r)
-    if total == 0:
-        raise ContractError("empty cohomology")
+    if total == 0:  # the zero structure, with the 0 x 0 pairing at d = m
+        Z, zero = ExactMatrix.zero(0, 0), Subspace.zero(0)
+        return MHSData(0, d, IncreasingFiltration(0, {d: zero}),
+                       DecreasingFiltration(0, {0: zero}), Z, Z if d == m else None)
     # weight filtration
     steps = {}
     for r in order:

@@ -85,8 +85,10 @@ def invert(M: ExactMatrix) -> ExactMatrix:
     from lmhs.exactlin import rref
 
     n = M.rows
-    R, _, rk = rref(M.hstack(ExactMatrix.identity(n)))
-    assert rk == n, "matrix is not invertible"
+    # [M | I] always has rank n; M is invertible when its pivots are M's columns
+    R, pivots, _ = rref(M.hstack(ExactMatrix.identity(n)))
+    if list(pivots) != list(range(n)):
+        raise AssertionError("matrix is not invertible")
     return ExactMatrix([[R.entries[j][n + k] for k in range(n)] for j in range(n)])
 
 
@@ -215,7 +217,8 @@ def reference_hermitian_reduce(H: ExactMatrix, want_basis: bool):
     Fractions and the vectors as lists of QQ_I elements; without want_basis
     vectors is None and each null vector None.
     """
-    assert hermitian_check(H), "hermitian form required (H != H^*)"
+    if not hermitian_check(H):
+        raise AssertionError("hermitian form required (H != H^*)")
     n = H.rows
     A = to_domain(H).to_list()
     basis = [[QQ_I.one if j == k else QQ_I.zero for j in range(n)] for k in range(n)] \
@@ -256,7 +259,8 @@ def reference_hermitian_reduce(H: ExactMatrix, want_basis: bool):
             A[i][i] = 2 * c * cc
             piv = i
         d = A[piv][piv]
-        assert d.y == 0, "hermitian diagonal must be real"
+        if d.y != 0:
+            raise AssertionError("hermitian diagonal must be real")
         values.append(frac(d.x))
         if want_basis:
             vectors.append(list(basis[piv]))

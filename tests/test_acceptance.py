@@ -32,7 +32,7 @@ from lmhs.geomodels import (
     sano_negative_count,
     schoen_input,
 )
-from lmhs.identities import taylor_minor_identity, wedge_identity
+from lmhs.identities import jordan_exponential, taylor_minor_identity, wedge_identity
 from lmhs.mhs import MHSData, random_polarized_mhs
 from lmhs.orbit import verify_main_theorem
 from lmhs.steenbrink import (
@@ -75,9 +75,10 @@ def test_combinatorial_identities_full_range():
     # determinant identities behind the orbit asymptotics, every (n, k)
     with Budget(5):
         for n in range(0, 9):
+            exponential = jordan_exponential(n)
             for k in range(0, n + 2):
                 assert taylor_minor_identity(n, k), (n, k)
-                assert wedge_identity(n, k), (n, k)
+                assert wedge_identity(n, k, exponential), (n, k)
 
 
 def test_weight_filtration_oracle_random_nilpotents():

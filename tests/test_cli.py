@@ -287,7 +287,8 @@ class TestCodec:
     # entry repeated in a list keyed by its integer fields, the copy
     # contradicting the original (before, the last entry won and the input
     # ran as if valid), and a value below the schema's minimum (before,
-    # m = -1 passed check with no degrees, and d = -2 got an orbit report)
+    # m = -1 passed check with no degrees, d = -2 got an orbit report, and
+    # a Gysin map at depth 0, q -3 passed check)
     REJECTED = [
         ("odp_m3.json", lambda b: b["strata"].insert(0, {"depth": 1, "cohomology": []}),
          "strata: depth 1 appears twice"),
@@ -302,6 +303,10 @@ class TestCodec:
         ("odp_m3.json", lambda b: b.update(m=-1, strata=[{"depth": 1, "cohomology": []}],
                                            gysin=[], restriction=[]),
          "m is -1, not at least 0"),
+        ("odp_m3.json", lambda b: b["gysin"].append({"depth": 0, "q": -3, "matrix": []}),
+         "depth is 0, not at least 1"),
+        ("odp_m3.json", lambda b: b["restriction"].append({"depth": 1, "q": -1, "matrix": []}),
+         "q is -1, not at least 0"),
         ("elliptic.json", lambda b: b["F"].insert(0, {"level": 1, "basis": [["1", "0"]]}),
          "F: level 1 appears twice"),
         ("elliptic.json", lambda b: b["W"].append({"weight": 1, "basis": []}),
@@ -324,6 +329,31 @@ class TestCodec:
             assert run(capsys, command, str(path)) == want
             proc = run_optimized(command, str(path))
             assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+    # a key repeated in one JSON object, as (argv, input file, the key, the
+    # file's text or None for the fixture with the key prepended): before,
+    # json.load kept the last value, and odp_m3.json with "m": 7 prepended
+    # ran as odp_m3.json with exit 0
+    REPEATED_KEYS = [
+        (["check"], "odp_m3.json", "m", None),
+        (["validate"], "odp_m3.json", "m", None),
+        (["orbit"], "elliptic.json", "d", None),
+        (["tables", "kahler", "--hodge"], "hodge.json", "1,1",
+         '{"m": 2, "hodge": {"1,1": 20, "0,0": 1, "1,1": 2}}'),
+    ]
+
+    @pytest.mark.parametrize("argv, name, key, text", REPEATED_KEYS,
+                             ids=[argv[0] for argv, *_ in REPEATED_KEYS])
+    def test_repeated_object_key_is_an_input_error(self, tmp_path, capsys, argv, name, key,
+                                                   text):
+        if text is None:
+            text = open(fixture_path(name)).read().replace("{", f'{{"{key}": 7, ', 1)
+        path = tmp_path / name
+        path.write_text(text)
+        want = (1, "", f"invalid input: key '{key}' appears twice\n")
+        assert run(capsys, *argv, str(path)) == want
+        proc = run_optimized(*argv, str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
 
     def test_stratum_deeper_than_m_plus_one_is_invalid(self, tmp_path, capsys):
         # a stratum of depth m + 2 or more has negative complex dimension;

@@ -46,7 +46,7 @@ from lmhs.exactlin import (
     solve,
 )
 from support import (
-    conj_domain, from_domain, from_poly, from_scalar, jordan_nilpotent, random_invertible,
+    conj_domain, from_domain, from_poly, from_scalar, invert, jordan_nilpotent, random_invertible,
     reference_class_coordinates, reference_det, reference_hermitian_reduce, reference_inverse,
     reference_kernel, reference_kernel_modulo, reference_minors, reference_rref, reference_solve,
     run_under_python_O, to_domain, to_poly, to_scalar,
@@ -1144,6 +1144,25 @@ def test_contract_errors_survive_python_O():
     ])
     assert done.returncode == 0, done.stdout + done.stderr
     assert "3 passed" in done.stdout
+
+
+class TestSupportChecks:
+    """The reference helpers of support reject bad input by raising
+    AssertionError themselves, so their checks also run under python -O."""
+
+    def test_invert_rejects_a_singular_matrix(self):
+        with pytest.raises(AssertionError, match="matrix is not invertible"):
+            invert(gm([[1, 2], [2, 4]]))
+
+    def test_reference_reduction_rejects_a_non_hermitian_form(self):
+        with pytest.raises(AssertionError, match="hermitian form required"):
+            reference_hermitian_reduce(gm([[0, 1], [0, 0]]), want_basis=False)
+
+
+def test_support_checks_survive_python_O():
+    done = run_under_python_O(__file__, ["TestSupportChecks"])
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "2 passed" in done.stdout
 
 
 def test_contract_error_is_an_assertion_error():

@@ -152,3 +152,29 @@ def test_every_tracer_target_resolves(monkeypatch):
     rebound = {(owner.__name__, attr) for owner, attr, _, _ in tracer._sites}
     assert [target for target in TARGETS
             if (target[3] or target[1], target[2]) not in rebound] == []
+
+
+def test_orbit_signature_spans_are_named_evaluate(monkeypatch):
+    """The tracer names an orbit_signature span from a third positional or
+    a method keyword argument, which orbit_signature(H, det) never gets: so
+    every orbit.signature* span of one verify_main_theorem call is
+    orbit.signature_evaluate, the per-layer metric that records them."""
+    import json
+    from importlib import resources
+
+    from lmhs import orbit
+    from lmhs.mhs import MHSData
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracer import Tracer
+
+    data = MHSData.from_json(json.loads(
+        resources.files("lmhs").joinpath("fixtures", "elliptic.json").read_text()))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        report = orbit.verify_main_theorem(data)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans if span[0].startswith("orbit.signature")]
+    assert report.ok and names == ["orbit.signature_evaluate"] * (data.d + 1)

@@ -15,6 +15,7 @@ from lmhs.mhs import (
     check_situation_b,
     check_splitting_properties,
     deligne_splitting,
+    primitive_forms,
     primitive_part,
     random_polarized_mhs,
     signature_table,
@@ -25,6 +26,12 @@ from support import jordan_nilpotent
 
 def rat(rows):
     return ExactMatrix.from_rational(rows)
+
+
+def table_of(data: MHSData):
+    """The signature table of data, from its splitting and primitive forms."""
+    sp = deligne_splitting(data)
+    return signature_table(data, sp, primitive_forms(data, sp))
 
 
 def elliptic_string() -> MHSData:
@@ -256,7 +263,7 @@ class TestPrimitivePart:
 
 class TestSignatureTable:
     def test_elliptic(self):
-        table = signature_table(elliptic_string())
+        table = table_of(elliptic_string())
         assert table.entries == {(1, 1): (1, 0)}
 
     def test_k3_type_sublattice(self):
@@ -269,7 +276,7 @@ class TestSignatureTable:
         F = DecreasingFiltration(2, {0: Subspace.full(2), 1: Subspace.full(2)})
         S = rat([[2, 0], [0, -2]])
         data = MHSData(2, 2, W, F, N=ExactMatrix.zero(2, 2), S=S)
-        table = signature_table(data)
+        table = table_of(data)
         assert table.entries == {(1, 1): (1, 1)}
 
     def test_positive_line(self):
@@ -279,12 +286,12 @@ class TestSignatureTable:
         )
         S = rat([[-1, 0], [0, -1]])
         data = MHSData(2, 2, W, F, N=ExactMatrix.zero(2, 2), S=S)
-        table = signature_table(data)
+        table = table_of(data)
         assert table.signature(2, 0) == (1, 0)
         assert table.signature(0, 2) == (1, 0)
 
     def test_tate3(self):
-        table = signature_table(tate_string_3())
+        table = table_of(tate_string_3())
         assert table.entries == {(2, 2): (1, 0)}
 
     def test_degenerate_block_rejected(self):
@@ -292,19 +299,19 @@ class TestSignatureTable:
         data = elliptic_string()
         bad = MHSData(2, 1, data.W, data.F, data.N, rat([[0, 0], [0, 0]]))
         with pytest.raises(ValueError):
-            signature_table(bad)
+            table_of(bad)
 
 
 class TestAggregation:
     def test_elliptic_aggregate(self):
-        table = signature_table(elliptic_string())
+        table = table_of(elliptic_string())
         assert aggregate_s(table, 1, 1) == (1, 0)
         assert aggregate_s(table, 0, -1) == (1, 0)
         assert nearby_index_formula(table, 1) == (1, 0)
         assert nearby_index_formula(table, 0) == (1, 0)
 
     def test_tate3_aggregate(self):
-        table = signature_table(tate_string_3())
+        table = table_of(tate_string_3())
         assert aggregate_s(table, 1, 0) == (1, 0)
         assert nearby_index_formula(table, 1) == (1, 0)
         assert nearby_index_formula(table, 2) == (1, 0)
@@ -315,7 +322,7 @@ class TestAggregation:
         F = DecreasingFiltration(2, {0: Subspace.full(2), 1: Subspace.full(2)})
         S = rat([[2, 0], [0, -2]])
         data = MHSData(2, 2, W, F, N=ExactMatrix.zero(2, 2), S=S)
-        table = signature_table(data)
+        table = table_of(data)
         assert nearby_index_formula(table, 1) == table.signature(1, 1)
 
 
@@ -330,7 +337,7 @@ class TestRandomPolarized:
             assert report.ok, report.failures
             assert check_situation_a(data)
             assert check_situation_b(data)
-            table = signature_table(data, sp)
+            table = signature_table(data, sp, primitive_forms(data, sp))
             assert table.entries == expected, (table.entries, expected)
             # Hodge-number symmetry dim Gr_F^p = dim Gr_F^{d-p}
             F, d = data.F, data.d
@@ -358,7 +365,7 @@ class TestRandomPolarized:
             data, expected = random_polarized_mhs(
                 rng, max_dim=6, max_d=3, polarized=False
             )
-            table = signature_table(data)
+            table = table_of(data)
             assert table.entries == expected
             if any(m for (_, m) in table.entries.values()):
                 saw_minus = True

@@ -18,11 +18,15 @@ from lmhs.exactlin import (
     leading_principal_minors,
 )
 from lmhs.filtration import DecreasingFiltration, IncreasingFiltration
-from lmhs.identities import syt_count, taylor_minor_identity, wedge_identity
-from lmhs.mhs import MHSData, random_polarized_mhs
+from lmhs.identities import jordan_exponential, syt_count, taylor_minor_identity, wedge_identity
+from lmhs.mhs import (
+    MHSData,
+    deligne_splitting,
+    primitive_forms,
+    random_polarized_mhs,
+)
 from lmhs.orbit import (
     OrbitFiltration,
-    WellOrderedBasis,
     _signature_from_minors,
     opposedness_degree,
     opposedness_polynomial,
@@ -68,6 +72,22 @@ def trimmed(coeffs: list[ExactMatrix]) -> list[ExactMatrix]:
     return out
 
 
+def orbit_filtration(data: MHSData) -> OrbitFiltration:
+    """The orbit of data, from its primitive forms."""
+    return OrbitFiltration(data, primitive_forms(data, deligne_splitting(data)))
+
+
+def level_signature(orb: OrbitFiltration, k: int) -> tuple[int, int]:
+    """orbit_signature of level k, from its Hermitian matrix and det."""
+    H = orb.hermitian_matrix(k)
+    return orbit_signature(H, exactlin.poly_det(*H))
+
+
+def wedge(n: int, k: int) -> bool:
+    """wedge_identity(n, k) with the Jordan exponential built for it."""
+    return wedge_identity(n, k, jordan_exponential(n))
+
+
 def pure_weight_one() -> MHSData:
     """Polarized pure Hodge structure of an elliptic curve: N = 0, d = 1,
     F^1 spanned by e1 + i e2, S the standard symplectic form."""
@@ -111,29 +131,30 @@ class TestExpAndBasis:
             assert [C.conj() for C in exp_nilpotent(N, I)] == exp_nilpotent(N, I.conj())
 
     def test_well_ordered_tate3(self):
-        wob = WellOrderedBasis(tate_string_3())
-        tags = [it["tag"] for it in wob.entries]
-        # single primitive at (2,2), string u, Nu, N^2 u
-        assert tags == [(2, 2, 0, 0), (2, 2, 0, 1), (2, 2, 0, 2)]
-        assert all(it["sign"] == 1 for it in wob.entries)
+        data = tate_string_3()
+        forms = primitive_forms(data, deligne_splitting(data))
+        orb = OrbitFiltration(data, forms)
+        # single primitive at (2,2), string u, Nu, N^2 u, the form positive on u
+        assert [tag for tag, _ in orb.entries] == [(2, 2, 0, 0), (2, 2, 0, 1), (2, 2, 0, 2)]
+        assert all(v > 0 for v in forms[2, 2][2])
 
     def test_level_basis_dims(self):
         data = tate_string_3()
-        wob = WellOrderedBasis(data)
+        orb = orbit_filtration(data)
         for k in range(0, 3):
-            _, M = wob.level_basis(k)
+            _, M = orb.level_basis(k)
             assert M.cols == data.F.at(k).dim
 
 
 class TestHermitianMatrices:
     def test_elliptic(self):
-        orb = OrbitFiltration(elliptic_string())
+        orb = orbit_filtration(elliptic_string())
         H = orb.hermitian_matrix(1)
         assert (H[0].rows, H[0].cols) == (1, 1)
         assert entry(H, 0, 0) == PolyScalar([0, 2])
 
     def test_tate3_level1(self):
-        orb = OrbitFiltration(tate_string_3())
+        orb = orbit_filtration(tate_string_3())
         H = orb.hermitian_matrix(1)
         assert entry(H, 0, 0) == PolyScalar([0, 0, 2])
         assert entry(H, 0, 1) == PolyScalar([0, GaussianScalar(0, 2)])
@@ -148,10 +169,10 @@ class TestHermitianMatrices:
         structures += [random_polarized_mhs(rng, max_dim=6, max_d=3)[0]
                        for _ in range(3)]
         for data in structures:
-            orb = OrbitFiltration(data)
+            orb = orbit_filtration(data)
             for k in range(data.F.min_index(), data.F.max_index() + 1):
                 got = trimmed(orb.hermitian_matrix(k))
-                _, X = orb.wob.level_basis(k)
+                _, X = orb.level_basis(k)
                 for a in (Fraction(0), Fraction(1, 2)):
                     assert got == self.direct_hermitian(data, X, a), (k, a)
 
@@ -177,22 +198,19 @@ class TestOrbitSignature:
     the real roots of det H, and agrees with the signs of the minors."""
 
     def test_elliptic(self):
-        orb = OrbitFiltration(elliptic_string())
-        assert orbit_signature(orb, 1) == minors_signature(orb.hermitian_matrix(1)) == (1, 0)
+        orb = orbit_filtration(elliptic_string())
+        assert level_signature(orb, 1) == minors_signature(orb.hermitian_matrix(1)) == (1, 0)
 
     def test_tate3(self):
-        orb = OrbitFiltration(tate_string_3())
+        orb = orbit_filtration(tate_string_3())
         for k, want in [(0, (2, 1)), (1, (1, 1)), (2, (1, 0))]:
-            H = orb.hermitian_matrix(k)
-            assert orbit_signature(orb, k) == minors_signature(H) == want
-            # the caller's H and det give the same signature
-            assert orbit_signature(orb, k, H=H, det=exactlin.poly_det(*H)) == want
+            assert level_signature(orb, k) == minors_signature(orb.hermitian_matrix(k)) == want
 
     def test_pure_top_level(self):
         # N = 0 polarized pure structure: k = d gives (dim F^d, 0)
         data = pure_weight_one()
-        orb = OrbitFiltration(data)
-        assert orbit_signature(orb, 1) == minors_signature(orb.hermitian_matrix(1)) == (1, 0)
+        orb = orbit_filtration(data)
+        assert level_signature(orb, 1) == minors_signature(orb.hermitian_matrix(1)) == (1, 0)
 
     @pytest.mark.parametrize("H, want", [
         ([[[-3000]], [[1]]], (1, 0)),
@@ -202,40 +220,40 @@ class TestOrbitSignature:
         # det H has its last real root at t = 3000; a point below it reads
         # a negative direction that large t does not have
         H = [ExactMatrix.from_rational(C) for C in H]
-        assert orbit_signature(None, 0, H=H) == minors_signature(H) == want
+        assert orbit_signature(H, exactlin.poly_det(*H)) == minors_signature(H) == want
 
     def test_degenerate_form_is_arithmetic_error(self):
         H = [ExactMatrix.from_rational([[1, 1], [1, 1]]),
              ExactMatrix.from_rational([[1, 0], [0, 1]])]
         with pytest.raises(ArithmeticError, match="degenerate for every t"):
-            orbit_signature(None, 0, H=[H[0]])
+            orbit_signature([H[0]], exactlin.poly_det(H[0]))
         # H(t) = [[1 + t, 1], [1, 1 + t]] is nondegenerate past its roots 0, -2
-        assert orbit_signature(None, 0, H=H) == (2, 0)
+        assert orbit_signature(H, exactlin.poly_det(*H)) == (2, 0)
 
     def test_empty_level(self):
-        orb = OrbitFiltration(elliptic_string())
-        assert orbit_signature(orb, 2) == (0, 0)
+        orb = orbit_filtration(elliptic_string())
+        assert level_signature(orb, 2) == (0, 0)
 
 
 class TestOpposedness:
     def test_elliptic_degree(self):
         data = elliptic_string()
-        orb = OrbitFiltration(data)
+        orb = orbit_filtration(data)
         p = opposedness_polynomial(orb, 1)
-        assert p.degree() == 1 == opposedness_degree(data, 1)
+        assert p.degree() == 1 == opposedness_degree(data, 1, orb.prims)
 
     def test_tate3_degrees(self):
         data = tate_string_3()
-        orb = OrbitFiltration(data)
+        orb = orbit_filtration(data)
         # primitive J^{2,2}, dim 1: degree (2-k+1)(2-2+k) = (3-k)k
         for k in range(0, 3):
             want = (3 - k) * k
-            assert opposedness_degree(data, k) == want
+            assert opposedness_degree(data, k, orb.prims) == want
             assert opposedness_polynomial(orb, k).degree() == want
 
     def test_degree_independent_of_a(self):
         data = tate_string_3()
-        orb = OrbitFiltration(data)
+        orb = orbit_filtration(data)
         for a in (Fraction(0), Fraction(1, 2), Fraction(1)):
             for k in range(0, 3):
                 assert self.direct_determinant(orb, k, a).degree() == (3 - k) * k
@@ -243,7 +261,7 @@ class TestOpposedness:
     def test_complementary_dims_automatic(self):
         # for genuine structures dim F^k + dim F^{d-k+1} = n at every k,
         # so the determinant is defined at all levels, including clamped ones
-        orb = OrbitFiltration(tate_string_3())
+        orb = orbit_filtration(tate_string_3())
         for k in range(-1, 5):
             opposedness_polynomial(orb, k)
 
@@ -252,8 +270,8 @@ class TestOpposedness:
         # det[exp(zN) X | exp(zbar N) conj Y] as defined, z = a + it, with
         # X, Y the well-ordered bases of F^k and F^{d-k+1}
         data = orb.data
-        _, X = orb.wob.level_basis(k)
-        _, Y = orb.wob.level_basis(data.d - k + 1)
+        _, X = orb.level_basis(k)
+        _, Y = orb.level_basis(data.d - k + 1)
         left = [E @ X for E in orbit_coefficients(data.N, a, I)]
         right = [E @ Y.conj() for E in orbit_coefficients(data.N, a, I.conj())]
         return reference_det(*(L.hstack(R) for L, R in zip(left, right)))
@@ -268,7 +286,7 @@ class TestOpposedness:
         structures += [random_polarized_mhs(rng, max_dim=6, max_d=3)[0]
                        for _ in range(4)]
         for data in structures:
-            orb = OrbitFiltration(data)
+            orb = orbit_filtration(data)
             for k in range(data.F.min_index(), data.F.max_index() + 2):
                 got = opposedness_polynomial(orb, k)
                 assert not got.is_zero(), k
@@ -276,14 +294,14 @@ class TestOpposedness:
 
     def test_impossible(self, monkeypatch):
         # white-box: drop a basis column of F^1 to force a dimension mismatch
-        orb = OrbitFiltration(tate_string_3())
-        original = WellOrderedBasis.level_basis
+        orb = orbit_filtration(tate_string_3())
+        original = OrbitFiltration.level_basis
 
         def dropping(self, k):
             tags, M = original(self, k)
             return (tags[:1], M.take_columns([0])) if k == 1 else (tags, M)
 
-        monkeypatch.setattr(WellOrderedBasis, "level_basis", dropping)
+        monkeypatch.setattr(OrbitFiltration, "level_basis", dropping)
         with pytest.raises(ValueError, match="opposedness impossible"):
             opposedness_polynomial(orb, 1)
 
@@ -357,7 +375,7 @@ class TestMainTheorem:
 
 class TestRefinedFiltration:
     def test_elliptic(self):
-        rep = refined_filtration_check(OrbitFiltration(elliptic_string()))
+        rep = refined_filtration_check(orbit_filtration(elliptic_string()))
         assert rep.ok
         by_level = {e["level"]: e for e in rep.levels}
         assert by_level[1]["minors"] == [
@@ -365,7 +383,7 @@ class TestRefinedFiltration:
         ]
 
     def test_tate3_raw_ratio_degrees(self):
-        rep = refined_filtration_check(OrbitFiltration(tate_string_3()))
+        rep = refined_filtration_check(orbit_filtration(tate_string_3()))
         assert rep.ok
         by_level = {e["level"]: e for e in rep.levels}
         # raw ratio degrees can leave [k-d, d]; the bound holds for the
@@ -376,7 +394,7 @@ class TestRefinedFiltration:
         assert [m["sign"] for m in e0["minors"]] == [1, -1, -1]
 
     def test_zero_n(self):
-        rep = refined_filtration_check(OrbitFiltration(pure_weight_one()))
+        rep = refined_filtration_check(orbit_filtration(pure_weight_one()))
         assert rep.ok
         for entry in rep.levels:
             for m in entry["minors"]:
@@ -385,7 +403,7 @@ class TestRefinedFiltration:
     def test_json_shape(self):
         import json
 
-        rep = refined_filtration_check(OrbitFiltration(elliptic_string()))
+        rep = refined_filtration_check(orbit_filtration(elliptic_string()))
         blob = json.dumps(rep.to_json())
         parsed = json.loads(blob)
         assert {"level", "minors", "opposedness", "failures"} <= set(parsed[0])
@@ -416,15 +434,15 @@ class TestIdentities:
         assert taylor_minor_identity(4, 0)
 
     def test_wedge_examples(self):
-        assert wedge_identity(1, 1)
-        assert wedge_identity(2, 1)
-        assert wedge_identity(3, 0)
+        assert wedge(1, 1)
+        assert wedge(2, 1)
+        assert wedge(3, 0)
 
     def test_identities_small_range(self):
         for n in range(0, 6):
             for k in range(0, n + 2):
                 assert taylor_minor_identity(n, k)
-                assert wedge_identity(n, k)
+                assert wedge(n, k)
 
     def test_wedge_a_independent(self):
         # wedge_identity checks z = it; at z = a + it the determinant is
@@ -435,7 +453,7 @@ class TestIdentities:
         want = reference_det(*(
             C.take_columns(left).hstack(C.take_columns(right).conj())
             for C in exp_nilpotent(N, I)))
-        assert wedge_identity(n, k)
+        assert wedge(n, k)
         for a in (Fraction(1, 2), Fraction(1)):
             twisted = zip(orbit_coefficients(N, a, I), orbit_coefficients(N, a, I.conj()))
             assert reference_det(*(
@@ -462,7 +480,7 @@ class TestIdentities:
         monkeypatch.setattr(exactlin, "_det_at", recording_det_at)
         for n in range(0, 9):
             for k in range(0, n + 2):
-                for identity in (taylor_minor_identity, wedge_identity):
+                for identity in (taylor_minor_identity, wedge):
                     matrices.clear()
                     eliminated.clear()
                     assert identity(n, k)
@@ -479,19 +497,19 @@ class TestIdentities:
         with pytest.raises(AssertionError, match="minor size 4 outside 0..3"):
             taylor_minor_identity(2, 4)
         with pytest.raises(AssertionError, match="minor size -1 outside 0..3"):
-            wedge_identity(2, -1)
+            wedge(2, -1)
         with pytest.raises(AssertionError, match="nonnegative sides"):
             syt_count(-1, 2)
         # a det that is not det H: H(t) = [[t - 2]] is singular at the point
         # t = 2 that the constant det certifies
         H = [ExactMatrix.from_rational([[-2]]), ExactMatrix.from_rational([[1]])]
         with pytest.raises(AssertionError, match="det H vanishes at its certified point t = 2"):
-            orbit_signature(None, 0, H=H, det=PolyScalar([1]))
+            orbit_signature(H, PolyScalar([1]))
         data = elliptic_string()
-        with pytest.raises(AssertionError, match="needs N and S"):
-            WellOrderedBasis(MHSData(data.ambient_dim, data.d, data.W, data.F, data.N))
-        with pytest.raises(AssertionError, match="an orbit needs N"):
-            OrbitFiltration(MHSData(data.ambient_dim, data.d, data.W, data.F, S=data.S))
+        with pytest.raises(AssertionError, match="an orbit needs N and S"):
+            OrbitFiltration(MHSData(data.ambient_dim, data.d, data.W, data.F, data.N), {})
+        with pytest.raises(AssertionError, match="an orbit needs N and S"):
+            OrbitFiltration(MHSData(data.ambient_dim, data.d, data.W, data.F, S=data.S), {})
 
 
 def test_contract_errors_survive_python_O():

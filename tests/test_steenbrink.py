@@ -412,13 +412,12 @@ class TestExtraction:
         assert lim.S is None
         assert check_mhs(lim).ok
 
-    @pytest.mark.parametrize("build", ALL_FIXTURES)
-    def test_built_page_is_not_rebuilt(self, build, monkeypatch):
-        data = build()
-        want = extract_limit_mhs(data, data.m).to_json()
-        page = e2_page(data, data.m)
-        monkeypatch.setattr(steenbrink, "e2_page", None)  # any page build fails
-        assert extract_limit_mhs(data, data.m, page).to_json() == want
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_empty_cohomology_is_the_zero_structure(self, d):
+        # odp_m3 has H^1 = H^5 = 0: the limit there is the zero structure
+        lim = extract_limit_mhs(json_fixture("odp_m3.json")(), d)
+        assert (lim.ambient_dim, lim.d, lim.N.rows, lim.S) == (0, d, 0, None)
+        assert check_mhs(lim).ok
 
     def test_off_middle_has_no_pairing(self):
         lim = extract_limit_mhs(cycle_degeneration(), 2)
