@@ -15,10 +15,14 @@ matrix has no imaginary numerators, and no kernel makes any for it.  rref,
 kernel, kernel_modulo, inverse, solve and class_coordinates read their
 answers from the rows of one fraction-free elimination, whose pivots divide
 only the rows and columns asked for, in one place (_solved_rows); no
-intermediate reduced matrix is built.  Trivial shapes do no work: a product
-with a factor equal to the identity (by value) returns the other factor,
-kernel_modulo of a matrix without rows eliminates nothing, and the Hermitian
-test compares each entry with its mirror on the stored integers.
+intermediate reduced matrix is built.  rank, image and kernel_modulo's test
+of the lower space read pivots only and stop at row echelon form.  Trivial
+shapes do no work: an operation whose result equals an operand returns it
+(a product with a factor equal to the identity by value, assemble of one
+covering block, take_rows and take_columns of every index in order, scale
+by 1, conj of a real matrix), kernel_modulo of a matrix without rows
+eliminates nothing, and the Hermitian test compares each entry with its
+mirror on the stored integers.
 
 A polynomial matrix in a real variable t is the list of its coefficient
 matrices C_0, ..., C_D, lowest degree first, as exp_nilpotent returns them.
@@ -308,7 +312,12 @@ class ExactMatrix:
         never overlap.  An output row is its pieces over the lcm of their
         denominators, in lowest terms: each prime power of the lcm divides
         a piece's denominator, which its numerators are coprime to.  The
-        result has an imaginary part only when some block has one."""
+        result has an imaginary part only when some block has one.  One
+        block that covers the matrix in order is the matrix, returned as is."""
+        if len(blocks) == 1:
+            at, k, M = blocks[0]
+            if (k, M.rows, M.cols) == (0, rows, cols) and list(at) == list(range(rows)):
+                return M
         re, den = [0] * (rows * cols), [1] * rows
         im = [0] * (rows * cols) if any(M.im for _, _, M in blocks) else []
         for at, k, M in blocks:
@@ -377,6 +386,8 @@ class ExactMatrix:
 
     def scale(self, c) -> "ExactMatrix":
         c = GaussianScalar.coerce(c)
+        if c == G_ONE:
+            return self
         (p, s), (q, t) = c.re.as_integer_ratio(), c.im.as_integer_ratio()
         e = lcm(s, t)
         p, q = p * (e // s), q * (e // t)
@@ -441,6 +452,8 @@ class ExactMatrix:
         return _from_int_rows(r, ((re[k::c], im[k::c], den) for k in range(c)))
 
     def conj(self) -> "ExactMatrix":
+        if not self.im:
+            return self
         return _new(self.rows, self.cols, self.re, [-y for y in self.im], self.den)
 
     def hstack(self, *others: "ExactMatrix") -> "ExactMatrix":
@@ -460,12 +473,16 @@ class ExactMatrix:
 
     def take_columns(self, ks: Sequence[int]) -> "ExactMatrix":
         ks = list(ks)
+        if ks == list(range(self.cols)):
+            return self
         return _from_int_rows(len(ks), (
             ([re[k] for k in ks], [im[k] for k in ks] if im else (), d)
             for re, im, d in self._int_rows()))
 
     def take_rows(self, js: Sequence[int]) -> "ExactMatrix":
         """The rows js of self, in that order; each keeps its denominator."""
+        if list(js) == list(range(self.rows)):
+            return self
         c = self.cols
         rows = [(self.re[j * c:(j + 1) * c], self.im[j * c:(j + 1) * c]) for j in js]
         return _new(len(rows), c, [x for re, _ in rows for x in re],
@@ -587,15 +604,19 @@ def _primitive(re: Sequence[int], im: Sequence[int]) -> tuple[Sequence[int], Seq
     return re, im
 
 
-def _echelon(M: ExactMatrix) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of the integer rows of M.
+def _echelon(M: ExactMatrix, reduced: bool = True
+             ) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Fraction-free elimination of the integer rows of M: Gauss-Jordan,
+    or, with reduced false, forward only, below each pivot.
 
     Each row is eliminated with row <- pivot*row - f*pivot_row and kept
     primitive by dividing out its integer content.  Returns (re rows, im
-    rows, pivot columns): row j of the reduced form is row j here divided by
-    its entry in column pivots[j].  A real M has empty im rows throughout:
-    its step is a*x - f*u, one product per entry, and the content is the
-    gcd of the real half alone.
+    rows, pivot columns).  Reduced, row j of the reduced form is row j here
+    divided by its entry in column pivots[j]; not reduced, the rows are a
+    row echelon form with the same pivot columns, all that rank, image and
+    kernel_modulo's test of the lower space read.  A real M has empty im
+    rows throughout: its step is a*x - f*u, one product per entry, and the
+    content is the gcd of the real half alone.
     """
     rows, cols = M.rows, M.cols
     real = not M.im
@@ -608,6 +629,7 @@ def _echelon(M: ExactMatrix) -> tuple[list[list[int]], list[list[int]], list[int
     pivots = []
     r = 0
     for c in range(cols):
+        start = 0 if reduced else r + 1
         pr = next((j for j in range(r, rows) if R[j][c] or not real and I[j][c]), None)
         if pr is None:
             continue
@@ -616,7 +638,7 @@ def _echelon(M: ExactMatrix) -> tuple[list[list[int]], list[list[int]], list[int
         pre, pim = R[r], I[r]
         a = pre[c]
         if real:
-            for j in range(rows):
+            for j in range(start, rows):
                 f = R[j][c]
                 if j == r or not f:
                     continue
@@ -625,7 +647,7 @@ def _echelon(M: ExactMatrix) -> tuple[list[list[int]], list[list[int]], list[int
                 R[j] = [x // h for x in row] if h > 1 else row
         else:
             b = pim[c]
-            for j in range(rows):
+            for j in range(start, rows):
                 f, g = R[j][c], I[j][c]
                 if j == r or not (f or g):
                     continue
@@ -672,7 +694,7 @@ def rref(M: ExactMatrix) -> tuple[ExactMatrix, list[int], int]:
 
 
 def rank(M: ExactMatrix) -> int:
-    return len(_echelon(M)[2])
+    return len(_echelon(M, reduced=False)[2])
 
 
 def inverse(M: ExactMatrix) -> ExactMatrix:
@@ -730,14 +752,14 @@ def kernel_modulo(M: ExactMatrix, lower: "Subspace | None" = None):
         return K, K.basis, I
     if M.rows and not (M @ lower.basis).is_zero():
         return K, None, I
-    last = range(f) if b == f else {
-        f - 1 - p for p in _echelon(lower.basis.take_rows(free[::-1]).transpose())[2]}
+    last = range(f) if b == f else {f - 1 - p for p in _echelon(
+        lower.basis.take_rows(free[::-1]).transpose(), reduced=False)[2]}
     return K, K.basis.take_columns([j for j in range(f) if j not in last]), I
 
 
 def image(M: ExactMatrix) -> "Subspace":
     """Column span of M, with a deterministic basis (earliest pivot columns)."""
-    pivots = _echelon(M)[2]
+    pivots = _echelon(M, reduced=False)[2]
     return Subspace._trusted(M.rows, M.take_columns(pivots))
 
 

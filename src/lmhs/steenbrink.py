@@ -575,8 +575,7 @@ class _SectorMaps:
                 for t in dict.fromkeys(st):
                     cols = [j for j, u in enumerate(st) if u == t]
                     rows = [i for i, u in enumerate(tt) if u == (t[0] + s, t[1] + s)]
-                    whole = (len(rows), len(cols)) == (M.rows, M.cols)
-                    blocks[t] = M if whole else M.take_rows(rows).take_columns(cols)
+                    blocks[t] = M.take_rows(rows).take_columns(cols)  # M when whole
                 self.cut.setdefault(src, []).append((tgt, blocks))
 
     def term(self, d: int, r: int) -> E2Term:

@@ -15,7 +15,7 @@ from lmhs import cli, exactlin, identities, mhs, orbit
 from lmhs.exactlin import ExactMatrix, PolyScalar, gaussian_from_str
 from lmhs.geomodels import ResolutionData, odp_semistable_model
 from lmhs.steenbrink import DegenerationData, validate_degeneration_data
-from test_steenbrink import cycle_degeneration, kodaira_degeneration
+from test_steenbrink import GOLDEN_ODP_MODELS, cycle_degeneration, kodaira_degeneration
 
 
 def fixture_path(name):
@@ -557,14 +557,6 @@ ELLIPTIC_VARIANTS = {
     "real_line": _real_line,
 }
 
-# generated ODP models: m = 3 with symplectic pairs, so with a framed H^3,
-# and m = 4 without frames
-GENERATED_MODELS = {
-    "odp-m3-l6": ResolutionData(3, 6, signs=(-1, 1, -1), rho=ExactMatrix.from_rational(
-        [[1, 0, 0], [-1, 1, 0], [0, -1, 1], [0, 0, -1], [1, 0, 1], [0, 1, -1]])),
-    "odp-m4-l7": ResolutionData(4, 7, vhat_signs=(1, -1, 1)),
-}
-
 # seeded draws of the structure generator, (seed, polarized)
 GENERATED_STRUCTURES = {
     "random-s11": (11, True),
@@ -577,7 +569,9 @@ SCHEMAS = Path(__file__).parents[1] / "docs" / "schemas"
 # (recording, argv, exit code); the recordings in tests/golden are the
 # stdout of these invocations from before `lmhs orbit` ran one pipeline,
 # and of the `check` runs on generated models from before each d1 map was
-# built once per call.  The orbit-random-* recordings are of seeded
+# built once per call (odp-m3-l8 and odp-m4-l9: from before the pivot-only
+# eliminations and the operand pass-throughs of exactlin).  The
+# orbit-random-* recordings are of seeded
 # generator draws, made while the signature was still taken by doubling t
 # until two evaluations agreed.  The *-text-a1_2 recordings were made with
 # the orbit twist a = Re z = 1/2, which no report depends on, so the same
@@ -599,13 +593,15 @@ GOLDEN_CASES = [
     ("check-odp_m3-json", ["check", "odp_m3.json", "--format", "json"], 0),
     ("check-odp-m3-l6-json", ["check", "odp-m3-l6", "--format", "json"], 0),
     ("check-odp-m4-l7-json", ["check", "odp-m4-l7", "--format", "json"], 0),
+    ("check-odp-m3-l8-json", ["check", "odp-m3-l8", "--format", "json"], 0),
+    ("check-odp-m4-l9-json", ["check", "odp-m4-l9", "--format", "json"], 0),
 ]
 
 
 def input_path(tmp_path, source):
-    if source in GENERATED_MODELS:
+    if source in GOLDEN_ODP_MODELS:
         path = tmp_path / f"{source}.json"
-        path.write_text(json.dumps(odp_semistable_model(GENERATED_MODELS[source]).to_json()))
+        path.write_text(json.dumps(odp_semistable_model(GOLDEN_ODP_MODELS[source]).to_json()))
         return str(path)
     if source in GENERATED_STRUCTURES:
         seed, polarized = GENERATED_STRUCTURES[source]

@@ -1066,13 +1066,56 @@ def test_class_coordinates_keep_the_reduced_form_storage(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(rational_matrices(), gaussian_matrices()))
-def test_echelon_rows_are_primitive(M):
+@given(st.one_of(rational_matrices(), gaussian_matrices()), st.booleans())
+def test_echelon_rows_are_primitive(M, reduced):
     """Each row _echelon returns is divided by its integer content, real and
-    complex paths alike, so coefficients do not grow between pivots."""
-    R, I, _ = _echelon(M)
+    complex paths alike, reduced or row echelon, so coefficients do not
+    grow between pivots."""
+    R, I, _ = _echelon(M, reduced)
     for re, im in zip(R, I):
         assert gcd(*re, *im) in (0, 1)  # 0 for a row eliminated to zero
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rational_matrices(), gaussian_matrices()))
+def test_pivot_only_eliminations_find_the_reduced_pivots(M):
+    """rank and image stop at row echelon form, whose pivot columns are
+    those of the reduced form: rref's and support.reference_rref's."""
+    _, pivots, rk = rref(M)
+    assert reference_rref(M)[1:] == (pivots, rk)
+    assert _echelon(M, reduced=False)[2] == pivots
+    assert rank(M) == rk
+    assert storage(image(M).basis) == storage(M.take_columns(pivots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rational_matrices(), gaussian_matrices()), st.data())
+def test_operations_that_keep_their_operand_return_it(M, data):
+    """assemble of one covering block, take_rows and take_columns of every
+    index in order, scale by 1 and conj of a real matrix return their
+    operand, whose storage is the one the general path of each builds."""
+    rows, cols = M.rows, M.cols
+    assert ExactMatrix.assemble(rows, cols, [(range(rows), 0, M)]) is M
+    k = data.draw(st.integers(0, cols))
+    split = ExactMatrix.assemble(rows, cols, [(range(rows), 0, M.take_columns(range(k))),
+                                              (range(rows), k, M.take_columns(range(k, cols)))])
+    assert storage(split) == storage(M)
+    assert M.take_rows(range(rows)) is M and M.take_rows(list(range(rows))) is M
+    assert storage(M.vstack(ExactMatrix.zero(1, cols)).take_rows(range(rows))) == storage(M)
+    assert M.take_columns(range(cols)) is M
+    assert storage(M.hstack(ExactMatrix.zero(rows, 1)).take_columns(range(cols))) == storage(M)
+    # any other order is a new matrix
+    js, ks = data.draw(st.permutations(range(rows))), data.draw(st.permutations(range(cols)))
+    assert M.take_rows(js).entries == tuple(M.entries[j] for j in js)
+    assert M.take_columns(ks).columns() == [M.column(k) for k in ks]
+    assert M.scale(1) is M and M.scale(G_ONE) is M
+    assert storage(M.scale(2).scale(Fraction(1, 2))) == storage(M)
+    if M.im:
+        assert M.conj() is not M and storage(M.conj().conj()) == storage(M)
+    else:
+        assert M.conj() is M
+        # conj(iM) = -iM for a real M, through the complex path
+        assert storage(M.scale(G_I).conj().scale(G_I)) == storage(M)
 
 
 # the n x n identity, built three ways; all three have the same storage

@@ -270,9 +270,6 @@ class TestSignatureTable:
         # pure weight 2, rank 2 in the (1,1)-part, intersection form diag(2,-2);
         # the Weil factor on (1,1) is 1 and conjugation is trivial there
         W = IncreasingFiltration(2, {2: Subspace.full(2)})
-        F = DecreasingFiltration(
-            2, {0: Subspace.full(2), 1: Subspace.full(2), 2: Subspace.zero(2) if False else Subspace.span(2, [])}
-        )
         F = DecreasingFiltration(2, {0: Subspace.full(2), 1: Subspace.full(2)})
         S = rat([[2, 0], [0, -2]])
         data = MHSData(2, 2, W, F, N=ExactMatrix.zero(2, 2), S=S)
@@ -348,10 +345,6 @@ class TestRandomPolarized:
             # N-Lefschetz dimension bookkeeping on graded pieces
             for l in range(0, d + 1):
                 gr = graded_piece(data.W, d + l)
-                total = 0
-                for r in range(0, d + 1):
-                    for (P, Q), dim in sp.bigrading().items():
-                        pass
                 # dim Gr_{d+l} = sum over r >= 0 of prim dims at level l + 2r
                 prim_total = sum(
                     primitive_part(data, l + 2 * r).dim for r in range(0, d + 1)

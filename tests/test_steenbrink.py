@@ -512,6 +512,20 @@ def seeded_odp_models(seed: int) -> list[DegenerationData]:
     return out
 
 
+# the models of the `lmhs check` goldens: m = 3 with symplectic pairs, so
+# with a framed H^3, and m = 4 without frames; l = 8 and l = 9 are the
+# largest degen-odp cells
+GOLDEN_ODP_MODELS = {
+    "odp-m3-l6": ResolutionData(3, 6, signs=(-1, 1, -1), rho=M(
+        [[1, 0, 0], [-1, 1, 0], [0, -1, 1], [0, 0, -1], [1, 0, 1], [0, 1, -1]])),
+    "odp-m4-l7": ResolutionData(4, 7, vhat_signs=(1, -1, 1)),
+    "odp-m3-l8": ResolutionData(3, 8, signs=(1, -1, -1), rho=M(
+        [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1],
+         [1, 0, 1, 0], [0, 1, 0, -1], [1, -1, 0, 1]])),
+    "odp-m4-l9": ResolutionData(4, 9, vhat_signs=(-1,)),
+}
+
+
 D1_INPUTS = ALL_FIXTURES + [reframed_cycle] + [
     (lambda i=i: seeded_odp_models(20261018)[i]) for i in range(4)
 ]
@@ -566,9 +580,9 @@ def test_trivial_shapes_do_no_work(build, monkeypatch):
     eliminated, built = [], []
     echelon, term = exactlin._echelon, steenbrink.E2Term
 
-    def counting_echelon(M):
+    def counting_echelon(M, reduced=True):
         eliminated.append(M.rows)
-        return echelon(M)
+        return echelon(M, reduced)
 
     def counting_term(data, summands):
         built.append(summands)
@@ -580,6 +594,37 @@ def test_trivial_shapes_do_no_work(build, monkeypatch):
     assert nearby_hodge_index(data).to_json() == want
     assert eliminated and 0 not in eliminated
     assert built and all(built)
+
+
+@pytest.mark.parametrize("name, matrices, full, eliminations", [
+    ("odp-m3-l6", 79, 5, 14),
+    ("odp-m4-l7", 47, 5, 12),
+])
+def test_golden_models_build_few_matrices(name, matrices, full, eliminations, monkeypatch):
+    """Ceilings on the work of validation and nearby_hodge_index: the
+    matrices built (exactlin._new), the full eliminations and all of them.
+    Rank, image and kernel_modulo's test of the lower space stop at row
+    echelon form, and an operation whose result would equal its operand
+    returns the operand, so neither saving can regress unseen."""
+    data = odp_semistable_model(GOLDEN_ODP_MODELS[name])
+    counts = Counter()
+    new, echelon = exactlin._new, exactlin._echelon
+
+    def counting_new(*args):
+        counts["matrices"] += 1
+        return new(*args)
+
+    def counting_echelon(M, reduced=True):
+        counts["full" if reduced else "pivots only"] += 1
+        return echelon(M, reduced)
+
+    monkeypatch.setattr(exactlin, "_new", counting_new)
+    monkeypatch.setattr(exactlin, "_echelon", counting_echelon)
+    assert validate_degeneration_data(data).ok
+    nearby_hodge_index(data)
+    assert counts["matrices"] <= matrices
+    assert counts["full"] <= full
+    assert counts["full"] + counts["pivots only"] <= eliminations
 
 
 @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
