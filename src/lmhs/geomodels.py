@@ -173,85 +173,81 @@ def odp_index_formula(inp: OdpInput) -> dict:
     return out
 
 
-def _matrix(rows, cols, entries):
-    """The matrix with the given entries at (row label, column label)."""
-    ri = {lab: i for i, lab in enumerate(rows)}
-    ci = {lab: i for i, lab in enumerate(cols)}
-    out = [[0] * len(cols) for _ in range(len(rows))]
-    for (r, c), v in entries.items():
-        out[ri[r]][ci[c]] = v
-    return ExactMatrix.from_rational(out, cols=len(cols))
-
-
 def odp_semistable_model(res: ResolutionData) -> DegenerationData:
     """Two-depth semistable model of a smoothing of l ordinary double points:
     the resolution glued with quadric m-folds E_i along the exceptional
-    quadrics Q_i."""
-    if res.m % 2:
-        return _odp_model_odd(res)
-    return _odp_model_even(res)
+    quadrics Q_i.  Both parities share one skeleton (_odp_skeleton), built
+    once per shape; the odd and even parts supply the middle degree of the
+    depth-1 stratum and the maps that read it."""
+    from .steenbrink import DegenerationData, StratumCohomology
+
+    m, l = res.m, res.l
+    if m % 2:
+        skeleton = _odp_skeleton(m, l, res.rho.cols)
+        entry, gysin, restriction = _odd_middle(res)
+    else:
+        skeleton = _odp_skeleton(m, l, 0, _even_shape_maps, len(res.vhat_signs))
+        entry, gysin, restriction = _even_middle(res), {}, {}
+    entries, quadrics, shared_gysin, shared_restriction = skeleton
+    depth1 = StratumCohomology(1, {**entries, m: entry})
+    if not l:
+        return DegenerationData(m, [depth1])
+    return DegenerationData(m, [depth1, quadrics], {**shared_gysin, **gysin},
+                            {**shared_restriction, **restriction})
 
 
-# Every map of an ODP model that reads neither rho nor a sign depends only on
-# the model's shape, so models of one shape share those matrices: a caller
-# that keeps many generated models keeps one copy per shape.  ExactMatrix is
-# immutable, and DegenerationData copies the dicts it is given.
-
-
-def _odd_labels(l: int, w: int) -> tuple[list, list]:
-    """The components and the H^2 classes of the depth-1 stratum of the odd
-    model with l double points and w relation classes."""
-    comps = ["X"] + [f"E{i}" for i in range(l)]
-    q2 = ["g"] + [f"e{i}" for i in range(l)] + [f"w{t}" for t in range(w)] \
-        + [f"hE{i}" for i in range(l)]
-    return comps, q2
+# Every part of an ODP model that reads neither rho nor a sign depends only on
+# the model's shape, so models of one shape share it: a caller that keeps many
+# generated models keeps one copy per shape.  ExactMatrix is immutable, the
+# shared depth-2 stratum is never written to, StratumCohomology copies the
+# entries it is given, and DegenerationData copies its map dicts.
+#
+# Bases, in order.  Depth 1, the resolution X and the E_i: the components X,
+# E_0, ... in degrees 0 and 2m; the classes g, then e_i (the exceptional
+# divisors), then w_t (the relation classes, odd m only), then hE_i (the
+# hyperplanes of the E_i) in degrees 2 and 2m-2.  Depth 2: the quadrics
+# Q_0, ..., each in the basis of quadric_cohomology(m - 1).
 
 
 @lru_cache(maxsize=64)
-def _odd_shared(l: int, w: int) -> tuple:
-    """(E, the pairing on the quadrics' H^2, gysin, restriction) of the odd
-    model: E sends the classes e_i to A_i + B_i, and the maps are those in
-    degrees 0 and 4."""
-    comps, q2 = _odd_labels(l, w)
-    quads = [f"Q{i}" for i in range(l)]
-    quad2 = [x for i in range(l) for x in (f"A{i}", f"B{i}")]
-    pairing2 = _matrix(quad2, quad2, {
-        **{(f"A{i}", f"B{i}"): 1 for i in range(l)},
-        **{(f"B{i}", f"A{i}"): 1 for i in range(l)},
-    })
-    A, B = range(0, 2 * l, 2), range(1, 2 * l, 2)
-    E = ExactMatrix.assemble(2 * l, l, [(A, 0, ExactMatrix.identity(l)),
-                                        (B, 0, ExactMatrix.identity(l))])
-    rest0 = _matrix(quads, comps, {
-        **{(f"Q{i}", "X"): -1 for i in range(l)},
-        **{(f"Q{i}", f"E{i}"): 1 for i in range(l)},
-    })
-    rest4 = _matrix(quads, q2, {
-        **{(f"Q{i}", f"e{i}"): -1 for i in range(l)},
-        **{(f"Q{i}", f"hE{i}"): 1 for i in range(l)},
-    })
-    gys0 = _matrix(q2, quads, {
-        **{(f"e{i}", f"Q{i}"): -1 for i in range(l)},
-        **{(f"hE{i}", f"Q{i}"): 1 for i in range(l)},
-    })
-    gys4 = _matrix(comps, quads, {
-        **{("X", f"Q{i}"): -1 for i in range(l)},
-        **{(f"E{i}", f"Q{i}"): 1 for i in range(l)},
-    })
-    return E, pairing2, {(1, 0): gys0, (1, 4): gys4}, {(1, 0): rest0, (1, 4): rest4}
+def _odp_skeleton(m: int, l: int, w: int, middle_maps=None, k: int = 0) -> tuple:
+    """(depth-1 entries, depth-2 stratum, gysin, restriction) shared by the
+    models of l double points on an m-fold with w relation classes.  The
+    depth-1 entries are those of degrees 0, 2, 2m-2 and 2m, with identity
+    pairings; the depth-2 stratum is l copies of the quadric (m-1)-fold.
+    The maps are those of degrees 0 and 2m-2, where Q_i restricts X to -1
+    and E_i to 1, and e_i to -1 and hE_i to 1, and each Gysin map is the
+    transpose of a restriction; middle_maps(l, k), when given, adds the
+    (gysin, restriction) of a middle degree with k classes of its own that
+    read no sign."""
+    from .steenbrink import StratumCohomology
+
+    outer = {q: {"types": [(q // 2, q // 2)] * n, "pairing": ExactMatrix.identity(n)}
+             for q, n in ((0, 1 + l), (2, 1 + 2 * l + w), (2 * m - 2, 1 + 2 * l + w),
+                          (2 * m, 1 + l))}
+    Q = quadric_cohomology(m - 1)
+
+    def copies(P):  # l copies of P down the diagonal
+        return ExactMatrix.assemble(l * P.rows, l * P.cols, [
+            (range(i * P.rows, (i + 1) * P.rows), i * P.cols, P) for i in range(l)])
+
+    quadrics = StratumCohomology(2, {
+        q: {"types": Q.types(q) * l, "pairing": copies(Q.pairing(q))} for q in Q.cohomology})
+    unit = [[int(i == j) for j in range(l)] for i in range(l)]
+    rest0 = ExactMatrix.from_rational([[-1] + u for u in unit], cols=1 + l)
+    rest_top = ExactMatrix.from_rational(
+        [[0] + [-x for x in u] + [0] * w + u for u in unit], cols=1 + 2 * l + w)
+    gysin, restriction = middle_maps(l, k) if middle_maps else ({}, {})
+    return (outer, quadrics,
+            {(1, 0): rest_top.transpose(), (1, 2 * m - 2): rest0.transpose(), **gysin},
+            {(1, 0): rest0, (1, 2 * m - 2): rest_top, **restriction})
 
 
-def _odp_model_odd(res: ResolutionData) -> DegenerationData:
-    from .steenbrink import DegenerationData, StratumCohomology
-
-    m, l, rho = res.m, res.l, res.rho
-    _require(m == 3, f"the odd model covers m = 3, not m = {m}")
-    w = rho.cols  # l - R relation classes
-    pairs = len(res.signs)
-    comps, q2 = _odd_labels(l, w)
-    E, pairing2, gysin, restriction = _odd_shared(l, w)
-
-    n2 = len(q2)
+def _odd_middle(res: ResolutionData) -> tuple:
+    """(H^3 entry, gysin, restriction) of the odd model: the framed
+    symplectic H^3 and the degree-2 maps, which read rho."""
+    _require(res.m == 3, f"the odd model covers m = 3, not m = {res.m}")
+    l, rho, pairs = res.l, res.rho, len(res.signs)
     # one 2 x 2 block per symplectic pair: the pairing [[0, s], [-s, 0]] and
     # the frame [[1, 1], [i, -i]], whose columns have types (2,1) and (1,2)
     P = ExactMatrix.from_rational([[0, 1], [-1, 0]])
@@ -260,116 +256,49 @@ def _odp_model_odd(res: ResolutionData) -> DegenerationData:
         (range(2 * j, 2 * j + 2), 2 * j, P if s > 0 else -P) for j, s in enumerate(res.signs)])
     f3 = ExactMatrix.assemble(
         2 * pairs, 2 * pairs, [(range(2 * j, 2 * j + 2), 2 * j, F) for j in range(pairs)])
-    types3 = [(2, 1), (1, 2)] * pairs
-    depth1 = StratumCohomology(1, {
-        0: {"types": [(0, 0)] * len(comps), "pairing": ExactMatrix.identity(len(comps))},
-        2: {"types": [(1, 1)] * n2, "pairing": ExactMatrix.identity(n2)},
-        3: {"types": types3, "pairing": p3, "frame": f3},
-        4: {"types": [(2, 2)] * n2, "pairing": ExactMatrix.identity(n2)},
-        6: {"types": [(3, 3)] * len(comps), "pairing": ExactMatrix.identity(len(comps))},
-    })
-    depth2 = StratumCohomology(2, {
-        0: {"types": [(0, 0)] * l, "pairing": ExactMatrix.identity(l)},
-        2: {"types": [(1, 1)] * (2 * l), "pairing": pairing2},
-        4: {"types": [(2, 2)] * l, "pairing": ExactMatrix.identity(l)},
-    })
-    if not l:
-        return DegenerationData(m, [depth1])
-    # rest2 sends e_i and hE_i to A_i + B_i and the relation class w_t to
-    # the sum over i of rho[i][t] (B_i - A_i); gys2 is its transpose with
-    # the rows w negated
-    A, B = range(0, 2 * l, 2), range(1, 2 * l, 2)
-    rest2_w = ExactMatrix.assemble(2 * l, w, [(A, 0, -rho), (B, 0, rho)])
-    rest2 = ExactMatrix.zero(2 * l, 1).hstack(E, rest2_w, E)
-    gys2 = ExactMatrix.zero(2 * l, 1).hstack(E, -rest2_w, E).transpose()
-    return DegenerationData(m, [depth1, depth2], {**gysin, (1, 2): gys2},
-                            {**restriction, (1, 2): rest2})
+    h3 = {"types": [(2, 1), (1, 2)] * pairs, "pairing": p3, "frame": f3}
+    # rest2 sends e_i and hE_i to A_i + B_i, the plane classes of Q_i, and
+    # the relation class w_t to the sum over i of rho[i][t] (B_i - A_i);
+    # gys2 is its transpose with the rows w negated
+    A, B, I, w = range(0, 2 * l, 2), range(1, 2 * l, 2), ExactMatrix.identity(l), rho.cols
+
+    def to_planes(on_A, on_B):
+        return ExactMatrix.assemble(2 * l, 1 + 2 * l + w, [
+            (A, 1, I), (B, 1, I), (A, 1 + l, on_A), (B, 1 + l, on_B),
+            (A, 1 + l + w, I), (B, 1 + l + w, I)])
+
+    minus_rho = -rho
+    return (h3, {(1, 2): to_planes(rho, minus_rho).transpose()},
+            {(1, 2): to_planes(minus_rho, rho)})
 
 
-def _even_labels(l: int, hv: int) -> tuple[list, list, list]:
-    """The components, the H^2 classes and the middle classes of the
-    depth-1 stratum of the even model with l double points and hv vhat
-    classes."""
-    comps = ["X"] + [f"E{i}" for i in range(l)]
-    q2 = ["g"] + [f"e{i}" for i in range(l)] + [f"hE{i}" for i in range(l)]
-    mid = [f"v{a}" for a in range(hv)] + [f"q{i}" for i in range(l)] \
-        + [x for i in range(l) for x in (f"A{i}", f"B{i}")]
-    return comps, q2, mid
+def _even_middle(res: ResolutionData) -> dict:
+    """H^4 entry of the even model.  H^4 holds the vhat classes v_a, of
+    square vhat_signs[a], then the classes q_i of square -2, then the planes
+    A_i, B_i of the E_i, of square 1.  Its maps read no sign, so they come
+    with the skeleton (_even_shape_maps)."""
+    _require(res.m == 4, f"the even model covers m = 4, not m = {res.m}")
+    squares = [*res.vhat_signs, *[-2] * res.l, *[1] * (2 * res.l)]
+    pairing = [[0] * len(squares) for _ in squares]
+    for j, s in enumerate(squares):
+        pairing[j][j] = s
+    return {"types": [(2, 2)] * len(squares),
+            "pairing": ExactMatrix.from_rational(pairing, cols=len(squares))}
 
 
-@lru_cache(maxsize=64)
-def _even_maps(l: int, hv: int) -> tuple[dict, dict]:
-    """(gysin, restriction) of the even model: none of its maps reads a
-    sign."""
-    comps, q2, mid = _even_labels(l, hv)
-    quads = [f"Q{i}" for i in range(l)]
-    rest0 = _matrix(quads, comps, {
-        **{(f"Q{i}", "X"): -1 for i in range(l)},
-        **{(f"Q{i}", f"E{i}"): 1 for i in range(l)},
-    })
-    rest2 = _matrix(quads, q2, {
-        **{(f"Q{i}", f"e{i}"): 1 for i in range(l)},
-        **{(f"Q{i}", f"hE{i}"): 1 for i in range(l)},
-    })
-    rest4 = _matrix(quads, mid, {
-        **{(f"Q{i}", f"q{i}"): -2 for i in range(l)},
-        **{(f"Q{i}", f"A{i}"): 1 for i in range(l)},
-        **{(f"Q{i}", f"B{i}"): 1 for i in range(l)},
-    })
-    rest6 = _matrix(quads, q2, {
-        **{(f"Q{i}", f"e{i}"): -1 for i in range(l)},
-        **{(f"Q{i}", f"hE{i}"): 1 for i in range(l)},
-    })
-    gys0 = _matrix(q2, quads, {
-        **{(f"e{i}", f"Q{i}"): -1 for i in range(l)},
-        **{(f"hE{i}", f"Q{i}"): 1 for i in range(l)},
-    })
-    gys2 = _matrix(mid, quads, {
-        **{(f"q{i}", f"Q{i}"): 1 for i in range(l)},
-        **{(f"A{i}", f"Q{i}"): 1 for i in range(l)},
-        **{(f"B{i}", f"Q{i}"): 1 for i in range(l)},
-    })
-    gys4 = _matrix(q2, quads, {
-        **{(f"e{i}", f"Q{i}"): 1 for i in range(l)},
-        **{(f"hE{i}", f"Q{i}"): 1 for i in range(l)},
-    })
-    gys6 = _matrix(comps, quads, {
-        **{("X", f"Q{i}"): -1 for i in range(l)},
-        **{(f"E{i}", f"Q{i}"): 1 for i in range(l)},
-    })
-    return ({(1, 0): gys0, (1, 2): gys2, (1, 4): gys4, (1, 6): gys6},
-            {(1, 0): rest0, (1, 2): rest2, (1, 4): rest4, (1, 6): rest6})
-
-
-def _odp_model_even(res: ResolutionData) -> DegenerationData:
-    from .steenbrink import DegenerationData, StratumCohomology
-
-    m, l = res.m, res.l
-    _require(m == 4, f"the even model covers m = 4, not m = {m}")
-    comps, q2, mid = _even_labels(l, len(res.vhat_signs))
-    pmid_entries = {}
-    for a, s in enumerate(res.vhat_signs):
-        pmid_entries[(f"v{a}", f"v{a}")] = s
-    for i in range(l):
-        pmid_entries[(f"q{i}", f"q{i}")] = -2
-        pmid_entries[(f"A{i}", f"A{i}")] = 1
-        pmid_entries[(f"B{i}", f"B{i}")] = 1
-    depth1 = StratumCohomology(1, {
-        0: {"types": [(0, 0)] * len(comps), "pairing": ExactMatrix.identity(len(comps))},
-        2: {"types": [(1, 1)] * len(q2), "pairing": ExactMatrix.identity(len(q2))},
-        4: {"types": [(2, 2)] * len(mid), "pairing": _matrix(mid, mid, pmid_entries)},
-        6: {"types": [(3, 3)] * len(q2), "pairing": ExactMatrix.identity(len(q2))},
-        8: {"types": [(4, 4)] * len(comps), "pairing": ExactMatrix.identity(len(comps))},
-    })
-    depth2 = StratumCohomology(2, {
-        0: {"types": [(0, 0)] * l, "pairing": ExactMatrix.identity(l)},
-        2: {"types": [(1, 1)] * l, "pairing": ExactMatrix.identity(l)},
-        4: {"types": [(2, 2)] * l, "pairing": ExactMatrix.identity(l)},
-        6: {"types": [(3, 3)] * l, "pairing": ExactMatrix.identity(l)},
-    })
-    if l:
-        return DegenerationData(m, [depth1, depth2], *_even_maps(l, len(res.vhat_signs)))
-    return DegenerationData(m, [depth1])
+def _even_shape_maps(l: int, hv: int) -> tuple:
+    """(gysin, restriction) of degrees 2 and 4 of the even model with hv
+    vhat classes.  rest2 sends e_i and hE_i to the hyperplane class of Q_i,
+    and gys4 is its transpose; gys2 sends Q_i to q_i + A_i + B_i, and rest4
+    sends q_i to -2 and A_i, B_i to 1 on Q_i."""
+    unit = [[int(i == j) for j in range(l)] for i in range(l)]
+    rest2 = [[0] + u + u for u in unit]
+    gys4 = [[0] * l] + unit + unit
+    gys2 = [[0] * l] * hv + unit + [u for u in unit for _ in "AB"]
+    rest4 = [[0] * hv + [-2 * x for x in u] + [x for x in u for _ in "AB"] for u in unit]
+    M = ExactMatrix.from_rational
+    return ({(1, 2): M(gys2, cols=l), (1, 4): M(gys4, cols=l)},
+            {(1, 2): M(rest2, cols=1 + 2 * l), (1, 4): M(rest4, cols=hv + 3 * l)})
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ E2 class coordinates for cross-checking against the abstract machinery.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .exactlin import (
     ContractError,
     ExactMatrix,
@@ -209,12 +211,23 @@ class DegenerationData:
 def _conj_permutation(frame: ExactMatrix, types: list) -> list | None:
     """Permutation sigma with conj(column j) == column sigma(j) and swapped
     type tag, or None if none exists; sigma(j) is the first such column.
-    Equal columns have equal storage, so they are found by hashing."""
-    cols = [(frame.take_columns([j]), tuple(types[j])) for j in range(frame.cols)]
+    Columns are found by hashing their entries, read from the stored
+    integers: entry (r, j) is (re + i im) / den[r], which divided by the gcd
+    of its three integers is one triple per value, and its conjugate negates
+    im.  No matrix and no entries view is built."""
+    c, re, den = frame.cols, frame.re, frame.den
+    im = frame.im or (0,) * len(re)
+
+    def entry(r, j):
+        x, y, d = re[r * c + j], im[r * c + j], den[r]
+        g = gcd(x, y, d)
+        return x // g, y // g, d // g
+
+    cols = [(tuple(entry(r, j) for r in range(frame.rows)), tuple(types[j])) for j in range(c)]
     first = {}
     for j, key in enumerate(cols):
         first.setdefault(key, j)
-    sigma = [first.get((col.conj(), (t[1], t[0]))) for col, t in cols]
+    sigma = [first.get((tuple((x, -y, d) for x, y, d in col), (t[1], t[0]))) for col, t in cols]
     return None if None in sigma else sigma
 
 
@@ -227,10 +240,14 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
     if depths != list(range(1, len(depths) + 1)):
         failures.append(f"stratum depths {depths} are not contiguous from 1")
     pairings_ok = True
+    # stratum degrees whose frame cannot frame a map: misshaped, singular, or
+    # never checked; each failure is listed, so no map through one is framed
+    unframed = set()
     for depth, s in sorted(data.strata.items()):
         n = data.complex_dim(depth)
         if n < 0:
             failures.append(f"depth {depth}: stratum deeper than m + 1 = {m + 1}")
+            unframed.update((depth, q) for q in s.cohomology)
             continue
         # degrees whose pairing equals +-the transpose of the nondegenerate
         # pairing of the dual degree: same rank, and consistent with it
@@ -239,6 +256,7 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
             tag = f"depth {depth} degree {q}"
             if not (0 <= q <= 2 * n):
                 failures.append(f"{tag}: degree out of range for dimension {n}")
+                unframed.add((depth, q))
                 continue
             types = entry["types"]
             for (a, b) in types:
@@ -273,8 +291,10 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
             if F is not None:
                 if F.rows != entry["dim"] or F.cols != entry["dim"]:
                     failures.append(f"{tag}: frame shape mismatch")
+                    unframed.add((depth, q))
                 elif rank(F) != F.cols:
                     failures.append(f"{tag}: singular frame")
+                    unframed.add((depth, q))
                 elif _conj_permutation(F, types) is None:
                     failures.append(f"{tag}: frame conjugation does not swap types")
             else:
@@ -290,9 +310,9 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
             failures.append(f"{tag}: shape {(M.rows, M.cols)} != {want}")
             shapes_ok = False
             continue
-        failures.extend(
-            _type_shift_failures(data, framed, (depth + 1, q), (depth, q + 2), M, 1, tag)
-        )
+        if not {(depth + 1, q), (depth, q + 2)} & unframed:
+            failures.extend(
+                _type_shift_failures(data, framed, (depth + 1, q), (depth, q + 2), M, 1, tag))
     for (depth, q), M in sorted(data.restriction.items()):
         tag = f"restriction depth {depth} degree {q}"
         want = (data.stratum_dim(depth + 1, q), data.stratum_dim(depth, q))
@@ -300,9 +320,9 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
             failures.append(f"{tag}: shape {(M.rows, M.cols)} != {want}")
             shapes_ok = False
             continue
-        failures.extend(
-            _type_shift_failures(data, framed, (depth, q), (depth + 1, q), M, 0, tag)
-        )
+        if not {(depth, q), (depth + 1, q)} & unframed:
+            failures.extend(
+                _type_shift_failures(data, framed, (depth, q), (depth + 1, q), M, 0, tag))
     # the relations multiply the maps, so they need every map well shaped;
     # adjointness multiplies the pairings too
     if shapes_ok:

@@ -429,6 +429,23 @@ def pairing_edit(tmp_path, edit) -> str:
 PAIRING_SHAPE_REPORT = {"valid": False, "failures": ["depth 1 degree 2: pairing shape mismatch"]}
 
 
+def bad_frame_degeneration(bad: dict) -> dict:
+    """An invalid m = 2 degeneration whose depths 1 and 2 carry H^1s of the
+    curve types (1,0), (0,1), joined by the identity restriction.  Each H^1
+    is framed by [[1, 1], [i, -i]], except at the depths that bad maps to
+    "singular" ([[1, 1], [1, 1]]) or "misshaped" (the 3 x 3 identity)."""
+    frames = {
+        "curve": [["1", "1"], ["0+1*i", "0-1*i"]],
+        "singular": [["1", "1"], ["1", "1"]],
+        "misshaped": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    }
+    return {"m": 2, "strata": [
+        {"depth": depth, "cohomology": [{"q": 1, "dim": 2, "types": [[1, 0], [0, 1]],
+                                         "frame": frames[bad.get(depth, "curve")]}]}
+        for depth in (1, 2)
+    ], "restriction": [{"depth": 1, "q": 1, "matrix": [["1", "0"], ["0", "1"]]}]}
+
+
 class TestValidate:
     def test_valid_fixture(self, capsys):
         code, out, _ = run(capsys, "validate", fixture_path("odp_m3.json"),
@@ -480,6 +497,34 @@ class TestValidate:
         proc = run_optimized("validate", pairing_edit(tmp_path, edit), "--format", "json")
         assert (proc.returncode, proc.stderr) == (2, "")
         assert json.loads(proc.stdout) == PAIRING_SHAPE_REPORT
+
+    @pytest.mark.parametrize("optimized", [False, True], ids=["python", "python-O"])
+    @pytest.mark.parametrize("command, code", [("validate", 2), ("check", 1)])
+    @pytest.mark.parametrize("frame, failure", [
+        ("singular", "singular frame"), ("misshaped", "frame shape mismatch")],
+        ids=["singular", "misshaped"])
+    @pytest.mark.parametrize("depth", [1, 2], ids=["source", "target"])
+    def test_bad_frame_at_a_map_end_is_listed(self, tmp_path, capsys, optimized, command, code,
+                                              frame, failure, depth):
+        # the restriction joins the H^1s of depths 1 and 2; a frame at one of
+        # its ends that cannot be inverted or multiplied adds its own failure
+        # to the list, and the map's type check, which needs it, is skipped
+        def failures(bad):
+            path = tmp_path / "frames.json"
+            path.write_text(json.dumps(bad_frame_degeneration(bad)))
+            if optimized:
+                proc = run_optimized(command, str(path), "--format", "json")
+                got = proc.returncode, proc.stdout, proc.stderr
+            else:
+                got = run(capsys, command, str(path), "--format", "json")
+            assert got[0] == code and got[2] == ""
+            report = json.loads(got[1])
+            assert report["valid"] is False
+            return report["failures"]
+
+        good = failures({})
+        bad = failures({depth: frame})
+        assert sorted(bad) == sorted(good + [f"depth {depth} degree 1: {failure}"])
 
 
 class TestOrbit:

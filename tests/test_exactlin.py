@@ -1088,6 +1088,27 @@ def test_pivot_only_eliminations_find_the_reduced_pivots(M):
     assert storage(image(M).basis) == storage(M.take_columns(pivots))
 
 
+@pytest.mark.parametrize("op", [rank, image], ids=["rank", "image"])
+def test_rank_and_image_eliminate_for_pivots_only(op, monkeypatch):
+    """rank and image read only pivots, so each asks _echelon for one
+    forward elimination, never for the reduced form."""
+    modes = []
+    echelon = exactlin._echelon
+
+    def recording(M, reduced=True):
+        modes.append(reduced)
+        return echelon(M, reduced)
+
+    monkeypatch.setattr(exactlin, "_echelon", recording)
+    G = GaussianScalar
+    for M in (ExactMatrix.from_rational([[1, 2, 3], [2, 4, 7], [0, 0, 5]]),
+              ExactMatrix.from_rational([[Fraction(1, 2), 1], [1, 2], [3, -1]]),
+              ExactMatrix([[G(1), G(0, 1)], [G(0, 1), G(-1)]]),
+              ExactMatrix.zero(0, 3)):
+        op(M)
+    assert modes == [False] * 4
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(rational_matrices(), gaussian_matrices()), st.data())
 def test_operations_that_keep_their_operand_return_it(M, data):

@@ -209,6 +209,31 @@ def test_models_of_one_shape_share_their_fixed_maps():
     assert c.strata[1].pairing(4) != d.strata[1].pairing(4)
 
 
+@pytest.mark.parametrize("res", [
+    ResolutionData(3, 3, signs=(1,), rho=M([[1], [0], [-1]])),
+    ResolutionData(4, 3, vhat_signs=(1, -1)),
+], ids=["odd", "even"])
+def test_quadric_nodes_are_copies_of_quadric_cohomology(res, monkeypatch):
+    # the depth-2 stratum is l copies of the quadric (m-1)-fold: its types
+    # repeat per quadric and its pairings are block diagonal
+    geomodels._odp_skeleton.cache_clear()
+    calls = []
+    quadric = geomodels.quadric_cohomology
+    monkeypatch.setattr(geomodels, "quadric_cohomology",
+                        lambda n: calls.append(n) or quadric(n))
+    quads = odp_semistable_model(res).strata[2]
+    assert calls == [res.m - 1]
+    Q = quadric(res.m - 1)
+    assert sorted(quads.cohomology) == sorted(Q.cohomology)
+    zero = GaussianScalar(0)
+    for q in Q.cohomology:
+        assert quads.types(q) == Q.types(q) * res.l
+        P, n = Q.pairing(q), Q.dim(q)
+        assert quads.pairing(q) == ExactMatrix([
+            [P.entries[j % n][k % n] if j // n == k // n else zero for k in range(res.l * n)]
+            for j in range(res.l * n)])
+
+
 class TestOdpIndexFormula:
     def test_odd_adds_relations_at_adjacent_rows(self):
         inp = OdpInput(3, 3, R=2, table={1: (5, 0), 2: (5, 0)})
@@ -417,9 +442,8 @@ def test_library_makes_no_scalar_ring_arithmetic():
     pipeline and the Picard fixture compute on integer rows and Fraction
     parts: GaussianScalar has no ring operators, so any scalar arithmetic
     would raise TypeError."""
-    # the shared ODP maps are cached; clear them, so this test builds them
-    geomodels._odd_shared.cache_clear()
-    geomodels._even_maps.cache_clear()
+    # the shared ODP skeletons are cached; clear them, so this test builds them
+    geomodels._odp_skeleton.cache_clear()
     rng = random.Random(7)
     for polarized in (True, False):
         data, _ = random_polarized_mhs(rng, max_dim=10, max_d=4, polarized=polarized)

@@ -4,6 +4,7 @@ psi pairings, E2 signature tables and limit MHS extraction."""
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
@@ -16,7 +17,7 @@ from lmhs.exactlin import (
     quotient_reps, rank, solve,
 )
 from lmhs.filtration import weight_filtration
-from lmhs.geomodels import ResolutionData, odp_semistable_model
+from lmhs.geomodels import ResolutionData, kahler_index_formula, odp_semistable_model
 from lmhs.mhs import check_mhs, check_situation_a, check_situation_b
 from lmhs.orbit import verify_main_theorem
 from lmhs.signature import nearby_index_formula
@@ -144,6 +145,17 @@ class TestValidation:
             rep = validate_degeneration_data(build())
             assert rep.ok, rep.failures
 
+    @pytest.mark.parametrize("m", [1, 0], ids=["degree-out-of-range", "stratum-too-deep"])
+    def test_unchecked_frame_frames_no_map(self, m):
+        # a frame that validation never checks, at a degree out of range or
+        # on a stratum deeper than m + 1, is not inverted for a map through it
+        singular = M([[1, 1], [1, 1]])
+        strata = [StratumCohomology(depth, {3: {"types": [(2, 1), (1, 2)], "frame": singular}})
+                  for depth in (1, 2)]
+        data = DegenerationData(m, strata, restriction={(1, 3): ExactMatrix.identity(2)})
+        failures = validate_degeneration_data(data).failures
+        assert failures and not any(f.startswith("restriction") for f in failures)
+
     def test_degenerate_pairing_rejected(self):
         s = StratumCohomology(1, {
             0: {"types": [(0, 0)], "pairing": M([[1]])},
@@ -221,6 +233,49 @@ class TestValidation:
             data2 = DegenerationData.from_json(blob)
             assert validate_degeneration_data(data2).ok
             assert data2.to_json() == data.to_json()
+
+
+def reference_conj_permutation(frame: ExactMatrix, types: list) -> list | None:
+    """sigma by a search over the columns: sigma(j) is the first column k
+    equal to the conjugate of column j with the swapped type."""
+    cols = [(frame.column(j), tuple(types[j])) for j in range(frame.cols)]
+    sigma = []
+    for col, (a, b) in cols:
+        want = ([e.conj() for e in col], (b, a))
+        sigma.append(next((k for k, key in enumerate(cols) if key == want), None))
+    return None if None in sigma else sigma
+
+
+def random_frame(rng: random.Random) -> tuple[ExactMatrix, list]:
+    """A frame whose columns come from a few Gaussian columns and their
+    conjugates, with types (1,0), (0,1) or (1,1): some columns pair up,
+    some repeat, and some have no conjugate partner."""
+    n = rng.randint(0, 4)
+    parts = (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+    entry = lambda: GaussianScalar(rng.choice(parts), rng.choice(parts))
+    pool = [[entry() for _ in range(n)] for _ in range(3)]
+    pool += [[e.conj() for e in col] for col in pool]
+    cols = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+    types = [rng.choice(((1, 0), (0, 1), (1, 1))) for _ in cols]
+    return ExactMatrix.from_columns(cols, rows=n), types
+
+
+def test_conj_permutation_builds_no_matrix(monkeypatch):
+    """_conj_permutation matches conjugate columns on their stored integers:
+    it agrees with a search over the columns on random frames, paired or
+    not, and builds no matrix and no entries view."""
+    rng = random.Random(20261020)
+    cases = [random_frame(rng) for _ in range(400)]
+    cases += [(framed_maps_degeneration().strata[1].frame(1), [(1, 0), (0, 1)]),
+              (kodaira_degeneration().strata[2].frame(1), [(1, 0), (0, 1)] * 2)]
+    assert all(F._entries is None for F, _ in cases)
+    built = []
+    new = exactlin._new
+    monkeypatch.setattr(exactlin, "_new", lambda *args: built.append(args) or new(*args))
+    got = [steenbrink._conj_permutation(F, types) for F, types in cases]
+    assert built == [] and all(F._entries is None for F, _ in cases)
+    want = [reference_conj_permutation(F, types) for F, types in cases]
+    assert got == want and None in want and any(want)
 
 
 def e1_dim(data: DegenerationData, d: int, r: int) -> int:
@@ -878,6 +933,23 @@ def tetrahedron_degeneration() -> DegenerationData:
         StratumCohomology(3, {0: {"types": [(0, 0)] * 4, "pairing": ExactMatrix.identity(4)}}),
     ], gysin={(1, 0): invert(P2) @ T12.transpose(), (1, 2): T10.transpose(), (2, 0): T20.transpose()},
         restriction={(1, 0): T10, (1, 2): T12, (2, 0): T20})
+
+
+@pytest.mark.parametrize("build", [
+    elliptic_smooth, cycle_degeneration, triple_point_degeneration, tetrahedron_degeneration])
+def test_kahler_formula_agrees_with_the_e2_index(build):
+    """On degenerations of Kahler type the paper's index is the Kahler one:
+    kahler_index_formula on the nearby fiber's Hodge numbers, the limit
+    Hodge numbers summed over q per degree, is the signature the E2 page
+    gives at every p."""
+    rep = nearby_hodge_index(build())
+    assert rep.ok and rep.signature is not None
+    hodge = Counter()
+    for d, info in rep.per_degree.items():
+        for (p, _), dim in info["hodge"].items():
+            hodge[(p, d - p)] += dim
+    m = rep.m
+    assert {p: kahler_index_formula(hodge, m, p) for p in range(m + 1)} == rep.signature
 
 
 def negated_maps(data: DegenerationData, rng: random.Random, count: int) -> DegenerationData:
