@@ -24,6 +24,7 @@ from .exactlin import (
     exp_nilpotent,
     hermitian_diagonalize,
     i_power,
+    image,
     inverse,
     json_dict,
     json_int,
@@ -110,9 +111,13 @@ class MHSData:
 
         def steps(key, index):
             # a basis is a list of column vectors: the rows of a dim-wide matrix
-            pairs = [(json_int(step, index),
-                      Subspace.span(dim, matrix_from_json(step["basis"], cols=dim).entries))
-                     for step in obj[key]]
+            pairs = []
+            for step in obj[key]:
+                at, B = json_int(step, index), matrix_from_json(step["basis"], cols=dim)
+                if B.cols != dim:
+                    raise ValueError(f"{key} {index} {at}: basis vector of length {B.cols} "
+                                     f"in dimension {dim}")
+                pairs.append((at, image(B.transpose())))
             return json_dict(pairs, f"{key}: {index} %d appears twice")
 
         W = IncreasingFiltration(dim, steps("W", "weight"))

@@ -7,6 +7,10 @@ maps on E2 must be isomorphisms), the psi pairings on E1 terms, exact E2
 signature tables on monodromy-primitive parts, and the nearby-fiber
 Hodge-index report.  A split limit mixed Hodge structure can be extracted in
 E2 class coordinates for cross-checking against the abstract machinery.
+
+The stratum maps are enumerated in one place (_stratum_maps), a framed map's
+type shift is checked in one place (_type_break) and stratum blocks are
+placed at E1 offsets in one place (_e1_matrix).
 """
 
 from __future__ import annotations
@@ -166,15 +170,6 @@ class DegenerationData:
     def complex_dim(self, depth: int) -> int:
         return self.m - depth + 1
 
-    def restriction_matrix(self, depth: int, q: int) -> ExactMatrix:
-        """H^q(E(depth)) -> H^q(E(depth+1))."""
-        M = self.restriction.get((depth, q))
-        if M is None:
-            return ExactMatrix.zero(
-                self.stratum_dim(depth + 1, q), self.stratum_dim(depth, q)
-            )
-        return M
-
     def to_json(self) -> dict:
         return {
             "m": self.m,
@@ -303,26 +298,17 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
     # gamma raises type by (1,1), theta preserves type (checked in frame coords)
     framed = _frame_map(data)
     shapes_ok = True
-    for (depth, q), M in sorted(data.gysin.items()):
-        tag = f"gysin depth {depth} degree {q}"
-        want = (data.stratum_dim(depth, q + 2), data.stratum_dim(depth + 1, q))
+    for kind, (depth, q), src, tgt, shift, M in _stratum_maps(data):
+        tag = f"{kind} depth {depth} degree {q}"
+        want = (data.stratum_dim(*tgt), data.stratum_dim(*src))
         if (M.rows, M.cols) != want:
             failures.append(f"{tag}: shape {(M.rows, M.cols)} != {want}")
             shapes_ok = False
-            continue
-        if not {(depth + 1, q), (depth, q + 2)} & unframed:
-            failures.extend(
-                _type_shift_failures(data, framed, (depth + 1, q), (depth, q + 2), M, 1, tag))
-    for (depth, q), M in sorted(data.restriction.items()):
-        tag = f"restriction depth {depth} degree {q}"
-        want = (data.stratum_dim(depth + 1, q), data.stratum_dim(depth, q))
-        if (M.rows, M.cols) != want:
-            failures.append(f"{tag}: shape {(M.rows, M.cols)} != {want}")
-            shapes_ok = False
-            continue
-        if not {(depth, q), (depth + 1, q)} & unframed:
-            failures.extend(
-                _type_shift_failures(data, framed, (depth, q), (depth + 1, q), M, 0, tag))
+        elif M.rows and M.cols and not {src, tgt} & unframed:
+            bad = _type_break(data, src, tgt, shift, framed(M, src, tgt))
+            if bad is not None:
+                (i, j), (a, b) = bad
+                failures.append(f"{tag}: entry ({i},{j}) shifts type by ({a},{b})")
     # the relations multiply the maps, so they need every map well shaped;
     # adjointness multiplies the pairings too
     if shapes_ok:
@@ -332,19 +318,29 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
     return Report(failures)
 
 
-def _type_shift_failures(data, framed, src, tgt, M, shift, tag):
-    s = data.strata.get(src[0])
-    t = data.strata.get(tgt[0])
-    if s is None or t is None or M.rows == 0 or M.cols == 0:
-        return []
-    T = framed(M, src, tgt)
-    st = s.types(src[1])
-    tt = t.types(tgt[1])
+def _stratum_maps(data: DegenerationData):
+    """Each stratum map as (kind, key, source, target, shift, matrix): the
+    Gysin maps, then the restrictions, each kind in key order.
+    gysin[(l, q)] runs from H^q(E(l+1)) to H^{q+2}(E(l)) and shifts type by
+    (1, 1); restriction[(l, q)] runs from H^q(E(l)) to H^q(E(l+1)) and
+    keeps type.  Source and target are (depth, q).  Validation's map loop,
+    _SectorMaps and d1_matrix read the keying only through it."""
+    for (l, q), M in sorted(data.gysin.items()):
+        yield "gysin", (l, q), (l + 1, q), (l, q + 2), 1, M
+    for (l, q), M in sorted(data.restriction.items()):
+        yield "restriction", (l, q), (l, q), (l + 1, q), 0, M
+
+
+def _type_break(data: DegenerationData, src: tuple, tgt: tuple, shift: int, T: ExactMatrix):
+    """The first nonzero entry (i, j) of the framed map T from src to tgt
+    whose target type differs from its source type by something other than
+    (shift, shift), with that difference; None if every entry keeps it."""
+    st, tt = (data.strata[l].types(q) if l in data.strata else [] for l, q in (src, tgt))
     for i, j in T.nonzero():
         a, b = tt[i][0] - st[j][0], tt[i][1] - st[j][1]
         if (a, b) != (shift, shift):
-            return [f"{tag}: entry ({i},{j}) shifts type by ({a},{b})"]
-    return []
+            return (i, j), (a, b)
+    return None
 
 
 def _adjointness_failures(data: DegenerationData) -> list[str]:
@@ -361,7 +357,7 @@ def _adjointness_failures(data: DegenerationData) -> list[str]:
         P2 = s2.pairing(q)
         if P is None or P2 is None:
             continue
-        T = data.restriction_matrix(depth, qd)
+        T = data.restriction.get((depth, qd)) or ExactMatrix.zero(s2.dim(qd), s.dim(qd))
         lhs = G.transpose() @ P
         rhs = P2 @ T
         if lhs != rhs and lhs != -rhs:
@@ -440,21 +436,22 @@ def e1_summands(data: DegenerationData, d: int, r: int) -> list[Summand]:
     return out
 
 
-def _offsets(summands: list[Summand]) -> list[int]:
-    offs = [0]
-    for s in summands:
-        offs.append(offs[-1] + s.dim)
-    return offs
-
-
-def _d1_blocks(data: DegenerationData) -> tuple[dict, dict]:
-    """The stratum maps as d1 blocks, keyed by source (depth, q):
-    theta[(l, q)] is the restriction H^q(E(l)) -> H^q(E(l+1)) and
-    gamma[(l, q)] the negated Gysin map H^q(E(l)) -> H^{q+2}(E(l-1)), since
-    d1 = -gamma + theta.  The Gysin maps are negated here, once per input;
-    a missing map is zero and has no block."""
-    gamma = {(l + 1, q): -M for (l, q), M in data.gysin.items()}
-    return data.restriction, gamma
+def _e1_matrix(rows: list[Summand], cols: list[Summand], block) -> ExactMatrix:
+    """The matrix from the E1 term with summands cols to the one with
+    summands rows that is zero but for its stratum blocks: block(a, b) is
+    the block from summand b to summand a, or None where there is none.
+    Each summand's rows (or columns) follow those of the summands before
+    it."""
+    placed, top = [], 0
+    for a in rows:
+        left = 0
+        for b in cols:
+            B = block(a, b)
+            if B is not None:
+                placed.append((range(top, top + a.dim), left, B))
+            left += b.dim
+        top += a.dim
+    return ExactMatrix.assemble(top, sum(b.dim for b in cols), placed)
 
 
 def d1_matrix(data: DegenerationData, d: int, r: int) -> ExactMatrix:
@@ -462,34 +459,17 @@ def d1_matrix(data: DegenerationData, d: int, r: int) -> ExactMatrix:
     E1^{-r+1, (d+1)+(r-1)} (degree d+1).  Components whose target summand
     falls outside the truncated range are dropped.
     """
-    theta, gamma = _d1_blocks(data)
-    src = e1_summands(data, d, r)
-    tgt = e1_summands(data, d + 1, r - 1)
-    so = _offsets(src)
-    to = _offsets(tgt)
-    tgt_index = {(s.depth, s.q): i for i, s in enumerate(tgt)}
-    # theta and gamma send one source summand to two different target
-    # summands, so the blocks never overlap
-    placed = [
-        (range(to[ti], to[ti + 1]), so[si], block)
-        for si, s in enumerate(src)
-        for block, ti in (
-            # theta: E(depth) -> E(depth+1), same degree, k -> k+1
-            (theta.get((s.depth, s.q)), tgt_index.get((s.depth + 1, s.q))),
-            # gamma: E(depth) -> E(depth-1), degree +2, k -> k
-            (gamma.get((s.depth, s.q)), tgt_index.get((s.depth - 1, s.q + 2))),
-        )
-        if block is not None and ti is not None
-    ]
-    return ExactMatrix.assemble(to[-1], so[-1], placed)
+    # gamma: E(depth) -> E(depth-1), degree +2, k -> k; theta: E(depth) ->
+    # E(depth+1), same degree, k -> k+1; a missing map is zero
+    maps = {(src, tgt): -M if kind == "gysin" else M
+            for kind, _, src, tgt, _, M in _stratum_maps(data)}
+    return _e1_matrix(e1_summands(data, d + 1, r - 1), e1_summands(data, d, r),
+                      lambda a, b: maps.get(((b.depth, b.q), (a.depth, a.q))))
 
 
 def _term_frame(data: DegenerationData, summands: list[Summand]) -> ExactMatrix:
-    so = _offsets(summands)
-    return ExactMatrix.assemble(so[-1], so[-1], [
-        (range(off, off + s.dim), off, data.strata[s.depth].frame(s.q))
-        for s, off in zip(summands, so)
-    ])
+    return _e1_matrix(summands, summands,
+                      lambda a, b: data.strata[a.depth].frame(a.q) if a is b else None)
 
 
 def _column_keys(summands: list[Summand]) -> list[tuple[int, int, int]]:
@@ -566,37 +546,36 @@ _NO_TERM = E2Term(DegenerationData(0, ()), [])
 
 class _SectorMaps:
     """The d1 blocks between equal limit-type sectors of one input, for one
-    pipeline call.  Each framed stratum map (see _framed_data), with the
+    pipeline call.  Each stratum map, framed (see _frame_map), with the
     Gysin maps negated as d1 = -gamma + theta, is cut once into its type
     blocks: the block of source type (p', q') holds the columns of that type
     and the target rows of type (p'+s, q'+s), s = 1 for a Gysin map and 0
     for a restriction.  d1 is a morphism of Hodge structures, so a map with
-    a nonzero entry outside those blocks breaks the sectors.  A term frame
-    is block-diagonal with the stratum frames as blocks, so these are the
-    blocks of F_out^{-1} d1 F.  A term without an E1 summand, such as
-    any column past the deepest stratum, |r| >= max depth, is the shared
-    empty one, and no E2Term is built for it."""
+    a nonzero entry outside those blocks (see _type_break) breaks the
+    sectors.  A term frame is block-diagonal with the stratum frames as
+    blocks, so these are the blocks of F_out^{-1} d1 F.  A term without an
+    E1 summand, such as any column past the deepest stratum, |r| >= max
+    depth, is the shared empty one, and no E2Term is built for it."""
 
     def __init__(self, data: DegenerationData):
         self.data = data
         self.terms: dict[tuple[int, int], E2Term] = {}  # (d, r) -> term, made once
         self.cut: dict[tuple, list] = {}  # source (depth, q) -> [(target, {type: block})]
         self.broken: set[tuple] = set()  # (source, target) of the maps that break sectors
-        theta, gamma = _d1_blocks(_framed_data(data))
-        for maps, (dl, dq), s in ((theta, (1, 0), 0), (gamma, (-1, 2), 1)):
-            for src, M in maps.items():
-                tgt = (src[0] + dl, src[1] + dq)
-                st, tt = (data.strata[l].types(q) if l in data.strata else []
-                          for l, q in (src, tgt))
-                if any(tt[i] != (st[j][0] + s, st[j][1] + s) for i, j in M.nonzero()):
-                    self.broken.add((src, tgt))
-                    continue
-                blocks = {}
-                for t in dict.fromkeys(st):
-                    cols = [j for j, u in enumerate(st) if u == t]
-                    rows = [i for i, u in enumerate(tt) if u == (t[0] + s, t[1] + s)]
-                    blocks[t] = M.take_rows(rows).take_columns(cols)  # M when whole
-                self.cut.setdefault(src, []).append((tgt, blocks))
+        framed = _frame_map(data)
+        for kind, _, src, tgt, s, M in _stratum_maps(data):
+            M = framed(M, src, tgt)
+            if _type_break(data, src, tgt, s, M) is not None:
+                self.broken.add((src, tgt))
+                continue
+            M = -M if kind == "gysin" else M
+            st, tt = (data.strata[l].types(q) if l in data.strata else [] for l, q in (src, tgt))
+            blocks = {}
+            for t in dict.fromkeys(st):
+                cols = [j for j, u in enumerate(st) if u == t]
+                rows = [i for i, u in enumerate(tt) if u == (t[0] + s, t[1] + s)]
+                blocks[t] = M.take_rows(rows).take_columns(cols)  # M when whole
+            self.cut.setdefault(src, []).append((tgt, blocks))
 
     def term(self, d: int, r: int) -> E2Term:
         """The term at degree d, column -r, whose sectors its page fills in;
@@ -625,22 +604,6 @@ class _SectorMaps:
                     placed.append((range(at[tkey][0], at[tkey][0] + B.rows), k, B))
         return ExactMatrix.assemble(
             len(tgt.sector_cols.get(sec, ())), len(src.sector_cols[sec]), placed)
-
-
-def _framed_data(data: DegenerationData) -> DegenerationData:
-    """The same strata with every Gysin and restriction map in frame
-    coordinates.  When no map has a framed end, framing changes nothing and
-    the result is data itself."""
-    framed = _frame_map(data)
-    gysin = {(l, q): framed(M, (l + 1, q), (l, q + 2)) for (l, q), M in data.gysin.items()}
-    restriction = {
-        (l, q): framed(M, (l, q), (l + 1, q)) for (l, q), M in data.restriction.items()
-    }
-    if all(gysin[key] is M for key, M in data.gysin.items()) and all(
-        restriction[key] is M for key, M in data.restriction.items()
-    ):
-        return data
-    return DegenerationData(data.m, data.strata.values(), gysin, restriction)
 
 
 def _hodge_numbers(terms) -> dict[tuple[int, int], int]:
@@ -773,22 +736,17 @@ def psi_form(data: DegenerationData, d: int) -> dict[int, ExactMatrix]:
     m = data.m
     out = {}
     for r in range(-d, d + 1):
-        src = e1_summands(data, d, r)
-        tgt = e1_summands(data, 2 * m - d, -r)
-        so = _offsets(src)
-        to = _offsets(tgt)
-        tgt_index = {(s.depth, s.q): i for i, s in enumerate(tgt)}
         sign = epsilon_sign(r + d - 2 * m)
-        placed = []
-        for si, s in enumerate(src):
-            ti = tgt_index.get((s.depth, 2 * data.complex_dim(s.depth) - s.q))
-            if ti is None:
-                continue
-            P = data.strata[s.depth].pairing(s.q)
+
+        def block(a, b):
+            if (b.depth, b.q) != (a.depth, 2 * data.complex_dim(a.depth) - a.q):
+                return None
+            P = data.strata[a.depth].pairing(a.q)
             if P is None:
-                raise ContractError(f"psi needs the pairing of depth {s.depth} degree {s.q}")
-            placed.append((range(so[si], so[si + 1]), to[ti], P if sign > 0 else -P))
-        out[r] = ExactMatrix.assemble(so[-1], to[-1], placed)
+                raise ContractError(f"psi needs the pairing of depth {a.depth} degree {a.q}")
+            return P if sign > 0 else -P
+
+        out[r] = _e1_matrix(e1_summands(data, d, r), e1_summands(data, 2 * m - d, -r), block)
     return out
 
 
@@ -798,24 +756,26 @@ def _hermitian_gram(data: DegenerationData, summands: list[Summand], r: int) -> 
     i^(P-Q): block k carries (-1)^m epsilon(r-m) (-1)^(r+k) F^T P conj(F).
     """
     m = data.m
-    so = _offsets(summands)
-    placed = []
-    for s, off in zip(summands, so):
+
+    def block(s, other):
+        if s is not other:
+            return None
         if s.q != data.complex_dim(s.depth):
             raise ContractError("hermitian gram needs middle degree")
         entry = data.strata[s.depth].cohomology[s.q]
         if entry["pairing"] is None:
             raise ContractError(
                 f"hermitian gram needs the pairing of depth {s.depth} degree {s.q}")
-        block = entry["pairing"]
+        G = entry["pairing"]
         F = entry["frame"]
         if F is not None:  # a degree without a frame has the identity frame
-            block = F.transpose() @ block @ F.conj()
+            G = F.transpose() @ G @ F.conj()
         sign = epsilon_sign(r - m)
         if (m + r + s.k) % 2:
             sign = -sign
-        placed.append((range(off, off + s.dim), off, block if sign > 0 else -block))
-    return ExactMatrix.assemble(so[-1], so[-1], placed)
+        return G if sign > 0 else -G
+
+    return _e1_matrix(summands, summands, block)
 
 
 def _primitive_sector_basis(page: E2Page, r: int, sec: tuple[int, int]) -> ExactMatrix:

@@ -589,6 +589,48 @@ class TestOrbit:
         }
 
 
+class TestMhsReader:
+    """The MHS reader takes each basis as the image of its transposed JSON
+    matrix, so `lmhs orbit` builds no entries view of any matrix, and a
+    basis vector whose length is not dim is an input error."""
+
+    @pytest.mark.parametrize("name", ["elliptic.json", "kodaira_mhs.json", "tate3.json"])
+    def test_orbit_builds_no_entries_view(self, capsys, monkeypatch, name):
+        viewed = []
+        entries = ExactMatrix.entries
+
+        def viewing(M):
+            if M._entries is None:
+                viewed.append((M.rows, M.cols))
+            return entries.fget(M)
+
+        monkeypatch.setattr(ExactMatrix, "entries", property(viewing))
+        code, out, _ = run(capsys, "orbit", fixture_path(name), "--format", "json")
+        assert code in (0, 2) and json.loads(out)
+        assert viewed == []
+
+    # (edit of elliptic.json, whose dim is 2, the message)
+    EDITS = {
+        "short": (lambda b: b["F"][1].update(basis=[["1/1"]]),
+                  "F level 1: basis vector of length 1 in dimension 2"),
+        "long": (lambda b: [v.append("0") for v in b["W"][0]["basis"]],
+                 "W weight 1: basis vector of length 3 in dimension 2"),
+        "ragged": (lambda b: b["F"][0]["basis"][0].pop(), "ragged matrix"),
+    }
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_basis_vector_of_wrong_length_is_an_input_error(self, tmp_path, capsys, edit):
+        change, message = self.EDITS[edit]
+        blob = json.load(open(fixture_path("elliptic.json")))
+        change(blob)
+        path = tmp_path / "bad_basis.json"
+        path.write_text(json.dumps(blob))
+        want = (1, "", f"invalid input: {message}\n")
+        assert run(capsys, "orbit", str(path)) == want
+        proc = run_optimized("orbit", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
 def _real_line(blob):
     for step in blob["F"]:
         if step["level"] == 1:

@@ -56,16 +56,19 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["Fraction", "Seq"]
 
 
+def bound_names(node: ast.stmt) -> list[str]:
+    """Names a module-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def module_definitions(source: str) -> list[str]:
     """Names bound at module level by def, class or assignment."""
-    names = []
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return names
+    return [name for node in ast.parse(source).body for name in bound_names(node)]
 
 
 @functools.cache
@@ -137,6 +140,52 @@ def test_unread_definition_is_found(tmp_path):
     # elsewhere a loaded name is a read only when imported from the module
     other = "from .m import C as D\nfrom .n import f\nD(), f(), ONE, f'ONE{1}'\n"
     assert reads(other, "m")[0] == {"C"}
+
+
+def orphaned_helpers(sources: dict[str, str]) -> list[str]:
+    """module.name of each module-level def, class or assignment whose name
+    starts with one underscore and that no code in sources references
+    outside the statements that bind it.  A reference is a loaded name, in
+    the defining module or in one that imports it from there, or an
+    attribute of that name anywhere; sources maps module names to text."""
+    binders = {}  # (module, name) -> the statements that bind it
+    for module, source in sources.items():
+        for node in parse(source).body:
+            for name in bound_names(node):
+                if name.startswith("_") and not name.startswith("__"):
+                    binders.setdefault((module, name), []).append(node)
+    referenced = set()
+    for module, source in sources.items():
+        tree = parse(source)
+        imported = {a.asname or a.name: (node.module.split(".")[-1], a.name)
+                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module
+                    for a in node.names}
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    keys = [imported.get(node.id, (module, node.id))]
+                elif isinstance(node, ast.Attribute):
+                    keys = [(other, node.attr) for other in sources]
+                else:
+                    continue
+                referenced.update(key for key in keys if top not in binders.get(key, ()))
+    return [f"{module}.{name}" for module, name in binders if (module, name) not in referenced]
+
+
+def test_no_private_helper_is_orphaned():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert orphaned_helpers(sources) == []
+
+
+def test_orphaned_helper_is_found():
+    sources = {
+        "m": "def _a(n):\n    return _a(n - 1)\n"
+             "def _b():\n    pass\n"
+             "def f():\n    return _b()\n"
+             "_C = 1\n_D = 2\n_E: int = 3\n",
+        "n": "from .m import _C\nfrom . import m\nx = _C + m._E\n_b = 4\n",
+    }
+    assert orphaned_helpers(sources) == ["m._a", "m._D", "n._b"]
 
 
 def test_every_tracer_target_resolves(monkeypatch):
