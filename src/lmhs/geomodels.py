@@ -1,7 +1,7 @@
 """Builders and closed-form evaluators for families of geometric examples:
-semistable models of ordinary-double-point smoothings, blowup map assembly,
-the Kahler-type index formula, Lefschetz/fiber-product Betti counts, and the
-index tables of some non-Kahler Calabi-Yau constructions.
+semistable models of ordinary-double-point smoothings, the Kahler-type index
+formula, Lefschetz/fiber-product Betti counts, and the index tables of some
+non-Kahler Calabi-Yau constructions.
 """
 
 from __future__ import annotations
@@ -53,25 +53,6 @@ def quadric_cohomology(n: int, depth: int = 1) -> StratumCohomology:
             "pairing": ExactMatrix.from_rational([[diag, off], [off, diag]]),
         }
     return StratumCohomology(depth, cohomology)
-
-
-# ---------------------------------------------------------------------------
-# blowup map assembly
-# ---------------------------------------------------------------------------
-
-def blowup_restriction(i1_star: ExactMatrix, i2_gysin: ExactMatrix) -> ExactMatrix:
-    """Restriction on blowup cohomology H^k(X) + H^{k-2}(B): the block
-    assembly [i1* | i2!]."""
-    _require(i1_star.rows == i2_gysin.rows, "shape mismatch")
-    return i1_star.hstack(i2_gysin)
-
-
-def blowup_gysin(i1_gysin: ExactMatrix, i2_star: ExactMatrix) -> ExactMatrix:
-    """Gysin map into blowup cohomology: the stacked block [i1! ; -i2*].
-    The negative sign on the second block comes from the excess normal
-    direction."""
-    _require(i1_gysin.cols == i2_star.cols, "shape mismatch")
-    return i1_gysin.vstack(-i2_star)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +398,6 @@ def fiber_product_readings(inp: LefschetzInput) -> dict:
         "symmetric": common + d2 * _get(b1, m1 - 2),
         "printed": common + d2 * _get(b1, m1 - 1),
     }
-
-
-def fiber_product_middle_betti(inp: LefschetzInput):
-    return fiber_product_readings(inp)["symmetric"]
 
 
 def _derived_betti(inp: LefschetzInput, i: int):

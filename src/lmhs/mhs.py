@@ -452,7 +452,6 @@ def random_polarized_mhs(
     # complex slots occupy pairs (f_r, g_r) with u_r = f_r + i g_r
     offset = 0
     weight_of: list[int] = []
-    ftags: list[tuple[int, int]] = []  # (level contribution info) via vectors below
     fvec_entries: list[tuple[int, list[tuple[int, GaussianScalar]]]] = []
     for (p, q, lam) in slots:
         l = p + q - d

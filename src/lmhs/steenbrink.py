@@ -9,8 +9,9 @@ Hodge-index report.  A split limit mixed Hodge structure can be extracted in
 E2 class coordinates for cross-checking against the abstract machinery.
 
 The stratum maps are enumerated in one place (_stratum_maps), a framed map's
-type shift is checked in one place (_type_break) and stratum blocks are
-placed at E1 offsets in one place (_e1_matrix).
+type shift is checked in one place (_type_break), stratum blocks are placed
+at E1 offsets in one place (_e1_matrix) and d1, raw or framed, is placed from
+its table of signed stratum maps in one place (_d1).
 """
 
 from __future__ import annotations
@@ -298,14 +299,14 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
     # gamma raises type by (1,1), theta preserves type (checked in frame coords)
     framed = _frame_map(data)
     shapes_ok = True
-    for kind, (depth, q), src, tgt, shift, M in _stratum_maps(data):
+    for kind, (depth, q), src, tgt, M in _stratum_maps(data):
         tag = f"{kind} depth {depth} degree {q}"
         want = (data.stratum_dim(*tgt), data.stratum_dim(*src))
         if (M.rows, M.cols) != want:
             failures.append(f"{tag}: shape {(M.rows, M.cols)} != {want}")
             shapes_ok = False
         elif M.rows and M.cols and not {src, tgt} & unframed:
-            bad = _type_break(data, src, tgt, shift, framed(M, src, tgt))
+            bad = _type_break(data, src, tgt, framed(M, src, tgt))
             if bad is not None:
                 (i, j), (a, b) = bad
                 failures.append(f"{tag}: entry ({i},{j}) shifts type by ({a},{b})")
@@ -319,22 +320,24 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
 
 
 def _stratum_maps(data: DegenerationData):
-    """Each stratum map as (kind, key, source, target, shift, matrix): the
-    Gysin maps, then the restrictions, each kind in key order.
-    gysin[(l, q)] runs from H^q(E(l+1)) to H^{q+2}(E(l)) and shifts type by
-    (1, 1); restriction[(l, q)] runs from H^q(E(l)) to H^q(E(l+1)) and
-    keeps type.  Source and target are (depth, q).  Validation's map loop,
-    _SectorMaps and d1_matrix read the keying only through it."""
+    """Each stratum map as (kind, key, source, target, matrix): the Gysin
+    maps, then the restrictions, each kind in key order.  gysin[(l, q)] runs
+    from H^q(E(l+1)) to H^{q+2}(E(l)); restriction[(l, q)] runs from
+    H^q(E(l)) to H^q(E(l+1)).  Source and target are (depth, q).
+    Validation's map loop and _d1_maps read the keying only through it."""
     for (l, q), M in sorted(data.gysin.items()):
-        yield "gysin", (l, q), (l + 1, q), (l, q + 2), 1, M
+        yield "gysin", (l, q), (l + 1, q), (l, q + 2), M
     for (l, q), M in sorted(data.restriction.items()):
-        yield "restriction", (l, q), (l, q), (l + 1, q), 0, M
+        yield "restriction", (l, q), (l, q), (l + 1, q), M
 
 
-def _type_break(data: DegenerationData, src: tuple, tgt: tuple, shift: int, T: ExactMatrix):
+def _type_break(data: DegenerationData, src: tuple, tgt: tuple, T: ExactMatrix):
     """The first nonzero entry (i, j) of the framed map T from src to tgt
     whose target type differs from its source type by something other than
-    (shift, shift), with that difference; None if every entry keeps it."""
+    (s, s), with that difference; None if every entry keeps it.  A stratum
+    map of degree 2s has type (s, s): s = 1 for a Gysin map, 0 for a
+    restriction."""
+    shift = (tgt[1] - src[1]) // 2
     st, tt = (data.strata[l].types(q) if l in data.strata else [] for l, q in (src, tgt))
     for i, j in T.nonzero():
         a, b = tt[i][0] - st[j][0], tt[i][1] - st[j][1]
@@ -454,17 +457,31 @@ def _e1_matrix(rows: list[Summand], cols: list[Summand], block) -> ExactMatrix:
     return ExactMatrix.assemble(top, sum(b.dim for b in cols), placed)
 
 
+def _d1_maps(data: DegenerationData, framed=None) -> dict:
+    """The stratum maps as d1 = -gamma + theta reads them, keyed by (source,
+    target): each Gysin map negated and, if framed is given (see
+    _frame_map), framed."""
+    out = {}
+    for kind, _, src, tgt, M in _stratum_maps(data):
+        if framed is not None:
+            M = framed(M, src, tgt)
+        out[src, tgt] = -M if kind == "gysin" else M
+    return out
+
+
+def _d1(maps: dict, src: list[Summand], tgt: list[Summand]) -> ExactMatrix:
+    """d1 from the E1 term with summands src, E1^{-r, d+r}, to the one with
+    summands tgt, E1^{-r+1, d+r}, placed from a table of _d1_maps.  gamma:
+    E(depth) -> E(depth-1), degree +2, k -> k; theta: E(depth) ->
+    E(depth+1), same degree, k -> k+1; a missing map is zero, and components
+    whose target summand falls outside the truncated range are dropped."""
+    return _e1_matrix(tgt, src, lambda a, b: maps.get(((b.depth, b.q), (a.depth, a.q))))
+
+
 def d1_matrix(data: DegenerationData, d: int, r: int) -> ExactMatrix:
     """Block matrix of d1 = -gamma + theta from E1^{-r, d+r} (degree d) to
-    E1^{-r+1, (d+1)+(r-1)} (degree d+1).  Components whose target summand
-    falls outside the truncated range are dropped.
-    """
-    # gamma: E(depth) -> E(depth-1), degree +2, k -> k; theta: E(depth) ->
-    # E(depth+1), same degree, k -> k+1; a missing map is zero
-    maps = {(src, tgt): -M if kind == "gysin" else M
-            for kind, _, src, tgt, _, M in _stratum_maps(data)}
-    return _e1_matrix(e1_summands(data, d + 1, r - 1), e1_summands(data, d, r),
-                      lambda a, b: maps.get(((b.depth, b.q), (a.depth, a.q))))
+    E1^{-r+1, (d+1)+(r-1)} (degree d+1)."""
+    return _d1(_d1_maps(data), e1_summands(data, d, r), e1_summands(data, d + 1, r - 1))
 
 
 def _term_frame(data: DegenerationData, summands: list[Summand]) -> ExactMatrix:
@@ -507,28 +524,22 @@ class E2Term:
     (p'+twist, q'+twist), each in its own coordinates.  d1 is a morphism of
     Hodge structures, so each sector is its own quotient ker d1 / im d1,
     taken in the sector's columns: sector_cols[sec] lists those columns of
-    the E1 term (frame coordinates), and starts[sec][(depth, q)] = (offset,
-    (p', q')) says where the columns of the summand H^q(E(depth)) begin in
-    them and which stratum type they have.  sector_reps[sec] and
-    sector_B[sec], in sorted sector order, are the representatives and the
-    boundary space in the sector's coordinates; E2Page fills them in.
+    the E1 term (frame coordinates), in order.  The block of sector sec in
+    any matrix from one term to another is that matrix's rows
+    tgt.sector_cols[sec] and columns src.sector_cols[sec].  sector_reps[sec]
+    and sector_B[sec], in sorted sector order, are the representatives and
+    the boundary space in the sector's coordinates; E2Page fills them in.
     Nothing is lifted to the whole term here; extract_limit_mhs does that,
     once, where whole-term vectors are read."""
 
-    __slots__ = ("summands", "sector_cols", "starts", "sector_reps", "sector_B")
+    __slots__ = ("summands", "sector_cols", "sector_reps", "sector_B")
 
     def __init__(self, data: DegenerationData, summands: list[Summand]):
         self.summands = summands
-        self.sector_cols, self.starts = {}, {}
-        self.sector_reps, self.sector_B = {}, {}
-        off = 0
-        for s in self.summands:
-            for j, t in enumerate(data.strata[s.depth].types(s.q)):
-                sec = (t[0] + s.twist, t[1] + s.twist)
-                cols = self.sector_cols.setdefault(sec, [])
-                self.starts.setdefault(sec, {}).setdefault((s.depth, s.q), (len(cols), t))
-                cols.append(off + j)
-            off += s.dim
+        self.sector_cols, self.sector_reps, self.sector_B = {}, {}, {}
+        types = ((s.twist, t) for s in summands for t in data.strata[s.depth].types(s.q))
+        for c, (w, (a, b)) in enumerate(types):
+            self.sector_cols.setdefault((a + w, b + w), []).append(c)
 
     @property
     def sector_dims(self) -> dict[tuple[int, int], int]:
@@ -545,37 +556,22 @@ _NO_TERM = E2Term(DegenerationData(0, ()), [])
 
 
 class _SectorMaps:
-    """The d1 blocks between equal limit-type sectors of one input, for one
-    pipeline call.  Each stratum map, framed (see _frame_map), with the
-    Gysin maps negated as d1 = -gamma + theta, is cut once into its type
-    blocks: the block of source type (p', q') holds the columns of that type
-    and the target rows of type (p'+s, q'+s), s = 1 for a Gysin map and 0
-    for a restriction.  d1 is a morphism of Hodge structures, so a map with
-    a nonzero entry outside those blocks (see _type_break) breaks the
-    sectors.  A term frame is block-diagonal with the stratum frames as
-    blocks, so these are the blocks of F_out^{-1} d1 F.  A term without an
-    E1 summand, such as any column past the deepest stratum, |r| >= max
-    depth, is the shared empty one, and no E2Term is built for it."""
+    """The framed d1 maps of one input, for one pipeline call.  The stratum
+    maps are enumerated and framed once (see _frame_map) into one table of
+    _d1_maps.  A term frame is block-diagonal with the stratum frames as
+    blocks, so d1 placed from that table is F_out^{-1} d1 F.  d1 is a
+    morphism of Hodge structures, so a framed map with an entry that breaks
+    its type shift (see _type_break) breaks the sectors; broken holds those
+    maps.  A term without an E1 summand, such as any column past the
+    deepest stratum, |r| >= max depth, is the shared empty one, and no
+    E2Term is built for it."""
 
     def __init__(self, data: DegenerationData):
         self.data = data
         self.terms: dict[tuple[int, int], E2Term] = {}  # (d, r) -> term, made once
-        self.cut: dict[tuple, list] = {}  # source (depth, q) -> [(target, {type: block})]
-        self.broken: set[tuple] = set()  # (source, target) of the maps that break sectors
-        framed = _frame_map(data)
-        for kind, _, src, tgt, s, M in _stratum_maps(data):
-            M = framed(M, src, tgt)
-            if _type_break(data, src, tgt, s, M) is not None:
-                self.broken.add((src, tgt))
-                continue
-            M = -M if kind == "gysin" else M
-            st, tt = (data.strata[l].types(q) if l in data.strata else [] for l, q in (src, tgt))
-            blocks = {}
-            for t in dict.fromkeys(st):
-                cols = [j for j, u in enumerate(st) if u == t]
-                rows = [i for i, u in enumerate(tt) if u == (t[0] + s, t[1] + s)]
-                blocks[t] = M.take_rows(rows).take_columns(cols)  # M when whole
-            self.cut.setdefault(src, []).append((tgt, blocks))
+        self.maps = _d1_maps(data, _frame_map(data))  # (source, target) -> framed map
+        self.broken = {key for key, M in self.maps.items()
+                       if _type_break(data, *key, M) is not None}
 
     def term(self, d: int, r: int) -> E2Term:
         """The term at degree d, column -r, whose sectors its page fills in;
@@ -585,25 +581,14 @@ class _SectorMaps:
             self.terms[d, r] = E2Term(self.data, summands) if summands else _NO_TERM
         return self.terms[d, r]
 
-    def check(self, src: E2Term, tgt: E2Term, d: int, r: int):
-        """d1 from the term src to the term tgt must read no map that breaks
-        the sectors; the reading term, at degree d, column -r, names one."""
+    def d1(self, src: E2Term, tgt: E2Term, d: int, r: int) -> ExactMatrix:
+        """The framed d1 from the term src to the next term tgt.  It must
+        read no map that breaks the sectors; the reading term, at degree d,
+        column -r, names one."""
         if any(((a.depth, a.q), (b.depth, b.q)) in self.broken
                for a in src.summands for b in tgt.summands):
             raise ContractError(f"d1 violates type sectors at degree {d}, column {-r}")
-
-    def block(self, src: E2Term, tgt: E2Term, sec: tuple[int, int]) -> ExactMatrix:
-        """d1 from sector sec of the term src to sector sec of the term tgt,
-        in the coordinates of both sectors; the caller has checked them."""
-        at = tgt.starts.get(sec, {})
-        placed = []
-        for key, (k, t) in src.starts[sec].items():
-            for tkey, blocks in self.cut.get(key, ()):
-                if tkey in at:
-                    B = blocks[t]
-                    placed.append((range(at[tkey][0], at[tkey][0] + B.rows), k, B))
-        return ExactMatrix.assemble(
-            len(tgt.sector_cols.get(sec, ())), len(src.sector_cols[sec]), placed)
+        return _d1(self.maps, src.summands, tgt.summands)
 
 
 def _hodge_numbers(terms) -> dict[tuple[int, int], int]:
@@ -617,18 +602,26 @@ def _hodge_numbers(terms) -> dict[tuple[int, int], int]:
     return out
 
 
+def _sector_block(M: ExactMatrix, src: E2Term, tgt: E2Term, sec: tuple[int, int]) -> ExactMatrix:
+    """The block of sector sec in the matrix M from the term src to the term
+    tgt: M itself when both terms are that one sector."""
+    return M.take_rows(tgt.sector_cols.get(sec, [])).take_columns(src.sector_cols[sec])
+
+
 class E2Page:
     """The E2 terms of degree d, each the sum of its type sectors in frame
-    coordinates.  One kernel_modulo of each sector's outgoing d1 block gives
-    its representatives and, as boundaries[r - 1][sec], the boundary space
-    of that sector on the next page.  carried is (maps, boundaries): the
-    _SectorMaps of the call and the boundaries of page d - 1, which a caller
-    that builds consecutive pages passes on.  Without it the page cuts its
-    own maps and takes the image of each incoming block.  Any degree 0..2m
-    can be built this way; nearby_hodge_index builds d <= m and reads the
-    rest from Poincaré duality.  terms has every column -d..d; those
-    without an E1 summand share one empty term and do no work, and a sector
-    block with no target rows costs no elimination."""
+    coordinates.  One framed d1 is placed per term and its next term, and
+    each sector's block is cut from it (see E2Term).  One kernel_modulo of
+    each sector's outgoing block gives its representatives and, as
+    boundaries[r - 1][sec], the boundary space of that sector on the next
+    page.  carried is (maps, boundaries): the _SectorMaps of the call and
+    the boundaries of page d - 1, which a caller that builds consecutive
+    pages passes on.  Without it the page frames its own maps and takes the
+    image of each incoming block.  Any degree 0..2m can be built this way;
+    nearby_hodge_index builds d <= m and reads the rest from Poincaré
+    duality.  terms has every column -d..d; those without an E1 summand
+    share one empty term and do no work, and a sector block with no target
+    rows costs no elimination."""
 
     def __init__(self, data: DegenerationData, d: int, carried: tuple | None = None):
         self.d = d
@@ -640,18 +633,18 @@ class E2Page:
             if not term.sector_cols:
                 continue  # no E1 summand: nothing to quotient
             tgt = maps.term(d + 1, r - 1)
-            maps.check(term, tgt, d, r)
+            out = maps.d1(term, tgt, d, r)
             if into is None:
                 prev = maps.term(d - 1, r + 1)
-                maps.check(prev, term, d, r)
-                incoming = {sec: image(maps.block(prev, term, sec))
+                M = maps.d1(prev, term, d, r)
+                incoming = {sec: image(_sector_block(M, prev, term, sec))
                             for sec in term.sector_cols if sec in prev.sector_cols}
             else:
                 incoming = into.get(r, {})
             images = self.boundaries[r - 1] = {}
             for sec, cols in sorted(term.sector_cols.items()):
                 B = incoming[sec] if sec in incoming else Subspace.zero(len(cols))
-                _, reps, images[sec] = kernel_modulo(maps.block(term, tgt, sec), B)
+                _, reps, images[sec] = kernel_modulo(_sector_block(out, term, tgt, sec), B)
                 if reps is None:
                     raise ContractError(f"d1 image escapes kernel at degree {d}, column {-r}")
                 term.sector_reps[sec] = reps
@@ -753,9 +746,12 @@ def psi_form(data: DegenerationData, d: int) -> dict[int, ExactMatrix]:
 def _hermitian_gram(data: DegenerationData, summands: list[Summand], r: int) -> ExactMatrix:
     """Block-diagonal Gram of the form S(C., (-N)^r conj .) on the middle-
     degree E1 term, in frame coordinates, without the sector Weil factor
-    i^(P-Q): block k carries (-1)^m epsilon(r-m) (-1)^(r+k) F^T P conj(F).
+    i^(P-Q): every block carries (-1)^m epsilon(r-m) (-1)^r F^T P conj(F).
+    Like psi_form's, the sign does not depend on the summand's k; one that
+    did would make the form depend on the representatives of E2 classes.
     """
     m = data.m
+    sign = epsilon_sign(r - m) * (-1) ** (m + r)
 
     def block(s, other):
         if s is not other:
@@ -770,9 +766,6 @@ def _hermitian_gram(data: DegenerationData, summands: list[Summand], r: int) -> 
         F = entry["frame"]
         if F is not None:  # a degree without a frame has the identity frame
             G = F.transpose() @ G @ F.conj()
-        sign = epsilon_sign(r - m)
-        if (m + r + s.k) % 2:
-            sign = -sign
         return G if sign > 0 else -G
 
     return _e1_matrix(summands, summands, block)
@@ -812,8 +805,7 @@ def _e2_signature_table(data: DegenerationData, page: E2Page) -> SignatureTable:
             P, Q = sec
             # X is in the sector's coordinates: the form needs only the
             # sector block of G
-            cols = term.sector_cols[sec]
-            Gs = G.take_rows(cols).take_columns(cols)
+            Gs = _sector_block(G, term, term, sec)
             H = (X.transpose() @ Gs @ X.conj()).scale(i_power(P - Q))
             pos, neg, nulls = hermitian_signature(H, f"non-Hermitian form at sector {sec}")
             if nulls:
@@ -856,10 +848,11 @@ def extract_limit_mhs(data: DegenerationData, d: int) -> "MHSData":
 
     m = data.m
     page = e2_page(data, d)
+    maps = _d1_maps(data)
     rational = {}
     for r, term in page.terms.items():
-        B = image(d1_matrix(data, d - 1, r + 1))
-        _, reps, _ = kernel_modulo(d1_matrix(data, d, r), B)
+        B = image(_d1(maps, e1_summands(data, d - 1, r + 1), term.summands))
+        _, reps, _ = kernel_modulo(_d1(maps, term.summands, e1_summands(data, d + 1, r - 1)), B)
         if reps is None:
             raise ContractError(f"d1 image escapes kernel at degree {d}, column {-r}")
         rational[r] = (reps, B)
@@ -981,8 +974,8 @@ def nearby_hodge_index(data: DegenerationData) -> IndexReport:
     the criterion holds there.
 
     Only the pages of degree d <= m are built, each once, from stratum maps
-    cut once per call, each handing the images of its outgoing sector blocks
-    to the next.  The weight spectral sequence is self-dual (Steenbrink
+    framed once per call, each handing the images of its outgoing sector
+    blocks to the next.  The weight spectral sequence is self-dual (Steenbrink
     1976): psi_form pairs E1^{-r, d+r} with E1^{r, 2m-d-r}, and d1 is
     adjoint to itself up to sign.  So for d > m and d' = 2m - d, the term
     at column r of degree d mirrors the term at column -r of degree d', its
@@ -998,7 +991,7 @@ def nearby_hodge_index(data: DegenerationData) -> IndexReport:
     sector_dims = {}  # degree -> column -> the sector dimensions of that term
     verdict = True
     middle = None
-    # the stratum maps are cut once, and each page hands the images of its
+    # the stratum maps are framed once, and each page hands the images of its
     # outgoing sector blocks to the next as its boundary spaces
     maps, boundaries = _SectorMaps(data), {}
     for d in range(0, m + 1):

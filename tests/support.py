@@ -479,3 +479,47 @@ def product(X, Y, koszul: bool = True):
         return out
 
     return DegenerationData(X.m + ny, strata, maps("gysin"), maps("restriction"))
+
+
+def disjoint_union(X, Y):
+    """X and Y side by side, for two degenerations of one fiber dimension
+    m: each stratum degree H^q(E(l)) is X's classes followed by Y's, with
+    their types, and the pairings, frames and maps are block-diagonal.  A
+    side without the degree counts as zero-dimensional, an unframed degree
+    as the identity frame and a missing map as zero."""
+    from lmhs.steenbrink import DegenerationData, StratumCohomology
+
+    if X.m != Y.m:
+        raise ValueError(f"a disjoint union needs one m, not {X.m} and {Y.m}")
+
+    def diag(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+        return _placed([(0, A.rows), (1, B.rows)], [(0, A.cols), (1, B.cols)],
+                       {(0, 0): A, (1, 1): B})
+
+    strata = []
+    for l in sorted(set(X.strata) | set(Y.strata)):
+        x, y = (D.strata.get(l, StratumCohomology(l, {})) for D in (X, Y))
+        n = X.complex_dim(l)
+        cohomology = {}
+        for q in sorted(set(x.cohomology) | set(y.cohomology)):
+            pairings = [s.pairing(q) if s.pairing(q) is not None
+                        else ExactMatrix.zero(s.dim(q), s.dim(2 * n - q)) for s in (x, y)]
+            framed = any(q in s.cohomology and s.cohomology[q]["frame"] is not None for s in (x, y))
+            cohomology[q] = {
+                "types": x.types(q) + y.types(q),
+                "pairing": diag(*pairings),
+                "frame": diag(x.frame(q), y.frame(q)) if framed else None,
+            }
+        strata.append(StratumCohomology(l, cohomology))
+
+    def maps(kind: str) -> dict:
+        # gysin[(l, q)]: H^q(E(l+1)) -> H^{q+2}(E(l)); restriction[(l, q)]:
+        # H^q(E(l)) -> H^q(E(l+1))
+        (sl, sq), (tl, tq) = ((1, 0), (0, 2)) if kind == "gysin" else ((0, 0), (1, 0))
+        out = {}
+        for l, q in sorted(set(getattr(X, kind)) | set(getattr(Y, kind))):
+            out[l, q] = diag(*(getattr(D, kind).get((l, q)) or ExactMatrix.zero(
+                D.stratum_dim(l + tl, q + tq), D.stratum_dim(l + sl, q + sq)) for D in (X, Y)))
+        return out
+
+    return DegenerationData(X.m, strata, maps("gysin"), maps("restriction"))

@@ -1,5 +1,6 @@
-"""Every name a module of lmhs imports is used in that module, and every
-name a module of lmhs defines is read somewhere in the repository's code."""
+"""Every name a module of lmhs imports is used in that module, every name
+a function of lmhs assigns is read in that function, and every name a
+module of lmhs defines is read somewhere in the repository's code."""
 
 import ast
 import functools
@@ -54,6 +55,69 @@ def test_unused_import_is_found():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["Fraction", "Seq"]
+
+
+def scope_nodes(fn: ast.AST):
+    """The nodes of a function's own scope: its body without the bodies of
+    the functions, lambdas and classes defined in it."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list[str]:
+    """function.name of each name that a plain assignment in a function
+    binds, name = ... or name: T = ..., and that the function, its nested
+    functions included, never reads.  Tuple-unpacking targets, _ and names
+    declared global or nonlocal are exempt."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, outer = [], set()
+        for node in scope_nodes(fn):
+            if isinstance(node, ast.Assign):
+                bound += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                bound += [node.target.id] if isinstance(node.target, ast.Name) else []
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                outer.update(node.names)
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{fn.name}.{name}" for name in dict.fromkeys(bound)
+                if name not in read | outer and name != "_"]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_local_is_read(path):
+    assert unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_local_is_found():
+    source = (
+        "def f(xs):\n"
+        "    a = b = 0\n"
+        "    c: int = 1\n"
+        "    d: int\n"
+        "    p, q = xs\n"
+        "    _ = len(xs)\n"
+        "    e = 2\n"
+        "    xs[0] = xs.y = e\n"
+        "    def g():\n"
+        "        nonlocal a\n"
+        "        a = h = 3\n"
+        "        return b\n"
+        "    return g\n"
+        "def k():\n"
+        "    global G\n"
+        "    G = 1\n"
+    )
+    # g's a is f's; nothing reads it
+    assert unused_locals(source) == ["f.a", "f.c", "g.h"]
 
 
 def bound_names(node: ast.stmt) -> list[str]:

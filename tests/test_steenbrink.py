@@ -705,22 +705,23 @@ def framed_data(data: DegenerationData) -> DegenerationData:
     each framed through the one framing closure of the module."""
     framed = steenbrink._frame_map(data)
     maps = {"gysin": {}, "restriction": {}}
-    for kind, key, src, tgt, _, A in steenbrink._stratum_maps(data):
+    for kind, key, src, tgt, A in steenbrink._stratum_maps(data):
         maps[kind][key] = framed(A, src, tgt)
     return DegenerationData(data.m, data.strata.values(), maps["gysin"], maps["restriction"])
 
 
 class TestD1Builds:
-    """nearby_hodge_index enumerates the stratum maps and cuts each into
-    type blocks once per call, framing a map only when one of its ends has
-    a frame.  It assembles each sector block of its pages' d1 maps once and
-    reduces it once: the block out of a sector gives that sector's
-    representatives and, as its image, the boundary space of the next
-    page's sector, so no page reduces a block of its own."""
+    """nearby_hodge_index enumerates and frames the stratum maps once per
+    call, framing a map only when one of its ends has a frame.  It places
+    one framed d1 per term of its pages and the term after it, cuts each
+    sector block from it and reduces that block once: the block out of a
+    sector gives that sector's representatives and, as its image, the
+    boundary space of the next page's sector, so no page reduces a block of
+    its own."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        calls = {"blocks": [], "reduced": [], "other": [], "cut": [], "framed": []}
+        calls = {"d1": [], "reduced": [], "other": [], "enumerated": [], "framed": []}
         paging = []  # nonempty while a page is built
 
         def recording(name, fn):
@@ -732,8 +733,8 @@ class TestD1Builds:
 
         for name in ("image", "kernel", "d1_matrix"):
             monkeypatch.setattr(steenbrink, name, recording(name, getattr(steenbrink, name)))
-        original_page, original_block = steenbrink.e2_page, steenbrink._SectorMaps.block
-        original_reduce, original_cut = steenbrink.kernel_modulo, steenbrink._stratum_maps
+        original_page, original_d1 = steenbrink.e2_page, steenbrink._SectorMaps.d1
+        original_reduce, original_maps = steenbrink.kernel_modulo, steenbrink._stratum_maps
         original_frame = steenbrink._frame_map
 
         def page(*args):
@@ -743,19 +744,19 @@ class TestD1Builds:
             finally:
                 paging.pop()
 
-        def block(maps, src, tgt, sec):
-            M = original_block(maps, src, tgt, sec)
+        def d1(maps, src, tgt, d, r):
+            M = original_d1(maps, src, tgt, d, r)
             at = next(key for key, term in maps.terms.items() if term is src)
-            calls["blocks"].append((at, sec, M))
+            calls["d1"].append((at, src, tgt, M))
             return M
 
         def reduce(M, lower=None):
             calls["reduced"].append(M)
             return original_reduce(M, lower)
 
-        def cut(data):
-            calls["cut"].append(data)
-            return original_cut(data)
+        def enumerate_maps(data):
+            calls["enumerated"].append(data)
+            return original_maps(data)
 
         def frame_map(data):
             framed = original_frame(data)
@@ -766,26 +767,30 @@ class TestD1Builds:
             return framing
 
         monkeypatch.setattr(steenbrink, "e2_page", page)
-        monkeypatch.setattr(steenbrink._SectorMaps, "block", block)
+        monkeypatch.setattr(steenbrink._SectorMaps, "d1", d1)
         monkeypatch.setattr(steenbrink, "kernel_modulo", reduce)
-        monkeypatch.setattr(steenbrink, "_stratum_maps", cut)
+        monkeypatch.setattr(steenbrink, "_stratum_maps", enumerate_maps)
         monkeypatch.setattr(steenbrink, "_frame_map", frame_map)
         return calls
 
     @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
     def test_each_raw_map_built_once(self, build, builds):
-        # the stratum maps, raw or framed, are cut once; then one block per
-        # sector of every term of the pages 0..m, each reduced once, and no
-        # other elimination or d1 map in the pages
+        # the stratum maps are enumerated and framed once; then one d1 from
+        # every term of the pages 0..m with an E1 summand to the term after
+        # it, each sector block of it, rows tgt.sector_cols[sec] and columns
+        # src.sector_cols[sec], reduced once, and no other elimination or
+        # d1 map in the pages
         data = build()
         nearby_hodge_index(data)
-        assert len(builds["cut"]) == 1
-        keys = Counter((at, sec) for at, sec, _ in builds["blocks"])
-        assert set(keys.values()) == {1}
-        assert set(keys) == {
-            ((d, r), sec) for d in range(data.m + 1) for r in range(-d, d + 1)
-            for sec in steenbrink.E2Term(data, e1_summands(data, d, r)).sector_cols}
-        assert [id(M) for M in builds["reduced"]] == [id(M) for _, _, M in builds["blocks"]]
+        assert len(builds["enumerated"]) == 1
+        pairs = Counter(at for at, *_ in builds["d1"])
+        assert set(pairs.values()) == {1}
+        assert set(pairs) == {(d, r) for d in range(data.m + 1) for r in range(-d, d + 1)
+                              if e1_summands(data, d, r)}
+        blocks = [M.take_rows(tgt.sector_cols.get(sec, [])).take_columns(cols)
+                  for _, src, tgt, M in builds["d1"]
+                  for sec, cols in sorted(src.sector_cols.items())]
+        assert builds["reduced"] == blocks
         assert builds["other"] == []
 
     @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
@@ -1418,7 +1423,7 @@ class TestFramedMaps:
     def test_each_framed_target_inverted_once(self, inversions):
         # three framed degrees are targets: the curves' H^1 and H^2 and the
         # surfaces' H^3 (the curves' H^2 of two maps); the surfaces' H^1 is
-        # only ever a source.  Validation and the pipeline's map cut each
+        # only ever a source.  Validation and the pipeline's map table each
         # frame every map through one closure
         for frame_all in (framed_data, validate_degeneration_data, steenbrink._SectorMaps):
             frame_all(framed_maps_degeneration())
@@ -1708,3 +1713,87 @@ def test_frame_change_keeps_the_index(build):
     assert validate_degeneration_data(moved).ok
     assert json.dumps(nearby_hodge_index(moved).to_json()) == json.dumps(
         nearby_hodge_index(data).to_json())
+
+
+# -- choice of representatives ----------------------------------------------------
+
+
+REPRESENTATIVE_INPUTS = [triple_point_degeneration, tetrahedron_degeneration] + [
+    (lambda build=build: support.product(build(), elliptic_smooth()))
+    for build in (triple_point_degeneration, tetrahedron_degeneration)] + [
+    lambda: support.product(support.product(triple_point_degeneration(), elliptic_smooth()),
+                            elliptic_smooth())]
+REPRESENTATIVE_IDS = ["triple_point", "tetrahedron", "triple_point-E", "tetrahedron-E",
+                      "triple_point-E-E"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("build", REPRESENTATIVE_INPUTS, ids=REPRESENTATIVE_IDS)
+def test_signatures_do_not_depend_on_representatives(build, seed, monkeypatch):
+    """The form on E2 is well defined: moving each primitive basis X of a
+    middle-page sector by boundaries, to X + B Y with B the sector's
+    boundary basis and Y a seeded small integer matrix, keeps every
+    signature.  These inputs have summands with k >= 1 in the middle
+    degree, so a sign that depends on k breaks the property."""
+    data = build()
+    page = e2_page(data, data.m)
+    want = steenbrink._e2_signature_table(data, page).entries
+    rng = random.Random(seed)
+    moved = []
+    original = steenbrink._primitive_sector_basis
+
+    def moving(page, r, sec):
+        X = original(page, r, sec)
+        B = page.term(r).sector_B[sec].basis
+        if not B.cols:
+            return X
+        Y = M([[rng.randint(-2, 2) for _ in range(X.cols)] for _ in range(B.cols)])
+        moved.append(not (B @ Y).is_zero())
+        return X + B @ Y
+
+    monkeypatch.setattr(steenbrink, "_primitive_sector_basis", moving)
+    assert steenbrink._e2_signature_table(data, page).entries == want
+    assert any(moved)
+
+
+# -- direct sums -------------------------------------------------------------------
+
+
+SUM_PAIRS = [
+    (elliptic_smooth, cycle_degeneration),
+    (kodaira_degeneration, triple_point_degeneration),
+    (triple_point_degeneration, tetrahedron_degeneration),
+    (lambda: support.product(elliptic_smooth(), elliptic_smooth()), tetrahedron_degeneration),
+    (lambda: seeded_odp_models(7)[0], lambda: seeded_odp_models(7)[1]),
+]
+SUM_IDS = ["elliptic_smooth+cycle", "kodaira+triple_point", "triple_point+tetrahedron",
+           "ExE+tetrahedron", "odp-m3-l2+odp-m3-l4"]
+
+
+@pytest.mark.parametrize("x_build,y_build", SUM_PAIRS, ids=SUM_IDS)
+def test_direct_sum_laws(x_build, y_build):
+    """X + Y, the two side by side, is a valid degeneration whose limit is
+    LMHS(X) + LMHS(Y): its limit Hodge numbers add, its criterion at each
+    (d, r) is the conjunction of X's and Y's, its verdict is X's and Y's,
+    and its middle signature table and signature, where both have one, add
+    sector by sector and p by p."""
+    X, Y = x_build(), y_build()
+    S = support.disjoint_union(X, Y)
+    assert validate_degeneration_data(S).failures == []
+    x, y, s = nearby_hodge_index(X), nearby_hodge_index(Y), nearby_hodge_index(S)
+    assert s.verdict == (x.verdict and y.verdict)
+    for d, info in s.per_degree.items():
+        parts = [x.per_degree[d], y.per_degree[d]]
+        assert info["hodge"] == dict(sum((Counter(row["hodge"]) for row in parts), Counter())), d
+        assert info["criterion"] == {
+            r: all(row["criterion"][r] for row in parts) for r in info["criterion"]}, d
+    if x.signature is None or y.signature is None:
+        assert s.signature is None
+        return
+
+    def add(a: dict, b: dict) -> dict:
+        zero = (0, 0)
+        return {k: tuple(u + v for u, v in zip(a.get(k, zero), b.get(k, zero))) for k in a | b}
+
+    assert s.table.entries == add(x.table.entries, y.table.entries)
+    assert s.signature == add(x.signature, y.signature)
