@@ -92,6 +92,8 @@ def _load_json(path: str):
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise ValueError(f"{path}: not valid JSON (nested too deeply)") from exc
 
 
 def _read_input(path: str, from_json):

@@ -457,11 +457,13 @@ class ExactMatrix:
         return _new(self.rows, self.cols, self.re, [-y for y in self.im], self.den)
 
     def hstack(self, *others: "ExactMatrix") -> "ExactMatrix":
-        """[self | others[0] | others[1] | ...]."""
+        """[self | others[0] | others[1] | ...]; a part without columns is
+        left out, so [empty | M] is M itself."""
         blocks, k = [], 0
         for M in (self, *others):
             _require(M.rows == self.rows, "hstack of matrices with different row counts")
-            blocks.append((range(self.rows), k, M))
+            if M.cols:
+                blocks.append((range(self.rows), k, M))
             k += M.cols
         return ExactMatrix.assemble(self.rows, k, blocks)
 

@@ -11,7 +11,9 @@ E2 class coordinates for cross-checking against the abstract machinery.
 The stratum maps are enumerated in one place (_stratum_maps), a framed map's
 type shift is checked in one place (_type_break), stratum blocks are placed
 at E1 offsets in one place (_e1_matrix) and d1, raw or framed, is placed from
-its table of signed stratum maps in one place (_d1).
+its table of signed stratum maps in one place (_d1).  E2 sector dimensions
+come by rank-nullity, sector classes are built only where read, and the
+weight criterion, a rank test, reads no class of its targets.
 """
 
 from __future__ import annotations
@@ -526,28 +528,31 @@ class E2Term:
     taken in the sector's columns: sector_cols[sec] lists those columns of
     the E1 term (frame coordinates), in order.  The block of sector sec in
     any matrix from one term to another is that matrix's rows
-    tgt.sector_cols[sec] and columns src.sector_cols[sec].  sector_reps[sec]
-    and sector_B[sec], in sorted sector order, are the representatives and
-    the boundary space in the sector's coordinates; E2Page fills them in.
-    Nothing is lifted to the whole term here; extract_limit_mhs does that,
-    once, where whole-term vectors are read."""
+    tgt.sector_cols[sec] and columns src.sector_cols[sec].  E2Page fills in
+    sector_d1[sec], the sector's outgoing d1 block, sector_B[sec], its
+    boundary space, and sector_dims[sec], in sorted sector order; reps(sec)
+    reduces the first two once, where the classes are first read.  Nothing
+    is lifted to the whole term here; extract_limit_mhs does that, once,
+    where whole-term vectors are read."""
 
-    __slots__ = ("summands", "sector_cols", "sector_reps", "sector_B")
+    __slots__ = ("summands", "sector_cols", "sector_d1", "sector_B", "sector_dims", "_reps")
 
     def __init__(self, data: DegenerationData, summands: list[Summand]):
         self.summands = summands
-        self.sector_cols, self.sector_reps, self.sector_B = {}, {}, {}
+        self.sector_cols, self.sector_d1, self.sector_B, self.sector_dims = {}, {}, {}, {}
+        self._reps = {}  # sec -> representatives, once read
         types = ((s.twist, t) for s in summands for t in data.strata[s.depth].types(s.q))
         for c, (w, (a, b)) in enumerate(types):
             self.sector_cols.setdefault((a + w, b + w), []).append(c)
 
-    @property
-    def sector_dims(self) -> dict[tuple[int, int], int]:
-        return {sec: reps.cols for sec, reps in self.sector_reps.items()}
+    def reps(self, sec: tuple[int, int]) -> ExactMatrix:
+        if sec not in self._reps:
+            self._reps[sec] = kernel_modulo(self.sector_d1[sec], self.sector_B[sec])[1]
+        return self._reps[sec]
 
     @property
     def dim(self) -> int:
-        return sum(reps.cols for reps in self.sector_reps.values())
+        return sum(self.sector_dims.values())
 
 
 # the term of every (d, r) without an E1 summand: it has no sector, so no
@@ -611,9 +616,10 @@ def _sector_block(M: ExactMatrix, src: E2Term, tgt: E2Term, sec: tuple[int, int]
 class E2Page:
     """The E2 terms of degree d, each the sum of its type sectors in frame
     coordinates.  One framed d1 is placed per term and its next term, and
-    each sector's block is cut from it (see E2Term).  One kernel_modulo of
-    each sector's outgoing block gives its representatives and, as
-    boundaries[r - 1][sec], the boundary space of that sector on the next
+    each sector's block is cut from it (see E2Term).  One pivots-only
+    elimination of each sector's outgoing block M gives its rank, so by
+    rank-nullity its dimension, cols - rank - dim B once M B = 0, and its
+    image, boundaries[r - 1][sec], that sector's boundary space on the next
     page.  carried is (maps, boundaries): the _SectorMaps of the call and
     the boundaries of page d - 1, which a caller that builds consecutive
     pages passes on.  Without it the page frames its own maps and takes the
@@ -644,11 +650,12 @@ class E2Page:
             images = self.boundaries[r - 1] = {}
             for sec, cols in sorted(term.sector_cols.items()):
                 B = incoming[sec] if sec in incoming else Subspace.zero(len(cols))
-                _, reps, images[sec] = kernel_modulo(_sector_block(out, term, tgt, sec), B)
-                if reps is None:
+                block = term.sector_d1[sec] = _sector_block(out, term, tgt, sec)
+                if B.dim and not (block @ B.basis).is_zero():
                     raise ContractError(f"d1 image escapes kernel at degree {d}, column {-r}")
-                term.sector_reps[sec] = reps
+                images[sec] = image(block) if block.rows else Subspace.zero(0)
                 term.sector_B[sec] = B
+                term.sector_dims[sec] = len(cols) - images[sec].dim - B.dim
 
     def term(self, r: int) -> E2Term | None:
         return self.terms.get(r)
@@ -677,13 +684,14 @@ class WeightCriterionReport(Report):
         self.per_r = dict(per_r)
 
 
-def _induced_shift(page: E2Page, r: int, s: int, sec: tuple[int, int]) -> ExactMatrix | None:
-    """nu^s from the sector sec = (P, Q) of E2^{-r, d+r} to the sector
-    (P-s, Q-s) of E2^{-r+2s, d+r-2s}, in the sector class coordinates of
-    both; None if it fails to descend.  The identity transport keeps each
-    column's stratum basis vector and its type tag and lowers its twist by
-    s, so one sector maps into one sector, row by row; the frames commute
-    with it.  A target outside the page is zero."""
+def _shifted_classes(page: E2Page, r: int, s: int, sec: tuple[int, int]) -> tuple:
+    """(TX, tgt, tsec): the classes of the sector sec = (P, Q) of E2^{-r,
+    d+r} moved by nu^s into the sector tsec = (P-s, Q-s) of tgt =
+    E2^{-r+2s, d+r-2s}, in that sector's coordinates.  The identity
+    transport keeps each column's stratum basis vector and its type tag and
+    lowers its twist by s, so one sector maps into one sector, row by row;
+    the frames commute with it.  A target outside the page is zero: TX has
+    no rows."""
     src, tgt = page.term(r), page.term(r - 2 * s)
     tsec = (sec[0] - s, sec[1] - s)
     keys = _column_keys(src.summands)
@@ -692,26 +700,36 @@ def _induced_shift(page: E2Page, r: int, s: int, sec: tuple[int, int]) -> ExactM
     tgt_keys = [tkeys[c] for c in tgt.sector_cols.get(tsec, [])] if tkeys else []
     if not set(src_keys) & set(tkeys) <= set(tgt_keys):
         raise ContractError("shift map leaves its target sector")
-    X = src.sector_reps[sec]
-    if not tgt_keys:
-        return ExactMatrix.zero(0, X.cols)
-    return class_coordinates(
-        tgt.sector_reps[tsec], tgt.sector_B[tsec], _move_rows(src_keys, tgt_keys, X))
+    X = src.reps(sec)
+    TX = _move_rows(src_keys, tgt_keys, X) if tgt_keys else ExactMatrix.zero(0, X.cols)
+    return TX, tgt, tsec
+
+
+def _induced_shift(page: E2Page, r: int, s: int, sec: tuple[int, int]) -> ExactMatrix | None:
+    """nu^s on the sector sec of E2^{-r, d+r} (see _shifted_classes), in the
+    sector class coordinates of both ends; None if it fails to descend."""
+    TX, tgt, tsec = _shifted_classes(page, r, s, sec)
+    return class_coordinates(tgt.reps(tsec), tgt.sector_B[tsec], TX) if TX.rows else TX
 
 
 def _weight_criterion(page: E2Page) -> WeightCriterionReport:
     """For each r >= 0, the identity-shift map nu^r must induce an
     isomorphism E2^{-r, d+r} -> E2^{r, d-r} on the page of degree d: the two
-    terms have one dimension and nu^r is injective on every sector."""
+    terms have one dimension and nu^r is injective on every sector.  No
+    class of a target sector is built: with TX the n moved classes of a
+    source sector (see _shifted_classes), M the target sector's d1 block and
+    B its boundary space, nu^r descends exactly when M TX = 0, and is
+    injective exactly when [B | TX] has rank dim B + n."""
     d = page.d
     per_r = {0: True}  # nu^0 is the identity
     for r in range(1, d + 1):
         same = page.dim(r) == page.dim(-r)
-        shifts = [(R.cols, _induced_shift(page, r, r, sec))
-                  for sec, R in page.term(r).sector_reps.items() if same and R.cols]
-        if any(M is None for _, M in shifts):
+        shifts = [(n, *_shifted_classes(page, r, r, sec))
+                  for sec, n in page.term(r).sector_dims.items() if same and n]
+        if any(TX.rows and not (t.sector_d1[ts] @ TX).is_zero() for _, TX, t, ts in shifts):
             raise ContractError(f"shift map fails to descend to E2 at degree {d}, r={r}")
-        per_r[r] = same and all(rank(M) == n for n, M in shifts)
+        per_r[r] = same and all(TX.rows and rank(t.sector_B[ts].basis.hstack(TX)) ==
+                                t.sector_B[ts].dim + n for n, TX, t, ts in shifts)
     return WeightCriterionReport(d, per_r)
 
 
@@ -774,7 +792,7 @@ def _hermitian_gram(data: DegenerationData, summands: list[Summand], r: int) -> 
 def _primitive_sector_basis(page: E2Page, r: int, sec: tuple[int, int]) -> ExactMatrix:
     """Basis of ker(nu^{r+1}) inside the (P,Q) sector of E2^{-r, m+r}, as
     columns in the sector's coordinates."""
-    X = page.term(r).sector_reps[sec]
+    X = page.term(r).reps(sec)
     induced = _induced_shift(page, r, r + 1, sec)
     if induced is None:
         raise ContractError("shift map fails to descend on a sector")
@@ -798,7 +816,7 @@ def _e2_signature_table(data: DegenerationData, page: E2Page) -> SignatureTable:
         if term is None or term.dim == 0:
             continue
         G = _hermitian_gram(data, term.summands, r)
-        for sec in term.sector_reps:
+        for sec in (sec for sec, n in term.sector_dims.items() if n):
             X = _primitive_sector_basis(page, r, sec)
             if X.cols == 0:
                 continue
@@ -882,8 +900,8 @@ def extract_limit_mhs(data: DegenerationData, d: int) -> "MHSData":
         F = _term_frame(data, term.summands)
         # the one lift of the sector representatives to the whole term
         X = ExactMatrix.zero(F.rows, 0).hstack(
-            *[F.take_columns(term.sector_cols[sec]) @ Y for sec, Y in term.sector_reps.items()])
-        owners += [sec for sec, Y in term.sector_reps.items() for _ in range(Y.cols)]
+            *[F.take_columns(term.sector_cols[sec]) @ term.reps(sec) for sec in term.sector_dims])
+        owners += [sec for sec, n in term.sector_dims.items() for _ in range(n)]
         C = class_coordinates(*rational[r], X)
         if C is None:
             raise ContractError(f"sector representatives leave E2 at column {-r}")

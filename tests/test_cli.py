@@ -355,6 +355,18 @@ class TestCodec:
         proc = run_optimized(*argv, str(path))
         assert (proc.returncode, proc.stdout, proc.stderr) == want
 
+    @pytest.mark.parametrize("argv", [["check"], ["validate"], ["orbit"],
+                                      ["tables", "kahler", "--hodge"]],
+                             ids=["check", "validate", "orbit", "tables"])
+    def test_deep_nesting_is_an_input_error(self, tmp_path, capsys, argv):
+        # before, the decoder's RecursionError ended in a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        want = (1, "", f"invalid input: {path}: not valid JSON (nested too deeply)\n")
+        assert run(capsys, *argv, str(path)) == want
+        proc = run_optimized(*argv, str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
     def test_stratum_deeper_than_m_plus_one_is_invalid(self, tmp_path, capsys):
         # a stratum of depth m + 2 or more has negative complex dimension;
         # before, m = 0 with empty strata at depths 2 and 3 passed check

@@ -216,15 +216,28 @@ class TestValidation:
                            match="^d1 violates type sectors at degree 2, column 0$"):
             nearby_hodge_index(data)
 
+    def test_shift_leaving_target_kernel_rejected(self):
+        # a corrupted page: the identity as the outgoing d1 block of every
+        # sector of E2^(1,0) keeps no class of it, so nu^1 of the cycle's
+        # degree-1 page, an isomorphism, takes its classes out of the kernel
+        page = e2_page(cycle_degeneration(), 1)
+        target = page.term(-1)
+        for sec, cols in target.sector_cols.items():
+            target.sector_d1[sec] = ExactMatrix.identity(len(cols))
+        with pytest.raises(AssertionError,
+                           match=r"^shift map fails to descend to E2 at degree 1, r=1$"):
+            _weight_criterion(page)
+
     def test_contract_errors_survive_python_O(self):
-        # the two contract tests above raise ContractError, which python -O
+        # the three contract tests above raise ContractError, which python -O
         # keeps, where an assert statement would be skipped
         done = run_under_python_O(__file__, [
             "TestValidation::test_broken_d1_square_rejected",
             "TestValidation::test_incoming_column_outside_term_sectors_rejected",
+            "TestValidation::test_shift_leaving_target_kernel_rejected",
         ])
         assert done.returncode == 0, done.stdout + done.stderr
-        assert "2 passed" in done.stdout
+        assert "3 passed" in done.stdout
 
     def test_json_round_trip(self):
         for build in ALL_FIXTURES:
@@ -652,15 +665,16 @@ def test_trivial_shapes_do_no_work(build, monkeypatch):
 
 
 @pytest.mark.parametrize("name, matrices, full, eliminations", [
-    ("odp-m3-l6", 79, 5, 14),
-    ("odp-m4-l7", 47, 5, 12),
-])
+    ("odp-m3-l6", 63, 1, 12),
+    ("odp-m4-l7", 41, 1, 12),
+], ids=["odp-m3-l6", "odp-m4-l7"])
 def test_golden_models_build_few_matrices(name, matrices, full, eliminations, monkeypatch):
     """Ceilings on the work of validation and nearby_hodge_index: the
     matrices built (exactlin._new), the full eliminations and all of them.
     Rank, image and kernel_modulo's test of the lower space stop at row
-    echelon form, and an operation whose result would equal its operand
-    returns the operand, so neither saving can regress unseen."""
+    echelon form, an E2 sector's classes are reduced in full only where
+    they are read, and an operation whose result would equal its operand
+    returns the operand, so none of these savings can regress unseen."""
     data = odp_semistable_model(GOLDEN_ODP_MODELS[name])
     counts = Counter()
     new, echelon = exactlin._new, exactlin._echelon
@@ -714,27 +728,32 @@ class TestD1Builds:
     """nearby_hodge_index enumerates and frames the stratum maps once per
     call, framing a map only when one of its ends has a frame.  It places
     one framed d1 per term of its pages and the term after it, cuts each
-    sector block from it and reduces that block once: the block out of a
-    sector gives that sector's representatives and, as its image, the
-    boundary space of the next page's sector, so no page reduces a block of
-    its own."""
+    sector block from it and eliminates that block once, pivots only: its
+    rank gives the sector's dimension and its image the boundary space of
+    the next page's sector, so no page reduces a block of its own.  A
+    sector's block is reduced in full only where its classes are read."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        calls = {"d1": [], "reduced": [], "other": [], "enumerated": [], "framed": []}
+        calls = {"d1": [], "imaged": [], "reduced": [], "read": [], "other": [],
+                 "enumerated": [], "framed": []}
         paging = []  # nonempty while a page is built
 
-        def recording(name, fn):
+        def recording(name, fn, outside=None):
+            # a call inside a page is "other", one outside it goes to outside
             def call(*args, **kwargs):
                 if paging:
                     calls["other"].append(name)
+                elif outside:
+                    calls[outside].append(args[0])
                 return fn(*args, **kwargs)
             return call
 
-        for name in ("image", "kernel", "d1_matrix"):
+        for name in ("kernel", "d1_matrix"):
             monkeypatch.setattr(steenbrink, name, recording(name, getattr(steenbrink, name)))
         original_page, original_d1 = steenbrink.e2_page, steenbrink._SectorMaps.d1
-        original_reduce, original_maps = steenbrink.kernel_modulo, steenbrink._stratum_maps
+        original_image, original_reps = steenbrink.image, steenbrink.E2Term.reps
+        original_maps = steenbrink._stratum_maps
         original_frame = steenbrink._frame_map
 
         def page(*args):
@@ -750,9 +769,13 @@ class TestD1Builds:
             calls["d1"].append((at, src, tgt, M))
             return M
 
-        def reduce(M, lower=None):
-            calls["reduced"].append(M)
-            return original_reduce(M, lower)
+        def imaging(M):
+            calls["imaged" if paging else "other"].append(M)
+            return original_image(M)
+
+        def reading(term, sec):
+            calls["read"].append((term, sec))
+            return original_reps(term, sec)
 
         def enumerate_maps(data):
             calls["enumerated"].append(data)
@@ -768,7 +791,10 @@ class TestD1Builds:
 
         monkeypatch.setattr(steenbrink, "e2_page", page)
         monkeypatch.setattr(steenbrink._SectorMaps, "d1", d1)
-        monkeypatch.setattr(steenbrink, "kernel_modulo", reduce)
+        monkeypatch.setattr(steenbrink, "image", imaging)
+        monkeypatch.setattr(steenbrink.E2Term, "reps", reading)
+        monkeypatch.setattr(steenbrink, "kernel_modulo", recording(
+            "kernel_modulo", steenbrink.kernel_modulo, "reduced"))
         monkeypatch.setattr(steenbrink, "_stratum_maps", enumerate_maps)
         monkeypatch.setattr(steenbrink, "_frame_map", frame_map)
         return calls
@@ -778,8 +804,10 @@ class TestD1Builds:
         # the stratum maps are enumerated and framed once; then one d1 from
         # every term of the pages 0..m with an E1 summand to the term after
         # it, each sector block of it, rows tgt.sector_cols[sec] and columns
-        # src.sector_cols[sec], reduced once, and no other elimination or
-        # d1 map in the pages
+        # src.sector_cols[sec], eliminated once, pivots only, if it has
+        # rows, and no other elimination or d1 map in the pages; outside
+        # them, one full reduction of a sector's block where its classes
+        # are first read, and none where they are read again
         data = build()
         nearby_hodge_index(data)
         assert len(builds["enumerated"]) == 1
@@ -790,8 +818,13 @@ class TestD1Builds:
         blocks = [M.take_rows(tgt.sector_cols.get(sec, [])).take_columns(cols)
                   for _, src, tgt, M in builds["d1"]
                   for sec, cols in sorted(src.sector_cols.items())]
-        assert builds["reduced"] == blocks
+        assert builds["imaged"] == [M for M in blocks if M.rows]
         assert builds["other"] == []
+        first = list(dict.fromkeys((id(term), sec) for term, sec in builds["read"]))
+        terms = {id(term): term for term, _ in builds["read"]}
+        want = [terms[at].sector_d1[sec] for at, sec in first]
+        assert len(builds["reduced"]) == len(want)
+        assert all(M is block for M, block in zip(builds["reduced"], want))
 
     @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
     def test_framed_maps_only_when_framing_changes_a_map(self, build, builds):
@@ -829,7 +862,9 @@ class TestD1Builds:
             for r, term in page.terms.items():
                 want = alone.terms[r]
                 assert term.sector_cols == want.sector_cols, (page.d, r)
-                assert term.sector_reps == want.sector_reps, (page.d, r)
+                assert term.sector_dims == want.sector_dims, (page.d, r)
+                assert [term.reps(sec) for sec in term.sector_cols] == [
+                    want.reps(sec) for sec in want.sector_cols], (page.d, r)
                 assert {sec: B.basis for sec, B in term.sector_B.items()} == {
                     sec: B.basis for sec, B in want.sector_B.items()
                 }, (page.d, r)
@@ -859,6 +894,72 @@ def test_sector_sums_match_raw_full_quotients(build):
             X = _transport(page.term(r).summands, page.term(-r).summands, src)
             want[r] = src.cols == tgt.cols and rank(class_coordinates(tgt, B, X)) == src.cols
         assert _weight_criterion(page).per_r == want, d
+
+
+def class_coordinate_criterion(page) -> dict[int, bool]:
+    """The weight criterion as it was read before it became a rank test:
+    nu^r in the class coordinates of both ends (_induced_shift), which must
+    descend and have full rank on every sector of a nonzero source."""
+    per_r = {0: True}
+    for r in range(1, page.d + 1):
+        same = page.dim(r) == page.dim(-r)
+        shifts = [(n, steenbrink._induced_shift(page, r, r, sec))
+                  for sec, n in page.term(r).sector_dims.items() if same and n]
+        assert all(M is not None for _, M in shifts), (page.d, r)
+        per_r[r] = same and all(rank(M) == n for n, M in shifts)
+    return per_r
+
+
+CRITERION_INPUTS = D1_INPUTS + [
+    (lambda name=name: odp_semistable_model(GOLDEN_ODP_MODELS[name]))
+    for name in ("odp-m3-l6", "odp-m4-l7")] + [
+    lambda: support.product(kodaira_degeneration(), elliptic_smooth())]
+CRITERION_IDS = D1_IDS + ["odp-m3-l6", "odp-m4-l7", "kodaira-E"]
+
+
+@pytest.mark.parametrize("build", CRITERION_INPUTS, ids=CRITERION_IDS)
+def test_rank_criterion_matches_class_coordinates(build):
+    """Per (d, r), the rank test on [B | TX] and M TX = 0 gives the verdict
+    of the class-coordinate formulation, on every page 0..2m, where the
+    criterion holds and where it fails (Kodaira and Kodaira x E)."""
+    data = build()
+    verdicts = []
+    for d in range(2 * data.m + 1):
+        page = e2_page(data, d)
+        got = _weight_criterion(page).per_r
+        assert got == class_coordinate_criterion(page), d
+        verdicts += got.values()
+    assert all(verdicts) == (build not in (kodaira_degeneration, CRITERION_INPUTS[-1]))
+
+
+@pytest.mark.parametrize("seed", [7, 20261018])
+def test_classes_built_only_where_read(seed, monkeypatch):
+    """On seeded ODP models, nearby_hodge_index builds no class of column 0
+    (nu^0 is the identity) or of a negative column below the middle degree,
+    and the weight criterion alone builds classes of its source terms,
+    r >= 1, only: none of its targets."""
+    pages, built = [], []
+    page, reduce = steenbrink.e2_page, steenbrink.kernel_modulo
+
+    def keeping(data, d, carried=None):
+        pages.append(page(data, d, carried))
+        return pages[-1]
+
+    def reducing(M, lower=None):
+        built.append(next((p.d, r) for p in pages for r, term in p.terms.items()
+                          if any(B is M for B in term.sector_d1.values())))
+        return reduce(M, lower)
+
+    monkeypatch.setattr(steenbrink, "e2_page", keeping)
+    monkeypatch.setattr(steenbrink, "kernel_modulo", reducing)
+    for data in seeded_odp_models(seed):
+        pages.clear(), built.clear()
+        nearby_hodge_index(data)
+        assert built and all(r >= 1 for d, r in built if d < data.m), built
+        for d in range(data.m + 1):
+            pages.clear(), built.clear()
+            _weight_criterion(keeping(data, d))
+            assert all(r >= 1 for _, r in built), (d, built)
 
 
 def direct_nearby_hodge_index(data: DegenerationData) -> steenbrink.IndexReport:
@@ -1345,8 +1446,8 @@ def test_term_class_coordinates_of_representatives(build):
     data = build()
     for d in range(0, 2 * data.m + 1):
         for r, term in e2_page(data, d).terms.items():
-            for sec, R in term.sector_reps.items():
-                B = term.sector_B[sec]
+            for sec in term.sector_cols:
+                R, B = term.reps(sec), term.sector_B[sec]
                 X = R.hstack(B.basis)
                 want = ExactMatrix.identity(R.cols).hstack(ExactMatrix.zero(R.cols, B.dim))
                 assert class_coordinates(R, B, X) == want, (d, r, sec)
