@@ -148,9 +148,10 @@ def gaussian_to_str(x: GaussianScalar) -> str:
 
 
 # the scalar grammar of docs/schemas/*.json: "a", "a/b", and either with an
-# imaginary part "+c/d*i" or "-c/d*i" (denominators optional)
+# imaginary part "+c/d*i" or "-c/d*i" (denominators optional, and not zero)
+_DENOMINATOR = r"(?:/0*[1-9][0-9]*)?"
 _GAUSS_RE = _re.compile(
-    r"(?P<re>-?[0-9]+(?:/[0-9]+)?)(?:(?P<sign>[+-])(?P<im>[0-9]+(?:/[0-9]+)?)\*i)?"
+    rf"(?P<re>-?[0-9]+{_DENOMINATOR})(?:(?P<sign>[+-])(?P<im>[0-9]+{_DENOMINATOR})\*i)?"
 )
 
 

@@ -11,9 +11,12 @@ E2 class coordinates for cross-checking against the abstract machinery.
 The stratum maps are enumerated in one place (_stratum_maps), a framed map's
 type shift is checked in one place (_type_break), stratum blocks are placed
 at E1 offsets in one place (_e1_matrix) and d1, raw or framed, is placed from
-its table of signed stratum maps in one place (_d1).  E2 sector dimensions
+its table of signed stratum maps in one place (_d1).  Every E2 page is built
+one way: its boundary spaces are the images of the previous term's outgoing
+sector blocks, each eliminated once per _SectorMaps.  E2 sector dimensions
 come by rank-nullity, sector classes are built only where read, and the
-weight criterion, a rank test, reads no class of its targets.
+shift map nu^s is applied and checked in one place (_shifted_classes); the
+weight criterion and the primitive parts read no class of a target sector.
 """
 
 from __future__ import annotations
@@ -250,6 +253,7 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
         # degrees whose pairing equals +-the transpose of the nondegenerate
         # pairing of the dual degree: same rank, and consistent with it
         dual_checked = set()
+        misshaped = set()  # degrees whose pairing has the wrong shape
         for q, entry in sorted(s.cohomology.items()):
             tag = f"depth {depth} degree {q}"
             if not (0 <= q <= 2 * n):
@@ -271,6 +275,7 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
                     failures.append(f"{tag}: missing pairing")
                 elif P.rows != entry["dim"] or P.cols != dual_dim:
                     failures.append(f"{tag}: pairing shape mismatch")
+                    misshaped.add(q)
                     pairings_ok = False
                 elif q in dual_checked:
                     pass
@@ -298,6 +303,7 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
             else:
                 if any(a != b for (a, b) in types):
                     failures.append(f"{tag}: frame required for types with p' != q'")
+        failures.extend(_pairing_type_failures(s, n, misshaped, unframed))
     # gamma raises type by (1,1), theta preserves type (checked in frame coords)
     framed = _frame_map(data)
     shapes_ok = True
@@ -319,6 +325,34 @@ def validate_degeneration_data(data: DegenerationData) -> Report:
             failures.extend(_adjointness_failures(data))
         failures.extend(_d1_square_failures(data))
     return Report(failures)
+
+
+def _pairing_type_failures(s: StratumCohomology, n: int, misshaped: set, unframed: set) -> list:
+    """A pairing is a morphism of Hodge structures: in frame coordinates,
+    G = F_q^T P_q F_{2n-q} pairs type t only with type (n, n) - t.  One
+    check per Poincaré pair (q, 2n - q), q <= n, of which some degree has a
+    frame (without one every type is (q/2, q/2)), naming the first nonzero
+    entry of G that breaks this; degrees already listed with a misshaped
+    pairing or an unusable frame are skipped."""
+    out = []
+    for q, entry in sorted(s.cohomology.items()):
+        dual = 2 * n - q
+        P, F = entry["pairing"], entry["frame"]
+        Fd = s.cohomology[dual]["frame"] if dual in s.cohomology else None
+        if (q > dual or P is None or (F is None and Fd is None) or q in misshaped
+                or {(s.depth, q), (s.depth, dual)} & unframed):
+            continue
+        G = P if Fd is None else P @ Fd
+        if F is not None:
+            G = F.transpose() @ G
+        types, dual_types = entry["types"], s.types(dual)
+        for i, j in G.nonzero():
+            (a, b), (c, e) = types[i], dual_types[j]
+            if (a + c, b + e) != (n, n):
+                out.append(f"depth {s.depth} degree {q}: "
+                           f"pairing pairs type ({a},{b}) with ({c},{e})")
+                break
+    return out
 
 
 def _stratum_maps(data: DegenerationData):
@@ -512,12 +546,8 @@ def _transport(src: list[Summand], tgt: list[Summand], X: ExactMatrix) -> ExactM
     term with summands src: each target summand takes the rows of the source
     summand with its (depth, q), or zero rows if there is none.  Source
     summands whose shifted index falls outside the target's truncated range
-    are dropped; this truncation is what makes the induced shift nilpotent."""
-    dims = {(s.depth, s.q): s.dim for s in src}
-    for t in tgt:
-        if dims.get((t.depth, t.q), t.dim) != t.dim:
-            raise ContractError(
-                f"transport between summands of dimensions {dims[t.depth, t.q]} and {t.dim}")
+    are dropped; this truncation is what makes the induced shift nilpotent.
+    Summands with one (depth, q) have one dimension, that of H^q(E(depth))."""
     return _move_rows(_column_keys(src), _column_keys(tgt), X)
 
 
@@ -528,12 +558,13 @@ class E2Term:
     taken in the sector's columns: sector_cols[sec] lists those columns of
     the E1 term (frame coordinates), in order.  The block of sector sec in
     any matrix from one term to another is that matrix's rows
-    tgt.sector_cols[sec] and columns src.sector_cols[sec].  E2Page fills in
-    sector_d1[sec], the sector's outgoing d1 block, sector_B[sec], its
-    boundary space, and sector_dims[sec], in sorted sector order; reps(sec)
-    reduces the first two once, where the classes are first read.  Nothing
-    is lifted to the whole term here; extract_limit_mhs does that, once,
-    where whole-term vectors are read."""
+    tgt.sector_cols[sec] and columns src.sector_cols[sec].
+    _SectorMaps.images fills in sector_d1[sec], the sector's outgoing d1
+    block, and E2Page sector_B[sec], its boundary space, and
+    sector_dims[sec], in sorted sector order; reps(sec) reduces the first
+    two once, where the classes are first read.  Nothing is lifted to the
+    whole term here; extract_limit_mhs does that, once, where whole-term
+    vectors are read."""
 
     __slots__ = ("summands", "sector_cols", "sector_d1", "sector_B", "sector_dims", "_reps")
 
@@ -555,9 +586,11 @@ class E2Term:
         return sum(self.sector_dims.values())
 
 
-# the term of every (d, r) without an E1 summand: it has no sector, so no
-# page fills it in
+# the term of every (d, r) without an E1 summand, and of every column outside
+# a page: it has no sector, so nothing fills it in
 _NO_TERM = E2Term(DegenerationData(0, ()), [])
+# the image of a sector block without rows, whose sector the next term lacks
+_NO_IMAGE = Subspace.zero(0)
 
 
 class _SectorMaps:
@@ -569,11 +602,13 @@ class _SectorMaps:
     its type shift (see _type_break) breaks the sectors; broken holds those
     maps.  A term without an E1 summand, such as any column past the
     deepest stratum, |r| >= max depth, is the shared empty one, and no
-    E2Term is built for it."""
+    E2Term is built for it.  Each term, and the images of its outgoing
+    sector blocks, are made once per call."""
 
     def __init__(self, data: DegenerationData):
         self.data = data
         self.terms: dict[tuple[int, int], E2Term] = {}  # (d, r) -> term, made once
+        self.outgoing: dict[tuple[int, int], dict] = {}  # (d, r) -> sec -> image, made once
         self.maps = _d1_maps(data, _frame_map(data))  # (source, target) -> framed map
         self.broken = {key for key, M in self.maps.items()
                        if _type_break(data, *key, M) is not None}
@@ -595,6 +630,22 @@ class _SectorMaps:
             raise ContractError(f"d1 violates type sectors at degree {d}, column {-r}")
         return _d1(self.maps, src.summands, tgt.summands)
 
+    def images(self, d: int, r: int) -> dict:
+        """The image of each outgoing sector block of the term at degree d,
+        column -r, by sector: the boundary spaces of the next term's
+        sectors.  The first call places the one framed d1 from the term to
+        the next, keeps each sector's block as the term's sector_d1 and
+        eliminates it once, pivots only, if it has rows."""
+        if (d, r) not in self.outgoing:
+            term, tgt = self.term(d, r), self.term(d + 1, r - 1)
+            images = self.outgoing[d, r] = {}
+            if term.sector_cols:
+                out = self.d1(term, tgt, d, r)
+                for sec in sorted(term.sector_cols):
+                    block = term.sector_d1[sec] = _sector_block(out, term, tgt, sec)
+                    images[sec] = image(block) if block.rows else _NO_IMAGE
+        return self.outgoing[d, r]
+
 
 def _hodge_numbers(terms) -> dict[tuple[int, int], int]:
     """Limit Hodge numbers from the sector dimensions of a page's terms,
@@ -615,61 +666,44 @@ def _sector_block(M: ExactMatrix, src: E2Term, tgt: E2Term, sec: tuple[int, int]
 
 class E2Page:
     """The E2 terms of degree d, each the sum of its type sectors in frame
-    coordinates.  One framed d1 is placed per term and its next term, and
-    each sector's block is cut from it (see E2Term).  One pivots-only
-    elimination of each sector's outgoing block M gives its rank, so by
-    rank-nullity its dimension, cols - rank - dim B once M B = 0, and its
-    image, boundaries[r - 1][sec], that sector's boundary space on the next
-    page.  carried is (maps, boundaries): the _SectorMaps of the call and
-    the boundaries of page d - 1, which a caller that builds consecutive
-    pages passes on.  Without it the page frames its own maps and takes the
-    image of each incoming block.  Any degree 0..2m can be built this way;
-    nearby_hodge_index builds d <= m and reads the rest from Poincaré
-    duality.  terms has every column -d..d; those without an E1 summand
-    share one empty term and do no work, and a sector block with no target
-    rows costs no elimination."""
+    coordinates, read from maps, the _SectorMaps of the call (a fresh one
+    by default).  A sector's boundary space B is the image of its block in
+    the outgoing d1 of the term (d - 1, r + 1), and by rank-nullity its
+    dimension is cols - rank - dim B, the rank that of its own outgoing
+    block M, once M B = 0 (see _SectorMaps.images).  Pages built from one
+    maps, as nearby_hodge_index builds d = 0..m, share those images, so
+    each block is eliminated once.  terms has every column -d..d; those
+    without an E1 summand share one empty term and do no work."""
 
-    def __init__(self, data: DegenerationData, d: int, carried: tuple | None = None):
+    def __init__(self, data: DegenerationData, d: int, maps: _SectorMaps | None = None):
         self.d = d
-        maps, into = carried if carried is not None else (_SectorMaps(data), None)
+        maps = _SectorMaps(data) if maps is None else maps
         self.terms = {}
-        self.boundaries = {}
         for r in range(-d, d + 1):
             term = self.terms[r] = maps.term(d, r)
             if not term.sector_cols:
                 continue  # no E1 summand: nothing to quotient
-            tgt = maps.term(d + 1, r - 1)
-            out = maps.d1(term, tgt, d, r)
-            if into is None:
-                prev = maps.term(d - 1, r + 1)
-                M = maps.d1(prev, term, d, r)
-                incoming = {sec: image(_sector_block(M, prev, term, sec))
-                            for sec in term.sector_cols if sec in prev.sector_cols}
-            else:
-                incoming = into.get(r, {})
-            images = self.boundaries[r - 1] = {}
+            incoming, images = maps.images(d - 1, r + 1), maps.images(d, r)
             for sec, cols in sorted(term.sector_cols.items()):
                 B = incoming[sec] if sec in incoming else Subspace.zero(len(cols))
-                block = term.sector_d1[sec] = _sector_block(out, term, tgt, sec)
-                if B.dim and not (block @ B.basis).is_zero():
+                if B.dim and not (term.sector_d1[sec] @ B.basis).is_zero():
                     raise ContractError(f"d1 image escapes kernel at degree {d}, column {-r}")
-                images[sec] = image(block) if block.rows else Subspace.zero(0)
                 term.sector_B[sec] = B
                 term.sector_dims[sec] = len(cols) - images[sec].dim - B.dim
 
-    def term(self, r: int) -> E2Term | None:
-        return self.terms.get(r)
+    def term(self, r: int) -> E2Term:
+        """The term at column -r; outside -d..d, the shared empty one."""
+        return self.terms.get(r, _NO_TERM)
 
     def dim(self, r: int) -> int:
-        t = self.terms.get(r)
-        return t.dim if t else 0
+        return self.term(r).dim
 
     def hodge_numbers(self) -> dict[tuple[int, int], int]:
         return _hodge_numbers(t.sector_dims for t in self.terms.values())
 
 
-def e2_page(data: DegenerationData, d: int, carried: tuple | None = None) -> E2Page:
-    return E2Page(data, d, carried)
+def e2_page(data: DegenerationData, d: int, maps: _SectorMaps | None = None) -> E2Page:
+    return E2Page(data, d, maps)
 
 
 class WeightCriterionReport(Report):
@@ -690,26 +724,23 @@ def _shifted_classes(page: E2Page, r: int, s: int, sec: tuple[int, int]) -> tupl
     E2^{-r+2s, d+r-2s}, in that sector's coordinates.  The identity
     transport keeps each column's stratum basis vector and its type tag and
     lowers its twist by s, so one sector maps into one sector, row by row;
-    the frames commute with it.  A target outside the page is zero: TX has
-    no rows."""
+    the frames commute with it.  The moved classes must lie in the kernel
+    of the target sector's d1 block M, M TX = 0, for nu^s to descend to E2.
+    TX is None where the target sector has no column, as outside the
+    page."""
     src, tgt = page.term(r), page.term(r - 2 * s)
     tsec = (sec[0] - s, sec[1] - s)
-    keys = _column_keys(src.summands)
+    keys, tkeys = _column_keys(src.summands), _column_keys(tgt.summands)
     src_keys = [keys[c] for c in src.sector_cols[sec]]
-    tkeys = _column_keys(tgt.summands) if tgt else []
-    tgt_keys = [tkeys[c] for c in tgt.sector_cols.get(tsec, [])] if tkeys else []
+    tgt_keys = [tkeys[c] for c in tgt.sector_cols.get(tsec, [])]
     if not set(src_keys) & set(tkeys) <= set(tgt_keys):
         raise ContractError("shift map leaves its target sector")
-    X = src.reps(sec)
-    TX = _move_rows(src_keys, tgt_keys, X) if tgt_keys else ExactMatrix.zero(0, X.cols)
+    if not tgt_keys:
+        return None, tgt, tsec
+    TX = _move_rows(src_keys, tgt_keys, src.reps(sec))
+    if not (tgt.sector_d1[tsec] @ TX).is_zero():
+        raise ContractError(f"shift map fails to descend to E2 at degree {page.d}, r={r}")
     return TX, tgt, tsec
-
-
-def _induced_shift(page: E2Page, r: int, s: int, sec: tuple[int, int]) -> ExactMatrix | None:
-    """nu^s on the sector sec of E2^{-r, d+r} (see _shifted_classes), in the
-    sector class coordinates of both ends; None if it fails to descend."""
-    TX, tgt, tsec = _shifted_classes(page, r, s, sec)
-    return class_coordinates(tgt.reps(tsec), tgt.sector_B[tsec], TX) if TX.rows else TX
 
 
 def _weight_criterion(page: E2Page) -> WeightCriterionReport:
@@ -717,18 +748,15 @@ def _weight_criterion(page: E2Page) -> WeightCriterionReport:
     isomorphism E2^{-r, d+r} -> E2^{r, d-r} on the page of degree d: the two
     terms have one dimension and nu^r is injective on every sector.  No
     class of a target sector is built: with TX the n moved classes of a
-    source sector (see _shifted_classes), M the target sector's d1 block and
-    B its boundary space, nu^r descends exactly when M TX = 0, and is
-    injective exactly when [B | TX] has rank dim B + n."""
+    source sector (see _shifted_classes) and B the target sector's boundary
+    space, nu^r is injective exactly when [B | TX] has rank dim B + n."""
     d = page.d
     per_r = {0: True}  # nu^0 is the identity
     for r in range(1, d + 1):
         same = page.dim(r) == page.dim(-r)
         shifts = [(n, *_shifted_classes(page, r, r, sec))
                   for sec, n in page.term(r).sector_dims.items() if same and n]
-        if any(TX.rows and not (t.sector_d1[ts] @ TX).is_zero() for _, TX, t, ts in shifts):
-            raise ContractError(f"shift map fails to descend to E2 at degree {d}, r={r}")
-        per_r[r] = same and all(TX.rows and rank(t.sector_B[ts].basis.hstack(TX)) ==
+        per_r[r] = same and all(TX is not None and rank(t.sector_B[ts].basis.hstack(TX)) ==
                                 t.sector_B[ts].dim + n for n, TX, t, ts in shifts)
     return WeightCriterionReport(d, per_r)
 
@@ -791,13 +819,18 @@ def _hermitian_gram(data: DegenerationData, summands: list[Summand], r: int) -> 
 
 def _primitive_sector_basis(page: E2Page, r: int, sec: tuple[int, int]) -> ExactMatrix:
     """Basis of ker(nu^{r+1}) inside the (P,Q) sector of E2^{-r, m+r}, as
-    columns in the sector's coordinates."""
+    columns in the sector's coordinates.  With X the sector's n classes, TX
+    their moved copies (see _shifted_classes) and B the target sector's
+    boundary space, X u is primitive exactly when TX u lies in B, that is
+    when u is the first n rows of a vector of ker [TX | B]; B's columns are
+    independent, so those rows of a kernel basis are a basis of such u.
+    No class of the target sector is built."""
+    TX, tgt, tsec = _shifted_classes(page, r, r + 1, sec)
     X = page.term(r).reps(sec)
-    induced = _induced_shift(page, r, r + 1, sec)
-    if induced is None:
-        raise ContractError("shift map fails to descend on a sector")
-    # where nu^{r+1} lands in a zero sector, the whole sector is primitive
-    return X @ kernel(induced).basis if induced.rows else X
+    if TX is None:  # nu^{r+1} lands in a zero sector: the whole sector is primitive
+        return X
+    K = kernel(TX.hstack(tgt.sector_B[tsec].basis)).basis
+    return X @ K.take_rows(range(X.cols))
 
 
 class DegenerateFormError(ValueError):
@@ -813,7 +846,7 @@ def _e2_signature_table(data: DegenerationData, page: E2Page) -> SignatureTable:
     entries = {}
     for r in range(0, m + 1):
         term = page.term(r)
-        if term is None or term.dim == 0:
+        if term.dim == 0:
             continue
         G = _hermitian_gram(data, term.summands, r)
         for sec in (sec for sec, n in term.sector_dims.items() if n):
@@ -991,9 +1024,10 @@ def nearby_hodge_index(data: DegenerationData) -> IndexReport:
     aggregated signature of S(C., conj .) per (p, m-p) at middle degree when
     the criterion holds there.
 
-    Only the pages of degree d <= m are built, each once, from stratum maps
-    framed once per call, each handing the images of its outgoing sector
-    blocks to the next.  The weight spectral sequence is self-dual (Steenbrink
+    Only the pages of degree d <= m are built, each once, from one
+    _SectorMaps: the stratum maps are framed once per call, and the images
+    of one page's outgoing sector blocks are the next page's boundary
+    spaces.  The weight spectral sequence is self-dual (Steenbrink
     1976): psi_form pairs E1^{-r, d+r} with E1^{r, 2m-d-r}, and d1 is
     adjoint to itself up to sign.  So for d > m and d' = 2m - d, the term
     at column r of degree d mirrors the term at column -r of degree d', its
@@ -1009,12 +1043,9 @@ def nearby_hodge_index(data: DegenerationData) -> IndexReport:
     sector_dims = {}  # degree -> column -> the sector dimensions of that term
     verdict = True
     middle = None
-    # the stratum maps are framed once, and each page hands the images of its
-    # outgoing sector blocks to the next as its boundary spaces
-    maps, boundaries = _SectorMaps(data), {}
+    maps = _SectorMaps(data)
     for d in range(0, m + 1):
-        page = e2_page(data, d, (maps, boundaries))
-        boundaries = page.boundaries
+        page = e2_page(data, d, maps)
         crit = _weight_criterion(page)
         dims = sector_dims[d] = {r: t.sector_dims for r, t in page.terms.items()}
         per_degree[d] = {"criterion": crit.per_r, "hodge": _hodge_numbers(dims.values())}

@@ -373,18 +373,39 @@ def reference_class_coordinates(reps: ExactMatrix, lower: Subspace, X: ExactMatr
     return R.take_rows(range(reps.cols)).take_columns(range(k, k + X.cols))
 
 
-def run_under_python_O(test_file: str, names: list[str]) -> subprocess.CompletedProcess:
-    """Run the named tests of test_file in a python -O pytest subprocess,
-    where assert statements are off, with the package's source on the
-    path."""
-    here = Path(__file__).resolve().parent
-    src = str(Path(exactlin.__file__).parents[1])
-    return subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         *[f"{Path(test_file).name}::{name}" for name in names]],
-        capture_output=True, text=True, cwd=here,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(here)])},
-    )
+# node ids registered by the test modules at import, and the outcome of the
+# one python -O pytest run that replays them all, made on first request
+_UNDER_O = {"nodes": {}, "outcome": None}
+
+
+def under_python_O(test_file: str, names: list[str]) -> list[str]:
+    """Register the named tests of test_file for the session's python -O
+    run and return their node ids.  A test module calls this at import, so
+    every module collected in the session has registered its tests before
+    any of them runs."""
+    nodes = [f"{Path(test_file).name}::{name}" for name in names]
+    _UNDER_O["nodes"].update(dict.fromkeys(nodes))
+    return nodes
+
+
+def passed_under_python_O() -> tuple[set[str], str]:
+    """(node ids that passed, output) of one python -O pytest subprocess,
+    where assert statements are off, over every registered test, with the
+    package's source on the path.  It runs once per session; later calls
+    return its outcome."""
+    if _UNDER_O["outcome"] is None:
+        here = Path(__file__).resolve().parent
+        src = str(Path(exactlin.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+             *_UNDER_O["nodes"]],
+            capture_output=True, text=True, cwd=here,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(here)])},
+        )
+        passed = {line.split(" ", 1)[1] for line in done.stdout.splitlines()
+                  if line.startswith("PASSED ")}
+        _UNDER_O["outcome"] = passed, done.stdout + done.stderr
+    return _UNDER_O["outcome"]
 
 
 # -- products of degenerations ------------------------------------------------

@@ -15,7 +15,10 @@ from lmhs import cli, exactlin, identities, mhs, orbit
 from lmhs.exactlin import ExactMatrix, PolyScalar, gaussian_from_str
 from lmhs.geomodels import ResolutionData, odp_semistable_model
 from lmhs.steenbrink import DegenerationData, validate_degeneration_data
-from test_steenbrink import GOLDEN_ODP_MODELS, cycle_degeneration, kodaira_degeneration
+from support import product
+from test_steenbrink import (
+    GOLDEN_ODP_MODELS, cycle_degeneration, elliptic_smooth, kodaira_degeneration,
+)
 
 
 def fixture_path(name):
@@ -68,44 +71,59 @@ class TestCheck:
         assert code == 1
 
     def test_malformed_pairing(self, tmp_path, capsys):
+        # a zero denominator is outside the scalar grammar, so the reader
+        # names the entry, as it names any other malformed scalar
         blob = json.load(open(fixture_path("kodaira.json")))
         blob["strata"][0]["cohomology"][1]["pairing"][0][0] = "1/0"
         bad = tmp_path / "badpair.json"
         bad.write_text(json.dumps(blob))
-        code, _, err = run(capsys, "check", str(bad))
-        assert code == 1
-        assert "invalid input" in err
+        mhs_blob = json.load(open(fixture_path("elliptic.json")))
+        mhs_blob["S"][0][1] = "1/0"
+        bad_mhs = tmp_path / "bad_mhs.json"
+        bad_mhs.write_text(json.dumps(mhs_blob))
+        for command, path in (("check", bad), ("validate", bad), ("orbit", bad_mhs)):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (1, ""), command
+            assert err == "invalid input: cannot parse GaussianScalar from '1/0'\n", command
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/file.json")
         assert code == 1
 
-    def test_degenerate_primitive_form_is_a_verdict(self, tmp_path, capsys):
-        # a valid single curve whose H^1 frame makes a primitive sector form
-        # degenerate: columns a = (1, i, 1, -i), b = (1, -i, 0, 0) and their
-        # conjugates, against the pairing J + J
-        blob = {"m": 1, "strata": [{"depth": 1, "cohomology": [
-            {"q": 0, "dim": 1, "types": [[0, 0]], "pairing": [["1"]]},
-            {"q": 1, "dim": 4, "types": [[1, 0], [1, 0], [0, 1], [0, 1]],
-             "pairing": [["0", "1", "0", "0"], ["-1", "0", "0", "0"],
-                         ["0", "0", "0", "1"], ["0", "0", "-1", "0"]],
-             "frame": [["1", "1", "1", "1"],
-                       ["0+1*i", "0-1*i", "0-1*i", "0+1*i"],
-                       ["1", "0", "1", "0"],
-                       ["0-1*i", "0", "0+1*i", "0"]]},
-            {"q": 2, "dim": 1, "types": [[1, 1]], "pairing": [["1"]]},
-        ]}]}
-        path = tmp_path / "degenerate.json"
-        path.write_text(json.dumps(blob))
-        code, out, _ = run(capsys, "validate", str(path), "--format", "json")
-        assert code == 0 and json.loads(out)["valid"] is True
-        code, out, err = run(capsys, "check", str(path), "--format", "json")
+    def test_degenerate_primitive_form_is_a_verdict(self, capsys, monkeypatch):
+        # no valid input is known to give a degenerate primitive form (the
+        # curve of CURVE_PAIRING_TYPE_BREAK gives one, and fails validation),
+        # so a form reduction that reports a null direction stands in: the
+        # pipeline's DegenerateFormError is a verdict, not a traceback
+        from lmhs import steenbrink
+
+        signature = steenbrink.hermitian_signature
+        monkeypatch.setattr(steenbrink, "hermitian_signature",
+                            lambda H, error: (*signature(H, error)[:2], 1))
+        code, out, err = run(capsys, "check", fixture_path("odp_m3.json"), "--format", "json")
         assert code == 2
         assert "Traceback" not in err
         assert json.loads(out) == {
             "verdict": False,
-            "failures": ["degenerate primitive form at sector (0, 1), r=0"],
+            "failures": ["degenerate primitive form at sector (1, 2), r=0"],
         }
+
+
+# a valid-looking single curve whose H^1 frame makes a primitive sector form
+# degenerate: columns a = (1, i, 1, -i), b = (1, -i, 0, 0) and their
+# conjugates, against the pairing J + J, which pairs a with b, both of type
+# (1,0); validation names that
+CURVE_PAIRING_TYPE_BREAK = {"m": 1, "strata": [{"depth": 1, "cohomology": [
+    {"q": 0, "dim": 1, "types": [[0, 0]], "pairing": [["1"]]},
+    {"q": 1, "dim": 4, "types": [[1, 0], [1, 0], [0, 1], [0, 1]],
+     "pairing": [["0", "1", "0", "0"], ["-1", "0", "0", "0"],
+                 ["0", "0", "0", "1"], ["0", "0", "-1", "0"]],
+     "frame": [["1", "1", "1", "1"],
+               ["0+1*i", "0-1*i", "0-1*i", "0+1*i"],
+               ["1", "0", "1", "0"],
+               ["0-1*i", "0", "0+1*i", "0"]]},
+    {"q": 2, "dim": 1, "types": [[1, 1]], "pairing": [["1"]]},
+]}]}
 
 
 def mhs_fields(data):
@@ -169,7 +187,8 @@ class TestCodec:
         pattern = json.loads(raw)
         samples = ["1", "-1", "0", "1/2", "-3/4", "1/2+3/4*i", "1-1*i", "0+1*i",
                    "+1", "1 ", " 1", "1/2 + 3/4*i", "1/", "/2", "i", "1*i",
-                   "1+i", "1.5", "1e3", "", "1/2+3/4"]
+                   "1+i", "1.5", "1e3", "", "1/2+3/4", "1/0", "1/00", "1/01", "0/10",
+                   "1+1/0*i", "1+1/10*i"]
         for sample in samples:
             try:
                 gaussian_from_str(sample)
@@ -509,6 +528,29 @@ class TestValidate:
         proc = run_optimized("validate", pairing_edit(tmp_path, edit), "--format", "json")
         assert (proc.returncode, proc.stderr) == (2, "")
         assert json.loads(proc.stdout) == PAIRING_SHAPE_REPORT
+
+    @pytest.mark.parametrize("command, code", [("validate", 2), ("check", 1)])
+    @pytest.mark.parametrize("name", ["ExE", "curve"])
+    def test_pairing_that_is_not_type_orthogonal(self, tmp_path, capsys, command, code, name):
+        # a pairing, a morphism of Hodge structures, pairs type t only with
+        # (n, n) - t.  Smooth E x E with 2 added at entry (1, 1) of its
+        # degree-2 pairing pairs the frame's (2,0) column with itself; the
+        # curve pairs two (1,0) columns.  Both once passed validation and
+        # then read a degenerate primitive form as a verdict
+        if name == "ExE":
+            blob = product(elliptic_smooth(), elliptic_smooth()).to_json()
+            degree_two = next(e for e in blob["strata"][0]["cohomology"] if e["q"] == 2)
+            assert degree_two["pairing"][1][1] == "0/1"
+            degree_two["pairing"][1][1] = "2"
+            failure = "depth 1 degree 2: pairing pairs type (2,0) with (2,0)"
+        else:
+            blob = CURVE_PAIRING_TYPE_BREAK
+            failure = "depth 1 degree 1: pairing pairs type (1,0) with (1,0)"
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(blob))
+        got, out, err = run(capsys, command, str(path), "--format", "json")
+        assert (got, err) == (code, "")
+        assert json.loads(out) == {"valid": False, "failures": [failure]}
 
     @pytest.mark.parametrize("optimized", [False, True], ids=["python", "python-O"])
     @pytest.mark.parametrize("command, code", [("validate", 2), ("check", 1)])

@@ -35,8 +35,8 @@ from lmhs.orbit import (
     verify_main_theorem,
 )
 from support import (
-    jordan_nilpotent, random_invertible, random_unimodular, reference_det, run_under_python_O,
-    to_domain,
+    jordan_nilpotent, passed_under_python_O, random_invertible, random_unimodular, reference_det,
+    to_domain, under_python_O,
 )
 from test_mhs import elliptic_string, tate_string_3
 
@@ -512,12 +512,14 @@ class TestIdentities:
             OrbitFiltration(MHSData(data.ambient_dim, data.d, data.W, data.F, S=data.S), {})
 
 
+CONTRACT_TESTS = under_python_O(__file__, ["TestIdentities::test_contract_errors"])
+
+
 def test_contract_errors_survive_python_O():
     """The contract checks of orbit raise ContractError, which python -O
     keeps."""
-    done = run_under_python_O(__file__, ["TestIdentities::test_contract_errors"])
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "1 passed" in done.stdout
+    passed, output = passed_under_python_O()
+    assert set(CONTRACT_TESTS) <= passed, output
 
 
 @settings(max_examples=12, deadline=None)

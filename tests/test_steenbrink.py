@@ -38,7 +38,7 @@ from lmhs.steenbrink import (
     weight_criterion,
 )
 import support
-from support import invert, run_under_python_O
+from support import invert, passed_under_python_O, under_python_O
 
 I = GaussianScalar(0, 1)
 M = ExactMatrix.from_rational
@@ -204,17 +204,16 @@ class TestValidation:
         # unvalidated: a restriction sends the surfaces' (2,0) class onto the
         # curves' (1,1) class.  The target term has no (2,0) sector, so only a
         # check of every incoming column, not just those of the sectors the
-        # term shares, sees the break
+        # term shares, sees the break.  The page of degree 3 reads the map
+        # as the outgoing d1 of the term at degree 2, column 0, which it
+        # names, as the pipeline does
         surfaces = StratumCohomology(1, {2: {"types": [(2, 0), (1, 1), (0, 2)]}})
         curves = StratumCohomology(2, {2: {"types": [(1, 1)]}})
         data = DegenerationData(2, [surfaces, curves], restriction={(1, 2): M([[1, 0, 0]])})
-        with pytest.raises(AssertionError,
-                           match="^d1 violates type sectors at degree 3, column 1$"):
-            e2_page(data, 3)
-        # the pipeline reads the map first as the outgoing map of degree 2
-        with pytest.raises(AssertionError,
-                           match="^d1 violates type sectors at degree 2, column 0$"):
-            nearby_hodge_index(data)
+        for build in (lambda: e2_page(data, 3), lambda: nearby_hodge_index(data)):
+            with pytest.raises(AssertionError,
+                               match="^d1 violates type sectors at degree 2, column 0$"):
+                build()
 
     def test_shift_leaving_target_kernel_rejected(self):
         # a corrupted page: the identity as the outgoing d1 block of every
@@ -228,16 +227,17 @@ class TestValidation:
                            match=r"^shift map fails to descend to E2 at degree 1, r=1$"):
             _weight_criterion(page)
 
+    CONTRACT_TESTS = under_python_O(__file__, [
+        "TestValidation::test_broken_d1_square_rejected",
+        "TestValidation::test_incoming_column_outside_term_sectors_rejected",
+        "TestValidation::test_shift_leaving_target_kernel_rejected",
+    ])
+
     def test_contract_errors_survive_python_O(self):
         # the three contract tests above raise ContractError, which python -O
         # keeps, where an assert statement would be skipped
-        done = run_under_python_O(__file__, [
-            "TestValidation::test_broken_d1_square_rejected",
-            "TestValidation::test_incoming_column_outside_term_sectors_rejected",
-            "TestValidation::test_shift_leaving_target_kernel_rejected",
-        ])
-        assert done.returncode == 0, done.stdout + done.stderr
-        assert "3 passed" in done.stdout
+        passed, output = passed_under_python_O()
+        assert set(self.CONTRACT_TESTS) <= passed, output
 
     def test_json_round_trip(self):
         for build in ALL_FIXTURES:
@@ -533,9 +533,9 @@ class TestPageBuilds:
         degrees = []
         original = steenbrink.e2_page
 
-        def counting(data, d, carried=None):
+        def counting(data, d, maps=None):
             degrees.append(d)
-            return original(data, d, carried)
+            return original(data, d, maps)
 
         monkeypatch.setattr(steenbrink, "e2_page", counting)
         return degrees
@@ -849,8 +849,8 @@ class TestD1Builds:
         pages = []
         original = steenbrink.e2_page
 
-        def keeping(data, d, carried=None):
-            pages.append(original(data, d, carried))
+        def keeping(data, d, maps=None):
+            pages.append(original(data, d, maps))
             return pages[-1]
 
         monkeypatch.setattr(steenbrink, "e2_page", keeping)
@@ -896,14 +896,25 @@ def test_sector_sums_match_raw_full_quotients(build):
         assert _weight_criterion(page).per_r == want, d
 
 
+def induced_shift(page, r: int, s: int, sec) -> ExactMatrix | None:
+    """nu^s on the sector sec of E2^{-r, d+r} in the sector class
+    coordinates of both ends, from the moved classes of _shifted_classes
+    (no rows where the target sector is empty); None if it fails to
+    descend."""
+    TX, tgt, tsec = steenbrink._shifted_classes(page, r, s, sec)
+    if TX is None:
+        return ExactMatrix.zero(0, page.term(r).sector_dims[sec])
+    return class_coordinates(tgt.reps(tsec), tgt.sector_B[tsec], TX)
+
+
 def class_coordinate_criterion(page) -> dict[int, bool]:
     """The weight criterion as it was read before it became a rank test:
-    nu^r in the class coordinates of both ends (_induced_shift), which must
+    nu^r in the class coordinates of both ends (induced_shift), which must
     descend and have full rank on every sector of a nonzero source."""
     per_r = {0: True}
     for r in range(1, page.d + 1):
         same = page.dim(r) == page.dim(-r)
-        shifts = [(n, steenbrink._induced_shift(page, r, r, sec))
+        shifts = [(n, induced_shift(page, r, r, sec))
                   for sec, n in page.term(r).sector_dims.items() if same and n]
         assert all(M is not None for _, M in shifts), (page.d, r)
         per_r[r] = same and all(rank(M) == n for n, M in shifts)
@@ -932,17 +943,24 @@ def test_rank_criterion_matches_class_coordinates(build):
     assert all(verdicts) == (build not in (kodaira_degeneration, CRITERION_INPUTS[-1]))
 
 
-@pytest.mark.parametrize("seed", [7, 20261018])
-def test_classes_built_only_where_read(seed, monkeypatch):
-    """On seeded ODP models, nearby_hodge_index builds no class of column 0
-    (nu^0 is the identity) or of a negative column below the middle degree,
-    and the weight criterion alone builds classes of its source terms,
-    r >= 1, only: none of its targets."""
+@pytest.mark.parametrize("models", [
+    lambda: seeded_odp_models(7),
+    lambda: seeded_odp_models(20261018),
+    lambda: [triple_point_degeneration()],
+    lambda: [tetrahedron_degeneration()],
+], ids=["7", "20261018", "triple_point", "tetrahedron"])
+def test_classes_built_only_where_read(models, monkeypatch):
+    """nearby_hodge_index builds no class of column 0 (nu^0 is the
+    identity) or of a negative column below the middle degree; the weight
+    criterion alone builds classes of its source terms, r >= 1, only, and
+    the signature table of its sources, r >= 0, only: none of their
+    targets.  On the seeded ODP models nu^{r+1} has no target; on the
+    triple point and the tetrahedron it lands in column -r-2."""
     pages, built = [], []
     page, reduce = steenbrink.e2_page, steenbrink.kernel_modulo
 
-    def keeping(data, d, carried=None):
-        pages.append(page(data, d, carried))
+    def keeping(data, d, maps=None):
+        pages.append(page(data, d, maps))
         return pages[-1]
 
     def reducing(M, lower=None):
@@ -952,7 +970,7 @@ def test_classes_built_only_where_read(seed, monkeypatch):
 
     monkeypatch.setattr(steenbrink, "e2_page", keeping)
     monkeypatch.setattr(steenbrink, "kernel_modulo", reducing)
-    for data in seeded_odp_models(seed):
+    for data in models():
         pages.clear(), built.clear()
         nearby_hodge_index(data)
         assert built and all(r >= 1 for d, r in built if d < data.m), built
@@ -960,6 +978,10 @@ def test_classes_built_only_where_read(seed, monkeypatch):
             pages.clear(), built.clear()
             _weight_criterion(keeping(data, d))
             assert all(r >= 1 for _, r in built), (d, built)
+        middle = pages[-1]
+        built.clear()
+        steenbrink._e2_signature_table(data, middle)
+        assert built and all(r >= 0 for _, r in built), built
 
 
 def direct_nearby_hodge_index(data: DegenerationData) -> steenbrink.IndexReport:
@@ -1548,10 +1570,12 @@ def validation_ranking_every_degree(data: DegenerationData) -> list[str]:
     pairings_ok = True
     for depth, s in sorted(data.strata.items()):
         n = data.complex_dim(depth)
+        skipped = set()  # degrees out of range, misshaped pairings, unusable frames
         for q, entry in sorted(s.cohomology.items()):
             tag = f"depth {depth} degree {q}"
             if not (0 <= q <= 2 * n):
                 failures.append(f"{tag}: degree out of range for dimension {n}")
+                skipped.add(q)
                 continue
             types = entry["types"]
             for (a, b) in types:
@@ -1568,6 +1592,7 @@ def validation_ranking_every_degree(data: DegenerationData) -> list[str]:
                     failures.append(f"{tag}: missing pairing")
                 elif P.rows != entry["dim"] or P.cols != dual_dim:
                     failures.append(f"{tag}: pairing shape mismatch")
+                    skipped.add(q)
                     pairings_ok = False
                 elif rank(P) != min(P.rows, P.cols):
                     failures.append(f"{tag}: degenerate pairing")
@@ -1582,12 +1607,31 @@ def validation_ranking_every_degree(data: DegenerationData) -> list[str]:
             if F is not None:
                 if F.rows != entry["dim"] or F.cols != entry["dim"]:
                     failures.append(f"{tag}: frame shape mismatch")
+                    skipped.add(q)
                 elif rank(F) != F.cols:
                     failures.append(f"{tag}: singular frame")
+                    skipped.add(q)
                 elif steenbrink._conj_permutation(F, types) is None:
                     failures.append(f"{tag}: frame conjugation does not swap types")
             elif any(a != b for (a, b) in types):
                 failures.append(f"{tag}: frame required for types with p' != q'")
+        # each Poincaré pair with a frame on some side, its pairing in frame
+        # coordinates (the identity where a degree has no frame), pairs type
+        # t only with (n, n) - t
+        for q, entry in sorted(s.cohomology.items()):
+            dual = 2 * n - q
+            frames = [entry["frame"], s.cohomology.get(dual, {}).get("frame")]
+            if (q > dual or entry["pairing"] is None or frames == [None, None]
+                    or {q, dual} & skipped):
+                continue
+            G = s.frame(q).transpose() @ entry["pairing"] @ s.frame(dual)
+            broken = [(s.types(q)[i], s.types(dual)[j]) for i, j in G.nonzero()
+                      if s.types(q)[i][0] + s.types(dual)[j][0] != n
+                      or s.types(q)[i][1] + s.types(dual)[j][1] != n]
+            if broken:
+                (a, b), (c, e) = broken[0]
+                failures.append(
+                    f"depth {depth} degree {q}: pairing pairs type ({a},{b}) with ({c},{e})")
     framed = steenbrink._frame_map(data)
     shapes_ok = True
     for kind, shift, src, tgt in (("gysin", 1, (1, 0), (0, 2)), ("restriction", 0, (0, 0), (1, 0))):
@@ -1663,7 +1707,8 @@ def test_pairing_failures_match_ranking_every_degree(build):
     """Validation ranks and transposes each Poincaré pair once; its failure
     lists equal those of ranking every degree, byte for byte, on every
     pairing mutant: degenerate, inconsistent with the dual, both, the middle
-    degree, and a shape mismatch on one side."""
+    degree, and a shape mismatch on one side.  A doubled row of a framed
+    pairing also pairs some type with one other than its complement."""
     data = build()
     assert validate_degeneration_data(data).failures == validation_ranking_every_degree(data) == []
     seen = Counter()
@@ -1676,6 +1721,9 @@ def test_pairing_failures_match_ranking_every_degree(build):
             seen["both"] += 1
     assert all(seen[kind] for kind in ("degenerate pairing", "pairing transpose inconsistency",
                                        "both", "pairing shape mismatch", "missing pairing"))
+    framed = any(e["frame"] is not None for s in data.strata.values()
+                 for e in s.cohomology.values())
+    assert framed == any(kind.startswith("pairing pairs type") for kind in seen)
 
 
 # -- products with a smooth factor ---------------------------------------------
@@ -1855,6 +1903,35 @@ def test_signatures_do_not_depend_on_representatives(build, seed, monkeypatch):
     monkeypatch.setattr(steenbrink, "_primitive_sector_basis", moving)
     assert steenbrink._e2_signature_table(data, page).entries == want
     assert any(moved)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("build", REPRESENTATIVE_INPUTS, ids=REPRESENTATIVE_IDS)
+def test_primitive_parts_do_not_depend_on_class_representatives(build, seed, monkeypatch):
+    """The primitive parts ker nu^{r+1} are read modulo the target sector's
+    boundaries: moving the class representatives X of every sector of the
+    middle page to X + B Y, B the sector's boundary basis, moves nu^{r+1} X
+    by boundaries of the target, and keeps the criterion and every
+    signature."""
+    data = build()
+    want = steenbrink._e2_signature_table(data, e2_page(data, data.m)).entries
+    rng = random.Random(seed)
+    moved = {}  # (term, sector) -> the moved representatives, drawn once
+    original = steenbrink.E2Term.reps
+
+    def moving(term, sec):
+        if (id(term), sec) not in moved:
+            X, B = original(term, sec), term.sector_B[sec].basis
+            Y = M([[rng.randint(-2, 2) for _ in range(X.cols)] for _ in range(B.cols)])
+            moved[id(term), sec] = X + B @ Y if B.cols else X
+        return moved[id(term), sec]
+
+    monkeypatch.setattr(steenbrink.E2Term, "reps", moving)
+    page = e2_page(data, data.m)
+    assert _weight_criterion(page).ok
+    assert steenbrink._e2_signature_table(data, page).entries == want
+    assert any(X != original(term, sec) for term in page.terms.values()
+               for (at, sec), X in moved.items() if at == id(term))
 
 
 # -- direct sums -------------------------------------------------------------------
