@@ -12,17 +12,17 @@ elimination and the fraction-free Hermitian reduction work on these
 integers; scalars, values without arithmetic (GaussianScalar), appear only
 in the constructor, the JSON codec, repr and the entries view.  A real
 matrix has no imaginary numerators, and no kernel makes any for it.  rref,
-kernel, kernel_modulo, inverse, solve and class_coordinates read their
-answers from the rows of one fraction-free elimination, whose pivots divide
-only the rows and columns asked for, in one place (_solved_rows); no
-intermediate reduced matrix is built.  rank, image and kernel_modulo's test
-of the lower space read pivots only and stop at row echelon form.  Trivial
-shapes do no work: an operation whose result equals an operand returns it
-(a product with a factor equal to the identity by value, assemble of one
-covering block, take_rows and take_columns of every index in order, scale
-by 1, conj of a real matrix), kernel_modulo of a matrix without rows
-eliminates nothing, and the Hermitian test compares each entry with its
-mirror on the stored integers.
+kernel, kernel_modulo, kernel_reps, inverse, solve and class_coordinates
+read their answers from the rows of one fraction-free elimination, whose
+pivots divide only the rows and columns asked for, in one place
+(_solved_rows); no intermediate reduced matrix is built.  rank, image and
+kernel_modulo's test of the lower space read pivots only and stop at row
+echelon form.  Trivial shapes do no work: an operation whose result equals
+an operand returns it (a product with a factor equal to the identity by
+value, assemble of one covering block, take_rows and take_columns of every
+index in order, scale by 1, conj of a real matrix), kernel_modulo and
+kernel_reps of a matrix without rows eliminate nothing, and the Hermitian
+test compares each entry with its mirror on the stored integers.
 
 A polynomial matrix in a real variable t is the list of its coefficient
 matrices C_0, ..., C_D, lowest degree first, as exp_nilpotent returns them.
@@ -177,8 +177,9 @@ def matrix_from_json(rows: list[list[str]], cols: int | None = None) -> "ExactMa
     """Inverse of matrix_to_json; cols is the width of a matrix without rows
     (a matrix with rows has the width of its rows).  Every entry must be a
     string in the schema's scalar grammar."""
-    return ExactMatrix([[gaussian_from_str(e) for e in row] for row in rows],
-                       cols=None if rows else cols)
+    rows = json_array(rows, "a matrix")
+    return ExactMatrix([[gaussian_from_str(e) for e in json_array(row, "a matrix row")]
+                        for row in rows], cols=None if rows else cols)
 
 
 def json_int(blob: dict, key: str, minimum: int | None = None) -> int:
@@ -190,6 +191,15 @@ def json_int(blob: dict, key: str, minimum: int | None = None) -> int:
         raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{key} is {value}, not at least {minimum}")
+    return value
+
+
+def json_array(value, what: str) -> list:
+    """value, which must be a JSON array: any other JSON type is a
+    TypeError, as in json_int, where iterating it would read an object's
+    keys or a string's characters as items."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be an array, not {type(value).__name__}")
     return value
 
 
@@ -734,30 +744,49 @@ def kernel_modulo(M: ExactMatrix, lower: "Subspace | None" = None):
     """(ker M, representatives of ker M modulo lower, im M) from one
     elimination of M; lower defaults to im M, for M @ M = 0.  The
     representatives equal quotient_reps(kernel(M), lower) byte for byte, or
-    are None when M @ lower != 0.  The kernel basis is the identity on the
-    free rows, so lower's free rows C are its coordinates: kernel column j
-    is kept unless some vector of span(C) has its last nonzero coordinate
-    at j, that is a pivot of C^T with its columns reversed.  An M without
-    rows (a block with no target) needs no elimination: its kernel is the
-    identity, its image zero, and M @ lower the empty matrix.
+    are None when M @ lower != 0 (see _reps_modulo).  An M without rows (a
+    block with no target) needs no elimination: its kernel is the identity,
+    its image zero, and M @ lower the empty matrix.
     """
-    if M.rows:
-        echelon = _echelon(M)
-        K, free = _kernel_basis(M.cols, *echelon)
-        I = Subspace._trusted(M.rows, M.take_columns(echelon[2]))
-    else:
-        K = Subspace._trusted(M.cols, ExactMatrix.identity(M.cols))
-        free, I = range(M.cols), Subspace.zero(0)
+    K, free, pivots = _kernel_free(M)
+    I = Subspace._trusted(M.rows, M.take_columns(pivots)) if M.rows else Subspace.zero(0)
     lower = I if lower is None else lower
     _require(lower.ambient_dim == M.cols, "lower space outside the domain")
+    if lower.dim and M.rows and not (M @ lower.basis).is_zero():
+        return K, None, I
+    return K, _reps_modulo(K.basis, free, lower), I
+
+
+def kernel_reps(M: ExactMatrix, lower: "Subspace") -> ExactMatrix:
+    """kernel_modulo(M, lower)[1] for a lower that the caller has already
+    checked M to annihilate: the same one elimination and the same
+    representatives, without the product M @ lower or the image of M."""
+    _require(lower.ambient_dim == M.cols, "lower space outside the domain")
+    K, free, _ = _kernel_free(M)
+    return _reps_modulo(K.basis, free, lower)
+
+
+def _kernel_free(M: ExactMatrix) -> tuple["Subspace", Sequence[int], list[int]]:
+    """(ker M, its free columns, the pivot columns of M) from one full
+    elimination, or from none when M has no rows."""
+    if not M.rows:
+        return Subspace._trusted(M.cols, ExactMatrix.identity(M.cols)), range(M.cols), []
+    R, I, pivots = _echelon(M)
+    return (*_kernel_basis(M.cols, R, I, pivots), pivots)
+
+
+def _reps_modulo(K: ExactMatrix, free: Sequence[int], lower: "Subspace") -> ExactMatrix:
+    """The columns of the kernel basis K, with free columns free, that
+    represent ker / lower, for lower inside the kernel.  K is the identity
+    on the free rows, so lower's free rows C are its coordinates: column j
+    is kept unless some vector of span(C) has its last nonzero coordinate
+    at j, that is a pivot of C^T with its columns reversed."""
     f, b = len(free), lower.dim
     if not b:
-        return K, K.basis, I
-    if M.rows and not (M @ lower.basis).is_zero():
-        return K, None, I
+        return K
     last = range(f) if b == f else {f - 1 - p for p in _echelon(
         lower.basis.take_rows(free[::-1]).transpose(), reduced=False)[2]}
-    return K, K.basis.take_columns([j for j in range(f) if j not in last]), I
+    return K.take_columns([j for j in range(f) if j not in last])
 
 
 def image(M: ExactMatrix) -> "Subspace":

@@ -26,6 +26,7 @@ from .exactlin import (
     i_power,
     image,
     inverse,
+    json_array,
     json_dict,
     json_int,
     kernel,
@@ -112,7 +113,7 @@ class MHSData:
         def steps(key, index):
             # a basis is a list of column vectors: the rows of a dim-wide matrix
             pairs = []
-            for step in obj[key]:
+            for step in json_array(obj[key], key):
                 at, B = json_int(step, index), matrix_from_json(step["basis"], cols=dim)
                 if B.cols != dim:
                     raise ValueError(f"{key} {index} {at}: basis vector of length {B.cols} "
@@ -122,8 +123,8 @@ class MHSData:
 
         W = IncreasingFiltration(dim, steps("W", "weight"))
         F = DecreasingFiltration(dim, steps("F", "level"))
-        N = matrix_from_json(obj["N"], cols=dim) if obj.get("N") is not None else None
-        S = matrix_from_json(obj["S"], cols=dim) if obj.get("S") is not None else None
+        N = matrix_from_json(obj["N"], cols=dim) if "N" in obj else None
+        S = matrix_from_json(obj["S"], cols=dim) if "S" in obj else None
         return MHSData(dim, d, W, F, N, S)
 
 

@@ -9,7 +9,7 @@ fiber.
 
 from __future__ import annotations
 
-from .exactlin import _require
+from .exactlin import ContractError
 
 
 def epsilon_sign(a: int) -> int:
@@ -18,9 +18,10 @@ def epsilon_sign(a: int) -> int:
 
 
 class SignatureTable:
-    """Primitive signatures s+/s- per bidegree (p,q), with part dimensions."""
+    """Primitive signatures s+/s- per bidegree (p,q), with part dimensions;
+    top is the largest p with an entry, None for a table without one."""
 
-    __slots__ = ("d", "entries", "part_dims")
+    __slots__ = ("d", "entries", "part_dims", "top")
 
     def __init__(
         self,
@@ -31,6 +32,7 @@ class SignatureTable:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "entries", dict(sorted(entries.items())))
         object.__setattr__(self, "part_dims", dict(sorted(part_dims.items())))
+        object.__setattr__(self, "top", max((P for P, _ in entries), default=None))
 
     def __setattr__(self, name, value):
         raise AttributeError("SignatureTable is immutable")
@@ -61,14 +63,15 @@ def aggregate_s(table: SignatureTable, p: int, l: int) -> tuple[int, int]:
     d = table.d
     q = d + l - p
     plus = minus = 0
-    rmax = max((P for P, _ in table.entries), default=p) - p
+    rmax = (p if table.top is None else table.top) - p
     for r in range(max(0, -l), rmax + 1):
         a, b = table.signature(p + r, q + r)
         plus += a
         minus += b
     expected = table.part_dim(p, q)
-    _require(plus + minus == expected,
-             f"aggregate S^({p},{q}) = {plus}+{minus} but dim I^({p},{q}) = {expected}")
+    if plus + minus != expected:
+        raise ContractError(
+            f"aggregate S^({p},{q}) = {plus}+{minus} but dim I^({p},{q}) = {expected}")
     return plus, minus
 
 
@@ -93,6 +96,7 @@ def nearby_index_formula(table: SignatureTable, p: int) -> tuple[int, int]:
         if l >= p - d and r >= max(0, -l) and 0 <= d + l - p <= d:
             plus2 += a
             minus2 += b
-    _require((plus, minus) == (plus2, minus2),
-             f"aggregation forms disagree at p={p}: {(plus, minus)} vs {(plus2, minus2)}")
+    if (plus, minus) != (plus2, minus2):
+        raise ContractError(
+            f"aggregation forms disagree at p={p}: {(plus, minus)} vs {(plus2, minus2)}")
     return plus, minus

@@ -9,14 +9,18 @@ Hodge-index report.  A split limit mixed Hodge structure can be extracted in
 E2 class coordinates for cross-checking against the abstract machinery.
 
 The stratum maps are enumerated in one place (_stratum_maps), a framed map's
-type shift is checked in one place (_type_break), stratum blocks are placed
-at E1 offsets in one place (_e1_matrix) and d1, raw or framed, is placed from
-its table of signed stratum maps in one place (_d1).  Every E2 page is built
-one way: its boundary spaces are the images of the previous term's outgoing
-sector blocks, each eliminated once per _SectorMaps.  E2 sector dimensions
-come by rank-nullity, sector classes are built only where read, and the
-shift map nu^s is applied and checked in one place (_shifted_classes); the
-weight criterion and the primitive parts read no class of a target sector.
+type shift is checked in one place (_type_break), which reads no entry of a
+map between two single-type degrees, such as two unframed ones, whose tags
+keep the shift, stratum blocks are placed at E1 offsets in one place
+(_e1_matrix) and d1, raw or framed, is placed from its table of signed
+stratum maps in one place (_d1).  Every E2 page is built one way: its
+boundary spaces are the images of the previous term's outgoing sector
+blocks, each eliminated once per _SectorMaps.  E2 sector dimensions come by
+rank-nullity, sector classes are built only where read, by one elimination
+of the sector block (kernel_reps: the page has checked M B = 0 already),
+and the shift map nu^s is applied and checked in one place
+(_shifted_classes); the weight criterion and the primitive parts read no
+class of a target sector.
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ from .exactlin import (
     i_power,
     image,
     inverse,
+    json_array,
     json_dict,
     json_int,
     kernel,
     kernel_modulo,
+    kernel_reps,
     matrix_from_json,
     matrix_to_json,
     rank,
@@ -137,16 +143,29 @@ class StratumCohomology:
     @staticmethod
     def from_json(blob: dict) -> "StratumCohomology":
         entries = []
-        for item in blob["cohomology"]:
-            entry = {"dim": json_int(item, "dim"), "types": [tuple(t) for t in item["types"]]}
+        for item in json_array(blob["cohomology"], "cohomology"):
+            entry = {"dim": json_int(item, "dim", minimum=0),
+                     "types": [_type_tag(t) for t in json_array(item["types"], "types")]}
             if "pairing" in item:
                 entry["pairing"] = matrix_from_json(item["pairing"])
             if "frame" in item:
                 entry["frame"] = matrix_from_json(item["frame"])
-            entries.append((json_int(item, "q"), entry))
-        depth = json_int(blob, "depth")
+            entries.append((json_int(item, "q", minimum=0), entry))
+        depth = json_int(blob, "depth", minimum=1)
         return StratumCohomology(depth, json_dict(
             entries, f"cohomology of depth {depth}: q %d appears twice"))
+
+
+def _type_tag(value) -> tuple[int, int]:
+    """A type tag read from JSON, an array of two integers."""
+    tag = []
+    for x in json_array(value, "a type tag"):
+        if type(x) is not int:
+            raise TypeError(f"a type tag holds integers, not {type(x).__name__}")
+        tag.append(x)
+    if len(tag) != 2:
+        raise ValueError(f"a type tag has {len(tag)} entries, not 2")
+    return tag[0], tag[1]
 
 
 class DegenerationData:
@@ -192,7 +211,7 @@ class DegenerationData:
 
     @staticmethod
     def from_json(blob: dict) -> "DegenerationData":
-        read = [StratumCohomology.from_json(s) for s in blob["strata"]]
+        read = [StratumCohomology.from_json(s) for s in json_array(blob["strata"], "strata")]
         strata = json_dict(((s.depth, s) for s in read), "strata: depth %d appears twice").values()
         m = json_int(blob, "m", minimum=0)
         source_dim = DegenerationData(m, strata).stratum_dim
@@ -200,7 +219,7 @@ class DegenerationData:
         def maps(kind: str, shift: int) -> dict:
             # a map without rows keeps the width of its source, at depth + shift
             out = []
-            for g in blob.get(kind, []):
+            for g in json_array(blob.get(kind, []), kind):
                 depth, q = json_int(g, "depth", minimum=1), json_int(g, "q", minimum=0)
                 width = source_dim(depth + shift, q)
                 out.append(((depth, q), matrix_from_json(g["matrix"], width)))
@@ -372,9 +391,19 @@ def _type_break(data: DegenerationData, src: tuple, tgt: tuple, T: ExactMatrix):
     whose target type differs from its source type by something other than
     (s, s), with that difference; None if every entry keeps it.  A stratum
     map of degree 2s has type (s, s): s = 1 for a Gysin map, 0 for a
-    restriction."""
+    restriction.  When every type of src is one tag and every type of tgt
+    another, every entry of a T shaped like the two type lists pairs those
+    two tags, so if they differ by (s, s) no entry is read.  Validation
+    requires a frame wherever some tag has p' != q', so on valid input an
+    unframed degree has the one tag (q/2, q/2), and every map between two
+    of them takes this path."""
     shift = (tgt[1] - src[1]) // 2
     st, tt = (data.strata[l].types(q) if l in data.strata else [] for l, q in (src, tgt))
+    if st and tt and (T.rows, T.cols) == (len(tt), len(st)):
+        (a, b), (c, e) = st[0], tt[0]
+        if (c - a == e - b == shift and st.count(st[0]) == len(st)
+                and tt.count(tt[0]) == len(tt)):
+            return None
     for i, j in T.nonzero():
         a, b = tt[i][0] - st[j][0], tt[i][1] - st[j][1]
         if (a, b) != (shift, shift):
@@ -562,9 +591,10 @@ class E2Term:
     _SectorMaps.images fills in sector_d1[sec], the sector's outgoing d1
     block, and E2Page sector_B[sec], its boundary space, and
     sector_dims[sec], in sorted sector order; reps(sec) reduces the first
-    two once, where the classes are first read.  Nothing is lifted to the
-    whole term here; extract_limit_mhs does that, once, where whole-term
-    vectors are read."""
+    two once, where the classes are first read, by kernel_reps: E2Page
+    has checked that the block kills B, so no product is formed.  Nothing
+    is lifted to the whole term here; extract_limit_mhs does that, once,
+    where whole-term vectors are read."""
 
     __slots__ = ("summands", "sector_cols", "sector_d1", "sector_B", "sector_dims", "_reps")
 
@@ -578,7 +608,7 @@ class E2Term:
 
     def reps(self, sec: tuple[int, int]) -> ExactMatrix:
         if sec not in self._reps:
-            self._reps[sec] = kernel_modulo(self.sector_d1[sec], self.sector_B[sec])[1]
+            self._reps[sec] = kernel_reps(self.sector_d1[sec], self.sector_B[sec])
         return self._reps[sec]
 
     @property

@@ -1,15 +1,19 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmhs import cli, exactlin, identities, mhs, orbit
 from lmhs.exactlin import ExactMatrix, PolyScalar, gaussian_from_str
@@ -1115,3 +1119,97 @@ class TestOrbitOptions:
         args = cli.build_parser().parse_args(["orbit", "mhs.json"])
         assert args.format == "text"
         assert not hasattr(args, "t0") and not hasattr(args, "t0_cap")
+
+
+# -- fuzzed readers --------------------------------------------------------------
+
+
+def json_nodes(value, path=()):
+    """Every (path, value) of a JSON tree, the root first; a path is the
+    tuple of object keys and array indices that leads to the value."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from json_nodes(item, path + (key,))
+
+
+def schema_requirements(schema) -> list[frozenset]:
+    """The required-key sets of every object a schema describes."""
+    return [frozenset(node["required"]) for _, node in json_nodes(schema)
+            if isinstance(node, dict) and isinstance(node.get("required"), list)]
+
+
+def set_at(blob, path, value=None, drop=False):
+    """blob with the value at path replaced, or with the key at path dropped."""
+    *head, last = path
+    for key in head:
+        blob = blob[key]
+    if drop:
+        del blob[last]
+    else:
+        blob[last] = value
+
+
+# (fixture, schema, the commands that read it)
+FUZZ_FIXTURES = [
+    ("kodaira.json", "degeneration", ("check", "validate")),
+    ("odp_m3.json", "degeneration", ("check", "validate")),
+    ("elliptic.json", "mhs", ("orbit",)),
+]
+# one value of each JSON type; a value replaces one of another type, an
+# integer and a float counting as two types, as the schema's "integer" does
+JSON_VALUES = [None, True, 7, 1.5, "x", [], {}]
+BAD_SCALARS = ["", "1/0", "abc", "1.5", "1e3", "i", "1+i", " 1", "1/", "0x1"]
+# the integer keys the schemas bound below, and the bound
+MINIMUMS = {"m": 0, "dim": 0, "d": 0, "q": 0, "depth": 1}
+
+
+@st.composite
+def reader_mutants(draw):
+    """(fixture, commands, mutated blob, what was done): one required key
+    dropped, one value replaced by one of another JSON type, one scalar
+    string replaced by one outside the schema's grammar, or one bounded
+    integer set below its minimum."""
+    name, schema, commands = draw(st.sampled_from(FUZZ_FIXTURES))
+    blob = json.loads(Path(fixture_path(name)).read_text())
+    required = schema_requirements(json.loads((SCHEMAS / f"{schema}.schema.json").read_text()))
+    nodes = [(path, value) for path, value in json_nodes(blob) if "description" not in path]
+    kind = draw(st.sampled_from(["drop", "type", "scalar", "negative"]))
+    if kind == "drop":
+        keys = [path + (key,) for path, value in nodes if isinstance(value, dict)
+                for need in required if need <= value.keys() for key in need]
+        path = draw(st.sampled_from(sorted(set(keys), key=str)))
+        set_at(blob, path, drop=True)
+        return name, commands, blob, f"drop {path}"
+    if kind == "type":
+        path, old = draw(st.sampled_from([(p, v) for p, v in nodes if p]))
+        value = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]))
+    elif kind == "scalar":
+        path = draw(st.sampled_from([p for p, v in nodes if isinstance(v, str)]))
+        value = draw(st.sampled_from(BAD_SCALARS))
+    else:
+        path = draw(st.sampled_from([p for p, v in nodes if p and p[-1] in MINIMUMS
+                                     and isinstance(v, int)]))
+        value = MINIMUMS[path[-1]] - draw(st.integers(1, 3))
+    set_at(blob, path, value)
+    return name, commands, blob, f"{path} = {value!r}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(reader_mutants())
+def test_fuzzed_readers_reject_input(case):
+    """Every reader mutant of the fixtures that each subcommand reads is an
+    input error: exit 1, a message that starts with "invalid input:" and
+    no traceback, from the reader itself, before any verdict is read."""
+    name, commands, blob, what = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(json.dumps(blob))
+        for command in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, str(path)])
+            assert (code, out.getvalue()) == (1, ""), (command, what, out.getvalue())
+            assert err.getvalue().startswith("invalid input: "), (command, what)
+            assert err.getvalue().count("\n") == 1, (command, what)

@@ -1,11 +1,13 @@
 """Tests for mixed Hodge structures, splittings and signature tables."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from lmhs.exactlin import ExactMatrix, G_I, G_ONE, G_ZERO, Subspace
+from lmhs import signature
+from lmhs.exactlin import ContractError, ExactMatrix, G_I, G_ONE, G_ZERO, Subspace
 from lmhs.filtration import DecreasingFiltration, IncreasingFiltration, graded_piece
 from lmhs.mhs import (
     DeligneSplitting,
@@ -20,7 +22,7 @@ from lmhs.mhs import (
     random_polarized_mhs,
     signature_table,
 )
-from lmhs.signature import aggregate_s, epsilon_sign, nearby_index_formula
+from lmhs.signature import SignatureTable, aggregate_s, epsilon_sign, nearby_index_formula
 from support import jordan_nilpotent
 
 
@@ -321,6 +323,30 @@ class TestAggregation:
         data = MHSData(2, 2, W, F, N=ExactMatrix.zero(2, 2), S=S)
         table = table_of(data)
         assert nearby_index_formula(table, 1) == table.signature(1, 1)
+
+    def test_wrong_part_dimension_message(self):
+        # tate3's table with dim I^(1,1) = 2: S^(1,1) = s^(1,1) + s^(2,2) = 1+0
+        table = SignatureTable(2, {(2, 2): (1, 0)}, {(0, 0): 1, (1, 1): 2, (2, 2): 1})
+        message = "^" + re.escape("aggregate S^(1,1) = 1+0 but dim I^(1,1) = 2") + "$"
+        for aggregate in (lambda: aggregate_s(table, 1, 0), lambda: nearby_index_formula(table, 1)):
+            with pytest.raises(ContractError, match=message):
+                aggregate()
+
+    def test_cross_check_fires_on_a_wrong_formula(self, monkeypatch):
+        # a mutant single-sum formula, one too many S+ per k = 0..2
+        table = table_of(tate_string_3())
+        original = signature.aggregate_s
+        monkeypatch.setattr(signature, "aggregate_s",
+                            lambda *args: (original(*args)[0] + 1, original(*args)[1]))
+        message = "^" + re.escape("aggregation forms disagree at p=2: (4, 0) vs (1, 0)") + "$"
+        with pytest.raises(ContractError, match=message):
+            nearby_index_formula(table, 2)
+
+    def test_empty_table(self):
+        table = SignatureTable(2, {}, {})
+        assert table.top is None
+        assert [aggregate_s(table, p, l) for p in range(3) for l in range(-2, 3)] == [(0, 0)] * 15
+        assert [nearby_index_formula(table, p) for p in range(3)] == [(0, 0)] * 3
 
 
 class TestRandomPolarized:

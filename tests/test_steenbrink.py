@@ -639,7 +639,7 @@ def test_pipeline_does_no_scalar_arithmetic(build):
 @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
 def test_trivial_shapes_do_no_work(build, monkeypatch):
     """Validation and nearby_hodge_index eliminate no matrix without rows
-    (kernel_modulo answers a sector block with no target without one), and
+    (kernel_reps answers a sector block with no target without one), and
     build no E2Term without an E1 summand, such as any column past the
     deepest stratum, |r| >= max depth.  The report is the one the
     unwatched pipeline gives."""
@@ -665,8 +665,8 @@ def test_trivial_shapes_do_no_work(build, monkeypatch):
 
 
 @pytest.mark.parametrize("name, matrices, full, eliminations", [
-    ("odp-m3-l6", 63, 1, 12),
-    ("odp-m4-l7", 41, 1, 12),
+    ("odp-m3-l6", 56, 1, 12),
+    ("odp-m4-l7", 36, 1, 12),
 ], ids=["odp-m3-l6", "odp-m4-l7"])
 def test_golden_models_build_few_matrices(name, matrices, full, eliminations, monkeypatch):
     """Ceilings on the work of validation and nearby_hodge_index: the
@@ -793,8 +793,8 @@ class TestD1Builds:
         monkeypatch.setattr(steenbrink._SectorMaps, "d1", d1)
         monkeypatch.setattr(steenbrink, "image", imaging)
         monkeypatch.setattr(steenbrink.E2Term, "reps", reading)
-        monkeypatch.setattr(steenbrink, "kernel_modulo", recording(
-            "kernel_modulo", steenbrink.kernel_modulo, "reduced"))
+        monkeypatch.setattr(steenbrink, "kernel_reps", recording(
+            "kernel_reps", steenbrink.kernel_reps, "reduced"))
         monkeypatch.setattr(steenbrink, "_stratum_maps", enumerate_maps)
         monkeypatch.setattr(steenbrink, "_frame_map", frame_map)
         return calls
@@ -943,6 +943,25 @@ def test_rank_criterion_matches_class_coordinates(build):
     assert all(verdicts) == (build not in (kodaira_degeneration, CRITERION_INPUTS[-1]))
 
 
+@pytest.mark.parametrize("build", CRITERION_INPUTS, ids=CRITERION_IDS)
+def test_classes_form_no_product(build, monkeypatch):
+    """E2Term.reps forms no ExactMatrix product: its page has checked
+    that each sector block kills the sector's boundary space, so reading
+    the classes only eliminates the block and picks representatives, and
+    they are kernel_modulo's, byte for byte, on every sector of every page
+    0..2m."""
+    data = build()
+    sectors = [(term, sec) for d in range(2 * data.m + 1)
+               for term in e2_page(data, d).terms.values() for sec in term.sector_cols]
+    products, matmul = [], ExactMatrix.__matmul__
+    monkeypatch.setattr(ExactMatrix, "__matmul__", lambda A, B: products.append(1) or matmul(A, B))
+    got = [term.reps(sec) for term, sec in sectors]
+    assert products == []
+    monkeypatch.undo()
+    assert got == [exactlin.kernel_modulo(term.sector_d1[sec], term.sector_B[sec])[1]
+                   for term, sec in sectors]
+
+
 @pytest.mark.parametrize("models", [
     lambda: seeded_odp_models(7),
     lambda: seeded_odp_models(20261018),
@@ -957,19 +976,19 @@ def test_classes_built_only_where_read(models, monkeypatch):
     targets.  On the seeded ODP models nu^{r+1} has no target; on the
     triple point and the tetrahedron it lands in column -r-2."""
     pages, built = [], []
-    page, reduce = steenbrink.e2_page, steenbrink.kernel_modulo
+    page, reduce = steenbrink.e2_page, steenbrink.kernel_reps
 
     def keeping(data, d, maps=None):
         pages.append(page(data, d, maps))
         return pages[-1]
 
-    def reducing(M, lower=None):
+    def reducing(M, lower):
         built.append(next((p.d, r) for p in pages for r, term in p.terms.items()
                           if any(B is M for B in term.sector_d1.values())))
         return reduce(M, lower)
 
     monkeypatch.setattr(steenbrink, "e2_page", keeping)
-    monkeypatch.setattr(steenbrink, "kernel_modulo", reducing)
+    monkeypatch.setattr(steenbrink, "kernel_reps", reducing)
     for data in models():
         pages.clear(), built.clear()
         nearby_hodge_index(data)
@@ -1724,6 +1743,90 @@ def test_pairing_failures_match_ranking_every_degree(build):
     framed = any(e["frame"] is not None for s in data.strata.values()
                  for e in s.cohomology.values())
     assert framed == any(kind.startswith("pairing pairs type") for kind in seen)
+
+
+def full_scan_type_break(data: DegenerationData, src: tuple, tgt: tuple, T: ExactMatrix):
+    """The reference for _type_break: every nonzero entry of the framed map
+    T is read, in order, whatever the type lists are."""
+    shift = (tgt[1] - src[1]) // 2
+    st, tt = (data.strata[l].types(q) if l in data.strata else [] for l, q in (src, tgt))
+    for i, j in T.nonzero():
+        a, b = tt[i][0] - st[j][0], tt[i][1] - st[j][1]
+        if (a, b) != (shift, shift):
+            return (i, j), (a, b)
+    return None
+
+
+def shifted_tag_mutants(data: DegenerationData):
+    """data with the one type tag (a, b) of a single-type degree that some
+    stratum map reads moved to (a + 1, b - 1), one degree at a time: on
+    every column, so that the tags of its maps differ by something other
+    than their shift, and on its last column alone, so that the degree has
+    two tags."""
+    ends = {end for _, _, src, tgt, _ in steenbrink._stratum_maps(data) for end in (src, tgt)}
+    for depth, q in sorted(ends):
+        s = data.strata.get(depth)
+        types = s.types(q) if s else []
+        if not types or len(set(types)) > 1:
+            continue
+        (a, b), entry = types[0], s.cohomology[q]
+        for moved in (len(types), 1):
+            tags = types[:len(types) - moved] + [(a + 1, b - 1)] * moved
+            cohomology = {**s.cohomology, q: {**entry, "types": tags}}
+            strata = [StratumCohomology(depth, cohomology) if t is s else t
+                      for t in data.strata.values()]
+            yield DegenerationData(data.m, strata, data.gysin, data.restriction)
+
+
+def type_break_outcome(type_break, data, src, tgt, T):
+    """type_break's answer, or the type of the IndexError it raises on a
+    map with more rows than its target has types."""
+    try:
+        return type_break(data, src, tgt, T)
+    except IndexError as exc:
+        return type(exc)
+
+
+# every input has a nonzero stratum map, so some mutant breaks a type shift
+TYPE_BREAK_INPUTS = [
+    cycle_degeneration, kodaira_degeneration, reframed_cycle, framed_maps_degeneration,
+    triple_point_degeneration, json_fixture("kodaira.json"), json_fixture("odp_m3.json")] + [
+    (lambda build=build: support.product(build(), elliptic_smooth()))
+    for build in (cycle_degeneration, kodaira_degeneration, triple_point_degeneration)] + [
+    (lambda i=i: seeded_odp_models(7)[i]) for i in range(4)]
+TYPE_BREAK_IDS = [
+    "cycle", "kodaira", "reframed_cycle", "framed_maps_degeneration", "triple_point",
+    "kodaira.json", "odp_m3.json", "cycle-E", "kodaira-E", "triple_point-E",
+    "odp-m3-l2", "odp-m3-l4", "odp-m4-l3", "odp-m4-l5"]
+
+
+@pytest.mark.parametrize("build", TYPE_BREAK_INPUTS, ids=TYPE_BREAK_IDS)
+def test_type_break_matches_full_scan(build):
+    """_type_break, which reads no entry of a map between two single-type
+    degrees whose tags keep the shift, names the entry and the difference a
+    full scan names on every framed stratum map of the input and of every
+    shifted-tag mutant, and on each such map with one row too many; the
+    mutants' validation failure lists are those of the validation that
+    scans every map in full, byte for byte."""
+    data = build()
+    breaks = 0
+    for case in [data, *shifted_tag_mutants(data)]:
+        framed = steenbrink._frame_map(case)
+        for _, _, src, tgt, A in steenbrink._stratum_maps(case):
+            if (A.rows, A.cols) != (case.stratum_dim(*tgt), case.stratum_dim(*src)):
+                continue
+            T = framed(A, src, tgt)
+            got = steenbrink._type_break(case, src, tgt, T)
+            assert got == full_scan_type_break(case, src, tgt, T), (src, tgt)
+            breaks += got is not None
+            # a misshaped map, one more row than the target has types, is
+            # scanned in full as before
+            T = T.vstack(M([[1] * T.cols]))
+            assert type_break_outcome(steenbrink._type_break, case, src, tgt, T) == (
+                type_break_outcome(full_scan_type_break, case, src, tgt, T)), (src, tgt)
+        if case is not data:
+            assert validate_degeneration_data(case).failures == validation_ranking_every_degree(case)
+    assert breaks
 
 
 # -- products with a smooth factor ---------------------------------------------
