@@ -118,20 +118,27 @@ def _read_input(path: str, from_json):
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(args) -> int:
-    from .steenbrink import (
-        DegenerateFormError,
-        DegenerationData,
-        nearby_hodge_index,
-        validate_degeneration_data,
-    )
+def _read_validated(path: str):
+    """(data, its validation) of the degeneration file at path, the one
+    reading step of check and validate; an input error is printed and gives
+    None."""
+    from .steenbrink import DegenerationData, validate_degeneration_data
 
     try:
-        data = _read_input(args.input, DegenerationData.from_json)
-        validation = validate_degeneration_data(data)
+        data = _read_input(path, DegenerationData.from_json)
+        return data, validate_degeneration_data(data)
     except (ValueError, KeyError, TypeError, AssertionError, ArithmeticError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_check(args) -> int:
+    from .steenbrink import DegenerateFormError, nearby_hodge_index
+
+    read = _read_validated(args.input)
+    if read is None:
         return EXIT_INPUT
+    data, validation = read
     if not validation.ok:
         _emit({"valid": False, "failures": validation.failures}, args.format)
         return EXIT_INPUT
@@ -145,14 +152,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .steenbrink import DegenerationData, validate_degeneration_data
-
-    try:
-        data = _read_input(args.input, DegenerationData.from_json)
-        validation = validate_degeneration_data(data)
-    except (ValueError, KeyError, TypeError, AssertionError, ArithmeticError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
+    read = _read_validated(args.input)
+    if read is None:
         return EXIT_INPUT
+    _, validation = read
     _emit({"valid": validation.ok, "failures": validation.failures}, args.format)
     return EXIT_OK if validation.ok else EXIT_VERDICT
 

@@ -12,17 +12,17 @@ elimination and the fraction-free Hermitian reduction work on these
 integers; scalars, values without arithmetic (GaussianScalar), appear only
 in the constructor, the JSON codec, repr and the entries view.  A real
 matrix has no imaginary numerators, and no kernel makes any for it.  rref,
-kernel, kernel_modulo, kernel_reps, inverse, solve and class_coordinates
-read their answers from the rows of one fraction-free elimination, whose
-pivots divide only the rows and columns asked for, in one place
-(_solved_rows); no intermediate reduced matrix is built.  rank, image and
-kernel_modulo's test of the lower space read pivots only and stop at row
-echelon form.  Trivial shapes do no work: an operation whose result equals
-an operand returns it (a product with a factor equal to the identity by
-value, assemble of one covering block, take_rows and take_columns of every
-index in order, scale by 1, conj of a real matrix), kernel_modulo and
-kernel_reps of a matrix without rows eliminate nothing, and the Hermitian
-test compares each entry with its mirror on the stored integers.
+kernel, kernel_modulo, inverse, solve and class_coordinates read their
+answers from the rows of one fraction-free elimination, whose pivots divide
+only the rows and columns asked for, in one place (_solved_rows); no
+intermediate reduced matrix is built.  rank, image and kernel_modulo's
+choice of representatives read pivots only and stop at row echelon form.
+Trivial shapes do no work: an operation whose result equals an operand
+returns it (a product with a factor equal to the identity by value,
+assemble of one covering block, take_rows and take_columns of every index
+in order, scale by 1, conj of a real matrix), kernel_modulo of a matrix
+without rows eliminates nothing, Subspace.full checks no rank, and the
+Hermitian test compares each entry with its mirror on the stored integers.
 
 A polynomial matrix in a real variable t is the list of its coefficient
 matrices C_0, ..., C_D, lowest degree first, as exp_nilpotent returns them.
@@ -200,6 +200,15 @@ def json_array(value, what: str) -> list:
     keys or a string's characters as items."""
     if not isinstance(value, list):
         raise TypeError(f"{what} must be an array, not {type(value).__name__}")
+    return value
+
+
+def json_object(value, what: str) -> dict:
+    """value, which must be a JSON object: any other JSON type is a
+    TypeError, as in json_array, where subscripting it would fail with
+    Python's own words."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be an object, not {type(value).__name__}")
     return value
 
 
@@ -627,7 +636,7 @@ def _echelon(M: ExactMatrix, reduced: bool = True
     rows, pivot columns).  Reduced, row j of the reduced form is row j here
     divided by its entry in column pivots[j]; not reduced, the rows are a
     row echelon form with the same pivot columns, all that rank, image and
-    kernel_modulo's test of the lower space read.  A real M has empty im
+    kernel_modulo's choice of representatives read.  A real M has empty im
     rows throughout: its step is a*x - f*u, one product per entry, and the
     content is the gcd of the real half alone.
     """
@@ -740,53 +749,26 @@ def _kernel_basis(n: int, R: list, I: list, pivots: list[int]) -> tuple["Subspac
     return Subspace._trusted(n, _from_int_rows(len(free), rows)), free
 
 
-def kernel_modulo(M: ExactMatrix, lower: "Subspace | None" = None):
-    """(ker M, representatives of ker M modulo lower, im M) from one
-    elimination of M; lower defaults to im M, for M @ M = 0.  The
-    representatives equal quotient_reps(kernel(M), lower) byte for byte, or
-    are None when M @ lower != 0 (see _reps_modulo).  An M without rows (a
-    block with no target) needs no elimination: its kernel is the identity,
-    its image zero, and M @ lower the empty matrix.
-    """
-    K, free, pivots = _kernel_free(M)
-    I = Subspace._trusted(M.rows, M.take_columns(pivots)) if M.rows else Subspace.zero(0)
-    lower = I if lower is None else lower
+def kernel_modulo(M: ExactMatrix, lower: "Subspace") -> tuple["Subspace", ExactMatrix]:
+    """(ker M, representatives of ker M modulo lower) from one elimination
+    of M, for a lower that M kills: each caller knows M @ lower = 0, so no
+    product checks it.  The representatives equal quotient_reps(kernel(M),
+    lower) byte for byte: the kernel basis K is the identity on the free
+    rows, so lower's free rows C are its coordinates, and column j of K is
+    kept unless some vector of span(C) has its last nonzero coordinate at
+    j, that is a pivot of C^T with its columns reversed.  An M without rows
+    needs no elimination: its kernel is the identity."""
     _require(lower.ambient_dim == M.cols, "lower space outside the domain")
-    if lower.dim and M.rows and not (M @ lower.basis).is_zero():
-        return K, None, I
-    return K, _reps_modulo(K.basis, free, lower), I
-
-
-def kernel_reps(M: ExactMatrix, lower: "Subspace") -> ExactMatrix:
-    """kernel_modulo(M, lower)[1] for a lower that the caller has already
-    checked M to annihilate: the same one elimination and the same
-    representatives, without the product M @ lower or the image of M."""
-    _require(lower.ambient_dim == M.cols, "lower space outside the domain")
-    K, free, _ = _kernel_free(M)
-    return _reps_modulo(K.basis, free, lower)
-
-
-def _kernel_free(M: ExactMatrix) -> tuple["Subspace", Sequence[int], list[int]]:
-    """(ker M, its free columns, the pivot columns of M) from one full
-    elimination, or from none when M has no rows."""
-    if not M.rows:
-        return Subspace._trusted(M.cols, ExactMatrix.identity(M.cols)), range(M.cols), []
-    R, I, pivots = _echelon(M)
-    return (*_kernel_basis(M.cols, R, I, pivots), pivots)
-
-
-def _reps_modulo(K: ExactMatrix, free: Sequence[int], lower: "Subspace") -> ExactMatrix:
-    """The columns of the kernel basis K, with free columns free, that
-    represent ker / lower, for lower inside the kernel.  K is the identity
-    on the free rows, so lower's free rows C are its coordinates: column j
-    is kept unless some vector of span(C) has its last nonzero coordinate
-    at j, that is a pivot of C^T with its columns reversed."""
+    if M.rows:
+        K, free = _kernel_basis(M.cols, *_echelon(M))
+    else:
+        K, free = Subspace.full(M.cols), range(M.cols)
     f, b = len(free), lower.dim
     if not b:
-        return K
+        return K, K.basis
     last = range(f) if b == f else {f - 1 - p for p in _echelon(
         lower.basis.take_rows(free[::-1]).transpose(), reduced=False)[2]}
-    return K.take_columns([j for j in range(f) if j not in last])
+    return K, K.basis.take_columns([j for j in range(f) if j not in last])
 
 
 def image(M: ExactMatrix) -> "Subspace":
@@ -873,7 +855,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ExactMatrix.identity(ambient_dim))
+        return Subspace._trusted(ambient_dim, ExactMatrix.identity(ambient_dim))
 
     @staticmethod
     def span(ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
@@ -1227,9 +1209,12 @@ def _interpolate(values: list[tuple[int, int]], den: int) -> PolyScalar:
 
     Newton's forward form p(t) = sum_k Delta^k p(0) binom(t, k) has integer
     coefficients times D!, since D! binom(t, k) = (D!/k!) t(t-1)...(t-k+1);
-    the one division is by D! den.
+    the one division is by D! den.  No values, from a negative degree
+    bound, is the zero polynomial.
     """
     D = len(values) - 1
+    if D < 0:
+        return PolyScalar()
     re = [a for a, _ in values]
     im = [b for _, b in values]
     out_re = [0] * (D + 1)

@@ -186,14 +186,13 @@ def _monodromy_offsets(N: ExactMatrix) -> dict[int, Subspace]:
     of the map induced by N on ker N^e / im N^e.
     """
     n = N.rows
-    if n == 0:
-        return {0: Subspace.full(0)}
-    e, Ne = _nilpotency_data(N)
+    e, Ne = _nilpotency_data(N)  # e = -1 when n = 0
     if e <= 0:
         return {0: Subspace.full(n)}
-    # one reduction of N^e gives K, I and R; im N^e lies in ker N^e, since
-    # N^(2e) = 0
-    K, R, I = kernel_modulo(Ne)
+    # im N^e lies in ker N^e, since e >= 1 and N^(2e) = 0, so kernel_modulo
+    # needs no product to know that N^e kills it
+    I = image(Ne)
+    K, R = kernel_modulo(Ne, I)
     Nbar = class_coordinates(R, I, N @ R)
     _require(Nbar is not None, "induced map escaped ker N^e + im N^e")
     sub = IncreasingFiltration(R.cols, _monodromy_offsets(Nbar))

@@ -19,11 +19,11 @@ from .exactlin import G_I, G_ONE, ExactMatrix, _require, i_power, rank
 # quadrics
 # ---------------------------------------------------------------------------
 
-def quadric_cohomology(n: int, depth: int = 1) -> StratumCohomology:
+def quadric_cohomology(n: int) -> StratumCohomology:
     """Cohomology of a smooth n-dimensional quadric with its intersection
-    pairing.  Below the middle, degree 2j carries the hyperplane power h^j;
-    above the middle the dual generator h^j / 2 is used, so complementary
-    pairings are 1.  For even n = 2k the middle carries the two plane
+    pairing, as a stratum of depth 1.  Below the middle, degree 2j carries
+    the hyperplane power h^j; above the middle the dual generator h^j / 2
+    is used, so complementary pairings are 1.  For even n = 2k the middle carries the two plane
     classes A, B with A.B = (1 - (-1)^k)/2 and A.A = B.B = (1 + (-1)^k)/2.
     """
     from .steenbrink import StratumCohomology
@@ -52,7 +52,7 @@ def quadric_cohomology(n: int, depth: int = 1) -> StratumCohomology:
             "types": [(k, k), (k, k)],
             "pairing": ExactMatrix.from_rational([[diag, off], [off, diag]]),
         }
-    return StratumCohomology(depth, cohomology)
+    return StratumCohomology(1, cohomology)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .exactlin import (
     json_array,
     json_dict,
     json_int,
+    json_object,
     kernel,
     matrix_from_json,
     matrix_to_json,
@@ -114,6 +115,7 @@ class MHSData:
             # a basis is a list of column vectors: the rows of a dim-wide matrix
             pairs = []
             for step in json_array(obj[key], key):
+                step = json_object(step, f"a step of {key}")
                 at, B = json_int(step, index), matrix_from_json(step["basis"], cols=dim)
                 if B.cols != dim:
                     raise ValueError(f"{key} {index} {at}: basis vector of length {B.cols} "
@@ -514,7 +516,7 @@ def random_polarized_mhs(
     for w in range(wmin, wmax + 1):
         cols = [j for j, wt in enumerate(weight_of) if wt <= w]
         if cols:
-            W_steps[w] = Subspace(n, ExactMatrix.identity(n).take_columns(cols))
+            W_steps[w] = Subspace._trusted(n, ExactMatrix.identity(n).take_columns(cols))
     F_steps = {}
     max_index = max(level for level, _ in fvec_entries)
     for k in range(0, max_index + 1):

@@ -17,10 +17,10 @@ stratum maps in one place (_d1).  Every E2 page is built one way: its
 boundary spaces are the images of the previous term's outgoing sector
 blocks, each eliminated once per _SectorMaps.  E2 sector dimensions come by
 rank-nullity, sector classes are built only where read, by one elimination
-of the sector block (kernel_reps: the page has checked M B = 0 already),
-and the shift map nu^s is applied and checked in one place
-(_shifted_classes); the weight criterion and the primitive parts read no
-class of a target sector.
+of the sector block (kernel_modulo, which forms no product: the page has
+checked M B = 0 already), and the shift map nu^s is applied and checked in
+one place (_shifted_classes); the weight criterion and the primitive parts
+read no class of a target sector.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from .exactlin import (
     json_array,
     json_dict,
     json_int,
+    json_object,
     kernel,
     kernel_modulo,
-    kernel_reps,
     matrix_from_json,
     matrix_to_json,
     rank,
@@ -144,6 +144,7 @@ class StratumCohomology:
     def from_json(blob: dict) -> "StratumCohomology":
         entries = []
         for item in json_array(blob["cohomology"], "cohomology"):
+            item = json_object(item, "a cohomology entry")
             entry = {"dim": json_int(item, "dim", minimum=0),
                      "types": [_type_tag(t) for t in json_array(item["types"], "types")]}
             if "pairing" in item:
@@ -211,7 +212,8 @@ class DegenerationData:
 
     @staticmethod
     def from_json(blob: dict) -> "DegenerationData":
-        read = [StratumCohomology.from_json(s) for s in json_array(blob["strata"], "strata")]
+        read = [StratumCohomology.from_json(json_object(s, "a stratum"))
+                for s in json_array(blob["strata"], "strata")]
         strata = json_dict(((s.depth, s) for s in read), "strata: depth %d appears twice").values()
         m = json_int(blob, "m", minimum=0)
         source_dim = DegenerationData(m, strata).stratum_dim
@@ -220,6 +222,7 @@ class DegenerationData:
             # a map without rows keeps the width of its source, at depth + shift
             out = []
             for g in json_array(blob.get(kind, []), kind):
+                g = json_object(g, f"a {kind} map")
                 depth, q = json_int(g, "depth", minimum=1), json_int(g, "q", minimum=0)
                 width = source_dim(depth + shift, q)
                 out.append(((depth, q), matrix_from_json(g["matrix"], width)))
@@ -591,7 +594,7 @@ class E2Term:
     _SectorMaps.images fills in sector_d1[sec], the sector's outgoing d1
     block, and E2Page sector_B[sec], its boundary space, and
     sector_dims[sec], in sorted sector order; reps(sec) reduces the first
-    two once, where the classes are first read, by kernel_reps: E2Page
+    two once, where the classes are first read, by kernel_modulo: E2Page
     has checked that the block kills B, so no product is formed.  Nothing
     is lifted to the whole term here; extract_limit_mhs does that, once,
     where whole-term vectors are read."""
@@ -608,7 +611,7 @@ class E2Term:
 
     def reps(self, sec: tuple[int, int]) -> ExactMatrix:
         if sec not in self._reps:
-            self._reps[sec] = kernel_reps(self.sector_d1[sec], self.sector_B[sec])
+            self._reps[sec] = kernel_modulo(self.sector_d1[sec], self.sector_B[sec])[1]
         return self._reps[sec]
 
     @property
@@ -933,9 +936,8 @@ def extract_limit_mhs(data: DegenerationData, d: int) -> "MHSData":
     rational = {}
     for r, term in page.terms.items():
         B = image(_d1(maps, e1_summands(data, d - 1, r + 1), term.summands))
-        _, reps, _ = kernel_modulo(_d1(maps, term.summands, e1_summands(data, d + 1, r - 1)), B)
-        if reps is None:
-            raise ContractError(f"d1 image escapes kernel at degree {d}, column {-r}")
+        # M B = 0: the page checked it per sector, in invertible frames
+        _, reps = kernel_modulo(_d1(maps, term.summands, e1_summands(data, d + 1, r - 1)), B)
         rational[r] = (reps, B)
     order = [r for r in range(-d, d + 1) if page.dim(r)]  # weight d+r increasing
     offsets = {}
@@ -949,10 +951,10 @@ def extract_limit_mhs(data: DegenerationData, d: int) -> "MHSData":
                        DecreasingFiltration(0, {0: zero}), Z, Z if d == m else None)
     # weight filtration
     steps = {}
+    identity = ExactMatrix.identity(total)
     for r in order:
-        w = d + r
-        dim_below = offsets[r] + page.dim(r)
-        steps[w] = Subspace(total, ExactMatrix.identity(total).take_columns(range(dim_below)))
+        below = range(offsets[r] + page.dim(r))  # weights up to d + r
+        steps[d + r] = Subspace._trusted(total, identity.take_columns(below))
     W = IncreasingFiltration(total, steps)
     # Hodge filtration from sector representatives in class coordinates,
     # all of a term's representatives mapped at once
@@ -975,7 +977,7 @@ def extract_limit_mhs(data: DegenerationData, d: int) -> "MHSData":
     fsteps = {}
     for p in levels:
         M = classes.take_columns([k for k, sec in enumerate(owners) if sec[0] >= p])
-        fsteps[p] = Subspace(total, image(M).basis)
+        fsteps[p] = image(M)
     if fsteps[levels[0]].dim != total:
         raise ContractError("sector representatives do not span")
     if levels[-1] + 1 not in fsteps:

@@ -11,21 +11,20 @@ one reader a handler needs, the --hodge file, is passed in.
 from __future__ import annotations
 
 from . import geomodels
-from .exactlin import json_int
+from .exactlin import json_int, json_object
 
 
 def _odp(args, read_input) -> tuple[dict, bool]:
     if args.m % 2:
         if args.R is None:
             raise ValueError("odd m needs --R")
-        table = _parse_rows(args.rows)
-        inp = geomodels.OdpInput(args.m, args.l, R=args.R, table=table)
+        R, vhat = args.R, None
     else:
         if args.vhat is None:
             raise ValueError("even m needs --vhat plus,minus")
         plus, minus = (int(x) for x in args.vhat.split(","))
-        table = _parse_rows(args.rows)
-        inp = geomodels.OdpInput(args.m, args.l, vhat=(plus, minus), table=table)
+        R, vhat = None, (plus, minus)
+    inp = geomodels.OdpInput(args.m, args.l, R=R, vhat=vhat, table=_parse_rows(args.rows))
     return {"family": "odp", "m": args.m, "l": args.l,
             "table": geomodels.odp_index_formula(inp)}, True
 
@@ -64,21 +63,24 @@ def _kahler(args, read_input) -> tuple[dict, bool]:
 def _hodge_from_json(blob: dict) -> tuple[int, dict]:
     """(m, Hodge numbers) of a --hodge file, {"m": 2, "hodge": {"p,q": h}};
     a value of the wrong JSON type is a TypeError raised right after it is
-    read, so the reader names its path.  m must be at least 0 and every
-    (p, q) must lie in 0..m; a ValueError names the value out of range."""
+    read, so the reader names its path.  m and every Hodge number must be
+    at least 0 and every (p, q) must lie in 0..m; a ValueError names the
+    value out of range."""
     m = json_int(blob, "m", minimum=0)
-    numbers = blob["hodge"]
-    if not isinstance(numbers, dict):
-        raise TypeError(f"hodge must be an object, not {type(numbers).__name__}")
+    numbers = json_object(blob["hodge"], "hodge")
     hodge = {}
     for key in numbers:
         try:
             p, q = (int(x) for x in key.split(","))
         except ValueError:
-            raise ValueError(f"hodge key {key!r} is not p,q") from None
+            p = q = None
+        # int() also reads " 1", "01" and "+1": only the plain spelling is
+        # a key, so no two keys name one (p, q)
+        if p is None or key != f"{p},{q}":
+            raise ValueError(f"hodge key {key!r} is not p,q")
         if not (0 <= p <= m and 0 <= q <= m):
             raise ValueError(f"hodge key {key!r} is outside 0..{m}")
-        hodge[p, q] = json_int(numbers, key)
+        hodge[p, q] = json_int(numbers, key, minimum=0)
     return m, hodge
 
 

@@ -328,19 +328,17 @@ def reference_kernel(M: ExactMatrix) -> Subspace:
     return reference_null_space(M.cols, R, pivots)[0]
 
 
-def reference_kernel_modulo(M: ExactMatrix, lower: Subspace | None = None):
+def reference_kernel_modulo(M: ExactMatrix, lower: Subspace):
+    """(ker M, representatives of ker M modulo lower) for a lower that M
+    kills, from the reduced form built as a matrix."""
     R, pivots, _ = reference_rref(M)
     K, free = reference_null_space(M.cols, R, pivots)
-    I = Subspace._trusted(M.rows, M.take_columns(pivots))
-    lower = I if lower is None else lower
     f, b = len(free), lower.dim
     if not b:
-        return K, K.basis, I
-    if not (M @ lower.basis).is_zero():
-        return K, None, I
+        return K, K.basis
     last = range(f) if b == f else {
         f - 1 - p for p in exactlin._echelon(lower.basis.take_rows(free[::-1]).transpose())[2]}
-    return K, K.basis.take_columns([j for j in range(f) if j not in last]), I
+    return K, K.basis.take_columns([j for j in range(f) if j not in last])
 
 
 def reference_inverse(M: ExactMatrix) -> ExactMatrix:

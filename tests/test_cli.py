@@ -271,6 +271,32 @@ class TestCodec:
         proc = run_optimized(command, str(path))
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
+    # items that must be JSON objects, as (command, fixture, path, value put
+    # there, what the message calls the item)
+    NOT_OBJECTS = [
+        ("check", "odp_m3.json", ("strata", 0, "cohomology", 4), None, "a cohomology entry"),
+        ("validate", "kodaira.json", ("strata", 1), [1], "a stratum"),
+        ("check", "kodaira.json", ("gysin", 0), "x", "a gysin map"),
+        ("validate", "kodaira.json", ("restriction", 1), 3, "a restriction map"),
+        ("orbit", "elliptic.json", ("W", 0), 3, "a step of W"),
+        ("orbit", "elliptic.json", ("F", 1), [], "a step of F"),
+    ]
+
+    @pytest.mark.parametrize("command, name, at, value, what", NOT_OBJECTS,
+                             ids=["cohomology", "stratum", "gysin", "restriction", "W", "F"])
+    def test_item_that_is_not_an_object_names_the_expected_type(self, tmp_path, capsys, command,
+                                                                name, at, value, what):
+        blob = json.load(open(fixture_path(name)))
+        set_at(blob, at, value)
+        path = tmp_path / name
+        path.write_text(json.dumps(blob))
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in at).lstrip(".")
+        want = (1, "", f"invalid input: {where}: wrong JSON type "
+                       f"({what} must be an object, not {type(value).__name__})\n")
+        assert run(capsys, command, str(path)) == want
+        proc = run_optimized(command, str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
     # the integer fields of the degeneration reader, as (path, container of
     # the field in the kodaira.json blob, key)
     INT_FIELDS = [
@@ -1041,6 +1067,11 @@ class TestTables:
         ("m-negative", {"m": -2, "hodge": {"1,1": 2}}, "m is -2, not at least 0"),
         ("key-above-m", {"m": 2, "hodge": {"3,3": 1}}, "hodge key '3,3' is outside 0..2"),
         ("key-below-0", {"m": 2, "hodge": {"1,-1": 1}}, "hodge key '1,-1' is outside 0..2"),
+        # an input error, not a verdict on the Lefschetz chain (exit 2)
+        ("value-negative", {"m": 2, "hodge": {"1,1": -3}}, "1,1 is -3, not at least 0"),
+        # int() reads " 1,1" as 1,1: only the plain spelling names (1, 1)
+        ("key-spelled-twice", {"m": 2, "hodge": {"1,1": 20, " 1,1": 5}},
+         "hodge key ' 1,1' is not p,q"),
     ]
 
     @pytest.mark.parametrize("blob, message", [case[1:] for case in BAD_HODGE],
@@ -1213,3 +1244,57 @@ def test_fuzzed_readers_reject_input(case):
             assert (code, out.getvalue()) == (1, ""), (command, what, out.getvalue())
             assert err.getvalue().startswith("invalid input: "), (command, what)
             assert err.getvalue().count("\n") == 1, (command, what)
+
+
+# the K3 Hodge numbers as a --hodge file, the seed of the --hodge fuzz
+K3_HODGE = {"m": 2, "hodge": {"0,0": 1, "1,1": 20, "2,0": 1, "0,2": 1, "2,2": 1}}
+# keys that are not p,q with 0 <= p, q <= m = 2; " 1,1", "01,1" and "+1,1"
+# are read by int() as 1,1, so a non-canonical spelling could stand beside
+# the key it repeats
+BAD_HODGE_KEYS = ["", "1", "1,1,1", "a,b", "1;1", "1.0,1", " 1,1", "01,1", "+1,1", "1,1 ",
+                  "3,0", "0,3", "-1,0", "2,-1"]
+
+
+@st.composite
+def hodge_mutants(draw):
+    """(mutated --hodge blob, what was done): a required key dropped, one
+    value replaced by one of another JSON type, one Hodge key replaced by
+    one that is not p,q or lies outside 0..m, or one integer set below its
+    minimum of 0."""
+    blob = json.loads(json.dumps(K3_HODGE))
+    kind = draw(st.sampled_from(["drop", "type", "key", "negative"]))
+    if kind == "drop":
+        key = draw(st.sampled_from(["m", "hodge"]))
+        del blob[key]
+        return blob, f"drop {key}"
+    if kind == "key":
+        old = draw(st.sampled_from(sorted(blob["hodge"])))
+        new = draw(st.sampled_from(BAD_HODGE_KEYS))
+        blob["hodge"] = {(new if k == old else k): v for k, v in blob["hodge"].items()}
+        return blob, f"key {old!r} -> {new!r}"
+    if kind == "type":
+        path, old = draw(st.sampled_from([(p, v) for p, v in json_nodes(blob) if p]))
+        value = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]))
+    else:
+        path = draw(st.sampled_from([("m",)] + [("hodge", k) for k in sorted(blob["hodge"])]))
+        value = -draw(st.integers(1, 3))
+    set_at(blob, path, value)
+    return blob, f"{path} = {value!r}"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(hodge_mutants())
+def test_fuzzed_hodge_reader_rejects_input(case):
+    """Every mutant of the K3 --hodge file is an input error of lmhs tables
+    kahler --hodge: exit 1, one "invalid input:" line and nothing on
+    stdout, never a table or a verdict."""
+    blob, what = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hodge.json"
+        path.write_text(json.dumps(blob))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["tables", "kahler", "--hodge", str(path)])
+        assert (code, out.getvalue()) == (1, ""), (what, out.getvalue())
+        assert err.getvalue().startswith("invalid input: "), (what, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (what, err.getvalue())

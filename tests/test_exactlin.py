@@ -753,6 +753,32 @@ def test_polynomial_determinants_match_reference(case):
     assert leading_principal_minors(*coeffs) == want
 
 
+@pytest.mark.parametrize("coeffs, zero_minor", [
+    # [[t^2 + 1, 1, 1], [1, 0, 0], [1, 0, 0]]: not graded, offset bound -2
+    ([[[1, 1, 1], [1, 0, 0], [1, 0, 0]], [[0] * 3] * 3,
+      [[1, 0, 0], [0, 0, 0], [0, 0, 0]]], 3),
+    # a drawn 4 x 4 matrix whose third leading block has offset bound -2
+    ([[[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+      [[0] * 4] * 3 + [[1, 0, 0, 0]],
+      [[1, 0, 0, 0]] + [[0] * 4] * 3], 3),
+], ids=["det", "minors"])
+def test_negative_degree_bound_is_the_zero_polynomial(coeffs, zero_minor):
+    """A negative degree bound certifies a zero determinant, so no point is
+    evaluated and the interpolated polynomial is zero: poly_det agrees with
+    the reference and leading_principal_minors raises ZeroMinorError at
+    the block with that bound, not an arithmetic error."""
+    coeffs = [ExactMatrix.from_rational(C) for C in coeffs]
+    rows, _ = _poly_rows(coeffs)
+    assert _degree_bound(rows, zero_minor) < 0
+    assert poly_det(*coeffs) == reference_det(*coeffs)
+    with pytest.raises(ZeroMinorError) as got:
+        leading_principal_minors(*coeffs)
+    assert got.value.index == zero_minor
+    with pytest.raises(ZeroMinorError) as want:
+        reference_minors(*coeffs)
+    assert want.value.index == zero_minor
+
+
 @settings(max_examples=300, deadline=None)
 @given(gaussian_matrices())
 def test_rref_matches_sympy(M):
@@ -922,10 +948,10 @@ def test_storage_invariant_on_every_kernel(rows, cols, data):
 
 @st.composite
 def kernel_modulo_cases(draw):
-    """(M, lower, inside): M real, complex, or real with one complex row,
-    empty shapes included; lower the zero space, all of ker M, the span of
-    random combinations of ker M's basis, or such a span plus a vector
-    outside ker M, for which inside is False."""
+    """(M, lower): M real, complex, or real with one complex row, empty
+    shapes included; lower the zero space, all of ker M, or the span of
+    random combinations of ker M's basis, a space that M kills, as every
+    caller of kernel_modulo has it."""
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 6))
     kind = draw(st.sampled_from(["real", "complex", "mixed"]))
     M = draw(gaussian_matrices(rows, cols) if kind == "complex" else rational_matrices(rows, cols))
@@ -934,49 +960,39 @@ def kernel_modulo_cases(draw):
         C = draw(gaussian_matrices(1, cols).filter(lambda C: C.im))
         M = M.take_rows(range(at)).vstack(C).vstack(M.take_rows(range(at, rows)))
     K = kernel(M)
-    lower = draw(st.sampled_from(["zero", "kernel", "inside", "outside"]))
-    if lower == "zero" or lower == "outside" and K.dim == cols:
-        return M, Subspace.zero(cols), True
+    lower = draw(st.sampled_from(["zero", "kernel", "inside"]))
+    if lower == "zero":
+        return M, Subspace.zero(cols)
     if lower == "kernel":
-        return M, K, True
-    inside = image(K.basis @ draw(gaussian_matrices(K.dim, draw(st.integers(0, K.dim + 1)))))
-    if lower == "inside":
-        return M, inside, True
-    out = next(e for e in ExactMatrix.identity(cols).columns() if not K.contains_vector(e))
-    return M, inside.add(Subspace.span(cols, [out])), False
+        return M, K
+    return M, image(K.basis @ draw(gaussian_matrices(K.dim, draw(st.integers(0, K.dim + 1)))))
 
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_modulo_cases())
-def test_kernel_modulo_matches_kernel_quotient_and_image(case):
-    """The reference is three eliminations: kernel(M), image(M) and
-    quotient_reps over [lower | ker M]; kernel_modulo gives the same
-    storage from one reduction of M, and None where lower leaves ker M."""
-    M, lower, inside = case
-    K, reps, I = kernel_modulo(M, lower)
+def test_kernel_modulo_matches_kernel_and_quotient(case):
+    """The reference is two eliminations: kernel(M) and quotient_reps over
+    [lower | ker M]; kernel_modulo gives the same storage from one
+    reduction of M."""
+    M, lower = case
+    K, reps = kernel_modulo(M, lower)
     assert K.basis == kernel(M).basis
-    assert I.basis == image(M).basis and I.ambient_dim == M.rows
-    want = quotient_reps(kernel(M), lower)
-    if not inside:
-        assert want is None and reps is None
-    else:
-        assert reps is not None and reps == want
-        assert (reps.rows, reps.cols) == (M.cols, K.dim - lower.dim)
+    assert reps == quotient_reps(kernel(M), lower)
+    assert (reps.rows, reps.cols) == (M.cols, K.dim - lower.dim)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_kernel_modulo_defaults_to_the_image(seed):
-    # a square-zero M (Jordan blocks of size at most 2 in a random basis),
-    # as the monodromy weight filtration reduces N^e
+    # a square-zero M (Jordan blocks of size at most 2 in a random basis)
+    # modulo its own image, as the monodromy weight filtration reduces N^e
     rng = random.Random(seed)
     n = rng.randrange(1, 7)
     sizes = [2] * rng.randrange(0, n // 2 + 1)
     P = random_invertible(rng, n)
     M = inverse(P) @ jordan_nilpotent(sizes + [1] * (n - 2 * len(sizes))) @ P
-    K, reps, I = kernel_modulo(M)
-    assert I.basis == image(M).basis
+    K, reps = kernel_modulo(M, image(M))
     assert K.basis == kernel(M).basis
-    assert reps == quotient_reps(kernel(M), image(M)) == kernel_modulo(M, I)[1]
+    assert reps == quotient_reps(kernel(M), image(M))
 
 
 # -- eliminations read from the integer rows, against the reduced form -------
@@ -1035,10 +1051,9 @@ def test_signed_pivots_keep_the_reduced_form_storage(rows):
 @settings(max_examples=300, deadline=None)
 @given(kernel_modulo_cases())
 def test_kernel_modulo_keeps_the_reduced_form_storage(case):
-    M, lower, _ = case
+    M, lower = case
     got, want = kernel_modulo(M, lower), reference_kernel_modulo(M, lower)
-    assert [storage(got[0].basis), storage(got[1]), storage(got[2].basis)] == \
-        [storage(want[0].basis), storage(want[1]), storage(want[2].basis)]
+    assert [storage(got[0].basis), storage(got[1])] == [storage(want[0].basis), storage(want[1])]
 
 
 @st.composite

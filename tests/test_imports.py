@@ -252,6 +252,129 @@ def test_orphaned_helper_is_found():
     assert orphaned_helpers(sources) == ["m._a", "m._D", "n._b"]
 
 
+def name_graph(sources: dict[str, str]) -> tuple[dict, list]:
+    """(edges, public): edges maps each (module, name) bound at module level
+    to the (module, name) pairs its statements reference, and public lists
+    the module-level defs and classes whose names start without an
+    underscore.  A reference is a loaded name that the statement does not
+    bind itself (an argument or an assigned local), resolved through the
+    module's imports, function-level ones included, or an attribute of that
+    name in any module; sources maps module names to text."""
+    edges, public = {}, []
+    for module, source in sources.items():
+        tree = parse(source)
+        imported = {a.asname or a.name: (node.module.split(".")[-1], a.name)
+                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module
+                    for a in node.names}
+        for top in tree.body:
+            local = set() if isinstance(top, (ast.Assign, ast.AnnAssign)) else {
+                n.id for n in ast.walk(top) if isinstance(n, ast.Name) and
+                not isinstance(n.ctx, ast.Load)} | {
+                a.arg for n in ast.walk(top) if isinstance(n, ast.arguments)
+                for a in n.posonlyargs + n.args + n.kwonlyargs}
+            refs = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id not in local:
+                        refs.add(imported.get(node.id, (module, node.id)))
+                elif isinstance(node, ast.Attribute):
+                    refs.update((other, node.attr) for other in sources)
+            for name in bound_names(top):
+                edges.setdefault((module, name), set()).update(refs)
+                if not name.startswith("_") and isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                    public.append((module, name))
+    return edges, public
+
+
+def reached(edges: dict, roots) -> set:
+    """The (module, name) pairs that a chain of references leads to from
+    roots, roots included."""
+    seen, todo = set(roots), list(roots)
+    while todo:
+        for key in edges.get(todo.pop(), ()):
+            if key in edges and key not in seen:
+                seen.add(key)
+                todo.append(key)
+    return seen
+
+
+def unreached_public(sources: dict[str, str]) -> list[str]:
+    """module.name of each public def or class that the command line does
+    not reach: the roots are cli.main, the console script, and every
+    cli.cmd_* subcommand."""
+    edges, public = name_graph(sources)
+    roots = [("cli", name) for name in module_definitions(sources["cli"])
+             if name == "main" or name.startswith("cmd_")]
+    seen = reached(edges, roots)
+    return [f"{module}.{name}" for module, name in public if (module, name) not in seen]
+
+
+# the public defs of lmhs that no subcommand reaches, each with its reason:
+# a tracer target (perfbench/tracer.py TARGETS rebinds it), a test oracle
+# (the tests call it, or it is the result of one that they call) or a
+# library entry point (README.md names it)
+UNREACHED = {
+    "exactlin.quotient_reps": "test oracle",
+    "filtration.GradedPiece": "test oracle",
+    "filtration.graded_piece": "test oracle",
+    "filtration.induced_map": "test oracle",
+    "filtration.check_weight_axioms": "test oracle",
+    "geomodels.quadric_cohomology": "library entry point",
+    "geomodels.odp_semistable_model": "tracer target",
+    "geomodels.hashimoto_sano_pic_fixture": "test oracle",
+    "mhs.check_splitting_properties": "test oracle",
+    "mhs.check_situation_a": "tracer target",
+    "mhs.primitive_part": "test oracle",
+    "mhs.random_polarized_mhs": "tracer target",
+    "orbit.refined_filtration_check": "tracer target",
+    "steenbrink.d1_matrix": "library entry point",
+    "steenbrink.weight_criterion": "tracer target",
+    "steenbrink.psi_form": "library entry point",
+    "steenbrink.e2_signature_table": "tracer target",
+    "steenbrink.extract_limit_mhs": "test oracle",
+}
+
+
+def test_public_surface_is_reached_or_listed(monkeypatch):
+    """Every public def or class of lmhs is reached from the command line
+    or listed in UNREACHED, and no entry there is stale: each names an
+    unreached public def, for a reason that holds."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert sorted(unreached_public(sources)) == sorted(UNREACHED)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracer import TARGETS
+
+    targets = {f"{modname.split('.')[-1]}.{attr}" for _, modname, attr, owner in TARGETS
+               if owner is None}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    edges, _ = name_graph(sources)
+    tested = reached(edges, {(module, name) for path in sorted((ROOT / "tests").glob("*.py"))
+                             for module in sources
+                             for name in reads(path.read_text(encoding="utf-8"), module)[0]})
+    for entry, reason in UNREACHED.items():
+        module, name = entry.split(".")
+        assert {"tracer target": entry in targets,
+                "test oracle": (module, name) in tested,
+                "library entry point": f"`{name}" in readme}[reason], (entry, reason)
+
+
+def test_unreached_public_def_is_found():
+    sources = {
+        "cli": "from .m import f\n"
+               "def cmd_a(args):\n    g = args[0]\n    return f(g)\n"
+               "def main():\n    return cmd_a(None)\n"
+               "def helper():\n    pass\n",
+        "m": "def f(x):\n    return _h(x)\n"
+             "def _h(x):\n    return C.k(x)\n"
+             "class C:\n    def k(self):\n        return 1\n"
+             "def g():\n    pass\n"
+             "def k():\n    pass\n"
+             "def unused():\n    return g()\n",
+    }
+    # cmd_a's g is its own local, so m.g is not reached; .k reaches every k
+    assert unreached_public(sources) == ["cli.helper", "m.g", "m.unused"]
+
+
 def test_every_tracer_target_resolves(monkeypatch):
     """perfbench/tracer.py rebinds its TARGETS by module, class and
     attribute name, so a target whose name moved or went away fails

@@ -3,6 +3,7 @@ psi pairings, E2 signature tables and limit MHS extraction."""
 
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -11,7 +12,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lmhs import exactlin, steenbrink
+from lmhs import exactlin, filtration, steenbrink
 from lmhs.exactlin import (
     ContractError, ExactMatrix, GaussianScalar, Subspace, class_coordinates, image, kernel,
     quotient_reps, rank, solve,
@@ -639,7 +640,7 @@ def test_pipeline_does_no_scalar_arithmetic(build):
 @pytest.mark.parametrize("build", D1_INPUTS, ids=D1_IDS)
 def test_trivial_shapes_do_no_work(build, monkeypatch):
     """Validation and nearby_hodge_index eliminate no matrix without rows
-    (kernel_reps answers a sector block with no target without one), and
+    (kernel_modulo answers a sector block with no target without one), and
     build no E2Term without an E1 summand, such as any column past the
     deepest stratum, |r| >= max depth.  The report is the one the
     unwatched pipeline gives."""
@@ -671,7 +672,7 @@ def test_trivial_shapes_do_no_work(build, monkeypatch):
 def test_golden_models_build_few_matrices(name, matrices, full, eliminations, monkeypatch):
     """Ceilings on the work of validation and nearby_hodge_index: the
     matrices built (exactlin._new), the full eliminations and all of them.
-    Rank, image and kernel_modulo's test of the lower space stop at row
+    Rank, image and kernel_modulo's choice of representatives stop at row
     echelon form, an E2 sector's classes are reduced in full only where
     they are read, and an operation whose result would equal its operand
     returns the operand, so none of these savings can regress unseen."""
@@ -793,8 +794,8 @@ class TestD1Builds:
         monkeypatch.setattr(steenbrink._SectorMaps, "d1", d1)
         monkeypatch.setattr(steenbrink, "image", imaging)
         monkeypatch.setattr(steenbrink.E2Term, "reps", reading)
-        monkeypatch.setattr(steenbrink, "kernel_reps", recording(
-            "kernel_reps", steenbrink.kernel_reps, "reduced"))
+        monkeypatch.setattr(steenbrink, "kernel_modulo", recording(
+            "kernel_modulo", steenbrink.kernel_modulo, "reduced"))
         monkeypatch.setattr(steenbrink, "_stratum_maps", enumerate_maps)
         monkeypatch.setattr(steenbrink, "_frame_map", frame_map)
         return calls
@@ -948,8 +949,8 @@ def test_classes_form_no_product(build, monkeypatch):
     """E2Term.reps forms no ExactMatrix product: its page has checked
     that each sector block kills the sector's boundary space, so reading
     the classes only eliminates the block and picks representatives, and
-    they are kernel_modulo's, byte for byte, on every sector of every page
-    0..2m."""
+    they are those of the independent quotient_reps(kernel(block), B),
+    byte for byte, on every sector of every page 0..2m."""
     data = build()
     sectors = [(term, sec) for d in range(2 * data.m + 1)
                for term in e2_page(data, d).terms.values() for sec in term.sector_cols]
@@ -958,8 +959,43 @@ def test_classes_form_no_product(build, monkeypatch):
     got = [term.reps(sec) for term, sec in sectors]
     assert products == []
     monkeypatch.undo()
-    assert got == [exactlin.kernel_modulo(term.sector_d1[sec], term.sector_B[sec])[1]
+    assert got == [quotient_reps(kernel(term.sector_d1[sec]), term.sector_B[sec])
                    for term, sec in sectors]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tetrahedron_degeneration(), lambda: seeded_odp_models(20261018)[0],
+    lambda: odp_semistable_model(GOLDEN_ODP_MODELS["odp-m3-l6"]),
+], ids=["tetrahedron", "odp-m3-l2", "odp-m3-l6"])
+def test_kernel_modulo_call_sites_form_no_product(build, monkeypatch):
+    """Each of kernel_modulo's three call sites already knows that M kills
+    the lower space, so no ExactMatrix product is formed inside the call:
+    E2Term.reps because its page checked M B = 0, extract_limit_mhs
+    because it built that page first (in invertible frames), and
+    _monodromy_offsets because im N^e lies in ker N^e when N^(2e) = 0.
+    Every site is reached with a nonzero lower space and a matrix with
+    rows, where a check would have to multiply."""
+    products, matmul = [], ExactMatrix.__matmul__
+    sites = Counter()
+
+    def watched(M, lower):
+        before = len(products)
+        out = exactlin.kernel_modulo(M, lower)
+        site = sys._getframe(1).f_code.co_name
+        sites[site, "calls"] += bool(lower.dim and M.rows)
+        sites[site, "products"] += len(products) - before
+        return out
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", lambda A, B: products.append(1) or matmul(A, B))
+    monkeypatch.setattr(steenbrink, "kernel_modulo", watched)
+    monkeypatch.setattr(filtration, "kernel_modulo", watched)
+    data = build()
+    for d in range(2 * data.m + 1):
+        weight_filtration(extract_limit_mhs(data, d).N, d)
+    for site in ("reps", "extract_limit_mhs", "_monodromy_offsets"):
+        assert sites[site, "calls"] > 0, site
+        assert sites[site, "products"] == 0, site
+    assert {site for site, _ in sites} == {"reps", "extract_limit_mhs", "_monodromy_offsets"}
 
 
 @pytest.mark.parametrize("models", [
@@ -976,7 +1012,7 @@ def test_classes_built_only_where_read(models, monkeypatch):
     targets.  On the seeded ODP models nu^{r+1} has no target; on the
     triple point and the tetrahedron it lands in column -r-2."""
     pages, built = [], []
-    page, reduce = steenbrink.e2_page, steenbrink.kernel_reps
+    page, reduce = steenbrink.e2_page, steenbrink.kernel_modulo
 
     def keeping(data, d, maps=None):
         pages.append(page(data, d, maps))
@@ -988,7 +1024,7 @@ def test_classes_built_only_where_read(models, monkeypatch):
         return reduce(M, lower)
 
     monkeypatch.setattr(steenbrink, "e2_page", keeping)
-    monkeypatch.setattr(steenbrink, "kernel_reps", reducing)
+    monkeypatch.setattr(steenbrink, "kernel_modulo", reducing)
     for data in models():
         pages.clear(), built.clear()
         nearby_hodge_index(data)
