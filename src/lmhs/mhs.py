@@ -130,34 +130,49 @@ class MHSData:
         return MHSData(dim, d, W, F, N, S)
 
 
-def check_mhs(data: MHSData) -> Report:
-    """Graded opposedness: for each weight k, the filtration induced by F on
-    Gr^W_k is k-opposed to its conjugate.
+def _graded_opposedness(data: MHSData):
+    """check_mhs's failures, and meet(a, b) = F^a ∩ W_b, formed once per pair
+    of stored steps.  conj F^a ∩ W_b is conj meet(a, b), byte for byte: W is
+    rational, and elimination and products commute with conjugation.  With
+    A_q = F^q ∩ W_k + W_{k-1}, conj F induces conj A_q on Gr_k.  Once the
+    graded dimensions of A_p and conj A_{k-p+1} add up to dim Gr_k, the two
+    meet in W_{k-1} exactly when they span W_k: a rank, not an intersection.
     """
+    W, F, n = data.W, data.F, data.ambient_dim
+    lo, hi = F.min_index(), F.max_index()
+    table = {}
+
+    def meet(a: int, b: int) -> Subspace:
+        # F^a is F's step at its least index >= a, W_b W's at its largest <= b
+        i = next((i for i in F.indices() if i >= a), None)
+        j = max((j for j in W.indices() if j <= b), default=None)
+        if i is None or j is None:
+            return Subspace.zero(n)
+        if (i, j) not in table:
+            table[i, j] = F.at(i).intersect(W.at(j))
+        return table[i, j]
+
     failures = []
-    W, F = data.W, data.F
-    Fc = F.conj()
     for k in range(W.min_index(), W.max_index() + 1):
-        wk = W.at(k)
-        wk1 = W.at(k - 1)
+        wk, wk1 = W.at(k), W.at(k - 1)
         gr_dim = wk.dim - wk1.dim
         if gr_dim == 0:
             continue
-        for p in range(F.min_index(), F.max_index() + 2):
-            A = F.at(p).intersect(wk).add(wk1)
-            B = Fc.at(k - p + 1).intersect(wk).add(wk1)
-            a = A.dim - wk1.dim
-            b = B.dim - wk1.dim
+        A = {p: meet(p, k).add(wk1) for p in range(lo, hi + 2)}  # F^p is F^lo below lo, 0 above hi
+        for p in range(lo, hi + 2):
+            Ap, Bp = A[p], A[min(max(k - p + 1, lo), hi + 1)].conj()
+            a, b = Ap.dim - wk1.dim, Bp.dim - wk1.dim
             if a + b != gr_dim:
-                failures.append(
-                    f"weight {k}, level {p}: graded dims {a}+{b} != {gr_dim}"
-                )
-                continue
-            if A.intersect(B).dim != wk1.dim:
-                failures.append(
-                    f"weight {k}, level {p}: induced F^{p} meets conj F^{k-p+1}"
-                )
-    return Report(failures)
+                failures.append(f"weight {k}, level {p}: graded dims {a}+{b} != {gr_dim}")
+            elif rank(Ap.basis.hstack(Bp.basis)) != wk.dim:
+                failures.append(f"weight {k}, level {p}: induced F^{p} meets conj F^{k-p+1}")
+    return failures, meet
+
+
+def check_mhs(data: MHSData) -> Report:
+    """Graded opposedness: for each weight k, the filtration induced by F on
+    Gr^W_k is k-opposed to its conjugate (_graded_opposedness)."""
+    return Report(_graded_opposedness(data)[0])
 
 
 class DeligneSplitting:
@@ -187,31 +202,25 @@ class DeligneSplitting:
         return f"DeligneSplitting({body})"
 
 
-def deligne_splitting(data: MHSData, assume_mhs: bool = False) -> DeligneSplitting:
-    """I^{p,q} = F^p  W_{p+q}  (conj F^q  W_{p+q} + sum_{j>=2} conj F^{q-j+1}  W_{p+q-j}).
+def deligne_splitting(data: MHSData) -> DeligneSplitting:
+    """I^{p,q} = F^p ∩ W_k ∩ (conj F^q ∩ W_k + sum_{j>=2} conj F^{q-j+1} ∩ W_{k-j}), k = p + q.
 
-    Requires check_mhs to pass (contract error otherwise); pass
-    assume_mhs=True to skip re-checking when the caller already has.
+    Checks that the input is a mixed Hodge structure (contract error if not)
+    on the F^a ∩ W_b the parts read; the conj sum is the conjugate of theirs.
     """
-    if not assume_mhs:
-        report = check_mhs(data)
-        _require(report.ok, f"not a mixed Hodge structure: {report.failures}")
-    W, F = data.W, data.F
-    Fc = F.conj()
-    n = data.ambient_dim
-    parts = {}
+    failures, meet = _graded_opposedness(data)
+    _require(not failures, f"not a mixed Hodge structure: {failures}")
+    n, W, F = data.ambient_dim, data.W, data.F
     lo, hi = F.min_index(), F.max_index()
+    parts = {}
     for p in range(lo, hi + 1):
         for q in range(lo, hi + 1):
-            if W.at(p + q).dim == 0:
-                continue
-            inner = Fc.at(q).intersect(W.at(p + q))
-            jmax = p + q - W.min_index()
-            for j in range(2, jmax + 1):
-                inner = inner.add(Fc.at(q - j + 1).intersect(W.at(p + q - j)))
-            sub = F.at(p).intersect(W.at(p + q)).intersect(inner)
-            if sub.dim:
-                parts[(p, q)] = sub
+            top = meet(p, p + q)
+            if top.dim:
+                inner = meet(q, p + q)
+                for j in range(2, p + q - W.min_index() + 1):
+                    inner = inner.add(meet(q - j + 1, p + q - j))
+                parts[(p, q)] = top.intersect(inner.conj())
     total = sum(sub.dim for sub in parts.values())
     _require(total == n, f"splitting dims {total} do not fill the ambient space {n}")
     return DeligneSplitting(n, parts)
@@ -292,6 +301,11 @@ def situation_a_hodge_failure(data: MHSData) -> str | None:
     return None
 
 
+def _nilpotent(data: MHSData) -> ExactMatrix:
+    """N, or the zero map when data has none."""
+    return data.N if data.N is not None else ExactMatrix.zero(data.ambient_dim, data.ambient_dim)
+
+
 def check_situation_a(data: MHSData) -> bool:
     """N is a morphism of mixed Hodge structures and W = W(N, d)."""
     return (situation_a_weight_failure(data) is None
@@ -310,9 +324,7 @@ def check_situation_b(data: MHSData) -> bool:
         return False
     if rank(S) != data.ambient_dim:
         return False
-    N = data.N if data.N is not None else ExactMatrix.zero(
-        data.ambient_dim, data.ambient_dim
-    )
+    N = _nilpotent(data)
     if not (N.transpose() @ S + S @ N).is_zero():
         return False
     F = data.F
@@ -347,18 +359,12 @@ def primitive_subspaces(data: MHSData, splitting: DeligneSplitting):
     space, for p+q >= d, from the Deligne splitting of data.  Returns dict
     (p,q) -> Subspace.
     """
-    N = data.N if data.N is not None else ExactMatrix.zero(
-        data.ambient_dim, data.ambient_dim
-    )
-    out = {}
-    for (p, q), sub in splitting.parts.items():
-        l = p + q - data.d
-        if l < 0:
-            continue
-        prim = sub.intersect(kernel(N.power(l + 1)))
-        if prim.dim:
-            out[(p, q)] = prim
-    return out
+    N, d = _nilpotent(data), data.d
+    # ker N^{l+1} once per l, for every part of weight d + l
+    kernels = {l: kernel(N.power(l + 1)) for l in {p + q - d for p, q in splitting.parts} if l >= 0}
+    prims = {(p, q): sub.intersect(kernels[p + q - d])
+             for (p, q), sub in splitting.parts.items() if p + q >= d}
+    return {pq: prim for pq, prim in prims.items() if prim.dim}
 
 
 def primitive_forms(data: MHSData, splitting: DeligneSplitting):
@@ -369,9 +375,7 @@ def primitive_forms(data: MHSData, splitting: DeligneSplitting):
     of the values, and the orbit's well-ordered basis reads the vectors.
     """
     _require(data.S is not None, "primitive forms need S")
-    N = data.N if data.N is not None else ExactMatrix.zero(
-        data.ambient_dim, data.ambient_dim
-    )
+    N = _nilpotent(data)
     out = {}
     for (p, q), prim in primitive_subspaces(data, splitting).items():
         B = prim.basis

@@ -310,7 +310,7 @@ def verify_main_theorem(data: MHSData) -> Report:
     if axiom is not None:
         return Report([f"Situation A' fails: {axiom}"])
     d = data.d
-    splitting = deligne_splitting(data, assume_mhs=True)
+    splitting = deligne_splitting(data)
     forms = primitive_forms(data, splitting)
     table = signature_table(data, splitting, forms)
     details["table"] = table

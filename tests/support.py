@@ -23,9 +23,12 @@ from lmhs.exactlin import (
     PolyScalar,
     Subspace,
     ZeroMinorError,
+    _require,
     hermitian_check,
     rank,
 )
+from lmhs.mhs import DeligneSplitting, MHSData
+from lmhs.report import Report
 
 
 def random_partition(rng: random.Random, n: int) -> list[int]:
@@ -369,6 +372,66 @@ def reference_class_coordinates(reps: ExactMatrix, lower: Subspace, X: ExactMatr
     if rk > k:
         return None
     return R.take_rows(range(reps.cols)).take_columns(range(k, k + X.cols))
+
+
+# -- mixed Hodge structures ----------------------------------------------------
+#
+# The direct forms of check_mhs and deligne_splitting: every F^p and every
+# conj F^q intersected with every W_k where it is read, and opposedness
+# tested by an intersection.  The library reads conj F^q ∩ W_k as the
+# conjugate of F^q ∩ W_k and tests opposedness by a span; the outputs,
+# failure lists and basis storage, must agree.
+
+
+def reference_check_mhs(data: MHSData) -> Report:
+    failures = []
+    W, F = data.W, data.F
+    Fc = F.conj()
+    for k in range(W.min_index(), W.max_index() + 1):
+        wk = W.at(k)
+        wk1 = W.at(k - 1)
+        gr_dim = wk.dim - wk1.dim
+        if gr_dim == 0:
+            continue
+        for p in range(F.min_index(), F.max_index() + 2):
+            A = F.at(p).intersect(wk).add(wk1)
+            B = Fc.at(k - p + 1).intersect(wk).add(wk1)
+            a = A.dim - wk1.dim
+            b = B.dim - wk1.dim
+            if a + b != gr_dim:
+                failures.append(
+                    f"weight {k}, level {p}: graded dims {a}+{b} != {gr_dim}"
+                )
+                continue
+            if A.intersect(B).dim != wk1.dim:
+                failures.append(
+                    f"weight {k}, level {p}: induced F^{p} meets conj F^{k-p+1}"
+                )
+    return Report(failures)
+
+
+def reference_deligne_splitting(data: MHSData) -> DeligneSplitting:
+    report = reference_check_mhs(data)
+    _require(report.ok, f"not a mixed Hodge structure: {report.failures}")
+    W, F = data.W, data.F
+    Fc = F.conj()
+    n = data.ambient_dim
+    parts = {}
+    lo, hi = F.min_index(), F.max_index()
+    for p in range(lo, hi + 1):
+        for q in range(lo, hi + 1):
+            if W.at(p + q).dim == 0:
+                continue
+            inner = Fc.at(q).intersect(W.at(p + q))
+            jmax = p + q - W.min_index()
+            for j in range(2, jmax + 1):
+                inner = inner.add(Fc.at(q - j + 1).intersect(W.at(p + q - j)))
+            sub = F.at(p).intersect(W.at(p + q)).intersect(inner)
+            if sub.dim:
+                parts[(p, q)] = sub
+    total = sum(sub.dim for sub in parts.values())
+    _require(total == n, f"splitting dims {total} do not fill the ambient space {n}")
+    return DeligneSplitting(n, parts)
 
 
 # node ids registered by the test modules at import, and the outcome of the

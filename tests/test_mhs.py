@@ -1,10 +1,13 @@
 """Tests for mixed Hodge structures, splittings and signature tables."""
 
+import json
 import random
 import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmhs import signature
 from lmhs.exactlin import ContractError, ExactMatrix, G_I, G_ONE, G_ZERO, Subspace
@@ -23,7 +26,7 @@ from lmhs.mhs import (
     signature_table,
 )
 from lmhs.signature import SignatureTable, aggregate_s, epsilon_sign, nearby_index_formula
-from support import jordan_nilpotent
+from support import jordan_nilpotent, reference_check_mhs, reference_deligne_splitting
 
 
 def rat(rows):
@@ -405,3 +408,114 @@ class TestRandomPolarized:
             if found:
                 break
         assert found, "twisted generator never produced a non-split instance"
+
+
+# -- one F^a ∩ W_b per pair: the outputs of the direct forms -------------------
+
+
+def fixture(name: str) -> MHSData:
+    return MHSData.from_json(json.loads(
+        resources.files("lmhs").joinpath("fixtures", name).read_text()))
+
+
+def real_top(data: MHSData, rng: random.Random) -> MHSData:
+    """data with F's top step replaced by a random real span V of its
+    dimension (at least 1), and V added to every lower step so that F stays
+    a filtration.  F's top step then meets its conjugate, so the result is
+    most often no MHS."""
+    n, F = data.ambient_dim, data.F
+    top = F.max_index()
+    V = Subspace.span(n, [[rng.randint(-3, 3) for _ in range(n)]
+                          for _ in range(max(F.at(top).dim, 1))])
+    steps = {p: V if p == top else sub.add(V) for p, sub in F.steps}
+    return MHSData(n, data.d, data.W, DecreasingFiltration(n, steps), data.N, data.S)
+
+
+def shifted_weights(data: MHSData, rng: random.Random) -> MHSData:
+    """data with W moved up one weight: the graded dimensions no longer
+    add up."""
+    return MHSData(data.ambient_dim, data.d, data.W.shift(1), data.F, data.N, data.S)
+
+
+def real_line_elliptic(a: int, b: int) -> MHSData:
+    """elliptic.json with F^1 the real line through (a, b)."""
+    data = fixture("elliptic.json")
+    F = DecreasingFiltration(2, {0: Subspace.full(2), 1: Subspace.span(2, [[a, b]]),
+                                 2: Subspace.zero(2)})
+    return MHSData(2, data.d, data.W, F, data.N, data.S)
+
+
+def outcome(check, split, data: MHSData):
+    """The failure list of check and the basis storage of each part of
+    split, or its contract error on a structure that is no MHS."""
+    failures = check(data).failures
+    try:
+        parts = {pq: (sub.basis.re, sub.basis.im, sub.basis.den)
+                 for pq, sub in split(data).parts.items()}
+    except ContractError as exc:
+        parts = str(exc)
+    return failures, parts
+
+
+GENERATOR_SETTINGS = {
+    "polarized": {},
+    "unpolarized": {"polarized": False},
+    "untransported": {"transport": False},
+    "untwisted": {"twist": False},
+}
+MUTANTS = {"none": lambda data, rng: data, "real top": real_top,
+           "shifted weights": shifted_weights}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(GENERATOR_SETTINGS)),
+       st.sampled_from([8, 4, 10, 6]), st.integers(1, 4), st.sampled_from(sorted(MUTANTS)))
+def test_shared_meets_keep_the_direct_outputs(seed, setting, max_dim, max_d, mutant):
+    """check_mhs and deligne_splitting read conj F^a ∩ W_b as a conjugate
+    and test opposedness by a span; their failure lists and part storage
+    equal those of the direct forms, on generated structures and on
+    mutants that are no MHS."""
+    rng = random.Random(seed)
+    data, _ = random_polarized_mhs(rng, max_dim=max_dim, max_d=max_d,
+                                   **GENERATOR_SETTINGS[setting])
+    data = MUTANTS[mutant](data, rng)
+    assert outcome(check_mhs, deligne_splitting, data) == outcome(
+        reference_check_mhs, reference_deligne_splitting, data)
+
+
+@pytest.mark.parametrize("a, b", [(1, 0), (0, 1), (2, -1), (-3, 3)])
+def test_real_hodge_line_meets_its_conjugate(a, b):
+    """A real F^1 of weight 1 has the right graded dimensions and meets its
+    conjugate: only the span test finds it, as the direct form does."""
+    data = real_line_elliptic(a, b)
+    failures = ["weight 1, level 1: induced F^1 meets conj F^1"]
+    assert outcome(check_mhs, deligne_splitting, data) == outcome(
+        reference_check_mhs, reference_deligne_splitting, data) == (
+        failures, f"not a mixed Hodge structure: {failures}")
+
+
+@pytest.mark.parametrize("source, check, split", [
+    ("elliptic.json", 3, 8),
+    ("tate3.json", 6, 11),
+    (0, 2, 5),
+    (1, 12, 30),
+    (2, 9, 19),
+])
+def test_each_meet_is_formed_once(source, check, split, monkeypatch):
+    """Ceilings on the Subspace.intersect calls of check_mhs and of
+    deligne_splitting, whose own MHS check is included.  Each F^a ∩ W_b is
+    formed once per call, conj F^a ∩ W_b is its conjugate, and opposedness
+    is a span, so none of these savings can regress unseen."""
+    if isinstance(source, int):
+        data, _ = random_polarized_mhs(random.Random(20261018 + source), max_dim=6, max_d=3)
+    else:
+        data = fixture(source)
+    calls = []
+    intersect = Subspace.intersect
+    monkeypatch.setattr(Subspace, "intersect",
+                        lambda self, other: calls.append(1) or intersect(self, other))
+    assert check_mhs(data).ok
+    assert len(calls) <= check
+    calls.clear()
+    deligne_splitting(data)
+    assert len(calls) <= split
